@@ -24,10 +24,8 @@ from .generator import (
     step_latent,
 )
 from .ssm import (
-    AugmentedStateSpace,
     ModelParams,
     StateSpace,
-    augment,
     binomial_obs_noise,
     build_state_space,
     observation_variance,

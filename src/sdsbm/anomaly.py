@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -20,8 +19,6 @@ import numpy as np
 from . import kalman
 from .graph_model import BlockSeries, TypePair
 from .ssm import ModelParams
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -132,6 +129,7 @@ def score(
         if mode == "predictive":
             mean = seq.pred_mean @ ss.H
             var = np.einsum("i,tij,j->t", ss.H, seq.pred_cov, ss.H) + seq.u + n2r
+            loglik[i] = seq.pred_loglik
         else:
             seq = kalman.smooth(seq, ss)
             mean = seq.smoothed_mean[1:] @ ss.H
@@ -140,15 +138,14 @@ def score(
                 + seq.u
                 + n2r
             )
-        mask = series.observed_mask()
-        resid = series.counts - mean
+            mask = series.observed_mask()
+            with np.errstate(invalid="ignore"):
+                loglik[i, mask] = kalman.gaussian_logpdf(
+                    series.counts[mask] - mean[mask], var[mask]
+                )
         w[i] = series.counts
         pred_mean[i] = mean
         pred_var[i] = var
-        with np.errstate(invalid="ignore"):
-            loglik[i, mask] = (
-                -0.5 * (LOG_2PI + np.log(var[mask]) + resid[mask] ** 2 / var[mask])
-            )
     with np.errstate(invalid="ignore"):
         z = (w - pred_mean) / np.sqrt(pred_var)
     graph = np.nansum(loglik, axis=0)

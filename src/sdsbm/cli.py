@@ -12,13 +12,14 @@ import argparse
 import csv
 import json
 import math
+import statistics
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import anomaly
-from .em import EmConfig, default_init, em_fit
+from .em import EmConfig, EmError, default_init, em_fit
 from .generator import GenParams, generate_network, seasonal_state, sine_profile
 from .graph_model import BlockSeries, VertexTyping, extract_block_series
 from .ingest import (
@@ -32,7 +33,12 @@ from .ingest import (
     parse_inputs,
     save_model,
 )
-from .kalman import GaussianBelief, filter as kalman_filter, forecast as kalman_forecast
+from .kalman import (
+    FilterError,
+    GaussianBelief,
+    filter as kalman_filter,
+    forecast as kalman_forecast,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,18 +65,10 @@ def _pair_key(pair) -> str:
 
 
 def _z_quantile(level: float) -> float:
-    """Two-sided Gaussian quantile via bisection on the error function."""
+    """Two-sided Gaussian quantile for a central confidence level."""
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must be in (0, 1)")
-    target = 0.5 * (1.0 + level)
-    lo, hi = 0.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return statistics.NormalDist().inv_cdf(0.5 * (1.0 + level))
 
 
 def _load_config(path) -> dict:
@@ -512,7 +510,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IngestError, ModelFormatError, ValueError, OSError, KeyError) as exc:
+    except (
+        IngestError, ModelFormatError, EmError, FilterError, ValueError, OSError, KeyError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,13 +1,13 @@
 """Expectation-maximization for per-block noise parameters.
 
 Learns phi = {r, q_m, q_s, mu0, Sigma0} for one block.  The E-step runs
-the filter and smoother on the augmented state space and collects
-smoothed first and second moments; the M-step updates the initial
-belief in closed form, reads the process variances off the
-innovation-selector projections, and maximizes the measurement variance
-by a bounded golden-section search.  The per-step binomial noises u_t
-are frozen within each iteration, mirroring their separate estimation
-from the prediction step.
+the filter and smoother on the block's state space and collects the
+smoothed first, second and lag-one moments (Shumway & Stoffer 1982);
+the M-step updates the initial belief in closed form, reads the process
+variances off the expected transition-residual second moment, and
+maximizes the measurement variance by a bounded golden-section search.
+The per-step binomial noises u_t are frozen within each iteration,
+mirroring their separate estimation from the prediction step.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .graph_model import BlockSeries
 from .kalman import BeliefSequence, run_filter, smooth
-from .ssm import ModelParams, augment
+from .ssm import ModelParams, build_state_space
 
 __all__ = [
     "ModelParams",
@@ -56,10 +56,11 @@ class EmError(RuntimeError):
 
 @dataclass
 class SufficientStats:
-    """Smoothed moments of the augmented state.
+    """Smoothed moments of the d-dimensional state.
 
-    ``Ex[t]``/``Exx[t]`` cover t = 0..T; ``Exx_lag[i]`` holds
-    E[x_t x_{t-1}^T] for t = i + 1.
+    ``Ex[t]``/``Exx[t]`` cover t = 0..T; ``Exx_lag[i]`` holds the lag-one
+    moment E[x_t x_{t-1}^T] = S_{t|T} J_{t-1}^T + mu_{t|T} mu_{t-1|T}^T
+    for t = i + 1.
     """
 
     Ex: np.ndarray
@@ -96,53 +97,34 @@ class EmTrace:
     iterations: int = 0
 
 
-def _augmented_init(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    # The two appended slots never feed back into the first d coordinates
-    # (the augmented transition has zero columns there), so their initial
-    # belief is a fixed dummy: zero-variance [0, bias].
-    d = params.d
-    mu0 = np.zeros(d + 2)
-    mu0[:d] = params.mu0
-    mu0[d + 1] = params.mu0[0]
-    Sigma0 = np.zeros((d + 2, d + 2))
-    Sigma0[:d, :d] = params.Sigma0
-    return mu0, Sigma0
-
-
 def e_step(
     series: BlockSeries, params: ModelParams
 ) -> tuple[SufficientStats, float, np.ndarray]:
-    """Filter + smooth on the augmented state space.
+    """Filter + smooth on the block's state space.
 
     Returns the smoothed sufficient statistics, the total predictive
     log-likelihood under ``params`` and the per-step binomial noises the
     filter used (to be held fixed through the following M-step).
     """
-    aug = augment(params.state_space(series.n))
-    mu0, Sigma0 = _augmented_init(params)
-    seq = smooth(run_filter(series.counts, aug, mu0, Sigma0), aug)
+    ss = params.state_space(series.n)
+    seq = smooth(run_filter(series.counts, ss, params.mu0, params.Sigma0), ss)
     return _stats_from_smoothed(seq), seq.total_loglik, seq.u.copy()
 
 
 def _stats_from_smoothed(seq: BeliefSequence) -> SufficientStats:
-    T = seq.T
     sm_mean, sm_cov, J = seq.smoothed_mean, seq.smoothed_cov, seq.smoother_gains
-    D = sm_mean.shape[1]
-    Ex = sm_mean.copy()
     Exx = sm_cov + np.einsum("ti,tj->tij", sm_mean, sm_mean)
-    Exx_lag = np.zeros((T, D, D))
-    for t in range(1, T + 1):
-        # E[x_t x_{t-1}^T] = S_{t|T} J_{t-1}^T + mu_{t|T} mu_{t-1|T}^T
-        Exx_lag[t - 1] = sm_cov[t] @ J[t - 1].T + np.outer(sm_mean[t], sm_mean[t - 1])
-    return SufficientStats(Ex=Ex, Exx=Exx, Exx_lag=Exx_lag)
+    Exx_lag = sm_cov[1:] @ J.transpose(0, 2, 1) + np.einsum(
+        "ti,tj->tij", sm_mean[1:], sm_mean[:-1]
+    )
+    return SufficientStats(Ex=sm_mean.copy(), Exx=Exx, Exx_lag=Exx_lag)
 
 
 def m_step_initial(stats: SufficientStats) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form update of the initial belief from the smoothed t=0
-    moments (restricted to the non-augmented coordinates)."""
-    d = stats.dim - 2
-    mu0 = stats.Ex[0, :d].copy()
-    Sigma0 = stats.Exx[0, :d, :d] - np.outer(mu0, mu0)
+    moments."""
+    mu0 = stats.Ex[0].copy()
+    Sigma0 = stats.Exx[0] - np.outer(mu0, mu0)
     return mu0, 0.5 * (Sigma0 + Sigma0.T)
 
 
@@ -190,9 +172,7 @@ def m_step_r(
     1e-10 relative tolerance, with the exact boundary r = 0 kept as a
     candidate; the result is capped at ``r_max``.
     """
-    D = stats.dim
-    H = np.zeros(D)
-    H[0] = H[1] = float(n)
+    H = build_state_space(stats.dim, n, 0.0, 0.0, 0.0).H
     mask = series.observed_mask()
     w = series.counts[mask]
     Ex = stats.Ex[1:][mask]
@@ -236,22 +216,20 @@ def m_step_r(
 def m_step_q(stats: SufficientStats, d: int) -> tuple[float, float]:
     """Closed-form process-variance updates.
 
-    The selectors d1/d2 recover the bias and seasonal innovations from
-    the augmented state, so each variance is the average projected
-    second moment over t = 1..T, floored at a tiny positive value.
+    q_m and q_s are the (0,0) and (1,1) entries of the expected
+    transition-residual moment mean_t E[(x_t - G x_{t-1})(x_t - G x_{t-1})^T],
+    built from the smoothed second and lag-one moments over t = 1..T and
+    floored at a tiny positive value.
     """
-    if stats.dim != d + 2:
-        raise ValueError("stats do not match an augmented state of period d")
-    T = stats.T
-    if T == 0:
+    if stats.dim != d:
+        raise ValueError("stats do not match a state of period d")
+    if stats.T == 0:
         raise ValueError("cannot update process variances with no steps")
-    d1 = np.zeros(d + 2)
-    d1[0], d1[-1] = 1.0, -1.0
-    d2 = np.zeros(d + 2)
-    d2[1], d2[d] = 1.0, -1.0
-    q_m = float(np.einsum("i,tij,j->t", d1, stats.Exx[1:], d1).sum()) / T
-    q_s = float(np.einsum("i,tij,j->t", d2, stats.Exx[1:], d2).sum()) / T
-    return max(q_m, Q_FLOOR), max(q_s, Q_FLOOR)
+    G = build_state_space(d, 1, 0.0, 0.0, 0.0).G
+    lag_G = stats.Exx_lag @ G.T
+    resid = stats.Exx[1:] - lag_G - lag_G.transpose(0, 2, 1) + G @ stats.Exx[:-1] @ G.T
+    q_m, q_s = resid[:, 0, 0].mean(), resid[:, 1, 1].mean()
+    return max(float(q_m), Q_FLOOR), max(float(q_s), Q_FLOOR)
 
 
 def em_fit(

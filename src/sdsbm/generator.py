@@ -84,15 +84,13 @@ def sine_profile(d: int, amplitude: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GenParams:
-    """Generator configuration for one block (``sizes`` optionally
-    annotates per-type vertex counts for whole-network scenarios)."""
+    """Generator configuration for one block."""
 
     d: int
     q_m: float
     q_s: float
     r: float
     init: SeasonalState
-    sizes: Mapping[str, int] | None = None
 
     def __post_init__(self) -> None:
         if self.d < 2:

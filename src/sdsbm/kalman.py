@@ -2,9 +2,12 @@
 
 Filter, smoother, forecasting and per-step predictive log-likelihood
 for the linear-Gaussian count model.  Observations are scalar per block,
-so the update step needs no matrix inversion; the smoother inverts the
-one-step-ahead covariance with a tolerant pseudo-inverse because the
-process covariance is rank-deficient by construction.
+so the update step needs no matrix inversion.  The smoother gains
+depend only on filter output, so all of them come from one stacked
+pseudo-inverse of the one-step-ahead covariances before the backward
+pass; a pseudo-inverse rather than a solve because the process
+covariance is rank-deficient by construction (with a zero initial
+covariance the first one-step-ahead covariance is singular).
 """
 
 from __future__ import annotations
@@ -15,13 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph_model import BlockSeries
-from .ssm import (
-    AugmentedStateSpace,
-    ModelParams,
-    StateSpace,
-    binomial_obs_noise,
-    observation_variance,
-)
+from .ssm import ModelParams, StateSpace, binomial_obs_noise, observation_variance
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -101,7 +98,13 @@ class BeliefSequence:
         return GaussianBelief(self.smoothed_mean[t], self.smoothed_cov[t])
 
 
-def predict(belief: GaussianBelief, ss: StateSpace | AugmentedStateSpace) -> GaussianBelief:
+def gaussian_logpdf(resid, var):
+    """Log-density of a zero-mean Gaussian with variance ``var`` at ``resid``
+    (elementwise for arrays)."""
+    return -0.5 * (LOG_2PI + np.log(var) + resid * resid / var)
+
+
+def predict(belief: GaussianBelief, ss: StateSpace) -> GaussianBelief:
     """Propagate a belief one step: mean G m, covariance G S G^T + Q."""
     mean = ss.G @ belief.mean
     cov = ss.G @ belief.cov @ ss.G.T + ss.Q
@@ -112,7 +115,7 @@ def predict(belief: GaussianBelief, ss: StateSpace | AugmentedStateSpace) -> Gau
 def update(
     predicted: GaussianBelief,
     w_t: float,
-    ss: StateSpace | AugmentedStateSpace,
+    ss: StateSpace,
     u_t: float,
 ) -> tuple[GaussianBelief, np.ndarray, float]:
     """Condition a predicted belief on one observed count.
@@ -131,13 +134,12 @@ def update(
     mean = predicted.mean + gain * resid
     cov = predicted.cov - np.outer(gain, PH)
     cov = 0.5 * (cov + cov.T)
-    loglik = -0.5 * (LOG_2PI + math.log(S) + resid * resid / S)
-    return GaussianBelief(mean=mean, cov=cov), gain, loglik
+    return GaussianBelief(mean=mean, cov=cov), gain, float(gaussian_logpdf(resid, S))
 
 
 def run_filter(
     counts: np.ndarray,
-    ss: StateSpace | AugmentedStateSpace,
+    ss: StateSpace,
     mu0: np.ndarray,
     Sigma0: np.ndarray,
 ) -> BeliefSequence:
@@ -189,36 +191,24 @@ def filter(series: BlockSeries, params: ModelParams) -> BeliefSequence:
     return run_filter(series.counts, ss, params.mu0, params.Sigma0)
 
 
-def smooth(beliefs: BeliefSequence, ss: StateSpace | AugmentedStateSpace) -> BeliefSequence:
+def smooth(beliefs: BeliefSequence, ss: StateSpace) -> BeliefSequence:
     """Backward pass conditioning every belief on the whole series.
 
     Recursion from t = T (smoothed = filtered) down to t = 0 with gains
-    J_t = S_{t|t} G^T pinv(S_{t+1|t}).
+    J_t = S_{t|t} G^T pinv(S_{t+1|t}), all taken from one stacked
+    pseudo-inverse before the recursion starts.
     """
-    T = beliefs.T
-    D = ss.G.shape[0]
-    sm_mean = np.zeros((T + 1, D))
-    sm_cov = np.zeros((T + 1, D, D))
-    J = np.zeros((T, D, D))
-    if T == 0:
-        sm_mean[0] = beliefs.init_mean
-        sm_cov[0] = beliefs.init_cov
-        return replace(beliefs, smoothed_mean=sm_mean, smoothed_cov=sm_cov, smoother_gains=J)
-    sm_mean[T] = beliefs.filt_mean[T - 1]
-    sm_cov[T] = beliefs.filt_cov[T - 1]
-    for t in range(T - 1, -1, -1):
-        if t >= 1:
-            f_mean, f_cov = beliefs.filt_mean[t - 1], beliefs.filt_cov[t - 1]
-        else:
-            f_mean, f_cov = beliefs.init_mean, beliefs.init_cov
-        p_mean, p_cov = beliefs.pred_mean[t], beliefs.pred_cov[t]
-        Jt = f_cov @ ss.G.T @ np.linalg.pinv(p_cov, rcond=PINV_RCOND, hermitian=True)
-        if not np.all(np.isfinite(Jt)):
-            raise FilterError(t + 1, "one-step-ahead covariance not invertible")
-        sm_mean[t] = f_mean + Jt @ (sm_mean[t + 1] - p_mean)
-        cov = f_cov + Jt @ (sm_cov[t + 1] - p_cov) @ Jt.T
+    # start from the filtered beliefs at t = 0..T (the prior at t = 0)
+    sm_mean = np.concatenate((beliefs.init_mean[None], beliefs.filt_mean))
+    sm_cov = np.concatenate((beliefs.init_cov[None], beliefs.filt_cov))
+    J = sm_cov[:-1] @ ss.G.T @ np.linalg.pinv(beliefs.pred_cov, rcond=PINV_RCOND, hermitian=True)
+    bad = ~np.isfinite(J).all(axis=(1, 2))
+    if bad.any():
+        raise FilterError(int(np.argmax(bad)) + 1, "one-step-ahead covariance not invertible")
+    for t in range(beliefs.T - 1, -1, -1):
+        sm_mean[t] += J[t] @ (sm_mean[t + 1] - beliefs.pred_mean[t])
+        cov = sm_cov[t] + J[t] @ (sm_cov[t + 1] - beliefs.pred_cov[t]) @ J[t].T
         sm_cov[t] = 0.5 * (cov + cov.T)
-        J[t] = Jt
     return replace(beliefs, smoothed_mean=sm_mean, smoothed_cov=sm_cov, smoother_gains=J)
 
 
@@ -247,23 +237,20 @@ class Forecast:
 
 def forecast(
     last_filtered: GaussianBelief,
-    ss: StateSpace | AugmentedStateSpace,
+    ss: StateSpace,
     horizon: int,
 ) -> Forecast:
     """Propagate the final belief ``horizon`` steps with no updates."""
     if horizon < 1:
         raise ValueError("forecast horizon must be >= 1")
-    mean = last_filtered.mean.copy()
-    cov = last_filtered.cov.copy()
+    belief = last_filtered
     count_mean = np.zeros(horizon)
     state_var = np.zeros(horizon)
     count_noise = np.zeros(horizon)
     for k in range(horizon):
-        mean = ss.G @ mean
-        cov = ss.G @ cov @ ss.G.T + ss.Q
-        cov = 0.5 * (cov + cov.T)
-        count_mean[k] = float(ss.H @ mean)
-        state_var[k] = float(ss.H @ cov @ ss.H)
+        belief = predict(belief, ss)
+        count_mean[k] = float(ss.H @ belief.mean)
+        state_var[k] = float(ss.H @ belief.cov @ ss.H)
         count_noise[k] = binomial_obs_noise(count_mean[k], ss.n)
     return Forecast(
         count_mean=count_mean,

@@ -96,55 +96,6 @@ def observation_variance(u_t: float, n: int, r: float) -> float:
 
 
 @dataclass(frozen=True)
-class AugmentedStateSpace:
-    """State space extended with two bookkeeping elements.
-
-    After a transition the extra slots hold the noiseless update of the
-    leading seasonal offset and a copy of the previous bias, so the two
-    selectors project the per-step innovations out of a single state:
-    d1 . x*_t = m_t - m_{t-1} and d2 . x*_t picks up exactly the
-    seasonal innovation.  Needed because Q is singular: the process
-    variances cannot be read off plain second moments.
-    """
-
-    base: StateSpace
-    G: np.ndarray
-    H: np.ndarray
-    Q: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def r(self) -> float:
-        return self.base.r
-
-
-def augment(ss: StateSpace) -> AugmentedStateSpace:
-    """Extend a StateSpace by the two innovation-tracking elements."""
-    d = ss.d
-    D = d + 2
-    G = np.zeros((D, D))
-    G[:d, :d] = ss.G
-    G[d, :d] = ss.G[1]  # noiseless next leading offset
-    G[d + 1, :d] = ss.G[0]  # copy of the previous bias
-    H = np.zeros(D)
-    H[:d] = ss.H
-    Q = np.zeros((D, D))
-    Q[:d, :d] = ss.Q
-    d1 = np.zeros(D)
-    d1[0] = 1.0
-    d1[D - 1] = -1.0
-    d2 = np.zeros(D)
-    d2[1] = 1.0
-    d2[d] = -1.0
-    return AugmentedStateSpace(base=ss, G=G, H=H, Q=Q, d1=d1, d2=d2)
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """Learnable per-block parameters: process/measurement variances and
     the initial Gaussian belief."""

@@ -17,7 +17,8 @@ from sdsbm.cli import (
     main,
 )
 from sdsbm.graph_model import extract_block_series
-from sdsbm.ingest import BucketingConfig, bucketize, load_model, parse_inputs
+from sdsbm.ingest import BucketingConfig, bucketize, load_model, parse_inputs, save_model
+from sdsbm.ssm import ModelParams
 
 
 def run(*args) -> int:
@@ -370,6 +371,29 @@ class TestDetect:
             )
         )
         assert code == EXIT_USAGE
+
+
+def test_degenerate_model_is_data_error(sim_dir, fitted_dir, tmp_path, capsys):
+    # a checksummed model whose Sigma0 is negative definite: the filter
+    # and EM fail inside, and every command reports it as a data error
+    params, ns = load_model(fitted_dir / "model.json")
+    bad = {
+        pair: ModelParams(
+            d=p.d, q_m=p.q_m, q_s=p.q_s, r=p.r, mu0=p.mu0, Sigma0=-1e6 * np.eye(p.d)
+        )
+        for pair, p in params.items()
+    }
+    save_model(bad, ns, tmp_path / "bad.json")
+    data = ("--events", sim_dir / "events.csv", "--types", sim_dir / "types.csv")
+    commands = [
+        ("fit", "--init-model", tmp_path / "bad.json", "--period", 4, *data),
+        ("forecast", "--model", tmp_path / "bad.json", "--horizon", 3, *data),
+        ("detect", "--model", tmp_path / "bad.json", *data),
+    ]
+    for args in commands:
+        capsys.readouterr()
+        assert run(*args, "--out-dir", tmp_path) == EXIT_DATA, args[0]
+        assert capsys.readouterr().err.startswith("error: "), args[0]
 
 
 class TestConfigHandling:

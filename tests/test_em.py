@@ -21,7 +21,7 @@ from sdsbm.generator import (
     seasonal_state,
     sine_profile,
 )
-from sdsbm.ssm import ModelParams, augment
+from sdsbm.ssm import ModelParams, build_state_space
 
 from conftest import make_series
 from gaussian_oracle import OracleRun
@@ -50,14 +50,22 @@ def small_params(d=3, q_m=4e-3, q_s=2e-3, r=0.0, seed=1):
 
 def numeric_q_argmax(stats: SufficientStats, d: int) -> tuple[float, float]:
     """Independent check of the closed-form process-variance update:
-    numerically maximize the expected transition log-likelihood term."""
-    d1 = np.zeros(d + 2)
-    d1[0], d1[-1] = 1.0, -1.0
-    d2 = np.zeros(d + 2)
-    d2[1], d2[d] = 1.0, -1.0
+    numerically maximize the expected transition log-likelihood term of
+    each noisy coordinate, using the per-step transition-residual moment
+    E[(x_t - G x_{t-1})(x_t - G x_{t-1})^T]."""
+    G = build_state_space(d, 1, 0.0, 0.0, 0.0).G
+    resid = np.array(
+        [
+            stats.Exx[t]
+            - stats.Exx_lag[t - 1] @ G.T
+            - G @ stats.Exx_lag[t - 1].T
+            + G @ stats.Exx[t - 1] @ G.T
+            for t in range(1, stats.T + 1)
+        ]
+    )
     out = []
-    for sel in (d1, d2):
-        moments = np.einsum("i,tij,j->t", sel, stats.Exx[1:], sel)
+    for k in (0, 1):
+        moments = resid[:, k, k]
 
         def neg_loglik(log_q, m=moments):
             q = np.exp(log_q)
@@ -101,11 +109,8 @@ class TestEStep:
         params = small_params()
         series = make_series([55], n=100)
         stats, _, _ = e_step(series, params)
-        aug = augment(params.state_space(series.n))
-        from sdsbm.em import _augmented_init
-
-        mu0, Sigma0 = _augmented_init(params)
-        seq = kalman.run_filter(series.counts, aug, mu0, Sigma0)
+        ss = params.state_space(series.n)
+        seq = kalman.run_filter(series.counts, ss, params.mu0, params.Sigma0)
         np.testing.assert_allclose(stats.Ex[1], seq.filt_mean[0], rtol=1e-12)
         np.testing.assert_allclose(
             stats.Exx[1],
@@ -118,12 +123,9 @@ class TestEStep:
         counts = rng.integers(30, 70, size=6).astype(float)
         series = make_series(counts, n=100)
         stats, loglik, u = e_step(series, params)
-        aug = augment(params.state_space(series.n))
-        from sdsbm.em import _augmented_init
-
-        mu0, Sigma0 = _augmented_init(params)
+        ss = params.state_space(series.n)
         oracle = OracleRun(
-            aug.G, aug.H, aug.Q, mu0, Sigma0, series.counts, u + series.n**2 * params.r
+            ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, series.counts, u + series.n**2 * params.r
         )
         for t in range(7):
             mean_ref, cov_ref = oracle.smoothed(t)
@@ -218,34 +220,38 @@ class TestMStepR:
 
 class TestMStepQ:
     def test_no_innovation_means_zero_variances(self):
-        D, T = 5, 4
-        Ex = np.tile(np.array([0.5, 0.1, -0.1, 0.1, 0.5]), (T + 1, 1))
-        # identical states with the augmented slots consistent: the d1/d2
-        # projections vanish, covariances are zero
-        Ex[:, 3] = Ex[:, 1]  # noiseless lead equals realised lead
-        Ex[:, 4] = Ex[:, 0]  # previous bias equals bias
-        Exx = np.einsum("ti,tj->tij", Ex, Ex)
-        stats = SufficientStats(Ex=Ex, Exx=Exx, Exx_lag=np.zeros((T, D, D)))
-        q_m, q_s = m_step_q(stats, d=3)
+        # a noiseless trajectory x_t = G x_{t-1} with exact moments: the
+        # transition residual vanishes, so both variances are zero
+        d, T = 3, 4
+        G = build_state_space(d, 1, 0.0, 0.0, 0.0).G
+        Ex = [np.array([0.5, 0.1, -0.1])]
+        for _ in range(T):
+            Ex.append(G @ Ex[-1])
+        Ex = np.array(Ex)
+        stats = SufficientStats(
+            Ex=Ex,
+            Exx=np.einsum("ti,tj->tij", Ex, Ex),
+            Exx_lag=np.einsum("ti,tj->tij", Ex[1:], Ex[:-1]),
+        )
+        q_m, q_s = m_step_q(stats, d=d)
         assert q_m == pytest.approx(0.0, abs=1e-14)
         assert q_s == pytest.approx(0.0, abs=1e-14)
 
     def test_hand_built_projection(self):
-        D, T, v = 5, 8, 3e-4
-        stats = SufficientStats(
-            Ex=np.zeros((T + 1, D)),
-            Exx=np.zeros((T + 1, D, D)),
-            Exx_lag=np.zeros((T, D, D)),
-        )
-        d1 = np.array([1.0, 0, 0, 0, -1.0])
-        for t in range(1, T + 1):
-            stats.Exx[t] = v * np.outer(d1, d1) / (d1 @ d1) ** 0  # projected moment v
-        # d1 Exx d1^T = v * (d1 . d1)^2 ... use direct construction instead
-        for t in range(1, T + 1):
-            stats.Exx[t] = np.zeros((D, D))
-            stats.Exx[t][0, 0] = v  # only the bias slot varies
-        q_m, q_s = m_step_q(stats, d=3)
-        assert q_m == pytest.approx(v, rel=1e-12)
+        # zero-mean prior moments of the model itself, built by hand:
+        # Exx_t = P_t = G P_{t-1} G^T + Q and E[x_t x_{t-1}^T] = G P_{t-1},
+        # so the transition residual moment is exactly Q at every step
+        d, T, v_m, v_s = 3, 8, 3e-4, 7e-5
+        G = build_state_space(d, 1, 0.0, 0.0, 0.0).G
+        Q = np.diag([v_m, v_s, 0.0])
+        Exx = [np.zeros((d, d))]
+        for _ in range(T):
+            Exx.append(G @ Exx[-1] @ G.T + Q)
+        Exx = np.array(Exx)
+        stats = SufficientStats(Ex=np.zeros((T + 1, d)), Exx=Exx, Exx_lag=G @ Exx[:-1])
+        q_m, q_s = m_step_q(stats, d=d)
+        assert q_m == pytest.approx(v_m, rel=1e-12)
+        assert q_s == pytest.approx(v_s, rel=1e-12)
 
     def test_matches_numerical_maximization(self, rng):
         for seed in (1, 2):
@@ -319,7 +325,7 @@ class TestEmFit:
         assert np.isfinite(params.q_m) and np.isfinite(params.r)
 
     def test_smallest_period_fits(self):
-        # d=2 exercises the degenerate augmented covariances end to end
+        # d=2 exercises the smallest state end to end
         rng = np.random.default_rng(3)
         init = seasonal_state(2, 0.5, np.array([0.06, -0.06]))
         gen = GenParams(d=2, q_m=1e-4, q_s=1e-4, r=0.0, init=init)
@@ -332,8 +338,8 @@ class TestEmFit:
         assert np.all(np.diff(ll) >= -1e-8)
 
     def test_large_period_smoke(self):
-        # minute-scale seasonality: just confirm the augmented recursions
-        # stay healthy at d = 60
+        # minute-scale seasonality: just confirm the recursions stay
+        # healthy at d = 60
         d = 60
         init = seasonal_state(d, 0.5, sine_profile(d, 0.1))
         gen = GenParams(d=d, q_m=1e-6, q_s=1e-7, r=1e-4, init=init)

@@ -208,6 +208,35 @@ class TestSmoother:
             np.testing.assert_allclose(seq.smoothed_mean[t], mean_ref, rtol=1e-8, atol=1e-12)
             np.testing.assert_allclose(seq.smoothed_cov[t], cov_ref, rtol=1e-8, atol=1e-12)
 
+    @pytest.mark.parametrize("singular_start", [False, True])
+    def test_stacked_gains_match_per_step_pinv(self, rng, singular_start):
+        if singular_start:
+            # Sigma0 = 0 as in the detection criteria: P_{1|0} = Q and the
+            # next few one-step-ahead covariances are singular
+            d = 7
+            gen = GenParams(
+                d=d, q_m=1e-7, q_s=1e-7, r=1e-4,
+                init=seasonal_state(d, 0.5, sine_profile(d, 0.05)),
+            )
+            series, _ = generate_block_series(gen, n=2000, T=40, rng=rng)
+            params = ModelParams(
+                d=d, q_m=1e-7, q_s=1e-7, r=1e-4,
+                mu0=gen.init.as_vector(), Sigma0=np.zeros((d, d)),
+            )
+        else:
+            params, series = random_instance(rng, d=4, T=40, r=1e-4)
+        ss = params.state_space(series.n)
+        seq = smooth(kalman.filter(series, params), ss)
+        if singular_start:
+            assert np.linalg.matrix_rank(seq.pred_cov[1]) < params.d
+        ref = [
+            (seq.init_cov if t == 0 else seq.filt_cov[t - 1])
+            @ ss.G.T
+            @ np.linalg.pinv(seq.pred_cov[t], rcond=kalman.PINV_RCOND, hermitian=True)
+            for t in range(seq.T)
+        ]
+        np.testing.assert_allclose(seq.smoother_gains, np.array(ref), rtol=1e-12, atol=1e-12)
+
     def test_smoothing_never_inflates_covariance(self, rng):
         params, series = random_instance(rng, d=4, T=8)
         ss = params.state_space(series.n)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sdsbm.ssm import (
     ModelParams,
     NormalApproximationWarning,
-    augment,
     binomial_obs_noise,
     build_state_space,
     observation_variance,
@@ -99,67 +98,6 @@ class TestObservationVariance:
     def test_rejects_non_positive_u(self):
         with pytest.raises(ValueError):
             observation_variance(0.0, 100, 0.0)
-
-
-class TestAugment:
-    def test_d2_augmented_transition(self):
-        aug = augment(build_state_space(2, 5, 0.1, 0.2, 0.0))
-        expected = np.array(
-            [
-                [1, 0, 0, 0],
-                [0, -1, 0, 0],
-                [0, -1, 0, 0],
-                [1, 0, 0, 0],
-            ],
-            dtype=float,
-        )
-        np.testing.assert_array_equal(aug.G, expected)
-        np.testing.assert_array_equal(aug.H, np.array([5.0, 5.0, 0.0, 0.0]))
-        np.testing.assert_array_equal(np.diag(aug.Q), np.array([0.1, 0.2, 0.0, 0.0]))
-
-    def test_selectors(self):
-        aug = augment(build_state_space(4, 3, 0.0, 0.0, 0.0))
-        np.testing.assert_array_equal(aug.d1, [1, 0, 0, 0, 0, -1])
-        np.testing.assert_array_equal(aug.d2, [0, 1, 0, 0, -1, 0])
-        # d1 projects the bias difference out of [x_t, ..., m_{t-1}]
-        x = np.array([2.0, 1.0, -1.0, 0.5, 0.25, 1.5])
-        assert aug.d1 @ x == 2.0 - 1.5
-
-    def test_rows_repeat_base_rows(self):
-        for d in (2, 3, 5, 9):
-            ss = build_state_space(d, 4, 0.3, 0.1, 0.0)
-            aug = augment(ss)
-            np.testing.assert_array_equal(aug.G[:d, :d], ss.G)
-            np.testing.assert_array_equal(aug.G[d, :d], ss.G[1])
-            np.testing.assert_array_equal(aug.G[d + 1, :d], ss.G[0])
-            np.testing.assert_array_equal(aug.G[:, d:], np.zeros((d + 2, 2)))
-
-    def test_projection_property(self, rng):
-        # first d coordinates of the augmented trajectory track the base
-        # trajectory exactly over many applications
-        ss = build_state_space(5, 10, 0.0, 0.0, 0.0)
-        aug = augment(ss)
-        x = rng.normal(size=5)
-        x_aug = np.concatenate([x, rng.normal(size=2)])
-        for _ in range(100):
-            x = ss.G @ x
-            x_aug = aug.G @ x_aug
-            np.testing.assert_allclose(x_aug[:5], x, rtol=0, atol=0)
-
-    def test_innovation_selectors_recover_noise(self, rng):
-        # push a noisy state through the augmented transition: d1/d2 must
-        # return exactly the injected innovations
-        ss = build_state_space(6, 10, 0.0, 0.0, 0.0)
-        aug = augment(ss)
-        x = rng.normal(size=6)
-        x_aug = np.concatenate([x, [0.0, 0.0]])
-        for _ in range(20):
-            delta_m, delta_s = rng.normal(size=2)
-            noise = np.zeros(8)
-            noise[0], noise[1] = delta_m, delta_s
-            x_aug = aug.G @ x_aug + noise
-            assert aug.d1 @ x_aug == pytest.approx(delta_m, rel=1e-12, abs=1e-12)
-            assert aug.d2 @ x_aug == pytest.approx(delta_s, rel=1e-12, abs=1e-12)
 
 
 class TestModelParams:
