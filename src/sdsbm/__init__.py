@@ -51,7 +51,7 @@ from .anomaly import (
 )
 from .ingest import (
     BucketingConfig,
-    EdgeEvent,
+    EventColumns,
     bucketize,
     load_model,
     parse_inputs,

@@ -179,14 +179,14 @@ def cmd_simulate(resolved: dict) -> int:
 
     out = _out_dir(resolved)
     width = float(resolved["width"])
-    index = typing.vertex_index()
+    stamps = np.array([_fmt((t - 0.5) * width) for t in range(1, T + 1)], dtype=object)
+    ids = np.array(typing.vertex_ids, dtype=object)
     with open(out / "events.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["timestamp", "src", "dst"])
-        for t, snap in enumerate(network.snapshots, start=1):
-            ts = (t - 0.5) * width
-            for u, v in sorted(snap, key=lambda e: (index[e[0]], index[e[1]])):
-                w.writerow([_fmt(ts), u, v])
+        w.writerows(
+            zip(stamps[network.edge_t - 1], ids[network.edge_u], ids[network.edge_v])
+        )
     with open(out / "types.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["vertex", "type"])

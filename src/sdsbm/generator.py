@@ -182,12 +182,12 @@ def generate_network(
         if p not in block_params:
             raise ValueError(f"missing GenParams for block {p}")
     streams = rng.spawn(len(active))
-    snapshots: list[set[tuple[str, str]]] = [set() for _ in range(T)]
+    edge_t, edge_i, edge_j = ([np.zeros(0, np.int64)] for _ in range(3))
     traces: dict[TypePair, LatentTrace] = {}
     for p, stream in zip(active, streams):
         params = block_params[p]
-        vpairs = block_pairs(typing, p)
-        n = len(vpairs)
+        vi, vj = block_pairs(typing, p)
+        n = vi.size
         state = params.init
         states = np.zeros((T, params.d))
         density = np.zeros(T)
@@ -195,14 +195,15 @@ def generate_network(
         for t in range(T):
             state = step_latent(state, params, stream)
             e = _realized_density(state, params, stream)
-            present = stream.random(n) < e
+            present = np.flatnonzero(stream.random(n) < e)
             states[t] = state.as_vector()
             density[t] = e
-            counts[t] = present.sum()
-            for idx in np.flatnonzero(present):
-                snapshots[t].add(vpairs[idx])
+            counts[t] = present.size
+            edge_t.append(np.full(present.size, t + 1))
+            edge_i.append(vi[present])
+            edge_j.append(vj[present])
         traces[p] = LatentTrace(states=states, density=density, counts=counts)
-    network = DynamicNetwork(
-        typing=typing, snapshots=tuple(frozenset(s) for s in snapshots)
+    network = DynamicNetwork.from_edges(
+        typing, T, np.concatenate(edge_t), np.concatenate(edge_i), np.concatenate(edge_j)
     )
     return network, traces

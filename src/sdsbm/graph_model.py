@@ -6,6 +6,11 @@ labels, and each unordered pair of labels (a, b) with a <= b defines a
 *block*: the set of vertex pairs whose edge count the model tracks
 through time.  All types here are immutable after construction and all
 operations are pure.
+
+Networks are columnar: vertices are integer indices into the typing's
+vertex order and the edges of all snapshots are three integer arrays
+(snapshot, lower vertex, higher vertex), so block counts come from one
+``np.bincount`` over block ids with no per-edge Python objects.
 """
 
 from __future__ import annotations
@@ -63,10 +68,6 @@ class VertexTyping:
             for j in range(i, len(labels))
         )
 
-    def canonical_pair(self, u: str, v: str) -> TypePair:
-        a, b = self.type_of[u], self.type_of[v]
-        return (a, b) if a <= b else (b, a)
-
     def vertex_index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertex_ids)}
 
@@ -93,48 +94,94 @@ def pair_possible_edges(typing: VertexTyping, pair: TypePair) -> int:
     return possible_edges(typing.size(a), typing.size(b), same_type=False)
 
 
+# Edges are de-duplicated and ordered through one int64 key per edge,
+# (t * V + u) * V + v for V vertices, so (T + 1) * V**2 must fit.
+_INT64_KEYS = 2**63
+
+
 @dataclass(frozen=True)
 class DynamicNetwork:
     """Sequence of undirected simple-graph snapshots over one vertex set.
 
-    Each snapshot is a frozenset of edges ``(u, v)`` normalised so that
-    ``u`` precedes ``v`` in the typing's vertex order.  ``missing``
-    holds 1-based snapshot indices for which no observation exists (as
-    opposed to an observed empty graph); those propagate as NaN counts.
+    The edges are held as three integer arrays of equal length, sorted
+    by ``(t, u, v)`` with no repeats: edge k joins vertices
+    ``edge_u[k] < edge_v[k]`` (indices into the typing's vertex order)
+    in snapshot ``edge_t[k]`` (1-based, at most ``T``).  Build one with
+    :meth:`from_edges`.  ``missing`` holds 1-based snapshot indices for
+    which no observation exists (as opposed to an observed empty
+    graph); those propagate as NaN counts.
     """
 
     typing: VertexTyping
-    snapshots: tuple[frozenset[tuple[str, str]], ...]
+    T: int
+    edge_t: np.ndarray
+    edge_u: np.ndarray
+    edge_v: np.ndarray
     missing: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        index = self.typing.vertex_index()
-        normalised = []
-        for t, snap in enumerate(self.snapshots, start=1):
-            edges = set()
-            for u, v in snap:
-                if u == v:
-                    raise ValueError(f"self-loop on vertex {u!r} in snapshot {t}")
-                if u not in index or v not in index:
-                    unknown = u if u not in index else v
-                    raise ValueError(f"edge endpoint {unknown!r} not in typing")
-                edges.add((u, v) if index[u] < index[v] else (v, u))
-            normalised.append(frozenset(edges))
-        object.__setattr__(self, "snapshots", tuple(normalised))
-        bad = [t for t in self.missing if not 1 <= t <= len(self.snapshots)]
+        if not self.edge_t.shape == self.edge_u.shape == self.edge_v.shape:
+            raise ValueError("edge arrays must have one entry per edge")
+        bad = [t for t in self.missing if not 1 <= t <= self.T]
         if bad:
             raise ValueError(f"missing indices out of range: {sorted(bad)}")
-        for t in self.missing:
-            if self.snapshots[t - 1]:
-                raise ValueError(f"snapshot {t} marked missing but has edges")
+        if self.missing:
+            per_snapshot = np.bincount(self.edge_t, minlength=self.T + 1)
+            busy = [t for t in sorted(self.missing) if per_snapshot[t]]
+            if busy:
+                raise ValueError(f"snapshot {busy[0]} marked missing but has edges")
+
+    @classmethod
+    def from_edges(
+        cls,
+        typing: VertexTyping,
+        T: int,
+        t,
+        i,
+        j,
+        missing: frozenset[int] = frozenset(),
+    ) -> DynamicNetwork:
+        """Network whose snapshot ``t[k]`` holds an edge between vertex
+        indices ``i[k]`` and ``j[k]``, in any order and with repeats."""
+        V = len(typing.vertex_ids)
+        if T + 1 > _INT64_KEYS // (V * V):
+            raise ValueError(
+                f"{T} snapshots of {V} vertices are too many to index edges in int64"
+            )
+        t = np.asarray(t, dtype=np.int64)
+        u = np.minimum(i, j).astype(np.int64)
+        v = np.maximum(i, j).astype(np.int64)
+        if u.size and (u.min() < 0 or v.max() >= V):
+            raise ValueError("edge endpoint index not in typing")
+        if t.size and (t.min() < 1 or t.max() > T):
+            raise ValueError(f"snapshot index outside 1..{T}")
+        loops = np.flatnonzero(u == v)
+        if loops.size:
+            k = loops[0]
+            raise ValueError(
+                f"self-loop on vertex {typing.vertex_ids[u[k]]!r} in snapshot {t[k]}"
+            )
+        # sort and drop repeats; faster here than np.unique, whose hash
+        # table (numpy >= 2.3) is about 15x slower than a sort on these keys
+        key = np.sort((t * V + u) * V + v)
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        tu, v = np.divmod(key[first], V)
+        t, u = np.divmod(tu, V)
+        return cls(typing=typing, T=T, edge_t=t, edge_u=u, edge_v=v, missing=missing)
 
     @property
-    def T(self) -> int:
-        return len(self.snapshots)
+    def snapshots(self) -> tuple[frozenset[tuple[str, str]], ...]:
+        """Snapshot t's edges as vertex-id pairs ``(u, v)``, with ``u``
+        before ``v`` in the typing's vertex order."""
+        ids = np.array(self.typing.vertex_ids, dtype=object)
+        edges = list(zip(ids[self.edge_u], ids[self.edge_v]))
+        cuts = np.searchsorted(self.edge_t, np.arange(1, self.T + 2)).tolist()
+        return tuple(frozenset(edges[a:b]) for a, b in zip(cuts, cuts[1:]))
 
     def total_edges(self, t: int) -> int:
         """Edge count of snapshot t (1-based)."""
-        return len(self.snapshots[t - 1])
+        return int(np.count_nonzero(self.edge_t == t))
 
 
 @dataclass(frozen=True)
@@ -181,23 +228,30 @@ def extract_block_series(network: DynamicNetwork) -> list[BlockSeries]:
     """
     typing = network.typing
     pairs = typing.pairs()
-    counts = {p: np.zeros(network.T) for p in pairs}
-    for t, snap in enumerate(network.snapshots):
-        for u, v in snap:
-            counts[typing.canonical_pair(u, v)][t] += 1
-    for t in network.missing:
-        for p in pairs:
-            counts[p][t - 1] = np.nan
+    label = {name: k for k, name in enumerate(typing.types)}
+    kind = np.array([label[typing.type_of[v]] for v in typing.vertex_ids])
+    block_of = np.empty((len(label), len(label)), dtype=np.int64)
+    for p, (a, b) in enumerate(pairs):
+        block_of[label[a], label[b]] = block_of[label[b], label[a]] = p
+    block = block_of[kind[network.edge_u], kind[network.edge_v]]
+    T = network.T
+    counts = np.bincount(block * T + network.edge_t - 1, minlength=len(pairs) * T)
+    counts = counts.reshape(len(pairs), T).astype(float)
+    counts[:, [t - 1 for t in network.missing]] = np.nan
     return [
-        BlockSeries(pair=p, n=pair_possible_edges(typing, p), counts=counts[p])
-        for p in pairs
+        BlockSeries(pair=p, n=pair_possible_edges(typing, p), counts=counts[k])
+        for k, p in enumerate(pairs)
     ]
 
 
-def block_pairs(typing: VertexTyping, pair: TypePair) -> list[tuple[str, str]]:
-    """All possible vertex pairs of a block, in canonical order."""
+def block_pairs(typing: VertexTyping, pair: TypePair) -> tuple[np.ndarray, np.ndarray]:
+    """All possible vertex pairs of a block in canonical order, as two
+    arrays of vertex indices (each pair's first member, then its second)."""
     a, b = pair
+    index = typing.vertex_index()
+    ma = np.array([index[v] for v in typing.members(a)], dtype=np.int64)
     if a == b:
-        mem = typing.members(a)
-        return [(mem[i], mem[j]) for i in range(len(mem)) for j in range(i + 1, len(mem))]
-    return [(u, v) for u in typing.members(a) for v in typing.members(b)]
+        i, j = np.triu_indices(ma.size, k=1)
+        return ma[i], ma[j]
+    mb = np.array([index[v] for v in typing.members(b)], dtype=np.int64)
+    return np.repeat(ma, mb.size), np.tile(mb, ma.size)

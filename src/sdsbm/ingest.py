@@ -7,6 +7,14 @@ File formats:
 * types CSV, header ``vertex,type``.
 * model file: JSON with a format version, a content checksum and one
   entry per block ``{a, b, n, q_m, q_s, r, mu0, sigma0}``.
+
+Ingest is columnar.  The CSV rows are streamed into three string
+columns, converted in bulk into a float timestamp array and two int64
+vertex-index arrays (:class:`EventColumns`), and bucketed by one
+vectorised floor.  Repeats within a bucket are removed by sorting packed
+``(t, lower vertex, higher vertex)`` int64 keys, which yields the
+integer edge arrays of a :class:`~sdsbm.graph_model.DynamicNetwork`.
+No Python object is made per event beyond the CSV reader's row.
 """
 
 from __future__ import annotations
@@ -16,7 +24,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import repeat
+from operator import length_hint
+from typing import Mapping
 
 import numpy as np
 
@@ -46,10 +56,17 @@ class ModelChecksumError(ModelFormatError):
 
 
 @dataclass(frozen=True)
-class EdgeEvent:
-    timestamp: float
-    src: str
-    dst: str
+class EventColumns:
+    """Edge events in file order, one array entry per event: the
+    timestamp and the two endpoints' indices in the typing's vertex
+    order."""
+
+    timestamp: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.timestamp.shape[0])
 
 
 @dataclass(frozen=True)
@@ -77,7 +94,7 @@ class BucketingConfig:
             raise ValueError(f"unknown missing policy {self.missing_policy!r}")
 
 
-def parse_inputs(events_file, types_file) -> tuple[list[EdgeEvent], VertexTyping]:
+def parse_inputs(events_file, types_file) -> tuple[EventColumns, VertexTyping]:
     """Read and validate an event file against a vertex-type file."""
     typing = _parse_types(types_file)
     events = _parse_events(events_file, typing)
@@ -109,64 +126,107 @@ def _parse_types(path) -> VertexTyping:
     return VertexTyping(vertex_ids=tuple(vertex_ids), type_of=type_of)
 
 
-def _parse_events(path, typing: VertexTyping) -> list[EdgeEvent]:
-    known = set(typing.vertex_ids)
-    events: list[EdgeEvent] = []
+def _parse_events(path, typing: VertexTyping) -> EventColumns:
+    """Stream the rows into three string columns, then convert each
+    column in bulk.  When any row is bad, the first bad one in file
+    order is reported, with the same checks in the same order as
+    :func:`_event_error` applies them."""
+    stamps: list[str] = []
+    srcs: list[str] = []
+    dsts: list[str] = []
+    blank: list[int] = []  # number of 3-column rows read before each blank row
+    odd_row = None  # the first row with neither 0 nor 3 columns
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
         header = next(rows, None)
         if header is None or [c.strip() for c in header] != ["timestamp", "src", "dst"]:
             raise IngestError(f"{path}: expected header 'timestamp,src,dst'")
-        for lineno, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise IngestError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                ts = float(row[0])
-            except ValueError:
-                raise IngestError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from None
-            if not math.isfinite(ts):
-                raise IngestError(f"{path}:{lineno}: non-finite timestamp")
-            src, dst = row[1].strip(), row[2].strip()
-            if src == dst:
-                raise IngestError(f"{path}:{lineno}: self-loop event on vertex {src!r}")
-            for v in (src, dst):
-                if v not in known:
-                    raise IngestError(f"{path}:{lineno}: vertex {v!r} has no type")
-            events.append(EdgeEvent(timestamp=ts, src=src, dst=dst))
-    return events
+        add_stamp, add_src, add_dst = stamps.append, srcs.append, dsts.append
+        for row in rows:
+            if len(row) == 3:
+                add_stamp(row[0])
+                add_src(row[1])
+                add_dst(row[2])
+            elif row:
+                odd_row = row
+                break
+            else:
+                blank.append(len(stamps))
+    n = len(stamps)
+    index = typing.vertex_index()
+    src = np.fromiter(map(index.get, map(str.strip, srcs), repeat(-1)), np.int64, n)
+    dst = np.fromiter(map(index.get, map(str.strip, dsts), repeat(-1)), np.int64, n)
+    unread = iter(stamps)
+    try:
+        timestamp = np.fromiter(map(float, unread), float, n)
+        first_bad = n
+    except ValueError:
+        # the list iterator stops just past the string float() rejected
+        first_bad = n - 1 - length_hint(unread)
+        timestamp = np.fromiter(map(float, stamps[:first_bad]), float, first_bad)
+    bad = (src < 0) | (dst < 0) | (src == dst)
+    bad[: timestamp.size] |= ~np.isfinite(timestamp)
+    first_bad = min(first_bad, int(np.argmax(bad)) if bad.any() else n)
+    if first_bad < n or odd_row is not None:
+        lineno = first_bad + 2 + int(np.searchsorted(blank, first_bad, side="right"))
+        if first_bad == n:
+            raise IngestError(f"{path}:{lineno}: expected 3 columns, got {len(odd_row)}")
+        raise _event_error(
+            f"{path}:{lineno}", stamps[first_bad], srcs[first_bad], dsts[first_bad], index
+        )
+    return EventColumns(timestamp=timestamp, src=src, dst=dst)
+
+
+def _event_error(where: str, stamp: str, src: str, dst: str, known) -> IngestError:
+    """The error for one bad 3-column event row; the checks run in the
+    order the row's fields are read, so the first failing one names it."""
+    try:
+        ts = float(stamp)
+    except ValueError:
+        return IngestError(f"{where}: bad timestamp {stamp!r}")
+    if not math.isfinite(ts):
+        return IngestError(f"{where}: non-finite timestamp")
+    src, dst = src.strip(), dst.strip()
+    if src == dst:
+        return IngestError(f"{where}: self-loop event on vertex {src!r}")
+    unknown = src if src not in known else dst
+    return IngestError(f"{where}: vertex {unknown!r} has no type")
 
 
 def bucketize(
-    events: Iterable[EdgeEvent], typing: VertexTyping, config: BucketingConfig
+    events: EventColumns, typing: VertexTyping, config: BucketingConfig
 ) -> DynamicNetwork:
     """Collapse timestamped events into binary adjacency snapshots.
 
     A pair is connected in bucket t if at least one event touched it
-    there; multiplicities are discarded.  Order of the event list does
-    not matter.
+    there; multiplicities are discarded.  Order of the events does not
+    matter.
     """
-    index = typing.vertex_index()
-    buckets: dict[int, set[tuple[str, str]]] = {}
-    max_t = 0
-    for ev in events:
-        if ev.timestamp < config.origin:
-            raise IngestError(
-                f"event at {ev.timestamp} precedes the bucketing origin {config.origin}"
-            )
-        t = int(math.floor((ev.timestamp - config.origin) / config.width)) + 1
-        if config.T is not None and t > config.T:
-            continue
-        max_t = max(max_t, t)
-        edge = (ev.src, ev.dst) if index[ev.src] < index[ev.dst] else (ev.dst, ev.src)
-        buckets.setdefault(t, set()).add(edge)
-    T = config.T if config.T is not None else max_t
-    snapshots = tuple(frozenset(buckets.get(t, ())) for t in range(1, T + 1))
+    ts = events.timestamp
+    early = ts < config.origin
+    if early.any():
+        raise IngestError(
+            f"event at {float(ts[np.argmax(early)])} precedes the bucketing origin "
+            f"{config.origin}"
+        )
+    with np.errstate(over="ignore"):  # an infinite bucket index is reported below
+        t = np.floor((ts - config.origin) / config.width) + 1
+    src, dst = events.src, events.dst
+    if config.T is not None:
+        T = config.T
+        kept = t <= T
+        t, src, dst = t[kept], src[kept], dst[kept]
+    else:
+        last = float(t.max()) if t.size else 0.0
+        if not math.isfinite(last):
+            raise IngestError(f"bucket width {config.width} is too small for the time span")
+        T = int(last)
     missing: frozenset[int] = frozenset()
     if config.missing_policy == MISSING_OBSERVATION:
-        missing = frozenset(t for t in range(1, T + 1) if t not in buckets)
-    return DynamicNetwork(typing=typing, snapshots=snapshots, missing=missing)
+        seen = np.zeros(T + 1, dtype=bool)
+        seen[t.astype(np.int64)] = True
+        missing = frozenset((np.flatnonzero(~seen[1:]) + 1).tolist())
+    return DynamicNetwork.from_edges(typing, T, t, src, dst, missing=missing)
 
 
 def _canonical_payload(payload: dict) -> str:
@@ -236,18 +296,26 @@ def load_model(path) -> tuple[dict[TypePair, ModelParams], dict[TypePair, int]]:
     stored = document.pop("checksum", None)
     if stored is None or _checksum(document) != stored:
         raise ModelChecksumError(f"{path}: checksum mismatch")
-    d = document["d"]
+    d = document.get("d")
+    blocks = document.get("blocks")
+    if type(d) is not int:
+        raise ModelFormatError(f"{path}: period d must be an integer, got {d!r}")
+    if not isinstance(blocks, list) or not blocks:
+        raise ModelFormatError(f"{path}: 'blocks' must be a non-empty list")
     params: dict[TypePair, ModelParams] = {}
     n_by_pair: dict[TypePair, int] = {}
-    for blk in document["blocks"]:
-        pair = (blk["a"], blk["b"])
-        params[pair] = ModelParams(
-            d=d,
-            q_m=blk["q_m"],
-            q_s=blk["q_s"],
-            r=blk["r"],
-            mu0=np.array(blk["mu0"], dtype=float),
-            Sigma0=np.array(blk["sigma0"], dtype=float),
-        )
-        n_by_pair[pair] = int(blk["n"])
+    for k, blk in enumerate(blocks):
+        try:
+            pair = (blk["a"], blk["b"])
+            params[pair] = ModelParams(
+                d=d,
+                q_m=blk["q_m"],
+                q_s=blk["q_s"],
+                r=blk["r"],
+                mu0=np.array(blk["mu0"], dtype=float),
+                Sigma0=np.array(blk["sigma0"], dtype=float),
+            )
+            n_by_pair[pair] = int(blk["n"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"{path}: block {k}: {exc}") from None
     return params, n_by_pair

@@ -10,6 +10,7 @@ the expected formed-edge count n * (m_t + s_t).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -110,7 +111,10 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError("period d must be >= 2")
-        if self.q_m < 0 or self.q_s < 0 or self.r < 0:
+        variances = (self.q_m, self.q_s, self.r)
+        if not all(map(math.isfinite, variances)):
+            raise ValueError("variances must be finite")
+        if min(variances) < 0:
             raise ValueError("variances must be non-negative")
         mu0 = np.asarray(self.mu0, dtype=float)
         Sigma0 = np.asarray(self.Sigma0, dtype=float)
@@ -118,6 +122,8 @@ class ModelParams:
             raise ValueError(f"mu0 must have length d={self.d}")
         if Sigma0.shape != (self.d, self.d):
             raise ValueError(f"Sigma0 must be {self.d}x{self.d}")
+        if not (np.isfinite(mu0).all() and np.isfinite(Sigma0).all()):
+            raise ValueError("mu0 and Sigma0 must be finite")
         scale = max(np.abs(Sigma0).max(), 1.0)
         if np.abs(Sigma0 - Sigma0.T).max() > 1e-8 * scale:
             raise ValueError("Sigma0 must be symmetric")

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from sdsbm import kalman
+from sdsbm import ingest, kalman
 from sdsbm.cli import (
     EXIT_ANOMALIES,
     EXIT_DATA,
@@ -373,6 +373,27 @@ class TestDetect:
         assert code == EXIT_USAGE
 
 
+def assert_model_commands_are_data_errors(model, sim_dir, tmp_path, capsys):
+    data = ("--events", sim_dir / "events.csv", "--types", sim_dir / "types.csv")
+    commands = [
+        ("fit", "--init-model", model, "--period", 4, *data),
+        ("forecast", "--model", model, "--horizon", 3, *data),
+        ("detect", "--model", model, *data),
+    ]
+    for args in commands:
+        capsys.readouterr()
+        assert run(*args, "--out-dir", tmp_path) == EXIT_DATA, args[0]
+        assert capsys.readouterr().err.startswith("error: "), args[0]
+
+
+def write_checksummed(path, document):
+    """Write a model document with a valid checksum over its content."""
+    document = {k: v for k, v in document.items() if k != "checksum"}
+    document["checksum"] = ingest._checksum(document)
+    path.write_text(json.dumps(document))
+    return path
+
+
 def test_degenerate_model_is_data_error(sim_dir, fitted_dir, tmp_path, capsys):
     # a checksummed model whose Sigma0 is negative definite: the filter
     # and EM fail inside, and every command reports it as a data error
@@ -384,16 +405,44 @@ def test_degenerate_model_is_data_error(sim_dir, fitted_dir, tmp_path, capsys):
         for pair, p in params.items()
     }
     save_model(bad, ns, tmp_path / "bad.json")
-    data = ("--events", sim_dir / "events.csv", "--types", sim_dir / "types.csv")
-    commands = [
-        ("fit", "--init-model", tmp_path / "bad.json", "--period", 4, *data),
-        ("forecast", "--model", tmp_path / "bad.json", "--horizon", 3, *data),
-        ("detect", "--model", tmp_path / "bad.json", *data),
-    ]
-    for args in commands:
-        capsys.readouterr()
-        assert run(*args, "--out-dir", tmp_path) == EXIT_DATA, args[0]
-        assert capsys.readouterr().err.startswith("error: "), args[0]
+    assert_model_commands_are_data_errors(tmp_path / "bad.json", sim_dir, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("sigma0", math.inf), ("mu0", -math.inf), ("q_m", math.nan), ("r", math.inf)],
+)
+def test_non_finite_model_is_data_error(sim_dir, fitted_dir, tmp_path, capsys, field, value):
+    document = json.loads((fitted_dir / "model.json").read_text())
+    block = document["blocks"][0]
+    if field == "sigma0":
+        block["sigma0"][0][0] = value
+    elif field == "mu0":
+        block["mu0"][1] = value
+    else:
+        block[field] = value
+    model = write_checksummed(tmp_path / "bad.json", document)
+    with pytest.raises(ingest.ModelFormatError, match="finite"):
+        load_model(model)
+    assert_model_commands_are_data_errors(model, sim_dir, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"blocks": []}, id="empty-blocks"),
+        pytest.param({"blocks": {"a:a": {}}}, id="non-list-blocks"),
+        pytest.param({"d": 4.0}, id="float-d"),
+        pytest.param({"d": "4"}, id="string-d"),
+        pytest.param({"blocks": [{"a": "a"}]}, id="incomplete-block"),
+    ],
+)
+def test_malformed_model_structure_is_data_error(sim_dir, fitted_dir, tmp_path, capsys, change):
+    document = json.loads((fitted_dir / "model.json").read_text())
+    model = write_checksummed(tmp_path / "bad.json", {**document, **change})
+    with pytest.raises(ingest.ModelFormatError):
+        load_model(model)
+    assert_model_commands_are_data_errors(model, sim_dir, tmp_path, capsys)
 
 
 class TestConfigHandling:

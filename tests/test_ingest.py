@@ -1,14 +1,18 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdsbm.graph_model import extract_block_series
+from sdsbm.graph_model import VertexTyping, extract_block_series
 from sdsbm.ingest import (
+    EMPTY_GRAPH,
     BucketingConfig,
-    EdgeEvent,
+    EventColumns,
     IngestError,
     MISSING_OBSERVATION,
     ModelChecksumError,
@@ -32,7 +36,10 @@ class TestParseInputs:
         types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n100,1,2\n")
         evs, typing = parse_inputs(events, types)
-        assert evs == [EdgeEvent(timestamp=100.0, src="1", dst="2")]
+        assert len(evs) == 1
+        assert evs.timestamp.tolist() == [100.0]
+        assert [typing.vertex_ids[i] for i in evs.src] == ["1"]
+        assert [typing.vertex_ids[i] for i in evs.dst] == ["2"]
         assert typing.types == ("a", "b")
 
     def test_unknown_vertex_is_named(self, tmp_path):
@@ -45,7 +52,7 @@ class TestParseInputs:
         types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n")
         evs, typing = parse_inputs(events, types)
-        assert evs == []
+        assert len(evs) == 0
         assert len(typing.vertex_ids) == 2
 
     def test_malformed_row_reports_line(self, tmp_path):
@@ -72,46 +79,105 @@ class TestParseInputs:
         with pytest.raises(IngestError, match="header"):
             parse_inputs(events, types)
 
+    def test_blank_rows_and_padding_are_accepted(self, tmp_path):
+        types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
+        events = write(tmp_path, "events.csv", "timestamp,src,dst\n\n 1.5 , 2 ,1\n\n")
+        evs, typing = parse_inputs(events, types)
+        assert evs.timestamp.tolist() == [1.5]
+        assert (evs.src.tolist(), evs.dst.tolist()) == ([1], [0])
+
+
+GOOD = "1,1,2\n"
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        pytest.param(GOOD + "2,1\n", "{path}:3: expected 3 columns, got 2", id="columns-short"),
+        pytest.param(GOOD + "2,1,2,3\n", "{path}:3: expected 3 columns, got 4", id="columns-long"),
+        pytest.param(GOOD + "bogus,1,2\n", "{path}:3: bad timestamp 'bogus'", id="timestamp-unparsable"),
+        pytest.param(GOOD + "inf,1,2\n", "{path}:3: non-finite timestamp", id="timestamp-inf"),
+        pytest.param(GOOD + "nan,1,2\n", "{path}:3: non-finite timestamp", id="timestamp-nan"),
+        pytest.param(GOOD + "5, 1,1 \n", "{path}:3: self-loop event on vertex '1'", id="self-loop"),
+        pytest.param(GOOD + "5,9,9\n", "{path}:3: self-loop event on vertex '9'", id="self-loop-unknown"),
+        pytest.param(GOOD + "5,1,9\n", "{path}:3: vertex '9' has no type", id="unknown-dst"),
+        pytest.param(GOOD + "5,9,1\n", "{path}:3: vertex '9' has no type", id="unknown-src"),
+        # blank rows still count as lines
+        pytest.param("\n" + GOOD + "\nbogus,1,2\n", "{path}:5: bad timestamp 'bogus'", id="blank-rows-count"),
+        # far from the start, so the bulk conversion has to locate it
+        pytest.param(GOOD * 500 + "x,1,2\n" + GOOD * 500, "{path}:502: bad timestamp 'x'", id="deep-timestamp"),
+        pytest.param(GOOD * 500 + "1,1\n" + GOOD * 500, "{path}:502: expected 3 columns, got 2", id="deep-columns"),
+        # two different faults: the earlier line wins
+        pytest.param(GOOD + "5,1,9\n" + "bogus,1,2\n", "{path}:3: vertex '9' has no type", id="unknown-before-timestamp"),
+        pytest.param(GOOD + "bogus,1,2\n" + "5,1,9\n", "{path}:3: bad timestamp 'bogus'", id="timestamp-before-unknown"),
+        pytest.param(GOOD + "inf,1,2\n" + "2,1\n", "{path}:3: non-finite timestamp", id="non-finite-before-columns"),
+        pytest.param(GOOD + "2,1\n" + "5,1,1\n", "{path}:3: expected 3 columns, got 2", id="columns-before-self-loop"),
+        pytest.param(GOOD + "5,2,2\n" + "2,1\n", "{path}:3: self-loop event on vertex '2'", id="self-loop-before-columns"),
+        # two faults in one row: the checks keep their order
+        pytest.param(GOOD + "nan,1,1\n", "{path}:3: non-finite timestamp", id="same-row-non-finite-first"),
+        pytest.param(GOOD + "x,9,9\n", "{path}:3: bad timestamp 'x'", id="same-row-timestamp-first"),
+    ],
+)
+def test_bad_event_row_names_first_offending_line(tmp_path, rows, message):
+    types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
+    events = write(tmp_path, "events.csv", "timestamp,src,dst\n" + rows)
+    with pytest.raises(IngestError) as info:
+        parse_inputs(events, types)
+    assert str(info.value) == message.format(path=events)
+
+
+def test_first_event_before_origin_is_named(tmp_path):
+    types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
+    events = write(tmp_path, "events.csv", "timestamp,src,dst\n3,1,2\n-0.5,1,2\n-0.9,2,1\n")
+    evs, typing = parse_inputs(events, types)
+    with pytest.raises(IngestError) as info:
+        bucketize(evs, typing, BucketingConfig(origin=0.0, width=1.0, T=1))
+    assert str(info.value) == "event at -0.5 precedes the bucketing origin 0.0"
+
 
 def typing_ab():
-    from sdsbm.graph_model import VertexTyping
-
     return VertexTyping(vertex_ids=("1", "2", "3"), type_of={"1": "a", "2": "a", "3": "b"})
+
+
+def columns(typing, *events):
+    """EventColumns for ``(timestamp, src, dst)`` triples, in order."""
+    index = typing.vertex_index()
+    return EventColumns(
+        timestamp=np.array([ts for ts, _, _ in events], dtype=float),
+        src=np.array([index[u] for _, u, _ in events], dtype=np.int64),
+        dst=np.array([index[v] for _, _, v in events], dtype=np.int64),
+    )
 
 
 class TestBucketize:
     def test_binarization_within_buckets(self):
-        events = [
-            EdgeEvent(0.5, "1", "2"),
-            EdgeEvent(1.2, "1", "2"),
-            EdgeEvent(1.7, "2", "1"),
-        ]
+        events = columns(typing_ab(), (0.5, "1", "2"), (1.2, "1", "2"), (1.7, "2", "1"))
         net = bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1.0))
         assert net.T == 2
         assert net.snapshots[0] == frozenset({("1", "2")})
         assert net.snapshots[1] == frozenset({("1", "2")})
 
     def test_boundary_event_goes_to_later_bucket(self):
-        events = [EdgeEvent(2.0, "1", "2")]
+        events = columns(typing_ab(), (2.0, "1", "2"))
         net = bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1.0))
         assert net.T == 3
         assert net.snapshots[1] == frozenset()
         assert net.snapshots[2] == frozenset({("1", "2")})
 
     def test_event_before_origin_rejected(self):
-        events = [EdgeEvent(-0.1, "1", "2")]
+        events = columns(typing_ab(), (-0.1, "1", "2"))
         with pytest.raises(IngestError, match="precedes"):
             bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1.0))
 
     def test_cap_drops_late_events(self):
-        events = [EdgeEvent(0.5, "1", "2"), EdgeEvent(9.5, "1", "3")]
+        events = columns(typing_ab(), (0.5, "1", "2"), (9.5, "1", "3"))
         net = bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1.0, T=2))
         assert net.T == 2
         assert net.total_edges(1) == 1
         assert net.total_edges(2) == 0
 
     def test_missing_observation_policy(self):
-        events = [EdgeEvent(0.5, "1", "2"), EdgeEvent(2.5, "1", "3")]
+        events = columns(typing_ab(), (0.5, "1", "2"), (2.5, "1", "3"))
         config = BucketingConfig(
             origin=0.0, width=1.0, missing_policy=MISSING_OBSERVATION
         )
@@ -121,7 +187,7 @@ class TestBucketize:
         assert all(np.isnan(s.counts[1]) for s in series)
 
     def test_empty_graph_policy_keeps_zero(self):
-        events = [EdgeEvent(0.5, "1", "2"), EdgeEvent(2.5, "1", "3")]
+        events = columns(typing_ab(), (0.5, "1", "2"), (2.5, "1", "3"))
         net = bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1.0))
         assert net.missing == frozenset()
         assert net.total_edges(2) == 0
@@ -129,8 +195,6 @@ class TestBucketize:
     def test_conservation_of_bucket_pair_memberships(self, rng):
         # every in-range event is represented by exactly one
         # (bucket, pair) membership
-        from sdsbm.graph_model import VertexTyping
-
         vertices = [str(i) for i in range(1, 21)]
         typing = VertexTyping(
             vertex_ids=tuple(vertices),
@@ -139,33 +203,117 @@ class TestBucketize:
         idx = rng.integers(0, 20, size=(100_000, 2))
         idx = idx[idx[:, 0] != idx[:, 1]]
         times = rng.uniform(0, 500, size=idx.shape[0])
-        events = [
-            EdgeEvent(float(ts), vertices[i], vertices[j])
-            for ts, (i, j) in zip(times, idx)
-        ]
+        events = EventColumns(timestamp=times, src=idx[:, 0], dst=idx[:, 1])
         net = bucketize(events, typing, BucketingConfig(origin=0.0, width=1.0))
         expected = {
-            (int(np.floor(e.timestamp)) + 1, tuple(sorted((e.src, e.dst), key=int)))
-            for e in events
+            (int(np.floor(ts)) + 1, tuple(sorted((int(i), int(j)))))
+            for ts, (i, j) in zip(times, idx)
         }
         total = sum(net.total_edges(t) for t in range(1, net.T + 1))
         assert total == len(expected)
+
+    def test_time_span_too_fine_for_int64_keys(self):
+        events = columns(typing_ab(), (0.5, "1", "2"), (1e16, "1", "3"))
+        with pytest.raises(ValueError, match="int64"):
+            bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1e-3))
+        with pytest.raises(IngestError, match="too small"):
+            bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1e-300))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.permutations(list(range(12))))
 def test_bucketize_is_order_insensitive(order):
     base = [
-        EdgeEvent(float(t) + 0.25 * (i % 3), u, v)
+        (float(t) + 0.25 * (i % 3), u, v)
         for i, (t, u, v) in enumerate(
             [(0, "1", "2"), (0, "2", "3"), (1, "1", "3"), (2, "1", "2")] * 3
         )
     ]
     shuffled = [base[i] for i in order]
     cfg = BucketingConfig(origin=0.0, width=1.0)
-    assert bucketize(shuffled, typing_ab(), cfg).snapshots == bucketize(
-        base, typing_ab(), cfg
+    assert bucketize(columns(typing_ab(), *shuffled), typing_ab(), cfg).snapshots == bucketize(
+        columns(typing_ab(), *base), typing_ab(), cfg
     ).snapshots
+
+
+def reference_block_counts(typing, events, config):
+    """Per-edge reference: a set of vertex pairs per bucket, then one
+    count per type pair and bucket."""
+    buckets = {}
+    for ts, u, v in events:
+        t = math.floor((ts - config.origin) / config.width) + 1
+        if config.T is not None and t > config.T:
+            continue
+        buckets.setdefault(t, set()).add(frozenset((u, v)))
+    T = config.T if config.T is not None else max(buckets, default=0)
+    counts = {pair: [0.0] * T for pair in typing.pairs()}
+    for t, edges in buckets.items():
+        for edge in edges:
+            pair = tuple(sorted(typing.type_of[x] for x in edge))
+            counts[pair][t - 1] += 1
+    if config.missing_policy == MISSING_OBSERVATION:
+        for t in range(1, T + 1):
+            if t not in buckets:
+                for series in counts.values():
+                    series[t - 1] = math.nan
+    return counts
+
+
+@st.composite
+def event_files(draw):
+    n_vertices = draw(st.integers(min_value=2, max_value=6))
+    labels = ["x", "y", "z"][: draw(st.integers(min_value=1, max_value=3))]
+    vertex_ids = tuple(f"v{k}" for k in range(n_vertices))
+    typing = VertexTyping(
+        vertex_ids=vertex_ids,
+        type_of={v: draw(st.sampled_from(labels)) for v in vertex_ids},
+    )
+    width = draw(st.sampled_from([1.0, 0.5, 2.0]))
+    origin = draw(st.sampled_from([0.0, -1.5, 3.0]))
+    ordered = st.lists(
+        st.tuples(st.integers(0, n_vertices - 1), st.integers(0, n_vertices - 1)).filter(
+            lambda p: p[0] != p[1]
+        ),
+    )
+    # half-bucket steps: every other timestamp lies exactly on a boundary
+    raw = draw(st.lists(st.tuples(st.integers(0, 11), ordered.map(tuple)), max_size=12))
+    events = []
+    for step, pairs in raw:
+        ts = origin + 0.5 * step * width
+        for i, j in pairs:
+            events.append((ts, vertex_ids[i], vertex_ids[j]))
+            if draw(st.booleans()):  # a repeat, possibly reversed
+                events.append((ts, *draw(st.permutations([vertex_ids[i], vertex_ids[j]]))))
+    events = draw(st.permutations(events))
+    config = BucketingConfig(
+        origin=origin,
+        width=width,
+        T=draw(st.one_of(st.none(), st.integers(0, 7))),
+        missing_policy=draw(st.sampled_from([EMPTY_GRAPH, MISSING_OBSERVATION])),
+    )
+    return typing, events, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(event_files())
+def test_columnar_counts_match_per_edge_reference(case):
+    typing, events, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        types = write(
+            tmp, "types.csv",
+            "vertex,type\n" + "".join(f"{v},{typing.type_of[v]}\n" for v in typing.vertex_ids),
+        )
+        body = "".join(f"{ts!r},{u},{v}\n" for ts, u, v in events)
+        evs, parsed = parse_inputs(write(tmp, "events.csv", "timestamp,src,dst\n" + body), types)
+    assert parsed == typing
+    assert len(evs) == len(events)
+    net = bucketize(evs, typing, config)
+    expected = reference_block_counts(typing, events, config)
+    series = extract_block_series(net)
+    assert [s.pair for s in series] == list(typing.pairs())
+    for s in series:
+        np.testing.assert_array_equal(s.counts, np.array(expected[s.pair]), err_msg=str(s.pair))
 
 
 def example_params(d=3, seed=0):

@@ -105,6 +105,24 @@ class TestModelParams:
         with pytest.raises(ValueError, match="mu0"):
             ModelParams(d=3, q_m=0.1, q_s=0.1, r=0.0, mu0=np.zeros(2), Sigma0=np.eye(3))
 
+    @pytest.mark.parametrize("field", ["q_m", "q_s", "r"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_variances(self, field, value):
+        kwargs = dict(d=3, q_m=1e-4, q_s=1e-4, r=1e-3, mu0=np.zeros(3), Sigma0=np.eye(3))
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_initial_belief(self, value):
+        mu0 = np.array([0.5, value, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(d=3, q_m=0.0, q_s=0.0, r=0.0, mu0=mu0, Sigma0=np.eye(3))
+        Sigma0 = np.eye(3)
+        Sigma0[0, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(d=3, q_m=0.0, q_s=0.0, r=0.0, mu0=np.zeros(3), Sigma0=Sigma0)
+
     def test_rejects_asymmetric_sigma0(self):
         bad = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
