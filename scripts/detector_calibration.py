@@ -31,7 +31,7 @@ def null_blocks(rng, d, n, T, n_blocks):
         blocks.append(series)
         params[pair] = ModelParams(
             d=d, q_m=gen.q_m, q_s=gen.q_s, r=gen.r,
-            mu0=gen.init.as_vector(), Sigma0=np.zeros((d, d)),
+            mu0=gen.init, Sigma0=np.zeros((d, d)),
         )
     return blocks, params
 
@@ -71,7 +71,7 @@ def main() -> None:
             trial_blocks.append(series)
             trial_params[pair] = ModelParams(
                 d=d, q_m=gen.q_m, q_s=gen.q_s, r=gen.r,
-                mu0=gen.init.as_vector(), Sigma0=np.zeros((d, d)),
+                mu0=gen.init, Sigma0=np.zeros((d, d)),
             )
         clean = anomaly.score(trial_blocks, trial_params)
         shift = args.shift_sigmas * math.sqrt(clean.pred_var[0, t_star - 1])

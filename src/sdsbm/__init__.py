@@ -15,7 +15,6 @@ from .graph_model import (
 from .generator import (
     GenParams,
     LatentTrace,
-    SeasonalState,
     default_state,
     generate_block_series,
     generate_network,

@@ -125,19 +125,15 @@ def score(
         p = params[series.pair]
         ss = p.state_space(series.n)
         seq = kalman.filter(series, p)
-        n2r = series.n * series.n * p.r
         if mode == "predictive":
-            mean = seq.pred_mean @ ss.H
-            var = np.einsum("i,tij,j->t", ss.H, seq.pred_cov, ss.H) + seq.u + n2r
+            means, covs = seq.pred_mean, seq.pred_cov
             loglik[i] = seq.pred_loglik
         else:
             seq = kalman.smooth(seq, ss)
-            mean = seq.smoothed_mean[1:] @ ss.H
-            var = (
-                np.einsum("i,tij,j->t", ss.H, seq.smoothed_cov[1:], ss.H)
-                + seq.u
-                + n2r
-            )
+            means, covs = seq.smoothed_mean[1:], seq.smoothed_cov[1:]
+        mean = means @ ss.H
+        var = np.einsum("i,tij,j->t", ss.H, covs, ss.H) + seq.u + series.n * series.n * p.r
+        if mode == "smoothed":
             mask = series.observed_mask()
             with np.errstate(invalid="ignore"):
                 loglik[i, mask] = kalman.gaussian_logpdf(

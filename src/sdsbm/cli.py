@@ -148,6 +148,9 @@ def cmd_simulate(resolved: dict) -> int:
     T = int(resolved["steps"])
     if T < 0:
         raise ValueError("steps must be >= 0")
+    width = float(resolved["width"])
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError("width must be finite and positive")
     sizes = _parse_type_sizes(resolved["types"])
     vertex_ids: list[str] = []
     type_of: dict[str, str] = {}
@@ -178,7 +181,6 @@ def cmd_simulate(resolved: dict) -> int:
     network, traces = generate_network(block_params, typing, T, rng)
 
     out = _out_dir(resolved)
-    width = float(resolved["width"])
     stamps = np.array([_fmt((t - 0.5) * width) for t in range(1, T + 1)], dtype=object)
     ids = np.array(typing.vertex_ids, dtype=object)
     with open(out / "events.csv", "w", newline="") as fh:
@@ -514,6 +516,9 @@ def main(argv=None) -> int:
         IngestError, ModelFormatError, EmError, FilterError, ValueError, OSError, KeyError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # e.g. a bucket width far too fine for the time span
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

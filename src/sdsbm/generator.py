@@ -4,15 +4,17 @@ The generative process per block: the bias follows a random walk, the
 leading seasonal offset is rebuilt each step from the zero-sum
 constraint plus noise, the realized edge density adds per-step
 measurement noise, and edges are independent Bernoulli draws at that
-density.  Every sampler also returns the hidden trajectory so tests and
-experiments can compare inferred beliefs against ground truth.
+density.  A state is the model's own vector [m_t, s_t, ..., s_{t-d+2}]
+(the layout of ``ssm``'s x_t), so a generator's ``init`` is directly a
+filter's ``mu0``.  Every sampler also returns the hidden trajectory so
+tests and experiments can compare inferred beliefs against ground truth.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -24,59 +26,38 @@ from .graph_model import (
     block_pairs,
     pair_possible_edges,
 )
+from .ssm import check_variances
 
 
-@dataclass(frozen=True)
-class SeasonalState:
-    """Hidden state of one block: bias plus the stored seasonal offsets
-    (newest first; the d-th offset is implicit via the zero-sum rule)."""
-
-    bias: float
-    offsets: np.ndarray
-
-    def __post_init__(self) -> None:
-        offsets = np.asarray(self.offsets, dtype=float)
-        if offsets.ndim != 1 or offsets.shape[0] < 1:
-            raise ValueError("offsets must be a vector of length d-1 >= 1")
-        object.__setattr__(self, "offsets", offsets)
-
-    @property
-    def d(self) -> int:
-        return self.offsets.shape[0] + 1
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.bias], self.offsets))
-
-    @property
-    def density(self) -> float:
-        """Noise-free edge density m + s at this step."""
-        return float(self.bias + self.offsets[0])
-
-
-def default_state(d: int, bias: float = 0.5) -> SeasonalState:
+def default_state(d: int, bias: float = 0.5) -> np.ndarray:
     """Flat starting state: given bias, all offsets zero."""
     if d < 2:
         raise ValueError("period d must be >= 2")
-    return SeasonalState(bias=bias, offsets=np.zeros(d - 1))
+    state = np.zeros(d)
+    state[0] = bias
+    return state
 
 
-def seasonal_state(d: int, bias: float, profile: np.ndarray) -> SeasonalState:
+def seasonal_state(d: int, bias: float, profile: np.ndarray) -> np.ndarray:
     """Starting state whose noise-free run repeats ``profile`` each period.
 
     ``profile[k]`` is the seasonal offset generated at phase k, i.e. at
     steps t with t % d == k; it is shifted to sum to zero first.
     """
+    if d < 2:
+        raise ValueError("period d must be >= 2")
     profile = np.asarray(profile, dtype=float)
     if profile.shape != (d,):
         raise ValueError(f"profile must have length d={d}")
     profile = profile - profile.mean()
-    # state holds (s_0, s_-1, ..., s_-(d-2)) = profile at phases 0, d-1, ..., 2
-    offsets = np.array([profile[(-j) % d] for j in range(d - 1)])
-    return SeasonalState(bias=bias, offsets=offsets)
+    # the offsets (s_0, s_-1, ..., s_-(d-2)) are the profile at phases 0, d-1, ..., 2
+    return np.array([bias] + [profile[(-j) % d] for j in range(d - 1)])
 
 
 def sine_profile(d: int, amplitude: float) -> np.ndarray:
     """Zero-sum sinusoidal seasonal pattern with the given half-range."""
+    if not math.isfinite(amplitude):
+        raise ValueError("seasonal amplitude must be finite")
     phases = np.arange(d)
     profile = amplitude * np.sin(2.0 * np.pi * phases / d)
     return profile - profile.mean()
@@ -84,23 +65,25 @@ def sine_profile(d: int, amplitude: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GenParams:
-    """Generator configuration for one block."""
+    """Generator configuration for one block; ``init`` is the length-d
+    state the first transition starts from."""
 
     d: int
     q_m: float
     q_s: float
     r: float
-    init: SeasonalState
+    init: np.ndarray
 
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError("period d must be >= 2")
-        if self.q_m < 0 or self.q_s < 0 or self.r < 0:
-            raise ValueError("variances must be non-negative")
-        if self.init.d != self.d:
-            raise ValueError(
-                f"initial state has period {self.init.d}, expected {self.d}"
-            )
+        check_variances(self.q_m, self.q_s, self.r)
+        init = np.asarray(self.init, dtype=float)
+        if init.shape != (self.d,):
+            raise ValueError(f"initial state must have length d={self.d}")
+        if not np.isfinite(init).all():
+            raise ValueError("initial state must be finite")
+        object.__setattr__(self, "init", init)
 
 
 @dataclass(frozen=True)
@@ -117,19 +100,37 @@ class LatentTrace:
     counts: np.ndarray
 
 
-def step_latent(state: SeasonalState, params: GenParams, rng: np.random.Generator) -> SeasonalState:
+def step_latent(state: np.ndarray, params: GenParams, rng: np.random.Generator) -> np.ndarray:
     """One transition of the hidden seasonal process."""
-    if state.d != params.d:
+    if state.shape != (params.d,):
         raise ValueError("state dimension does not match params.d")
-    bias = state.bias + rng.normal(0.0, math.sqrt(params.q_m))
-    lead = -np.sum(state.offsets) + rng.normal(0.0, math.sqrt(params.q_s))
-    offsets = np.concatenate(([lead], state.offsets[:-1]))
-    return SeasonalState(bias=bias, offsets=offsets)
+    nxt = np.empty(params.d)
+    nxt[0] = state[0] + rng.normal(0.0, math.sqrt(params.q_m))
+    nxt[1] = -np.sum(state[1:]) + rng.normal(0.0, math.sqrt(params.q_s))
+    nxt[2:] = state[1:-1]
+    return nxt
 
 
-def _realized_density(state: SeasonalState, params: GenParams, rng: np.random.Generator) -> float:
-    e = state.density + rng.normal(0.0, math.sqrt(params.r))
-    return min(max(e, 0.0), 1.0)
+def _sample_block(
+    params: GenParams,
+    T: int,
+    rng: np.random.Generator,
+    draw: Callable[[int, float], int],
+) -> LatentTrace:
+    """Run the latent walk for T steps; ``draw(t, e)`` samples step t's
+    formed edges at realized density e from ``rng`` and returns their count."""
+    state = params.init
+    states = np.zeros((T, params.d))
+    density = np.zeros(T)
+    counts = np.zeros(T)
+    for t in range(T):
+        state = step_latent(state, params, rng)
+        e = state[0] + state[1] + rng.normal(0.0, math.sqrt(params.r))
+        e = min(max(e, 0.0), 1.0)
+        states[t] = state
+        density[t] = e
+        counts[t] = draw(t, e)
+    return LatentTrace(states=states, density=density, counts=counts)
 
 
 def generate_block_series(
@@ -148,18 +149,8 @@ def generate_block_series(
         raise ValueError("possible-edge count must be >= 1")
     if T < 1:
         raise ValueError("series length must be >= 1")
-    state = params.init
-    states = np.zeros((T, params.d))
-    density = np.zeros(T)
-    counts = np.zeros(T)
-    for t in range(T):
-        state = step_latent(state, params, rng)
-        e = _realized_density(state, params, rng)
-        states[t] = state.as_vector()
-        density[t] = e
-        counts[t] = rng.binomial(n, e)
-    series = BlockSeries(pair=pair, n=n, counts=counts)
-    return series, LatentTrace(states=states, density=density, counts=counts)
+    trace = _sample_block(params, T, rng, lambda t, e: rng.binomial(n, e))
+    return BlockSeries(pair=pair, n=n, counts=trace.counts), trace
 
 
 def generate_network(
@@ -185,24 +176,16 @@ def generate_network(
     edge_t, edge_i, edge_j = ([np.zeros(0, np.int64)] for _ in range(3))
     traces: dict[TypePair, LatentTrace] = {}
     for p, stream in zip(active, streams):
-        params = block_params[p]
         vi, vj = block_pairs(typing, p)
-        n = vi.size
-        state = params.init
-        states = np.zeros((T, params.d))
-        density = np.zeros(T)
-        counts = np.zeros(T)
-        for t in range(T):
-            state = step_latent(state, params, stream)
-            e = _realized_density(state, params, stream)
-            present = np.flatnonzero(stream.random(n) < e)
-            states[t] = state.as_vector()
-            density[t] = e
-            counts[t] = present.size
+
+        def draw(t: int, e: float) -> int:
+            present = np.flatnonzero(stream.random(vi.size) < e)
             edge_t.append(np.full(present.size, t + 1))
             edge_i.append(vi[present])
             edge_j.append(vj[present])
-        traces[p] = LatentTrace(states=states, density=density, counts=counts)
+            return present.size
+
+        traces[p] = _sample_block(block_params[p], T, stream, draw)
     network = DynamicNetwork.from_edges(
         typing, T, np.concatenate(edge_t), np.concatenate(edge_i), np.concatenate(edge_j)
     )

@@ -45,14 +45,22 @@ class StateSpace:
     r: float
 
 
+def check_variances(*variances: float) -> None:
+    """Require every variance to be finite and non-negative."""
+    for v in variances:
+        if not math.isfinite(v):
+            raise ValueError("variances must be finite")
+        if v < 0:
+            raise ValueError("variances must be non-negative")
+
+
 def build_state_space(d: int, n: int, q_m: float, q_s: float, r: float) -> StateSpace:
     """Assemble the transition/observation model for one block."""
     if d < 2:
         raise ValueError("period d must be >= 2 (no seasonal structure below that)")
     if n < 1:
         raise ValueError("possible-edge count must be >= 1")
-    if q_m < 0 or q_s < 0 or r < 0:
-        raise ValueError("variances must be non-negative")
+    check_variances(q_m, q_s, r)
     G = np.zeros((d, d))
     G[0, 0] = 1.0
     G[1, 1:] = -1.0
@@ -91,8 +99,7 @@ def observation_variance(u_t: float, n: int, r: float) -> float:
     """Total per-step observation variance b_t = u_t + n^2 r (count^2 units)."""
     if u_t <= 0:
         raise ValueError("binomial observation noise must be strictly positive")
-    if r < 0:
-        raise ValueError("measurement variance must be non-negative")
+    check_variances(r)
     return u_t + n * n * r
 
 
@@ -111,11 +118,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError("period d must be >= 2")
-        variances = (self.q_m, self.q_s, self.r)
-        if not all(map(math.isfinite, variances)):
-            raise ValueError("variances must be finite")
-        if min(variances) < 0:
-            raise ValueError("variances must be non-negative")
+        check_variances(self.q_m, self.q_s, self.r)
         mu0 = np.asarray(self.mu0, dtype=float)
         Sigma0 = np.asarray(self.Sigma0, dtype=float)
         if mu0.shape != (self.d,):

@@ -155,7 +155,7 @@ def test_criterion_4_forecast_variance_growth():
     d, n = 7, 1000
     params = ModelParams(
         d=d, q_m=2e-6, q_s=1e-6, r=1e-4,
-        mu0=seasonal_state(d, 0.5, sine_profile(d, 0.08)).as_vector(),
+        mu0=seasonal_state(d, 0.5, sine_profile(d, 0.08)),
         Sigma0=1e-5 * np.eye(d),
     )
     ss = params.state_space(n)
@@ -192,7 +192,7 @@ def test_criterion_5_detector_calibration():
         blocks.append(series)
         params[pair] = ModelParams(
             d=d, q_m=1e-7, q_s=1e-7, r=1e-4,
-            mu0=gen.init.as_vector(), Sigma0=np.zeros((d, d)),
+            mu0=gen.init, Sigma0=np.zeros((d, d)),
         )
     scores = anomaly.score(blocks, params, mode="predictive")
     report = anomaly.detect(scores, anomaly.threshold_sigma(3.0))
@@ -227,7 +227,7 @@ def test_criterion_6_detection_power():
             blocks.append(series)
             params[pair] = ModelParams(
                 d=d, q_m=1e-6, q_s=1e-6, r=1e-4,
-                mu0=gen.init.as_vector(), Sigma0=np.zeros((d, d)),
+                mu0=gen.init, Sigma0=np.zeros((d, d)),
             )
         clean = anomaly.score(blocks, params)
         shift = 6.0 * math.sqrt(clean.pred_var[0, t_star - 1])
@@ -285,7 +285,7 @@ def test_criterion_8_generator_statistics():
         init=seasonal_state(d, 0.5, sine_profile(d, 0.1)),
     )
     _, trace = generate_block_series(seasonal, n=100, T=200, rng=rng)
-    states = np.vstack([seasonal.init.as_vector(), trace.states])
+    states = np.vstack([seasonal.init, trace.states])
     window_sums = np.array(
         [states[t, 1] + states[t - 1, 1:].sum() for t in range(1, states.shape[0])]
     )

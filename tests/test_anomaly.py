@@ -23,7 +23,7 @@ def known_model(d=3, n=100, bias=0.5, q=0.0, r=0.0):
     init = default_state(d, bias=bias)
     gen = GenParams(d=d, q_m=q, q_s=q, r=r, init=init)
     params = ModelParams(
-        d=d, q_m=q, q_s=q, r=r, mu0=init.as_vector(), Sigma0=np.zeros((d, d))
+        d=d, q_m=q, q_s=q, r=r, mu0=init, Sigma0=np.zeros((d, d))
     )
     return gen, params
 
@@ -112,7 +112,7 @@ class TestScore:
             blocks.append(series)
             params[pair] = ModelParams(
                 d=d, q_m=1e-7, q_s=1e-7, r=1e-4,
-                mu0=gen.init.as_vector(), Sigma0=np.zeros((d, d)),
+                mu0=gen.init, Sigma0=np.zeros((d, d)),
             )
         scores = score(blocks, params)
         z = np.sort(scores.z.ravel())
@@ -209,7 +209,7 @@ class TestDetect:
             blocks.append(series)
             params[pair] = ModelParams(
                 d=d, q_m=1e-6, q_s=1e-6, r=1e-4,
-                mu0=gen.init.as_vector(), Sigma0=np.zeros((d, d)),
+                mu0=gen.init, Sigma0=np.zeros((d, d)),
             )
         clean = score(blocks, params)
         shift = 6.0 * math.sqrt(clean.pred_var[1, t_star - 1])

@@ -17,7 +17,15 @@ from sdsbm.cli import (
     main,
 )
 from sdsbm.graph_model import extract_block_series
-from sdsbm.ingest import BucketingConfig, bucketize, load_model, parse_inputs, save_model
+from sdsbm.ingest import (
+    EMPTY_GRAPH,
+    MISSING_OBSERVATION,
+    BucketingConfig,
+    bucketize,
+    load_model,
+    parse_inputs,
+    save_model,
+)
 from sdsbm.ssm import ModelParams
 
 
@@ -83,6 +91,25 @@ class TestSimulate:
     def test_invalid_params_exit_data(self, tmp_path):
         assert simulate_small(tmp_path, extra=("--q-m", -1.0)) == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("--q-m", "nan"),
+            ("--q-m", "inf"),
+            ("--r", "nan"),
+            ("--bias", "nan"),
+            ("--season-amplitude", "inf"),
+            ("--width", 0),
+            ("--width", -1),
+            ("--width", "nan"),
+        ],
+    )
+    def test_degenerate_input_is_data_error(self, tmp_path, capsys, option, value):
+        out = tmp_path / "out"
+        assert simulate_small(out, extra=(option, value)) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()  # refused before any output is written
+
 
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
@@ -100,6 +127,22 @@ def fit_args(sim_dir, out_dir, *extra):
         "--out-dir", out_dir,
         *extra,
     )
+
+
+@pytest.mark.parametrize("policy", [EMPTY_GRAPH, MISSING_OBSERVATION])
+def test_too_fine_bucket_width_is_data_error(tmp_path, capsys, policy):
+    # 1e18 buckets of width 1e-3 between the two events: the counts array
+    # is refused outright by the allocator, so no memory is reserved
+    events = tmp_path / "events.csv"
+    events.write_text("timestamp,src,dst\n0.5,a0,a1\n1e15,a0,a1\n")
+    types = tmp_path / "types.csv"
+    types.write_text("vertex,type\na0,a\na1,a\n")
+    code = run(
+        "fit", "--events", events, "--types", types, "--width", 1e-3,
+        "--missing-policy", policy, "--out-dir", tmp_path / "out",
+    )
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: out of memory")
 
 
 class TestFit:

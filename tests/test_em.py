@@ -97,7 +97,7 @@ class TestEStep:
         series, _ = generate_block_series(gen, n=n, T=T, rng=_Rng())
         params = ModelParams(
             d=d, q_m=0.0, q_s=0.0, r=0.0,
-            mu0=init.as_vector(), Sigma0=np.zeros((d, d)),
+            mu0=init, Sigma0=np.zeros((d, d)),
         )
         stats, _, _ = e_step(series, params)
         for t in range(T + 1):
@@ -167,7 +167,7 @@ class TestMStepInitial:
         init = default_init(series, gen.d)
         params, _ = em_fit(series, init, EmConfig(max_iter=60, tol=1e-9))
         sd = np.sqrt(max(params.Sigma0[0, 0], 1e-12))
-        assert abs(params.mu0[0] - gen.init.bias) <= 3 * max(sd, 1e-3)
+        assert abs(params.mu0[0] - gen.init[0]) <= 3 * max(sd, 1e-3)
 
 
 class TestMStepR:

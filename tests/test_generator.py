@@ -3,7 +3,6 @@ import pytest
 
 from sdsbm.generator import (
     GenParams,
-    SeasonalState,
     default_state,
     generate_block_series,
     generate_network,
@@ -31,20 +30,43 @@ def noiseless(d, init, r=0.0):
     return GenParams(d=d, q_m=0.0, q_s=0.0, r=r, init=init)
 
 
+class TestGenParams:
+    @pytest.mark.parametrize("field", ["q_m", "q_s", "r"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_variances(self, field, value):
+        opts = dict(d=3, q_m=0.0, q_s=0.0, r=0.0, init=default_state(3))
+        opts[field] = value
+        with pytest.raises(ValueError, match="variances must be"):
+            GenParams(**opts)
+
+    @pytest.mark.parametrize(
+        "init,match",
+        [
+            (np.array([np.nan, 0.0, 0.0]), "finite"),
+            (np.array([0.5, np.inf, 0.0]), "finite"),
+            (np.zeros(4), "length"),
+            (np.zeros((3, 1)), "length"),
+        ],
+    )
+    def test_rejects_bad_init(self, init, match):
+        with pytest.raises(ValueError, match=match):
+            GenParams(d=3, q_m=0.0, q_s=0.0, r=0.0, init=init)
+
+
 class TestStepLatent:
     def test_zero_sum_recurrence_d3(self, rng):
-        params = noiseless(3, SeasonalState(bias=0.5, offsets=np.array([0.1, -0.1])))
+        params = noiseless(3, np.array([0.5, 0.1, -0.1]))
         state = params.init
         leads = []
         for _ in range(4):
             state = step_latent(state, params, rng)
-            leads.append(state.offsets[0])
+            leads.append(state[1])
         assert leads == [0.0, -0.1, 0.1, 0.0]
 
     def test_zero_noise_keeps_bias(self, rng):
         params = noiseless(4, default_state(4, bias=0.37))
         state = step_latent(params.init, params, rng)
-        assert state.bias == 0.37
+        assert state[0] == 0.37
 
     def test_rejects_dimension_mismatch(self, rng):
         params = noiseless(3, default_state(3))
@@ -60,8 +82,8 @@ class TestStepLatent:
         biases = np.zeros(10_000)
         for i in range(biases.shape[0]):
             state = step_latent(state, params, rng)
-            biases[i] = state.bias
-        increments = np.diff(np.concatenate(([params.init.bias], biases)))
+            biases[i] = state[0]
+        increments = np.diff(np.concatenate(([params.init[0]], biases)))
         assert increments.var() == pytest.approx(q, rel=0.2)
 
     def test_matches_transition_matrix(self, rng):
@@ -70,17 +92,17 @@ class TestStepLatent:
         from sdsbm.ssm import build_state_space
 
         d = 5
-        init = SeasonalState(bias=0.4, offsets=np.array([0.05, -0.02, 0.01, -0.04]))
+        init = np.array([0.4, 0.05, -0.02, 0.01, -0.04])
         params = noiseless(d, init)
         ss = build_state_space(d, 10, 0.0, 0.0, 0.0)
-        state, vec = init, init.as_vector()
+        state, vec = init, init
         for _ in range(12):
             state = step_latent(state, params, rng)
             vec = ss.G @ vec
-            np.testing.assert_allclose(state.as_vector(), vec, atol=1e-15)
+            np.testing.assert_allclose(state, vec, atol=1e-15)
 
 
-class TestSeasonalState:
+class TestSeasonalStart:
     def test_profile_repeats_noiselessly(self, rng):
         d = 6
         profile = sine_profile(d, 0.1)
@@ -88,13 +110,13 @@ class TestSeasonalState:
         state = params.init
         for t in range(1, 3 * d + 1):
             state = step_latent(state, params, rng)
-            assert state.offsets[0] == pytest.approx(profile[t % d], abs=1e-12)
+            assert state[1] == pytest.approx(profile[t % d], abs=1e-12)
 
     def test_profile_centering(self):
         st = seasonal_state(4, 0.5, np.array([1.0, 2.0, 3.0, 4.0]))
         # stored window plus the implicit value sums to ~0
-        implicit = -st.offsets.sum()
-        assert st.offsets.sum() + implicit == 0.0
+        implicit = -st[1:].sum()
+        assert st[1:].sum() + implicit == 0.0
 
 
 class TestGenerateBlockSeries:
@@ -140,7 +162,7 @@ class TestGenerateBlockSeries:
             init=seasonal_state(d, 0.5, sine_profile(d, 0.1)),
         )
         _, trace = generate_block_series(params, n=50, T=50, rng=rng)
-        states = np.vstack([params.init.as_vector(), trace.states])
+        states = np.vstack([params.init, trace.states])
         for t in range(1, states.shape[0]):
             window = states[t, 1] + np.sum(states[t - 1, 1:])
             assert window == 0.0

@@ -180,7 +180,7 @@ class TestSmoother:
         series, trace = generate_block_series(gen, n=n, T=T, rng=_RoundingRng())
         params = ModelParams(
             d=d, q_m=0.0, q_s=0.0, r=0.0,
-            mu0=init.as_vector(), Sigma0=np.zeros((d, d)),
+            mu0=init, Sigma0=np.zeros((d, d)),
         )
         ss = params.state_space(n)
         seq = smooth(kalman.filter(series, params), ss)
@@ -221,7 +221,7 @@ class TestSmoother:
             series, _ = generate_block_series(gen, n=2000, T=40, rng=rng)
             params = ModelParams(
                 d=d, q_m=1e-7, q_s=1e-7, r=1e-4,
-                mu0=gen.init.as_vector(), Sigma0=np.zeros((d, d)),
+                mu0=gen.init, Sigma0=np.zeros((d, d)),
             )
         else:
             params, series = random_instance(rng, d=4, T=40, r=1e-4)

@@ -41,6 +41,12 @@ class TestBuildStateSpace:
         with pytest.raises(ValueError, match="non-negative"):
             build_state_space(3, 10, -1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_variance(self, value):
+        for variances in [(value, 0.0, 0.0), (0.0, value, 0.0), (0.0, 0.0, value)]:
+            with pytest.raises(ValueError, match="finite"):
+                build_state_space(3, 10, *variances)
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=14))
@@ -98,6 +104,11 @@ class TestObservationVariance:
     def test_rejects_non_positive_u(self):
         with pytest.raises(ValueError):
             observation_variance(0.0, 100, 0.0)
+
+    @pytest.mark.parametrize("r", [-1e-3, np.nan, np.inf])
+    def test_rejects_bad_measurement_variance(self, r):
+        with pytest.raises(ValueError, match="variances must be"):
+            observation_variance(25.0, 100, r)
 
 
 class TestModelParams:
