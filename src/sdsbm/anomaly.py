@@ -38,13 +38,18 @@ class LogLikPolicy:
 
     c0: float
 
+    def __post_init__(self) -> None:
+        # -inf (flag nothing) and +inf (flag every step) are valid floors
+        if np.isnan(self.c0):
+            raise ValueError("log-likelihood threshold must not be NaN")
+
     def describe(self) -> str:
         return f"loglik:{self.c0:g}"
 
 
 def threshold_sigma(k: float) -> SigmaPolicy:
-    if k <= 0:
-        raise ValueError("sigma threshold must be positive")
+    if not k > 0:
+        raise ValueError(f"sigma threshold must be positive, got {k}")
     return SigmaPolicy(k=float(k))
 
 

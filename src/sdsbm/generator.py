@@ -56,6 +56,8 @@ def seasonal_state(d: int, bias: float, profile: np.ndarray) -> np.ndarray:
 
 def sine_profile(d: int, amplitude: float) -> np.ndarray:
     """Zero-sum sinusoidal seasonal pattern with the given half-range."""
+    if d < 2:
+        raise ValueError("period d must be >= 2")
     if not math.isfinite(amplitude):
         raise ValueError("seasonal amplitude must be finite")
     phases = np.arange(d)

@@ -86,8 +86,10 @@ class BucketingConfig:
     missing_policy: str = EMPTY_GRAPH
 
     def __post_init__(self) -> None:
-        if not self.width > 0:
-            raise ValueError("bucket width must be positive")
+        if not math.isfinite(self.origin):
+            raise ValueError(f"bucketing origin must be finite, got {self.origin}")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"bucket width must be positive and finite, got {self.width}")
         if self.T is not None and self.T < 0:
             raise ValueError("bucket cap must be >= 0")
         if self.missing_policy not in (EMPTY_GRAPH, MISSING_OBSERVATION):

@@ -102,12 +102,15 @@ class TestSimulate:
             ("--width", 0),
             ("--width", -1),
             ("--width", "nan"),
+            ("--period", 0),
+            ("--period", -1),
         ],
     )
     def test_degenerate_input_is_data_error(self, tmp_path, capsys, option, value):
         out = tmp_path / "out"
         assert simulate_small(out, extra=(option, value)) == EXIT_DATA
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()  # refused before any output is written
 
 
@@ -218,6 +221,11 @@ class TestFit:
             if r["t"] == "21" and r["scope"] == "block"
         ]
         assert gap_rows and all(r["loglik"] == "" for r in gap_rows)
+
+    def test_nan_tol_is_data_error(self, sim_dir, tmp_path, capsys):
+        # a NaN tolerance never stops EM, so every block would run to the cap
+        assert run(*fit_args(sim_dir, tmp_path, "--tol", "nan")) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: tol must be non-negative")
 
     def test_missing_events_flag_is_usage_error(self, tmp_path):
         assert run("fit", "--types", "x.csv", "--out-dir", tmp_path) == EXIT_USAGE
@@ -407,6 +415,13 @@ class TestDetect:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("option", ["--sigma", "--loglik-threshold"])
+    def test_nan_threshold_is_data_error(self, sim_dir, fitted_dir, tmp_path, capsys, option):
+        # a NaN threshold compares false everywhere and would flag nothing
+        code = run(*self.detect_args(sim_dir, fitted_dir, tmp_path, option, "nan"))
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_sigma_and_loglik_flags_conflict(self, sim_dir, fitted_dir, tmp_path):
         code = run(
             *self.detect_args(
@@ -414,6 +429,23 @@ class TestDetect:
             )
         )
         assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("option", ["--origin", "--width"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_bucketing_is_data_error(sim_dir, fitted_dir, tmp_path, capsys, option, value):
+    data = ("--events", sim_dir / "events.csv", "--types", sim_dir / "types.csv",
+            f"{option}={value}", "--t-cap", 28)
+    commands = [
+        ("fit", "--period", 4, *data),
+        ("forecast", "--model", fitted_dir / "model.json", "--horizon", 3, *data),
+        ("detect", "--model", fitted_dir / "model.json", *data),
+    ]
+    for args in commands:
+        capsys.readouterr()
+        assert run(*args, "--out-dir", tmp_path) == EXIT_DATA, args[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"got {value}" in err, (args[0], err)
 
 
 def assert_model_commands_are_data_errors(model, sim_dir, tmp_path, capsys):

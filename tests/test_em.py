@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from sdsbm import kalman
 from sdsbm.em import (
+    R_MAX,
     EmConfig,
     EmError,
     SufficientStats,
@@ -170,6 +175,23 @@ class TestMStepInitial:
         assert abs(params.mu0[0] - gen.init[0]) <= 3 * max(sd, 1e-3)
 
 
+def r_step_input(quad, u, n):
+    """Zero counts and zero means, so m_step_r's quad_t is n^2 Exx[t, 0, 0]."""
+    T = len(quad)
+    stats = SufficientStats(
+        Ex=np.zeros((T + 1, 2)), Exx=np.zeros((T + 1, 2, 2)), Exx_lag=np.zeros((T, 2, 2))
+    )
+    stats.Exx[1:, 0, 0] = np.asarray(quad) / n**2
+    return stats, make_series(np.zeros(T), n=n), n * n * stats.Exx[1:, 0, 0]
+
+
+def bounded_argmax(f, lo, hi):
+    res = minimize_scalar(
+        lambda x: -f(x), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
+    )
+    return res.x
+
+
 class TestMStepR:
     def test_boundary_solution_when_binomial_noise_explains_all(self):
         # quad_t == u_t makes the objective decreasing in r
@@ -208,6 +230,63 @@ class TestMStepR:
         )
         r_hat = m_step_r(stats, series, np.full(6, 1e-6), n)
         assert 0.0 <= r_hat <= 0.25
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_interior_optimum_matches_bounded_search(self, seed):
+        # quad_t scattered around u_t + n^2 r*: one interior maximum near r*
+        rng = np.random.default_rng(seed)
+        n, T = int(rng.integers(6, 2001)), int(rng.integers(5, 201))
+        p = rng.uniform(0.02, 0.98, T)
+        u = n * p * (1 - p)
+        r_star = math.exp(rng.uniform(math.log(0.1), math.log(10.0))) * u.mean() / n**2
+        assume(r_star <= 0.1)
+        stats, series, quad = r_step_input((u + n * n * r_star) * np.exp(rng.normal(0, 0.3, T)), u, n)
+        r = m_step_r(stats, series, u, n)
+
+        # scipy's bounded search on log r stops at sqrt(eps) * |log r|, so a
+        # second search, centred on the first and written without
+        # cancellation, refines it to well below the tolerance checked here
+        lo = math.log(1e-12)
+        r1 = math.exp(bounded_argmax(lambda x: r_objective(math.exp(x), quad, u, n), lo, 0.0))
+        v1 = u + n * n * r1
+
+        def gain_over_r1(x):
+            dv = n * n * r1 * math.expm1(x)
+            return np.sum(-0.5 * np.log1p(dv / v1) + 0.5 * quad * dv / (v1 * (v1 + dv)))
+
+        r_ref = r1 * math.exp(bounded_argmax(gain_over_r1, lo - math.log(r1), -math.log(r1)))
+        assert r == pytest.approx(r_ref, rel=1e-8)
+        v = u + n * n * r
+        pull_up, pull_down = np.sum(quad / v**2), np.sum(1.0 / v)
+        assert abs(pull_up - pull_down) <= 1e-10 * (pull_up + pull_down)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=2000),
+        st.lists(
+            st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6)), min_size=1, max_size=40
+        ),
+    )
+    def test_never_scores_below_the_scan(self, n, terms):
+        quad, u = map(np.array, zip(*terms))
+        stats, series, quad = r_step_input(quad, u, n)
+        r = m_step_r(stats, series, u, n)
+        assert 0.0 <= r <= R_MAX
+        feasible_grid = np.minimum(np.geomspace(1e-12, 1.0, 30), R_MAX)
+        scan_best = np.max(r_objective(feasible_grid, quad, u, n))
+        score = r_objective(r, quad, u, n)
+        assert score >= scan_best - 1e-12 * abs(scan_best)
+
+    def test_vectorised_objective_matches_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        quad, u = rng.uniform(0, 50, 30), rng.uniform(0, 25, 30)
+        rs = np.array([0.0, 1e-9, 1e-4, 0.2])
+        values = r_objective(rs, quad, u, 40)
+        assert values.shape == (4,)
+        assert values.tolist() == [r_objective(float(r), quad, u, 40) for r in rs]
+        assert isinstance(r_objective(1e-4, quad, u, 40), float)
+        assert r_objective(0.0, quad, np.zeros(30), 40) == -math.inf
 
     def test_full_em_recovers_true_r(self):
         series, _, gen = synthetic_block(
