@@ -33,12 +33,7 @@ from .ingest import (
     parse_inputs,
     save_model,
 )
-from .kalman import (
-    FilterError,
-    GaussianBelief,
-    filter as kalman_filter,
-    forecast as kalman_forecast,
-)
+from .kalman import FilterError, filter as kalman_filter, forecast as kalman_forecast
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,14 +77,12 @@ def _load_config(path) -> dict:
 
 
 def _resolve(defaults: dict, config: dict, cli: dict) -> dict:
-    unknown = set(config) - set(defaults) - {"blocks"}
+    unknown = set(config) - set(defaults)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     resolved = dict(defaults)
-    resolved.update({k: v for k, v in config.items() if k != "blocks"})
+    resolved.update(config)
     resolved.update({k: v for k, v in cli.items() if v is not None})
-    if "blocks" in config:
-        resolved["blocks"] = config["blocks"]
     return resolved
 
 
@@ -139,8 +132,25 @@ SIMULATE_DEFAULTS = {
     "q_s": 1e-7,
     "r": 1e-3,
     "width": 1.0,
+    "blocks": {},
     "out_dir": ".",
 }
+
+# Options a config's "blocks" entry may set for one block, keyed "a:b".
+BLOCK_OPTIONS = ("bias", "season_amplitude", "q_m", "q_s", "r")
+
+
+def _block_overrides(blocks, typing: VertexTyping) -> dict:
+    if not isinstance(blocks, dict):
+        raise UsageError("config key 'blocks' must map block names like 'a:b' to objects")
+    pairs = {_pair_key(pair) for pair in typing.pairs()}
+    for key, opts in blocks.items():
+        if key not in pairs:
+            raise UsageError(f"config blocks: unknown block {key!r}, expected one of {sorted(pairs)}")
+        if not isinstance(opts, dict) or set(opts) - set(BLOCK_OPTIONS):
+            raise UsageError(f"config blocks: {key!r} takes an object with keys among "
+                             f"{list(BLOCK_OPTIONS)}, got {opts!r}")
+    return blocks
 
 
 def cmd_simulate(resolved: dict) -> int:
@@ -161,16 +171,10 @@ def cmd_simulate(resolved: dict) -> int:
             type_of[vid] = name
     typing = VertexTyping(vertex_ids=tuple(vertex_ids), type_of=type_of)
 
-    overrides = resolved.get("blocks", {})
+    overrides = _block_overrides(resolved["blocks"], typing)
     block_params = {}
     for pair in typing.pairs():
-        opts = dict(
-            bias=resolved["bias"],
-            season_amplitude=resolved["season_amplitude"],
-            q_m=resolved["q_m"],
-            q_s=resolved["q_s"],
-            r=resolved["r"],
-        )
+        opts = {k: resolved[k] for k in BLOCK_OPTIONS}
         opts.update(overrides.get(_pair_key(pair), {}))
         init = seasonal_state(d, opts["bias"], sine_profile(d, opts["season_amplitude"]))
         block_params[pair] = GenParams(
@@ -250,7 +254,8 @@ def _load_blocks(resolved: dict) -> list[BlockSeries]:
     )
     network = bucketize(events, typing, config)
     if network.T == 0:
-        raise IngestError("no time buckets: empty event file and no bucket cap")
+        cause = "the bucket cap (--t-cap) is 0" if config.T == 0 else "the event file is empty"
+        raise IngestError(f"no time buckets: {cause}")
     return extract_block_series(network)
 
 
@@ -356,11 +361,7 @@ def cmd_forecast(resolved: dict) -> int:
             p = params[series.pair]
             ss = p.state_space(series.n)
             seq = kalman_filter(series, p)
-            if seq.T:
-                last = seq.filtered(seq.T)
-            else:
-                last = GaussianBelief(p.mu0.copy(), p.Sigma0.copy())
-            fc = kalman_forecast(last, ss, horizon)
+            fc = kalman_forecast(seq.filtered(seq.T), ss, horizon)
             for k in range(horizon):
                 mean = fc.count_mean[k]
                 var = fc.total_var[k]

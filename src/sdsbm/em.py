@@ -2,10 +2,11 @@
 
 Learns phi = {r, q_m, q_s, mu0, Sigma0} for one block.  The E-step runs
 the filter and smoother on the block's state space and collects the
-smoothed first, second and lag-one moments (Shumway & Stoffer 1982);
-the M-step updates the initial belief in closed form, reads the process
-variances off the expected transition-residual second moment, and
-maximizes the measurement variance by a bounded golden-section search.
+smoothed first, second and lag-one moments (Shumway & Stoffer 1982),
+the last from the smoother's lag-one covariances; the M-step updates the
+initial belief in closed form, reads the process variances off the
+expected transition-residual second moment, and maximizes the
+measurement variance by a log-grid scan and bracketed Newton steps.
 The per-step binomial noises u_t are frozen within each iteration,
 mirroring their separate estimation from the prediction step.
 """
@@ -56,8 +57,8 @@ class SufficientStats:
     """Smoothed moments of the d-dimensional state.
 
     ``Ex[t]``/``Exx[t]`` cover t = 0..T; ``Exx_lag[i]`` holds the lag-one
-    moment E[x_t x_{t-1}^T] = S_{t|T} J_{t-1}^T + mu_{t|T} mu_{t-1|T}^T
-    for t = i + 1.
+    moment E[x_t x_{t-1}^T] = S_{t,t-1|T} + mu_{t|T} mu_{t-1|T}^T for t = i + 1,
+    S_{t,t-1|T} being the smoothed lag-one covariance.
     """
 
     Ex: np.ndarray
@@ -109,11 +110,9 @@ def e_step(
 
 
 def _stats_from_smoothed(seq: BeliefSequence) -> SufficientStats:
-    sm_mean, sm_cov, J = seq.smoothed_mean, seq.smoothed_cov, seq.smoother_gains
-    Exx = sm_cov + np.einsum("ti,tj->tij", sm_mean, sm_mean)
-    Exx_lag = sm_cov[1:] @ J.transpose(0, 2, 1) + np.einsum(
-        "ti,tj->tij", sm_mean[1:], sm_mean[:-1]
-    )
+    sm_mean = seq.smoothed_mean
+    Exx = seq.smoothed_cov + np.einsum("ti,tj->tij", sm_mean, sm_mean)
+    Exx_lag = seq.smoothed_lag_cov + np.einsum("ti,tj->tij", sm_mean[1:], sm_mean[:-1])
     return SufficientStats(Ex=sm_mean.copy(), Exx=Exx, Exx_lag=Exx_lag)
 
 

@@ -2,12 +2,10 @@
 
 Filter, smoother, forecasting and per-step predictive log-likelihood
 for the linear-Gaussian count model.  Observations are scalar per block,
-so the update step needs no matrix inversion.  The smoother gains
-depend only on filter output, so all of them come from one stacked
-pseudo-inverse of the one-step-ahead covariances before the backward
-pass; a pseudo-inverse rather than a solve because the process
-covariance is rank-deficient by construction (with a zero initial
-covariance the first one-step-ahead covariance is singular).
+so nothing is inverted: the update divides by the scalar innovation
+variance, and the smoother runs the de Jong (1989) / Durbin & Koopman
+(§4.4) backward recursion over the filter's innovations, exact even
+where the one-step-ahead covariances are singular (zero ``Sigma0``).
 """
 
 from __future__ import annotations
@@ -21,9 +19,6 @@ from .graph_model import BlockSeries
 from .ssm import ModelParams, StateSpace, binomial_obs_noise, observation_variance
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-# Relative cutoff for pseudo-inverting one-step-ahead covariances.
-PINV_RCOND = 1e-12
 
 
 class FilterError(RuntimeError):
@@ -56,10 +51,10 @@ class GaussianBelief:
 class BeliefSequence:
     """Per-step beliefs of one filtered (optionally smoothed) block.
 
-    ``predicted``/``filtered`` arrays cover t = 1..T at index t-1;
-    smoothed arrays cover t = 0..T at index t.  ``pred_loglik`` is NaN
-    at steps with no observation.  ``smoother_gains[t]`` is the matrix
-    J_t linking t and t+1, for t = 0..T-1.
+    Predicted and filtered arrays, the innovations and their variances
+    (both NaN where unobserved) cover t = 1..T at index t-1; smoothed
+    arrays cover t = 0..T at index t, ``smoothed_lag_cov[t]`` being
+    Cov(x_{t+1}, x_t) given the whole series.
     """
 
     init_mean: np.ndarray
@@ -70,32 +65,28 @@ class BeliefSequence:
     filt_cov: np.ndarray
     gains: np.ndarray
     u: np.ndarray
-    pred_loglik: np.ndarray
+    innov: np.ndarray
+    innov_var: np.ndarray
     smoothed_mean: np.ndarray | None = None
     smoothed_cov: np.ndarray | None = None
-    smoother_gains: np.ndarray | None = None
+    smoothed_lag_cov: np.ndarray | None = None
 
     @property
     def T(self) -> int:
         return int(self.pred_mean.shape[0])
 
     @property
+    def pred_loglik(self) -> np.ndarray:
+        """Per-step predictive log-density of w_t; NaN where unobserved."""
+        return gaussian_logpdf(self.innov, self.innov_var)
+
+    @property
     def total_loglik(self) -> float:
         """Sum of per-step predictive log-densities over observed steps."""
-        if self.T == 0:
-            return 0.0
         return float(np.nansum(self.pred_loglik))
-
-    def predicted(self, t: int) -> GaussianBelief:
-        return GaussianBelief(self.pred_mean[t - 1], self.pred_cov[t - 1])
 
     def filtered(self, t: int) -> GaussianBelief:
         return GaussianBelief(self.filt_mean[t - 1], self.filt_cov[t - 1])
-
-    def smoothed(self, t: int) -> GaussianBelief:
-        if self.smoothed_mean is None:
-            raise ValueError("smoother has not run")
-        return GaussianBelief(self.smoothed_mean[t], self.smoothed_cov[t])
 
 
 def gaussian_logpdf(resid, var):
@@ -117,12 +108,12 @@ def update(
     w_t: float,
     ss: StateSpace,
     u_t: float,
-) -> tuple[GaussianBelief, np.ndarray, float]:
+) -> tuple[GaussianBelief, np.ndarray, float, float]:
     """Condition a predicted belief on one observed count.
 
-    Returns the filtered belief, the Kalman gain vector and the
-    predictive log-density of ``w_t``.  The innovation variance
-    H S H^T + b_t is scalar, so the gain is S H^T over that scalar.
+    Returns the filtered belief, the Kalman gain vector, the innovation
+    ``w_t - H m`` and its variance H S H^T + b_t.  That variance is
+    scalar, so the gain is S H^T over it.
     """
     b_t = observation_variance(u_t, ss.n, ss.r)
     PH = predicted.cov @ ss.H
@@ -134,7 +125,7 @@ def update(
     mean = predicted.mean + gain * resid
     cov = predicted.cov - np.outer(gain, PH)
     cov = 0.5 * (cov + cov.T)
-    return GaussianBelief(mean=mean, cov=cov), gain, float(gaussian_logpdf(resid, S))
+    return GaussianBelief(mean=mean, cov=cov), gain, resid, S
 
 
 def run_filter(
@@ -151,8 +142,7 @@ def run_filter(
     contribution.
     """
     counts = np.asarray(counts, dtype=float)
-    T = counts.shape[0]
-    D = ss.G.shape[0]
+    T, D = counts.shape[0], ss.G.shape[0]
     seq = BeliefSequence(
         init_mean=np.asarray(mu0, dtype=float).copy(),
         init_cov=np.asarray(Sigma0, dtype=float).copy(),
@@ -162,22 +152,20 @@ def run_filter(
         filt_cov=np.zeros((T, D, D)),
         gains=np.zeros((T, D)),
         u=np.zeros(T),
-        pred_loglik=np.full(T, np.nan),
+        innov=np.full(T, np.nan),
+        innov_var=np.full(T, np.nan),
     )
     belief = GaussianBelief(seq.init_mean, seq.init_cov)
     for t in range(T):
         belief = predict(belief, ss)
         seq.pred_mean[t] = belief.mean
         seq.pred_cov[t] = belief.cov
-        u_t = binomial_obs_noise(float(ss.H @ belief.mean), ss.n)
-        seq.u[t] = u_t
+        seq.u[t] = u_t = binomial_obs_noise(float(ss.H @ belief.mean), ss.n)
         if not np.isnan(counts[t]):
             try:
-                belief, gain, loglik = update(belief, counts[t], ss, u_t)
+                belief, seq.gains[t], seq.innov[t], seq.innov_var[t] = update(belief, counts[t], ss, u_t)
             except ValueError as exc:
                 raise FilterError(t + 1, str(exc)) from exc
-            seq.gains[t] = gain
-            seq.pred_loglik[t] = loglik
         seq.filt_mean[t] = belief.mean
         seq.filt_cov[t] = belief.cov
     return seq
@@ -194,22 +182,32 @@ def filter(series: BlockSeries, params: ModelParams) -> BeliefSequence:
 def smooth(beliefs: BeliefSequence, ss: StateSpace) -> BeliefSequence:
     """Backward pass conditioning every belief on the whole series.
 
-    Recursion from t = T (smoothed = filtered) down to t = 0 with gains
-    J_t = S_{t|t} G^T pinv(S_{t+1|t}), all taken from one stacked
-    pseudo-inverse before the recursion starts.
+    From r_T = 0, N_T = 0 it runs, over the filter's innovations v_t,
+    their variances F_t and L_t = G (I - k_t H) (G at a gap),
+    r_{t-1} = H^T v_t / F_t + L_t^T r_t, N_{t-1} = H^T H / F_t + L_t^T N_t L_t.
+    From the filtered moments (the prior at t = 0) the smoothed mean is
+    m_{t|t} + S_{t|t} G^T r_t, the covariance S_{t|t} - S_{t|t} G^T N_t G S_{t|t}
+    and the lag-one covariance Cov(x_{t+1}, x_t) = (I - S_{t+1|t} N_t) G S_{t|t}.
     """
-    # start from the filtered beliefs at t = 0..T (the prior at t = 0)
-    sm_mean = np.concatenate((beliefs.init_mean[None], beliefs.filt_mean))
-    sm_cov = np.concatenate((beliefs.init_cov[None], beliefs.filt_cov))
-    J = sm_cov[:-1] @ ss.G.T @ np.linalg.pinv(beliefs.pred_cov, rcond=PINV_RCOND, hermitian=True)
-    bad = ~np.isfinite(J).all(axis=(1, 2))
-    if bad.any():
-        raise FilterError(int(np.argmax(bad)) + 1, "one-step-ahead covariance not invertible")
-    for t in range(beliefs.T - 1, -1, -1):
-        sm_mean[t] += J[t] @ (sm_mean[t + 1] - beliefs.pred_mean[t])
-        cov = sm_cov[t] + J[t] @ (sm_cov[t + 1] - beliefs.pred_cov[t]) @ J[t].T
-        sm_cov[t] = 0.5 * (cov + cov.T)
-    return replace(beliefs, smoothed_mean=sm_mean, smoothed_cov=sm_cov, smoother_gains=J)
+    T, D = beliefs.T, ss.G.shape[0]
+    v_over_F = np.nan_to_num(beliefs.innov / beliefs.innov_var)  # zero at gaps
+    inv_F = np.nan_to_num(1.0 / beliefs.innov_var)
+    L = ss.G @ (np.eye(D) - beliefs.gains[:, :, None] * ss.H)
+    HH = np.outer(ss.H, ss.H)
+    r, N = np.zeros((T + 1, D)), np.zeros((T + 1, D, D))
+    for t in range(T - 1, -1, -1):
+        r[t] = ss.H * v_over_F[t] + L[t].T @ r[t + 1]
+        N[t] = HH * inv_F[t] + L[t].T @ N[t + 1] @ L[t]
+    mean = np.concatenate((beliefs.init_mean[None], beliefs.filt_mean))
+    cov = np.concatenate((beliefs.init_cov[None], beliefs.filt_cov))
+    GS = ss.G @ cov
+    sm_cov = cov - GS.transpose(0, 2, 1) @ N @ GS
+    return replace(
+        beliefs,
+        smoothed_mean=mean + np.einsum("tji,tj->ti", GS, r),
+        smoothed_cov=0.5 * (sm_cov + sm_cov.transpose(0, 2, 1)),
+        smoothed_lag_cov=(np.eye(D) - beliefs.pred_cov @ N[:-1]) @ GS[:-1],
+    )
 
 
 @dataclass

@@ -230,7 +230,7 @@ class TestFit:
     def test_missing_events_flag_is_usage_error(self, tmp_path):
         assert run("fit", "--types", "x.csv", "--out-dir", tmp_path) == EXIT_USAGE
 
-    def test_unreadable_events_is_data_error(self, tmp_path, sim_dir):
+    def test_unreadable_events_is_data_error(self, tmp_path, sim_dir, capsys):
         code = run(
             "fit",
             "--events", tmp_path / "nope.csv",
@@ -238,6 +238,20 @@ class TestFit:
             "--out-dir", tmp_path,
         )
         assert code == EXIT_DATA
+        # events that yield no time buckets: the message names the cause
+        empty = tmp_path / "empty.csv"
+        empty.write_text("timestamp,src,dst\n")
+        for events, extra, cause in (
+            (sim_dir / "events.csv", ("--t-cap", 0), "the bucket cap (--t-cap) is 0"),
+            (empty, (), "the event file is empty"),
+        ):
+            capsys.readouterr()
+            code = run(
+                "fit", "--events", events, "--types", sim_dir / "types.csv",
+                *extra, "--out-dir", tmp_path,
+            )
+            assert code == EXIT_DATA
+            assert capsys.readouterr().err == f"error: no time buckets: {cause}\n"
 
 
 @pytest.fixture(scope="module")
@@ -543,6 +557,41 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bananas": 1}))
         assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "command,config,key",
+        [
+            ("simulate", {"blocks": [1]}, "'blocks'"),
+            ("simulate", {"blocks": {"a:a": 5}}, "'a:a'"),
+            ("simulate", {"blocks": {"a:a": {"biass": 0.3}}}, "'biass'"),
+            ("simulate", {"blocks": {"a:c": {"bias": 0.3}}}, "'a:c'"),
+            ("fit", {"blocks": {}}, "'blocks'"),
+            ("forecast", {"blocks": {}}, "'blocks'"),
+            ("detect", {"blocks": {}}, "'blocks'"),
+        ],
+    )
+    def test_bad_blocks_config_is_usage_error(self, tmp_path, capsys, command, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = run(command, "--config", cfg, "--types", "a=6,b=5" if command == "simulate"
+                   else tmp_path / "types.csv", "--out-dir", out)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
+        assert not out.exists()
+
+    def test_block_overrides_reach_the_generator(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"blocks": {"a:b": {"bias": 0.1, "season_amplitude": 0.0}}}))
+        out = tmp_path / "out"
+        code = run(
+            "simulate", "--config", cfg, "--steps", 3, "--types", "a=6,b=5",
+            "--bias", 0.9, "--r", 0.0, "--q-m", 0.0, "--q-s", 0.0, "--out-dir", out,
+        )
+        assert code == EXIT_OK
+        e = {r["block"]: float(r["e"]) for r in read_rows(out / "ground_truth.csv")}
+        assert e["a:b"] == pytest.approx(0.1) and e["a:a"] > 0.7
 
     def test_run_config_records_seed(self, tmp_path):
         simulate_small(tmp_path, seed=123)

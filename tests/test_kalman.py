@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdsbm import kalman
+from sdsbm.em import e_step
 from sdsbm.generator import GenParams, generate_block_series, seasonal_state, sine_profile
 from sdsbm.kalman import FilterError, GaussianBelief, forecast, predict, smooth, update
 from sdsbm.ssm import ModelParams, binomial_obs_noise, build_state_space
@@ -66,20 +67,20 @@ class TestUpdate:
         ss = build_state_space(3, 10, 1e-3, 1e-3, 0.0)
         belief = GaussianBelief(np.array([0.5, 0.0, 0.0]), 0.01 * np.eye(3))
         w = float(ss.H @ belief.mean)
-        out, gain, _ = update(belief, w, ss, u_t=2.5)
+        out, gain, _, _ = update(belief, w, ss, u_t=2.5)
         np.testing.assert_allclose(out.mean, belief.mean, atol=0)
 
     def test_infinite_noise_freezes_belief(self):
         ss = build_state_space(3, 10, 1e-3, 1e-3, 0.0)
         belief = GaussianBelief(np.array([0.5, 0.1, 0.0]), 0.01 * np.eye(3))
-        out, gain, _ = update(belief, 9.0, ss, u_t=1e12)
+        out, gain, _, _ = update(belief, 9.0, ss, u_t=1e12)
         assert np.linalg.norm(gain) < 1e-9
         np.testing.assert_allclose(out.mean, belief.mean, rtol=1e-6)
 
     def test_zero_covariance_gives_zero_gain(self):
         ss = build_state_space(3, 10, 0.0, 0.0, 0.0)
         belief = GaussianBelief(np.array([0.5, 0.0, 0.0]), np.zeros((3, 3)))
-        _, gain, _ = update(belief, 9.0, ss, u_t=2.5)
+        _, gain, _, _ = update(belief, 9.0, ss, u_t=2.5)
         assert np.linalg.norm(gain) == 0.0
 
     @pytest.mark.filterwarnings("ignore::sdsbm.ssm.NormalApproximationWarning")
@@ -93,7 +94,7 @@ class TestUpdate:
         gain_ref = cov @ ss.H / S
         mean_ref = mean + gain_ref * (7.0 - ss.H @ mean)
         cov_ref = cov - np.outer(gain_ref, ss.H @ cov)
-        out, _, _ = update(GaussianBelief(mean, cov), 7.0, ss, u_t=u)
+        out, _, _, _ = update(GaussianBelief(mean, cov), 7.0, ss, u_t=u)
         np.testing.assert_allclose(out.mean, mean_ref, rtol=1e-10)
         np.testing.assert_allclose(out.cov, cov_ref, rtol=1e-10)
 
@@ -208,9 +209,9 @@ class TestSmoother:
             np.testing.assert_allclose(seq.smoothed_mean[t], mean_ref, rtol=1e-8, atol=1e-12)
             np.testing.assert_allclose(seq.smoothed_cov[t], cov_ref, rtol=1e-8, atol=1e-12)
 
-    @pytest.mark.parametrize("singular_start", [False, True])
-    def test_stacked_gains_match_per_step_pinv(self, rng, singular_start):
-        if singular_start:
+    @pytest.mark.parametrize("case", ["regular", "singular_start", "gap"])
+    def test_matches_per_step_rts_pinv_reference(self, rng, case):
+        if case == "singular_start":
             # Sigma0 = 0 as in the detection criteria: P_{1|0} = Q and the
             # next few one-step-ahead covariances are singular
             d = 7
@@ -225,17 +226,44 @@ class TestSmoother:
             )
         else:
             params, series = random_instance(rng, d=4, T=40, r=1e-4)
+            if case == "gap":
+                counts = series.counts.copy()
+                counts[12:22] = np.nan
+                series = make_series(counts, n=series.n)
         ss = params.state_space(series.n)
         seq = smooth(kalman.filter(series, params), ss)
-        if singular_start:
+        if case == "singular_start":
             assert np.linalg.matrix_rank(seq.pred_cov[1]) < params.d
-        ref = [
-            (seq.init_cov if t == 0 else seq.filt_cov[t - 1])
-            @ ss.G.T
-            @ np.linalg.pinv(seq.pred_cov[t], rcond=kalman.PINV_RCOND, hermitian=True)
-            for t in range(seq.T)
-        ]
-        np.testing.assert_allclose(seq.smoother_gains, np.array(ref), rtol=1e-12, atol=1e-12)
+        stats, _, _ = e_step(series, params)
+        mean_ref, cov_ref, lag_ref = _rts_pinv_reference(seq, ss)
+        for got, ref in (
+            (seq.smoothed_mean, mean_ref),
+            (seq.smoothed_cov, cov_ref),
+            (stats.Exx_lag, lag_ref),
+        ):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_singular_start_with_gap_matches_oracle(self, rng):
+        params, series = random_instance(rng, d=3, T=12, r=1e-4)
+        params = ModelParams(
+            d=3, q_m=params.q_m, q_s=params.q_s, r=params.r,
+            mu0=params.mu0, Sigma0=np.zeros((3, 3)),
+        )
+        counts = series.counts.copy()
+        counts[3:7] = np.nan
+        series = make_series(counts, n=series.n)
+        ss = params.state_space(series.n)
+        seq = smooth(kalman.filter(series, params), ss)
+        stats, _, _ = e_step(series, params)
+        oracle = oracle_for(series, params, seq)
+        for t in range(13):
+            mean_ref, cov_ref = oracle.smoothed(t)
+            np.testing.assert_allclose(seq.smoothed_mean[t], mean_ref, rtol=1e-8, atol=1e-12)
+            np.testing.assert_allclose(seq.smoothed_cov[t], cov_ref, rtol=1e-8, atol=1e-12)
+        for t in range(1, 13):
+            np.testing.assert_allclose(
+                stats.Exx_lag[t - 1], oracle.smoothed_cross(t), rtol=1e-8, atol=1e-12
+            )
 
     def test_smoothing_never_inflates_covariance(self, rng):
         params, series = random_instance(rng, d=4, T=8)
@@ -245,6 +273,22 @@ class TestSmoother:
             gap = seq.filt_cov[t - 1] - seq.smoothed_cov[t]
             eigs = np.linalg.eigvalsh(0.5 * (gap + gap.T))
             assert eigs.min() >= -1e-8 * max(np.trace(seq.filt_cov[t - 1]), 1e-12)
+
+
+def _rts_pinv_reference(seq, ss):
+    """Rauch-Tung-Striebel smoother, one pseudo-inverse per step: smoothed
+    means and covariances for t = 0..T and E[x_t x_{t-1}^T] for t = 1..T."""
+    T = seq.T
+    mean = [seq.init_mean] + list(seq.filt_mean)
+    cov = [seq.init_cov] + list(seq.filt_cov)
+    gains = [None] * T
+    for t in range(T - 1, -1, -1):
+        J = cov[t] @ ss.G.T @ np.linalg.pinv(seq.pred_cov[t], rcond=1e-12, hermitian=True)
+        mean[t] = mean[t] + J @ (mean[t + 1] - seq.pred_mean[t])
+        cov[t] = cov[t] + J @ (cov[t + 1] - seq.pred_cov[t]) @ J.T
+        gains[t] = J
+    lag = [cov[t] @ gains[t - 1].T + np.outer(mean[t], mean[t - 1]) for t in range(1, T + 1)]
+    return np.array(mean), np.array(cov), np.array(lag)
 
 
 class _RoundingRng:
