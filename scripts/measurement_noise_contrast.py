@@ -20,6 +20,8 @@ import numpy as np
 from sdsbm import kalman
 from sdsbm.em import EmConfig, default_init, em_fit
 from sdsbm.generator import GenParams, generate_block_series, seasonal_state, sine_profile
+from sdsbm.graph_model import BlockStack
+from sdsbm.ssm import ParamStack
 
 Z95 = 1.959964
 
@@ -44,33 +46,38 @@ def main() -> None:
         init=seasonal_state(d, 0.7, sine_profile(d, 0.1)),
     )
     series, _ = generate_block_series(gen, n=args.n, T=args.steps, rng=rng)
-    init = default_init(series, d)
+    blocks = BlockStack.of([series])  # one block: a stack of one
+    init = ParamStack.of([default_init(series, d)])
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     horizon = args.horizon_periods * d
     print(f"true params: q_m = q_s = {args.q:g}, r = {args.r:g}  (n={args.n}, T={args.steps})")
     for label, fix_r in [("free", False), ("pinned", True)]:
-        params, trace = em_fit(
-            series, init, EmConfig(max_iter=args.max_iter, tol=1e-9, fix_r_to_zero=fix_r)
+        [params], [trace] = em_fit(
+            blocks, init, EmConfig(max_iter=args.max_iter, tol=1e-9, fix_r_to_zero=fix_r)
         )
-        seq = kalman.filter(series, params)
-        fc = kalman.forecast(seq.filtered(seq.T), params.state_space(series.n), horizon)
+        fitted = ParamStack.of([params])
+        seq = kalman.filter(blocks, fitted)
+        fc = kalman.forecast(
+            seq.filt_mean[:, -1], seq.filt_cov[:, -1], fitted.state_space(blocks.n), horizon
+        )
+        count_mean, total_var = fc.count_mean[0], fc.total_var[0]
         path = args.out_dir / f"forecast_{label}.csv"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["t", "mean", "variance", "lower", "upper"])
             for k in range(horizon):
-                half = Z95 * math.sqrt(fc.total_var[k])
+                half = Z95 * math.sqrt(total_var[k])
                 w.writerow(
                     [
                         series.T + k + 1,
-                        fc.count_mean[k],
-                        fc.total_var[k],
-                        fc.count_mean[k] - half,
-                        fc.count_mean[k] + half,
+                        count_mean[k],
+                        total_var[k],
+                        count_mean[k] - half,
+                        count_mean[k] + half,
                     ]
                 )
-        hw = Z95 * math.sqrt(fc.total_var[-1])
+        hw = Z95 * math.sqrt(total_var[-1])
         print(
             f"{label:>6}: q_m={params.q_m:.3e} q_s={params.q_s:.3e} r={params.r:.3e} "
             f"({trace.iterations} EM iters) 95% half-width at {horizon} steps: {hw:.1f} "

@@ -7,6 +7,7 @@ per-block edge density follows a bias-plus-seasonal process.
 
 from .graph_model import (
     BlockSeries,
+    BlockStack,
     DynamicNetwork,
     VertexTyping,
     extract_block_series,
@@ -24,20 +25,13 @@ from .generator import (
 )
 from .ssm import (
     ModelParams,
+    ParamStack,
     StateSpace,
     binomial_obs_noise,
     build_state_space,
     observation_variance,
 )
-from .kalman import (
-    BeliefSequence,
-    Forecast,
-    GaussianBelief,
-    forecast,
-    predict,
-    smooth,
-    update,
-)
+from .kalman import BeliefSequence, Forecast, forecast, smooth
 from .em import EmConfig, EmTrace, SufficientStats, default_init, e_step, em_fit
 from .anomaly import (
     AnomalyReport,

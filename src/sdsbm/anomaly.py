@@ -3,8 +3,9 @@
 A snapshot's score is the sum of its blocks' Gaussian log-densities;
 low scores mark anomalies.  Predictive mode scores each count against
 the one-step-ahead belief (the count itself is held out), smoothed mode
-against the all-data posterior.  Policies: a z-score rule |z| > k per
-block-step, or a log-likelihood floor c0 per graph-step.
+against the all-data posterior; either way every block goes through one
+batched filter (and smoother) pass.  Policies: a z-score rule |z| > k
+per block-step, or a log-likelihood floor c0 per graph-step.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kalman
-from .graph_model import BlockSeries, TypePair
-from .ssm import ModelParams
+from .graph_model import BlockSeries, BlockStack, TypePair
+from .ssm import ModelParams, ParamStack, observation_variance
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,8 @@ class ScoreSeries:
     """Per-step scores for every block plus the per-step graph totals.
 
     Arrays are (blocks, T); ``graph_loglik`` is their column sum.  NaN
-    marks steps with no observation.
+    marks steps with no observation.  ``non_gaussian_steps`` counts the
+    block-steps whose predicted count lies outside the Gaussian regime.
     """
 
     pairs: tuple[TypePair, ...]
@@ -69,6 +71,7 @@ class ScoreSeries:
     loglik: np.ndarray
     z: np.ndarray
     graph_loglik: np.ndarray
+    non_gaussian_steps: int = 0
 
     @property
     def T(self) -> int:
@@ -104,7 +107,7 @@ def score(
     params: Mapping[TypePair, ModelParams],
     mode: str = "predictive",
 ) -> ScoreSeries:
-    """Score every block-step of a dynamic network.
+    """Score every block-step of a dynamic network in one batched pass.
 
     Blocks with no possible edges are skipped (they carry no
     information).  Both modes reuse the filter's per-step binomial
@@ -116,49 +119,36 @@ def score(
     active = [b for b in blocks if b.n >= 1]
     if not active:
         raise ValueError("no scorable blocks")
-    T = active[0].T
-    if any(b.T != T for b in active):
-        raise ValueError("blocks disagree on series length")
-    B = len(active)
-    w = np.full((B, T), np.nan)
-    pred_mean = np.full((B, T), np.nan)
-    pred_var = np.full((B, T), np.nan)
-    loglik = np.full((B, T), np.nan)
-    for i, series in enumerate(active):
+    for series in active:
         if series.pair not in params:
             raise KeyError(f"no fitted parameters for block {series.pair}")
-        p = params[series.pair]
-        ss = p.state_space(series.n)
-        seq = kalman.filter(series, p)
-        if mode == "predictive":
-            means, covs = seq.pred_mean, seq.pred_cov
-            loglik[i] = seq.pred_loglik
-        else:
-            seq = kalman.smooth(seq, ss)
-            means, covs = seq.smoothed_mean[1:], seq.smoothed_cov[1:]
-        mean = means @ ss.H
-        var = np.einsum("i,tij,j->t", ss.H, covs, ss.H) + seq.u + series.n * series.n * p.r
-        if mode == "smoothed":
-            mask = series.observed_mask()
-            with np.errstate(invalid="ignore"):
-                loglik[i, mask] = kalman.gaussian_logpdf(
-                    series.counts[mask] - mean[mask], var[mask]
-                )
-        w[i] = series.counts
-        pred_mean[i] = mean
-        pred_var[i] = var
+    stack = BlockStack.of(active)
+    stacked = ParamStack.of([params[b.pair] for b in active])
+    ss = stacked.state_space(stack.n)
+    seq = kalman.filter(stack, stacked)
+    if mode == "predictive":
+        means, covs = seq.pred_mean, seq.pred_cov
+    else:
+        seq = kalman.smooth(seq, ss)
+        means, covs = seq.smoothed_mean[:, 1:], seq.smoothed_cov[:, 1:]
+    w = stack.counts
+    mean = np.einsum("btj,bj->bt", means, ss.H)
+    var = np.einsum("bi,btij,bj->bt", ss.H, covs, ss.H) + observation_variance(
+        seq.u, ss.n[:, None], ss.r[:, None]
+    )
     with np.errstate(invalid="ignore"):
-        z = (w - pred_mean) / np.sqrt(pred_var)
-    graph = np.nansum(loglik, axis=0)
+        loglik = seq.pred_loglik if mode == "predictive" else kalman.gaussian_logpdf(w - mean, var)
+        z = (w - mean) / np.sqrt(var)
     return ScoreSeries(
-        pairs=tuple(b.pair for b in active),
+        pairs=stack.pairs,
         mode=mode,
         w=w,
-        pred_mean=pred_mean,
-        pred_var=pred_var,
+        pred_mean=mean,
+        pred_var=var,
         loglik=loglik,
         z=z,
-        graph_loglik=graph,
+        graph_loglik=np.nansum(loglik, axis=0),
+        non_gaussian_steps=int(seq.non_gaussian_steps.sum()),
     )
 
 
@@ -186,47 +176,17 @@ def detect(
     for t in range(1, scores.T + 1):
         ranked = _ranked_blocks(scores, t) if drill_down else None
         if isinstance(policy, SigmaPolicy):
-            zcol = scores.z[:, t - 1]
-            hits = [
-                i
-                for i in range(len(scores.pairs))
-                if not np.isnan(zcol[i]) and abs(zcol[i]) > policy.k
-            ]
-            if hits:
-                worst = max(abs(zcol[i]) for i in hits)
-                flagged.append(
-                    FlaggedItem(
-                        t=t,
-                        scope="graph",
-                        pair=None,
-                        score=float(worst),
-                        threshold=policy.k,
-                        ranked_blocks=ranked,
-                    )
+            z = scores.z[:, t - 1]
+            hits = np.flatnonzero(np.abs(z) > policy.k)  # NaN (a gap) never hits
+            if hits.size:
+                worst = float(np.abs(z[hits]).max())
+                flagged.append(FlaggedItem(t, "graph", None, worst, policy.k, ranked))
+                flagged.extend(
+                    FlaggedItem(t, "block", scores.pairs[i], float(z[i]), policy.k) for i in hits
                 )
-                for i in hits:
-                    flagged.append(
-                        FlaggedItem(
-                            t=t,
-                            scope="block",
-                            pair=scores.pairs[i],
-                            score=float(zcol[i]),
-                            threshold=policy.k,
-                        )
-                    )
-        else:
-            g = scores.graph_loglik[t - 1]
-            if g < policy.c0:
-                flagged.append(
-                    FlaggedItem(
-                        t=t,
-                        scope="graph",
-                        pair=None,
-                        score=float(g),
-                        threshold=policy.c0,
-                        ranked_blocks=ranked,
-                    )
-                )
+        elif scores.graph_loglik[t - 1] < policy.c0:
+            g = float(scores.graph_loglik[t - 1])
+            flagged.append(FlaggedItem(t, "graph", None, g, policy.c0, ranked))
     return AnomalyReport(policy=policy.describe(), flagged=tuple(flagged))
 
 
@@ -249,22 +209,11 @@ def write_scores_csv(scores: ScoreSeries, report: AnomalyReport | None, path) ->
         out.writerow(
             ["t", "scope", "block_a", "block_b", "w", "pred_mean", "pred_var", "loglik", "z", "flagged"]
         )
+        columns = (scores.w, scores.pred_mean, scores.pred_var, scores.loglik, scores.z)
         for t in range(1, scores.T + 1):
             for i, pair in enumerate(scores.pairs):
-                out.writerow(
-                    [
-                        t,
-                        "block",
-                        pair[0],
-                        pair[1],
-                        _fmt(scores.w[i, t - 1]),
-                        _fmt(scores.pred_mean[i, t - 1]),
-                        _fmt(scores.pred_var[i, t - 1]),
-                        _fmt(scores.loglik[i, t - 1]),
-                        _fmt(scores.z[i, t - 1]),
-                        int((t, pair) in flagged_blocks),
-                    ]
-                )
+                values = (_fmt(c[i, t - 1]) for c in columns)
+                out.writerow([t, "block", *pair, *values, int((t, pair) in flagged_blocks)])
             out.writerow(
                 [t, "graph", "", "", "", "", "", _fmt(scores.graph_loglik[t - 1]), "", int(t in flagged_graphs)]
             )

@@ -21,7 +21,7 @@ import numpy as np
 from . import anomaly
 from .em import EmConfig, EmError, default_init, em_fit
 from .generator import GenParams, generate_network, seasonal_state, sine_profile
-from .graph_model import BlockSeries, VertexTyping, extract_block_series
+from .graph_model import BlockSeries, BlockStack, VertexTyping, extract_block_series, pair_key
 from .ingest import (
     BucketingConfig,
     EMPTY_GRAPH,
@@ -34,6 +34,7 @@ from .ingest import (
     save_model,
 )
 from .kalman import FilterError, filter as kalman_filter, forecast as kalman_forecast
+from .ssm import NORMAL_APPROX_MIN_COUNT, ParamStack
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,8 +56,12 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _pair_key(pair) -> str:
-    return f"{pair[0]}:{pair[1]}"
+def _warn_non_gaussian(steps: int) -> None:
+    """One stderr line for the block-steps outside the Gaussian regime."""
+    if steps:
+        print(f"warning: {steps} block-steps have a predicted count within "
+              f"{NORMAL_APPROX_MIN_COUNT:g} of 0 or n, where the Gaussian count "
+              "approximation is dubious", file=sys.stderr)
 
 
 def _z_quantile(level: float) -> float:
@@ -143,7 +148,7 @@ BLOCK_OPTIONS = ("bias", "season_amplitude", "q_m", "q_s", "r")
 def _block_overrides(blocks, typing: VertexTyping) -> dict:
     if not isinstance(blocks, dict):
         raise UsageError("config key 'blocks' must map block names like 'a:b' to objects")
-    pairs = {_pair_key(pair) for pair in typing.pairs()}
+    pairs = {pair_key(pair) for pair in typing.pairs()}
     for key, opts in blocks.items():
         if key not in pairs:
             raise UsageError(f"config blocks: unknown block {key!r}, expected one of {sorted(pairs)}")
@@ -175,7 +180,7 @@ def cmd_simulate(resolved: dict) -> int:
     block_params = {}
     for pair in typing.pairs():
         opts = {k: resolved[k] for k in BLOCK_OPTIONS}
-        opts.update(overrides.get(_pair_key(pair), {}))
+        opts.update(overrides.get(pair_key(pair), {}))
         init = seasonal_state(d, opts["bias"], sine_profile(d, opts["season_amplitude"]))
         block_params[pair] = GenParams(
             d=d, q_m=opts["q_m"], q_s=opts["q_s"], r=opts["r"], init=init
@@ -206,16 +211,8 @@ def cmd_simulate(resolved: dict) -> int:
                 if pair not in traces:
                     continue
                 tr = traces[pair]
-                w.writerow(
-                    [
-                        t,
-                        _pair_key(pair),
-                        _fmt(tr.states[t - 1, 0]),
-                        _fmt(tr.states[t - 1, 1]),
-                        _fmt(tr.density[t - 1]),
-                        int(tr.counts[t - 1]),
-                    ]
-                )
+                latents = (tr.states[t - 1, 0], tr.states[t - 1, 1], tr.density[t - 1])
+                w.writerow([t, pair_key(pair), *map(_fmt, latents), int(tr.counts[t - 1])])
     _write_run_config(out, "simulate", resolved)
     return EXIT_OK
 
@@ -224,21 +221,26 @@ def cmd_simulate(resolved: dict) -> int:
 # fit
 # ----------------------------------------------------------------------
 
-FIT_DEFAULTS = {
+# Options of every command that reads events: fit, forecast and detect.
+DATA_DEFAULTS = {
     "seed": 0,
-    "period": 7,
     "events": None,
     "types": None,
     "origin": 0.0,
     "width": 1.0,
     "t_cap": None,
     "missing_policy": EMPTY_GRAPH,
+    "out_dir": ".",
+}
+
+FIT_DEFAULTS = {
+    **DATA_DEFAULTS,
+    "period": 7,
     "max_iter": 200,
     "tol": 1e-6,
     "fix_r_zero": False,
     "paper_default_init": False,
     "init_model": None,
-    "out_dir": ".",
 }
 
 
@@ -261,67 +263,46 @@ def _load_blocks(resolved: dict) -> list[BlockSeries]:
 
 def cmd_fit(resolved: dict) -> int:
     d = int(resolved["period"])
-    blocks = _load_blocks(resolved)
+    blocks = [series for series in _load_blocks(resolved) if series.n >= 1]
+    if not blocks:
+        raise IngestError("no blocks with possible edges to fit")
     em_config = EmConfig(
         max_iter=int(resolved["max_iter"]),
         tol=float(resolved["tol"]),
         fix_r_to_zero=bool(resolved["fix_r_zero"]),
     )
-    warm_start = {}
-    if resolved["init_model"]:
-        warm_start, _ = load_model(resolved["init_model"])
-    fitted = {}
-    n_by_pair = {}
-    trace_rows = []
-    all_converged = True
-    for series in blocks:
-        if series.n < 1:
-            continue
-        init = warm_start.get(series.pair) or default_init(
-            series, d, flat_defaults=bool(resolved["paper_default_init"])
-        )
-        if init.d != d:
-            raise IngestError(
-                f"init model period {init.d} does not match --period {d}"
-            )
-        params, trace = em_fit(series, init, em_config)
-        fitted[series.pair] = params
-        n_by_pair[series.pair] = series.n
-        all_converged &= trace.converged
-        for i, (ll, p) in enumerate(
-            zip(trace.loglik_per_iter, trace.params_per_iter), start=1
-        ):
-            trace_rows.append([_pair_key(series.pair), i, _fmt(ll), _fmt(p.q_m), _fmt(p.q_s), _fmt(p.r)])
-    if not fitted:
-        raise IngestError("no blocks with possible edges to fit")
+    warm_start = load_model(resolved["init_model"])[0] if resolved["init_model"] else {}
+    flat = bool(resolved["paper_default_init"])
+    inits = [warm_start.get(s.pair) or default_init(s, d, flat_defaults=flat) for s in blocks]
+    wrong = [init.d for init in inits if init.d != d]
+    if wrong:
+        raise IngestError(f"init model period {wrong[0]} does not match --period {d}")
+    stack = BlockStack.of(blocks)
+    fitted, traces = em_fit(stack, ParamStack.of(inits), em_config)
     out = _out_dir(resolved)
-    save_model(fitted, n_by_pair, out / "model.json")
+    save_model(dict(zip(stack.pairs, fitted)), {s.pair: s.n for s in blocks}, out / "model.json")
     with open(out / "em_trace.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["block", "iter", "loglik", "q_m", "q_s", "r"])
-        w.writerows(trace_rows)
+        for pair, trace in zip(stack.pairs, traces):
+            rows = np.column_stack((trace.loglik_per_iter, trace.variances_per_iter))
+            for i, row in enumerate(rows, start=1):
+                w.writerow([pair_key(pair), i, *map(_fmt, row)])
     _write_run_config(out, "fit", resolved)
-    return EXIT_OK if all_converged else EXIT_MAX_ITER
+    _warn_non_gaussian(sum(t.non_gaussian_steps for t in traces))
+    capped = [pair_key(pair) for pair, t in zip(stack.pairs, traces) if not t.converged]
+    if capped:
+        print(f"warning: EM stopped at --max-iter {em_config.max_iter} before converging "
+              f"in {len(capped)} of {len(traces)} blocks: {', '.join(capped)}", file=sys.stderr)
+        return EXIT_MAX_ITER
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
 # forecast
 # ----------------------------------------------------------------------
 
-FORECAST_DEFAULTS = {
-    "seed": 0,
-    "period": None,
-    "model": None,
-    "events": None,
-    "types": None,
-    "origin": 0.0,
-    "width": 1.0,
-    "t_cap": None,
-    "missing_policy": EMPTY_GRAPH,
-    "horizon": None,
-    "level": 0.95,
-    "out_dir": ".",
-}
+FORECAST_DEFAULTS = {**DATA_DEFAULTS, "period": None, "model": None, "horizon": None, "level": 0.95}
 
 
 def _matched_blocks(resolved: dict):
@@ -338,7 +319,7 @@ def _matched_blocks(resolved: dict):
     for pair in sorted(params):
         if pair not in blocks or blocks[pair].n != n_by_pair[pair]:
             raise IngestError(
-                f"typing mismatch: model block {_pair_key(pair)} (n={n_by_pair[pair]}) "
+                f"typing mismatch: model block {pair_key(pair)} (n={n_by_pair[pair]}) "
                 "does not match the data"
             )
         matched.append(blocks[pair])
@@ -353,30 +334,23 @@ def cmd_forecast(resolved: dict) -> int:
         raise UsageError("forecast horizon must be >= 1")
     z = _z_quantile(float(resolved["level"]))
     params, blocks = _matched_blocks(resolved)
+    stack = BlockStack.of(blocks)
+    stacked = ParamStack.of([params[pair] for pair in stack.pairs])
+    seq = kalman_filter(stack, stacked)
+    fc = kalman_forecast(
+        seq.filt_mean[:, -1], seq.filt_cov[:, -1], stacked.state_space(stack.n), horizon
+    )
     out = _out_dir(resolved)
     with open(out / "forecast.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "block", "mean", "variance", "lower", "upper"])
-        for series in blocks:
-            p = params[series.pair]
-            ss = p.state_space(series.n)
-            seq = kalman_filter(series, p)
-            fc = kalman_forecast(seq.filtered(seq.T), ss, horizon)
-            for k in range(horizon):
-                mean = fc.count_mean[k]
-                var = fc.total_var[k]
+        for pair, means, variances in zip(stack.pairs, fc.count_mean, fc.total_var):
+            for k, (mean, var) in enumerate(zip(means, variances)):
                 half = z * math.sqrt(var)
-                w.writerow(
-                    [
-                        series.T + k + 1,
-                        _pair_key(series.pair),
-                        _fmt(mean),
-                        _fmt(var),
-                        _fmt(mean - half),
-                        _fmt(mean + half),
-                    ]
-                )
+                bounds = (mean, var, mean - half, mean + half)
+                w.writerow([stack.T + k + 1, pair_key(pair), *map(_fmt, bounds)])
     _write_run_config(out, "forecast", resolved)
+    _warn_non_gaussian(int(seq.non_gaussian_steps.sum() + fc.non_gaussian_steps.sum()))
     return EXIT_OK
 
 
@@ -385,20 +359,13 @@ def cmd_forecast(resolved: dict) -> int:
 # ----------------------------------------------------------------------
 
 DETECT_DEFAULTS = {
-    "seed": 0,
+    **DATA_DEFAULTS,
     "period": None,
     "model": None,
-    "events": None,
-    "types": None,
-    "origin": 0.0,
-    "width": 1.0,
-    "t_cap": None,
-    "missing_policy": EMPTY_GRAPH,
     "sigma": None,
     "loglik_threshold": None,
     "mode": "predictive",
     "drill_down": False,
-    "out_dir": ".",
 }
 
 
@@ -418,6 +385,7 @@ def cmd_detect(resolved: dict) -> int:
     anomaly.write_scores_csv(scores, report, out / "scores.csv")
     anomaly.write_report_json(report, out / "report.json")
     _write_run_config(out, "detect", resolved)
+    _warn_non_gaussian(scores.non_gaussian_steps)
     return EXIT_ANOMALIES if report.graph_flags else EXIT_OK
 
 

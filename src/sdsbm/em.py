@@ -1,41 +1,27 @@
 """Expectation-maximization for per-block noise parameters.
 
-Learns phi = {r, q_m, q_s, mu0, Sigma0} for one block.  The E-step runs
-the filter and smoother on the block's state space and collects the
-smoothed first, second and lag-one moments (Shumway & Stoffer 1982),
-the last from the smoother's lag-one covariances; the M-step updates the
-initial belief in closed form, reads the process variances off the
-expected transition-residual second moment, and maximizes the
-measurement variance by a log-grid scan and bracketed Newton steps.
-The per-step binomial noises u_t are frozen within each iteration,
-mirroring their separate estimation from the prediction step.
+Learns phi = {r, q_m, q_s, mu0, Sigma0} for every block of a stack at
+once, each step vectorised over the block axis.  The E-step runs the
+batched filter and smoother and collects each block's smoothed first,
+second and lag-one moments (Shumway & Stoffer 1982), the last from the
+smoother's lag-one covariances; the M-step updates the initial belief in
+closed form, reads the process variances off the expected
+transition-residual second moment, and maximizes the measurement
+variance by a log-grid scan and bracketed Newton steps.  The per-step
+binomial noises u_t are frozen within each iteration, mirroring their
+separate estimation from the prediction step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph_model import BlockSeries
-from .kalman import BeliefSequence, run_filter, smooth
-from .ssm import ModelParams, build_state_space
-
-__all__ = [
-    "ModelParams",
-    "SufficientStats",
-    "EmConfig",
-    "EmTrace",
-    "EmError",
-    "e_step",
-    "m_step_initial",
-    "m_step_r",
-    "m_step_q",
-    "em_fit",
-    "default_init",
-    "r_objective",
-]
+from . import kalman
+from .graph_model import BlockSeries, BlockStack
+from .ssm import ModelParams, ParamStack, build_state_space
 
 # Smallest representable process variance; avoids exactly-singular
 # covariances when an innovation collapses to zero.
@@ -54,10 +40,11 @@ class EmError(RuntimeError):
 
 @dataclass
 class SufficientStats:
-    """Smoothed moments of the d-dimensional state.
+    """Smoothed moments of the d-dimensional state of every block.
 
-    ``Ex[t]``/``Exx[t]`` cover t = 0..T; ``Exx_lag[i]`` holds the lag-one
-    moment E[x_t x_{t-1}^T] = S_{t,t-1|T} + mu_{t|T} mu_{t-1|T}^T for t = i + 1,
+    Axis 0 is the block.  ``Ex[:, t]``/``Exx[:, t]`` cover t = 0..T;
+    ``Exx_lag[:, i]`` holds the lag-one moment
+    E[x_t x_{t-1}^T] = S_{t,t-1|T} + mu_{t|T} mu_{t-1|T}^T for t = i + 1,
     S_{t,t-1|T} being the smoothed lag-one covariance.
     """
 
@@ -67,11 +54,11 @@ class SufficientStats:
 
     @property
     def T(self) -> int:
-        return int(self.Ex.shape[0]) - 1
+        return int(self.Ex.shape[1]) - 1
 
     @property
     def dim(self) -> int:
-        return int(self.Ex.shape[1])
+        return int(self.Ex.shape[2])
 
 
 @dataclass(frozen=True)
@@ -89,118 +76,124 @@ class EmConfig:
 
 @dataclass
 class EmTrace:
-    loglik_per_iter: list[float] = field(default_factory=list)
-    params_per_iter: list[ModelParams] = field(default_factory=list)
-    converged: bool = False
-    iterations: int = 0
+    """One block's EM history, one row per iteration.
+
+    ``loglik_per_iter`` is the log-likelihood under the parameters the
+    iteration started from, ``variances_per_iter`` the (q_m, q_s, r) it
+    produced.  ``non_gaussian_steps`` is the block's count of steps
+    outside the Gaussian regime in its last E-step.
+    """
+
+    loglik_per_iter: np.ndarray
+    variances_per_iter: np.ndarray
+    converged: bool
+    non_gaussian_steps: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.loglik_per_iter)
 
 
 def e_step(
-    series: BlockSeries, params: ModelParams
-) -> tuple[SufficientStats, float, np.ndarray]:
-    """Filter + smooth on the block's state space.
+    blocks: BlockStack, params: ParamStack
+) -> tuple[SufficientStats, kalman.BeliefSequence]:
+    """Filter + smooth every block.
 
-    Returns the smoothed sufficient statistics, the total predictive
-    log-likelihood under ``params`` and the per-step binomial noises the
-    filter used (to be held fixed through the following M-step).
+    Returns the smoothed sufficient statistics and the belief record
+    they came from: its ``total_loglik`` is each block's predictive
+    log-likelihood under ``params`` and its ``u`` the per-step binomial
+    noises the filter used (to be held fixed through the following
+    M-step).
     """
-    ss = params.state_space(series.n)
-    seq = smooth(run_filter(series.counts, ss, params.mu0, params.Sigma0), ss)
-    return _stats_from_smoothed(seq), seq.total_loglik, seq.u.copy()
-
-
-def _stats_from_smoothed(seq: BeliefSequence) -> SufficientStats:
+    seq = kalman.smooth(kalman.filter(blocks, params), params.state_space(blocks.n))
     sm_mean = seq.smoothed_mean
-    Exx = seq.smoothed_cov + np.einsum("ti,tj->tij", sm_mean, sm_mean)
-    Exx_lag = seq.smoothed_lag_cov + np.einsum("ti,tj->tij", sm_mean[1:], sm_mean[:-1])
-    return SufficientStats(Ex=sm_mean.copy(), Exx=Exx, Exx_lag=Exx_lag)
+    stats = SufficientStats(
+        Ex=sm_mean,
+        Exx=seq.smoothed_cov + sm_mean[..., :, None] * sm_mean[..., None, :],
+        Exx_lag=seq.smoothed_lag_cov + sm_mean[:, 1:, :, None] * sm_mean[:, :-1, None, :],
+    )
+    return stats, seq
 
 
 def m_step_initial(stats: SufficientStats) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form update of the initial belief from the smoothed t=0
-    moments."""
-    mu0 = stats.Ex[0].copy()
-    Sigma0 = stats.Exx[0] - np.outer(mu0, mu0)
-    return mu0, 0.5 * (Sigma0 + Sigma0.T)
+    """Closed-form update of every block's initial belief from the
+    smoothed t=0 moments."""
+    mu0 = stats.Ex[:, 0].copy()
+    Sigma0 = stats.Exx[:, 0] - mu0[:, :, None] * mu0[:, None, :]
+    return mu0, 0.5 * (Sigma0 + Sigma0.swapaxes(1, 2))
 
 
-def r_objective(
-    r: float | np.ndarray, quad: np.ndarray, u: np.ndarray, n: int
-) -> float | np.ndarray:
+def r_objective(r, quad: np.ndarray, u: np.ndarray, n):
     """Expected observation log-likelihood as a function of r (constants
     dropped): sum_t [-ln(u_t + n^2 r)/2 - quad_t / (2 (u_t + n^2 r))].
 
-    Vectorised over an array of r; a scalar r gives a float.  A value of
-    r that leaves some u_t + n^2 r non-positive scores -inf.
+    Vectorised: r gains a trailing step axis that broadcasts against
+    ``quad`` and ``u``, so an array of r gives one value per entry; a
+    scalar r and one series give a float.  NaN terms (gaps) are
+    skipped, and a value of r that leaves some u_t + n^2 r non-positive
+    scores -inf.
     """
     v = u + n * n * np.asarray(r, dtype=float)[..., None]
     with np.errstate(all="ignore"):
-        total = np.sum(-0.5 * np.log(v) - 0.5 * quad / v, axis=-1)
+        total = np.nansum(-0.5 * np.log(v) - 0.5 * quad / v, axis=-1)
     total = np.where(np.all(v > 0, axis=-1), total, -math.inf)
     return float(total) if total.ndim == 0 else total
 
 
-def m_step_r(
-    stats: SufficientStats, series: BlockSeries, u_per_t: np.ndarray, n: int
-) -> float:
-    """Maximize the expected observation log-likelihood over r.
+def m_step_r(stats: SufficientStats, blocks: BlockStack, u: np.ndarray) -> np.ndarray:
+    """Maximize each block's expected observation log-likelihood over r.
 
     Scans a 30-point log grid on [1e-12, 1] capped at ``R_MAX``, then
     runs safeguarded Newton on the analytic gradient inside the bracket
     of the best grid point's neighbours: a step that leaves the bracket,
     or a non-negative second derivative, becomes a geometric-mean
     bisection step.  The exact boundary r = 0 is kept as a candidate.
+    The blocks iterate together; each leaves the solve when it stops.
+    A block with no observed step gets r = 0.
     """
-    H = build_state_space(stats.dim, n, 0.0, 0.0, 0.0).H
-    mask = series.observed_mask()
-    w = series.counts[mask]
-    Ex = stats.Ex[1:][mask]
-    Exx = stats.Exx[1:][mask]
-    u = np.asarray(u_per_t, dtype=float)[mask]
-    if w.size == 0:
-        return 0.0
-    hx = Ex @ H
-    hxxh = np.einsum("i,tij,j->t", H, Exx, H)
-    quad = w * w - 2.0 * w * hx + hxxh
+    H = build_state_space(stats.dim, blocks.n, 0.0, 0.0, 0.0).H
+    w = blocks.counts
+    hx = np.einsum("btj,bj->bt", stats.Ex[:, 1:], H)
+    hxxh = np.einsum("bi,btij,bj->bt", H, stats.Exx[:, 1:], H)
+    quad = w * w - 2.0 * w * hx + hxxh  # NaN at gaps
+    n = blocks.n[:, None]
 
     # Clipping the grid at the cap keeps the scan and the bracket, and so
     # the result, inside [0, R_MAX].
     grid = np.minimum(np.geomspace(1e-12, 1.0, 30), R_MAX)
-    best = int(np.argmax(r_objective(grid, quad, u, n)))
-    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
-    r = float(grid[best])
-    n2 = float(n) * n
+    best = np.argmax(r_objective(grid[:, None], quad, u, n), axis=0)
+    lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, len(grid) - 1)]
+    r = grid[best]
+    n2 = blocks.n * blocks.n
     # The objective is flat to machine precision near its maximum, so the
     # solve follows the gradient's sign and root, never value comparisons.
     # Bisection alone reaches the 1e-14 step within about 50 iterations.
+    active = np.ones(len(r), dtype=bool)
     for _ in range(100):
-        v = u + n2 * r
-        grad = 0.5 * n2 * np.sum((quad - v) / v**2)
-        hess = 0.5 * n2 * n2 * np.sum((v - 2.0 * quad) / v**3)
-        if grad > 0:
-            lo = r
-        elif grad < 0:
-            hi = r
-        else:
+        v = u + n2[:, None] * r[:, None]
+        grad = 0.5 * n2 * np.nansum((quad - v) / v**2, axis=1)
+        hess = 0.5 * n2 * n2 * np.nansum((v - 2.0 * quad) / v**3, axis=1)
+        lo = np.where(active & (grad > 0), r, lo)
+        hi = np.where(active & (grad < 0), r, hi)
+        active &= (grad > 0) | (grad < 0)
+        newton = r - np.divide(grad, hess, out=np.full_like(r, np.inf), where=hess < 0)
+        r_next = np.where((lo < newton) & (newton < hi), newton, np.sqrt(lo * hi))
+        done = np.abs(r_next - r) <= 1e-14 * r
+        r = np.where(active, r_next, r)
+        active &= ~done
+        if not active.any():
             break
-        newton = r - grad / hess if hess < 0 else -math.inf
-        r_next = newton if lo < newton < hi else math.sqrt(lo * hi)
-        done = abs(r_next - r) <= 1e-14 * r
-        r = r_next
-        if done:
-            break
-    if r_objective(0.0, quad, u, n) >= r_objective(r, quad, u, n):
-        return 0.0
-    return r
+    return np.where(r_objective(0.0, quad, u, n) >= r_objective(r, quad, u, n), 0.0, r)
 
 
-def m_step_q(stats: SufficientStats, d: int) -> tuple[float, float]:
+def m_step_q(stats: SufficientStats, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form process-variance updates.
 
-    q_m and q_s are the (0,0) and (1,1) entries of the expected
-    transition-residual moment mean_t E[(x_t - G x_{t-1})(x_t - G x_{t-1})^T],
-    built from the smoothed second and lag-one moments over t = 1..T and
-    floored at a tiny positive value.
+    Each block's q_m and q_s are the (0,0) and (1,1) entries of its
+    expected transition-residual moment
+    mean_t E[(x_t - G x_{t-1})(x_t - G x_{t-1})^T], built from the
+    smoothed second and lag-one moments over t = 1..T and floored at a
+    tiny positive value.
     """
     if stats.dim != d:
         raise ValueError("stats do not match a state of period d")
@@ -208,50 +201,61 @@ def m_step_q(stats: SufficientStats, d: int) -> tuple[float, float]:
         raise ValueError("cannot update process variances with no steps")
     G = build_state_space(d, 1, 0.0, 0.0, 0.0).G
     lag_G = stats.Exx_lag @ G.T
-    resid = stats.Exx[1:] - lag_G - lag_G.transpose(0, 2, 1) + G @ stats.Exx[:-1] @ G.T
-    q_m, q_s = resid[:, 0, 0].mean(), resid[:, 1, 1].mean()
-    return max(float(q_m), Q_FLOOR), max(float(q_s), Q_FLOOR)
+    resid = stats.Exx[:, 1:] - lag_G - lag_G.swapaxes(-1, -2) + G @ stats.Exx[:, :-1] @ G.T
+    q_m, q_s = resid[..., 0, 0].mean(axis=1), resid[..., 1, 1].mean(axis=1)
+    return np.maximum(q_m, Q_FLOOR), np.maximum(q_s, Q_FLOOR)
 
 
 def em_fit(
-    series: BlockSeries,
-    init: ModelParams,
+    blocks: BlockStack,
+    init: ParamStack,
     config: EmConfig = EmConfig(),
-) -> tuple[ModelParams, EmTrace]:
-    """Alternate E and M steps until the log-likelihood stalls.
+) -> tuple[list[ModelParams], list[EmTrace]]:
+    """Alternate E and M steps until each block's log-likelihood stalls.
 
-    Stops when the per-iteration improvement drops below
-    ``tol * |loglik|`` or after ``max_iter`` iterations.  With
+    The blocks advance in lockstep.  A block stops when its
+    per-iteration improvement drops below ``tol * |loglik|`` or after
+    ``max_iter`` iterations, and then leaves the active set, so its
+    parameters and trace are those of fitting it alone.  With
     ``fix_r_to_zero`` the measurement variance is pinned at zero,
-    reproducing the model variant without that term.
+    reproducing the model variant without that term.  Returns each
+    block's final parameters and trace.
     """
-    if series.n < 1:
-        raise ValueError("cannot fit a block with no possible edges")
-    params = init
-    if config.fix_r_to_zero and params.r != 0.0:
-        params = ModelParams(
-            d=params.d, q_m=params.q_m, q_s=params.q_s, r=0.0,
-            mu0=params.mu0, Sigma0=params.Sigma0,
-        )
-    trace = EmTrace()
+    params = replace(init, r=np.zeros(len(init))) if config.fix_r_to_zero else init
+    B = len(blocks)
+    active = np.arange(B)
+    prev = np.full(B, np.nan)  # NaN fails every stopping test on the first iteration
+    iterations = np.zeros(B, dtype=int)
+    converged = np.zeros(B, dtype=bool)
+    non_gaussian = np.zeros(B, dtype=int)
+    history = []  # per iteration, (B, 4): loglik, q_m, q_s, r; NaN for stopped blocks
     for i in range(config.max_iter):
+        sub = blocks.take(active)
         try:
-            stats, loglik, u_per_t = e_step(series, params)
+            stats, seq = e_step(sub, params.take(active))
         except Exception as exc:
             raise EmError(i, str(exc)) from exc
         mu0, Sigma0 = m_step_initial(stats)
         q_m, q_s = m_step_q(stats, params.d)
-        r = 0.0 if config.fix_r_to_zero else m_step_r(stats, series, u_per_t, series.n)
-        params = ModelParams(d=params.d, q_m=q_m, q_s=q_s, r=r, mu0=mu0, Sigma0=Sigma0)
-        trace.loglik_per_iter.append(loglik)
-        trace.params_per_iter.append(params)
-        trace.iterations = i + 1
-        if i > 0:
-            prev = trace.loglik_per_iter[-2]
-            if loglik - prev < config.tol * abs(prev):
-                trace.converged = True
-                break
-    return params, trace
+        r = np.zeros(len(active)) if config.fix_r_to_zero else m_step_r(stats, sub, seq.u)
+        params = params.put(active, ParamStack(params.d, q_m, q_s, r, mu0, Sigma0))
+        loglik = seq.total_loglik
+        row = np.full((B, 4), np.nan)
+        row[active] = np.column_stack((loglik, q_m, q_s, r))
+        history.append(row)
+        iterations[active] += 1
+        non_gaussian[active] = seq.non_gaussian_steps
+        stop = loglik - prev[active] < config.tol * np.abs(prev[active])
+        prev[active] = loglik
+        converged[active[stop]] = True
+        active = active[~stop]
+        if active.size == 0:
+            break
+    history = np.array(history)
+    return [params[b] for b in range(B)], [
+        EmTrace(history[:k, b, 0], history[:k, b, 1:], bool(converged[b]), int(non_gaussian[b]))
+        for b, k in enumerate(iterations)
+    ]
 
 
 def default_init(series: BlockSeries, d: int, flat_defaults: bool = False) -> ModelParams:

@@ -16,11 +16,16 @@ vertex order and the edges of all snapshots are three integer arrays
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 TypePair = tuple[str, str]
+
+
+def pair_key(pair: TypePair) -> str:
+    """A block's name as written in output files, ``a:b``."""
+    return f"{pair[0]}:{pair[1]}"
 
 
 @dataclass(frozen=True)
@@ -217,6 +222,43 @@ class BlockSeries:
 
     def observed_mask(self) -> np.ndarray:
         return ~np.isnan(self.counts)
+
+
+@dataclass(frozen=True)
+class BlockStack:
+    """The count series of B blocks on one time axis, for batched inference.
+
+    ``counts`` is (B, T) with NaN gaps, ``n`` the (B,) possible-edge
+    counts (each >= 1) and ``pairs`` the blocks' type pairs in row order.
+    """
+
+    pairs: tuple[TypePair, ...]
+    n: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, blocks: Sequence[BlockSeries]) -> BlockStack:
+        """Stack blocks of one series length, each with possible edges."""
+        empty = [pair_key(b.pair) for b in blocks if b.n < 1]
+        if empty:
+            raise ValueError(f"block {empty[0]} has no possible edges")
+        lengths = {b.T for b in blocks}
+        if len(lengths) != 1:
+            raise ValueError("blocks disagree on series length" if blocks else "no blocks to stack")
+        n = np.array([b.n for b in blocks], dtype=float)
+        counts = np.array([b.counts for b in blocks]).reshape(len(blocks), blocks[0].T)
+        return cls(tuple(b.pair for b in blocks), n, counts)
+
+    @property
+    def T(self) -> int:
+        return int(self.counts.shape[1])
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def take(self, idx) -> BlockStack:
+        """The stack of blocks ``idx`` (an index array)."""
+        return BlockStack(tuple(self.pairs[i] for i in idx), self.n[idx], self.counts[idx])
 
 
 def extract_block_series(network: DynamicNetwork) -> list[BlockSeries]:

@@ -1,11 +1,14 @@
-"""Exact Gaussian belief propagation for one block.
+"""Exact Gaussian belief propagation for a stack of blocks.
 
 Filter, smoother, forecasting and per-step predictive log-likelihood
-for the linear-Gaussian count model.  Observations are scalar per block,
-so nothing is inverted: the update divides by the scalar innovation
-variance, and the smoother runs the de Jong (1989) / Durbin & Koopman
-(§4.4) backward recursion over the filter's innovations, exact even
-where the one-step-ahead covariances are singular (zero ``Sigma0``).
+for the linear-Gaussian count model.  Every function takes B blocks of
+one period at once: arrays carry a leading block axis, and one Python
+loop over t advances all of them (a single block is a stack of one).
+Observations are scalar per block, so nothing is inverted: the update
+divides by each block's scalar innovation variance, and the smoother
+runs the de Jong (1989) / Durbin & Koopman (§4.4) backward recursion
+over the filter's innovations, exact even where the one-step-ahead
+covariances are singular (zero ``Sigma0``).
 """
 
 from __future__ import annotations
@@ -15,46 +18,32 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph_model import BlockSeries
-from .ssm import ModelParams, StateSpace, binomial_obs_noise, observation_variance
+from .graph_model import BlockStack, pair_key
+from .ssm import ParamStack, StateSpace, binomial_obs_noise, outside_normal_regime
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
 class FilterError(RuntimeError):
-    """Belief propagation failed; ``t`` is the offending 1-based step."""
+    """Belief propagation failed; ``t`` is the offending 1-based step and
+    ``block`` the failing block's name."""
 
-    def __init__(self, t: int, message: str):
-        super().__init__(f"t={t}: {message}")
+    def __init__(self, t: int, message: str, block: str):
+        super().__init__(f"block {block}: t={t}: {message}")
         self.t = t
-
-
-@dataclass
-class GaussianBelief:
-    """Gaussian state belief (mean vector, covariance matrix)."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def validate(self, sym_rtol: float = 1e-10, psd_rtol: float = 1e-8) -> None:
-        """Raise if the covariance is visibly asymmetric or indefinite."""
-        scale = max(np.abs(self.cov).max(), 1e-300)
-        if np.abs(self.cov - self.cov.T).max() > sym_rtol * scale:
-            raise ValueError("covariance is not symmetric")
-        eigs = np.linalg.eigvalsh(0.5 * (self.cov + self.cov.T))
-        floor = -psd_rtol * max(np.trace(self.cov), 1e-300)
-        if eigs.min() < floor:
-            raise ValueError(f"covariance has eigenvalue {eigs.min():.3e} below {floor:.3e}")
+        self.block = block
 
 
 @dataclass
 class BeliefSequence:
-    """Per-step beliefs of one filtered (optionally smoothed) block.
+    """Per-step beliefs of a filtered (optionally smoothed) stack of blocks.
 
-    Predicted and filtered arrays, the innovations and their variances
-    (both NaN where unobserved) cover t = 1..T at index t-1; smoothed
-    arrays cover t = 0..T at index t, ``smoothed_lag_cov[t]`` being
-    Cov(x_{t+1}, x_t) given the whole series.
+    Axis 0 is the block.  Predicted and filtered arrays, the innovations
+    and their variances (both NaN where unobserved) cover t = 1..T at
+    index t-1 of axis 1; smoothed arrays cover t = 0..T at index t,
+    ``smoothed_lag_cov[:, t]`` being Cov(x_{t+1}, x_t) given the whole
+    series.  ``non_gaussian_steps`` counts each block's steps whose
+    predicted count lies outside the Gaussian regime.
     """
 
     init_mean: np.ndarray
@@ -67,13 +56,14 @@ class BeliefSequence:
     u: np.ndarray
     innov: np.ndarray
     innov_var: np.ndarray
+    non_gaussian_steps: np.ndarray
     smoothed_mean: np.ndarray | None = None
     smoothed_cov: np.ndarray | None = None
     smoothed_lag_cov: np.ndarray | None = None
 
     @property
     def T(self) -> int:
-        return int(self.pred_mean.shape[0])
+        return int(self.pred_mean.shape[1])
 
     @property
     def pred_loglik(self) -> np.ndarray:
@@ -81,12 +71,9 @@ class BeliefSequence:
         return gaussian_logpdf(self.innov, self.innov_var)
 
     @property
-    def total_loglik(self) -> float:
-        """Sum of per-step predictive log-densities over observed steps."""
-        return float(np.nansum(self.pred_loglik))
-
-    def filtered(self, t: int) -> GaussianBelief:
-        return GaussianBelief(self.filt_mean[t - 1], self.filt_cov[t - 1])
+    def total_loglik(self) -> np.ndarray:
+        """Each block's sum of predictive log-densities over observed steps."""
+        return np.nansum(self.pred_loglik, axis=1)
 
 
 def gaussian_logpdf(resid, var):
@@ -95,88 +82,69 @@ def gaussian_logpdf(resid, var):
     return -0.5 * (LOG_2PI + np.log(var) + resid * resid / var)
 
 
-def predict(belief: GaussianBelief, ss: StateSpace) -> GaussianBelief:
-    """Propagate a belief one step: mean G m, covariance G S G^T + Q."""
-    mean = ss.G @ belief.mean
-    cov = ss.G @ belief.cov @ ss.G.T + ss.Q
-    cov = 0.5 * (cov + cov.T)
-    return GaussianBelief(mean=mean, cov=cov)
+def _predict(mean: np.ndarray, cov: np.ndarray, ss: StateSpace, GT: np.ndarray):
+    """Propagate every block's belief one step: mean G m, covariance
+    G S G^T + Q.  ``GT`` is G^T, contiguous (matmul is faster on it)."""
+    cov = ss.G @ cov @ GT + ss.Q
+    return mean @ GT, 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
-def update(
-    predicted: GaussianBelief,
-    w_t: float,
-    ss: StateSpace,
-    u_t: float,
-) -> tuple[GaussianBelief, np.ndarray, float, float]:
-    """Condition a predicted belief on one observed count.
-
-    Returns the filtered belief, the Kalman gain vector, the innovation
-    ``w_t - H m`` and its variance H S H^T + b_t.  That variance is
-    scalar, so the gain is S H^T over it.
-    """
-    b_t = observation_variance(u_t, ss.n, ss.r)
-    PH = predicted.cov @ ss.H
-    S = float(ss.H @ PH) + b_t
-    if S <= 0:
-        raise ValueError(f"non-positive innovation variance {S}")
-    gain = PH / S
-    resid = float(w_t) - float(ss.H @ predicted.mean)
-    mean = predicted.mean + gain * resid
-    cov = predicted.cov - np.outer(gain, PH)
-    cov = 0.5 * (cov + cov.T)
-    return GaussianBelief(mean=mean, cov=cov), gain, resid, S
-
-
-def run_filter(
-    counts: np.ndarray,
-    ss: StateSpace,
-    mu0: np.ndarray,
-    Sigma0: np.ndarray,
-) -> BeliefSequence:
-    """Forward pass over a count series from the prior belief (mu0, Sigma0).
+def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
+    """Forward pass of every block from its prior belief (mu0, Sigma0).
 
     The per-step observation noise u_t is recomputed from each predicted
-    mean.  NaN entries in ``counts`` are treated as gaps: the update is
-    skipped and the prediction carried forward with no likelihood
-    contribution.
+    mean.  NaN counts are gaps: the update is skipped and the prediction
+    carried forward with no likelihood contribution.  A non-positive
+    innovation variance at an observed step raises ``FilterError`` naming
+    the first such block.
     """
-    counts = np.asarray(counts, dtype=float)
-    T, D = counts.shape[0], ss.G.shape[0]
+    if len(blocks) != len(params):
+        raise ValueError("blocks and parameters differ in number")
+    ss = params.state_space(blocks.n)
+    (B, T), D = blocks.counts.shape, params.d
     seq = BeliefSequence(
-        init_mean=np.asarray(mu0, dtype=float).copy(),
-        init_cov=np.asarray(Sigma0, dtype=float).copy(),
-        pred_mean=np.zeros((T, D)),
-        pred_cov=np.zeros((T, D, D)),
-        filt_mean=np.zeros((T, D)),
-        filt_cov=np.zeros((T, D, D)),
-        gains=np.zeros((T, D)),
-        u=np.zeros(T),
-        innov=np.full(T, np.nan),
-        innov_var=np.full(T, np.nan),
+        init_mean=params.mu0.copy(),
+        init_cov=params.Sigma0.copy(),
+        pred_mean=np.zeros((B, T, D)),
+        pred_cov=np.zeros((B, T, D, D)),
+        filt_mean=np.zeros((B, T, D)),
+        filt_cov=np.zeros((B, T, D, D)),
+        gains=np.zeros((B, T, D)),
+        u=np.zeros((B, T)),
+        innov=np.full((B, T), np.nan),
+        innov_var=np.full((B, T), np.nan),
+        non_gaussian_steps=np.zeros(B, dtype=int),
     )
-    belief = GaussianBelief(seq.init_mean, seq.init_cov)
+    observed = ~np.isnan(blocks.counts)
+    counts = np.where(observed, blocks.counts, 0.0)  # a gap's gain is zero
+    mean, cov = seq.init_mean, seq.init_cov
+    GT = ss.G.T.copy()
+    measurement_var = ss.measurement_var  # b_t = u_t + n^2 r; n and r are checked already
     for t in range(T):
-        belief = predict(belief, ss)
-        seq.pred_mean[t] = belief.mean
-        seq.pred_cov[t] = belief.cov
-        seq.u[t] = u_t = binomial_obs_noise(float(ss.H @ belief.mean), ss.n)
-        if not np.isnan(counts[t]):
-            try:
-                belief, seq.gains[t], seq.innov[t], seq.innov_var[t] = update(belief, counts[t], ss, u_t)
-            except ValueError as exc:
-                raise FilterError(t + 1, str(exc)) from exc
-        seq.filt_mean[t] = belief.mean
-        seq.filt_cov[t] = belief.cov
+        mean, cov = _predict(mean, cov, ss, GT)
+        seq.pred_mean[:, t], seq.pred_cov[:, t] = mean, cov
+        hm = np.einsum("bi,bi->b", ss.H, mean)
+        seq.u[:, t] = u = binomial_obs_noise(hm, ss.n)
+        obs = observed[:, t]
+        PH = np.einsum("bij,bj->bi", cov, ss.H)
+        F = np.einsum("bi,bi->b", ss.H, PH) + u + measurement_var
+        bad = obs & (F <= 0)
+        if bad.any():
+            b = int(np.argmax(bad))
+            message = f"non-positive innovation variance {F[b]}"
+            raise FilterError(t + 1, message, pair_key(blocks.pairs[b]))
+        gain = np.divide(PH, F[:, None], out=seq.gains[:, t], where=obs[:, None])  # 0 at gaps
+        seq.innov_var[:, t] = F
+        seq.innov[:, t] = v = counts[:, t] - hm
+        mean = mean + gain * v[:, None]
+        cov = cov - gain[:, :, None] * PH[:, None, :]
+        cov = 0.5 * (cov + cov.swapaxes(1, 2))
+        seq.filt_mean[:, t], seq.filt_cov[:, t] = mean, cov
+    seq.innov[~observed] = seq.innov_var[~observed] = np.nan
+    pred_count = np.einsum("btj,bj->bt", seq.pred_mean, ss.H)
+    regime = outside_normal_regime(pred_count, ss.n[:, None])
+    seq.non_gaussian_steps = np.count_nonzero(regime, axis=1)
     return seq
-
-
-def filter(series: BlockSeries, params: ModelParams) -> BeliefSequence:
-    """Filter one block's series under the given model parameters."""
-    if series.n < 1:
-        raise ValueError("cannot filter a block with no possible edges")
-    ss = params.state_space(series.n)
-    return run_filter(series.counts, ss, params.mu0, params.Sigma0)
 
 
 def smooth(beliefs: BeliefSequence, ss: StateSpace) -> BeliefSequence:
@@ -189,70 +157,67 @@ def smooth(beliefs: BeliefSequence, ss: StateSpace) -> BeliefSequence:
     m_{t|t} + S_{t|t} G^T r_t, the covariance S_{t|t} - S_{t|t} G^T N_t G S_{t|t}
     and the lag-one covariance Cov(x_{t+1}, x_t) = (I - S_{t+1|t} N_t) G S_{t|t}.
     """
-    T, D = beliefs.T, ss.G.shape[0]
+    B, T, D = beliefs.pred_mean.shape
     v_over_F = np.nan_to_num(beliefs.innov / beliefs.innov_var)  # zero at gaps
     inv_F = np.nan_to_num(1.0 / beliefs.innov_var)
-    L = ss.G @ (np.eye(D) - beliefs.gains[:, :, None] * ss.H)
-    HH = np.outer(ss.H, ss.H)
-    r, N = np.zeros((T + 1, D)), np.zeros((T + 1, D, D))
+    L = ss.G - (beliefs.gains @ ss.G.T)[..., :, None] * ss.H[:, None, None, :]  # G (I - k H)
+    LT = L.swapaxes(-1, -2)
+    HH = ss.H[:, :, None] * ss.H[:, None, :]
+    r, N = np.zeros((B, T + 1, D)), np.zeros((B, T + 1, D, D))
     for t in range(T - 1, -1, -1):
-        r[t] = ss.H * v_over_F[t] + L[t].T @ r[t + 1]
-        N[t] = HH * inv_F[t] + L[t].T @ N[t + 1] @ L[t]
-    mean = np.concatenate((beliefs.init_mean[None], beliefs.filt_mean))
-    cov = np.concatenate((beliefs.init_cov[None], beliefs.filt_cov))
+        r[:, t] = ss.H * v_over_F[:, t, None] + (LT[:, t] @ r[:, t + 1, :, None])[..., 0]
+        N[:, t] = HH * inv_F[:, t, None, None] + LT[:, t] @ N[:, t + 1] @ L[:, t]
+    mean = np.concatenate((beliefs.init_mean[:, None], beliefs.filt_mean), axis=1)
+    cov = np.concatenate((beliefs.init_cov[:, None], beliefs.filt_cov), axis=1)
     GS = ss.G @ cov
-    sm_cov = cov - GS.transpose(0, 2, 1) @ N @ GS
+    sm_cov = cov - GS.swapaxes(-1, -2) @ N @ GS
     return replace(
         beliefs,
-        smoothed_mean=mean + np.einsum("tji,tj->ti", GS, r),
-        smoothed_cov=0.5 * (sm_cov + sm_cov.transpose(0, 2, 1)),
-        smoothed_lag_cov=(np.eye(D) - beliefs.pred_cov @ N[:-1]) @ GS[:-1],
+        smoothed_mean=mean + np.einsum("btji,btj->bti", GS, r),
+        smoothed_cov=0.5 * (sm_cov + sm_cov.swapaxes(-1, -2)),
+        smoothed_lag_cov=(np.eye(D) - beliefs.pred_cov @ N[:, :-1]) @ GS[:, :-1],
     )
 
 
 @dataclass
 class Forecast:
-    """Per-horizon forecast of one block's counts.
+    """Per-horizon count forecasts of a stack of blocks, (B, horizon) arrays.
 
     ``count_noise`` is the binomial variance at the forecast mean,
-    ``measurement_var`` the horizon-constant n^2 r contribution and
-    ``total_var = state_var + count_noise + measurement_var``.
+    ``measurement_var`` each block's horizon-constant n^2 r contribution
+    and ``total_var = state_var + count_noise + measurement_var``.
+    ``non_gaussian_steps`` counts each block's horizons whose forecast
+    mean lies outside the Gaussian regime.
     """
 
     count_mean: np.ndarray
     state_var: np.ndarray
     count_noise: np.ndarray
-    measurement_var: float
+    measurement_var: np.ndarray
+    non_gaussian_steps: np.ndarray
 
     @property
     def total_var(self) -> np.ndarray:
-        return self.state_var + self.count_noise + self.measurement_var
-
-    @property
-    def horizon(self) -> int:
-        return int(self.count_mean.shape[0])
+        return self.state_var + self.count_noise + self.measurement_var[:, None]
 
 
-def forecast(
-    last_filtered: GaussianBelief,
-    ss: StateSpace,
-    horizon: int,
-) -> Forecast:
-    """Propagate the final belief ``horizon`` steps with no updates."""
+def forecast(mean: np.ndarray, cov: np.ndarray, ss: StateSpace, horizon: int) -> Forecast:
+    """Propagate each block's belief (mean (B, d), covariance (B, d, d))
+    ``horizon`` steps with no updates."""
     if horizon < 1:
         raise ValueError("forecast horizon must be >= 1")
-    belief = last_filtered
-    count_mean = np.zeros(horizon)
-    state_var = np.zeros(horizon)
-    count_noise = np.zeros(horizon)
+    count_mean = np.zeros((mean.shape[0], horizon))
+    state_var = np.zeros_like(count_mean)
+    GT = ss.G.T.copy()
     for k in range(horizon):
-        belief = predict(belief, ss)
-        count_mean[k] = float(ss.H @ belief.mean)
-        state_var[k] = float(ss.H @ belief.cov @ ss.H)
-        count_noise[k] = binomial_obs_noise(count_mean[k], ss.n)
+        mean, cov = _predict(mean, cov, ss, GT)
+        count_mean[:, k] = np.einsum("bi,bi->b", ss.H, mean)
+        state_var[:, k] = np.einsum("bi,bij,bj->b", ss.H, cov, ss.H)
+    n = ss.n[:, None]
     return Forecast(
         count_mean=count_mean,
         state_var=state_var,
-        count_noise=count_noise,
-        measurement_var=ss.n * ss.n * ss.r,
+        count_noise=binomial_obs_noise(count_mean, n),
+        measurement_var=ss.measurement_var,
+        non_gaussian_steps=np.count_nonzero(outside_normal_regime(count_mean, n), axis=1),
     )

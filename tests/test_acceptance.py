@@ -14,7 +14,7 @@ from scipy import stats as sps
 
 from sdsbm import anomaly, kalman
 from sdsbm.cli import main as cli_main
-from sdsbm.em import EmConfig, default_init, e_step, em_fit, m_step_q
+from sdsbm.em import EmConfig, default_init, e_step, m_step_q
 from sdsbm.generator import (
     GenParams,
     default_state,
@@ -23,10 +23,11 @@ from sdsbm.generator import (
     sine_profile,
 )
 from sdsbm.graph_model import BlockSeries
-from sdsbm.ssm import ModelParams
+from sdsbm.ssm import ModelParams, ParamStack
 
+from conftest import stacked
 from gaussian_oracle import OracleRun
-from test_em import numeric_q_argmax
+from test_em import fit_one, numeric_q_argmax
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -58,25 +59,26 @@ def test_criterion_1_oracle_equivalence():
         counts = rng.integers(n // 4, 3 * n // 4, size=T).astype(float)
         series = BlockSeries(pair=("a", "a"), n=n, counts=counts)
         ss = params.state_space(n)
-        seq = kalman.smooth(kalman.filter(series, params), ss)
+        blocks, stack = stacked(series, params)
+        seq = kalman.smooth(kalman.filter(blocks, stack), stack.state_space(blocks.n))
         oracle = OracleRun(
-            ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, counts, seq.u + n * n * params.r
+            ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, counts, seq.u[0] + n * n * params.r
         )
         for t in range(1, T + 1):
             mean_ref, cov_ref = oracle.filtered(t)
             scale = max(np.abs(mean_ref).max(), np.abs(cov_ref).max(), 1e-12)
             worst = max(
                 worst,
-                np.abs(seq.filt_mean[t - 1] - mean_ref).max() / scale,
-                np.abs(seq.filt_cov[t - 1] - cov_ref).max() / scale,
+                np.abs(seq.filt_mean[0, t - 1] - mean_ref).max() / scale,
+                np.abs(seq.filt_cov[0, t - 1] - cov_ref).max() / scale,
             )
         for t in range(T + 1):
             mean_ref, cov_ref = oracle.smoothed(t)
             scale = max(np.abs(mean_ref).max(), np.abs(cov_ref).max(), 1e-12)
             worst = max(
                 worst,
-                np.abs(seq.smoothed_mean[t] - mean_ref).max() / scale,
-                np.abs(seq.smoothed_cov[t] - cov_ref).max() / scale,
+                np.abs(seq.smoothed_mean[0, t] - mean_ref).max() / scale,
+                np.abs(seq.smoothed_cov[0, t] - cov_ref).max() / scale,
             )
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 1.0
@@ -103,7 +105,7 @@ def test_criterion_2_em_monotonicity():
         )
         series, _ = generate_block_series(gen, n=n, T=T, rng=rng)
         init = default_init(series, d)
-        _, trace = em_fit(series, init, EmConfig(max_iter=25, tol=1e-12))
+        _, trace = fit_one(series, init, EmConfig(max_iter=25, tol=1e-12))
         drops = -np.diff(np.array(trace.loglik_per_iter))
         if drops.size:
             worst_drop = max(worst_drop, float(drops.max()))
@@ -127,15 +129,18 @@ def test_criterion_3_measurement_noise_contrast():
     )
     series, _ = generate_block_series(gen, n=n, T=T, rng=rng)
     init = default_init(series, d)
-    free, _ = em_fit(series, init, EmConfig(max_iter=80, tol=1e-9))
-    pinned, _ = em_fit(
+    free, _ = fit_one(series, init, EmConfig(max_iter=80, tol=1e-9))
+    pinned, _ = fit_one(
         series, init, EmConfig(max_iter=80, tol=1e-9, fix_r_to_zero=True)
     )
 
     def half_width(params):
-        seq = kalman.filter(series, params)
-        fc = kalman.forecast(seq.filtered(T), params.state_space(n), 3 * d)
-        return 1.959964 * math.sqrt(fc.total_var[3 * d - 1])
+        blocks, stack = stacked(series, params)
+        seq = kalman.filter(blocks, stack)
+        fc = kalman.forecast(
+            seq.filt_mean[:, T - 1], seq.filt_cov[:, T - 1], stack.state_space(blocks.n), 3 * d
+        )
+        return 1.959964 * math.sqrt(fc.total_var[0, 3 * d - 1])
 
     q_ratio = (pinned.q_m + pinned.q_s) / (free.q_m + free.q_s)
     hw_ratio = half_width(pinned) / half_width(free)
@@ -158,15 +163,14 @@ def test_criterion_4_forecast_variance_growth():
         mu0=seasonal_state(d, 0.5, sine_profile(d, 0.08)),
         Sigma0=1e-5 * np.eye(d),
     )
-    ss = params.state_space(n)
-    belief = kalman.GaussianBelief(params.mu0.copy(), params.Sigma0.copy())
-    fc = kalman.forecast(belief, ss, horizon=10 * d)
-    aligned = fc.state_var[d - 1 :: d]
+    ss = ParamStack.of([params]).state_space(np.array([n]))
+    fc = kalman.forecast(params.mu0[None], params.Sigma0[None], ss, horizon=10 * d)
+    aligned = fc.state_var[0, d - 1 :: d]
     increments = np.diff(aligned)
     spread = float(np.abs(increments - increments[0]).max() / increments[0])
     # the measurement term enters every horizon as the same constant n^2 r
-    exact_r = fc.measurement_var == n * n * params.r and bool(
-        np.all(fc.total_var == fc.state_var + fc.count_noise + fc.measurement_var)
+    exact_r = fc.measurement_var[0] == n * n * params.r and bool(
+        np.all(fc.total_var[0] == fc.state_var[0] + fc.count_noise[0] + fc.measurement_var[0])
     )
     ok = spread <= 1e-6 and exact_r
     _report(
@@ -259,8 +263,8 @@ def test_criterion_7_process_variance_closed_form():
         params = _random_model(rng, d)
         counts = rng.integers(30, 70, size=int(rng.integers(4, 9))).astype(float)
         series = BlockSeries(pair=("a", "a"), n=n, counts=counts)
-        stats, _, _ = e_step(series, params)
-        q_m, q_s = m_step_q(stats, d)
+        stats, _ = e_step(*stacked(series, params))
+        [q_m], [q_s] = m_step_q(stats, d)
         ref_m, ref_s = numeric_q_argmax(stats, d)
         worst = max(worst, abs(q_m - ref_m) / ref_m, abs(q_s - ref_s) / ref_s)
     ok = worst <= 1e-6
@@ -300,7 +304,6 @@ def test_criterion_8_generator_statistics():
     )
 
 
-@pytest.mark.filterwarnings("ignore::sdsbm.ssm.NormalApproximationWarning")
 def test_criterion_9_end_to_end_determinism(tmp_path, monkeypatch):
     def pipeline(root: Path):
         root.mkdir()

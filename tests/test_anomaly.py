@@ -16,7 +16,7 @@ from sdsbm.anomaly import (
 from sdsbm.generator import GenParams, default_state, generate_block_series
 from sdsbm.ssm import ModelParams
 
-from conftest import make_series
+from conftest import make_series, stacked
 
 
 def known_model(d=3, n=100, bias=0.5, q=0.0, r=0.0):
@@ -79,10 +79,11 @@ class TestScore:
         series = make_series(counts, n=100)
         scores = score([series], {("a", "a"): params}, mode="smoothed")
         ss = params.state_space(100)
-        seq = kalman.smooth(kalman.filter(series, params), ss)
+        blocks, stack = stacked(series, params)
+        seq = kalman.smooth(kalman.filter(blocks, stack), stack.state_space(blocks.n))
         for t in range(1, 7):
-            mean = float(ss.H @ seq.smoothed_mean[t])
-            var = float(ss.H @ seq.smoothed_cov[t] @ ss.H) + seq.u[t - 1] + 100**2 * params.r
+            mean = float(ss.H @ seq.smoothed_mean[0, t])
+            var = float(ss.H @ seq.smoothed_cov[0, t] @ ss.H) + seq.u[0, t - 1] + 100**2 * params.r
             ref = -0.5 * (math.log(2 * math.pi * var) + (counts[t - 1] - mean) ** 2 / var)
             assert scores.loglik[0, t - 1] == pytest.approx(ref, rel=1e-12)
 

@@ -28,6 +28,8 @@ from sdsbm.ingest import (
 )
 from sdsbm.ssm import ModelParams
 
+from conftest import stacked
+
 
 def run(*args) -> int:
     return main([str(a) for a in args])
@@ -166,6 +168,50 @@ class TestFit:
         code = run(*fit_args(sim_dir, tmp_path, "--max-iter", 3))
         assert code == EXIT_MAX_ITER
 
+    def test_max_iter_names_capped_blocks(self, sim_dir, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(*fit_args(sim_dir, tmp_path, "--max-iter", 3)) == EXIT_MAX_ITER
+        lines = capsys.readouterr().err.splitlines()
+        capped = [line for line in lines if "--max-iter" in line]
+        assert capped == [
+            "warning: EM stopped at --max-iter 3 before converging in 3 of 3 blocks: a:a, a:b, b:b"
+        ]
+        assert len(lines) <= 2  # at most one more line: the Gaussian-regime count
+
+    def test_non_gaussian_steps_are_one_counted_line(self, tmp_path, capsys):
+        # sparse small blocks put many predicted counts near 0
+        sim = tmp_path / "sim"
+        assert run("simulate", "--seed", 3, "--period", 4, "--steps", 30,
+                   "--types", "a=5,b=5,c=5", "--bias", 0.1, "--out-dir", sim) == EXIT_OK
+        data = ("--events", sim / "events.csv", "--types", sim / "types.csv")
+        commands = [
+            ("fit", *data, "--period", 4, "--max-iter", 5, "--out-dir", tmp_path / "fit"),
+            ("forecast", "--model", tmp_path / "fit" / "model.json", *data,
+             "--horizon", 4, "--out-dir", tmp_path / "fc"),
+            ("detect", "--model", tmp_path / "fit" / "model.json", *data, "--out-dir", tmp_path / "det"),
+        ]
+        for args in commands:
+            capsys.readouterr()
+            assert run(*args) in (EXIT_OK, EXIT_MAX_ITER, EXIT_ANOMALIES)
+            counted = [l for l in capsys.readouterr().err.splitlines() if "block-steps" in l]
+            assert len(counted) == 1, args[0]
+            assert int(counted[0].split()[1]) > 0
+
+    def test_estep_failure_names_block_and_writes_nothing(self, sim_dir, fitted_dir, tmp_path, capsys):
+        params, ns = load_model(fitted_dir / "model.json")
+        bad = params[("a", "b")]
+        params[("a", "b")] = ModelParams(
+            d=bad.d, q_m=bad.q_m, q_s=bad.q_s, r=bad.r, mu0=bad.mu0, Sigma0=-10.0 * np.eye(bad.d)
+        )
+        save_model(params, ns, tmp_path / "warm.json")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run(*fit_args(sim_dir, out, "--init-model", tmp_path / "warm.json"))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: iteration 0: block a:b: t=1: non-positive innovation variance")
+        assert not (out / "model.json").exists() and not (out / "em_trace.csv").exists()
+
     def test_fix_r_zero_pins_trace(self, sim_dir, tmp_path):
         run(*fit_args(sim_dir, tmp_path, "--max-iter", 5, "--fix-r-zero"))
         assert all(float(r["r"]) == 0.0 for r in read_rows(tmp_path / "em_trace.csv"))
@@ -266,7 +312,6 @@ class TestForecast:
     def test_gaussian_quantile(self):
         assert _z_quantile(0.95) * math.sqrt(25.0) == pytest.approx(9.79982, abs=1e-5)
 
-    @pytest.mark.filterwarnings("ignore::sdsbm.ssm.NormalApproximationWarning")
     def test_matches_direct_forecast_call(self, sim_dir, fitted_dir, tmp_path):
         code = run(
             "forecast",
@@ -281,18 +326,19 @@ class TestForecast:
         events, typing = parse_inputs(sim_dir / "events.csv", sim_dir / "types.csv")
         net = bucketize(events, typing, BucketingConfig(origin=0.0, width=1.0))
         blocks = {s.pair: s for s in extract_block_series(net)}
+        pairs = sorted(params)
+        stack, stacked_params = stacked([blocks[p] for p in pairs], [params[p] for p in pairs])
+        seq = kalman.filter(stack, stacked_params)
+        fc = kalman.forecast(
+            seq.filt_mean[:, -1], seq.filt_cov[:, -1], stacked_params.state_space(stack.n), 1
+        )
         rows = read_rows(tmp_path / "forecast.csv")
-        for row in rows:
-            pair = tuple(row["block"].split(":"))
-            p = params[pair]
-            series = blocks[pair]
-            seq = kalman.filter(series, p)
-            fc = kalman.forecast(seq.filtered(seq.T), p.state_space(series.n), 1)
-            assert float(row["mean"]) == fc.count_mean[0]
-            assert float(row["variance"]) == fc.total_var[0]
-            assert int(row["t"]) == series.T + 1
+        assert [tuple(row["block"].split(":")) for row in rows] == list(stack.pairs)
+        for b, row in enumerate(rows):
+            assert float(row["mean"]) == fc.count_mean[b, 0]
+            assert float(row["variance"]) == fc.total_var[b, 0]
+            assert int(row["t"]) == stack.T + 1
 
-    @pytest.mark.filterwarnings("ignore::sdsbm.ssm.NormalApproximationWarning")
     def test_bounds_use_requested_level(self, sim_dir, fitted_dir, tmp_path):
         run(
             "forecast",

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+import per_block_reference as ref
 from sdsbm import kalman
 from sdsbm.em import (
     R_MAX,
@@ -26,10 +27,27 @@ from sdsbm.generator import (
     seasonal_state,
     sine_profile,
 )
+from sdsbm.graph_model import BlockStack
 from sdsbm.ssm import ModelParams, build_state_space
 
-from conftest import make_series
+from conftest import make_series, stacked
 from gaussian_oracle import OracleRun
+
+
+def fit_one(series, init, config):
+    """``em_fit`` on a stack of one block: its parameters and trace."""
+    [params], [trace] = em_fit(*stacked(series, init), config)
+    return params, trace
+
+
+def batch(stats):
+    """One block's hand-built moments as a stack of one."""
+    return SufficientStats(Ex=stats.Ex[None], Exx=stats.Exx[None], Exx_lag=stats.Exx_lag[None])
+
+
+def r_step(stats, series, u):
+    """``m_step_r`` on one block's hand-built moments."""
+    return float(m_step_r(batch(stats), BlockStack.of([series]), np.asarray(u, float)[None])[0])
 
 
 def synthetic_block(seed, d=7, T=120, n=500, q_m=1e-6, q_s=1e-6, r=0.0, bias=0.5, amp=0.08):
@@ -53,18 +71,16 @@ def small_params(d=3, q_m=4e-3, q_s=2e-3, r=0.0, seed=1):
     )
 
 
-def numeric_q_argmax(stats: SufficientStats, d: int) -> tuple[float, float]:
+def numeric_q_argmax(stats: SufficientStats, d: int, b: int = 0) -> tuple[float, float]:
     """Independent check of the closed-form process-variance update:
-    numerically maximize the expected transition log-likelihood term of
-    each noisy coordinate, using the per-step transition-residual moment
-    E[(x_t - G x_{t-1})(x_t - G x_{t-1})^T]."""
+    numerically maximize block b's expected transition log-likelihood
+    term of each noisy coordinate, using the per-step transition-residual
+    moment E[(x_t - G x_{t-1})(x_t - G x_{t-1})^T]."""
     G = build_state_space(d, 1, 0.0, 0.0, 0.0).G
+    Exx, lag = stats.Exx[b], stats.Exx_lag[b]
     resid = np.array(
         [
-            stats.Exx[t]
-            - stats.Exx_lag[t - 1] @ G.T
-            - G @ stats.Exx_lag[t - 1].T
-            + G @ stats.Exx[t - 1] @ G.T
+            Exx[t] - lag[t - 1] @ G.T - G @ lag[t - 1].T + G @ Exx[t - 1] @ G.T
             for t in range(1, stats.T + 1)
         ]
     )
@@ -104,22 +120,21 @@ class TestEStep:
             d=d, q_m=0.0, q_s=0.0, r=0.0,
             mu0=init, Sigma0=np.zeros((d, d)),
         )
-        stats, _, _ = e_step(series, params)
+        stats, _ = e_step(*stacked(series, params))
         for t in range(T + 1):
             np.testing.assert_array_equal(
-                stats.Exx[t], np.outer(stats.Ex[t], stats.Ex[t])
+                stats.Exx[0, t], np.outer(stats.Ex[0, t], stats.Ex[0, t])
             )
 
     def test_single_step_reduces_to_filtered_moments(self, rng):
         params = small_params()
         series = make_series([55], n=100)
-        stats, _, _ = e_step(series, params)
-        ss = params.state_space(series.n)
-        seq = kalman.run_filter(series.counts, ss, params.mu0, params.Sigma0)
-        np.testing.assert_allclose(stats.Ex[1], seq.filt_mean[0], rtol=1e-12)
+        stats, _ = e_step(*stacked(series, params))
+        seq = kalman.filter(*stacked(series, params))
+        np.testing.assert_allclose(stats.Ex[0, 1], seq.filt_mean[0, 0], rtol=1e-12)
         np.testing.assert_allclose(
-            stats.Exx[1],
-            seq.filt_cov[0] + np.outer(seq.filt_mean[0], seq.filt_mean[0]),
+            stats.Exx[0, 1],
+            seq.filt_cov[0, 0] + np.outer(seq.filt_mean[0, 0], seq.filt_mean[0, 0]),
             rtol=1e-12,
         )
 
@@ -127,41 +142,41 @@ class TestEStep:
         params = small_params(seed=3)
         counts = rng.integers(30, 70, size=6).astype(float)
         series = make_series(counts, n=100)
-        stats, loglik, u = e_step(series, params)
+        stats, seq = e_step(*stacked(series, params))
         ss = params.state_space(series.n)
         oracle = OracleRun(
-            ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, series.counts, u + series.n**2 * params.r
+            ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, series.counts, seq.u[0] + series.n**2 * params.r
         )
         for t in range(7):
             mean_ref, cov_ref = oracle.smoothed(t)
-            np.testing.assert_allclose(stats.Ex[t], mean_ref, rtol=1e-8, atol=1e-12)
+            np.testing.assert_allclose(stats.Ex[0, t], mean_ref, rtol=1e-8, atol=1e-12)
             np.testing.assert_allclose(
-                stats.Exx[t],
+                stats.Exx[0, t],
                 cov_ref + np.outer(mean_ref, mean_ref),
                 rtol=1e-8,
                 atol=1e-12,
             )
         for t in range(1, 7):
             np.testing.assert_allclose(
-                stats.Exx_lag[t - 1], oracle.smoothed_cross(t), rtol=1e-8, atol=1e-12
+                stats.Exx_lag[0, t - 1], oracle.smoothed_cross(t), rtol=1e-8, atol=1e-12
             )
-        assert loglik == pytest.approx(oracle.observations_logpdf(), rel=1e-9)
+        assert seq.total_loglik[0] == pytest.approx(oracle.observations_logpdf(), rel=1e-9)
 
 
 class TestMStepInitial:
     def test_assignment_from_smoothed_start(self, rng):
         params = small_params(seed=5)
         series = make_series(rng.integers(30, 70, size=5), n=100)
-        stats, _, _ = e_step(series, params)
-        mu0, Sigma0 = m_step_initial(stats)
-        np.testing.assert_array_equal(mu0, stats.Ex[0, :3])
-        ref = stats.Exx[0, :3, :3] - np.outer(mu0, mu0)
-        np.testing.assert_allclose(Sigma0, 0.5 * (ref + ref.T), atol=1e-15)
+        stats, _ = e_step(*stacked(series, params))
+        [mu0], [Sigma0] = m_step_initial(stats)
+        np.testing.assert_array_equal(mu0, stats.Ex[0, 0, :3])
+        want = stats.Exx[0, 0, :3, :3] - np.outer(mu0, mu0)
+        np.testing.assert_allclose(Sigma0, 0.5 * (want + want.T), atol=1e-15)
 
     def test_idempotent_given_fixed_stats(self, rng):
         params = small_params(seed=6)
         series = make_series(rng.integers(30, 70, size=5), n=100)
-        stats, _, _ = e_step(series, params)
+        stats, _ = e_step(*stacked(series, params))
         first = m_step_initial(stats)
         second = m_step_initial(stats)
         np.testing.assert_array_equal(first[0], second[0])
@@ -170,7 +185,7 @@ class TestMStepInitial:
     def test_recovers_generator_bias(self):
         series, trace, gen = synthetic_block(seed=17, T=160, n=1000, q_m=1e-6, q_s=1e-6)
         init = default_init(series, gen.d)
-        params, _ = em_fit(series, init, EmConfig(max_iter=60, tol=1e-9))
+        params, _ = fit_one(series, init, EmConfig(max_iter=60, tol=1e-9))
         sd = np.sqrt(max(params.Sigma0[0, 0], 1e-12))
         assert abs(params.mu0[0] - gen.init[0]) <= 3 * max(sd, 1e-3)
 
@@ -208,7 +223,7 @@ class TestMStepR:
         # with Ex = 0: quad_t = w^2 + H Exx H'; force H Exx H' = u - w^2
         for t in range(1, T + 1):
             stats.Exx[t, 0, 0] = (u[t - 1] - 50.0**2) / n**2
-        assert m_step_r(stats, series, u, n) == 0.0
+        assert r_step(stats, series, u) == 0.0
 
     def test_single_step_closed_form(self):
         # with u = 0 and one term the maximizer is r = quad / n^2
@@ -219,7 +234,7 @@ class TestMStepR:
             Ex=np.zeros((2, D)), Exx=np.zeros((2, D, D)), Exx_lag=np.zeros((1, D, D))
         )
         stats.Exx[1, 0, 0] = v  # H Exx H^T = n^2 v
-        r_hat = m_step_r(stats, series, np.array([0.0]), n)
+        r_hat = r_step(stats, series, [0.0])
         assert r_hat == pytest.approx(v, rel=1e-8)
 
     def test_never_exceeds_density_variance_cap(self):
@@ -228,7 +243,7 @@ class TestMStepR:
         stats = SufficientStats(
             Ex=np.zeros((7, 12)), Exx=np.zeros((7, 12, 12)), Exx_lag=np.zeros((6, 12, 12))
         )
-        r_hat = m_step_r(stats, series, np.full(6, 1e-6), n)
+        r_hat = r_step(stats, series, np.full(6, 1e-6))
         assert 0.0 <= r_hat <= 0.25
 
     @settings(max_examples=60, deadline=None)
@@ -242,7 +257,7 @@ class TestMStepR:
         r_star = math.exp(rng.uniform(math.log(0.1), math.log(10.0))) * u.mean() / n**2
         assume(r_star <= 0.1)
         stats, series, quad = r_step_input((u + n * n * r_star) * np.exp(rng.normal(0, 0.3, T)), u, n)
-        r = m_step_r(stats, series, u, n)
+        r = r_step(stats, series, u)
 
         # scipy's bounded search on log r stops at sqrt(eps) * |log r|, so a
         # second search, centred on the first and written without
@@ -271,7 +286,7 @@ class TestMStepR:
     def test_never_scores_below_the_scan(self, n, terms):
         quad, u = map(np.array, zip(*terms))
         stats, series, quad = r_step_input(quad, u, n)
-        r = m_step_r(stats, series, u, n)
+        r = r_step(stats, series, u)
         assert 0.0 <= r <= R_MAX
         feasible_grid = np.minimum(np.geomspace(1e-12, 1.0, 30), R_MAX)
         scan_best = np.max(r_objective(feasible_grid, quad, u, n))
@@ -288,12 +303,37 @@ class TestMStepR:
         assert isinstance(r_objective(1e-4, quad, u, 40), float)
         assert r_objective(0.0, quad, np.zeros(30), 40) == -math.inf
 
+    def test_stacked_blocks_solve_as_if_alone(self):
+        # a block leaves the lockstep solve when it stops, so its r is
+        # bit-identical to solving it alone; one block has gaps, one is all gap
+        rng = np.random.default_rng(11)
+        B, T, D = 6, 40, 3
+        ns = rng.integers(6, 2001, B).astype(float)
+        p = rng.uniform(0.05, 0.95, (B, T))
+        u = ns[:, None] * p * (1 - p)
+        r_star = np.exp(rng.uniform(np.log(1e-8), np.log(1e-2), B))
+        stats = SufficientStats(
+            Ex=np.zeros((B, T + 1, D)), Exx=np.zeros((B, T + 1, D, D)), Exx_lag=np.zeros((B, T, D, D))
+        )
+        stats.Exx[:, 1:, 0, 0] = (u + ns[:, None] ** 2 * r_star[:, None]) * np.exp(
+            rng.normal(0, 0.3, (B, T))
+        ) / ns[:, None] ** 2
+        counts = np.zeros((B, T))
+        counts[1, 5:15] = np.nan
+        counts[2] = np.nan
+        blocks = BlockStack.of([make_series(c, n=int(n), pair=("a", f"b{k}")) for k, (c, n) in enumerate(zip(counts, ns))])
+        together = m_step_r(stats, blocks, u)
+        assert together[2] == 0.0
+        for b in range(B):
+            alone = SufficientStats(stats.Ex[b : b + 1], stats.Exx[b : b + 1], stats.Exx_lag[b : b + 1])
+            assert m_step_r(alone, blocks.take([b]), u[b : b + 1])[0] == together[b]
+
     def test_full_em_recovers_true_r(self):
         series, _, gen = synthetic_block(
             seed=23, d=7, T=280, n=2000, q_m=1e-7, q_s=1e-7, r=1e-3
         )
         init = default_init(series, gen.d)
-        params, _ = em_fit(series, init, EmConfig(max_iter=80, tol=1e-9))
+        params, _ = fit_one(series, init, EmConfig(max_iter=80, tol=1e-9))
         assert 1.0 / 3.0 <= params.r / 1e-3 <= 3.0  # within a factor of 3
 
 
@@ -312,7 +352,7 @@ class TestMStepQ:
             Exx=np.einsum("ti,tj->tij", Ex, Ex),
             Exx_lag=np.einsum("ti,tj->tij", Ex[1:], Ex[:-1]),
         )
-        q_m, q_s = m_step_q(stats, d=d)
+        [q_m], [q_s] = m_step_q(batch(stats), d=d)
         assert q_m == pytest.approx(0.0, abs=1e-14)
         assert q_s == pytest.approx(0.0, abs=1e-14)
 
@@ -328,7 +368,7 @@ class TestMStepQ:
             Exx.append(G @ Exx[-1] @ G.T + Q)
         Exx = np.array(Exx)
         stats = SufficientStats(Ex=np.zeros((T + 1, d)), Exx=Exx, Exx_lag=G @ Exx[:-1])
-        q_m, q_s = m_step_q(stats, d=d)
+        [q_m], [q_s] = m_step_q(batch(stats), d=d)
         assert q_m == pytest.approx(v_m, rel=1e-12)
         assert q_s == pytest.approx(v_s, rel=1e-12)
 
@@ -337,8 +377,8 @@ class TestMStepQ:
             params = small_params(seed=seed)
             counts = rng.integers(30, 70, size=7).astype(float)
             series = make_series(counts, n=100)
-            stats, _, _ = e_step(series, params)
-            q_m, q_s = m_step_q(stats, d=params.d)
+            stats, _ = e_step(*stacked(series, params))
+            [q_m], [q_s] = m_step_q(stats, d=params.d)
             ref_m, ref_s = numeric_q_argmax(stats, params.d)
             assert q_m == pytest.approx(ref_m, rel=1e-6)
             assert q_s == pytest.approx(ref_s, rel=1e-6)
@@ -348,7 +388,7 @@ class TestMStepQ:
             seed=31, d=7, T=280, n=2000, q_m=1e-6, q_s=1e-6, r=0.0
         )
         init = default_init(series, gen.d)
-        params, _ = em_fit(
+        params, _ = fit_one(
             series, init, EmConfig(max_iter=80, tol=1e-9, fix_r_to_zero=True)
         )
         assert 1.0 / 3.0 <= params.q_m / 1e-6 <= 3.0
@@ -359,35 +399,35 @@ class TestEmFit:
     def test_single_iteration_trace(self):
         series, _, gen = synthetic_block(seed=41, T=40)
         init = default_init(series, gen.d)
-        params, trace = em_fit(series, init, EmConfig(max_iter=1))
+        params, trace = fit_one(series, init, EmConfig(max_iter=1))
         assert trace.iterations == 1
         assert len(trace.loglik_per_iter) == 1
-        assert len(trace.params_per_iter) == 1
+        assert trace.variances_per_iter.shape == (1, 3)
         assert not trace.converged
 
     def test_loglik_never_decreases(self):
         for seed in range(5):
             series, _, gen = synthetic_block(seed=100 + seed, T=80, n=400)
             init = default_init(series, gen.d)
-            _, trace = em_fit(series, init, EmConfig(max_iter=25, tol=1e-12))
+            _, trace = fit_one(series, init, EmConfig(max_iter=25, tol=1e-12))
             ll = np.array(trace.loglik_per_iter)
             assert np.all(np.diff(ll) >= -1e-8), f"seed {seed}: {np.diff(ll).min()}"
 
     def test_refit_converges_immediately(self):
         series, _, gen = synthetic_block(seed=57, T=100, n=200, q_m=5e-4, q_s=5e-4)
         init = default_init(series, gen.d)
-        params, first = em_fit(series, init, EmConfig(max_iter=400, tol=1e-6))
+        params, first = fit_one(series, init, EmConfig(max_iter=400, tol=1e-6))
         assert first.converged
-        _, trace = em_fit(series, params, EmConfig(max_iter=60, tol=1e-6))
+        _, trace = fit_one(series, params, EmConfig(max_iter=60, tol=1e-6))
         assert trace.converged
         assert trace.iterations <= 2
 
     def test_fix_r_pins_measurement_variance(self):
         series, _, gen = synthetic_block(seed=61, T=60, r=1e-3)
         init = default_init(series, gen.d)
-        params, trace = em_fit(series, init, EmConfig(max_iter=10, fix_r_to_zero=True))
+        params, trace = fit_one(series, init, EmConfig(max_iter=10, fix_r_to_zero=True))
         assert params.r == 0.0
-        assert all(p.r == 0.0 for p in trace.params_per_iter)
+        assert np.all(trace.variances_per_iter[:, 2] == 0.0)
 
     def test_fit_with_missing_observations(self):
         # gaps skip the update step and drop out of the r-objective but
@@ -396,7 +436,7 @@ class TestEmFit:
         counts = series.counts.copy()
         counts[[7, 8, 31]] = np.nan
         gappy = make_series(counts, n=series.n)
-        params, trace = em_fit(
+        params, trace = fit_one(
             gappy, default_init(gappy, gen.d), EmConfig(max_iter=20, tol=1e-10)
         )
         ll = np.array(trace.loglik_per_iter)
@@ -409,7 +449,7 @@ class TestEmFit:
         init = seasonal_state(2, 0.5, np.array([0.06, -0.06]))
         gen = GenParams(d=2, q_m=1e-4, q_s=1e-4, r=0.0, init=init)
         series, _ = generate_block_series(gen, n=300, T=60, rng=rng)
-        params, trace = em_fit(
+        params, trace = fit_one(
             series, default_init(series, 2), EmConfig(max_iter=30, tol=1e-10)
         )
         assert params.d == 2
@@ -425,7 +465,7 @@ class TestEmFit:
         series, _ = generate_block_series(
             gen, n=2000, T=3 * d, rng=np.random.default_rng(9)
         )
-        params, trace = em_fit(
+        params, trace = fit_one(
             series, default_init(series, d), EmConfig(max_iter=4, tol=1e-9)
         )
         assert np.all(np.diff(trace.loglik_per_iter) >= -1e-8)
@@ -434,7 +474,7 @@ class TestEmFit:
     def test_learned_q_is_exactly_diagonal(self):
         series, _, gen = synthetic_block(seed=67, T=50)
         init = default_init(series, gen.d)
-        params, _ = em_fit(series, init, EmConfig(max_iter=10))
+        params, _ = fit_one(series, init, EmConfig(max_iter=10))
         ss = params.state_space(series.n)
         expected = np.zeros((gen.d, gen.d))
         expected[0, 0], expected[1, 1] = params.q_m, params.q_s
@@ -446,28 +486,71 @@ class TestEmFit:
         params = default_init(series, gen.d)
         n = series.n
         for _ in range(8):
-            stats, _, u = e_step(series, params)
+            blocks, stack = stacked(series, params)
+            stats, seq = e_step(blocks, stack)
+            u = seq.u[0]
             D = stats.dim
             H = np.zeros(D)
             H[0] = H[1] = n
             w = series.counts
-            hx = stats.Ex[1:] @ H
-            quad = w * w - 2 * w * hx + np.einsum("i,tij,j->t", H, stats.Exx[1:], H)
-            r_new = m_step_r(stats, series, u, n)
+            hx = stats.Ex[0, 1:] @ H
+            quad = w * w - 2 * w * hx + np.einsum("i,tij,j->t", H, stats.Exx[0, 1:], H)
+            [r_new] = m_step_r(stats, blocks, seq.u)
             assert r_objective(r_new, quad, u, n) >= r_objective(params.r, quad, u, n) - 1e-9
-            mu0, Sigma0 = m_step_initial(stats)
-            q_m, q_s = m_step_q(stats, gen.d)
+            [mu0], [Sigma0] = m_step_initial(stats)
+            [q_m], [q_s] = m_step_q(stats, gen.d)
             params = ModelParams(d=gen.d, q_m=q_m, q_s=q_s, r=r_new, mu0=mu0, Sigma0=Sigma0)
 
-    @pytest.mark.filterwarnings("ignore::sdsbm.ssm.NormalApproximationWarning")
     def test_estep_failure_carries_iteration(self):
         series = make_series([5, 5], n=10)
         bad = ModelParams(
             d=2, q_m=0.0, q_s=0.0, r=0.0, mu0=np.zeros(2), Sigma0=-1e6 * np.eye(2)
         )
-        with pytest.raises(EmError, match="iteration 0") as excinfo:
-            em_fit(series, bad, EmConfig(max_iter=3))
+        with pytest.raises(EmError, match="iteration 0: block a:a: t=1") as excinfo:
+            fit_one(series, bad, EmConfig(max_iter=3))
         assert excinfo.value.iteration == 0
+
+    def test_estep_failure_names_the_block(self):
+        # a warm start with Sigma0 = -10 I in one block of three
+        blocks, inits = [], []
+        for k, pair in enumerate([("a", "a"), ("a", "b"), ("b", "b")]):
+            series, _, gen = synthetic_block(seed=90 + k, T=30, n=200)
+            blocks.append(make_series(series.counts, n=series.n, pair=pair))
+            inits.append(default_init(blocks[-1], gen.d))
+        inits[2] = ModelParams(
+            d=7, q_m=1e-6, q_s=1e-6, r=0.0, mu0=inits[2].mu0, Sigma0=-10.0 * np.eye(7)
+        )
+        with pytest.raises(EmError, match=r"iteration 0: block b:b: t=1: non-positive innovation variance"):
+            em_fit(*stacked(blocks, inits), EmConfig(max_iter=5))
+
+
+class TestLockstep:
+    """Lockstep EM against plain per-block EM, row for row."""
+
+    @pytest.mark.parametrize("fix_r", [False, True])
+    def test_matches_per_block_reference(self, fix_r):
+        blocks, inits = [], []
+        for k, (n, q, T_gap) in enumerate([(28, 5e-4, None), (64, 5e-4, 9), (2000, 1e-5, None), (120, 1e-4, 3)]):
+            series, _, gen = synthetic_block(seed=200 + k, d=4, T=50, n=n, q_m=q, q_s=q, r=1e-4)
+            counts = series.counts.copy()
+            if T_gap is not None:
+                counts[T_gap : T_gap + 10] = np.nan
+            blocks.append(make_series(counts, n=n, pair=("a", f"b{k}")))
+            inits.append(default_init(blocks[-1], gen.d))
+        config = EmConfig(max_iter=40, tol=1e-4, fix_r_to_zero=fix_r)
+        params, traces = em_fit(*stacked(blocks, inits), config)
+        # the blocks stop at different iterations, one of them at the cap
+        assert len({t.iterations for t in traces}) >= 3
+        assert not all(t.converged for t in traces)
+        for series, init, p, trace in zip(blocks, inits, params, traces):
+            p_ref, rows, converged = ref.em_fit(
+                series.counts, series.n, init, config.max_iter, config.tol, fix_r
+            )
+            assert (trace.iterations, trace.converged) == (len(rows), converged)
+            got = np.column_stack((trace.loglik_per_iter, trace.variances_per_iter))
+            np.testing.assert_allclose(got, rows, rtol=1e-10, atol=0)
+            for name in ("q_m", "q_s", "r", "mu0", "Sigma0"):
+                np.testing.assert_allclose(getattr(p, name), getattr(p_ref, name), rtol=1e-10, atol=1e-14)
 
 
 class TestDefaultInit:

@@ -1,15 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_block_reference as ref
 from sdsbm import kalman
 from sdsbm.em import e_step
 from sdsbm.generator import GenParams, generate_block_series, seasonal_state, sine_profile
-from sdsbm.kalman import FilterError, GaussianBelief, forecast, predict, smooth, update
+from sdsbm.kalman import FilterError, forecast
 from sdsbm.ssm import ModelParams, binomial_obs_noise, build_state_space
 
-from conftest import make_series
+from conftest import make_series, stacked
 from gaussian_oracle import OracleRun
 
 
@@ -32,6 +35,35 @@ def random_instance(rng, d, T, n=50, r=0.0):
     return params, make_series(counts, n=n)
 
 
+def block(seq, b=0):
+    """Block b's slice of a batched BeliefSequence."""
+    view = {k: v[b] if isinstance(v, np.ndarray) else v for k, v in vars(seq).items()}
+    return SimpleNamespace(
+        **view, T=seq.T, pred_loglik=seq.pred_loglik[b], total_loglik=seq.total_loglik[b]
+    )
+
+
+def run(series, params, smoothed=False):
+    """Filter (and smooth) one block as a stack of one; returns its slice."""
+    blocks, stack = stacked(series, params)
+    seq = kalman.filter(blocks, stack)
+    if smoothed:
+        seq = kalman.smooth(seq, stack.state_space(blocks.n))
+    return block(seq)
+
+
+def prior(mean, cov, d, n=10, q_m=0.0, q_s=0.0, r=0.0):
+    return ModelParams(d=d, q_m=q_m, q_s=q_s, r=r, mu0=np.asarray(mean, float), Sigma0=np.asarray(cov, float))
+
+
+def assert_valid_cov(cov, sym_rtol=1e-10, psd_rtol=1e-8):
+    """The covariance is symmetric and positive semi-definite to rounding."""
+    scale = max(np.abs(cov).max(), 1e-300)
+    assert np.abs(cov - cov.T).max() <= sym_rtol * scale
+    eigs = np.linalg.eigvalsh(0.5 * (cov + cov.T))
+    assert eigs.min() >= -psd_rtol * max(np.trace(cov), 1e-300)
+
+
 def oracle_for(series, params, seq):
     ss = params.state_space(series.n)
     b_seq = seq.u + series.n**2 * params.r
@@ -39,64 +71,62 @@ def oracle_for(series, params, seq):
 
 
 class TestPredict:
+    # the filter's predict step, read off a gap step's one-step-ahead belief
     def test_deterministic_propagation(self):
-        ss = build_state_space(3, 10, 0.0, 0.0, 0.0)
-        belief = GaussianBelief(np.array([0.5, 0.1, -0.1]), np.zeros((3, 3)))
-        out = predict(belief, ss)
-        np.testing.assert_allclose(out.mean, [0.5, 0.0, 0.1], atol=0)
-        np.testing.assert_array_equal(out.cov, np.zeros((3, 3)))
+        params = prior([0.5, 0.1, -0.1], np.zeros((3, 3)), d=3)
+        out = run(make_series([np.nan], n=10), params)
+        np.testing.assert_allclose(out.pred_mean[0], [0.5, 0.0, 0.1], atol=0)
+        np.testing.assert_array_equal(out.pred_cov[0], np.zeros((3, 3)))
 
     def test_orthogonal_transition_keeps_identity_cov(self):
-        ss = build_state_space(2, 10, 0.0, 0.0, 0.0)
-        out = predict(GaussianBelief(np.zeros(2), np.eye(2)), ss)
-        np.testing.assert_allclose(out.cov, np.eye(2), atol=1e-15)
+        out = run(make_series([np.nan], n=10), prior(np.zeros(2), np.eye(2), d=2))
+        np.testing.assert_allclose(out.pred_cov[0], np.eye(2), atol=1e-15)
 
     def test_matches_naive_recomputation(self, rng):
-        ss = build_state_space(4, 10, 3e-3, 2e-3, 0.0)
-        belief = GaussianBelief(rng.normal(size=4), random_psd(rng, 4))
-        out = predict(belief, ss)
-        np.testing.assert_allclose(out.mean, ss.G @ belief.mean, rtol=1e-12)
+        params = prior(rng.normal(size=4), random_psd(rng, 4), d=4, q_m=3e-3, q_s=2e-3)
+        ss = params.state_space(10)
+        out = run(make_series([np.nan], n=10), params)
+        np.testing.assert_allclose(out.pred_mean[0], ss.G @ params.mu0, rtol=1e-12)
         np.testing.assert_allclose(
-            out.cov, ss.G @ belief.cov @ ss.G.T + ss.Q, rtol=1e-12
+            out.pred_cov[0], ss.G @ params.Sigma0 @ ss.G.T + ss.Q, rtol=1e-12
         )
-        out.validate()
+        assert_valid_cov(out.pred_cov[0])
 
 
 class TestUpdate:
+    # the filter's update step on one observed count; these priors are
+    # left unchanged by the transition's deterministic part
     def test_zero_residual_keeps_mean(self):
-        ss = build_state_space(3, 10, 1e-3, 1e-3, 0.0)
-        belief = GaussianBelief(np.array([0.5, 0.0, 0.0]), 0.01 * np.eye(3))
-        w = float(ss.H @ belief.mean)
-        out, gain, _, _ = update(belief, w, ss, u_t=2.5)
-        np.testing.assert_allclose(out.mean, belief.mean, atol=0)
+        params = prior([0.5, 0.0, 0.0], 0.01 * np.eye(3), d=3, q_m=1e-3, q_s=1e-3)
+        out = run(make_series([5], n=10), params)  # H m = 10 * 0.5
+        np.testing.assert_allclose(out.filt_mean[0], out.pred_mean[0], atol=0)
 
     def test_infinite_noise_freezes_belief(self):
-        ss = build_state_space(3, 10, 1e-3, 1e-3, 0.0)
-        belief = GaussianBelief(np.array([0.5, 0.1, 0.0]), 0.01 * np.eye(3))
-        out, gain, _, _ = update(belief, 9.0, ss, u_t=1e12)
-        assert np.linalg.norm(gain) < 1e-9
-        np.testing.assert_allclose(out.mean, belief.mean, rtol=1e-6)
+        # n^2 r = 1e12 swamps the prior variance
+        params = prior([0.5, 0.1, 0.05], 0.01 * np.eye(3), d=3, q_m=1e-3, q_s=1e-3, r=1e10)
+        out = run(make_series([9], n=10), params)
+        assert np.linalg.norm(out.gains[0]) < 1e-9
+        np.testing.assert_allclose(out.filt_mean[0], out.pred_mean[0], rtol=1e-6)
 
     def test_zero_covariance_gives_zero_gain(self):
-        ss = build_state_space(3, 10, 0.0, 0.0, 0.0)
-        belief = GaussianBelief(np.array([0.5, 0.0, 0.0]), np.zeros((3, 3)))
-        _, gain, _, _ = update(belief, 9.0, ss, u_t=2.5)
-        assert np.linalg.norm(gain) == 0.0
+        out = run(make_series([9], n=10), prior([0.5, 0.0, 0.0], np.zeros((3, 3)), d=3))
+        assert np.linalg.norm(out.gains[0]) == 0.0
 
-    @pytest.mark.filterwarnings("ignore::sdsbm.ssm.NormalApproximationWarning")
     def test_matches_joint_conditioning(self):
         # condition the 3-dimensional joint Gaussian of (x, w) on w by hand
         ss = build_state_space(2, 10, 0.0, 0.0, 0.0)
         mean = np.array([0.5, 0.0])
         cov = np.diag([0.01, 0.01])
+        out = run(make_series([7], n=10), prior(mean, cov, d=2))
+        np.testing.assert_array_equal(out.pred_mean[0], mean)
         u = binomial_obs_noise(float(ss.H @ mean), 10)
+        assert out.u[0] == u
         S = ss.H @ cov @ ss.H + u
         gain_ref = cov @ ss.H / S
         mean_ref = mean + gain_ref * (7.0 - ss.H @ mean)
         cov_ref = cov - np.outer(gain_ref, ss.H @ cov)
-        out, _, _, _ = update(GaussianBelief(mean, cov), 7.0, ss, u_t=u)
-        np.testing.assert_allclose(out.mean, mean_ref, rtol=1e-10)
-        np.testing.assert_allclose(out.cov, cov_ref, rtol=1e-10)
+        np.testing.assert_allclose(out.filt_mean[0], mean_ref, rtol=1e-10)
+        np.testing.assert_allclose(out.filt_cov[0], cov_ref, rtol=1e-10)
 
 
 class TestFilter:
@@ -104,7 +134,7 @@ class TestFilter:
         params = ModelParams(
             d=3, q_m=0.0, q_s=0.0, r=0.0, mu0=np.zeros(3), Sigma0=np.eye(3)
         )
-        seq = kalman.filter(make_series([], n=10), params)
+        seq = run(make_series([], n=10), params)
         assert seq.T == 0
         assert seq.total_loglik == 0.0
 
@@ -119,7 +149,7 @@ class TestFilter:
             Sigma0=0.1 * np.eye(d),
         )
         series = make_series([n // 2] * (6 * d), n=n)
-        seq = kalman.filter(series, params)
+        seq = run(series, params)
         ss = params.state_space(n)
         for t in range(5 * d, seq.T + 1):
             density = float(ss.H @ seq.filt_mean[t - 1]) / n
@@ -127,7 +157,7 @@ class TestFilter:
 
     def test_matches_oracle(self, rng):
         params, series = random_instance(rng, d=3, T=6)
-        seq = kalman.filter(series, params)
+        seq = run(series, params)
         oracle = oracle_for(series, params, seq)
         for t in range(1, 7):
             mean_ref, cov_ref = oracle.filtered(t)
@@ -139,7 +169,7 @@ class TestFilter:
         counts = series.counts.copy()
         counts[2] = np.nan
         gappy = make_series(counts, n=series.n)
-        seq = kalman.filter(gappy, params)
+        seq = run(gappy, params)
         np.testing.assert_array_equal(seq.filt_mean[2], seq.pred_mean[2])
         np.testing.assert_array_equal(seq.filt_cov[2], seq.pred_cov[2])
         assert np.isnan(seq.pred_loglik[2])
@@ -150,27 +180,33 @@ class TestFilter:
 
     def test_loglik_additivity(self, rng):
         params, series = random_instance(rng, d=3, T=6, r=1e-4)
-        seq = kalman.filter(series, params)
+        seq = run(series, params)
         oracle = oracle_for(series, params, seq)
         assert seq.total_loglik == pytest.approx(oracle.observations_logpdf(), rel=1e-9)
 
-    @pytest.mark.filterwarnings("ignore::sdsbm.ssm.NormalApproximationWarning")
     def test_error_carries_step(self):
         # a wildly indefinite prior drives the innovation variance
-        # negative; the filter must report the offending step
-        ss = build_state_space(2, 10, 0.0, 0.0, 0.0)
-        with pytest.raises(FilterError, match="t=1") as excinfo:
-            kalman.run_filter(
-                np.array([5.0]), ss, np.array([0.5, 0.0]), -1e6 * np.eye(2)
-            )
+        # negative; the filter must report the offending step and block
+        params = prior([0.5, 0.0], -1e6 * np.eye(2), d=2)
+        with pytest.raises(FilterError, match="block a:a: t=1") as excinfo:
+            run(make_series([5], n=10), params)
         assert excinfo.value.t == 1
+        assert excinfo.value.block == "a:a"
+
+    def test_error_names_the_failing_block(self, rng):
+        good, series = random_instance(rng, d=2, T=4)
+        bad = prior(good.mu0, -1e6 * np.eye(2), d=2)
+        pairs = [("a", "a"), ("a", "b"), ("b", "b")]
+        blocks = [make_series(series.counts, n=series.n, pair=p) for p in pairs]
+        with pytest.raises(FilterError) as excinfo:
+            kalman.filter(*stacked(blocks, [good, bad, good]))
+        assert (excinfo.value.block, excinfo.value.t) == ("a:b", 1)
 
 
 class TestSmoother:
     def test_final_step_equals_filtered(self, rng):
         params, series = random_instance(rng, d=3, T=5)
-        ss = params.state_space(series.n)
-        seq = smooth(kalman.filter(series, params), ss)
+        seq = run(series, params, smoothed=True)
         np.testing.assert_array_equal(seq.smoothed_mean[5], seq.filt_mean[4])
         np.testing.assert_array_equal(seq.smoothed_cov[5], seq.filt_cov[4])
 
@@ -183,8 +219,7 @@ class TestSmoother:
             d=d, q_m=0.0, q_s=0.0, r=0.0,
             mu0=init, Sigma0=np.zeros((d, d)),
         )
-        ss = params.state_space(n)
-        seq = smooth(kalman.filter(series, params), ss)
+        seq = run(series, params, smoothed=True)
         for t in range(1, T + 1):
             np.testing.assert_allclose(
                 seq.smoothed_mean[t], trace.states[t - 1], atol=1e-8
@@ -194,15 +229,13 @@ class TestSmoother:
         params = ModelParams(
             d=3, q_m=0.0, q_s=0.0, r=0.0, mu0=np.array([0.5, 0.1, -0.1]), Sigma0=np.eye(3)
         )
-        ss = params.state_space(10)
-        seq = smooth(kalman.filter(make_series([], n=10), params), ss)
+        seq = run(make_series([], n=10), params, smoothed=True)
         np.testing.assert_array_equal(seq.smoothed_mean[0], params.mu0)
         np.testing.assert_array_equal(seq.smoothed_cov[0], params.Sigma0)
 
     def test_matches_oracle(self, rng):
         params, series = random_instance(rng, d=3, T=6, r=1e-4)
-        ss = params.state_space(series.n)
-        seq = smooth(kalman.filter(series, params), ss)
+        seq = run(series, params, smoothed=True)
         oracle = oracle_for(series, params, seq)
         for t in range(0, 7):
             mean_ref, cov_ref = oracle.smoothed(t)
@@ -231,17 +264,17 @@ class TestSmoother:
                 counts[12:22] = np.nan
                 series = make_series(counts, n=series.n)
         ss = params.state_space(series.n)
-        seq = smooth(kalman.filter(series, params), ss)
+        seq = run(series, params, smoothed=True)
         if case == "singular_start":
             assert np.linalg.matrix_rank(seq.pred_cov[1]) < params.d
-        stats, _, _ = e_step(series, params)
+        stats, _ = e_step(*stacked(series, params))
         mean_ref, cov_ref, lag_ref = _rts_pinv_reference(seq, ss)
-        for got, ref in (
+        for got, want in (
             (seq.smoothed_mean, mean_ref),
             (seq.smoothed_cov, cov_ref),
-            (stats.Exx_lag, lag_ref),
+            (stats.Exx_lag[0], lag_ref),
         ):
-            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_singular_start_with_gap_matches_oracle(self, rng):
         params, series = random_instance(rng, d=3, T=12, r=1e-4)
@@ -252,9 +285,8 @@ class TestSmoother:
         counts = series.counts.copy()
         counts[3:7] = np.nan
         series = make_series(counts, n=series.n)
-        ss = params.state_space(series.n)
-        seq = smooth(kalman.filter(series, params), ss)
-        stats, _, _ = e_step(series, params)
+        seq = run(series, params, smoothed=True)
+        stats, _ = e_step(*stacked(series, params))
         oracle = oracle_for(series, params, seq)
         for t in range(13):
             mean_ref, cov_ref = oracle.smoothed(t)
@@ -262,13 +294,12 @@ class TestSmoother:
             np.testing.assert_allclose(seq.smoothed_cov[t], cov_ref, rtol=1e-8, atol=1e-12)
         for t in range(1, 13):
             np.testing.assert_allclose(
-                stats.Exx_lag[t - 1], oracle.smoothed_cross(t), rtol=1e-8, atol=1e-12
+                stats.Exx_lag[0, t - 1], oracle.smoothed_cross(t), rtol=1e-8, atol=1e-12
             )
 
     def test_smoothing_never_inflates_covariance(self, rng):
         params, series = random_instance(rng, d=4, T=8)
-        ss = params.state_space(series.n)
-        seq = smooth(kalman.filter(series, params), ss)
+        seq = run(series, params, smoothed=True)
         for t in range(1, 9):
             gap = seq.filt_cov[t - 1] - seq.smoothed_cov[t]
             eigs = np.linalg.eigvalsh(0.5 * (gap + gap.T))
@@ -301,50 +332,52 @@ class _RoundingRng:
         return round(n * p)
 
 
-@pytest.mark.filterwarnings("ignore::sdsbm.ssm.NormalApproximationWarning")
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 4))
 def test_filter_invariants(seed, d):
     rng = np.random.default_rng(seed)
     params, series = random_instance(rng, d=d, T=6)
-    seq = kalman.filter(series, params)
+    seq = run(series, params)
     for t in range(1, 7):
         # updates never add uncertainty
         assert np.trace(seq.filt_cov[t - 1]) <= np.trace(seq.pred_cov[t - 1]) + 1e-12
-        GaussianBelief(seq.filt_mean[t - 1], seq.filt_cov[t - 1]).validate()
+        assert_valid_cov(seq.filt_cov[t - 1])
+
+
+def one_block_forecast(mean, cov, d, q_m=0.0, q_s=0.0, r=0.0, n=100, horizon=1):
+    ss = build_state_space(d, np.array([n]), q_m, q_s, r)
+    fc = forecast(np.asarray(mean, float)[None], np.asarray(cov, float)[None], ss, horizon)
+    return SimpleNamespace(
+        count_mean=fc.count_mean[0], state_var=fc.state_var[0], count_noise=fc.count_noise[0],
+        measurement_var=fc.measurement_var[0], total_var=fc.total_var[0],
+    )
 
 
 class TestForecast:
     def test_no_state_uncertainty_leaves_count_noise_only(self):
-        ss = build_state_space(3, 100, 0.0, 0.0, 0.0)
-        belief = GaussianBelief(np.array([0.5, 0.1, -0.1]), np.zeros((3, 3)))
-        fc = forecast(belief, ss, horizon=6)
+        fc = one_block_forecast([0.5, 0.1, -0.1], np.zeros((3, 3)), d=3, horizon=6)
         np.testing.assert_array_equal(fc.state_var, np.zeros(6))
         np.testing.assert_array_equal(fc.total_var, fc.count_noise)
 
     def test_period_aligned_variance_growth_is_affine(self):
         d = 4
-        ss = build_state_space(d, 100, 1e-5, 2e-5, 0.0)
-        belief = GaussianBelief(
-            np.array([0.5, 0.05, -0.02, 0.01]), 1e-4 * np.eye(d)
+        fc = one_block_forecast(
+            [0.5, 0.05, -0.02, 0.01], 1e-4 * np.eye(d), d=d, q_m=1e-5, q_s=2e-5, horizon=8 * d
         )
-        fc = forecast(belief, ss, horizon=8 * d)
         aligned = fc.state_var[d - 1 :: d]
         increments = np.diff(aligned)
         assert np.all(np.abs(increments - increments[0]) <= 1e-6 * increments[0])
 
     def test_period_horizon_repeats_pattern(self):
         d = 5
-        ss = build_state_space(d, 100, 0.0, 0.0, 0.0)
         state = np.array([0.5, 0.08, -0.03, 0.01, -0.04])
-        belief = GaussianBelief(state, np.zeros((d, d)))
-        fc = forecast(belief, ss, horizon=2 * d)
+        fc = one_block_forecast(state, np.zeros((d, d)), d=d, horizon=2 * d)
         np.testing.assert_allclose(fc.count_mean[:d], fc.count_mean[d:], atol=1e-12)
 
     def test_measurement_contribution_constant(self):
-        ss = build_state_space(3, 100, 1e-5, 1e-5, 1e-3)
-        belief = GaussianBelief(np.array([0.5, 0.0, 0.0]), 1e-4 * np.eye(3))
-        fc = forecast(belief, ss, horizon=9)
+        fc = one_block_forecast(
+            [0.5, 0.0, 0.0], 1e-4 * np.eye(3), d=3, q_m=1e-5, q_s=1e-5, r=1e-3, horizon=9
+        )
         assert fc.measurement_var == 100**2 * 1e-3
         np.testing.assert_array_equal(
             fc.total_var - fc.state_var - fc.count_noise,
@@ -352,6 +385,62 @@ class TestForecast:
         )
 
     def test_rejects_zero_horizon(self):
-        ss = build_state_space(3, 100, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="horizon"):
-            forecast(GaussianBelief(np.zeros(3), np.zeros((3, 3))), ss, horizon=0)
+            one_block_forecast(np.zeros(3), np.zeros((3, 3)), d=3, horizon=0)
+
+    def test_blocks_forecast_independently(self, rng):
+        # a stack's forecasts are its blocks' one-block forecasts
+        d, ns = 4, np.array([28.0, 64.0, 2000.0])
+        means = np.column_stack((rng.uniform(0.3, 0.7, 3), rng.normal(0, 0.05, (3, d - 1))))
+        covs = np.array([random_psd(rng, d) for _ in ns])
+        q_m, q_s, r = rng.uniform(1e-5, 1e-3, (3, 3))
+        fc = forecast(means, covs, build_state_space(d, ns, q_m, q_s, r), 9)
+        for b, n in enumerate(ns):
+            one = one_block_forecast(means[b], covs[b], d, q_m[b], q_s[b], r[b], n=n, horizon=9)
+            np.testing.assert_allclose(fc.count_mean[b], one.count_mean, rtol=1e-12)
+            np.testing.assert_allclose(fc.total_var[b], one.total_var, rtol=1e-12)
+
+
+class TestPerBlockReference:
+    """The batched filter, smoother and lag-one moments against the
+    per-block reference recursions, block by block."""
+
+    def mixed_stack(self, rng):
+        d, T = 7, 40
+        blocks, params = [], []
+        for i, n in enumerate((28, 64, 2000, 64)):
+            gen = GenParams(
+                d=d, q_m=1e-5, q_s=1e-5, r=1e-4,
+                init=seasonal_state(d, 0.5, sine_profile(d, 0.05)),
+            )
+            series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=("a", f"b{i}"))
+            counts = series.counts.copy()
+            counts[12:22] = np.nan  # a 10-step gap in every block (missing-observation)
+            if i == 3:
+                counts[:] = np.nan  # an all-gap block
+            blocks.append(make_series(counts, n=n, pair=series.pair))
+            # block 2 starts from a singular Sigma0 = 0
+            Sigma0 = np.zeros((d, d)) if i == 2 else random_psd(rng, d, scale=1e-4)
+            params.append(ModelParams(d=d, q_m=gen.q_m, q_s=gen.q_s, r=gen.r, mu0=gen.init, Sigma0=Sigma0))
+        return blocks, params
+
+    def test_filter_smoother_and_lag_moments_match(self, rng):
+        blocks, params = self.mixed_stack(rng)
+        stack, ps = stacked(blocks, params)
+        seq = kalman.smooth(kalman.filter(stack, ps), ps.state_space(stack.n))
+        stats, _ = e_step(stack, ps)
+        for b, (series, p) in enumerate(zip(blocks, params)):
+            ss = p.state_space(series.n)
+            want = ref.smooth(ref.run_filter(series.counts, ss, p.mu0, p.Sigma0), ss)
+            _, _, lag_ref = ref.moments(want)
+            got = block(seq, b)
+            for name in ("pred_mean", "pred_cov", "filt_mean", "filt_cov", "u",
+                         "smoothed_mean", "smoothed_cov", "smoothed_lag_cov"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), (b, name)
+            for name in ("innov", "innov_var"):
+                g, w = getattr(got, name), getattr(want, name)
+                np.testing.assert_array_equal(np.isnan(g), np.isnan(w))
+                assert np.nanmax(np.abs(g - w), initial=0.0) <= 1e-12 * np.nanmax(np.abs(w), initial=1.0)
+            assert got.total_loglik == pytest.approx(want.total_loglik, rel=1e-12, abs=1e-12)
+            assert np.abs(stats.Exx_lag[b] - lag_ref).max() <= 1e-12 * np.abs(lag_ref).max()

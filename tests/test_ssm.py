@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdsbm import kalman
 from sdsbm.ssm import (
     ModelParams,
-    NormalApproximationWarning,
+    ParamStack,
     binomial_obs_noise,
     build_state_space,
     observation_variance,
+    outside_normal_regime,
 )
+
+from conftest import make_series, stacked
 
 
 class TestBuildStateSpace:
@@ -69,7 +73,8 @@ class TestBinomialObsNoise:
         assert binomial_obs_noise(50.0, 100) == pytest.approx(25.0)
 
     def test_boundary_clamp(self):
-        with pytest.warns(NormalApproximationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             u = binomial_obs_noise(0.0, 100)
         assert u == pytest.approx(100 * 1e-6 * (1 - 1e-6), rel=1e-12)
 
@@ -79,16 +84,38 @@ class TestBinomialObsNoise:
             assert binomial_obs_noise(30.0, 1000) == pytest.approx(29.1)
 
     def test_always_positive(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NormalApproximationWarning)
-            for predicted in (-5.0, 0.0, 50.0, 100.0, 200.0):
-                assert binomial_obs_noise(predicted, 100) > 0.0
+        for predicted in (-5.0, 0.0, 50.0, 100.0, 200.0):
+            assert binomial_obs_noise(predicted, 100) > 0.0
 
-    def test_warns_outside_gaussian_regime(self):
-        with pytest.warns(NormalApproximationWarning):
-            binomial_obs_noise(3.0, 100)
-        with pytest.warns(NormalApproximationWarning):
-            binomial_obs_noise(95.0, 100)
+    def test_elementwise(self):
+        predicted = np.array([[-5.0, 30.0], [50.0, 200.0]])
+        n = np.array([[100.0], [1000.0]])
+        u = binomial_obs_noise(predicted, n)
+        assert u.shape == (2, 2)
+        for idx in np.ndindex(2, 2):
+            assert u[idx] == binomial_obs_noise(float(predicted[idx]), float(n[idx[0], 0]))
+        assert isinstance(binomial_obs_noise(30.0, 1000), float)
+
+    def test_counts_outside_gaussian_regime(self):
+        # the filter and the forecast count the block-steps whose predicted
+        # count is within 10 of 0 or n, where a warning used to fire
+        assert outside_normal_regime(np.array([3.0, 95.0, 50.0, np.nan]), 100).tolist() == [
+            True, True, False, False
+        ]
+        d, n = 2, 100
+        # predicted counts 3, 95 and 50, unchanged by the noise-free transition
+        params = [
+            ModelParams(d=d, q_m=0.0, q_s=0.0, r=0.0, mu0=np.array([m, 0.0]), Sigma0=np.zeros((d, d)))
+            for m in (0.03, 0.95, 0.5)
+        ]
+        blocks = [make_series([3, np.nan, 3], n=n, pair=("a", p)) for p in "bcd"]
+        stack, ps = stacked(blocks, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seq = kalman.filter(stack, ps)
+            fc = kalman.forecast(seq.filt_mean[:, -1], seq.filt_cov[:, -1], ps.state_space(stack.n), 4)
+        assert seq.non_gaussian_steps.tolist() == [3, 3, 0]
+        assert fc.non_gaussian_steps.tolist() == [4, 4, 0]
 
 
 class TestObservationVariance:
@@ -138,6 +165,24 @@ class TestModelParams:
         bad = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
             ModelParams(d=2, q_m=0.1, q_s=0.1, r=0.0, mu0=np.zeros(2), Sigma0=bad)
+
+    def test_stack_roundtrip(self):
+        blocks = [
+            ModelParams(d=3, q_m=0.1 * k, q_s=0.2, r=0.05, mu0=np.full(3, k), Sigma0=k * np.eye(3))
+            for k in (1.0, 2.0)
+        ]
+        stack = ParamStack.of(blocks)
+        assert len(stack) == 2 and stack.Sigma0.shape == (2, 3, 3)
+        for k, p in enumerate(blocks):
+            for name in ("q_m", "q_s", "r", "mu0", "Sigma0"):
+                np.testing.assert_array_equal(getattr(stack[k], name), getattr(p, name))
+        ss = stack.state_space(np.array([12, 20]))
+        np.testing.assert_array_equal(ss.H[:, :2], [[12, 12], [20, 20]])
+        np.testing.assert_array_equal(ss.Q[1], np.diag([0.2, 0.2, 0.0]))
+        with pytest.raises(ValueError, match="symmetric"):
+            ParamStack(3, stack.q_m, stack.q_s, stack.r, stack.mu0, stack.Sigma0 + np.triu(np.ones(3)))
+        with pytest.raises(ValueError, match="period d"):
+            ParamStack.of([blocks[0], ModelParams(d=2, q_m=0, q_s=0, r=0, mu0=np.zeros(2), Sigma0=np.eye(2))])
 
     def test_state_space_roundtrip(self):
         p = ModelParams(d=3, q_m=0.1, q_s=0.2, r=0.05, mu0=np.zeros(3), Sigma0=np.eye(3))
