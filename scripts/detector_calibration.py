@@ -10,30 +10,25 @@ at graph level with the shifted block ranked first.
 
 import argparse
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from sdsbm import anomaly
 from sdsbm.generator import GenParams, default_state, generate_block_series, seasonal_state, sine_profile
-from sdsbm.graph_model import BlockSeries
-from sdsbm.ssm import ModelParams
+from sdsbm.graph_model import BlockStack
+from sdsbm.ssm import ModelParams, ParamStack
 
 
-def null_blocks(rng, d, n, T, n_blocks):
-    blocks, params = [], {}
-    for i in range(n_blocks):
-        pair = (f"t{i}", f"t{i}")
-        gen = GenParams(
-            d=d, q_m=1e-7, q_s=1e-7, r=1e-4,
-            init=seasonal_state(d, 0.5, sine_profile(d, 0.05)),
-        )
-        series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=pair)
-        blocks.append(series)
-        params[pair] = ModelParams(
-            d=d, q_m=gen.q_m, q_s=gen.q_s, r=gen.r,
-            mu0=gen.init, Sigma0=np.zeros((d, d)),
-        )
-    return blocks, params
+def null_blocks(gen, n, T, n_blocks, rng):
+    """Blocks t0:t0, t1:t1, ... sampled from ``gen`` as one stack, and
+    their true parameters (the generator's state known exactly)."""
+    pairs = tuple((f"t{i}", f"t{i}") for i in range(n_blocks))
+    counts = np.vstack([generate_block_series(gen, n=n, T=T, rng=rng)[0].counts for _ in pairs])
+    truth = ModelParams(
+        d=gen.d, q_m=gen.q_m, q_s=gen.q_s, r=gen.r, mu0=gen.init, Sigma0=np.zeros((gen.d, gen.d))
+    )
+    return BlockStack(pairs, np.full(n_blocks, n), counts), ParamStack.of([truth] * n_blocks)
 
 
 def main() -> None:
@@ -49,7 +44,11 @@ def main() -> None:
 
     rng = np.random.default_rng(args.seed)
 
-    blocks, params = null_blocks(rng, d=7, n=args.n, T=args.steps, n_blocks=args.blocks)
+    d = 7
+    gen = GenParams(
+        d=d, q_m=1e-7, q_s=1e-7, r=1e-4, init=seasonal_state(d, 0.5, sine_profile(d, 0.05))
+    )
+    blocks, params = null_blocks(gen, args.n, args.steps, args.blocks, rng)
     scores = anomaly.score(blocks, params, mode="predictive")
     report = anomaly.detect(scores, anomaly.threshold_sigma(args.k))
     steps = args.blocks * args.steps
@@ -61,23 +60,15 @@ def main() -> None:
     )
 
     d, T, t_star = 5, 30, 24
+    gen = GenParams(d=d, q_m=1e-6, q_s=1e-6, r=1e-4, init=default_state(d, 0.5))
     hits = 0
     for _ in range(args.trials):
-        trial_blocks, trial_params = [], {}
-        for i in range(3):
-            pair = (f"t{i}", f"t{i}")
-            gen = GenParams(d=d, q_m=1e-6, q_s=1e-6, r=1e-4, init=default_state(d, 0.5))
-            series, _ = generate_block_series(gen, n=args.n, T=T, rng=rng, pair=pair)
-            trial_blocks.append(series)
-            trial_params[pair] = ModelParams(
-                d=d, q_m=gen.q_m, q_s=gen.q_s, r=gen.r,
-                mu0=gen.init, Sigma0=np.zeros((d, d)),
-            )
+        trial_blocks, trial_params = null_blocks(gen, args.n, T, 3, rng)
         clean = anomaly.score(trial_blocks, trial_params)
         shift = args.shift_sigmas * math.sqrt(clean.pred_var[0, t_star - 1])
-        spiked = trial_blocks[0].counts.copy()
-        spiked[t_star - 1] = min(round(spiked[t_star - 1] + shift), args.n)
-        trial_blocks[0] = BlockSeries(pair=trial_blocks[0].pair, n=args.n, counts=spiked)
+        spiked = trial_blocks.counts.copy()
+        spiked[0, t_star - 1] = min(round(spiked[0, t_star - 1] + shift), args.n)
+        trial_blocks = replace(trial_blocks, counts=spiked)
         rep = anomaly.detect(
             anomaly.score(trial_blocks, trial_params),
             anomaly.threshold_sigma(args.k),

@@ -20,8 +20,6 @@ import numpy as np
 from sdsbm import kalman
 from sdsbm.em import EmConfig, default_init, em_fit
 from sdsbm.generator import GenParams, generate_block_series, seasonal_state, sine_profile
-from sdsbm.graph_model import BlockStack
-from sdsbm.ssm import ParamStack
 
 Z95 = 1.959964
 
@@ -45,18 +43,17 @@ def main() -> None:
         d=d, q_m=args.q, q_s=args.q, r=args.r,
         init=seasonal_state(d, 0.7, sine_profile(d, 0.1)),
     )
-    series, _ = generate_block_series(gen, n=args.n, T=args.steps, rng=rng)
-    blocks = BlockStack.of([series])  # one block: a stack of one
-    init = ParamStack.of([default_init(series, d)])
+    blocks, _ = generate_block_series(gen, n=args.n, T=args.steps, rng=rng)  # a stack of one
+    init = default_init(blocks, d)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     horizon = args.horizon_periods * d
     print(f"true params: q_m = q_s = {args.q:g}, r = {args.r:g}  (n={args.n}, T={args.steps})")
     for label, fix_r in [("free", False), ("pinned", True)]:
-        [params], [trace] = em_fit(
+        fitted, [trace] = em_fit(
             blocks, init, EmConfig(max_iter=args.max_iter, tol=1e-9, fix_r_to_zero=fix_r)
         )
-        fitted = ParamStack.of([params])
+        [params] = fitted
         seq = kalman.filter(blocks, fitted)
         fc = kalman.forecast(
             seq.filt_mean[:, -1], seq.filt_cov[:, -1], fitted.state_space(blocks.n), horizon
@@ -70,7 +67,7 @@ def main() -> None:
                 half = Z95 * math.sqrt(total_var[k])
                 w.writerow(
                     [
-                        series.T + k + 1,
+                        blocks.T + k + 1,
                         count_mean[k],
                         total_var[k],
                         count_mean[k] - half,

@@ -6,7 +6,6 @@ per-block edge density follows a bias-plus-seasonal process.
 """
 
 from .graph_model import (
-    BlockSeries,
     BlockStack,
     DynamicNetwork,
     VertexTyping,
@@ -29,7 +28,6 @@ from .ssm import (
     StateSpace,
     binomial_obs_noise,
     build_state_space,
-    observation_variance,
 )
 from .kalman import BeliefSequence, Forecast, forecast, smooth
 from .em import EmConfig, EmTrace, SufficientStats, default_init, e_step, em_fit

@@ -3,8 +3,9 @@
 A snapshot's score is the sum of its blocks' Gaussian log-densities;
 low scores mark anomalies.  Predictive mode scores each count against
 the one-step-ahead belief (the count itself is held out), smoothed mode
-against the all-data posterior; either way every block goes through one
-batched filter (and smoother) pass.  Policies: a z-score rule |z| > k
+against the all-data posterior; either way the blocks, a ``BlockStack``
+with the ``ParamStack`` of their parameters, go through one batched
+filter (and smoother) pass.  Policies: a z-score rule |z| > k
 per block-step, or a log-likelihood floor c0 per graph-step.
 """
 
@@ -13,13 +14,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import kalman
-from .graph_model import BlockSeries, BlockStack, TypePair
-from .ssm import ModelParams, ParamStack, observation_variance
+from .graph_model import BlockStack, TypePair
+from .ssm import ParamStack
 
 
 @dataclass(frozen=True)
@@ -102,45 +102,32 @@ class AnomalyReport:
         return tuple(f for f in self.flagged if f.scope == "block")
 
 
-def score(
-    blocks: Sequence[BlockSeries],
-    params: Mapping[TypePair, ModelParams],
-    mode: str = "predictive",
-) -> ScoreSeries:
-    """Score every block-step of a dynamic network in one batched pass.
+def score(blocks: BlockStack, params: ParamStack, mode: str = "predictive") -> ScoreSeries:
+    """Score every block-step of a stack in one batched pass; ``params``
+    holds the blocks' parameters in row order.
 
-    Blocks with no possible edges are skipped (they carry no
-    information).  Both modes reuse the filter's per-step binomial
-    noises; predictive mode reads the one-step-ahead moments, smoothed
-    mode the full posterior ones.
+    Both modes reuse the filter's per-step binomial noises; predictive
+    mode reads the one-step-ahead moments, smoothed mode the full
+    posterior ones.
     """
     if mode not in ("predictive", "smoothed"):
         raise ValueError(f"unknown scoring mode {mode!r}")
-    active = [b for b in blocks if b.n >= 1]
-    if not active:
-        raise ValueError("no scorable blocks")
-    for series in active:
-        if series.pair not in params:
-            raise KeyError(f"no fitted parameters for block {series.pair}")
-    stack = BlockStack.of(active)
-    stacked = ParamStack.of([params[b.pair] for b in active])
-    ss = stacked.state_space(stack.n)
-    seq = kalman.filter(stack, stacked)
+    ss = params.state_space(blocks.n)
+    seq = kalman.filter(blocks, params)
     if mode == "predictive":
         means, covs = seq.pred_mean, seq.pred_cov
     else:
         seq = kalman.smooth(seq, ss)
         means, covs = seq.smoothed_mean[:, 1:], seq.smoothed_cov[:, 1:]
-    w = stack.counts
+    w = blocks.counts
     mean = np.einsum("btj,bj->bt", means, ss.H)
-    var = np.einsum("bi,btij,bj->bt", ss.H, covs, ss.H) + observation_variance(
-        seq.u, ss.n[:, None], ss.r[:, None]
-    )
+    # the state's count variance plus the observation variance b_t = u_t + n^2 r
+    var = np.einsum("bi,btij,bj->bt", ss.H, covs, ss.H) + (seq.u + ss.measurement_var[:, None])
     with np.errstate(invalid="ignore"):
         loglik = seq.pred_loglik if mode == "predictive" else kalman.gaussian_logpdf(w - mean, var)
         z = (w - mean) / np.sqrt(var)
     return ScoreSeries(
-        pairs=stack.pairs,
+        pairs=blocks.pairs,
         mode=mode,
         w=w,
         pred_mean=mean,

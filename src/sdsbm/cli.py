@@ -21,7 +21,7 @@ import numpy as np
 from . import anomaly
 from .em import EmConfig, EmError, default_init, em_fit
 from .generator import GenParams, generate_network, seasonal_state, sine_profile
-from .graph_model import BlockSeries, BlockStack, VertexTyping, extract_block_series, pair_key
+from .graph_model import BlockStack, VertexTyping, extract_block_series, pair_key
 from .ingest import (
     BucketingConfig,
     EMPTY_GRAPH,
@@ -81,10 +81,36 @@ def _load_config(path) -> dict:
     return cfg
 
 
+# The options that take a JSON boolean or a number in a config file;
+# every other option takes a string, except simulate's "blocks" object.
+FLAG_OPTIONS = {"fix_r_zero", "paper_default_init", "drill_down"}
+NUMBER_OPTIONS = {
+    "seed", "period", "steps", "bias", "season_amplitude", "q_m", "q_s", "r", "width",
+    "origin", "t_cap", "max_iter", "tol", "horizon", "level", "sigma", "loglik_threshold",
+}
+
+
+def _check_config_value(key: str, value, default) -> None:
+    """A config value must have its option's JSON type; null only where
+    the option's default is null."""
+    if key == "blocks" or (value is None and default is None):
+        return
+    if key in FLAG_OPTIONS:
+        ok, kind = isinstance(value, bool), "true or false"
+    elif key in NUMBER_OPTIONS:
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise UsageError(f"config key {key!r} takes {kind}, got {json.dumps(value)}")
+
+
 def _resolve(defaults: dict, config: dict, cli: dict) -> dict:
     unknown = set(config) - set(defaults)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in config.items():
+        _check_config_value(key, value, defaults[key])
     resolved = dict(defaults)
     resolved.update(config)
     resolved.update({k: v for k, v in cli.items() if v is not None})
@@ -244,7 +270,7 @@ FIT_DEFAULTS = {
 }
 
 
-def _load_blocks(resolved: dict) -> list[BlockSeries]:
+def _load_blocks(resolved: dict) -> BlockStack:
     if not resolved["events"] or not resolved["types"]:
         raise UsageError("--events and --types are required")
     events, typing = parse_inputs(resolved["events"], resolved["types"])
@@ -263,34 +289,37 @@ def _load_blocks(resolved: dict) -> list[BlockSeries]:
 
 def cmd_fit(resolved: dict) -> int:
     d = int(resolved["period"])
-    blocks = [series for series in _load_blocks(resolved) if series.n >= 1]
-    if not blocks:
+    blocks = _load_blocks(resolved)
+    if not len(blocks):
         raise IngestError("no blocks with possible edges to fit")
     em_config = EmConfig(
         max_iter=int(resolved["max_iter"]),
         tol=float(resolved["tol"]),
-        fix_r_to_zero=bool(resolved["fix_r_zero"]),
+        fix_r_to_zero=resolved["fix_r_zero"],
     )
-    warm_start = load_model(resolved["init_model"])[0] if resolved["init_model"] else {}
-    flat = bool(resolved["paper_default_init"])
-    inits = [warm_start.get(s.pair) or default_init(s, d, flat_defaults=flat) for s in blocks]
-    wrong = [init.d for init in inits if init.d != d]
-    if wrong:
-        raise IngestError(f"init model period {wrong[0]} does not match --period {d}")
-    stack = BlockStack.of(blocks)
-    fitted, traces = em_fit(stack, ParamStack.of(inits), em_config)
+    init = default_init(blocks, d, flat_defaults=resolved["paper_default_init"])
+    if resolved["init_model"]:
+        warm_start = load_model(resolved["init_model"])[0]
+        warm = [k for k, pair in enumerate(blocks.pairs) if pair in warm_start]
+        if warm:
+            rows = ParamStack.of([warm_start[blocks.pairs[k]] for k in warm])
+            if rows.d != d:
+                raise IngestError(f"init model period {rows.d} does not match --period {d}")
+            init = init.put(warm, rows)
+    fitted, traces = em_fit(blocks, init, em_config)
     out = _out_dir(resolved)
-    save_model(dict(zip(stack.pairs, fitted)), {s.pair: s.n for s in blocks}, out / "model.json")
+    n_by_pair = dict(zip(blocks.pairs, blocks.n))
+    save_model(dict(zip(blocks.pairs, fitted)), n_by_pair, out / "model.json")
     with open(out / "em_trace.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["block", "iter", "loglik", "q_m", "q_s", "r"])
-        for pair, trace in zip(stack.pairs, traces):
+        for pair, trace in zip(blocks.pairs, traces):
             rows = np.column_stack((trace.loglik_per_iter, trace.variances_per_iter))
             for i, row in enumerate(rows, start=1):
                 w.writerow([pair_key(pair), i, *map(_fmt, row)])
     _write_run_config(out, "fit", resolved)
     _warn_non_gaussian(sum(t.non_gaussian_steps for t in traces))
-    capped = [pair_key(pair) for pair, t in zip(stack.pairs, traces) if not t.converged]
+    capped = [pair_key(pair) for pair, t in zip(blocks.pairs, traces) if not t.converged]
     if capped:
         print(f"warning: EM stopped at --max-iter {em_config.max_iter} before converging "
               f"in {len(capped)} of {len(traces)} blocks: {', '.join(capped)}", file=sys.stderr)
@@ -305,7 +334,8 @@ def cmd_fit(resolved: dict) -> int:
 FORECAST_DEFAULTS = {**DATA_DEFAULTS, "period": None, "model": None, "horizon": None, "level": 0.95}
 
 
-def _matched_blocks(resolved: dict):
+def _matched_blocks(resolved: dict) -> tuple[BlockStack, ParamStack]:
+    """The data's blocks and the model's parameters, both in model order."""
     if not resolved["model"]:
         raise UsageError("--model is required")
     params, n_by_pair = load_model(resolved["model"])
@@ -314,16 +344,16 @@ def _matched_blocks(resolved: dict):
         raise IngestError(
             f"--period {resolved['period']} contradicts the model's period {model_d}"
         )
-    blocks = {b.pair: b for b in _load_blocks(resolved)}
-    matched = []
-    for pair in sorted(params):
-        if pair not in blocks or blocks[pair].n != n_by_pair[pair]:
+    blocks = _load_blocks(resolved)
+    row = {pair: k for k, pair in enumerate(blocks.pairs)}
+    pairs = sorted(params)
+    for pair in pairs:
+        if pair not in row or blocks.n[row[pair]] != n_by_pair[pair]:
             raise IngestError(
                 f"typing mismatch: model block {pair_key(pair)} (n={n_by_pair[pair]}) "
                 "does not match the data"
             )
-        matched.append(blocks[pair])
-    return params, matched
+    return blocks.take([row[pair] for pair in pairs]), ParamStack.of([params[p] for p in pairs])
 
 
 def cmd_forecast(resolved: dict) -> int:
@@ -333,22 +363,20 @@ def cmd_forecast(resolved: dict) -> int:
     if horizon < 1:
         raise UsageError("forecast horizon must be >= 1")
     z = _z_quantile(float(resolved["level"]))
-    params, blocks = _matched_blocks(resolved)
-    stack = BlockStack.of(blocks)
-    stacked = ParamStack.of([params[pair] for pair in stack.pairs])
-    seq = kalman_filter(stack, stacked)
+    blocks, params = _matched_blocks(resolved)
+    seq = kalman_filter(blocks, params)
     fc = kalman_forecast(
-        seq.filt_mean[:, -1], seq.filt_cov[:, -1], stacked.state_space(stack.n), horizon
+        seq.filt_mean[:, -1], seq.filt_cov[:, -1], params.state_space(blocks.n), horizon
     )
     out = _out_dir(resolved)
     with open(out / "forecast.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "block", "mean", "variance", "lower", "upper"])
-        for pair, means, variances in zip(stack.pairs, fc.count_mean, fc.total_var):
+        for pair, means, variances in zip(blocks.pairs, fc.count_mean, fc.total_var):
             for k, (mean, var) in enumerate(zip(means, variances)):
                 half = z * math.sqrt(var)
                 bounds = (mean, var, mean - half, mean + half)
-                w.writerow([stack.T + k + 1, pair_key(pair), *map(_fmt, bounds)])
+                w.writerow([blocks.T + k + 1, pair_key(pair), *map(_fmt, bounds)])
     _write_run_config(out, "forecast", resolved)
     _warn_non_gaussian(int(seq.non_gaussian_steps.sum() + fc.non_gaussian_steps.sum()))
     return EXIT_OK
@@ -378,9 +406,9 @@ def cmd_detect(resolved: dict) -> int:
         policy = anomaly.threshold_sigma(
             3.0 if resolved["sigma"] is None else float(resolved["sigma"])
         )
-    params, blocks = _matched_blocks(resolved)
+    blocks, params = _matched_blocks(resolved)
     scores = anomaly.score(blocks, params, mode=resolved["mode"])
-    report = anomaly.detect(scores, policy, drill_down=bool(resolved["drill_down"]))
+    report = anomaly.detect(scores, policy, drill_down=resolved["drill_down"])
     out = _out_dir(resolved)
     anomaly.write_scores_csv(scores, report, out / "scores.csv")
     anomaly.write_report_json(report, out / "report.json")

@@ -9,7 +9,9 @@ closed form, reads the process variances off the expected
 transition-residual second moment, and maximizes the measurement
 variance by a log-grid scan and bracketed Newton steps.  The per-step
 binomial noises u_t are frozen within each iteration, mirroring their
-separate estimation from the prediction step.
+separate estimation from the prediction step.  Both the data-scaled
+starting point (``default_init``) and the fit take a ``BlockStack`` and
+give one ``ParamStack``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kalman
-from .graph_model import BlockSeries, BlockStack
-from .ssm import ModelParams, ParamStack, build_state_space
+from .graph_model import BlockStack
+from .ssm import ParamStack, build_state_space
 
 # Smallest representable process variance; avoids exactly-singular
 # covariances when an innovation collapses to zero.
@@ -210,7 +212,7 @@ def em_fit(
     blocks: BlockStack,
     init: ParamStack,
     config: EmConfig = EmConfig(),
-) -> tuple[list[ModelParams], list[EmTrace]]:
+) -> tuple[ParamStack, list[EmTrace]]:
     """Alternate E and M steps until each block's log-likelihood stalls.
 
     The blocks advance in lockstep.  A block stops when its
@@ -218,8 +220,8 @@ def em_fit(
     ``max_iter`` iterations, and then leaves the active set, so its
     parameters and trace are those of fitting it alone.  With
     ``fix_r_to_zero`` the measurement variance is pinned at zero,
-    reproducing the model variant without that term.  Returns each
-    block's final parameters and trace.
+    reproducing the model variant without that term.  Returns the
+    blocks' final parameters as one stack and each block's trace.
     """
     params = replace(init, r=np.zeros(len(init))) if config.fix_r_to_zero else init
     B = len(blocks)
@@ -252,50 +254,44 @@ def em_fit(
         if active.size == 0:
             break
     history = np.array(history)
-    return [params[b] for b in range(B)], [
+    return params, [
         EmTrace(history[:k, b, 0], history[:k, b, 1:], bool(converged[b]), int(non_gaussian[b]))
         for b, k in enumerate(iterations)
     ]
 
 
-def default_init(series: BlockSeries, d: int, flat_defaults: bool = False) -> ModelParams:
-    """Heuristic starting parameters for one block.
+def default_init(blocks: BlockStack, d: int, flat_defaults: bool = False) -> ParamStack:
+    """Heuristic starting parameters for every block of a stack.
 
-    Variances are scaled off the data (``var(w) / n^2 / T`` for the
-    process terms, ``var(w) / n^2 / 10`` for the measurement term); the
+    Variances are scaled off each block's observed densities y = w / n
+    (``var(y) / T_obs`` for the process terms, ``var(y) / 10`` for the
+    measurement term, T_obs being its number of observed steps); the
     initial mean takes the first period's density as bias plus per-phase
-    deviations.  ``flat_defaults`` switches the variances to the
-    flat-1 convention instead.
+    deviations, gaps counting as no deviation (bias 0.5 when the whole
+    first period is missing).  ``flat_defaults`` switches the variances
+    to the flat-1 convention instead.
     """
     if d < 2:
         raise ValueError("period d must be >= 2")
-    if series.n < 1:
-        raise ValueError("cannot initialise a block with no possible edges")
-    n = series.n
-    mask = series.observed_mask()
-    w = series.counts[mask]
-    y = w / n
-
-    head = series.counts[:d] / n
-    head_obs = head[~np.isnan(head)]
-    bias = float(head_obs.mean()) if head_obs.size else 0.5
-    dev = np.where(np.isnan(head), 0.0, head - bias)
-    offsets = np.zeros(d - 1)
+    B = len(blocks)
+    y = blocks.counts / blocks.n[:, None]
+    head = y[:, :d]  # the first period's densities
+    head_obs = np.count_nonzero(~np.isnan(head), axis=1)
+    bias = np.where(head_obs > 0, np.nansum(head, axis=1) / np.maximum(head_obs, 1), 0.5)
+    dev = np.zeros((B, d))  # no deviation at a gap or past the series end
+    dev[:, : head.shape[1]] = np.where(np.isnan(head), 0.0, head - bias[:, None])
     # state holds (s_0, s_-1, ...); phase k of the first period estimates
     # the offset regenerated at steps t = k+1 mod d
-    for j in range(d - 1):
-        k = d - 1 - j
-        if k < dev.shape[0]:
-            offsets[j] = dev[k]
-    mu0 = np.concatenate(([bias], offsets))
+    mu0 = np.column_stack((bias, dev[:, :0:-1]))
 
     if flat_defaults:
-        q_m = q_s = r = 1.0
-        Sigma0 = np.eye(d)
+        q = r = np.ones(B)
+        spread = 1.0
     else:
-        var_w = float(y.var()) if y.size > 1 else 0.0
-        T_obs = max(int(mask.sum()), 1)
-        q_m = q_s = max(var_w / T_obs, Q_FLOOR)
-        r = max(var_w / 10.0, 0.0)
-        Sigma0 = 0.01 * np.eye(d)
-    return ModelParams(d=d, q_m=q_m, q_s=q_s, r=r, mu0=mu0, Sigma0=Sigma0)
+        T_obs = np.maximum(np.count_nonzero(~np.isnan(y), axis=1), 1)
+        mean = np.nansum(y, axis=1) / T_obs
+        var_y = np.nansum((y - mean[:, None]) ** 2, axis=1) / T_obs  # 0 with <= 1 observation
+        q = np.maximum(var_y / T_obs, Q_FLOOR)
+        r = var_y / 10.0
+        spread = 0.01
+    return ParamStack(d, q, q, r, mu0, np.broadcast_to(spread * np.eye(d), (B, d, d)))

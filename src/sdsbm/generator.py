@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .graph_model import (
-    BlockSeries,
+    BlockStack,
     DynamicNetwork,
     TypePair,
     VertexTyping,
@@ -141,8 +141,9 @@ def generate_block_series(
     T: int,
     rng: np.random.Generator,
     pair: TypePair = ("a", "a"),
-) -> tuple[BlockSeries, LatentTrace]:
-    """Sample one block's count series plus its hidden trajectory.
+) -> tuple[BlockStack, LatentTrace]:
+    """Sample one block's count series, as a stack of one, plus its
+    hidden trajectory.
 
     Counts are binomial draws w_t ~ Binomial(n, e_t) with e_t the
     realized density clamped to [0, 1].
@@ -152,7 +153,7 @@ def generate_block_series(
     if T < 1:
         raise ValueError("series length must be >= 1")
     trace = _sample_block(params, T, rng, lambda t, e: rng.binomial(n, e))
-    return BlockSeries(pair=pair, n=n, counts=trace.counts), trace
+    return BlockStack((pair,), np.array([n]), trace.counts[None]), trace
 
 
 def generate_network(

@@ -1,4 +1,4 @@
-"""Typed dynamic networks and their block-level edge-count series.
+"""Typed dynamic networks and the stack of their block edge-count series.
 
 A dynamic network is an ordered sequence of undirected, simple graph
 snapshots over a fixed vertex set.  Every vertex carries one of k type
@@ -10,13 +10,16 @@ operations are pure.
 Networks are columnar: vertices are integer indices into the typing's
 vertex order and the edges of all snapshots are three integer arrays
 (snapshot, lower vertex, higher vertex), so block counts come from one
-``np.bincount`` over block ids with no per-edge Python objects.
+``np.bincount`` over block ids with no per-edge Python objects.  Those
+counts form one ``BlockStack`` (all blocks on one time axis), the only
+container of block counts that generation, fitting, forecasting and
+scoring take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -190,64 +193,40 @@ class DynamicNetwork:
 
 
 @dataclass(frozen=True)
-class BlockSeries:
-    """Per-block possible-edge count and formed-edge counts through time.
-
-    ``counts`` is a float vector so missing observations can be carried
-    as NaN; all present values are integers in ``[0, n]``.
-    """
-
-    pair: TypePair
-    n: int
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        a, b = self.pair
-        if not a <= b:
-            raise ValueError(f"block pair {self.pair} not in canonical (a <= b) order")
-        if self.n < 0:
-            raise ValueError("possible-edge count must be >= 0")
-        counts = np.asarray(self.counts, dtype=float)
-        present = counts[~np.isnan(counts)]
-        if present.size:
-            if present.min() < 0 or present.max() > self.n:
-                raise ValueError(f"counts outside [0, {self.n}] for block {self.pair}")
-            if np.any(present != np.floor(present)):
-                raise ValueError(f"non-integer counts for block {self.pair}")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def T(self) -> int:
-        return int(self.counts.shape[0])
-
-    def observed_mask(self) -> np.ndarray:
-        return ~np.isnan(self.counts)
-
-
-@dataclass(frozen=True)
 class BlockStack:
-    """The count series of B blocks on one time axis, for batched inference.
+    """The count series of B blocks on one time axis.
 
-    ``counts`` is (B, T) with NaN gaps, ``n`` the (B,) possible-edge
-    counts (each >= 1) and ``pairs`` the blocks' type pairs in row order.
+    ``counts`` is (B, T) with NaN for gaps; every present count is an
+    integer in ``[0, n]``.  ``n`` holds the (B,) possible-edge counts,
+    each >= 1, and ``pairs`` the blocks' type pairs in row order, each
+    canonical (a <= b).  A single block is a stack of one.
     """
 
     pairs: tuple[TypePair, ...]
     n: np.ndarray
     counts: np.ndarray
 
-    @classmethod
-    def of(cls, blocks: Sequence[BlockSeries]) -> BlockStack:
-        """Stack blocks of one series length, each with possible edges."""
-        empty = [pair_key(b.pair) for b in blocks if b.n < 1]
-        if empty:
-            raise ValueError(f"block {empty[0]} has no possible edges")
-        lengths = {b.T for b in blocks}
-        if len(lengths) != 1:
-            raise ValueError("blocks disagree on series length" if blocks else "no blocks to stack")
-        n = np.array([b.n for b in blocks], dtype=float)
-        counts = np.array([b.counts for b in blocks]).reshape(len(blocks), blocks[0].T)
-        return cls(tuple(b.pair for b in blocks), n, counts)
+    def __post_init__(self) -> None:
+        pairs = tuple(self.pairs)
+        n = np.asarray(self.n, dtype=float)
+        counts = np.asarray(self.counts, dtype=float)
+        if n.shape != (len(pairs),) or counts.ndim != 2 or len(counts) != len(pairs):
+            raise ValueError("a block stack needs one pair, one n and one count row per block")
+        present = ~np.isnan(counts)
+        outside = present & ((counts < 0) | (counts > n[:, None]))
+        fractional = present & (counts != np.floor(counts))
+        faults = (
+            ([not a <= b for a, b in pairs], "is not in canonical (a <= b) order"),
+            (~(n >= 1), "has no possible edges"),
+            (outside.any(axis=1), "has counts outside [0, n]"),
+            (fractional.any(axis=1), "has non-integer counts"),
+        )
+        for bad, fault in faults:
+            if np.any(bad):
+                raise ValueError(f"block {pair_key(pairs[int(np.argmax(bad))])} {fault}")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def T(self) -> int:
@@ -257,16 +236,18 @@ class BlockStack:
         return len(self.pairs)
 
     def take(self, idx) -> BlockStack:
-        """The stack of blocks ``idx`` (an index array)."""
+        """The stack of blocks ``idx`` (a sequence of row indices)."""
         return BlockStack(tuple(self.pairs[i] for i in idx), self.n[idx], self.counts[idx])
 
 
-def extract_block_series(network: DynamicNetwork) -> list[BlockSeries]:
-    """Decompose a dynamic network into one count series per type pair.
+def extract_block_series(network: DynamicNetwork) -> BlockStack:
+    """Decompose a dynamic network into the stack of its blocks' counts.
 
-    Every unordered type pair (including a = b) yields a series, in
-    canonical block order; each undirected edge is counted once.
-    Missing snapshots become NaN counts in every block.
+    Every unordered type pair (including a = b) with possible edges
+    yields a row, in canonical block order; each undirected edge is
+    counted once.  A block with no possible edges (a type of a single
+    vertex) carries no information and is left out.  Missing snapshots
+    become NaN counts in every block.
     """
     typing = network.typing
     pairs = typing.pairs()
@@ -280,10 +261,9 @@ def extract_block_series(network: DynamicNetwork) -> list[BlockSeries]:
     counts = np.bincount(block * T + network.edge_t - 1, minlength=len(pairs) * T)
     counts = counts.reshape(len(pairs), T).astype(float)
     counts[:, [t - 1 for t in network.missing]] = np.nan
-    return [
-        BlockSeries(pair=p, n=pair_possible_edges(typing, p), counts=counts[k])
-        for k, p in enumerate(pairs)
-    ]
+    n = np.array([pair_possible_edges(typing, p) for p in pairs], dtype=float)
+    keep = np.flatnonzero(n >= 1)
+    return BlockStack(tuple(pairs[k] for k in keep), n[keep], counts[keep])
 
 
 def block_pairs(typing: VertexTyping, pair: TypePair) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph_model import DynamicNetwork, TypePair, VertexTyping
+from .graph_model import DynamicNetwork, TypePair, VertexTyping, pair_key
 from .ssm import ModelParams
 
 MODEL_FORMAT_VERSION = 1
@@ -309,6 +309,13 @@ def load_model(path) -> tuple[dict[TypePair, ModelParams], dict[TypePair, int]]:
     for k, blk in enumerate(blocks):
         try:
             pair = (blk["a"], blk["b"])
+            n = blk["n"]
+            if not all(isinstance(label, str) for label in pair):
+                raise ValueError(f"type labels must be strings, got {list(pair)!r}")
+            if pair in params:
+                raise ValueError(f"duplicate block {pair_key(pair)}")
+            if type(n) is not int or n < 1:
+                raise ValueError(f"n must be an integer >= 1, got {n!r}")
             params[pair] = ModelParams(
                 d=d,
                 q_m=blk["q_m"],
@@ -317,7 +324,7 @@ def load_model(path) -> tuple[dict[TypePair, ModelParams], dict[TypePair, int]]:
                 mu0=np.array(blk["mu0"], dtype=float),
                 Sigma0=np.array(blk["sigma0"], dtype=float),
             )
-            n_by_pair[pair] = int(blk["n"])
+            n_by_pair[pair] = n
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"{path}: block {k}: {exc}") from None
     return params, n_by_pair

@@ -105,15 +105,6 @@ def outside_normal_regime(predicted_count, n) -> np.ndarray:
     return np.asarray(low < NORMAL_APPROX_MIN_COUNT)
 
 
-def observation_variance(u_t, n, r):
-    """Total per-step observation variance b_t = u_t + n^2 r (count^2
-    units); elementwise."""
-    if (np.asarray(u_t) <= 0).any():
-        raise ValueError("binomial observation noise must be strictly positive")
-    check_variances(r)
-    return u_t + n * n * r
-
-
 def _checked_belief(d, q_m, q_s, r, mu0, Sigma0, batch=()):
     """Validate one block's parameters (``batch`` = ()) or a stack's
     (``batch`` = (B,)); returns mu0 and the symmetrised Sigma0 as floats."""

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from sdsbm.graph_model import BlockSeries, BlockStack
-from sdsbm.ssm import ParamStack
+from sdsbm.graph_model import BlockStack
 
 
 @pytest.fixture
@@ -10,13 +9,16 @@ def rng():
     return np.random.default_rng(20240517)
 
 
-def make_series(counts, n=100, pair=("a", "a")) -> BlockSeries:
-    return BlockSeries(pair=pair, n=n, counts=np.asarray(counts, dtype=float))
+def one_block(counts, n=100, pair=("a", "a")) -> BlockStack:
+    """A stack of one block."""
+    return BlockStack((pair,), np.array([n]), np.array([counts], dtype=float))
 
 
-def stacked(series, params):
-    """A BlockStack and ParamStack from one BlockSeries and ModelParams
-    (a stack of one) or from equal-length lists of them."""
-    if isinstance(series, BlockSeries):
-        series, params = [series], [params]
-    return BlockStack.of(series), ParamStack.of(params)
+def concat(stacks) -> BlockStack:
+    """The blocks of several stacks on one time axis, in order."""
+    stacks = list(stacks)
+    return BlockStack(
+        sum((s.pairs for s in stacks), ()),
+        np.concatenate([s.n for s in stacks]),
+        np.concatenate([s.counts for s in stacks]),
+    )

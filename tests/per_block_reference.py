@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from sdsbm.em import Q_FLOOR, R_MAX, r_objective
-from sdsbm.ssm import ModelParams, binomial_obs_noise, observation_variance
+from sdsbm.ssm import ModelParams, binomial_obs_noise
 
 
 def predict(mean, cov, ss):
@@ -27,7 +27,7 @@ def update(mean, cov, w_t, ss, u_t):
     """Condition a predicted belief on one observed count; returns the
     filtered mean and covariance, the gain, the innovation and its
     variance."""
-    b_t = observation_variance(u_t, ss.n, ss.r)
+    b_t = u_t + ss.measurement_var
     PH = cov @ ss.H
     S = float(ss.H @ PH) + b_t
     if S <= 0:

@@ -6,6 +6,7 @@ to see them all) and enforces its stated tolerance and runtime budget.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy import stats as sps
 
 from sdsbm import anomaly, kalman
 from sdsbm.cli import main as cli_main
-from sdsbm.em import EmConfig, default_init, e_step, m_step_q
+from sdsbm.em import EmConfig, default_init, e_step, em_fit, m_step_q
 from sdsbm.generator import (
     GenParams,
     default_state,
@@ -22,10 +23,9 @@ from sdsbm.generator import (
     seasonal_state,
     sine_profile,
 )
-from sdsbm.graph_model import BlockSeries
 from sdsbm.ssm import ModelParams, ParamStack
 
-from conftest import stacked
+from conftest import concat, one_block
 from gaussian_oracle import OracleRun
 from test_em import fit_one, numeric_q_argmax
 
@@ -57,9 +57,8 @@ def test_criterion_1_oracle_equivalence():
         n = 50
         params = _random_model(rng, d)
         counts = rng.integers(n // 4, 3 * n // 4, size=T).astype(float)
-        series = BlockSeries(pair=("a", "a"), n=n, counts=counts)
+        blocks, stack = one_block(counts, n=n), ParamStack.of([params])
         ss = params.state_space(n)
-        blocks, stack = stacked(series, params)
         seq = kalman.smooth(kalman.filter(blocks, stack), stack.state_space(blocks.n))
         oracle = OracleRun(
             ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, counts, seq.u[0] + n * n * params.r
@@ -91,11 +90,13 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_em_monotonicity():
+    # 20 generated blocks fitted as one stack; each block's trace is that
+    # of fitting it alone
     start = time.perf_counter()
-    worst_drop = 0.0
+    d, T, n = 7, 280, 2000
+    blocks = []
     for seed in range(20):
         rng = np.random.default_rng(3000 + seed)
-        d, T, n = 7, 280, 2000
         gen = GenParams(
             d=d,
             q_m=float(rng.choice([1e-7, 1e-6, 1e-5])),
@@ -103,9 +104,12 @@ def test_criterion_2_em_monotonicity():
             r=float(rng.choice([0.0, 1e-4, 1e-3])),
             init=seasonal_state(d, float(rng.uniform(0.4, 0.6)), sine_profile(d, 0.08)),
         )
-        series, _ = generate_block_series(gen, n=n, T=T, rng=rng)
-        init = default_init(series, d)
-        _, trace = fit_one(series, init, EmConfig(max_iter=25, tol=1e-12))
+        series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=("a", f"b{seed:02d}"))
+        blocks.append(series)
+    blocks = concat(blocks)
+    _, traces = em_fit(blocks, default_init(blocks, d), EmConfig(max_iter=25, tol=1e-12))
+    worst_drop = 0.0
+    for trace in traces:
         drops = -np.diff(np.array(trace.loglik_per_iter))
         if drops.size:
             worst_drop = max(worst_drop, float(drops.max()))
@@ -135,10 +139,10 @@ def test_criterion_3_measurement_noise_contrast():
     )
 
     def half_width(params):
-        blocks, stack = stacked(series, params)
-        seq = kalman.filter(blocks, stack)
+        stack = ParamStack.of([params])
+        seq = kalman.filter(series, stack)
         fc = kalman.forecast(
-            seq.filt_mean[:, T - 1], seq.filt_cov[:, T - 1], stack.state_space(blocks.n), 3 * d
+            seq.filt_mean[:, T - 1], seq.filt_cov[:, T - 1], stack.state_space(series.n), 3 * d
         )
         return 1.959964 * math.sqrt(fc.total_var[0, 3 * d - 1])
 
@@ -185,20 +189,15 @@ def test_criterion_5_detector_calibration():
     start = time.perf_counter()
     rng = np.random.default_rng(77)
     d, n, T, B = 7, 2000, 20_000, 5
-    blocks, params = [], {}
-    for i in range(B):
-        pair = (f"t{i}", f"t{i}")
-        gen = GenParams(
-            d=d, q_m=1e-7, q_s=1e-7, r=1e-4,
-            init=seasonal_state(d, 0.5, sine_profile(d, 0.05)),
-        )
-        series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=pair)
-        blocks.append(series)
-        params[pair] = ModelParams(
-            d=d, q_m=1e-7, q_s=1e-7, r=1e-4,
-            mu0=gen.init, Sigma0=np.zeros((d, d)),
-        )
-    scores = anomaly.score(blocks, params, mode="predictive")
+    gen = GenParams(
+        d=d, q_m=1e-7, q_s=1e-7, r=1e-4,
+        init=seasonal_state(d, 0.5, sine_profile(d, 0.05)),
+    )
+    blocks = concat(
+        generate_block_series(gen, n=n, T=T, rng=rng, pair=(f"t{i}", f"t{i}"))[0] for i in range(B)
+    )
+    params = ModelParams(d=d, q_m=1e-7, q_s=1e-7, r=1e-4, mu0=gen.init, Sigma0=np.zeros((d, d)))
+    scores = anomaly.score(blocks, ParamStack.of([params] * B), mode="predictive")
     report = anomaly.detect(scores, anomaly.threshold_sigma(3.0))
     flags = len(report.block_flags)
     steps = B * T
@@ -220,24 +219,19 @@ def test_criterion_6_detection_power():
     d, n, T, t_star = 5, 1000, 30, 24
     hits = 0
     trials = 200
+    gen = GenParams(d=d, q_m=1e-6, q_s=1e-6, r=1e-4, init=default_state(d, bias=0.5))
+    params = ParamStack.of(
+        [ModelParams(d=d, q_m=1e-6, q_s=1e-6, r=1e-4, mu0=gen.init, Sigma0=np.zeros((d, d)))] * 3
+    )
     for _ in range(trials):
-        blocks, params = [], {}
-        for i in range(3):
-            pair = (f"t{i}", f"t{i}")
-            gen = GenParams(
-                d=d, q_m=1e-6, q_s=1e-6, r=1e-4, init=default_state(d, bias=0.5)
-            )
-            series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=pair)
-            blocks.append(series)
-            params[pair] = ModelParams(
-                d=d, q_m=1e-6, q_s=1e-6, r=1e-4,
-                mu0=gen.init, Sigma0=np.zeros((d, d)),
-            )
+        blocks = concat(
+            generate_block_series(gen, n=n, T=T, rng=rng, pair=(f"t{i}", f"t{i}"))[0] for i in range(3)
+        )
         clean = anomaly.score(blocks, params)
         shift = 6.0 * math.sqrt(clean.pred_var[0, t_star - 1])
-        spiked = blocks[0].counts.copy()
-        spiked[t_star - 1] = min(round(spiked[t_star - 1] + shift), n)
-        blocks[0] = BlockSeries(pair=blocks[0].pair, n=n, counts=spiked)
+        spiked = blocks.counts.copy()
+        spiked[0, t_star - 1] = min(round(spiked[0, t_star - 1] + shift), n)
+        blocks = replace(blocks, counts=spiked)
         report = anomaly.detect(
             anomaly.score(blocks, params), anomaly.threshold_sigma(3.0), drill_down=True
         )
@@ -262,8 +256,7 @@ def test_criterion_7_process_variance_closed_form():
         n = 100
         params = _random_model(rng, d)
         counts = rng.integers(30, 70, size=int(rng.integers(4, 9))).astype(float)
-        series = BlockSeries(pair=("a", "a"), n=n, counts=counts)
-        stats, _ = e_step(*stacked(series, params))
+        stats, _ = e_step(one_block(counts, n=n), ParamStack.of([params]))
         [q_m], [q_s] = m_step_q(stats, d)
         ref_m, ref_s = numeric_q_argmax(stats, d)
         worst = max(worst, abs(q_m - ref_m) / ref_m, abs(q_s - ref_s) / ref_s)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from sdsbm.anomaly import (
     write_scores_csv,
 )
 from sdsbm.generator import GenParams, default_state, generate_block_series
-from sdsbm.ssm import ModelParams
+from sdsbm.ssm import ModelParams, ParamStack
 
-from conftest import make_series, stacked
+from conftest import concat, one_block
 
 
 def known_model(d=3, n=100, bias=0.5, q=0.0, r=0.0):
@@ -30,8 +31,7 @@ def known_model(d=3, n=100, bias=0.5, q=0.0, r=0.0):
 
 def series_scores(counts, n=100, **kw):
     gen, params = known_model(n=n, **kw)
-    series = make_series(counts, n=n)
-    return score([series], {series.pair: params})
+    return score(one_block(counts, n=n), ParamStack.of([params]))
 
 
 class TestScore:
@@ -46,9 +46,9 @@ class TestScore:
 
     def test_graph_score_is_block_sum(self):
         gen, params = known_model()
-        s1 = make_series([50, 60, 40], n=100, pair=("a", "a"))
-        s2 = make_series([55, 45, 50], n=100, pair=("a", "b"))
-        scores = score([s1, s2], {("a", "a"): params, ("a", "b"): params})
+        s1 = one_block([50, 60, 40], n=100, pair=("a", "a"))
+        s2 = one_block([55, 45, 50], n=100, pair=("a", "b"))
+        scores = score(concat([s1, s2]), ParamStack.of([params, params]))
         np.testing.assert_array_equal(
             scores.graph_loglik, np.nansum(scores.loglik, axis=0)
         )
@@ -76,10 +76,9 @@ class TestScore:
             mu0=np.array([0.5, 0.0, 0.0]), Sigma0=0.01 * np.eye(3),
         )
         counts = rng.integers(30, 70, size=6).astype(float)
-        series = make_series(counts, n=100)
-        scores = score([series], {("a", "a"): params}, mode="smoothed")
+        blocks, stack = one_block(counts, n=100), ParamStack.of([params])
+        scores = score(blocks, stack, mode="smoothed")
         ss = params.state_space(100)
-        blocks, stack = stacked(series, params)
         seq = kalman.smooth(kalman.filter(blocks, stack), stack.state_space(blocks.n))
         for t in range(1, 7):
             mean = float(ss.H @ seq.smoothed_mean[0, t])
@@ -92,30 +91,23 @@ class TestScore:
         assert np.isnan(scores.loglik[0, 1])
         assert np.isnan(scores.z[0, 1])
 
-    def test_unknown_block_raises(self):
+    def test_parameter_count_must_match_blocks(self):
         gen, params = known_model()
-        series = make_series([50], n=100, pair=("a", "b"))
-        with pytest.raises(KeyError, match="no fitted parameters"):
-            score([series], {("a", "a"): params})
+        blocks = concat([one_block([50], pair=("a", "a")), one_block([50], pair=("a", "b"))])
+        with pytest.raises(ValueError, match="differ in number"):
+            score(blocks, ParamStack.of([params]))
 
     def test_null_predictive_z_is_standard_normal(self):
         # Kolmogorov-Smirnov check against N(0, 1) on model-generated data
         rng = np.random.default_rng(100)
         d, n, T = 7, 2000, 2500
         blocks = []
-        params = {}
+        gen = GenParams(d=d, q_m=1e-7, q_s=1e-7, r=1e-4, init=default_state(d, bias=0.5))
         for i in range(4):
-            pair = (f"t{i}", f"t{i}")
-            gen = GenParams(
-                d=d, q_m=1e-7, q_s=1e-7, r=1e-4, init=default_state(d, bias=0.5)
-            )
-            series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=pair)
+            series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=(f"t{i}", f"t{i}"))
             blocks.append(series)
-            params[pair] = ModelParams(
-                d=d, q_m=1e-7, q_s=1e-7, r=1e-4,
-                mu0=gen.init, Sigma0=np.zeros((d, d)),
-            )
-        scores = score(blocks, params)
+        params = ModelParams(d=d, q_m=1e-7, q_s=1e-7, r=1e-4, mu0=gen.init, Sigma0=np.zeros((d, d)))
+        scores = score(concat(blocks), ParamStack.of([params] * 4))
         z = np.sort(scores.z.ravel())
         assert z.shape[0] == 10_000
         cdf = 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
@@ -200,23 +192,20 @@ class TestDetect:
     def test_injected_spike_ranked_first(self):
         rng = np.random.default_rng(33)
         d, n, T, t_star = 5, 1000, 40, 25
-        blocks, params = [], {}
+        blocks = []
+        gen = GenParams(d=d, q_m=1e-6, q_s=1e-6, r=1e-4, init=default_state(d, bias=0.5))
         for i in range(3):
-            pair = (f"t{i}", f"t{i}")
-            gen = GenParams(
-                d=d, q_m=1e-6, q_s=1e-6, r=1e-4, init=default_state(d, bias=0.5)
-            )
-            series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=pair)
+            series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=(f"t{i}", f"t{i}"))
             blocks.append(series)
-            params[pair] = ModelParams(
-                d=d, q_m=1e-6, q_s=1e-6, r=1e-4,
-                mu0=gen.init, Sigma0=np.zeros((d, d)),
-            )
+        blocks = concat(blocks)
+        params = ParamStack.of(
+            [ModelParams(d=d, q_m=1e-6, q_s=1e-6, r=1e-4, mu0=gen.init, Sigma0=np.zeros((d, d)))] * 3
+        )
         clean = score(blocks, params)
         shift = 6.0 * math.sqrt(clean.pred_var[1, t_star - 1])
-        spiked = blocks[1].counts.copy()
-        spiked[t_star - 1] = min(spiked[t_star - 1] + round(shift), n)
-        blocks[1] = make_series(spiked, n=n, pair=blocks[1].pair)
+        spiked = blocks.counts.copy()
+        spiked[1, t_star - 1] = min(spiked[1, t_star - 1] + round(shift), n)
+        blocks = replace(blocks, counts=spiked)
         report = detect(score(blocks, params), threshold_sigma(3.0), drill_down=True)
         graph_hits = [f for f in report.graph_flags if f.t == t_star]
         assert graph_hits, "spike step must be flagged at graph level"

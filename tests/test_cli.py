@@ -26,9 +26,7 @@ from sdsbm.ingest import (
     parse_inputs,
     save_model,
 )
-from sdsbm.ssm import ModelParams
-
-from conftest import stacked
+from sdsbm.ssm import ModelParams, ParamStack
 
 
 def run(*args) -> int:
@@ -85,10 +83,11 @@ class TestSimulate:
         simulate_small(tmp_path)
         events, typing = parse_inputs(tmp_path / "events.csv", tmp_path / "types.csv")
         net = bucketize(events, typing, BucketingConfig(origin=0.0, width=1.0, T=50))
-        by_pair = {s.pair: s for s in extract_block_series(net)}
+        stack = extract_block_series(net)
+        by_pair = dict(zip(stack.pairs, stack.counts))
         for row in read_rows(tmp_path / "ground_truth.csv"):
             pair = tuple(row["block"].split(":"))
-            assert by_pair[pair].counts[int(row["t"]) - 1] == float(row["w"])
+            assert by_pair[pair][int(row["t"]) - 1] == float(row["w"])
 
     def test_invalid_params_exit_data(self, tmp_path):
         assert simulate_small(tmp_path, extra=("--q-m", -1.0)) == EXIT_DATA
@@ -325,9 +324,9 @@ class TestForecast:
         params, _ = load_model(fitted_dir / "model.json")
         events, typing = parse_inputs(sim_dir / "events.csv", sim_dir / "types.csv")
         net = bucketize(events, typing, BucketingConfig(origin=0.0, width=1.0))
-        blocks = {s.pair: s for s in extract_block_series(net)}
-        pairs = sorted(params)
-        stack, stacked_params = stacked([blocks[p] for p in pairs], [params[p] for p in pairs])
+        stack = extract_block_series(net)
+        assert stack.pairs == tuple(sorted(params))
+        stacked_params = ParamStack.of([params[p] for p in stack.pairs])
         seq = kalman.filter(stack, stacked_params)
         fc = kalman.forecast(
             seq.filt_mean[:, -1], seq.filt_cov[:, -1], stacked_params.state_space(stack.n), 1
@@ -563,19 +562,29 @@ def test_non_finite_model_is_data_error(sim_dir, fitted_dir, tmp_path, capsys, f
 
 
 @pytest.mark.parametrize(
-    "change",
+    "edit,message",
     [
-        pytest.param({"blocks": []}, id="empty-blocks"),
-        pytest.param({"blocks": {"a:a": {}}}, id="non-list-blocks"),
-        pytest.param({"d": 4.0}, id="float-d"),
-        pytest.param({"d": "4"}, id="string-d"),
-        pytest.param({"blocks": [{"a": "a"}]}, id="incomplete-block"),
+        pytest.param(lambda doc: doc.update(blocks=[]), None, id="empty-blocks"),
+        pytest.param(lambda doc: doc.update(blocks={"a:a": {}}), None, id="non-list-blocks"),
+        pytest.param(lambda doc: doc.update(d=4.0), None, id="float-d"),
+        pytest.param(lambda doc: doc.update(d="4"), None, id="string-d"),
+        pytest.param(lambda doc: doc.update(blocks=[{"a": "a"}]), None, id="incomplete-block"),
+        pytest.param(
+            lambda doc: doc["blocks"].append(dict(doc["blocks"][0])), "duplicate block a:a",
+            id="duplicate-block",
+        ),
+        pytest.param(lambda doc: doc["blocks"][0].update(a=1), "type labels must be strings", id="int-label"),
+        pytest.param(lambda doc: doc["blocks"][1].update(b=None), "type labels must be strings", id="null-label"),
+        pytest.param(lambda doc: doc["blocks"][0].update(n=2.7), "n must be an integer >= 1", id="fractional-n"),
+        pytest.param(lambda doc: doc["blocks"][0].update(n=0), "n must be an integer >= 1", id="zero-n"),
     ],
 )
-def test_malformed_model_structure_is_data_error(sim_dir, fitted_dir, tmp_path, capsys, change):
+def test_malformed_model_structure_is_data_error(sim_dir, fitted_dir, tmp_path, capsys, edit, message):
+    # the checksum is recomputed, so the structure check is the one that fires
     document = json.loads((fitted_dir / "model.json").read_text())
-    model = write_checksummed(tmp_path / "bad.json", {**document, **change})
-    with pytest.raises(ingest.ModelFormatError):
+    edit(document)
+    model = write_checksummed(tmp_path / "bad.json", document)
+    with pytest.raises(ingest.ModelFormatError, match=message):
         load_model(model)
     assert_model_commands_are_data_errors(model, sim_dir, tmp_path, capsys)
 
@@ -626,6 +635,44 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            ("fit", {"fix_r_zero": "no"}),
+            ("fit", {"paper_default_init": 1}),
+            ("detect", {"drill_down": "yes"}),
+            ("fit", {"tol": None}),
+            ("fit", {"max_iter": None}),
+            ("fit", {"max_iter": True}),
+            ("fit", {"period": [7]}),
+            ("fit", {"init_model": 5}),
+            ("fit", {"events": 1.5}),
+            ("simulate", {"steps": None}),
+            ("simulate", {"types": 5}),
+            ("forecast", {"level": None}),
+            ("detect", {"mode": False}),
+        ],
+    )
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, command, config):
+        # a flag takes a JSON boolean, a number a non-boolean number and a
+        # path or name a string; null only where the default is null
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out-dir", out) == EXIT_USAGE
+        err = capsys.readouterr().err
+        [key] = config
+        assert err.startswith(f"error: config key {key!r} takes ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_config_null_where_the_default_is_null(self, sim_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_cap": None, "init_model": None, "fix_r_zero": False, "max_iter": 2}))
+        code = run(*fit_args(sim_dir, tmp_path / "out", "--config", cfg))
+        assert code == EXIT_MAX_ITER
+        resolved = json.loads((tmp_path / "out" / "run_config.json").read_text())
+        assert resolved["fix_r_zero"] is False and resolved["t_cap"] is None
 
     def test_block_overrides_reach_the_generator(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,15 +29,18 @@ from sdsbm.generator import (
     sine_profile,
 )
 from sdsbm.graph_model import BlockStack
-from sdsbm.ssm import ModelParams, build_state_space
+from sdsbm.ssm import ModelParams, ParamStack, build_state_space
 
-from conftest import make_series, stacked
+from conftest import concat, one_block
 from gaussian_oracle import OracleRun
 
 
 def fit_one(series, init, config):
-    """``em_fit`` on a stack of one block: its parameters and trace."""
-    [params], [trace] = em_fit(*stacked(series, init), config)
+    """``em_fit`` on a stack of one block (``init`` a ParamStack or one
+    ModelParams): its parameters and trace."""
+    if isinstance(init, ModelParams):
+        init = ParamStack.of([init])
+    [params], [trace] = em_fit(series, init, config)
     return params, trace
 
 
@@ -47,7 +51,7 @@ def batch(stats):
 
 def r_step(stats, series, u):
     """``m_step_r`` on one block's hand-built moments."""
-    return float(m_step_r(batch(stats), BlockStack.of([series]), np.asarray(u, float)[None])[0])
+    return float(m_step_r(batch(stats), series, np.asarray(u, float)[None])[0])
 
 
 def synthetic_block(seed, d=7, T=120, n=500, q_m=1e-6, q_s=1e-6, r=0.0, bias=0.5, amp=0.08):
@@ -120,7 +124,7 @@ class TestEStep:
             d=d, q_m=0.0, q_s=0.0, r=0.0,
             mu0=init, Sigma0=np.zeros((d, d)),
         )
-        stats, _ = e_step(*stacked(series, params))
+        stats, _ = e_step(series, ParamStack.of([params]))
         for t in range(T + 1):
             np.testing.assert_array_equal(
                 stats.Exx[0, t], np.outer(stats.Ex[0, t], stats.Ex[0, t])
@@ -128,9 +132,9 @@ class TestEStep:
 
     def test_single_step_reduces_to_filtered_moments(self, rng):
         params = small_params()
-        series = make_series([55], n=100)
-        stats, _ = e_step(*stacked(series, params))
-        seq = kalman.filter(*stacked(series, params))
+        series, stack = one_block([55], n=100), ParamStack.of([params])
+        stats, _ = e_step(series, stack)
+        seq = kalman.filter(series, stack)
         np.testing.assert_allclose(stats.Ex[0, 1], seq.filt_mean[0, 0], rtol=1e-12)
         np.testing.assert_allclose(
             stats.Exx[0, 1],
@@ -141,11 +145,10 @@ class TestEStep:
     def test_stats_match_joint_gaussian_oracle(self, rng):
         params = small_params(seed=3)
         counts = rng.integers(30, 70, size=6).astype(float)
-        series = make_series(counts, n=100)
-        stats, seq = e_step(*stacked(series, params))
-        ss = params.state_space(series.n)
+        stats, seq = e_step(one_block(counts, n=100), ParamStack.of([params]))
+        ss = params.state_space(100)
         oracle = OracleRun(
-            ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, series.counts, seq.u[0] + series.n**2 * params.r
+            ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, counts, seq.u[0] + 100**2 * params.r
         )
         for t in range(7):
             mean_ref, cov_ref = oracle.smoothed(t)
@@ -166,8 +169,8 @@ class TestEStep:
 class TestMStepInitial:
     def test_assignment_from_smoothed_start(self, rng):
         params = small_params(seed=5)
-        series = make_series(rng.integers(30, 70, size=5), n=100)
-        stats, _ = e_step(*stacked(series, params))
+        series = one_block(rng.integers(30, 70, size=5), n=100)
+        stats, _ = e_step(series, ParamStack.of([params]))
         [mu0], [Sigma0] = m_step_initial(stats)
         np.testing.assert_array_equal(mu0, stats.Ex[0, 0, :3])
         want = stats.Exx[0, 0, :3, :3] - np.outer(mu0, mu0)
@@ -175,8 +178,8 @@ class TestMStepInitial:
 
     def test_idempotent_given_fixed_stats(self, rng):
         params = small_params(seed=6)
-        series = make_series(rng.integers(30, 70, size=5), n=100)
-        stats, _ = e_step(*stacked(series, params))
+        series = one_block(rng.integers(30, 70, size=5), n=100)
+        stats, _ = e_step(series, ParamStack.of([params]))
         first = m_step_initial(stats)
         second = m_step_initial(stats)
         np.testing.assert_array_equal(first[0], second[0])
@@ -197,7 +200,7 @@ def r_step_input(quad, u, n):
         Ex=np.zeros((T + 1, 2)), Exx=np.zeros((T + 1, 2, 2)), Exx_lag=np.zeros((T, 2, 2))
     )
     stats.Exx[1:, 0, 0] = np.asarray(quad) / n**2
-    return stats, make_series(np.zeros(T), n=n), n * n * stats.Exx[1:, 0, 0]
+    return stats, one_block(np.zeros(T), n=n), n * n * stats.Exx[1:, 0, 0]
 
 
 def bounded_argmax(f, lo, hi):
@@ -212,7 +215,7 @@ class TestMStepR:
         # quad_t == u_t makes the objective decreasing in r
         n, T = 100, 6
         u = np.full(T, 25.0)
-        series = make_series([50] * T, n=n)
+        series = one_block([50] * T, n=n)
         D = 5
         stats = SufficientStats(
             Ex=np.zeros((T + 1, D)),
@@ -228,7 +231,7 @@ class TestMStepR:
     def test_single_step_closed_form(self):
         # with u = 0 and one term the maximizer is r = quad / n^2
         n, v = 200, 2e-3
-        series = make_series([0], n=n)
+        series = one_block([0], n=n)
         D = 5
         stats = SufficientStats(
             Ex=np.zeros((2, D)), Exx=np.zeros((2, D, D)), Exx_lag=np.zeros((1, D, D))
@@ -239,7 +242,7 @@ class TestMStepR:
 
     def test_never_exceeds_density_variance_cap(self):
         n = 10
-        series = make_series([0, 10, 0, 10, 0, 10], n=n)
+        series = one_block([0, 10, 0, 10, 0, 10], n=n)
         stats = SufficientStats(
             Ex=np.zeros((7, 12)), Exx=np.zeros((7, 12, 12)), Exx_lag=np.zeros((6, 12, 12))
         )
@@ -321,7 +324,7 @@ class TestMStepR:
         counts = np.zeros((B, T))
         counts[1, 5:15] = np.nan
         counts[2] = np.nan
-        blocks = BlockStack.of([make_series(c, n=int(n), pair=("a", f"b{k}")) for k, (c, n) in enumerate(zip(counts, ns))])
+        blocks = BlockStack(tuple(("a", f"b{k}") for k in range(B)), ns, counts)
         together = m_step_r(stats, blocks, u)
         assert together[2] == 0.0
         for b in range(B):
@@ -376,8 +379,7 @@ class TestMStepQ:
         for seed in (1, 2):
             params = small_params(seed=seed)
             counts = rng.integers(30, 70, size=7).astype(float)
-            series = make_series(counts, n=100)
-            stats, _ = e_step(*stacked(series, params))
+            stats, _ = e_step(one_block(counts, n=100), ParamStack.of([params]))
             [q_m], [q_s] = m_step_q(stats, d=params.d)
             ref_m, ref_s = numeric_q_argmax(stats, params.d)
             assert q_m == pytest.approx(ref_m, rel=1e-6)
@@ -433,9 +435,9 @@ class TestEmFit:
         # gaps skip the update step and drop out of the r-objective but
         # the fit still runs and improves monotonically
         series, _, gen = synthetic_block(seed=83, T=80, n=400, q_m=1e-4, q_s=1e-4)
-        counts = series.counts.copy()
+        counts = series.counts[0].copy()
         counts[[7, 8, 31]] = np.nan
-        gappy = make_series(counts, n=series.n)
+        gappy = one_block(counts, n=series.n[0])
         params, trace = fit_one(
             gappy, default_init(gappy, gen.d), EmConfig(max_iter=20, tol=1e-10)
         )
@@ -475,7 +477,7 @@ class TestEmFit:
         series, _, gen = synthetic_block(seed=67, T=50)
         init = default_init(series, gen.d)
         params, _ = fit_one(series, init, EmConfig(max_iter=10))
-        ss = params.state_space(series.n)
+        ss = params.state_space(series.n[0])
         expected = np.zeros((gen.d, gen.d))
         expected[0, 0], expected[1, 1] = params.q_m, params.q_s
         np.testing.assert_array_equal(ss.Q, expected)
@@ -484,25 +486,22 @@ class TestEmFit:
         # evaluate the r-objective before and after each M-step
         series, _, gen = synthetic_block(seed=71, T=80, n=400, r=5e-4)
         params = default_init(series, gen.d)
-        n = series.n
+        n = series.n[0]
         for _ in range(8):
-            blocks, stack = stacked(series, params)
-            stats, seq = e_step(blocks, stack)
+            stats, seq = e_step(series, params)
             u = seq.u[0]
             D = stats.dim
             H = np.zeros(D)
             H[0] = H[1] = n
-            w = series.counts
+            w = series.counts[0]
             hx = stats.Ex[0, 1:] @ H
             quad = w * w - 2 * w * hx + np.einsum("i,tij,j->t", H, stats.Exx[0, 1:], H)
-            [r_new] = m_step_r(stats, blocks, seq.u)
-            assert r_objective(r_new, quad, u, n) >= r_objective(params.r, quad, u, n) - 1e-9
-            [mu0], [Sigma0] = m_step_initial(stats)
-            [q_m], [q_s] = m_step_q(stats, gen.d)
-            params = ModelParams(d=gen.d, q_m=q_m, q_s=q_s, r=r_new, mu0=mu0, Sigma0=Sigma0)
+            r_new = m_step_r(stats, series, seq.u)
+            assert r_objective(r_new[0], quad, u, n) >= r_objective(params.r[0], quad, u, n) - 1e-9
+            params = ParamStack(gen.d, *m_step_q(stats, gen.d), r_new, *m_step_initial(stats))
 
     def test_estep_failure_carries_iteration(self):
-        series = make_series([5, 5], n=10)
+        series = one_block([5, 5], n=10)
         bad = ModelParams(
             d=2, q_m=0.0, q_s=0.0, r=0.0, mu0=np.zeros(2), Sigma0=-1e6 * np.eye(2)
         )
@@ -512,16 +511,14 @@ class TestEmFit:
 
     def test_estep_failure_names_the_block(self):
         # a warm start with Sigma0 = -10 I in one block of three
-        blocks, inits = [], []
-        for k, pair in enumerate([("a", "a"), ("a", "b"), ("b", "b")]):
-            series, _, gen = synthetic_block(seed=90 + k, T=30, n=200)
-            blocks.append(make_series(series.counts, n=series.n, pair=pair))
-            inits.append(default_init(blocks[-1], gen.d))
-        inits[2] = ModelParams(
-            d=7, q_m=1e-6, q_s=1e-6, r=0.0, mu0=inits[2].mu0, Sigma0=-10.0 * np.eye(7)
+        blocks = concat(
+            one_block(synthetic_block(seed=90 + k, T=30, n=200)[0].counts[0], n=200, pair=pair)
+            for k, pair in enumerate([("a", "a"), ("a", "b"), ("b", "b")])
         )
+        inits = default_init(blocks, 7)
+        bad = ModelParams(d=7, q_m=1e-6, q_s=1e-6, r=0.0, mu0=inits.mu0[2], Sigma0=-10.0 * np.eye(7))
         with pytest.raises(EmError, match=r"iteration 0: block b:b: t=1: non-positive innovation variance"):
-            em_fit(*stacked(blocks, inits), EmConfig(max_iter=5))
+            em_fit(blocks, inits.put([2], ParamStack.of([bad])), EmConfig(max_iter=5))
 
 
 class TestLockstep:
@@ -529,22 +526,23 @@ class TestLockstep:
 
     @pytest.mark.parametrize("fix_r", [False, True])
     def test_matches_per_block_reference(self, fix_r):
-        blocks, inits = [], []
+        blocks = []
         for k, (n, q, T_gap) in enumerate([(28, 5e-4, None), (64, 5e-4, 9), (2000, 1e-5, None), (120, 1e-4, 3)]):
             series, _, gen = synthetic_block(seed=200 + k, d=4, T=50, n=n, q_m=q, q_s=q, r=1e-4)
-            counts = series.counts.copy()
+            counts = series.counts[0].copy()
             if T_gap is not None:
                 counts[T_gap : T_gap + 10] = np.nan
-            blocks.append(make_series(counts, n=n, pair=("a", f"b{k}")))
-            inits.append(default_init(blocks[-1], gen.d))
+            blocks.append(one_block(counts, n=n, pair=("a", f"b{k}")))
+        blocks = concat(blocks)
+        inits = default_init(blocks, gen.d)
         config = EmConfig(max_iter=40, tol=1e-4, fix_r_to_zero=fix_r)
-        params, traces = em_fit(*stacked(blocks, inits), config)
+        params, traces = em_fit(blocks, inits, config)
         # the blocks stop at different iterations, one of them at the cap
         assert len({t.iterations for t in traces}) >= 3
         assert not all(t.converged for t in traces)
-        for series, init, p, trace in zip(blocks, inits, params, traces):
+        for counts, n, init, p, trace in zip(blocks.counts, blocks.n, inits, params, traces):
             p_ref, rows, converged = ref.em_fit(
-                series.counts, series.n, init, config.max_iter, config.tol, fix_r
+                counts, int(n), init, config.max_iter, config.tol, fix_r
             )
             assert (trace.iterations, trace.converged) == (len(rows), converged)
             got = np.column_stack((trace.loglik_per_iter, trace.variances_per_iter))
@@ -553,12 +551,34 @@ class TestLockstep:
                 np.testing.assert_allclose(getattr(p, name), getattr(p_ref, name), rtol=1e-10, atol=1e-14)
 
 
+def per_block_default_init(counts, n, d, flat_defaults=False) -> ModelParams:
+    """The per-block formula that ``default_init`` vectorises, kept as
+    its reference."""
+    mask = ~np.isnan(counts)
+    y = counts[mask] / n
+    head = counts[:d] / n
+    head_obs = head[~np.isnan(head)]
+    bias = float(head_obs.mean()) if head_obs.size else 0.5
+    dev = np.where(np.isnan(head), 0.0, head - bias)
+    offsets = np.zeros(d - 1)
+    for j in range(d - 1):
+        k = d - 1 - j
+        if k < dev.shape[0]:
+            offsets[j] = dev[k]
+    mu0 = np.concatenate(([bias], offsets))
+    if flat_defaults:
+        return ModelParams(d=d, q_m=1.0, q_s=1.0, r=1.0, mu0=mu0, Sigma0=np.eye(d))
+    var_w = float(y.var()) if y.size > 1 else 0.0
+    T_obs = max(int(mask.sum()), 1)
+    q = max(var_w / T_obs, 1e-15)
+    return ModelParams(d=d, q_m=q, q_s=q, r=max(var_w / 10.0, 0.0), mu0=mu0, Sigma0=0.01 * np.eye(d))
+
+
 class TestDefaultInit:
     def test_phase_deviations_seed_offsets(self):
         d, n = 4, 100
         counts = np.array([60.0, 40.0, 50.0, 50.0, 60.0, 40.0, 50.0, 50.0])
-        series = make_series(counts, n=n)
-        params = default_init(series, d)
+        [params] = default_init(one_block(counts, n=n), d)
         bias = counts[:d].mean() / n
         assert params.mu0[0] == pytest.approx(bias)
         # offsets (s_0, s_-1, s_-2) estimate phases (d, d-1, d-2) = t 4, 3, 2
@@ -567,15 +587,37 @@ class TestDefaultInit:
         assert params.mu0[3] == pytest.approx(counts[1] / n - bias)
 
     def test_flat_defaults_flag(self):
-        series = make_series([50, 60, 40], n=100)
-        params = default_init(series, 3, flat_defaults=True)
+        [params] = default_init(one_block([50, 60, 40], n=100), 3, flat_defaults=True)
         assert params.q_m == params.q_s == params.r == 1.0
         np.testing.assert_array_equal(params.Sigma0, np.eye(3))
 
     def test_data_scaled_variances(self):
         counts = np.array([50.0, 60.0, 40.0, 55.0, 45.0])
-        series = make_series(counts, n=100)
-        params = default_init(series, 3)
+        [params] = default_init(one_block(counts, n=100), 3)
         var_y = (counts / 100).var()
         assert params.q_m == pytest.approx(var_y / 5)
         assert params.r == pytest.approx(var_y / 10)
+
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("T", [60, 4])
+    def test_matches_per_block_formula(self, flat, T):
+        # bit-identical on gap-free blocks (T = 4 is shorter than d);
+        # within 1e-12 with gaps, an all-gap block and a single observation
+        rng = np.random.default_rng(8)
+        d, ns = 7, np.array([28, 64, 2000, 120, 45, 500])
+        counts = rng.binomial(ns[:, None], rng.uniform(0.1, 0.9, (len(ns), 1)), (len(ns), T)).astype(float)
+        counts[3, 2 : 2 + T // 3] = np.nan
+        counts[4] = np.nan
+        counts[5, 1:] = np.nan
+        blocks = BlockStack(tuple(("a", f"b{k}") for k in range(len(ns))), ns, counts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = default_init(blocks, d, flat_defaults=flat)
+        for b, (row, n) in enumerate(zip(counts, ns)):
+            want = per_block_default_init(row, n, d, flat)
+            for name in ("q_m", "q_s", "r", "mu0", "Sigma0"):
+                g, w = getattr(got[b], name), getattr(want, name)
+                if np.isnan(row).any():
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=0, err_msg=f"{b} {name}")
+                else:
+                    np.testing.assert_array_equal(g, w, err_msg=f"{b} {name}")

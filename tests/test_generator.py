@@ -123,7 +123,8 @@ class TestGenerateBlockSeries:
     def test_deterministic_core(self):
         params = noiseless(3, default_state(3, bias=0.5))
         series, trace = generate_block_series(params, n=100, T=3, rng=_ExpectationRng())
-        assert series.counts.tolist() == [50.0, 50.0, 50.0]
+        assert series.pairs == (("a", "a"),) and series.n.tolist() == [100.0]
+        assert series.counts.tolist() == [[50.0, 50.0, 50.0]]
         assert trace.density.tolist() == [0.5, 0.5, 0.5]
 
     def test_boundary_density(self, rng):
@@ -186,10 +187,9 @@ class TestGenerateNetwork:
         typing = small_typing()
         params = uniform_params(typing, init=default_state(3, bias=1.0))
         net, _ = generate_network(params, typing, T=2, rng=rng)
-        by_pair = {s.pair: s for s in extract_block_series(net)}
-        assert by_pair[("a", "a")].counts.tolist() == [6.0, 6.0]
-        assert by_pair[("a", "b")].counts.tolist() == [12.0, 12.0]
-        assert by_pair[("b", "b")].counts.tolist() == [3.0, 3.0]
+        stack = extract_block_series(net)
+        assert stack.pairs == (("a", "a"), ("a", "b"), ("b", "b"))
+        assert stack.counts.tolist() == [[6.0, 6.0], [12.0, 12.0], [3.0, 3.0]]
 
     def test_zero_density_gives_empty_graphs(self, rng):
         typing = small_typing()
@@ -201,9 +201,10 @@ class TestGenerateNetwork:
         typing = small_typing()
         params = uniform_params(typing, q_m=1e-4, q_s=1e-4, r=1e-3)
         net, traces = generate_network(params, typing, T=20, rng=rng)
-        by_pair = {s.pair: s for s in extract_block_series(net)}
+        stack = extract_block_series(net)
+        by_pair = dict(zip(stack.pairs, stack.counts))
         for pair, trace in traces.items():
-            np.testing.assert_array_equal(by_pair[pair].counts, trace.counts)
+            np.testing.assert_array_equal(by_pair[pair], trace.counts)
 
     def test_seeded_determinism(self):
         typing = small_typing()
@@ -239,9 +240,9 @@ class TestGenerateNetwork:
             ("b", "b"): GenParams(d=3, q_m=0, q_s=0, r=0, init=default_state(3, 0.5)),
         }
         net, _ = generate_network(params, typing, T=100, rng=rng)
-        by_pair = {s.pair: s for s in extract_block_series(net)}
-        assert (by_pair[("a", "a")].counts / 1225).mean() == pytest.approx(0.2, abs=0.03)
-        assert (by_pair[("a", "b")].counts / 500).mean() == pytest.approx(0.8, abs=0.03)
+        density = extract_block_series(net).counts.mean(axis=1) / [1225, 500, 45]
+        assert density[0] == pytest.approx(0.2, abs=0.03)
+        assert density[1] == pytest.approx(0.8, abs=0.03)
 
     def test_requires_params_for_active_blocks(self, rng):
         typing = small_typing()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdsbm.graph_model import (
-    BlockSeries,
+    BlockStack,
     DynamicNetwork,
     VertexTyping,
     block_pairs,
@@ -83,19 +83,21 @@ class TestDynamicNetwork:
 
 class TestExtractBlockSeries:
     def test_two_type_example(self):
+        # the single-vertex type b has no (b, b) edges, so that block is left out
         net = network(two_type_typing(), (frozenset({("1", "2"), ("2", "3")}),))
-        by_pair = {s.pair: s for s in extract_block_series(net)}
-        assert by_pair[("a", "a")].n == 1
-        assert by_pair[("a", "a")].counts.tolist() == [1.0]
-        assert by_pair[("a", "b")].n == 2
-        assert by_pair[("a", "b")].counts.tolist() == [1.0]
-        assert by_pair[("b", "b")].n == 0
-        assert by_pair[("b", "b")].counts.tolist() == [0.0]
+        stack = extract_block_series(net)
+        assert stack.pairs == (("a", "a"), ("a", "b"))
+        assert stack.n.tolist() == [1.0, 2.0]
+        assert stack.counts.tolist() == [[1.0], [1.0]]
+
+    def test_no_block_with_possible_edges_gives_empty_stack(self):
+        typing = VertexTyping(vertex_ids=("1",), type_of={"1": "a"})
+        stack = extract_block_series(network(typing, (frozenset(),)))
+        assert len(stack) == 0 and stack.counts.shape == (0, 1)
 
     def test_empty_snapshots(self):
         net = network(two_type_typing(), (frozenset(), frozenset()))
-        for series in extract_block_series(net):
-            assert series.counts.tolist() == [0.0, 0.0]
+        assert extract_block_series(net).counts.tolist() == [[0.0, 0.0]] * 2
 
     def test_complete_same_type_block(self):
         typing = VertexTyping(
@@ -103,24 +105,22 @@ class TestExtractBlockSeries:
         )
         full = frozenset({("1", "2"), ("1", "3"), ("2", "3")})
         net = network(typing, (full, full))
-        (series,) = extract_block_series(net)
-        assert series.n == 3
-        assert series.counts.tolist() == [3.0, 3.0]
+        stack = extract_block_series(net)
+        assert stack.n.tolist() == [3.0]
+        assert stack.counts.tolist() == [[3.0, 3.0]]
 
     def test_missing_snapshots_become_nan(self):
         net = network(
             two_type_typing(), (frozenset({("1", "2")}), frozenset()), missing=frozenset({2})
         )
-        for series in extract_block_series(net):
-            assert np.isnan(series.counts[1])
+        assert np.isnan(extract_block_series(net).counts[:, 1]).all()
 
     def test_pure_function(self):
         net = network(two_type_typing(), (frozenset({("1", "2")}),))
         first = extract_block_series(net)
         second = extract_block_series(net)
-        for s1, s2 in zip(first, second):
-            assert s1.pair == s2.pair
-            np.testing.assert_array_equal(s1.counts, s2.counts)
+        assert first.pairs == second.pairs
+        np.testing.assert_array_equal(first.counts, second.counts)
 
 
 @st.composite
@@ -147,29 +147,55 @@ def random_network(draw):
 @settings(max_examples=60, deadline=None)
 @given(random_network())
 def test_block_counts_conserve_total_edges(net):
-    series = extract_block_series(net)
-    totals = np.zeros(net.T)
-    for s in series:
-        totals += s.counts
-        assert s.n == pair_possible_edges(net.typing, s.pair)
-        assert len(block_pairs(net.typing, s.pair)[0]) == s.n
+    stack = extract_block_series(net)
+    assert stack.pairs == tuple(p for p in net.typing.pairs() if pair_possible_edges(net.typing, p))
+    for pair, n in zip(stack.pairs, stack.n):
+        assert n == pair_possible_edges(net.typing, pair)
+        assert len(block_pairs(net.typing, pair)[0]) == n
+    totals = stack.counts.sum(axis=0)
     for t in range(1, net.T + 1):
         assert totals[t - 1] == net.total_edges(t)
 
 
-class TestBlockSeries:
+class TestBlockStack:
+    def stack(self, counts, n=(2, 10), pairs=(("a", "a"), ("a", "b"))):
+        return BlockStack(pairs, np.array(n, dtype=float), np.array(counts, dtype=float))
+
     def test_rejects_counts_above_n(self):
-        with pytest.raises(ValueError, match="outside"):
-            BlockSeries(pair=("a", "a"), n=2, counts=np.array([3.0]))
+        with pytest.raises(ValueError, match="block a:a has counts outside"):
+            self.stack([[3.0], [1.0]])
+
+    def test_rejects_negative_counts(self):
+        with pytest.raises(ValueError, match="block a:b has counts outside"):
+            self.stack([[1.0], [-1.0]])
 
     def test_rejects_non_integer_counts(self):
-        with pytest.raises(ValueError, match="non-integer"):
-            BlockSeries(pair=("a", "a"), n=10, counts=np.array([1.5]))
+        with pytest.raises(ValueError, match="block a:b has non-integer"):
+            self.stack([[1.0, np.nan], [1.0, 1.5]])
 
     def test_rejects_unordered_pair(self):
-        with pytest.raises(ValueError, match="canonical"):
-            BlockSeries(pair=("b", "a"), n=1, counts=np.array([0.0]))
+        with pytest.raises(ValueError, match="block b:a is not in canonical"):
+            self.stack([[0.0], [0.0]], pairs=(("a", "a"), ("b", "a")))
+
+    def test_rejects_block_without_possible_edges(self):
+        with pytest.raises(ValueError, match="block a:b has no possible edges"):
+            self.stack([[0.0], [0.0]], n=(2, 0))
+
+    def test_names_the_first_bad_block(self):
+        with pytest.raises(ValueError, match="block a:b "):
+            self.stack([[0.0], [3.5], [4.5]], n=(2, 2, 2), pairs=(("a", "a"), ("a", "b"), ("b", "b")))
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="one count row per block"):
+            self.stack([1.0, 1.0])
 
     def test_nan_marks_missing(self):
-        s = BlockSeries(pair=("a", "a"), n=5, counts=np.array([1.0, np.nan]))
-        assert s.observed_mask().tolist() == [True, False]
+        stack = self.stack([[1.0, np.nan], [np.nan, np.nan]])
+        assert np.isnan(stack.counts).tolist() == [[False, True], [True, True]]
+        assert stack.T == 2 and len(stack) == 2
+
+    def test_take_keeps_rows_in_order(self):
+        stack = self.stack([[1.0], [7.0]])
+        sub = stack.take([1, 0])
+        assert sub.pairs == (("a", "b"), ("a", "a"))
+        assert sub.n.tolist() == [10.0, 2.0] and sub.counts.tolist() == [[7.0], [1.0]]

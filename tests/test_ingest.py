@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdsbm.graph_model import VertexTyping, extract_block_series
+from sdsbm.graph_model import VertexTyping, extract_block_series, pair_possible_edges
 from sdsbm.ingest import (
     EMPTY_GRAPH,
     BucketingConfig,
@@ -16,7 +16,9 @@ from sdsbm.ingest import (
     IngestError,
     MISSING_OBSERVATION,
     ModelChecksumError,
+    ModelFormatError,
     ModelVersionError,
+    _checksum,
     bucketize,
     load_model,
     parse_inputs,
@@ -183,8 +185,7 @@ class TestBucketize:
         )
         net = bucketize(events, typing_ab(), config)
         assert net.missing == frozenset({2})
-        series = extract_block_series(net)
-        assert all(np.isnan(s.counts[1]) for s in series)
+        assert np.isnan(extract_block_series(net).counts[:, 1]).all()
 
     def test_empty_graph_policy_keeps_zero(self):
         events = columns(typing_ab(), (0.5, "1", "2"), (2.5, "1", "3"))
@@ -310,10 +311,10 @@ def test_columnar_counts_match_per_edge_reference(case):
     assert len(evs) == len(events)
     net = bucketize(evs, typing, config)
     expected = reference_block_counts(typing, events, config)
-    series = extract_block_series(net)
-    assert [s.pair for s in series] == list(typing.pairs())
-    for s in series:
-        np.testing.assert_array_equal(s.counts, np.array(expected[s.pair]), err_msg=str(s.pair))
+    stack = extract_block_series(net)
+    assert stack.pairs == tuple(p for p in typing.pairs() if pair_possible_edges(typing, p))
+    for pair, counts in zip(stack.pairs, stack.counts):
+        np.testing.assert_array_equal(counts, np.array(expected[pair]), err_msg=str(pair))
 
 
 def example_params(d=3, seed=0):
@@ -367,6 +368,30 @@ class TestModelPersistence:
         doc["blocks"][0]["q_m"] = 0.123
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelChecksumError, match="checksum"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda blocks: blocks.append(dict(blocks[0])), "block 2: duplicate block a:a"),
+            (lambda blocks: blocks[1].update(a=7), "block 1: type labels must be strings"),
+            (lambda blocks: blocks[0].update(b=["a"]), "block 0: type labels must be strings"),
+            (lambda blocks: blocks[0].update(n=2.7), "block 0: n must be an integer >= 1, got 2.7"),
+            (lambda blocks: blocks[0].update(n=496.0), "n must be an integer"),
+            (lambda blocks: blocks[1].update(n=-3), "block 1: n must be an integer >= 1, got -3"),
+        ],
+    )
+    def test_malformed_block_rejected(self, tmp_path, edit, message):
+        # the checksum is recomputed, so the block check is the one that fires
+        path = tmp_path / "model.json"
+        params = {("a", "a"): example_params(seed=1), ("a", "b"): example_params(seed=2)}
+        save_model(params, {("a", "a"): 496, ("a", "b"): 512}, path)
+        doc = json.loads(path.read_text())
+        del doc["checksum"]
+        edit(doc["blocks"])
+        doc["checksum"] = _checksum(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
     def test_mixed_periods_rejected(self, tmp_path):

@@ -10,9 +10,9 @@ from sdsbm import kalman
 from sdsbm.em import e_step
 from sdsbm.generator import GenParams, generate_block_series, seasonal_state, sine_profile
 from sdsbm.kalman import FilterError, forecast
-from sdsbm.ssm import ModelParams, binomial_obs_noise, build_state_space
+from sdsbm.ssm import ModelParams, ParamStack, binomial_obs_noise, build_state_space
 
-from conftest import make_series, stacked
+from conftest import concat, one_block
 from gaussian_oracle import OracleRun
 
 
@@ -32,7 +32,7 @@ def random_instance(rng, d, T, n=50, r=0.0):
         Sigma0=random_psd(rng, d),
     )
     counts = rng.integers(low=n // 4, high=3 * n // 4, size=T).astype(float)
-    return params, make_series(counts, n=n)
+    return params, one_block(counts, n=n)
 
 
 def block(seq, b=0):
@@ -44,11 +44,11 @@ def block(seq, b=0):
 
 
 def run(series, params, smoothed=False):
-    """Filter (and smooth) one block as a stack of one; returns its slice."""
-    blocks, stack = stacked(series, params)
-    seq = kalman.filter(blocks, stack)
+    """Filter (and smooth) a stack of one block; returns its slice."""
+    stack = ParamStack.of([params])
+    seq = kalman.filter(series, stack)
     if smoothed:
-        seq = kalman.smooth(seq, stack.state_space(blocks.n))
+        seq = kalman.smooth(seq, stack.state_space(series.n))
     return block(seq)
 
 
@@ -65,27 +65,28 @@ def assert_valid_cov(cov, sym_rtol=1e-10, psd_rtol=1e-8):
 
 
 def oracle_for(series, params, seq):
-    ss = params.state_space(series.n)
-    b_seq = seq.u + series.n**2 * params.r
-    return OracleRun(ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, series.counts, b_seq)
+    [n], [counts] = series.n, series.counts
+    ss = params.state_space(n)
+    b_seq = seq.u + n**2 * params.r
+    return OracleRun(ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, counts, b_seq)
 
 
 class TestPredict:
     # the filter's predict step, read off a gap step's one-step-ahead belief
     def test_deterministic_propagation(self):
         params = prior([0.5, 0.1, -0.1], np.zeros((3, 3)), d=3)
-        out = run(make_series([np.nan], n=10), params)
+        out = run(one_block([np.nan], n=10), params)
         np.testing.assert_allclose(out.pred_mean[0], [0.5, 0.0, 0.1], atol=0)
         np.testing.assert_array_equal(out.pred_cov[0], np.zeros((3, 3)))
 
     def test_orthogonal_transition_keeps_identity_cov(self):
-        out = run(make_series([np.nan], n=10), prior(np.zeros(2), np.eye(2), d=2))
+        out = run(one_block([np.nan], n=10), prior(np.zeros(2), np.eye(2), d=2))
         np.testing.assert_allclose(out.pred_cov[0], np.eye(2), atol=1e-15)
 
     def test_matches_naive_recomputation(self, rng):
         params = prior(rng.normal(size=4), random_psd(rng, 4), d=4, q_m=3e-3, q_s=2e-3)
         ss = params.state_space(10)
-        out = run(make_series([np.nan], n=10), params)
+        out = run(one_block([np.nan], n=10), params)
         np.testing.assert_allclose(out.pred_mean[0], ss.G @ params.mu0, rtol=1e-12)
         np.testing.assert_allclose(
             out.pred_cov[0], ss.G @ params.Sigma0 @ ss.G.T + ss.Q, rtol=1e-12
@@ -98,18 +99,18 @@ class TestUpdate:
     # left unchanged by the transition's deterministic part
     def test_zero_residual_keeps_mean(self):
         params = prior([0.5, 0.0, 0.0], 0.01 * np.eye(3), d=3, q_m=1e-3, q_s=1e-3)
-        out = run(make_series([5], n=10), params)  # H m = 10 * 0.5
+        out = run(one_block([5], n=10), params)  # H m = 10 * 0.5
         np.testing.assert_allclose(out.filt_mean[0], out.pred_mean[0], atol=0)
 
     def test_infinite_noise_freezes_belief(self):
         # n^2 r = 1e12 swamps the prior variance
         params = prior([0.5, 0.1, 0.05], 0.01 * np.eye(3), d=3, q_m=1e-3, q_s=1e-3, r=1e10)
-        out = run(make_series([9], n=10), params)
+        out = run(one_block([9], n=10), params)
         assert np.linalg.norm(out.gains[0]) < 1e-9
         np.testing.assert_allclose(out.filt_mean[0], out.pred_mean[0], rtol=1e-6)
 
     def test_zero_covariance_gives_zero_gain(self):
-        out = run(make_series([9], n=10), prior([0.5, 0.0, 0.0], np.zeros((3, 3)), d=3))
+        out = run(one_block([9], n=10), prior([0.5, 0.0, 0.0], np.zeros((3, 3)), d=3))
         assert np.linalg.norm(out.gains[0]) == 0.0
 
     def test_matches_joint_conditioning(self):
@@ -117,7 +118,7 @@ class TestUpdate:
         ss = build_state_space(2, 10, 0.0, 0.0, 0.0)
         mean = np.array([0.5, 0.0])
         cov = np.diag([0.01, 0.01])
-        out = run(make_series([7], n=10), prior(mean, cov, d=2))
+        out = run(one_block([7], n=10), prior(mean, cov, d=2))
         np.testing.assert_array_equal(out.pred_mean[0], mean)
         u = binomial_obs_noise(float(ss.H @ mean), 10)
         assert out.u[0] == u
@@ -134,7 +135,7 @@ class TestFilter:
         params = ModelParams(
             d=3, q_m=0.0, q_s=0.0, r=0.0, mu0=np.zeros(3), Sigma0=np.eye(3)
         )
-        seq = run(make_series([], n=10), params)
+        seq = run(one_block([], n=10), params)
         assert seq.T == 0
         assert seq.total_loglik == 0.0
 
@@ -148,7 +149,7 @@ class TestFilter:
             mu0=np.array([0.3, 0.0, 0.0]),
             Sigma0=0.1 * np.eye(d),
         )
-        series = make_series([n // 2] * (6 * d), n=n)
+        series = one_block([n // 2] * (6 * d), n=n)
         seq = run(series, params)
         ss = params.state_space(n)
         for t in range(5 * d, seq.T + 1):
@@ -166,9 +167,9 @@ class TestFilter:
 
     def test_missing_observations_skip_update(self, rng):
         params, series = random_instance(rng, d=3, T=6)
-        counts = series.counts.copy()
+        counts = series.counts[0].copy()
         counts[2] = np.nan
-        gappy = make_series(counts, n=series.n)
+        gappy = one_block(counts, n=series.n[0])
         seq = run(gappy, params)
         np.testing.assert_array_equal(seq.filt_mean[2], seq.pred_mean[2])
         np.testing.assert_array_equal(seq.filt_cov[2], seq.pred_cov[2])
@@ -189,7 +190,7 @@ class TestFilter:
         # negative; the filter must report the offending step and block
         params = prior([0.5, 0.0], -1e6 * np.eye(2), d=2)
         with pytest.raises(FilterError, match="block a:a: t=1") as excinfo:
-            run(make_series([5], n=10), params)
+            run(one_block([5], n=10), params)
         assert excinfo.value.t == 1
         assert excinfo.value.block == "a:a"
 
@@ -197,9 +198,9 @@ class TestFilter:
         good, series = random_instance(rng, d=2, T=4)
         bad = prior(good.mu0, -1e6 * np.eye(2), d=2)
         pairs = [("a", "a"), ("a", "b"), ("b", "b")]
-        blocks = [make_series(series.counts, n=series.n, pair=p) for p in pairs]
+        blocks = concat(one_block(series.counts[0], n=series.n[0], pair=p) for p in pairs)
         with pytest.raises(FilterError) as excinfo:
-            kalman.filter(*stacked(blocks, [good, bad, good]))
+            kalman.filter(blocks, ParamStack.of([good, bad, good]))
         assert (excinfo.value.block, excinfo.value.t) == ("a:b", 1)
 
 
@@ -229,7 +230,7 @@ class TestSmoother:
         params = ModelParams(
             d=3, q_m=0.0, q_s=0.0, r=0.0, mu0=np.array([0.5, 0.1, -0.1]), Sigma0=np.eye(3)
         )
-        seq = run(make_series([], n=10), params, smoothed=True)
+        seq = run(one_block([], n=10), params, smoothed=True)
         np.testing.assert_array_equal(seq.smoothed_mean[0], params.mu0)
         np.testing.assert_array_equal(seq.smoothed_cov[0], params.Sigma0)
 
@@ -260,14 +261,14 @@ class TestSmoother:
         else:
             params, series = random_instance(rng, d=4, T=40, r=1e-4)
             if case == "gap":
-                counts = series.counts.copy()
+                counts = series.counts[0].copy()
                 counts[12:22] = np.nan
-                series = make_series(counts, n=series.n)
-        ss = params.state_space(series.n)
+                series = one_block(counts, n=series.n[0])
+        ss = params.state_space(series.n[0])
         seq = run(series, params, smoothed=True)
         if case == "singular_start":
             assert np.linalg.matrix_rank(seq.pred_cov[1]) < params.d
-        stats, _ = e_step(*stacked(series, params))
+        stats, _ = e_step(series, ParamStack.of([params]))
         mean_ref, cov_ref, lag_ref = _rts_pinv_reference(seq, ss)
         for got, want in (
             (seq.smoothed_mean, mean_ref),
@@ -282,11 +283,11 @@ class TestSmoother:
             d=3, q_m=params.q_m, q_s=params.q_s, r=params.r,
             mu0=params.mu0, Sigma0=np.zeros((3, 3)),
         )
-        counts = series.counts.copy()
+        counts = series.counts[0].copy()
         counts[3:7] = np.nan
-        series = make_series(counts, n=series.n)
+        series = one_block(counts, n=series.n[0])
         seq = run(series, params, smoothed=True)
-        stats, _ = e_step(*stacked(series, params))
+        stats, _ = e_step(series, ParamStack.of([params]))
         oracle = oracle_for(series, params, seq)
         for t in range(13):
             mean_ref, cov_ref = oracle.smoothed(t)
@@ -414,24 +415,24 @@ class TestPerBlockReference:
                 init=seasonal_state(d, 0.5, sine_profile(d, 0.05)),
             )
             series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=("a", f"b{i}"))
-            counts = series.counts.copy()
+            counts = series.counts[0].copy()
             counts[12:22] = np.nan  # a 10-step gap in every block (missing-observation)
             if i == 3:
                 counts[:] = np.nan  # an all-gap block
-            blocks.append(make_series(counts, n=n, pair=series.pair))
+            blocks.append(one_block(counts, n=n, pair=series.pairs[0]))
             # block 2 starts from a singular Sigma0 = 0
             Sigma0 = np.zeros((d, d)) if i == 2 else random_psd(rng, d, scale=1e-4)
             params.append(ModelParams(d=d, q_m=gen.q_m, q_s=gen.q_s, r=gen.r, mu0=gen.init, Sigma0=Sigma0))
-        return blocks, params
+        return concat(blocks), params
 
     def test_filter_smoother_and_lag_moments_match(self, rng):
-        blocks, params = self.mixed_stack(rng)
-        stack, ps = stacked(blocks, params)
+        stack, params = self.mixed_stack(rng)
+        ps = ParamStack.of(params)
         seq = kalman.smooth(kalman.filter(stack, ps), ps.state_space(stack.n))
         stats, _ = e_step(stack, ps)
-        for b, (series, p) in enumerate(zip(blocks, params)):
-            ss = p.state_space(series.n)
-            want = ref.smooth(ref.run_filter(series.counts, ss, p.mu0, p.Sigma0), ss)
+        for b, (counts, n, p) in enumerate(zip(stack.counts, stack.n, params)):
+            ss = p.state_space(n)
+            want = ref.smooth(ref.run_filter(counts, ss, p.mu0, p.Sigma0), ss)
             _, _, lag_ref = ref.moments(want)
             got = block(seq, b)
             for name in ("pred_mean", "pred_cov", "filt_mean", "filt_cov", "u",

@@ -11,11 +11,10 @@ from sdsbm.ssm import (
     ParamStack,
     binomial_obs_noise,
     build_state_space,
-    observation_variance,
     outside_normal_regime,
 )
 
-from conftest import make_series, stacked
+from conftest import concat, one_block
 
 
 class TestBuildStateSpace:
@@ -108,8 +107,8 @@ class TestBinomialObsNoise:
             ModelParams(d=d, q_m=0.0, q_s=0.0, r=0.0, mu0=np.array([m, 0.0]), Sigma0=np.zeros((d, d)))
             for m in (0.03, 0.95, 0.5)
         ]
-        blocks = [make_series([3, np.nan, 3], n=n, pair=("a", p)) for p in "bcd"]
-        stack, ps = stacked(blocks, params)
+        stack = concat(one_block([3, np.nan, 3], n=n, pair=("a", p)) for p in "bcd")
+        ps = ParamStack.of(params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             seq = kalman.filter(stack, ps)
@@ -119,23 +118,29 @@ class TestBinomialObsNoise:
 
 
 class TestObservationVariance:
+    # the observation variance b_t = u_t + n^2 r, n^2 r being the state
+    # space's measurement_var
     def test_binomial_only(self):
-        assert observation_variance(25.0, 100, 0.0) == pytest.approx(25.0)
+        assert 25.0 + build_state_space(2, 100, 0.0, 0.0, 0.0).measurement_var == 25.0
 
     def test_with_measurement_noise(self):
-        assert observation_variance(25.0, 100, 0.01) == pytest.approx(125.0)
+        assert 25.0 + build_state_space(2, 100, 0.0, 0.0, 0.01).measurement_var == pytest.approx(125.0)
 
     def test_large_block(self):
-        assert observation_variance(29.1, 1000, 1e-4) == pytest.approx(129.1)
+        assert 29.1 + build_state_space(2, 1000, 0.0, 0.0, 1e-4).measurement_var == pytest.approx(129.1)
 
-    def test_rejects_non_positive_u(self):
-        with pytest.raises(ValueError):
-            observation_variance(0.0, 100, 0.0)
+    def test_stacked_blocks(self):
+        ss = build_state_space(2, np.array([100.0, 1000.0]), 0.0, 0.0, np.array([0.01, 1e-4]))
+        np.testing.assert_allclose(ss.measurement_var, [100.0, 100.0], rtol=1e-15)
+
+    def test_binomial_noise_stays_positive(self):
+        # the filter never divides by a zero observation variance at r = 0
+        assert binomial_obs_noise(np.array([0.0, 100.0]), 100).min() > 0.0
 
     @pytest.mark.parametrize("r", [-1e-3, np.nan, np.inf])
     def test_rejects_bad_measurement_variance(self, r):
         with pytest.raises(ValueError, match="variances must be"):
-            observation_variance(25.0, 100, r)
+            build_state_space(2, 100, 0.0, 0.0, r)
 
 
 class TestModelParams:
