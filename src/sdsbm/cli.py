@@ -81,12 +81,14 @@ def _load_config(path) -> dict:
     return cfg
 
 
-# The options that take a JSON boolean or a number in a config file;
-# every other option takes a string, except simulate's "blocks" object.
+# The options that take a JSON boolean, an integer or a number in a
+# config file; every other option takes a string, except simulate's
+# "blocks" object.
 FLAG_OPTIONS = {"fix_r_zero", "paper_default_init", "drill_down"}
+INTEGER_OPTIONS = {"seed", "period", "steps", "t_cap", "max_iter", "horizon"}
 NUMBER_OPTIONS = {
-    "seed", "period", "steps", "bias", "season_amplitude", "q_m", "q_s", "r", "width",
-    "origin", "t_cap", "max_iter", "tol", "horizon", "level", "sigma", "loglik_threshold",
+    "bias", "season_amplitude", "q_m", "q_s", "r", "width", "origin", "tol", "level",
+    "sigma", "loglik_threshold",
 }
 
 
@@ -97,6 +99,8 @@ def _check_config_value(key: str, value, default) -> None:
         return
     if key in FLAG_OPTIONS:
         ok, kind = isinstance(value, bool), "true or false"
+    elif key in INTEGER_OPTIONS:
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif key in NUMBER_OPTIONS:
         ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
     else:
@@ -185,8 +189,8 @@ def _block_overrides(blocks, typing: VertexTyping) -> dict:
 
 
 def cmd_simulate(resolved: dict) -> int:
-    d = int(resolved["period"])
-    T = int(resolved["steps"])
+    d = resolved["period"]
+    T = resolved["steps"]
     if T < 0:
         raise ValueError("steps must be >= 0")
     width = float(resolved["width"])
@@ -212,7 +216,7 @@ def cmd_simulate(resolved: dict) -> int:
             d=d, q_m=opts["q_m"], q_s=opts["q_s"], r=opts["r"], init=init
         )
 
-    rng = np.random.default_rng(int(resolved["seed"]))
+    rng = np.random.default_rng(resolved["seed"])
     network, traces = generate_network(block_params, typing, T, rng)
 
     out = _out_dir(resolved)
@@ -277,7 +281,7 @@ def _load_blocks(resolved: dict) -> BlockStack:
     config = BucketingConfig(
         origin=float(resolved["origin"]),
         width=float(resolved["width"]),
-        T=None if resolved["t_cap"] is None else int(resolved["t_cap"]),
+        T=resolved["t_cap"],
         missing_policy=resolved["missing_policy"],
     )
     network = bucketize(events, typing, config)
@@ -288,12 +292,12 @@ def _load_blocks(resolved: dict) -> BlockStack:
 
 
 def cmd_fit(resolved: dict) -> int:
-    d = int(resolved["period"])
+    d = resolved["period"]
     blocks = _load_blocks(resolved)
     if not len(blocks):
         raise IngestError("no blocks with possible edges to fit")
     em_config = EmConfig(
-        max_iter=int(resolved["max_iter"]),
+        max_iter=resolved["max_iter"],
         tol=float(resolved["tol"]),
         fix_r_to_zero=resolved["fix_r_zero"],
     )
@@ -340,7 +344,7 @@ def _matched_blocks(resolved: dict) -> tuple[BlockStack, ParamStack]:
         raise UsageError("--model is required")
     params, n_by_pair = load_model(resolved["model"])
     model_d = next(iter(params.values())).d
-    if resolved.get("period") is not None and int(resolved["period"]) != model_d:
+    if resolved.get("period") is not None and resolved["period"] != model_d:
         raise IngestError(
             f"--period {resolved['period']} contradicts the model's period {model_d}"
         )
@@ -359,7 +363,7 @@ def _matched_blocks(resolved: dict) -> tuple[BlockStack, ParamStack]:
 def cmd_forecast(resolved: dict) -> int:
     if resolved["horizon"] is None:
         raise UsageError("--horizon is required")
-    horizon = int(resolved["horizon"])
+    horizon = resolved["horizon"]
     if horizon < 1:
         raise UsageError("forecast horizon must be >= 1")
     z = _z_quantile(float(resolved["level"]))

@@ -180,15 +180,17 @@ def generate_network(
     traces: dict[TypePair, LatentTrace] = {}
     for p, stream in zip(active, streams):
         vi, vj = block_pairs(typing, p)
+        hits = [np.zeros(0, np.int64)]  # one array of formed-pair positions per step
 
         def draw(t: int, e: float) -> int:
-            present = np.flatnonzero(stream.random(vi.size) < e)
-            edge_t.append(np.full(present.size, t + 1))
-            edge_i.append(vi[present])
-            edge_j.append(vj[present])
-            return present.size
+            hits.append(np.flatnonzero(stream.random(vi.size) < e))
+            return hits[-1].size
 
-        traces[p] = _sample_block(block_params[p], T, stream, draw)
+        traces[p] = trace = _sample_block(block_params[p], T, stream, draw)
+        formed = np.concatenate(hits)
+        edge_t.append(np.repeat(np.arange(1, T + 1), trace.counts.astype(np.int64)))
+        edge_i.append(vi[formed])
+        edge_j.append(vj[formed])
     network = DynamicNetwork.from_edges(
         typing, T, np.concatenate(edge_t), np.concatenate(edge_i), np.concatenate(edge_j)
     )

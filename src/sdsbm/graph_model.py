@@ -156,26 +156,30 @@ class DynamicNetwork:
             raise ValueError(
                 f"{T} snapshots of {V} vertices are too many to index edges in int64"
             )
-        t = np.asarray(t, dtype=np.int64)
-        u = np.minimum(i, j).astype(np.int64)
-        v = np.maximum(i, j).astype(np.int64)
-        if u.size and (u.min() < 0 or v.max() >= V):
+        t, i, j = (np.asarray(x, dtype=np.int64) for x in (t, i, j))
+        if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= V):
             raise ValueError("edge endpoint index not in typing")
         if t.size and (t.min() < 1 or t.max() > T):
             raise ValueError(f"snapshot index outside 1..{T}")
-        loops = np.flatnonzero(u == v)
+        loops = np.flatnonzero(i == j)
         if loops.size:
             k = loops[0]
             raise ValueError(
-                f"self-loop on vertex {typing.vertex_ids[u[k]]!r} in snapshot {t[k]}"
+                f"self-loop on vertex {typing.vertex_ids[i[k]]!r} in snapshot {t[k]}"
             )
-        # sort and drop repeats; faster here than np.unique, whose hash
-        # table (numpy >= 2.3) is about 15x slower than a sort on these keys
-        key = np.sort((t * V + u) * V + v)
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        tu, v = np.divmod(key[first], V)
-        t, u = np.divmod(tu, V)
+        # pack (t, u, v) into one int64 key in place, then sort and drop
+        # repeats; faster here than np.unique, whose hash table
+        # (numpy >= 2.3) is about 15x slower than a sort on these keys
+        key = t * V
+        key += np.minimum(i, j)
+        key *= V
+        key += np.maximum(i, j)
+        key.sort()
+        repeat = np.flatnonzero(key[1:] == key[:-1])
+        if repeat.size:
+            key = np.delete(key, repeat + 1)
+        t, key = np.divmod(key, V * V)
+        u, v = np.divmod(key, V)
         return cls(typing=typing, T=T, edge_t=t, edge_u=u, edge_v=v, missing=missing)
 
     @property

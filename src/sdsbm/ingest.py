@@ -9,12 +9,17 @@ File formats:
   entry per block ``{a, b, n, q_m, q_s, r, mu0, sigma0}``.
 
 Ingest is columnar.  The CSV rows are streamed into three string
-columns, converted in bulk into a float timestamp array and two int64
-vertex-index arrays (:class:`EventColumns`), and bucketed by one
-vectorised floor.  Repeats within a bucket are removed by sorting packed
-``(t, lower vertex, higher vertex)`` int64 keys, which yields the
-integer edge arrays of a :class:`~sdsbm.graph_model.DynamicNetwork`.
-No Python object is made per event beyond the CSV reader's row.
+columns of at most ``CHUNK_ROWS`` events; each full chunk is converted
+in bulk into a float timestamp array and two int64 vertex-index arrays
+before more rows are read, and the chunks' arrays are joined into one
+:class:`EventColumns` at the end.  The strings of one chunk are all that
+is held of the text, so parsing peaks at about twice the 24 bytes per
+event of the numeric columns (the chunks and their join), not at the
+few hundred bytes per event of the rows' strings.  The events are
+bucketed by one vectorised floor, and repeats within a bucket are
+removed by sorting packed ``(t, lower vertex, higher vertex)`` int64
+keys, which yields the integer edge arrays of a
+:class:`~sdsbm.graph_model.DynamicNetwork`.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import csv
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from operator import length_hint
@@ -37,6 +43,10 @@ MODEL_FORMAT_VERSION = 1
 
 EMPTY_GRAPH = "empty-graph"
 MISSING_OBSERVATION = "missing-observation"
+
+# Events converted to arrays at a time; the strings of at most this many
+# rows are held at once.
+CHUNK_ROWS = 4096
 
 
 class IngestError(ValueError):
@@ -103,11 +113,21 @@ def parse_inputs(events_file, types_file) -> tuple[EventColumns, VertexTyping]:
     return events, typing
 
 
+def _csv_rows(path, fh):
+    """The rows of an open CSV file; a row the reader refuses (a field
+    over its size limit, say) is a data error naming the line."""
+    rows = csv.reader(fh)
+    try:
+        yield from rows
+    except csv.Error as exc:
+        raise IngestError(f"{path}:{rows.line_num}: {exc}") from None
+
+
 def _parse_types(path) -> VertexTyping:
     vertex_ids: list[str] = []
     type_of: dict[str, str] = {}
     with open(path, newline="") as fh:
-        rows = csv.reader(fh)
+        rows = _csv_rows(path, fh)
         header = next(rows, None)
         if header is None or [c.strip() for c in header] != ["vertex", "type"]:
             raise IngestError(f"{path}: expected header 'vertex,type'")
@@ -129,17 +149,36 @@ def _parse_types(path) -> VertexTyping:
 
 
 def _parse_events(path, typing: VertexTyping) -> EventColumns:
-    """Stream the rows into three string columns, then convert each
-    column in bulk.  When any row is bad, the first bad one in file
+    """Stream the rows into three string columns of at most
+    ``CHUNK_ROWS`` events, and convert each full chunk in bulk before
+    reading on.  When any row is bad, the first bad one in file
     order is reported, with the same checks in the same order as
     :func:`_event_error` applies them."""
+    index = typing.vertex_index()
+    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     stamps: list[str] = []
     srcs: list[str] = []
     dsts: list[str] = []
     blank: list[int] = []  # number of 3-column rows read before each blank row
-    odd_row = None  # the first row with neither 0 nor 3 columns
+    done = 0  # 3-column rows converted so far
+
+    def where(k: int) -> str:
+        """The file and line of the k-th 3-column row (0-based)."""
+        return f"{path}:{k + 2 + bisect_right(blank, k)}"
+
+    def convert() -> None:
+        nonlocal done
+        timestamp, src, dst, bad = _convert_chunk(stamps, srcs, dsts, index)
+        if bad < len(stamps):
+            raise _event_error(where(done + bad), stamps[bad], srcs[bad], dsts[bad], index)
+        chunks.append((timestamp, src, dst))
+        done += len(stamps)
+        stamps.clear()
+        srcs.clear()
+        dsts.clear()
+
     with open(path, newline="") as fh:
-        rows = csv.reader(fh)
+        rows = _csv_rows(path, fh)
         header = next(rows, None)
         if header is None or [c.strip() for c in header] != ["timestamp", "src", "dst"]:
             raise IngestError(f"{path}: expected header 'timestamp,src,dst'")
@@ -149,13 +188,22 @@ def _parse_events(path, typing: VertexTyping) -> EventColumns:
                 add_stamp(row[0])
                 add_src(row[1])
                 add_dst(row[2])
+                if len(stamps) == CHUNK_ROWS:
+                    convert()
             elif row:
-                odd_row = row
-                break
+                convert()
+                raise IngestError(f"{where(done)}: expected 3 columns, got {len(row)}")
             else:
-                blank.append(len(stamps))
+                blank.append(done + len(stamps))
+    convert()
+    return EventColumns(*(np.concatenate(column) for column in zip(*chunks)))
+
+
+def _convert_chunk(stamps, srcs, dsts, index):
+    """The timestamp, source and destination arrays of one chunk of
+    string columns, and the position of its first bad row (its length
+    when every row is good)."""
     n = len(stamps)
-    index = typing.vertex_index()
     src = np.fromiter(map(index.get, map(str.strip, srcs), repeat(-1)), np.int64, n)
     dst = np.fromiter(map(index.get, map(str.strip, dsts), repeat(-1)), np.int64, n)
     unread = iter(stamps)
@@ -168,15 +216,9 @@ def _parse_events(path, typing: VertexTyping) -> EventColumns:
         timestamp = np.fromiter(map(float, stamps[:first_bad]), float, first_bad)
     bad = (src < 0) | (dst < 0) | (src == dst)
     bad[: timestamp.size] |= ~np.isfinite(timestamp)
-    first_bad = min(first_bad, int(np.argmax(bad)) if bad.any() else n)
-    if first_bad < n or odd_row is not None:
-        lineno = first_bad + 2 + int(np.searchsorted(blank, first_bad, side="right"))
-        if first_bad == n:
-            raise IngestError(f"{path}:{lineno}: expected 3 columns, got {len(odd_row)}")
-        raise _event_error(
-            f"{path}:{lineno}", stamps[first_bad], srcs[first_bad], dsts[first_bad], index
-        )
-    return EventColumns(timestamp=timestamp, src=src, dst=dst)
+    if bad.any():
+        first_bad = min(first_bad, int(np.argmax(bad)))
+    return timestamp, src, dst, first_bad
 
 
 def _event_error(where: str, stamp: str, src: str, dst: str, known) -> IngestError:

@@ -298,6 +298,21 @@ class TestFit:
             assert code == EXIT_DATA
             assert capsys.readouterr().err == f"error: no time buckets: {cause}\n"
 
+    @pytest.mark.parametrize("bad", ["events", "types"])
+    def test_oversized_csv_field_is_data_error(self, tmp_path, sim_dir, capsys, bad):
+        # csv.reader refuses a field longer than its 131072-character limit
+        files = {"events": sim_dir / "events.csv", "types": sim_dir / "types.csv"}
+        files[bad] = tmp_path / f"{bad}.csv"
+        long = "x" * 200_000
+        files[bad].write_text(
+            f"timestamp,src,dst\n1,{long},2\n" if bad == "events" else f"vertex,type\n{long},a\n"
+        )
+        code = run("fit", "--events", files["events"], "--types", files["types"],
+                   "--out-dir", tmp_path / "out")
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {files[bad]}:2: field larger than field limit (131072)\n", err[:200]
+
 
 @pytest.fixture(scope="module")
 def fitted_dir(sim_dir, tmp_path_factory):
@@ -652,11 +667,19 @@ class TestConfigHandling:
             ("simulate", {"types": 5}),
             ("forecast", {"level": None}),
             ("detect", {"mode": False}),
+            # an integer option takes a JSON integer, not a fractional number
+            ("fit", {"max_iter": 2.9}),
+            ("fit", {"period": 7.5}),
+            ("fit", {"t_cap": 10.0}),
+            ("forecast", {"horizon": 3.5}),
+            ("simulate", {"seed": 1.5}),
+            ("simulate", {"steps": 1e2}),
         ],
     )
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, command, config):
-        # a flag takes a JSON boolean, a number a non-boolean number and a
-        # path or name a string; null only where the default is null
+        # a flag takes a JSON boolean, an integer option a non-boolean
+        # integer, a number a non-boolean number and a path or name a
+        # string; null only where the default is null
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out"

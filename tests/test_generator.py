@@ -3,6 +3,7 @@ import pytest
 
 from sdsbm.generator import (
     GenParams,
+    _sample_block,
     default_state,
     generate_block_series,
     generate_network,
@@ -10,7 +11,13 @@ from sdsbm.generator import (
     sine_profile,
     step_latent,
 )
-from sdsbm.graph_model import VertexTyping, extract_block_series
+from sdsbm.graph_model import (
+    DynamicNetwork,
+    VertexTyping,
+    block_pairs,
+    extract_block_series,
+    pair_possible_edges,
+)
 
 
 class _ExpectationRng:
@@ -250,3 +257,55 @@ class TestGenerateNetwork:
         del params[("a", "b")]
         with pytest.raises(ValueError, match="missing GenParams"):
             generate_network(params, typing, T=2, rng=rng)
+
+
+def per_step_network(block_params, typing, T, rng):
+    """The generator loop as it was first written: three edge arrays per
+    step, joined once at the end."""
+    active = [p for p in typing.pairs() if pair_possible_edges(typing, p) >= 1]
+    streams = rng.spawn(len(active))
+    edge_t, edge_i, edge_j = ([np.zeros(0, np.int64)] for _ in range(3))
+    traces = {}
+    for p, stream in zip(active, streams):
+        vi, vj = block_pairs(typing, p)
+
+        def draw(t, e):
+            present = np.flatnonzero(stream.random(vi.size) < e)
+            edge_t.append(np.full(present.size, t + 1))
+            edge_i.append(vi[present])
+            edge_j.append(vj[present])
+            return present.size
+
+        traces[p] = _sample_block(block_params[p], T, stream, draw)
+    network = DynamicNetwork.from_edges(
+        typing, T, np.concatenate(edge_t), np.concatenate(edge_i), np.concatenate(edge_j)
+    )
+    return network, traces
+
+
+def typing_with_lone_vertex():
+    ids = ("a0", "a1", "a2", "b0", "b1", "c0")
+    return VertexTyping(vertex_ids=ids, type_of={v: v[0] for v in ids})
+
+
+@pytest.mark.parametrize(
+    "typing,T,seed",
+    [
+        (small_typing(), 25, 1),
+        (small_typing(), 25, 2),
+        (small_typing(), 25, 3),
+        (typing_with_lone_vertex(), 25, 4),  # no (c, c) block
+        (small_typing(), 0, 5),
+    ],
+)
+def test_network_matches_per_step_loop(typing, T, seed):
+    params = uniform_params(typing, q_m=1e-3, q_s=1e-3, r=1e-2)
+    net, traces = generate_network(params, typing, T, np.random.default_rng(seed))
+    ref_net, ref_traces = per_step_network(params, typing, T, np.random.default_rng(seed))
+    for name in ("edge_t", "edge_u", "edge_v"):
+        got, want = getattr(net, name), getattr(ref_net, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert net.T == T and traces.keys() == ref_traces.keys()
+    for pair, trace in traces.items():
+        for field in ("states", "density", "counts"):
+            np.testing.assert_array_equal(getattr(trace, field), getattr(ref_traces[pair], field))

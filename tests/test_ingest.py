@@ -1,13 +1,17 @@
+import csv
+import io
 import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdsbm import ingest
 from sdsbm.graph_model import VertexTyping, extract_block_series, pair_possible_edges
 from sdsbm.ingest import (
     EMPTY_GRAPH,
@@ -92,40 +96,115 @@ class TestParseInputs:
 GOOD = "1,1,2\n"
 
 
-@pytest.mark.parametrize(
-    "rows,message",
-    [
-        pytest.param(GOOD + "2,1\n", "{path}:3: expected 3 columns, got 2", id="columns-short"),
-        pytest.param(GOOD + "2,1,2,3\n", "{path}:3: expected 3 columns, got 4", id="columns-long"),
-        pytest.param(GOOD + "bogus,1,2\n", "{path}:3: bad timestamp 'bogus'", id="timestamp-unparsable"),
-        pytest.param(GOOD + "inf,1,2\n", "{path}:3: non-finite timestamp", id="timestamp-inf"),
-        pytest.param(GOOD + "nan,1,2\n", "{path}:3: non-finite timestamp", id="timestamp-nan"),
-        pytest.param(GOOD + "5, 1,1 \n", "{path}:3: self-loop event on vertex '1'", id="self-loop"),
-        pytest.param(GOOD + "5,9,9\n", "{path}:3: self-loop event on vertex '9'", id="self-loop-unknown"),
-        pytest.param(GOOD + "5,1,9\n", "{path}:3: vertex '9' has no type", id="unknown-dst"),
-        pytest.param(GOOD + "5,9,1\n", "{path}:3: vertex '9' has no type", id="unknown-src"),
-        # blank rows still count as lines
-        pytest.param("\n" + GOOD + "\nbogus,1,2\n", "{path}:5: bad timestamp 'bogus'", id="blank-rows-count"),
-        # far from the start, so the bulk conversion has to locate it
-        pytest.param(GOOD * 500 + "x,1,2\n" + GOOD * 500, "{path}:502: bad timestamp 'x'", id="deep-timestamp"),
-        pytest.param(GOOD * 500 + "1,1\n" + GOOD * 500, "{path}:502: expected 3 columns, got 2", id="deep-columns"),
-        # two different faults: the earlier line wins
-        pytest.param(GOOD + "5,1,9\n" + "bogus,1,2\n", "{path}:3: vertex '9' has no type", id="unknown-before-timestamp"),
-        pytest.param(GOOD + "bogus,1,2\n" + "5,1,9\n", "{path}:3: bad timestamp 'bogus'", id="timestamp-before-unknown"),
-        pytest.param(GOOD + "inf,1,2\n" + "2,1\n", "{path}:3: non-finite timestamp", id="non-finite-before-columns"),
-        pytest.param(GOOD + "2,1\n" + "5,1,1\n", "{path}:3: expected 3 columns, got 2", id="columns-before-self-loop"),
-        pytest.param(GOOD + "5,2,2\n" + "2,1\n", "{path}:3: self-loop event on vertex '2'", id="self-loop-before-columns"),
-        # two faults in one row: the checks keep their order
-        pytest.param(GOOD + "nan,1,1\n", "{path}:3: non-finite timestamp", id="same-row-non-finite-first"),
-        pytest.param(GOOD + "x,9,9\n", "{path}:3: bad timestamp 'x'", id="same-row-timestamp-first"),
-    ],
-)
+BAD_ROWS = [
+    pytest.param(GOOD + "2,1\n", "{path}:3: expected 3 columns, got 2", id="columns-short"),
+    pytest.param(GOOD + "2,1,2,3\n", "{path}:3: expected 3 columns, got 4", id="columns-long"),
+    pytest.param(GOOD + "bogus,1,2\n", "{path}:3: bad timestamp 'bogus'", id="timestamp-unparsable"),
+    pytest.param(GOOD + "inf,1,2\n", "{path}:3: non-finite timestamp", id="timestamp-inf"),
+    pytest.param(GOOD + "nan,1,2\n", "{path}:3: non-finite timestamp", id="timestamp-nan"),
+    pytest.param(GOOD + "5, 1,1 \n", "{path}:3: self-loop event on vertex '1'", id="self-loop"),
+    pytest.param(GOOD + "5,9,9\n", "{path}:3: self-loop event on vertex '9'", id="self-loop-unknown"),
+    pytest.param(GOOD + "5,1,9\n", "{path}:3: vertex '9' has no type", id="unknown-dst"),
+    pytest.param(GOOD + "5,9,1\n", "{path}:3: vertex '9' has no type", id="unknown-src"),
+    # blank rows still count as lines
+    pytest.param("\n" + GOOD + "\nbogus,1,2\n", "{path}:5: bad timestamp 'bogus'", id="blank-rows-count"),
+    # far from the start, so the bulk conversion has to locate it
+    pytest.param(GOOD * 500 + "x,1,2\n" + GOOD * 500, "{path}:502: bad timestamp 'x'", id="deep-timestamp"),
+    pytest.param(GOOD * 500 + "1,1\n" + GOOD * 500, "{path}:502: expected 3 columns, got 2", id="deep-columns"),
+    # two different faults: the earlier line wins
+    pytest.param(GOOD + "5,1,9\n" + "bogus,1,2\n", "{path}:3: vertex '9' has no type", id="unknown-before-timestamp"),
+    pytest.param(GOOD + "bogus,1,2\n" + "5,1,9\n", "{path}:3: bad timestamp 'bogus'", id="timestamp-before-unknown"),
+    pytest.param(GOOD + "inf,1,2\n" + "2,1\n", "{path}:3: non-finite timestamp", id="non-finite-before-columns"),
+    pytest.param(GOOD + "2,1\n" + "5,1,1\n", "{path}:3: expected 3 columns, got 2", id="columns-before-self-loop"),
+    pytest.param(GOOD + "5,2,2\n" + "2,1\n", "{path}:3: self-loop event on vertex '2'", id="self-loop-before-columns"),
+    # two faults in one row: the checks keep their order
+    pytest.param(GOOD + "nan,1,1\n", "{path}:3: non-finite timestamp", id="same-row-non-finite-first"),
+    pytest.param(GOOD + "x,9,9\n", "{path}:3: bad timestamp 'x'", id="same-row-timestamp-first"),
+]
+
+
+@pytest.mark.parametrize("rows,message", BAD_ROWS)
 def test_bad_event_row_names_first_offending_line(tmp_path, rows, message):
     types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
     events = write(tmp_path, "events.csv", "timestamp,src,dst\n" + rows)
     with pytest.raises(IngestError) as info:
         parse_inputs(events, types)
     assert str(info.value) == message.format(path=events)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("rows,message", BAD_ROWS)
+def test_bad_event_row_is_found_across_chunk_boundaries(tmp_path, monkeypatch, chunk, rows, message):
+    # tiny chunks put the bad row, and the blank rows before it, on
+    # every position relative to a chunk boundary
+    monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk)
+    test_bad_event_row_names_first_offending_line(tmp_path, rows, message)
+
+
+def reference_parse(text, known):
+    """Row-at-a-time reference for the events file ``text``: the
+    ``(timestamps, srcs, dsts)`` lists, or the ``line: message`` of the
+    first bad row."""
+    stamps, srcs, dsts = [], [], []
+    for lineno, row in enumerate(list(csv.reader(io.StringIO(text)))[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            return f"{lineno}: expected 3 columns, got {len(row)}"
+        try:
+            ts = float(row[0])
+        except ValueError:
+            return f"{lineno}: bad timestamp {row[0]!r}"
+        if not math.isfinite(ts):
+            return f"{lineno}: non-finite timestamp"
+        u, v = row[1].strip(), row[2].strip()
+        if u == v:
+            return f"{lineno}: self-loop event on vertex {u!r}"
+        if u not in known or v not in known:
+            return f"{lineno}: vertex {u if u not in known else v!r} has no type"
+        stamps.append(ts)
+        srcs.append(known[u])
+        dsts.append(known[v])
+    return stamps, srcs, dsts
+
+
+GOOD_FIELDS = st.tuples(
+    st.floats(-1e6, 1e6).map(repr), st.sampled_from(["1", "2", " 3"]), st.sampled_from(["1", "2", "3 "])
+).filter(lambda row: row[1].strip() != row[2].strip())
+BAD_FIELDS = st.one_of(
+    st.tuples(st.sampled_from(["x", "inf", "nan", ""]), st.just("1"), st.just("2")),
+    st.tuples(st.just("1"), st.sampled_from(["1", "9"]), st.sampled_from(["1", "9"])),
+    st.lists(st.just("1"), min_size=1, max_size=5).filter(lambda row: len(row) != 3).map(tuple),
+)
+
+
+@st.composite
+def raw_event_files(draw):
+    """An events file of good and blank rows, with up to two bad rows at
+    random places."""
+    lines = draw(st.lists(st.one_of(st.just(""), GOOD_FIELDS.map(",".join)), max_size=24))
+    for row in draw(st.lists(BAD_FIELDS, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), ",".join(row))
+    return "timestamp,src,dst\n" + "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_event_files(), st.integers(1, 5))
+def test_chunked_parse_matches_row_reference(text, chunk):
+    typing = VertexTyping(vertex_ids=("1", "2", "3"), type_of={"1": "a", "2": "a", "3": "b"})
+    expected = reference_parse(text, typing.vertex_index())
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "CHUNK_ROWS", chunk):
+        tmp = Path(tmp)
+        types = write(tmp, "types.csv", "vertex,type\n1,a\n2,a\n3,b\n")
+        events = write(tmp, "events.csv", text)
+        if isinstance(expected, str):
+            with pytest.raises(IngestError) as info:
+                parse_inputs(events, types)
+            assert str(info.value) == f"{events}:{expected}"
+            return
+        evs, _ = parse_inputs(events, types)
+    for got, want, dtype in zip((evs.timestamp, evs.src, evs.dst), expected, (float, np.int64, np.int64)):
+        assert got.dtype == dtype and got.tolist() == want
 
 
 def test_first_event_before_origin_is_named(tmp_path):
