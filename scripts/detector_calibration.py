@@ -50,7 +50,7 @@ def main() -> None:
     )
     blocks, params = null_blocks(gen, args.n, args.steps, args.blocks, rng)
     scores = anomaly.score(blocks, params, mode="predictive")
-    report = anomaly.detect(scores, anomaly.threshold_sigma(args.k))
+    report = anomaly.detect(scores, anomaly.SigmaPolicy(args.k))
     steps = args.blocks * args.steps
     rate = len(report.block_flags) / steps
     tail = 2.0 * (1.0 - 0.5 * (1.0 + math.erf(args.k / math.sqrt(2.0))))
@@ -71,7 +71,7 @@ def main() -> None:
         trial_blocks = replace(trial_blocks, counts=spiked)
         rep = anomaly.detect(
             anomaly.score(trial_blocks, trial_params),
-            anomaly.threshold_sigma(args.k),
+            anomaly.SigmaPolicy(args.k),
             drill_down=True,
         )
         grabbed = [f for f in rep.graph_flags if f.t == t_star]

@@ -38,7 +38,6 @@ from .anomaly import (
     SigmaPolicy,
     detect,
     score,
-    threshold_sigma,
 )
 from .ingest import (
     BucketingConfig,

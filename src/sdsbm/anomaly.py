@@ -29,6 +29,10 @@ class SigmaPolicy:
 
     k: float
 
+    def __post_init__(self) -> None:
+        if not self.k > 0:  # also refuses NaN
+            raise ValueError(f"sigma threshold must be positive, got {self.k}")
+
     def describe(self) -> str:
         return f"sigma:{self.k:g}"
 
@@ -46,12 +50,6 @@ class LogLikPolicy:
 
     def describe(self) -> str:
         return f"loglik:{self.c0:g}"
-
-
-def threshold_sigma(k: float) -> SigmaPolicy:
-    if not k > 0:
-        raise ValueError(f"sigma threshold must be positive, got {k}")
-    return SigmaPolicy(k=float(k))
 
 
 @dataclass

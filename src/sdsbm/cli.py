@@ -1,7 +1,8 @@
 """Command-line front end: simulate, fit, forecast, detect.
 
-Every subcommand is reproducible from its inputs, options and seed; the
-resolved configuration is written next to the outputs.  Exit codes:
+Every subcommand is reproducible from its inputs and options (simulate's
+include its seed); the resolved configuration is written next to the
+outputs.  Exit codes:
 0 success (detect: no anomalies), 1 usage error, 2 data error,
 3 anomalies found (detect), 4 EM hit max-iter without converging (fit).
 """
@@ -14,6 +15,7 @@ import json
 import math
 import statistics
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,44 +83,110 @@ def _load_config(path) -> dict:
     return cfg
 
 
-# The options that take a JSON boolean, an integer or a number in a
-# config file; every other option takes a string, except simulate's
-# "blocks" object.
-FLAG_OPTIONS = {"fix_r_zero", "paper_default_init", "drill_down"}
-INTEGER_OPTIONS = {"seed", "period", "steps", "t_cap", "max_iter", "horizon"}
-NUMBER_OPTIONS = {
-    "bias", "season_amplitude", "q_m", "q_s", "r", "width", "origin", "tol", "level",
-    "sigma", "loglik_threshold",
-}
+@dataclass(frozen=True)
+class Option:
+    """One option of a command, declared once for its flag and its config
+    key.  ``kind`` is the type of its value (bool for a flag, dict for a
+    config-only object); the flag is ``--`` plus the key with dashes."""
+
+    kind: type
+    default: object
+    help: str
+    choices: tuple = ()
+    short: str | None = None
 
 
-def _check_config_value(key: str, value, default) -> None:
-    """A config value must have its option's JSON type; null only where
-    the option's default is null."""
-    if key == "blocks" or (value is None and default is None):
-        return
-    if key in FLAG_OPTIONS:
-        ok, kind = isinstance(value, bool), "true or false"
-    elif key in INTEGER_OPTIONS:
-        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif key in NUMBER_OPTIONS:
-        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
-    else:
-        ok, kind = isinstance(value, str), "a string"
-    if not ok:
-        raise UsageError(f"config key {key!r} takes {kind}, got {json.dumps(value)}")
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", dict: "an object"}
 
 
-def _resolve(defaults: dict, config: dict, cli: dict) -> dict:
-    unknown = set(config) - set(defaults)
+def _config_value(name: str, option: Option, value):
+    """A config value as its option's type, if it has the option's JSON
+    type, lies among its choices and is null only where the default is."""
+    if value is None and option.default is None:
+        return None
+    json_kind = (int, float) if option.kind is float else option.kind
+    if (isinstance(value, json_kind) and (option.kind is bool or not isinstance(value, bool))
+            and (not option.choices or value in option.choices)):
+        try:
+            return option.kind(value)
+        except OverflowError:  # an integer beyond the range of a float
+            pass
+    kind = f"one of {list(option.choices)}" if option.choices else _KIND_NAMES[option.kind]
+    raise UsageError(f"config {name} takes {kind}, got {json.dumps(value)}")
+
+
+def _resolve(options: dict[str, Option], config: dict, cli: dict) -> dict:
+    unknown = set(config) - set(options)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in config.items():
-        _check_config_value(key, value, defaults[key])
-    resolved = dict(defaults)
-    resolved.update(config)
+    resolved = {key: option.default for key, option in options.items()}
+    resolved.update(
+        {key: _config_value(f"key {key!r}", options[key], value) for key, value in config.items()}
+    )
     resolved.update({k: v for k, v in cli.items() if v is not None})
     return resolved
+
+
+# Every option of every command.  The data options are shared by fit,
+# forecast and detect; forecast and detect take the period d from the model.
+OUT_DIR = {"out_dir": Option(str, ".", "directory for output files")}
+DATA_OPTIONS = {
+    "events": Option(str, None, "events CSV (timestamp,src,dst)"),
+    "types": Option(str, None, "vertex types CSV (vertex,type)"),
+    "origin": Option(float, 0.0, "bucketing origin timestamp"),
+    "width": Option(float, 1.0, "bucket width"),
+    "t_cap": Option(int, None, "cap on the number of buckets"),
+    "missing_policy": Option(str, EMPTY_GRAPH, "treat event-free buckets as empty graphs or as gaps",
+                             choices=(EMPTY_GRAPH, MISSING_OBSERVATION)),
+    **OUT_DIR,
+}
+PERIOD = {"period": Option(int, 7, "seasonal period length d", short="-d")}
+MODEL = {"model": Option(str, None, "fitted model JSON")}
+
+# The options a simulate config's "blocks" entry may set for one block,
+# keyed "a:b".
+BLOCK_OPTIONS = ("bias", "season_amplitude", "q_m", "q_s", "r")
+
+OPTIONS = {
+    "simulate": {
+        "seed": Option(int, 0, "random seed, recorded in the output"),
+        **PERIOD,
+        "steps": Option(int, 280, "number of snapshots", short="-T"),
+        "types": Option(str, "a=32,b=16", "type sizes, e.g. a=32,b=16"),
+        "bias": Option(float, 0.6, "initial edge-density bias"),
+        "season_amplitude": Option(float, 0.1, "seasonal half-range"),
+        "q_m": Option(float, 1e-7, "bias process variance"),
+        "q_s": Option(float, 1e-7, "seasonal process variance"),
+        "r": Option(float, 1e-3, "measurement variance"),
+        "width": Option(float, 1.0, "timestamp width per snapshot"),
+        "blocks": Option(dict, {}, "per-block generator options, keyed a:b (config only)"),
+        **OUT_DIR,
+    },
+    "fit": {
+        **DATA_OPTIONS,
+        **PERIOD,
+        "max_iter": Option(int, 200, "EM iteration cap"),
+        "tol": Option(float, 1e-6, "relative log-likelihood tolerance"),
+        "fix_r_zero": Option(bool, False, "pin measurement variance to zero"),
+        "paper_default_init": Option(bool, False, "initialise all variances at the flat value 1"),
+        "init_model": Option(str, None, "warm-start EM from a saved model file"),
+    },
+    "forecast": {
+        **MODEL,
+        **DATA_OPTIONS,
+        "horizon": Option(int, None, "steps to forecast"),
+        "level": Option(float, 0.95, "confidence level, e.g. 0.95"),
+    },
+    "detect": {
+        **MODEL,
+        **DATA_OPTIONS,
+        "sigma": Option(float, None, "z-score threshold k"),
+        "loglik_threshold": Option(float, None, "graph log-likelihood floor c0"),
+        "mode": Option(str, "predictive", "scoring moments", choices=("predictive", "smoothed")),
+        "drill_down": Option(bool, False, "rank blocks under each graph flag"),
+    },
+}
 
 
 def _write_run_config(out_dir: Path, command: str, resolved: dict) -> None:
@@ -156,36 +224,22 @@ def _parse_type_sizes(spec: str) -> dict[str, int]:
 # simulate
 # ----------------------------------------------------------------------
 
-SIMULATE_DEFAULTS = {
-    "seed": 0,
-    "period": 7,
-    "steps": 280,
-    "types": "a=32,b=16",
-    "bias": 0.6,
-    "season_amplitude": 0.1,
-    "q_m": 1e-7,
-    "q_s": 1e-7,
-    "r": 1e-3,
-    "width": 1.0,
-    "blocks": {},
-    "out_dir": ".",
-}
 
-# Options a config's "blocks" entry may set for one block, keyed "a:b".
-BLOCK_OPTIONS = ("bias", "season_amplitude", "q_m", "q_s", "r")
-
-
-def _block_overrides(blocks, typing: VertexTyping) -> dict:
-    if not isinstance(blocks, dict):
-        raise UsageError("config key 'blocks' must map block names like 'a:b' to objects")
+def _block_overrides(blocks: dict, typing: VertexTyping) -> dict:
+    """The config's per-block overrides, each value checked against its option."""
     pairs = {pair_key(pair) for pair in typing.pairs()}
+    checked = {}
     for key, opts in blocks.items():
         if key not in pairs:
             raise UsageError(f"config blocks: unknown block {key!r}, expected one of {sorted(pairs)}")
         if not isinstance(opts, dict) or set(opts) - set(BLOCK_OPTIONS):
             raise UsageError(f"config blocks: {key!r} takes an object with keys among "
                              f"{list(BLOCK_OPTIONS)}, got {opts!r}")
-    return blocks
+        checked[key] = {
+            name: _config_value(f"blocks {key!r} key {name!r}", OPTIONS["simulate"][name], value)
+            for name, value in opts.items()
+        }
+    return checked
 
 
 def cmd_simulate(resolved: dict) -> int:
@@ -193,7 +247,7 @@ def cmd_simulate(resolved: dict) -> int:
     T = resolved["steps"]
     if T < 0:
         raise ValueError("steps must be >= 0")
-    width = float(resolved["width"])
+    width = resolved["width"]
     if not (math.isfinite(width) and width > 0):
         raise ValueError("width must be finite and positive")
     sizes = _parse_type_sizes(resolved["types"])
@@ -251,36 +305,13 @@ def cmd_simulate(resolved: dict) -> int:
 # fit
 # ----------------------------------------------------------------------
 
-# Options of every command that reads events: fit, forecast and detect.
-DATA_DEFAULTS = {
-    "seed": 0,
-    "events": None,
-    "types": None,
-    "origin": 0.0,
-    "width": 1.0,
-    "t_cap": None,
-    "missing_policy": EMPTY_GRAPH,
-    "out_dir": ".",
-}
-
-FIT_DEFAULTS = {
-    **DATA_DEFAULTS,
-    "period": 7,
-    "max_iter": 200,
-    "tol": 1e-6,
-    "fix_r_zero": False,
-    "paper_default_init": False,
-    "init_model": None,
-}
-
-
 def _load_blocks(resolved: dict) -> BlockStack:
     if not resolved["events"] or not resolved["types"]:
         raise UsageError("--events and --types are required")
     events, typing = parse_inputs(resolved["events"], resolved["types"])
     config = BucketingConfig(
-        origin=float(resolved["origin"]),
-        width=float(resolved["width"]),
+        origin=resolved["origin"],
+        width=resolved["width"],
         T=resolved["t_cap"],
         missing_policy=resolved["missing_policy"],
     )
@@ -298,7 +329,7 @@ def cmd_fit(resolved: dict) -> int:
         raise IngestError("no blocks with possible edges to fit")
     em_config = EmConfig(
         max_iter=resolved["max_iter"],
-        tol=float(resolved["tol"]),
+        tol=resolved["tol"],
         fix_r_to_zero=resolved["fix_r_zero"],
     )
     init = default_init(blocks, d, flat_defaults=resolved["paper_default_init"])
@@ -335,19 +366,11 @@ def cmd_fit(resolved: dict) -> int:
 # forecast
 # ----------------------------------------------------------------------
 
-FORECAST_DEFAULTS = {**DATA_DEFAULTS, "period": None, "model": None, "horizon": None, "level": 0.95}
-
-
 def _matched_blocks(resolved: dict) -> tuple[BlockStack, ParamStack]:
     """The data's blocks and the model's parameters, both in model order."""
     if not resolved["model"]:
         raise UsageError("--model is required")
     params, n_by_pair = load_model(resolved["model"])
-    model_d = next(iter(params.values())).d
-    if resolved.get("period") is not None and resolved["period"] != model_d:
-        raise IngestError(
-            f"--period {resolved['period']} contradicts the model's period {model_d}"
-        )
     blocks = _load_blocks(resolved)
     row = {pair: k for k, pair in enumerate(blocks.pairs)}
     pairs = sorted(params)
@@ -366,7 +389,7 @@ def cmd_forecast(resolved: dict) -> int:
     horizon = resolved["horizon"]
     if horizon < 1:
         raise UsageError("forecast horizon must be >= 1")
-    z = _z_quantile(float(resolved["level"]))
+    z = _z_quantile(resolved["level"])
     blocks, params = _matched_blocks(resolved)
     seq = kalman_filter(blocks, params)
     fc = kalman_forecast(
@@ -390,26 +413,13 @@ def cmd_forecast(resolved: dict) -> int:
 # detect
 # ----------------------------------------------------------------------
 
-DETECT_DEFAULTS = {
-    **DATA_DEFAULTS,
-    "period": None,
-    "model": None,
-    "sigma": None,
-    "loglik_threshold": None,
-    "mode": "predictive",
-    "drill_down": False,
-}
-
-
 def cmd_detect(resolved: dict) -> int:
     if resolved["sigma"] is not None and resolved["loglik_threshold"] is not None:
         raise UsageError("--sigma and --loglik-threshold are mutually exclusive")
     if resolved["loglik_threshold"] is not None:
-        policy = anomaly.LogLikPolicy(c0=float(resolved["loglik_threshold"]))
+        policy = anomaly.LogLikPolicy(c0=resolved["loglik_threshold"])
     else:
-        policy = anomaly.threshold_sigma(
-            3.0 if resolved["sigma"] is None else float(resolved["sigma"])
-        )
+        policy = anomaly.SigmaPolicy(3.0 if resolved["sigma"] is None else resolved["sigma"])
     blocks, params = _matched_blocks(resolved)
     scores = anomaly.score(blocks, params, mode=resolved["mode"])
     report = anomaly.detect(scores, policy, drill_down=resolved["drill_down"])
@@ -426,79 +436,30 @@ def cmd_detect(resolved: dict) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_shared(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, help="run seed, recorded in the output")
-    sub.add_argument("--period", "-d", type=int, help="seasonal period length d")
-    sub.add_argument("--config", help="JSON file with defaults for any option")
-    sub.add_argument("--out-dir", help="directory for output files")
-
-
-def _add_data_opts(sub: argparse.ArgumentParser, with_model: bool) -> None:
-    if with_model:
-        sub.add_argument("--model", help="fitted model JSON")
-    sub.add_argument("--events", help="events CSV (timestamp,src,dst)")
-    sub.add_argument("--types", help="vertex types CSV (vertex,type)")
-    sub.add_argument("--origin", type=float, help="bucketing origin timestamp")
-    sub.add_argument("--width", type=float, help="bucket width")
-    sub.add_argument("--t-cap", type=int, help="cap on the number of buckets")
-    sub.add_argument(
-        "--missing-policy",
-        choices=[EMPTY_GRAPH, MISSING_OBSERVATION],
-        help="treat event-free buckets as empty graphs or as gaps",
-    )
+_COMMANDS = {
+    "simulate": (cmd_simulate, "sample a synthetic seasonal network"),
+    "fit": (cmd_fit, "learn per-block parameters by EM"),
+    "forecast": (cmd_forecast, "forecast counts beyond the data"),
+    "detect": (cmd_detect, "flag anomalous snapshots"),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sdsbm", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="sample a synthetic seasonal network")
-    _add_shared(sim)
-    sim.add_argument("--steps", "-T", type=int, help="number of snapshots")
-    sim.add_argument("--types", help="type sizes, e.g. a=32,b=16")
-    sim.add_argument("--bias", type=float, help="initial edge-density bias")
-    sim.add_argument("--season-amplitude", type=float, help="seasonal half-range")
-    sim.add_argument("--q-m", type=float, help="bias process variance")
-    sim.add_argument("--q-s", type=float, help="seasonal process variance")
-    sim.add_argument("--r", type=float, help="measurement variance")
-    sim.add_argument("--width", type=float, help="timestamp width per snapshot")
-
-    fit = subs.add_parser("fit", help="learn per-block parameters by EM")
-    _add_shared(fit)
-    _add_data_opts(fit, with_model=False)
-    fit.add_argument("--max-iter", type=int, help="EM iteration cap")
-    fit.add_argument("--tol", type=float, help="relative log-likelihood tolerance")
-    fit.add_argument("--fix-r-zero", action="store_const", const=True, help="pin measurement variance to zero")
-    fit.add_argument(
-        "--paper-default-init",
-        action="store_const",
-        const=True,
-        help="initialise all variances at the flat value 1",
-    )
-    fit.add_argument("--init-model", help="warm-start EM from a saved model file")
-
-    fc = subs.add_parser("forecast", help="forecast counts beyond the data")
-    _add_shared(fc)
-    _add_data_opts(fc, with_model=True)
-    fc.add_argument("--horizon", type=int, help="steps to forecast")
-    fc.add_argument("--level", type=float, help="confidence level, e.g. 0.95")
-
-    det = subs.add_parser("detect", help="flag anomalous snapshots")
-    _add_shared(det)
-    _add_data_opts(det, with_model=True)
-    det.add_argument("--sigma", type=float, help="z-score threshold k")
-    det.add_argument("--loglik-threshold", type=float, help="graph log-likelihood floor c0")
-    det.add_argument("--mode", choices=["predictive", "smoothed"], help="scoring moments")
-    det.add_argument("--drill-down", action="store_const", const=True, help="rank blocks under each graph flag")
+    for command, (_, summary) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
+        sub.add_argument("--config", help="JSON file with defaults for any option")
+        for key, option in OPTIONS[command].items():
+            if option.kind is dict:  # config only
+                continue
+            flags = [f"--{key.replace('_', '-')}", *filter(None, [option.short])]
+            if option.kind is bool:
+                sub.add_argument(*flags, action="store_const", const=True, help=option.help)
+            else:
+                sub.add_argument(*flags, type=option.kind, choices=option.choices or None,
+                                 help=option.help)
     return parser
-
-
-_COMMANDS = {
-    "simulate": (SIMULATE_DEFAULTS, cmd_simulate),
-    "fit": (FIT_DEFAULTS, cmd_fit),
-    "forecast": (FORECAST_DEFAULTS, cmd_forecast),
-    "detect": (DETECT_DEFAULTS, cmd_detect),
-}
 
 
 def main(argv=None) -> int:
@@ -506,10 +467,8 @@ def main(argv=None) -> int:
     try:
         args = vars(parser.parse_args(argv))
         command = args.pop("command")
-        config = _load_config(args.pop("config", None))
-        defaults, runner = _COMMANDS[command]
-        resolved = _resolve(defaults, config, args)
-        return runner(resolved)
+        config = _load_config(args.pop("config"))
+        return _COMMANDS[command][0](_resolve(OPTIONS[command], config, args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

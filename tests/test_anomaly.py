@@ -8,9 +8,9 @@ import pytest
 from sdsbm.anomaly import (
     LogLikPolicy,
     ScoreSeries,
+    SigmaPolicy,
     detect,
     score,
-    threshold_sigma,
     write_report_json,
     write_scores_csv,
 )
@@ -124,19 +124,26 @@ class TestThresholdSigma:
         assert 1 / tail == pytest.approx(370, abs=1)
 
     def test_below_threshold_not_flagged(self):
-        policy = threshold_sigma(3.0)
+        policy = SigmaPolicy(3.0)
         scores = _flat_scores(z=2.9)
         assert detect(scores, policy).flagged == ()
 
     def test_negative_excursion_flagged(self):
-        policy = threshold_sigma(1.96)
+        policy = SigmaPolicy(1.96)
         report = detect(_flat_scores(z=-2.0), policy)
         assert any(f.scope == "block" for f in report.flagged)
         assert any(f.scope == "graph" for f in report.flagged)
 
     def test_rejects_non_positive_k(self):
-        with pytest.raises(ValueError):
-            threshold_sigma(0.0)
+        # k = -1 would flag every block-step
+        for k in (0.0, -1.0):
+            with pytest.raises(ValueError, match="must be positive"):
+                SigmaPolicy(k)
+
+    def test_rejects_nan_k(self):
+        # |z| > NaN is false everywhere: a NaN k would flag nothing
+        with pytest.raises(ValueError, match="must be positive"):
+            SigmaPolicy(float("nan"))
 
 
 def _flat_scores(z=0.0, loglik=-3.0, T=1, pairs=(("a", "a"),)):
@@ -173,8 +180,8 @@ class TestDetect:
         scores.loglik = -(rng.random(size=(2, 50)) * 10.0)
         scores.graph_loglik = scores.loglik.sum(axis=0)
         for k_lo, k_hi in [(2.0, 3.0), (1.0, 2.5)]:
-            lo = {(f.t, f.pair) for f in detect(scores, threshold_sigma(k_hi)).flagged}
-            hi = {(f.t, f.pair) for f in detect(scores, threshold_sigma(k_lo)).flagged}
+            lo = {(f.t, f.pair) for f in detect(scores, SigmaPolicy(k_hi)).flagged}
+            hi = {(f.t, f.pair) for f in detect(scores, SigmaPolicy(k_lo)).flagged}
             assert lo <= hi
         for c_lo, c_hi in [(-15.0, -10.0), (-12.0, -6.0)]:
             few = {f.t for f in detect(scores, LogLikPolicy(c_lo)).flagged}
@@ -185,7 +192,7 @@ class TestDetect:
         rng = np.random.default_rng(9)
         scores = _flat_scores(T=40, pairs=(("a", "a"), ("b", "b")))
         scores.z = rng.normal(size=(2, 40)) * 2.0
-        report = detect(scores, threshold_sigma(2.0))
+        report = detect(scores, SigmaPolicy(2.0))
         for item in report.flagged:
             assert abs(item.score) > item.threshold
 
@@ -206,7 +213,7 @@ class TestDetect:
         spiked = blocks.counts.copy()
         spiked[1, t_star - 1] = min(spiked[1, t_star - 1] + round(shift), n)
         blocks = replace(blocks, counts=spiked)
-        report = detect(score(blocks, params), threshold_sigma(3.0), drill_down=True)
+        report = detect(score(blocks, params), SigmaPolicy(3.0), drill_down=True)
         graph_hits = [f for f in report.graph_flags if f.t == t_star]
         assert graph_hits, "spike step must be flagged at graph level"
         assert graph_hits[0].ranked_blocks[0][0] == ("t1", "t1")
@@ -216,7 +223,7 @@ class TestSerialization:
     def test_csv_and_json_outputs(self, tmp_path):
         scores = _flat_scores(T=2, pairs=(("a", "a"), ("a", "b")))
         scores.z[0, 1] = 4.0
-        report = detect(scores, threshold_sigma(3.0), drill_down=True)
+        report = detect(scores, SigmaPolicy(3.0), drill_down=True)
         csv_path = tmp_path / "scores.csv"
         json_path = tmp_path / "report.json"
         write_scores_csv(scores, report, csv_path)

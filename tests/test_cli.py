@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,10 @@ from sdsbm.cli import (
     EXIT_MAX_ITER,
     EXIT_OK,
     EXIT_USAGE,
+    OPTIONS,
+    _resolve,
     _z_quantile,
+    build_parser,
     main,
 )
 from sdsbm.graph_model import extract_block_series
@@ -483,12 +488,6 @@ class TestDetect:
         )
         assert code == EXIT_DATA
 
-    def test_period_contradicting_model_is_data_error(self, sim_dir, fitted_dir, tmp_path):
-        code = run(
-            *self.detect_args(sim_dir, fitted_dir, tmp_path, "--period", 9)
-        )
-        assert code == EXIT_DATA
-
     @pytest.mark.parametrize("option", ["--sigma", "--loglik-threshold"])
     def test_nan_threshold_is_data_error(self, sim_dir, fitted_dir, tmp_path, capsys, option):
         # a NaN threshold compares false everywhere and would flag nothing
@@ -638,6 +637,11 @@ class TestConfigHandling:
             ("fit", {"blocks": {}}, "'blocks'"),
             ("forecast", {"blocks": {}}, "'blocks'"),
             ("detect", {"blocks": {}}, "'blocks'"),
+            # a block's value is checked against the command-wide option
+            ("simulate", {"blocks": {"a:b": {"q_m": "1e-3"}}}, "'a:b' key 'q_m' takes a number"),
+            ("simulate", {"blocks": {"a:b": {"bias": True}}}, "'a:b' key 'bias' takes a number"),
+            ("simulate", {"blocks": {"a:b": {"season_amplitude": [1]}}}, "'a:b' key 'season_amplitude'"),
+            ("simulate", {"blocks": {"a:b": {"r": None}}}, "'a:b' key 'r' takes a number"),
         ],
     )
     def test_bad_blocks_config_is_usage_error(self, tmp_path, capsys, command, config, key):
@@ -674,12 +678,18 @@ class TestConfigHandling:
             ("forecast", {"horizon": 3.5}),
             ("simulate", {"seed": 1.5}),
             ("simulate", {"steps": 1e2}),
+            # a value outside the option's choices
+            ("detect", {"mode": "bogus"}),
+            ("fit", {"missing_policy": "bogus"}),
+            # an integer beyond the range of a float
+            ("fit", {"tol": 10**400}),
         ],
     )
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, command, config):
         # a flag takes a JSON boolean, an integer option a non-boolean
-        # integer, a number a non-boolean number and a path or name a
-        # string; null only where the default is null
+        # integer, a number a non-boolean number, a path or name a string
+        # and an option with choices one of them; null only where the
+        # default is null
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -714,3 +724,53 @@ class TestConfigHandling:
         resolved = json.loads((tmp_path / "run_config.json").read_text())
         assert resolved["seed"] == 123
         assert resolved["command"] == "simulate"
+
+    def test_removed_seed_and_period_options_are_usage_errors(self, sim_dir, fitted_dir, tmp_path, capsys):
+        # fit, forecast and detect use no randomness, and forecast and
+        # detect take the period d from the model
+        data = ("--events", sim_dir / "events.csv", "--types", sim_dir / "types.csv")
+        model = ("--model", fitted_dir / "model.json")
+        commands = {
+            "fit": ("fit", *data, "--period", 4, "--max-iter", 2),
+            "forecast": ("forecast", *model, *data, "--horizon", 3),
+            "detect": ("detect", *model, *data),
+        }
+        removed = [("fit", "seed"), ("forecast", "seed"), ("forecast", "period"),
+                   ("detect", "seed"), ("detect", "period")]
+        for k, (command, key) in enumerate(removed):
+            flag, cfg = f"--{key}", tmp_path / f"cfg{k}.json"
+            cfg.write_text(json.dumps({key: 7}))
+            for extra, message in [((flag, 7), f"unrecognized arguments: {flag} 7"),
+                                   (("--config", cfg), f"unknown config keys: [{key!r}]")]:
+                out = tmp_path / f"out{k}"
+                assert run(*commands[command], *extra, "--out-dir", out) == EXIT_USAGE
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and message in err, err
+                assert not out.exists()
+
+
+def _table_options():
+    return [(command, key) for command, options in OPTIONS.items()
+            for key, option in options.items() if option.kind is not dict]
+
+
+@pytest.mark.parametrize("command,key", _table_options())
+def test_flag_and_config_key_resolve_alike(command, key):
+    # the same value given as a flag and as a config key: no command runs
+    option = OPTIONS[command][key]
+    value = option.choices[-1] if option.choices else {bool: True, int: 3, float: 2, str: "x"}[option.kind]
+    from_config = _resolve(OPTIONS[command], {key: value}, {})[key]
+    assert type(from_config) is option.kind and from_config != option.default
+    for flag in filter(None, [f"--{key.replace('_', '-')}", option.short]):
+        args = vars(build_parser().parse_args([command, flag, *([] if option.kind is bool else [str(value)])]))
+        del args["command"], args["config"]
+        from_flag = _resolve(OPTIONS[command], {}, args)[key]
+        assert from_flag == from_config and type(from_flag) is type(from_config)
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for line in readme.replace("\\\n", " ").splitlines() if line.startswith("sdsbm ")]
+    assert {shlex.split(line)[1] for line in lines} == set(OPTIONS)
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])  # a UsageError fails the test
