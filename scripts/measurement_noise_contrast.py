@@ -55,9 +55,7 @@ def main() -> None:
         )
         [params] = fitted
         seq = kalman.filter(blocks, fitted)
-        fc = kalman.forecast(
-            seq.filt_mean[:, -1], seq.filt_cov[:, -1], fitted.state_space(blocks.n), horizon
-        )
+        fc = kalman.forecast(seq.final_mean, seq.final_cov, fitted.state_space(blocks.n), horizon)
         count_mean, total_var = fc.count_mean[0], fc.total_var[0]
         path = args.out_dir / f"forecast_{label}.csv"
         with open(path, "w", newline="") as fh:

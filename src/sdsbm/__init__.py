@@ -30,7 +30,7 @@ from .ssm import (
     build_state_space,
 )
 from .kalman import BeliefSequence, Forecast, forecast, smooth
-from .em import EmConfig, EmTrace, SufficientStats, default_init, e_step, em_fit
+from .em import EmConfig, EmTrace, default_init, e_step, em_fit
 from .anomaly import (
     AnomalyReport,
     LogLikPolicy,

@@ -5,8 +5,9 @@ low scores mark anomalies.  Predictive mode scores each count against
 the one-step-ahead belief (the count itself is held out), smoothed mode
 against the all-data posterior; either way the blocks, a ``BlockStack``
 with the ``ParamStack`` of their parameters, go through one batched
-filter (and smoother) pass.  Policies: a z-score rule |z| > k
-per block-step, or a log-likelihood floor c0 per graph-step.
+filter (and disturbance smoother) pass that gives each count's mean and
+variance directly.  Policies: a z-score rule |z| > k per block-step, or
+a log-likelihood floor c0 per graph-step.
 """
 
 from __future__ import annotations
@@ -105,22 +106,21 @@ def score(blocks: BlockStack, params: ParamStack, mode: str = "predictive") -> S
     holds the blocks' parameters in row order.
 
     Both modes reuse the filter's per-step binomial noises; predictive
-    mode reads the one-step-ahead moments, smoothed mode the full
-    posterior ones.
+    mode reads the count's one-step-ahead mean H a_t and variance F_t,
+    smoothed mode its mean and variance given the whole series.
     """
     if mode not in ("predictive", "smoothed"):
         raise ValueError(f"unknown scoring mode {mode!r}")
-    ss = params.state_space(blocks.n)
     seq = kalman.filter(blocks, params)
-    if mode == "predictive":
-        means, covs = seq.pred_mean, seq.pred_cov
-    else:
-        seq = kalman.smooth(seq, ss)
-        means, covs = seq.smoothed_mean[:, 1:], seq.smoothed_cov[:, 1:]
     w = blocks.counts
-    mean = np.einsum("btj,bj->bt", means, ss.H)
-    # the state's count variance plus the observation variance b_t = u_t + n^2 r
-    var = np.einsum("bi,btij,bj->bt", ss.H, covs, ss.H) + (seq.u + ss.measurement_var[:, None])
+    if mode == "predictive":
+        mean, var = seq.pred_count, seq.innov_var
+    else:
+        ss = params.state_space(blocks.n)
+        seq = kalman.smooth(seq, ss)
+        mean = seq.smoothed_count
+        # the state's count variance plus the observation variance b_t = u_t + n^2 r
+        var = seq.smoothed_count_var + (seq.u + ss.measurement_var[:, None])
     with np.errstate(invalid="ignore"):
         loglik = seq.pred_loglik if mode == "predictive" else kalman.gaussian_logpdf(w - mean, var)
         z = (w - mean) / np.sqrt(var)

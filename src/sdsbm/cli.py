@@ -77,7 +77,10 @@ def _load_config(path) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"{path}: config must be a JSON object")
     return cfg
@@ -392,9 +395,7 @@ def cmd_forecast(resolved: dict) -> int:
     z = _z_quantile(resolved["level"])
     blocks, params = _matched_blocks(resolved)
     seq = kalman_filter(blocks, params)
-    fc = kalman_forecast(
-        seq.filt_mean[:, -1], seq.filt_cov[:, -1], params.state_space(blocks.n), horizon
-    )
+    fc = kalman_forecast(seq.final_mean, seq.final_cov, params.state_space(blocks.n), horizon)
     out = _out_dir(resolved)
     with open(out / "forecast.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")

@@ -2,16 +2,16 @@
 
 Learns phi = {r, q_m, q_s, mu0, Sigma0} for every block of a stack at
 once, each step vectorised over the block axis.  The E-step runs the
-batched filter and smoother and collects each block's smoothed first,
-second and lag-one moments (Shumway & Stoffer 1982), the last from the
-smoother's lag-one covariances; the M-step updates the initial belief in
-closed form, reads the process variances off the expected
-transition-residual second moment, and maximizes the measurement
-variance by a log-grid scan and bracketed Newton steps.  The per-step
-binomial noises u_t are frozen within each iteration, mirroring their
-separate estimation from the prediction step.  Both the data-scaled
-starting point (``default_init``) and the fit take a ``BlockStack`` and
-give one ``ParamStack``.
+batched filter and disturbance smoother (Durbin & Koopman §7.3.4), which
+give each block's expected squared state and observation disturbances
+and the moments of x_0 directly; the M-step takes the initial belief
+from the latter, the process variances as the mean expected squared
+state disturbances, and maximizes the measurement variance by a
+log-grid scan and bracketed Newton steps.  The per-step binomial noises
+u_t are frozen within each iteration, mirroring their separate
+estimation from the prediction step.  Both the data-scaled starting
+point (``default_init``) and the fit take a ``BlockStack`` and give one
+``ParamStack``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kalman
 from .graph_model import BlockStack
-from .ssm import ParamStack, build_state_space
+from .ssm import ParamStack
 
 # Smallest representable process variance; avoids exactly-singular
 # covariances when an innovation collapses to zero.
@@ -38,29 +38,6 @@ class EmError(RuntimeError):
     def __init__(self, iteration: int, message: str):
         super().__init__(f"iteration {iteration}: {message}")
         self.iteration = iteration
-
-
-@dataclass
-class SufficientStats:
-    """Smoothed moments of the d-dimensional state of every block.
-
-    Axis 0 is the block.  ``Ex[:, t]``/``Exx[:, t]`` cover t = 0..T;
-    ``Exx_lag[:, i]`` holds the lag-one moment
-    E[x_t x_{t-1}^T] = S_{t,t-1|T} + mu_{t|T} mu_{t-1|T}^T for t = i + 1,
-    S_{t,t-1|T} being the smoothed lag-one covariance.
-    """
-
-    Ex: np.ndarray
-    Exx: np.ndarray
-    Exx_lag: np.ndarray
-
-    @property
-    def T(self) -> int:
-        return int(self.Ex.shape[1]) - 1
-
-    @property
-    def dim(self) -> int:
-        return int(self.Ex.shape[2])
 
 
 @dataclass(frozen=True)
@@ -96,33 +73,22 @@ class EmTrace:
         return len(self.loglik_per_iter)
 
 
-def e_step(
-    blocks: BlockStack, params: ParamStack
-) -> tuple[SufficientStats, kalman.BeliefSequence]:
+def e_step(blocks: BlockStack, params: ParamStack) -> kalman.BeliefSequence:
     """Filter + smooth every block.
 
-    Returns the smoothed sufficient statistics and the belief record
-    they came from: its ``total_loglik`` is each block's predictive
-    log-likelihood under ``params`` and its ``u`` the per-step binomial
-    noises the filter used (to be held fixed through the following
-    M-step).
+    The smoothed belief record's ``total_loglik`` is each block's
+    predictive log-likelihood under ``params``, its ``u`` the per-step
+    binomial noises the filter used (to be held fixed through the
+    following M-step), and its disturbance and x_0 moments feed the
+    M-steps.
     """
-    seq = kalman.smooth(kalman.filter(blocks, params), params.state_space(blocks.n))
-    sm_mean = seq.smoothed_mean
-    stats = SufficientStats(
-        Ex=sm_mean,
-        Exx=seq.smoothed_cov + sm_mean[..., :, None] * sm_mean[..., None, :],
-        Exx_lag=seq.smoothed_lag_cov + sm_mean[:, 1:, :, None] * sm_mean[:, :-1, None, :],
-    )
-    return stats, seq
+    return kalman.smooth(kalman.filter(blocks, params), params.state_space(blocks.n))
 
 
-def m_step_initial(stats: SufficientStats) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form update of every block's initial belief from the
-    smoothed t=0 moments."""
-    mu0 = stats.Ex[:, 0].copy()
-    Sigma0 = stats.Exx[:, 0] - mu0[:, :, None] * mu0[:, None, :]
-    return mu0, 0.5 * (Sigma0 + Sigma0.swapaxes(1, 2))
+def m_step_initial(seq: kalman.BeliefSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form update of every block's initial belief: the smoothed
+    moments of x_0."""
+    return seq.x0_mean, seq.x0_cov
 
 
 def r_objective(r, quad: np.ndarray, u: np.ndarray, n):
@@ -142,8 +108,10 @@ def r_objective(r, quad: np.ndarray, u: np.ndarray, n):
     return float(total) if total.ndim == 0 else total
 
 
-def m_step_r(stats: SufficientStats, blocks: BlockStack, u: np.ndarray) -> np.ndarray:
-    """Maximize each block's expected observation log-likelihood over r.
+def m_step_r(quad: np.ndarray, u: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Maximize each block's expected observation log-likelihood over r,
+    given its (B, T) expected squared observation disturbances ``quad``
+    (NaN at gaps), binomial noises ``u`` and possible-edge counts ``n``.
 
     Scans a 30-point log grid on [1e-12, 1] capped at ``R_MAX``, then
     runs safeguarded Newton on the analytic gradient inside the bracket
@@ -153,20 +121,14 @@ def m_step_r(stats: SufficientStats, blocks: BlockStack, u: np.ndarray) -> np.nd
     The blocks iterate together; each leaves the solve when it stops.
     A block with no observed step gets r = 0.
     """
-    H = build_state_space(stats.dim, blocks.n, 0.0, 0.0, 0.0).H
-    w = blocks.counts
-    hx = np.einsum("btj,bj->bt", stats.Ex[:, 1:], H)
-    hxxh = np.einsum("bi,btij,bj->bt", H, stats.Exx[:, 1:], H)
-    quad = w * w - 2.0 * w * hx + hxxh  # NaN at gaps
-    n = blocks.n[:, None]
-
+    n2 = n * n
+    n = n[:, None]
     # Clipping the grid at the cap keeps the scan and the bracket, and so
     # the result, inside [0, R_MAX].
     grid = np.minimum(np.geomspace(1e-12, 1.0, 30), R_MAX)
     best = np.argmax(r_objective(grid[:, None], quad, u, n), axis=0)
     lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, len(grid) - 1)]
     r = grid[best]
-    n2 = blocks.n * blocks.n
     # The objective is flat to machine precision near its maximum, so the
     # solve follows the gradient's sign and root, never value comparisons.
     # Bisection alone reaches the 1e-14 step within about 50 iterations.
@@ -188,23 +150,13 @@ def m_step_r(stats: SufficientStats, blocks: BlockStack, u: np.ndarray) -> np.nd
     return np.where(r_objective(0.0, quad, u, n) >= r_objective(r, quad, u, n), 0.0, r)
 
 
-def m_step_q(stats: SufficientStats, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form process-variance updates.
-
-    Each block's q_m and q_s are the (0,0) and (1,1) entries of its
-    expected transition-residual moment
-    mean_t E[(x_t - G x_{t-1})(x_t - G x_{t-1})^T], built from the
-    smoothed second and lag-one moments over t = 1..T and floored at a
-    tiny positive value.
-    """
-    if stats.dim != d:
-        raise ValueError("stats do not match a state of period d")
-    if stats.T == 0:
+def m_step_q(seq: kalman.BeliefSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form process-variance updates: each block's q_m and q_s are
+    its expected squared bias and seasonal disturbances averaged over
+    t = 1..T, floored at a tiny positive value."""
+    if seq.T == 0:
         raise ValueError("cannot update process variances with no steps")
-    G = build_state_space(d, 1, 0.0, 0.0, 0.0).G
-    lag_G = stats.Exx_lag @ G.T
-    resid = stats.Exx[:, 1:] - lag_G - lag_G.swapaxes(-1, -2) + G @ stats.Exx[:, :-1] @ G.T
-    q_m, q_s = resid[..., 0, 0].mean(axis=1), resid[..., 1, 1].mean(axis=1)
+    q_m, q_s = seq.eta_sq.mean(axis=1).T
     return np.maximum(q_m, Q_FLOOR), np.maximum(q_s, Q_FLOOR)
 
 
@@ -234,12 +186,12 @@ def em_fit(
     for i in range(config.max_iter):
         sub = blocks.take(active)
         try:
-            stats, seq = e_step(sub, params.take(active))
+            seq = e_step(sub, params.take(active))
         except Exception as exc:
             raise EmError(i, str(exc)) from exc
-        mu0, Sigma0 = m_step_initial(stats)
-        q_m, q_s = m_step_q(stats, params.d)
-        r = np.zeros(len(active)) if config.fix_r_to_zero else m_step_r(stats, sub, seq.u)
+        mu0, Sigma0 = m_step_initial(seq)
+        q_m, q_s = m_step_q(seq)
+        r = np.zeros(len(active)) if config.fix_r_to_zero else m_step_r(seq.quad, seq.u, sub.n)
         params = params.put(active, ParamStack(params.d, q_m, q_s, r, mu0, Sigma0))
         loglik = seq.total_loglik
         row = np.full((B, 4), np.nan)

@@ -5,10 +5,15 @@ for the linear-Gaussian count model.  Every function takes B blocks of
 one period at once: arrays carry a leading block axis, and one Python
 loop over t advances all of them (a single block is a stack of one).
 Observations are scalar per block, so nothing is inverted: the update
-divides by each block's scalar innovation variance, and the smoother
-runs the de Jong (1989) / Durbin & Koopman (§4.4) backward recursion
-over the filter's innovations, exact even where the one-step-ahead
-covariances are singular (zero ``Sigma0``).
+divides by each block's scalar innovation variance.  The filter keeps
+its covariance as a loop variable and records only per-step scalars
+and the vector p_t = P_t H^T.  The smoother is the disturbance smoother
+(Koopman 1993; Durbin & Koopman, *Time Series Analysis by State Space
+Methods*, §4.5.3): the de Jong backward recursion for r_t and N_t over
+the filter's innovations, exact even where the one-step-ahead
+covariances are singular (zero ``Sigma0``), from which it reads the
+smoothed count, disturbance and initial-state moments that EM and
+scoring use.
 """
 
 from __future__ import annotations
@@ -36,39 +41,51 @@ class FilterError(RuntimeError):
 
 @dataclass
 class BeliefSequence:
-    """Per-step beliefs of a filtered (optionally smoothed) stack of blocks.
+    """Per-step summaries of a filtered (optionally smoothed) stack of blocks.
 
-    Axis 0 is the block.  Predicted and filtered arrays, the innovations
-    and their variances (both NaN where unobserved) cover t = 1..T at
-    index t-1 of axis 1; smoothed arrays cover t = 0..T at index t,
-    ``smoothed_lag_cov[:, t]`` being Cov(x_{t+1}, x_t) given the whole
-    series.  ``non_gaussian_steps`` counts each block's steps whose
-    predicted count lies outside the Gaussian regime.
+    Axis 0 is the block; per-step arrays cover t = 1..T at index t-1 of
+    axis 1.  The filter records the predicted count H a_t, the vector
+    ``PH`` p_t = P_t H^T (P_t the one-step-ahead state covariance), the
+    binomial noise u_t, the innovation v_t (NaN where unobserved) and
+    its variance F_t = H p_t + u_t + n^2 r, and the belief after the
+    last step (the prior when T = 0).  ``non_gaussian_steps`` counts each
+    block's steps whose predicted count lies outside the Gaussian regime.
+
+    The smoother adds the count's moments given the whole series, the
+    expected squared observation disturbance ``quad`` E[(w_t - H x_t)^2]
+    (NaN where unobserved), the expected squared state disturbances
+    ``eta_sq[..., i]`` E[eta_{t,i}^2] of eta_t = x_t - G x_{t-1} for the
+    bias (i = 0) and the seasonal offset (i = 1), and the moments of x_0.
     """
 
     init_mean: np.ndarray
     init_cov: np.ndarray
-    pred_mean: np.ndarray
-    pred_cov: np.ndarray
-    filt_mean: np.ndarray
-    filt_cov: np.ndarray
-    gains: np.ndarray
+    pred_count: np.ndarray
+    PH: np.ndarray
     u: np.ndarray
     innov: np.ndarray
     innov_var: np.ndarray
+    final_mean: np.ndarray
+    final_cov: np.ndarray
     non_gaussian_steps: np.ndarray
-    smoothed_mean: np.ndarray | None = None
-    smoothed_cov: np.ndarray | None = None
-    smoothed_lag_cov: np.ndarray | None = None
+    smoothed_count: np.ndarray | None = None
+    smoothed_count_var: np.ndarray | None = None
+    quad: np.ndarray | None = None
+    eta_sq: np.ndarray | None = None
+    x0_mean: np.ndarray | None = None
+    x0_cov: np.ndarray | None = None
 
     @property
     def T(self) -> int:
-        return int(self.pred_mean.shape[1])
+        return int(self.pred_count.shape[1])
 
     @property
     def pred_loglik(self) -> np.ndarray:
         """Per-step predictive log-density of w_t; NaN where unobserved."""
-        return gaussian_logpdf(self.innov, self.innov_var)
+        # F_t > 0 is only checked where w_t is observed; elsewhere the
+        # NaN innovation gives NaN whatever F_t is
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return gaussian_logpdf(self.innov, self.innov_var)
 
     @property
     def total_loglik(self) -> np.ndarray:
@@ -102,80 +119,90 @@ def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
         raise ValueError("blocks and parameters differ in number")
     ss = params.state_space(blocks.n)
     (B, T), D = blocks.counts.shape, params.d
-    seq = BeliefSequence(
-        init_mean=params.mu0.copy(),
-        init_cov=params.Sigma0.copy(),
-        pred_mean=np.zeros((B, T, D)),
-        pred_cov=np.zeros((B, T, D, D)),
-        filt_mean=np.zeros((B, T, D)),
-        filt_cov=np.zeros((B, T, D, D)),
-        gains=np.zeros((B, T, D)),
-        u=np.zeros((B, T)),
-        innov=np.full((B, T), np.nan),
-        innov_var=np.full((B, T), np.nan),
-        non_gaussian_steps=np.zeros(B, dtype=int),
-    )
+    pred_count, u, innov, innov_var = (np.zeros((B, T)) for _ in range(4))
+    PH = np.zeros((B, T, D))
     observed = ~np.isnan(blocks.counts)
     counts = np.where(observed, blocks.counts, 0.0)  # a gap's gain is zero
-    mean, cov = seq.init_mean, seq.init_cov
+    mean, cov = params.mu0, params.Sigma0
     GT = ss.G.T.copy()
     measurement_var = ss.measurement_var  # b_t = u_t + n^2 r; n and r are checked already
     for t in range(T):
         mean, cov = _predict(mean, cov, ss, GT)
-        seq.pred_mean[:, t], seq.pred_cov[:, t] = mean, cov
-        hm = np.einsum("bi,bi->b", ss.H, mean)
-        seq.u[:, t] = u = binomial_obs_noise(hm, ss.n)
+        pred_count[:, t] = hm = np.einsum("bi,bi->b", ss.H, mean)
+        u[:, t] = u_t = binomial_obs_noise(hm, ss.n)
+        PH[:, t] = p = np.einsum("bij,bj->bi", cov, ss.H)
+        innov_var[:, t] = F = np.einsum("bi,bi->b", ss.H, p) + u_t + measurement_var
         obs = observed[:, t]
-        PH = np.einsum("bij,bj->bi", cov, ss.H)
-        F = np.einsum("bi,bi->b", ss.H, PH) + u + measurement_var
         bad = obs & (F <= 0)
         if bad.any():
             b = int(np.argmax(bad))
             message = f"non-positive innovation variance {F[b]}"
             raise FilterError(t + 1, message, pair_key(blocks.pairs[b]))
-        gain = np.divide(PH, F[:, None], out=seq.gains[:, t], where=obs[:, None])  # 0 at gaps
-        seq.innov_var[:, t] = F
-        seq.innov[:, t] = v = counts[:, t] - hm
+        gain = np.divide(p, F[:, None], out=np.zeros((B, D)), where=obs[:, None])  # 0 at gaps
+        innov[:, t] = v = counts[:, t] - hm
         mean = mean + gain * v[:, None]
-        cov = cov - gain[:, :, None] * PH[:, None, :]
+        cov = cov - gain[:, :, None] * p[:, None, :]
         cov = 0.5 * (cov + cov.swapaxes(1, 2))
-        seq.filt_mean[:, t], seq.filt_cov[:, t] = mean, cov
-    seq.innov[~observed] = seq.innov_var[~observed] = np.nan
-    pred_count = np.einsum("btj,bj->bt", seq.pred_mean, ss.H)
+    innov[~observed] = np.nan
     regime = outside_normal_regime(pred_count, ss.n[:, None])
-    seq.non_gaussian_steps = np.count_nonzero(regime, axis=1)
-    return seq
+    return BeliefSequence(
+        init_mean=params.mu0,
+        init_cov=params.Sigma0,
+        pred_count=pred_count,
+        PH=PH,
+        u=u,
+        innov=innov,
+        innov_var=innov_var,
+        final_mean=mean,
+        final_cov=cov,
+        non_gaussian_steps=np.count_nonzero(regime, axis=1),
+    )
 
 
 def smooth(beliefs: BeliefSequence, ss: StateSpace) -> BeliefSequence:
-    """Backward pass conditioning every belief on the whole series.
+    """Backward pass conditioning every block on its whole series.
 
-    From r_T = 0, N_T = 0 it runs, over the filter's innovations v_t,
-    their variances F_t and L_t = G (I - k_t H) (G at a gap),
-    r_{t-1} = H^T v_t / F_t + L_t^T r_t, N_{t-1} = H^T H / F_t + L_t^T N_t L_t.
-    From the filtered moments (the prior at t = 0) the smoothed mean is
-    m_{t|t} + S_{t|t} G^T r_t, the covariance S_{t|t} - S_{t|t} G^T N_t G S_{t|t}
-    and the lag-one covariance Cov(x_{t+1}, x_t) = (I - S_{t+1|t} N_t) G S_{t|t}.
+    From r_T = 0 and N_T = 0 it runs, over the filter's innovations v_t,
+    their variances F_t and L_t = G - K_t H with K_t = G p_t / F_t (G at
+    a gap), r_{t-1} = H^T v_t / F_t + L_t^T r_t and
+    N_{t-1} = H^T H / F_t + L_t^T N_t L_t, N being a loop variable.  Given
+    the whole series the count H x_t has mean H a_t + p_t^T r_{t-1} and
+    variance H p_t - p_t^T N_{t-1} p_t, and the observation disturbance
+    w_t - H x_t the residual of that mean and the same variance (equal to
+    b_t (v_t / F_t - K_t^T r_t) and b_t - b_t^2 (1/F_t + K_t^T N_t K_t)).
+    The state disturbance x_t - G x_{t-1} has mean Q r_{t-1} and
+    covariance Q - Q N_{t-1} Q, and x_0 has mean mu0 + Sigma0 G^T r_0 and
+    covariance Sigma0 - Sigma0 G^T N_0 G Sigma0.
     """
-    B, T, D = beliefs.pred_mean.shape
-    v_over_F = np.nan_to_num(beliefs.innov / beliefs.innov_var)  # zero at gaps
-    inv_F = np.nan_to_num(1.0 / beliefs.innov_var)
-    L = ss.G - (beliefs.gains @ ss.G.T)[..., :, None] * ss.H[:, None, None, :]  # G (I - k H)
-    LT = L.swapaxes(-1, -2)
+    B, T, D = beliefs.PH.shape
+    observed = ~np.isnan(beliefs.innov)
+    F, PH = beliefs.innov_var, beliefs.PH
+    v_over_F = np.divide(beliefs.innov, F, out=np.zeros((B, T)), where=observed)
+    inv_F = np.divide(1.0, F, out=np.zeros((B, T)), where=observed)
+    K = np.divide(PH, F[..., None], out=np.zeros((B, T, D)), where=observed[..., None]) @ ss.G.T
     HH = ss.H[:, :, None] * ss.H[:, None, :]
-    r, N = np.zeros((B, T + 1, D)), np.zeros((B, T + 1, D, D))
+    r, N = np.zeros((B, T + 1, D)), np.zeros((B, D, D))
+    pNp, N_diag = np.zeros((B, T)), np.zeros((B, T, 2))
     for t in range(T - 1, -1, -1):
-        r[:, t] = ss.H * v_over_F[:, t, None] + (LT[:, t] @ r[:, t + 1, :, None])[..., 0]
-        N[:, t] = HH * inv_F[:, t, None, None] + LT[:, t] @ N[:, t + 1] @ L[:, t]
-    mean = np.concatenate((beliefs.init_mean[:, None], beliefs.filt_mean), axis=1)
-    cov = np.concatenate((beliefs.init_cov[:, None], beliefs.filt_cov), axis=1)
-    GS = ss.G @ cov
-    sm_cov = cov - GS.swapaxes(-1, -2) @ N @ GS
+        L = ss.G - K[:, t, :, None] * ss.H[:, None, :]
+        LT = L.swapaxes(1, 2)
+        r[:, t] = ss.H * v_over_F[:, t, None] + (LT @ r[:, t + 1, :, None])[..., 0]
+        N = HH * inv_F[:, t, None, None] + LT @ N @ L
+        pNp[:, t] = np.einsum("bi,bij,bj->b", PH[:, t], N, PH[:, t])
+        N_diag[:, t] = N[:, (0, 1), (0, 1)]
+    correction = np.einsum("btj,btj->bt", PH, r[:, :T])
+    count_var = np.einsum("bj,btj->bt", ss.H, PH) - pNp
+    q = ss.Q[:, (0, 1), (0, 1)][:, None, :]
+    GS = ss.G @ beliefs.init_cov
+    x0_cov = beliefs.init_cov - GS.swapaxes(1, 2) @ N @ GS
     return replace(
         beliefs,
-        smoothed_mean=mean + np.einsum("btji,btj->bti", GS, r),
-        smoothed_cov=0.5 * (sm_cov + sm_cov.swapaxes(-1, -2)),
-        smoothed_lag_cov=(np.eye(D) - beliefs.pred_cov @ N[:, :-1]) @ GS[:, :-1],
+        smoothed_count=beliefs.pred_count + correction,
+        smoothed_count_var=count_var,
+        quad=(beliefs.innov - correction) ** 2 + count_var,
+        eta_sq=q + q * q * (r[:, :T, :2] ** 2 - N_diag),
+        x0_mean=beliefs.init_mean + np.einsum("bji,bj->bi", GS, r[:, 0]),
+        x0_cov=0.5 * (x0_cov + x0_cov.swapaxes(1, 2)),
     )
 
 

@@ -3,7 +3,9 @@
 Builds the full joint distribution of (x_0, ..., x_T, w_1, ..., w_T)
 for a linear-Gaussian model with fixed per-step observation variances,
 then conditions it directly.  Everything here is deliberately naive
-dense linear algebra, independent of the recursions under test.
+dense linear algebra, independent of the recursions under test, and so
+is ``smoothed_projections``, which reads what the smoother returns off
+full smoothed state moments.
 """
 
 from __future__ import annotations
@@ -78,6 +80,26 @@ def gaussian_logpdf(x, mean, cov):
     return float(-0.5 * (logdet + resid @ np.linalg.solve(cov, resid)))
 
 
+def smoothed_projections(mean, cov, lag_cov, counts, G, H):
+    """One block's smoother outputs, projected out of its smoothed state
+    moments: the means ``mean`` and covariances ``cov`` of x_0..x_T, the
+    lag-one covariances ``lag_cov[t-1]`` = Cov(x_t, x_{t-1}) for
+    t = 1..T, and the counts w_1..w_T (NaN at gaps)."""
+    count = mean[1:] @ H
+    count_var = np.einsum("i,tij,j->t", H, cov[1:], H)
+    eta = mean[1:] - mean[:-1] @ G.T  # E[x_t - G x_{t-1}]
+    lag_G = lag_cov @ G.T
+    eta_cov = cov[1:] - lag_G - lag_G.swapaxes(1, 2) + G @ cov[:-1] @ G.T
+    return {
+        "smoothed_count": count,
+        "smoothed_count_var": count_var,
+        "quad": (counts - count) ** 2 + count_var,
+        "eta_sq": eta[:, :2] ** 2 + eta_cov[:, (0, 1), (0, 1)],
+        "x0_mean": mean[0],
+        "x0_cov": cov[0],
+    }
+
+
 class OracleRun:
     """Filter/smoother marginals computed by direct conditioning."""
 
@@ -85,26 +107,53 @@ class OracleRun:
         counts = np.asarray(counts, dtype=float)
         self.T = counts.shape[0]
         self.D = np.asarray(G).shape[0]
+        self.G, self.H, self.b_seq = (np.asarray(a, dtype=float) for a in (G, H, b_seq))
         self.counts = counts
         self.observed = np.flatnonzero(~np.isnan(counts))  # 0-based step indices
         self.mean, self.cov = joint_moments(G, H, Q, mu0, Sigma0, b_seq)
         self._base = (self.T + 1) * self.D
+        self._joint = None
 
     def _state_slice(self, t):
         return slice(t * self.D, (t + 1) * self.D)
 
-    def filtered(self, t):
-        """Posterior of x_t given the observed counts among w_1..w_t."""
-        local = self.observed[self.observed < t]
+    def _given_first(self, t, k):
+        """Posterior of x_t given the observed counts among w_1..w_k."""
+        local = self.observed[self.observed < k]
         obs = self._base + local
         _, post_mean, post_cov = condition(self.mean, self.cov, obs, self.counts[local])
         # states keep their positions because observations sit at the tail
         sl = self._state_slice(t)
         return post_mean[sl], post_cov[sl, sl]
 
+    def filtered(self, t):
+        """Posterior of x_t given the observed counts among w_1..w_t."""
+        return self._given_first(t, t)
+
+    def predicted(self, t):
+        """Posterior of x_t given the observed counts among w_1..w_{t-1}."""
+        return self._given_first(t, t - 1)
+
+    def filter_record(self):
+        """The filter's per-step record for t = 1..T: the predicted count
+        H a_t, ``PH`` p_t = P_t H^T and F_t = H p_t + b_t; and the belief
+        after step T."""
+        pred = [self.predicted(t) for t in range(1, self.T + 1)]
+        PH = np.array([cov @ self.H for _, cov in pred]).reshape(self.T, self.D)
+        final_mean, final_cov = self.filtered(self.T)
+        return {
+            "pred_count": np.array([self.H @ mean for mean, _ in pred]),
+            "PH": PH,
+            "innov_var": PH @ self.H + self.b_seq,
+            "final_mean": final_mean,
+            "final_cov": final_cov,
+        }
+
     def _smoothed_joint(self):
-        obs = self._base + self.observed
-        return condition(self.mean, self.cov, obs, self.counts[self.observed])
+        if self._joint is None:
+            obs = self._base + self.observed
+            self._joint = condition(self.mean, self.cov, obs, self.counts[self.observed])
+        return self._joint
 
     def smoothed(self, t):
         """Posterior of x_t given all observed counts."""
@@ -118,6 +167,17 @@ class OracleRun:
         sl_t = self._state_slice(t)
         sl_p = self._state_slice(t - 1)
         return post_cov[sl_t, sl_p] + np.outer(post_mean[sl_t], post_mean[sl_p])
+
+    def smoothed_record(self):
+        """What the smoother returns, projected out of the posterior of
+        x_0..x_T given all observed counts."""
+        _, post_mean, post_cov = self._smoothed_joint()
+        sl = [self._state_slice(t) for t in range(self.T + 1)]
+        mean = np.array([post_mean[s] for s in sl])
+        cov = np.array([post_cov[s, s] for s in sl])
+        lag_cov = np.array([post_cov[sl[t], sl[t - 1]] for t in range(1, self.T + 1)])
+        lag_cov = lag_cov.reshape(self.T, self.D, self.D)
+        return smoothed_projections(mean, cov, lag_cov, self.counts, self.G, self.H)
 
     def observations_logpdf(self):
         obs = self._base + self.observed

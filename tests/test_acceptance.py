@@ -28,6 +28,7 @@ from sdsbm.ssm import ModelParams, ParamStack
 from conftest import concat, one_block
 from gaussian_oracle import OracleRun
 from test_em import fit_one, numeric_q_argmax
+from test_kalman import oracle_for
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -63,22 +64,10 @@ def test_criterion_1_oracle_equivalence():
         oracle = OracleRun(
             ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, counts, seq.u[0] + n * n * params.r
         )
-        for t in range(1, T + 1):
-            mean_ref, cov_ref = oracle.filtered(t)
-            scale = max(np.abs(mean_ref).max(), np.abs(cov_ref).max(), 1e-12)
-            worst = max(
-                worst,
-                np.abs(seq.filt_mean[0, t - 1] - mean_ref).max() / scale,
-                np.abs(seq.filt_cov[0, t - 1] - cov_ref).max() / scale,
-            )
-        for t in range(T + 1):
-            mean_ref, cov_ref = oracle.smoothed(t)
-            scale = max(np.abs(mean_ref).max(), np.abs(cov_ref).max(), 1e-12)
-            worst = max(
-                worst,
-                np.abs(seq.smoothed_mean[0, t] - mean_ref).max() / scale,
-                np.abs(seq.smoothed_cov[0, t] - cov_ref).max() / scale,
-            )
+        # every quantity the filter and smoother return, each against its own scale
+        for name, want in {**oracle.filter_record(), **oracle.smoothed_record()}.items():
+            scale = max(np.abs(want).max(), 1e-12)
+            worst = max(worst, np.abs(getattr(seq, name)[0] - want).max() / scale)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 1.0
     _report(
@@ -141,9 +130,7 @@ def test_criterion_3_measurement_noise_contrast():
     def half_width(params):
         stack = ParamStack.of([params])
         seq = kalman.filter(series, stack)
-        fc = kalman.forecast(
-            seq.filt_mean[:, T - 1], seq.filt_cov[:, T - 1], stack.state_space(series.n), 3 * d
-        )
+        fc = kalman.forecast(seq.final_mean, seq.final_cov, stack.state_space(series.n), 3 * d)
         return 1.959964 * math.sqrt(fc.total_var[0, 3 * d - 1])
 
     q_ratio = (pinned.q_m + pinned.q_s) / (free.q_m + free.q_s)
@@ -256,9 +243,10 @@ def test_criterion_7_process_variance_closed_form():
         n = 100
         params = _random_model(rng, d)
         counts = rng.integers(30, 70, size=int(rng.integers(4, 9))).astype(float)
-        stats, _ = e_step(one_block(counts, n=n), ParamStack.of([params]))
-        [q_m], [q_s] = m_step_q(stats, d)
-        ref_m, ref_s = numeric_q_argmax(stats, d)
+        series = one_block(counts, n=n)
+        seq = e_step(series, ParamStack.of([params]))
+        [q_m], [q_s] = m_step_q(seq)
+        ref_m, ref_s = numeric_q_argmax(oracle_for(series, params, seq))
         worst = max(worst, abs(q_m - ref_m) / ref_m, abs(q_s - ref_s) / ref_s)
     ok = worst <= 1e-6
     _report(

@@ -17,6 +17,7 @@ from sdsbm.anomaly import (
 from sdsbm.generator import GenParams, default_state, generate_block_series
 from sdsbm.ssm import ModelParams, ParamStack
 
+import per_block_reference as ref
 from conftest import concat, one_block
 
 
@@ -67,9 +68,8 @@ class TestScore:
         assert scores.graph_loglik[0] == -7.5
 
     def test_smoothed_mode_uses_posterior_moments(self):
-        # reproduce the smoothed-mode density by hand for one block
-        from sdsbm import kalman
-
+        # reproduce the smoothed-mode density by hand for one block, from
+        # the per-block reference smoother's state moments
         rng = np.random.default_rng(2)
         params = ModelParams(
             d=3, q_m=1e-4, q_s=1e-4, r=1e-4,
@@ -79,12 +79,12 @@ class TestScore:
         blocks, stack = one_block(counts, n=100), ParamStack.of([params])
         scores = score(blocks, stack, mode="smoothed")
         ss = params.state_space(100)
-        seq = kalman.smooth(kalman.filter(blocks, stack), stack.state_space(blocks.n))
+        seq = ref.smooth(ref.run_filter(counts, ss, params.mu0, params.Sigma0), ss)
         for t in range(1, 7):
-            mean = float(ss.H @ seq.smoothed_mean[0, t])
-            var = float(ss.H @ seq.smoothed_cov[0, t] @ ss.H) + seq.u[0, t - 1] + 100**2 * params.r
-            ref = -0.5 * (math.log(2 * math.pi * var) + (counts[t - 1] - mean) ** 2 / var)
-            assert scores.loglik[0, t - 1] == pytest.approx(ref, rel=1e-12)
+            mean = float(ss.H @ seq.smoothed_mean[t])
+            var = float(ss.H @ seq.smoothed_cov[t] @ ss.H) + seq.u[t - 1] + 100**2 * params.r
+            want = -0.5 * (math.log(2 * math.pi * var) + (counts[t - 1] - mean) ** 2 / var)
+            assert scores.loglik[0, t - 1] == pytest.approx(want, rel=1e-12)
 
     def test_missing_steps_score_nan(self):
         scores = series_scores([50, np.nan, 50])

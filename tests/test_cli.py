@@ -348,9 +348,7 @@ class TestForecast:
         assert stack.pairs == tuple(sorted(params))
         stacked_params = ParamStack.of([params[p] for p in stack.pairs])
         seq = kalman.filter(stack, stacked_params)
-        fc = kalman.forecast(
-            seq.filt_mean[:, -1], seq.filt_cov[:, -1], stacked_params.state_space(stack.n), 1
-        )
+        fc = kalman.forecast(seq.final_mean, seq.final_cov, stacked_params.state_space(stack.n), 1)
         rows = read_rows(tmp_path / "forecast.csv")
         assert [tuple(row["block"].split(":")) for row in rows] == list(stack.pairs)
         for b, row in enumerate(rows):
@@ -626,6 +624,17 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bananas": 1}))
         assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", ["{", "[1]", ""])
+    def test_unreadable_config_is_usage_error_naming_the_file(self, tmp_path, capsys, text):
+        # malformed JSON and JSON that is not an object alike
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run("fit", "--config", cfg, "--out-dir", out) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command,config,key",

@@ -10,10 +10,10 @@ from scipy.optimize import minimize_scalar
 import per_block_reference as ref
 from sdsbm import kalman
 from sdsbm.em import (
+    Q_FLOOR,
     R_MAX,
     EmConfig,
     EmError,
-    SufficientStats,
     default_init,
     e_step,
     em_fit,
@@ -33,6 +33,7 @@ from sdsbm.ssm import ModelParams, ParamStack, build_state_space
 
 from conftest import concat, one_block
 from gaussian_oracle import OracleRun
+from test_kalman import oracle_for
 
 
 def fit_one(series, init, config):
@@ -44,14 +45,9 @@ def fit_one(series, init, config):
     return params, trace
 
 
-def batch(stats):
-    """One block's hand-built moments as a stack of one."""
-    return SufficientStats(Ex=stats.Ex[None], Exx=stats.Exx[None], Exx_lag=stats.Exx_lag[None])
-
-
-def r_step(stats, series, u):
-    """``m_step_r`` on one block's hand-built moments."""
-    return float(m_step_r(batch(stats), series, np.asarray(u, float)[None])[0])
+def r_step(quad, u, n):
+    """``m_step_r`` on one block's expected squared observation disturbances."""
+    return float(m_step_r(np.asarray(quad, float)[None], np.asarray(u, float)[None], np.array([n], float))[0])
 
 
 def synthetic_block(seed, d=7, T=120, n=500, q_m=1e-6, q_s=1e-6, r=0.0, bias=0.5, amp=0.08):
@@ -75,19 +71,23 @@ def small_params(d=3, q_m=4e-3, q_s=2e-3, r=0.0, seed=1):
     )
 
 
-def numeric_q_argmax(stats: SufficientStats, d: int, b: int = 0) -> tuple[float, float]:
+def numeric_q_argmax(oracle: OracleRun) -> tuple[float, float]:
     """Independent check of the closed-form process-variance update:
-    numerically maximize block b's expected transition log-likelihood
-    term of each noisy coordinate, using the per-step transition-residual
-    moment E[(x_t - G x_{t-1})(x_t - G x_{t-1})^T]."""
-    G = build_state_space(d, 1, 0.0, 0.0, 0.0).G
-    Exx, lag = stats.Exx[b], stats.Exx_lag[b]
-    resid = np.array(
-        [
-            Exx[t] - lag[t - 1] @ G.T - G @ lag[t - 1].T + G @ Exx[t - 1] @ G.T
-            for t in range(1, stats.T + 1)
-        ]
-    )
+    numerically maximize the expected transition log-likelihood term of
+    each noisy coordinate, using the per-step transition-residual moment
+    E[(x_t - G x_{t-1})(x_t - G x_{t-1})^T] of the oracle's smoothed
+    moments."""
+    G = oracle.G
+
+    def second_moment(t):
+        mean, cov = oracle.smoothed(t)
+        return cov + np.outer(mean, mean)
+
+    resid = []
+    for t in range(1, oracle.T + 1):
+        lag = oracle.smoothed_cross(t)
+        resid.append(second_moment(t) - lag @ G.T - G @ lag.T + G @ second_moment(t - 1) @ G.T)
+    resid = np.array(resid)
     out = []
     for k in (0, 1):
         moments = resid[:, k, k]
@@ -108,6 +108,7 @@ def numeric_q_argmax(stats: SufficientStats, d: int, b: int = 0) -> tuple[float,
 
 class TestEStep:
     def test_degenerate_params_give_exact_outer_products(self):
+        # no noise anywhere: every smoothed variance is exactly zero
         d, n, T = 3, 100, 8
         init = seasonal_state(d, 0.5, sine_profile(d, 0.1))
         gen = GenParams(d=d, q_m=0.0, q_s=0.0, r=0.0, init=init)
@@ -124,45 +125,28 @@ class TestEStep:
             d=d, q_m=0.0, q_s=0.0, r=0.0,
             mu0=init, Sigma0=np.zeros((d, d)),
         )
-        stats, _ = e_step(series, ParamStack.of([params]))
-        for t in range(T + 1):
-            np.testing.assert_array_equal(
-                stats.Exx[0, t], np.outer(stats.Ex[0, t], stats.Ex[0, t])
-            )
+        seq = e_step(series, ParamStack.of([params]))
+        np.testing.assert_array_equal(seq.smoothed_count_var, np.zeros((1, T)))
+        np.testing.assert_array_equal(seq.x0_cov, np.zeros((1, d, d)))
+        np.testing.assert_array_equal(seq.eta_sq, np.zeros((1, T, 2)))
+        np.testing.assert_array_equal(seq.quad, (series.counts - seq.smoothed_count) ** 2)
 
     def test_single_step_reduces_to_filtered_moments(self, rng):
         params = small_params()
         series, stack = one_block([55], n=100), ParamStack.of([params])
-        stats, _ = e_step(series, stack)
-        seq = kalman.filter(series, stack)
-        np.testing.assert_allclose(stats.Ex[0, 1], seq.filt_mean[0, 0], rtol=1e-12)
-        np.testing.assert_allclose(
-            stats.Exx[0, 1],
-            seq.filt_cov[0, 0] + np.outer(seq.filt_mean[0, 0], seq.filt_mean[0, 0]),
-            rtol=1e-12,
-        )
+        seq = e_step(series, stack)
+        H = params.state_space(100).H
+        filtered = kalman.filter(series, stack)
+        assert seq.smoothed_count[0, 0] == pytest.approx(H @ filtered.final_mean[0], rel=1e-12)
+        assert seq.smoothed_count_var[0, 0] == pytest.approx(H @ filtered.final_cov[0] @ H, rel=1e-10)
 
     def test_stats_match_joint_gaussian_oracle(self, rng):
         params = small_params(seed=3)
-        counts = rng.integers(30, 70, size=6).astype(float)
-        stats, seq = e_step(one_block(counts, n=100), ParamStack.of([params]))
-        ss = params.state_space(100)
-        oracle = OracleRun(
-            ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, counts, seq.u[0] + 100**2 * params.r
-        )
-        for t in range(7):
-            mean_ref, cov_ref = oracle.smoothed(t)
-            np.testing.assert_allclose(stats.Ex[0, t], mean_ref, rtol=1e-8, atol=1e-12)
-            np.testing.assert_allclose(
-                stats.Exx[0, t],
-                cov_ref + np.outer(mean_ref, mean_ref),
-                rtol=1e-8,
-                atol=1e-12,
-            )
-        for t in range(1, 7):
-            np.testing.assert_allclose(
-                stats.Exx_lag[0, t - 1], oracle.smoothed_cross(t), rtol=1e-8, atol=1e-12
-            )
+        series = one_block(rng.integers(30, 70, size=6), n=100)
+        seq = e_step(series, ParamStack.of([params]))
+        oracle = oracle_for(series, params, seq)
+        for name, want in {**oracle.filter_record(), **oracle.smoothed_record()}.items():
+            np.testing.assert_allclose(getattr(seq, name)[0], want, rtol=1e-8, atol=1e-12, err_msg=name)
         assert seq.total_loglik[0] == pytest.approx(oracle.observations_logpdf(), rel=1e-9)
 
 
@@ -170,18 +154,20 @@ class TestMStepInitial:
     def test_assignment_from_smoothed_start(self, rng):
         params = small_params(seed=5)
         series = one_block(rng.integers(30, 70, size=5), n=100)
-        stats, _ = e_step(series, ParamStack.of([params]))
-        [mu0], [Sigma0] = m_step_initial(stats)
-        np.testing.assert_array_equal(mu0, stats.Ex[0, 0, :3])
-        want = stats.Exx[0, 0, :3, :3] - np.outer(mu0, mu0)
-        np.testing.assert_allclose(Sigma0, 0.5 * (want + want.T), atol=1e-15)
+        seq = e_step(series, ParamStack.of([params]))
+        [mu0], [Sigma0] = m_step_initial(seq)
+        oracle = oracle_for(series, params, seq)
+        mean_ref, cov_ref = oracle.smoothed(0)
+        np.testing.assert_allclose(mu0, mean_ref, rtol=1e-8, atol=1e-12)
+        np.testing.assert_allclose(Sigma0, cov_ref, rtol=1e-8, atol=1e-12)
+        np.testing.assert_array_equal(Sigma0, Sigma0.T)
 
     def test_idempotent_given_fixed_stats(self, rng):
         params = small_params(seed=6)
         series = one_block(rng.integers(30, 70, size=5), n=100)
-        stats, _ = e_step(series, ParamStack.of([params]))
-        first = m_step_initial(stats)
-        second = m_step_initial(stats)
+        seq = e_step(series, ParamStack.of([params]))
+        first = m_step_initial(seq)
+        second = m_step_initial(seq)
         np.testing.assert_array_equal(first[0], second[0])
         np.testing.assert_array_equal(first[1], second[1])
 
@@ -191,16 +177,6 @@ class TestMStepInitial:
         params, _ = fit_one(series, init, EmConfig(max_iter=60, tol=1e-9))
         sd = np.sqrt(max(params.Sigma0[0, 0], 1e-12))
         assert abs(params.mu0[0] - gen.init[0]) <= 3 * max(sd, 1e-3)
-
-
-def r_step_input(quad, u, n):
-    """Zero counts and zero means, so m_step_r's quad_t is n^2 Exx[t, 0, 0]."""
-    T = len(quad)
-    stats = SufficientStats(
-        Ex=np.zeros((T + 1, 2)), Exx=np.zeros((T + 1, 2, 2)), Exx_lag=np.zeros((T, 2, 2))
-    )
-    stats.Exx[1:, 0, 0] = np.asarray(quad) / n**2
-    return stats, one_block(np.zeros(T), n=n), n * n * stats.Exx[1:, 0, 0]
 
 
 def bounded_argmax(f, lo, hi):
@@ -213,40 +189,18 @@ def bounded_argmax(f, lo, hi):
 class TestMStepR:
     def test_boundary_solution_when_binomial_noise_explains_all(self):
         # quad_t == u_t makes the objective decreasing in r
-        n, T = 100, 6
-        u = np.full(T, 25.0)
-        series = one_block([50] * T, n=n)
-        D = 5
-        stats = SufficientStats(
-            Ex=np.zeros((T + 1, D)),
-            Exx=np.zeros((T + 1, D, D)),
-            Exx_lag=np.zeros((T, D, D)),
-        )
-        # choose moments so quad_t = w^2 - 2 w Hx + x'H'Hx = u_t
-        # with Ex = 0: quad_t = w^2 + H Exx H'; force H Exx H' = u - w^2
-        for t in range(1, T + 1):
-            stats.Exx[t, 0, 0] = (u[t - 1] - 50.0**2) / n**2
-        assert r_step(stats, series, u) == 0.0
+        u = np.full(6, 25.0)
+        assert r_step(u, u, 100) == 0.0
 
     def test_single_step_closed_form(self):
         # with u = 0 and one term the maximizer is r = quad / n^2
         n, v = 200, 2e-3
-        series = one_block([0], n=n)
-        D = 5
-        stats = SufficientStats(
-            Ex=np.zeros((2, D)), Exx=np.zeros((2, D, D)), Exx_lag=np.zeros((1, D, D))
-        )
-        stats.Exx[1, 0, 0] = v  # H Exx H^T = n^2 v
-        r_hat = r_step(stats, series, [0.0])
+        r_hat = r_step([n * n * v], [0.0], n)
         assert r_hat == pytest.approx(v, rel=1e-8)
 
     def test_never_exceeds_density_variance_cap(self):
-        n = 10
-        series = one_block([0, 10, 0, 10, 0, 10], n=n)
-        stats = SufficientStats(
-            Ex=np.zeros((7, 12)), Exx=np.zeros((7, 12, 12)), Exx_lag=np.zeros((6, 12, 12))
-        )
-        r_hat = r_step(stats, series, np.full(6, 1e-6))
+        # counts 0, 10, 0, ... against a zero smoothed mean
+        r_hat = r_step(np.array([0.0, 100.0] * 3), np.full(6, 1e-6), 10)
         assert 0.0 <= r_hat <= 0.25
 
     @settings(max_examples=60, deadline=None)
@@ -259,8 +213,8 @@ class TestMStepR:
         u = n * p * (1 - p)
         r_star = math.exp(rng.uniform(math.log(0.1), math.log(10.0))) * u.mean() / n**2
         assume(r_star <= 0.1)
-        stats, series, quad = r_step_input((u + n * n * r_star) * np.exp(rng.normal(0, 0.3, T)), u, n)
-        r = r_step(stats, series, u)
+        quad = (u + n * n * r_star) * np.exp(rng.normal(0, 0.3, T))
+        r = r_step(quad, u, n)
 
         # scipy's bounded search on log r stops at sqrt(eps) * |log r|, so a
         # second search, centred on the first and written without
@@ -288,8 +242,7 @@ class TestMStepR:
     )
     def test_never_scores_below_the_scan(self, n, terms):
         quad, u = map(np.array, zip(*terms))
-        stats, series, quad = r_step_input(quad, u, n)
-        r = r_step(stats, series, u)
+        r = r_step(quad, u, n)
         assert 0.0 <= r <= R_MAX
         feasible_grid = np.minimum(np.geomspace(1e-12, 1.0, 30), R_MAX)
         scan_best = np.max(r_objective(feasible_grid, quad, u, n))
@@ -310,26 +263,18 @@ class TestMStepR:
         # a block leaves the lockstep solve when it stops, so its r is
         # bit-identical to solving it alone; one block has gaps, one is all gap
         rng = np.random.default_rng(11)
-        B, T, D = 6, 40, 3
+        B, T = 6, 40
         ns = rng.integers(6, 2001, B).astype(float)
         p = rng.uniform(0.05, 0.95, (B, T))
         u = ns[:, None] * p * (1 - p)
         r_star = np.exp(rng.uniform(np.log(1e-8), np.log(1e-2), B))
-        stats = SufficientStats(
-            Ex=np.zeros((B, T + 1, D)), Exx=np.zeros((B, T + 1, D, D)), Exx_lag=np.zeros((B, T, D, D))
-        )
-        stats.Exx[:, 1:, 0, 0] = (u + ns[:, None] ** 2 * r_star[:, None]) * np.exp(
-            rng.normal(0, 0.3, (B, T))
-        ) / ns[:, None] ** 2
-        counts = np.zeros((B, T))
-        counts[1, 5:15] = np.nan
-        counts[2] = np.nan
-        blocks = BlockStack(tuple(("a", f"b{k}") for k in range(B)), ns, counts)
-        together = m_step_r(stats, blocks, u)
+        quad = (u + ns[:, None] ** 2 * r_star[:, None]) * np.exp(rng.normal(0, 0.3, (B, T)))
+        quad[1, 5:15] = np.nan
+        quad[2] = np.nan
+        together = m_step_r(quad, u, ns)
         assert together[2] == 0.0
         for b in range(B):
-            alone = SufficientStats(stats.Ex[b : b + 1], stats.Exx[b : b + 1], stats.Exx_lag[b : b + 1])
-            assert m_step_r(alone, blocks.take([b]), u[b : b + 1])[0] == together[b]
+            assert m_step_r(quad[b : b + 1], u[b : b + 1], ns[b : b + 1])[0] == together[b]
 
     def test_full_em_recovers_true_r(self):
         series, _, gen = synthetic_block(
@@ -342,46 +287,39 @@ class TestMStepR:
 
 class TestMStepQ:
     def test_no_innovation_means_zero_variances(self):
-        # a noiseless trajectory x_t = G x_{t-1} with exact moments: the
-        # transition residual vanishes, so both variances are zero
-        d, T = 3, 4
-        G = build_state_space(d, 1, 0.0, 0.0, 0.0).G
-        Ex = [np.array([0.5, 0.1, -0.1])]
+        # a noiseless trajectory x_t = G x_{t-1} under a noiseless model:
+        # the transition residual vanishes, so both variances fall to the floor
+        d, n, T = 3, 100, 4
+        init = np.array([0.5, 0.1, -0.1])
+        G = build_state_space(d, n, 0.0, 0.0, 0.0).G
+        states = [init]
         for _ in range(T):
-            Ex.append(G @ Ex[-1])
-        Ex = np.array(Ex)
-        stats = SufficientStats(
-            Ex=Ex,
-            Exx=np.einsum("ti,tj->tij", Ex, Ex),
-            Exx_lag=np.einsum("ti,tj->tij", Ex[1:], Ex[:-1]),
-        )
-        [q_m], [q_s] = m_step_q(batch(stats), d=d)
-        assert q_m == pytest.approx(0.0, abs=1e-14)
-        assert q_s == pytest.approx(0.0, abs=1e-14)
+            states.append(G @ states[-1])
+        H = build_state_space(d, n, 0.0, 0.0, 0.0).H
+        series = one_block(np.array(states[1:]) @ H, n=n)
+        params = ModelParams(d=d, q_m=0.0, q_s=0.0, r=0.0, mu0=init, Sigma0=np.zeros((d, d)))
+        seq = e_step(series, ParamStack.of([params]))
+        np.testing.assert_array_equal(seq.eta_sq, np.zeros((1, T, 2)))
+        [q_m], [q_s] = m_step_q(seq)
+        assert q_m == q_s == Q_FLOOR
 
     def test_hand_built_projection(self):
-        # zero-mean prior moments of the model itself, built by hand:
-        # Exx_t = P_t = G P_{t-1} G^T + Q and E[x_t x_{t-1}^T] = G P_{t-1},
-        # so the transition residual moment is exactly Q at every step
+        # with every step a gap the smoothed moments are the model's prior
+        # ones, so the expected squared disturbance is exactly Q at every step
         d, T, v_m, v_s = 3, 8, 3e-4, 7e-5
-        G = build_state_space(d, 1, 0.0, 0.0, 0.0).G
-        Q = np.diag([v_m, v_s, 0.0])
-        Exx = [np.zeros((d, d))]
-        for _ in range(T):
-            Exx.append(G @ Exx[-1] @ G.T + Q)
-        Exx = np.array(Exx)
-        stats = SufficientStats(Ex=np.zeros((T + 1, d)), Exx=Exx, Exx_lag=G @ Exx[:-1])
-        [q_m], [q_s] = m_step_q(batch(stats), d=d)
+        params = ModelParams(d=d, q_m=v_m, q_s=v_s, r=0.0, mu0=np.zeros(d), Sigma0=np.zeros((d, d)))
+        seq = e_step(one_block([np.nan] * T, n=10), ParamStack.of([params]))
+        [q_m], [q_s] = m_step_q(seq)
         assert q_m == pytest.approx(v_m, rel=1e-12)
         assert q_s == pytest.approx(v_s, rel=1e-12)
 
     def test_matches_numerical_maximization(self, rng):
         for seed in (1, 2):
             params = small_params(seed=seed)
-            counts = rng.integers(30, 70, size=7).astype(float)
-            stats, _ = e_step(one_block(counts, n=100), ParamStack.of([params]))
-            [q_m], [q_s] = m_step_q(stats, d=params.d)
-            ref_m, ref_s = numeric_q_argmax(stats, params.d)
+            series = one_block(rng.integers(30, 70, size=7), n=100)
+            seq = e_step(series, ParamStack.of([params]))
+            [q_m], [q_s] = m_step_q(seq)
+            ref_m, ref_s = numeric_q_argmax(oracle_for(series, params, seq))
             assert q_m == pytest.approx(ref_m, rel=1e-6)
             assert q_s == pytest.approx(ref_s, rel=1e-6)
 
@@ -488,17 +426,11 @@ class TestEmFit:
         params = default_init(series, gen.d)
         n = series.n[0]
         for _ in range(8):
-            stats, seq = e_step(series, params)
-            u = seq.u[0]
-            D = stats.dim
-            H = np.zeros(D)
-            H[0] = H[1] = n
-            w = series.counts[0]
-            hx = stats.Ex[0, 1:] @ H
-            quad = w * w - 2 * w * hx + np.einsum("i,tij,j->t", H, stats.Exx[0, 1:], H)
-            r_new = m_step_r(stats, series, seq.u)
+            seq = e_step(series, params)
+            quad, u = seq.quad[0], seq.u[0]
+            r_new = m_step_r(seq.quad, seq.u, series.n)
             assert r_objective(r_new[0], quad, u, n) >= r_objective(params.r[0], quad, u, n) - 1e-9
-            params = ParamStack(gen.d, *m_step_q(stats, gen.d), r_new, *m_step_initial(stats))
+            params = ParamStack(gen.d, *m_step_q(seq), r_new, *m_step_initial(seq))
 
     def test_estep_failure_carries_iteration(self):
         series = one_block([5, 5], n=10)

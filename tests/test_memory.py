@@ -1,5 +1,6 @@
-"""Memory bounds of the event path: parsing holds the strings of one
-chunk of rows at a time, and the edge keys are built in place.
+"""Memory bounds of the event path and of EM: parsing holds the strings
+of one chunk of rows at a time, the edge keys are built in place, and
+the E-step keeps its state covariances as loop variables.
 
 The peaks are taken with ``tracemalloc``, which sees numpy's array
 buffers as well as Python objects, so they are deterministic for one
@@ -10,7 +11,8 @@ import tracemalloc
 
 import numpy as np
 
-from sdsbm.graph_model import DynamicNetwork, VertexTyping
+from sdsbm.em import EmConfig, default_init, e_step, em_fit
+from sdsbm.graph_model import BlockStack, DynamicNetwork, VertexTyping
 from sdsbm.ingest import parse_inputs
 
 EVENTS = 100_000
@@ -68,3 +70,28 @@ def test_edge_keys_are_built_in_place():
     np.testing.assert_array_equal(net.edge_u, key // V % V)
     np.testing.assert_array_equal(net.edge_v, key % V)
     assert peak / EVENTS < 36, f"{peak / EVENTS:.1f} bytes per edge"
+
+
+def many_blocks():
+    """78 blocks, the type pairs of 12 types of 8 vertices (n = 28 within
+    a type, 64 between), over T = 28 steps of a weekly season."""
+    rng = np.random.default_rng(7)
+    types = "abcdefghijkl"
+    pairs = tuple((a, b) for i, a in enumerate(types) for b in types[i:])
+    n = np.array([28 if a == b else 64 for a, b in pairs])
+    density = 0.5 + 0.1 * np.sin(2 * np.pi * np.arange(28) / 7)
+    return BlockStack(pairs, n.astype(float), rng.binomial(n[:, None], density).astype(float))
+
+
+def test_e_step_holds_no_per_step_covariances():
+    # one (B, T, d, d) float array takes 0.82 MiB here; storing a handful
+    # of per-step covariances would take several MiB
+    blocks = many_blocks()
+    _, peak = traced_peak(e_step, blocks, default_init(blocks, 7))
+    assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+def test_em_fit_peak_is_a_few_e_steps():
+    blocks = many_blocks()
+    _, peak = traced_peak(em_fit, blocks, default_init(blocks, 7), EmConfig(max_iter=5, tol=0))
+    assert peak < 5 * 2**20, f"{peak / 2**20:.2f} MiB"

@@ -112,7 +112,7 @@ class TestBinomialObsNoise:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             seq = kalman.filter(stack, ps)
-            fc = kalman.forecast(seq.filt_mean[:, -1], seq.filt_cov[:, -1], ps.state_space(stack.n), 4)
+            fc = kalman.forecast(seq.final_mean, seq.final_cov, ps.state_space(stack.n), 4)
         assert seq.non_gaussian_steps.tolist() == [3, 3, 0]
         assert fc.non_gaussian_steps.tolist() == [4, 4, 0]
 
