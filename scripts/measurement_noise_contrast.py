@@ -54,9 +54,8 @@ def main() -> None:
             blocks, init, EmConfig(max_iter=args.max_iter, tol=1e-9, fix_r_to_zero=fix_r)
         )
         [params] = fitted
-        seq = kalman.filter(blocks, fitted)
-        fc = kalman.forecast(seq.final_mean, seq.final_cov, fitted.state_space(blocks.n), horizon)
-        count_mean, total_var = fc.count_mean[0], fc.total_var[0]
+        seq = kalman.filter(blocks.with_gaps(horizon), fitted)  # the forecast is its gap steps
+        count_mean, total_var = seq.pred_count[0, blocks.T:], seq.innov_var[0, blocks.T:]
         path = args.out_dir / f"forecast_{label}.csv"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")

@@ -29,7 +29,7 @@ from .ssm import (
     binomial_obs_noise,
     build_state_space,
 )
-from .kalman import BeliefSequence, Forecast, forecast, smooth
+from .kalman import BeliefSequence, smooth
 from .em import EmConfig, EmTrace, default_init, e_step, em_fit
 from .anomaly import (
     AnomalyReport,

@@ -2,7 +2,9 @@
 
 Every subcommand is reproducible from its inputs and options (simulate's
 include its seed); the resolved configuration is written next to the
-outputs.  Exit codes:
+outputs.  ``forecast`` filters the data with the horizon appended as
+gaps; it and ``detect`` need the data's blocks to be the model's.
+Exit codes:
 0 success (detect: no anomalies), 1 usage error, 2 data error,
 3 anomalies found (detect), 4 EM hit max-iter without converging (fit).
 """
@@ -35,7 +37,7 @@ from .ingest import (
     parse_inputs,
     save_model,
 )
-from .kalman import FilterError, filter as kalman_filter, forecast as kalman_forecast
+from .kalman import FilterError, filter as kalman_filter
 from .ssm import NORMAL_APPROX_MIN_COUNT, ParamStack
 
 EXIT_OK = 0
@@ -338,12 +340,13 @@ def cmd_fit(resolved: dict) -> int:
     init = default_init(blocks, d, flat_defaults=resolved["paper_default_init"])
     if resolved["init_model"]:
         warm_start = load_model(resolved["init_model"])[0]
+        model_d = next(iter(warm_start.values())).d  # a model file has one period
+        if model_d != d:
+            raise IngestError(f"init model period {model_d} does not match --period {d}")
         warm = [k for k, pair in enumerate(blocks.pairs) if pair in warm_start]
-        if warm:
-            rows = ParamStack.of([warm_start[blocks.pairs[k]] for k in warm])
-            if rows.d != d:
-                raise IngestError(f"init model period {rows.d} does not match --period {d}")
-            init = init.put(warm, rows)
+        if not warm:
+            raise IngestError("init model shares no block with the data")
+        init = init.put(warm, ParamStack.of([warm_start[blocks.pairs[k]] for k in warm]))
     fitted, traces = em_fit(blocks, init, em_config)
     out = _out_dir(resolved)
     n_by_pair = dict(zip(blocks.pairs, blocks.n))
@@ -370,12 +373,16 @@ def cmd_fit(resolved: dict) -> int:
 # ----------------------------------------------------------------------
 
 def _matched_blocks(resolved: dict) -> tuple[BlockStack, ParamStack]:
-    """The data's blocks and the model's parameters, both in model order."""
+    """The data's blocks and the model's parameters, both in model order;
+    the data must have the model's blocks, no more, with the same n."""
     if not resolved["model"]:
         raise UsageError("--model is required")
     params, n_by_pair = load_model(resolved["model"])
     blocks = _load_blocks(resolved)
     row = {pair: k for k, pair in enumerate(blocks.pairs)}
+    extra = [pair for pair in blocks.pairs if pair not in params]
+    if extra:
+        raise IngestError(f"typing mismatch: data block {pair_key(extra[0])} is not in the model")
     pairs = sorted(params)
     for pair in pairs:
         if pair not in row or blocks.n[row[pair]] != n_by_pair[pair]:
@@ -394,19 +401,21 @@ def cmd_forecast(resolved: dict) -> int:
         raise UsageError("forecast horizon must be >= 1")
     z = _z_quantile(resolved["level"])
     blocks, params = _matched_blocks(resolved)
-    seq = kalman_filter(blocks, params)
-    fc = kalman_forecast(seq.final_mean, seq.final_cov, params.state_space(blocks.n), horizon)
+    T = blocks.T
+    # the filter over appended gaps: its count mean and variance there are the forecast
+    seq = kalman_filter(blocks.with_gaps(horizon), params)
+    forecast = zip(blocks.pairs, seq.pred_count[:, T:], seq.innov_var[:, T:])
     out = _out_dir(resolved)
     with open(out / "forecast.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "block", "mean", "variance", "lower", "upper"])
-        for pair, means, variances in zip(blocks.pairs, fc.count_mean, fc.total_var):
+        for pair, means, variances in forecast:
             for k, (mean, var) in enumerate(zip(means, variances)):
                 half = z * math.sqrt(var)
                 bounds = (mean, var, mean - half, mean + half)
-                w.writerow([blocks.T + k + 1, pair_key(pair), *map(_fmt, bounds)])
+                w.writerow([T + k + 1, pair_key(pair), *map(_fmt, bounds)])
     _write_run_config(out, "forecast", resolved)
-    _warn_non_gaussian(int(seq.non_gaussian_steps.sum() + fc.non_gaussian_steps.sum()))
+    _warn_non_gaussian(int(seq.non_gaussian_steps.sum()))
     return EXIT_OK
 
 

@@ -191,10 +191,6 @@ class DynamicNetwork:
         cuts = np.searchsorted(self.edge_t, np.arange(1, self.T + 2)).tolist()
         return tuple(frozenset(edges[a:b]) for a, b in zip(cuts, cuts[1:]))
 
-    def total_edges(self, t: int) -> int:
-        """Edge count of snapshot t (1-based)."""
-        return int(np.count_nonzero(self.edge_t == t))
-
 
 @dataclass(frozen=True)
 class BlockStack:
@@ -242,6 +238,12 @@ class BlockStack:
     def take(self, idx) -> BlockStack:
         """The stack of blocks ``idx`` (a sequence of row indices)."""
         return BlockStack(tuple(self.pairs[i] for i in idx), self.n[idx], self.counts[idx])
+
+    def with_gaps(self, steps: int) -> BlockStack:
+        """The stack with ``steps`` gaps (NaN counts) appended to every
+        block; filtered, its appended steps are the count forecast."""
+        gaps = np.full((len(self), steps), np.nan)
+        return BlockStack(self.pairs, self.n, np.concatenate((self.counts, gaps), axis=1))
 
 
 def extract_block_series(network: DynamicNetwork) -> BlockStack:

@@ -1,8 +1,8 @@
 """Exact Gaussian belief propagation for a stack of blocks.
 
-Filter, smoother, forecasting and per-step predictive log-likelihood
-for the linear-Gaussian count model.  Every function takes B blocks of
-one period at once: arrays carry a leading block axis, and one Python
+Filter, smoother and per-step predictive log-likelihood for the
+linear-Gaussian count model.  Every function takes B blocks of one
+period at once: arrays carry a leading block axis, and one Python
 loop over t advances all of them (a single block is a stack of one).
 Observations are scalar per block, so nothing is inverted: the update
 divides by each block's scalar innovation variance.  The filter keeps
@@ -13,7 +13,9 @@ Methods*, §4.5.3): the de Jong backward recursion for r_t and N_t over
 the filter's innovations, exact even where the one-step-ahead
 covariances are singular (zero ``Sigma0``), from which it reads the
 smoothed count, disturbance and initial-state moments that EM and
-scoring use.
+scoring use.  A forecast is the filter run over future gaps (Durbin &
+Koopman §4.11): its one-step-ahead count mean H a_t and variance F_t at
+steps appended with ``BlockStack.with_gaps``.
 """
 
 from __future__ import annotations
@@ -99,21 +101,15 @@ def gaussian_logpdf(resid, var):
     return -0.5 * (LOG_2PI + np.log(var) + resid * resid / var)
 
 
-def _predict(mean: np.ndarray, cov: np.ndarray, ss: StateSpace, GT: np.ndarray):
-    """Propagate every block's belief one step: mean G m, covariance
-    G S G^T + Q.  ``GT`` is G^T, contiguous (matmul is faster on it)."""
-    cov = ss.G @ cov @ GT + ss.Q
-    return mean @ GT, 0.5 * (cov + cov.swapaxes(-1, -2))
-
-
 def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
     """Forward pass of every block from its prior belief (mu0, Sigma0).
 
     The per-step observation noise u_t is recomputed from each predicted
     mean.  NaN counts are gaps: the update is skipped and the prediction
-    carried forward with no likelihood contribution.  A non-positive
-    innovation variance at an observed step raises ``FilterError`` naming
-    the first such block.
+    carried forward with no likelihood contribution, so at trailing gaps
+    ``pred_count`` and ``innov_var`` are the count forecast's mean and
+    variance.  A non-positive innovation variance at an observed step
+    raises ``FilterError`` naming the first such block.
     """
     if len(blocks) != len(params):
         raise ValueError("blocks and parameters differ in number")
@@ -124,10 +120,11 @@ def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
     observed = ~np.isnan(blocks.counts)
     counts = np.where(observed, blocks.counts, 0.0)  # a gap's gain is zero
     mean, cov = params.mu0, params.Sigma0
-    GT = ss.G.T.copy()
+    GT = ss.G.T.copy()  # contiguous: matmul is faster on it
     measurement_var = ss.measurement_var  # b_t = u_t + n^2 r; n and r are checked already
     for t in range(T):
-        mean, cov = _predict(mean, cov, ss, GT)
+        cov = ss.G @ cov @ GT + ss.Q  # predict: G m and G S G^T + Q
+        mean, cov = mean @ GT, 0.5 * (cov + cov.swapaxes(-1, -2))
         pred_count[:, t] = hm = np.einsum("bi,bi->b", ss.H, mean)
         u[:, t] = u_t = binomial_obs_noise(hm, ss.n)
         PH[:, t] = p = np.einsum("bij,bj->bi", cov, ss.H)
@@ -203,48 +200,4 @@ def smooth(beliefs: BeliefSequence, ss: StateSpace) -> BeliefSequence:
         eta_sq=q + q * q * (r[:, :T, :2] ** 2 - N_diag),
         x0_mean=beliefs.init_mean + np.einsum("bji,bj->bi", GS, r[:, 0]),
         x0_cov=0.5 * (x0_cov + x0_cov.swapaxes(1, 2)),
-    )
-
-
-@dataclass
-class Forecast:
-    """Per-horizon count forecasts of a stack of blocks, (B, horizon) arrays.
-
-    ``count_noise`` is the binomial variance at the forecast mean,
-    ``measurement_var`` each block's horizon-constant n^2 r contribution
-    and ``total_var = state_var + count_noise + measurement_var``.
-    ``non_gaussian_steps`` counts each block's horizons whose forecast
-    mean lies outside the Gaussian regime.
-    """
-
-    count_mean: np.ndarray
-    state_var: np.ndarray
-    count_noise: np.ndarray
-    measurement_var: np.ndarray
-    non_gaussian_steps: np.ndarray
-
-    @property
-    def total_var(self) -> np.ndarray:
-        return self.state_var + self.count_noise + self.measurement_var[:, None]
-
-
-def forecast(mean: np.ndarray, cov: np.ndarray, ss: StateSpace, horizon: int) -> Forecast:
-    """Propagate each block's belief (mean (B, d), covariance (B, d, d))
-    ``horizon`` steps with no updates."""
-    if horizon < 1:
-        raise ValueError("forecast horizon must be >= 1")
-    count_mean = np.zeros((mean.shape[0], horizon))
-    state_var = np.zeros_like(count_mean)
-    GT = ss.G.T.copy()
-    for k in range(horizon):
-        mean, cov = _predict(mean, cov, ss, GT)
-        count_mean[:, k] = np.einsum("bi,bi->b", ss.H, mean)
-        state_var[:, k] = np.einsum("bi,bij,bj->b", ss.H, cov, ss.H)
-    n = ss.n[:, None]
-    return Forecast(
-        count_mean=count_mean,
-        state_var=state_var,
-        count_noise=binomial_obs_noise(count_mean, n),
-        measurement_var=ss.measurement_var,
-        non_gaussian_steps=np.count_nonzero(outside_normal_regime(count_mean, n), axis=1),
     )

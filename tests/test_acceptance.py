@@ -129,9 +129,8 @@ def test_criterion_3_measurement_noise_contrast():
 
     def half_width(params):
         stack = ParamStack.of([params])
-        seq = kalman.filter(series, stack)
-        fc = kalman.forecast(seq.final_mean, seq.final_cov, stack.state_space(series.n), 3 * d)
-        return 1.959964 * math.sqrt(fc.total_var[0, 3 * d - 1])
+        seq = kalman.filter(series.with_gaps(3 * d), stack)  # the forecast's 3d steps
+        return 1.959964 * math.sqrt(seq.innov_var[0, -1])
 
     q_ratio = (pinned.q_m + pinned.q_s) / (free.q_m + free.q_s)
     hw_ratio = half_width(pinned) / half_width(free)
@@ -154,14 +153,18 @@ def test_criterion_4_forecast_variance_growth():
         mu0=seasonal_state(d, 0.5, sine_profile(d, 0.08)),
         Sigma0=1e-5 * np.eye(d),
     )
-    ss = ParamStack.of([params]).state_space(np.array([n]))
-    fc = kalman.forecast(params.mu0[None], params.Sigma0[None], ss, horizon=10 * d)
-    aligned = fc.state_var[0, d - 1 :: d]
+    stack = ParamStack.of([params])
+    ss = stack.state_space(np.array([n]))
+    # forecast from the prior: the filter over an all-gap series
+    seq = kalman.filter(one_block(np.full(10 * d, np.nan), n=n), stack)
+    state_var = np.einsum("bti,bi->bt", seq.PH, ss.H)[0]  # H p_t
+    aligned = state_var[d - 1 :: d]
     increments = np.diff(aligned)
     spread = float(np.abs(increments - increments[0]).max() / increments[0])
     # the measurement term enters every horizon as the same constant n^2 r
-    exact_r = fc.measurement_var[0] == n * n * params.r and bool(
-        np.all(fc.total_var[0] == fc.state_var[0] + fc.count_noise[0] + fc.measurement_var[0])
+    measurement_var = ss.measurement_var[0]
+    exact_r = measurement_var == n * n * params.r and bool(
+        np.all(seq.innov_var[0] == state_var + seq.u[0] + measurement_var)
     )
     ok = spread <= 1e-6 and exact_r
     _report(

@@ -216,6 +216,27 @@ class TestFit:
         assert err.startswith("error: iteration 0: block a:b: t=1: non-positive innovation variance")
         assert not (out / "model.json").exists() and not (out / "em_trace.csv").exists()
 
+    @pytest.mark.parametrize("period, message", [
+        (5, "init model period 4 does not match --period 5"),
+        (4, "init model shares no block with the data"),
+    ])
+    def test_init_model_that_cannot_warm_start_is_data_error(
+        self, fitted_dir, tmp_path, capsys, period, message
+    ):
+        # a model of types a, b on data of types x, y: the period is checked
+        # before the blocks are matched, and a model sharing no block with
+        # the data is refused instead of silently ignored
+        (tmp_path / "types.csv").write_text("vertex,type\nx0,x\nx1,x\nx2,x\ny0,y\ny1,y\n")
+        (tmp_path / "events.csv").write_text("timestamp,src,dst\n0.5,x0,x1\n1.5,y0,y1\n2.5,x0,y1\n")
+        code = run(
+            "fit", "--events", tmp_path / "events.csv", "--types", tmp_path / "types.csv",
+            "--period", period, "--init-model", fitted_dir / "model.json", "--max-iter", 2,
+            "--out-dir", tmp_path / "out",
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "model.json").exists()
+
     def test_fix_r_zero_pins_trace(self, sim_dir, tmp_path):
         run(*fit_args(sim_dir, tmp_path, "--max-iter", 5, "--fix-r-zero"))
         assert all(float(r["r"]) == 0.0 for r in read_rows(tmp_path / "em_trace.csv"))
@@ -347,13 +368,12 @@ class TestForecast:
         stack = extract_block_series(net)
         assert stack.pairs == tuple(sorted(params))
         stacked_params = ParamStack.of([params[p] for p in stack.pairs])
-        seq = kalman.filter(stack, stacked_params)
-        fc = kalman.forecast(seq.final_mean, seq.final_cov, stacked_params.state_space(stack.n), 1)
+        seq = kalman.filter(stack.with_gaps(1), stacked_params)
         rows = read_rows(tmp_path / "forecast.csv")
         assert [tuple(row["block"].split(":")) for row in rows] == list(stack.pairs)
         for b, row in enumerate(rows):
-            assert float(row["mean"]) == fc.count_mean[b, 0]
-            assert float(row["variance"]) == fc.total_var[b, 0]
+            assert float(row["mean"]) == seq.pred_count[b, stack.T]
+            assert float(row["variance"]) == seq.innov_var[b, stack.T]
             assert int(row["t"]) == stack.T + 1
 
     def test_bounds_use_requested_level(self, sim_dir, fitted_dir, tmp_path):
@@ -517,6 +537,19 @@ def test_non_finite_bucketing_is_data_error(sim_dir, fitted_dir, tmp_path, capsy
         assert run(*args, "--out-dir", tmp_path) == EXIT_DATA, args[0]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"got {value}" in err, (args[0], err)
+
+
+def test_unmodelled_data_block_is_data_error(fitted_dir, tmp_path, capsys):
+    # a third type adds blocks a:c, b:c and c:c that the model lacks;
+    # forecast and detect refuse the data instead of leaving them unscored
+    assert simulate_small(tmp_path / "sim", extra=("--types", "a=16,b=12,c=5")) == EXIT_OK
+    data = ("--model", fitted_dir / "model.json", "--events", tmp_path / "sim" / "events.csv",
+            "--types", tmp_path / "sim" / "types.csv", "--out-dir", tmp_path / "out")
+    for args in (("forecast", "--horizon", 3, *data), ("detect", *data)):
+        capsys.readouterr()
+        assert run(*args) == EXIT_DATA, args[0]
+        err = capsys.readouterr().err
+        assert err == "error: typing mismatch: data block a:c is not in the model\n", args[0]
 
 
 def assert_model_commands_are_data_errors(model, sim_dir, tmp_path, capsys):

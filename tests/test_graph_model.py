@@ -153,8 +153,9 @@ def test_block_counts_conserve_total_edges(net):
         assert n == pair_possible_edges(net.typing, pair)
         assert len(block_pairs(net.typing, pair)[0]) == n
     totals = stack.counts.sum(axis=0)
+    per_snapshot = np.bincount(net.edge_t, minlength=net.T + 1)
     for t in range(1, net.T + 1):
-        assert totals[t - 1] == net.total_edges(t)
+        assert totals[t - 1] == per_snapshot[t]
 
 
 class TestBlockStack:
@@ -199,3 +200,11 @@ class TestBlockStack:
         sub = stack.take([1, 0])
         assert sub.pairs == (("a", "b"), ("a", "a"))
         assert sub.n.tolist() == [10.0, 2.0] and sub.counts.tolist() == [[7.0], [1.0]]
+
+    def test_with_gaps_appends_nan_steps(self):
+        stack = self.stack([[1.0, np.nan], [7.0, 0.0]])
+        ahead = stack.with_gaps(3)
+        assert ahead.pairs == stack.pairs and ahead.n.tolist() == [2.0, 10.0]
+        np.testing.assert_array_equal(ahead.counts[:, :2], stack.counts)
+        assert ahead.T == 5 and np.isnan(ahead.counts[:, 2:]).all()
+        assert stack.with_gaps(0).counts.tolist()[1] == [7.0, 0.0]

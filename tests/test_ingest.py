@@ -254,8 +254,9 @@ class TestBucketize:
         events = columns(typing_ab(), (0.5, "1", "2"), (9.5, "1", "3"))
         net = bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1.0, T=2))
         assert net.T == 2
-        assert net.total_edges(1) == 1
-        assert net.total_edges(2) == 0
+        per_snapshot = np.bincount(net.edge_t, minlength=net.T + 1)
+        assert per_snapshot[1] == 1
+        assert per_snapshot[2] == 0
 
     def test_missing_observation_policy(self):
         events = columns(typing_ab(), (0.5, "1", "2"), (2.5, "1", "3"))
@@ -270,7 +271,7 @@ class TestBucketize:
         events = columns(typing_ab(), (0.5, "1", "2"), (2.5, "1", "3"))
         net = bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1.0))
         assert net.missing == frozenset()
-        assert net.total_edges(2) == 0
+        assert np.bincount(net.edge_t, minlength=net.T + 1)[2] == 0
 
     def test_conservation_of_bucket_pair_memberships(self, rng):
         # every in-range event is represented by exactly one
@@ -289,7 +290,8 @@ class TestBucketize:
             (int(np.floor(ts)) + 1, tuple(sorted((int(i), int(j)))))
             for ts, (i, j) in zip(times, idx)
         }
-        total = sum(net.total_edges(t) for t in range(1, net.T + 1))
+        per_snapshot = np.bincount(net.edge_t, minlength=net.T + 1)
+        total = sum(per_snapshot[t] for t in range(1, net.T + 1))
         assert total == len(expected)
 
     def test_time_span_too_fine_for_int64_keys(self):

@@ -9,7 +9,7 @@ import per_block_reference as ref
 from sdsbm import kalman
 from sdsbm.em import e_step
 from sdsbm.generator import GenParams, generate_block_series, seasonal_state, sine_profile
-from sdsbm.kalman import FilterError, forecast
+from sdsbm.kalman import FilterError
 from sdsbm.ssm import ModelParams, ParamStack, binomial_obs_noise, build_state_space
 
 from conftest import concat, one_block
@@ -184,12 +184,11 @@ class TestFilter:
         gappy = one_block(counts, n=series.n[0])
         seq = run(gappy, params)
         # the gap's update is skipped: the next step predicts from its prediction
+        # past it, as in a two-step forecast from the first two counts
         ss = params.state_space(series.n[0])
-        first_two = run(one_block(counts[:2], n=series.n[0]), params)
-        stacked_ss = ParamStack.of([params]).state_space(series.n)
-        ahead = kalman.forecast(first_two.final_mean[None], first_two.final_cov[None], stacked_ss, 2)
-        np.testing.assert_allclose(seq.pred_count[2:4], ahead.count_mean[0], rtol=1e-12)
-        np.testing.assert_allclose(seq.PH[3] @ ss.H, ahead.state_var[0, 1], rtol=1e-12)
+        ahead = run(one_block(counts[:2], n=series.n[0]).with_gaps(2), params)
+        np.testing.assert_allclose(seq.pred_count[2:4], ahead.pred_count[2:], rtol=1e-12)
+        np.testing.assert_allclose(seq.PH[3] @ ss.H, ahead.PH[3] @ ss.H, rtol=1e-12)
         assert np.isnan(seq.innov[2]) and np.isnan(seq.pred_loglik[2])
         assert seq.innov_var[2] > 0  # the count's predictive variance is defined at a gap
         assert_matches(seq, oracle_for(gappy, params, seq).filter_record())
@@ -358,11 +357,14 @@ def test_filter_invariants(seed, d):
 
 
 def one_block_forecast(mean, cov, d, q_m=0.0, q_s=0.0, r=0.0, n=100, horizon=1):
-    ss = build_state_space(d, np.array([n]), q_m, q_s, r)
-    fc = forecast(np.asarray(mean, float)[None], np.asarray(cov, float)[None], ss, horizon)
+    """The count forecast from the belief (mean, cov): the filter over
+    ``horizon`` gaps from that prior."""
+    params = prior(mean, cov, d, q_m=q_m, q_s=q_s, r=r)
+    seq = run(one_block(np.full(horizon, np.nan), n=n), params)
+    ss = params.state_space(n)
     return SimpleNamespace(
-        count_mean=fc.count_mean[0], state_var=fc.state_var[0], count_noise=fc.count_noise[0],
-        measurement_var=fc.measurement_var[0], total_var=fc.total_var[0],
+        count_mean=seq.pred_count, state_var=seq.PH @ ss.H, count_noise=seq.u,
+        measurement_var=ss.measurement_var, total_var=seq.innov_var,
     )
 
 
@@ -397,21 +399,18 @@ class TestForecast:
             np.full(9, fc.measurement_var),
         )
 
-    def test_rejects_zero_horizon(self):
-        with pytest.raises(ValueError, match="horizon"):
-            one_block_forecast(np.zeros(3), np.zeros((3, 3)), d=3, horizon=0)
-
     def test_blocks_forecast_independently(self, rng):
         # a stack's forecasts are its blocks' one-block forecasts
         d, ns = 4, np.array([28.0, 64.0, 2000.0])
         means = np.column_stack((rng.uniform(0.3, 0.7, 3), rng.normal(0, 0.05, (3, d - 1))))
         covs = np.array([random_psd(rng, d) for _ in ns])
         q_m, q_s, r = rng.uniform(1e-5, 1e-3, (3, 3))
-        fc = forecast(means, covs, build_state_space(d, ns, q_m, q_s, r), 9)
+        gaps = concat(one_block(np.full(9, np.nan), n=n, pair=("a", f"b{b}")) for b, n in enumerate(ns))
+        seq = kalman.filter(gaps, ParamStack(d, q_m, q_s, r, means, covs))
         for b, n in enumerate(ns):
             one = one_block_forecast(means[b], covs[b], d, q_m[b], q_s[b], r[b], n=n, horizon=9)
-            np.testing.assert_allclose(fc.count_mean[b], one.count_mean, rtol=1e-12)
-            np.testing.assert_allclose(fc.total_var[b], one.total_var, rtol=1e-12)
+            np.testing.assert_allclose(seq.pred_count[b], one.count_mean, rtol=1e-12)
+            np.testing.assert_allclose(seq.innov_var[b], one.total_var, rtol=1e-12)
 
 
 class TestPerBlockReference:
@@ -468,3 +467,39 @@ class TestPerBlockReference:
                 scale = scales.get(name, np.nanmax(np.abs(w), initial=1e-300))
                 assert np.nanmax(np.abs(g - w), initial=0.0) <= 1e-12 * scale, (b, name)
             assert got.total_loglik == pytest.approx(want.total_loglik, rel=1e-12, abs=1e-12)
+
+    def test_gap_forecast_matches(self, rng):
+        # a forecast is the filter over trailing gaps: at every gap step,
+        # mid-series or appended, the count's mean and variance are the
+        # reference's predicted moments
+        d, T = 7, 30
+        blocks, params = [], []
+        for i, n in enumerate((28, 64, 2000)):
+            gen = GenParams(
+                d=d, q_m=1e-5, q_s=2e-5, r=1e-4,
+                init=seasonal_state(d, 0.4 + 0.1 * i, sine_profile(d, 0.05)),
+            )
+            series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=("a", f"b{i}"))
+            counts = series.counts[0].copy()
+            counts[10:14] = np.nan
+            blocks.append(one_block(counts, n=n, pair=series.pairs[0]))
+            Sigma0 = random_psd(rng, d, scale=1e-4)
+            params.append(ModelParams(d=d, q_m=gen.q_m, q_s=gen.q_s, r=gen.r, mu0=gen.init, Sigma0=Sigma0))
+        stack = concat(blocks).with_gaps(2 * d)
+        seq = kalman.filter(stack, ParamStack.of(params))
+        gaps = np.isnan(stack.counts)
+        assert gaps.sum(axis=1).tolist() == [4 + 2 * d] * 3
+        for b, (counts, n, p) in enumerate(zip(stack.counts, stack.n, params)):
+            ss = p.state_space(n)
+            want = ref.run_filter(counts, ss, p.mu0, p.Sigma0)
+            state_var = np.einsum("i,tij,j->t", ss.H, want.pred_cov, ss.H)
+            pairs = {
+                "pred_count": (seq.pred_count[b], want.pred_mean @ ss.H),
+                "H p_t": (seq.PH[b] @ ss.H, state_var),
+                "u": (seq.u[b], want.u),
+                "innov_var": (seq.innov_var[b], state_var + want.u + ss.measurement_var),
+            }
+            for name, (got, expected) in pairs.items():
+                np.testing.assert_allclose(
+                    got[gaps[b]], expected[gaps[b]], rtol=1e-12, err_msg=f"{b} {name}"
+                )

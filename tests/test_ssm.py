@@ -96,8 +96,8 @@ class TestBinomialObsNoise:
         assert isinstance(binomial_obs_noise(30.0, 1000), float)
 
     def test_counts_outside_gaussian_regime(self):
-        # the filter and the forecast count the block-steps whose predicted
-        # count is within 10 of 0 or n, where a warning used to fire
+        # the filter, forecast steps included, counts the block-steps whose
+        # predicted count is within 10 of 0 or n, where a warning used to fire
         assert outside_normal_regime(np.array([3.0, 95.0, 50.0, np.nan]), 100).tolist() == [
             True, True, False, False
         ]
@@ -112,9 +112,9 @@ class TestBinomialObsNoise:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             seq = kalman.filter(stack, ps)
-            fc = kalman.forecast(seq.final_mean, seq.final_cov, ps.state_space(stack.n), 4)
+            ahead = kalman.filter(stack.with_gaps(4), ps)
         assert seq.non_gaussian_steps.tolist() == [3, 3, 0]
-        assert fc.non_gaussian_steps.tolist() == [4, 4, 0]
+        assert ahead.non_gaussian_steps.tolist() == [7, 7, 0]
 
 
 class TestObservationVariance:
