@@ -52,10 +52,11 @@ def main() -> None:
     scores = anomaly.score(blocks, params, mode="predictive")
     report = anomaly.detect(scores, anomaly.SigmaPolicy(args.k))
     steps = args.blocks * args.steps
-    rate = len(report.block_flags) / steps
+    flags = int(report.block_mask.sum())
+    rate = flags / steps
     tail = 2.0 * (1.0 - 0.5 * (1.0 + math.erf(args.k / math.sqrt(2.0))))
     print(
-        f"null calibration: {len(report.block_flags)} flags over {steps} block-steps "
+        f"null calibration: {flags} flags over {steps} block-steps "
         f"(rate {rate:.5f}, Gaussian tail {tail:.5f}, ~1 in {1 / tail:.0f})"
     )
 
@@ -74,8 +75,7 @@ def main() -> None:
             anomaly.SigmaPolicy(args.k),
             drill_down=True,
         )
-        grabbed = [f for f in rep.graph_flags if f.t == t_star]
-        if grabbed and grabbed[0].ranked_blocks[0][0] == ("t0", "t0"):
+        if rep.graph_mask[t_star - 1] and rep.ranked_blocks[t_star][0][0] == ("t0", "t0"):
             hits += 1
     print(
         f"power: {args.shift_sigmas:g}-sigma one-step shift flagged and ranked first "

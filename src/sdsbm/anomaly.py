@@ -7,7 +7,7 @@ against the all-data posterior; either way the blocks, a ``BlockStack``
 with the ``ParamStack`` of their parameters, go through one batched
 filter (and disturbance smoother) pass that gives each count's mean and
 variance directly.  Policies: a z-score rule |z| > k per block-step, or
-a log-likelihood floor c0 per graph-step.
+a log-likelihood floor c0 per graph-step; each returns flag masks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .ssm import ParamStack
 @dataclass(frozen=True)
 class SigmaPolicy:
     """Flag block-steps with |z| above k; a graph-step is flagged when
-    any of its blocks is."""
+    any of its blocks is, and judged by its largest |z|."""
 
     k: float
 
@@ -37,6 +37,16 @@ class SigmaPolicy:
     def describe(self) -> str:
         return f"sigma:{self.k:g}"
 
+    @property
+    def threshold(self) -> float:
+        return self.k
+
+    def flags(self, scores: ScoreSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Block flags, graph flags and each step's largest |z|."""
+        abs_z = np.abs(scores.z)
+        block = abs_z > self.k
+        return block, block.any(axis=0), np.fmax.reduce(abs_z, axis=0, initial=np.nan)
+
 
 @dataclass(frozen=True)
 class LogLikPolicy:
@@ -45,12 +55,21 @@ class LogLikPolicy:
     c0: float
 
     def __post_init__(self) -> None:
-        # -inf (flag nothing) and +inf (flag every step) are valid floors
+        # -inf (flag nothing) and +inf (flag every observed step) are valid floors
         if np.isnan(self.c0):
             raise ValueError("log-likelihood threshold must not be NaN")
 
     def describe(self) -> str:
         return f"loglik:{self.c0:g}"
+
+    @property
+    def threshold(self) -> float:
+        return self.c0
+
+    def flags(self, scores: ScoreSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """No block flags; graph flags and the graph log-likelihood."""
+        g = scores.graph_loglik
+        return np.zeros(scores.z.shape, dtype=bool), g < self.c0, g
 
 
 @dataclass
@@ -58,8 +77,9 @@ class ScoreSeries:
     """Per-step scores for every block plus the per-step graph totals.
 
     Arrays are (blocks, T); ``graph_loglik`` is their column sum.  NaN
-    marks steps with no observation.  ``non_gaussian_steps`` counts the
-    block-steps whose predicted count lies outside the Gaussian regime.
+    marks steps with no observation (a graph-step with no observed
+    block).  ``non_gaussian_steps`` counts the block-steps whose
+    predicted count lies outside the Gaussian regime.
     """
 
     pairs: tuple[TypePair, ...]
@@ -77,28 +97,23 @@ class ScoreSeries:
         return int(self.w.shape[1])
 
 
-@dataclass(frozen=True)
-class FlaggedItem:
-    t: int
-    scope: str  # "graph" or "block"
-    pair: TypePair | None
-    score: float
-    threshold: float
-    ranked_blocks: tuple[tuple[TypePair, float], ...] | None = None
-
-
 @dataclass
 class AnomalyReport:
+    """The (B, T) block and (T,) graph flag masks (a block flag implies
+    its step's graph flag), the score each graph-step is judged by, and
+    with drill-down the ranked blocks of each flagged step t."""
+
     policy: str
-    flagged: tuple[FlaggedItem, ...]
+    threshold: float
+    block_mask: np.ndarray
+    graph_mask: np.ndarray
+    graph_score: np.ndarray
+    ranked_blocks: dict[int, tuple[tuple[TypePair, float], ...]] | None = None
 
     @property
-    def graph_flags(self) -> tuple[FlaggedItem, ...]:
-        return tuple(f for f in self.flagged if f.scope == "graph")
-
-    @property
-    def block_flags(self) -> tuple[FlaggedItem, ...]:
-        return tuple(f for f in self.flagged if f.scope == "block")
+    def graph_flags(self) -> np.ndarray:
+        """The flagged graph-steps t, 1-based."""
+        return np.flatnonzero(self.graph_mask) + 1
 
 
 def score(blocks: BlockStack, params: ParamStack, mode: str = "predictive") -> ScoreSeries:
@@ -121,8 +136,8 @@ def score(blocks: BlockStack, params: ParamStack, mode: str = "predictive") -> S
         mean = seq.smoothed_count
         # the state's count variance plus the observation variance b_t = u_t + n^2 r
         var = seq.smoothed_count_var + (seq.u + ss.measurement_var[:, None])
-    with np.errstate(invalid="ignore"):
-        loglik = seq.pred_loglik if mode == "predictive" else kalman.gaussian_logpdf(w - mean, var)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loglik = kalman.gaussian_logpdf(w - mean, var)
         z = (w - mean) / np.sqrt(var)
     return ScoreSeries(
         pairs=blocks.pairs,
@@ -132,17 +147,14 @@ def score(blocks: BlockStack, params: ParamStack, mode: str = "predictive") -> S
         pred_var=var,
         loglik=loglik,
         z=z,
-        graph_loglik=np.nansum(loglik, axis=0),
+        graph_loglik=np.where(np.isnan(w).all(axis=0), np.nan, np.nansum(loglik, axis=0)),
         non_gaussian_steps=int(seq.non_gaussian_steps.sum()),
     )
 
 
 def _ranked_blocks(scores: ScoreSeries, t: int) -> tuple[tuple[TypePair, float], ...]:
     col = scores.loglik[:, t - 1]
-    order = sorted(
-        (i for i in range(len(scores.pairs)) if not np.isnan(col[i])),
-        key=lambda i: (col[i], scores.pairs[i]),
-    )
+    order = sorted(np.flatnonzero(~np.isnan(col)), key=lambda i: (col[i], scores.pairs[i]))
     return tuple((scores.pairs[i], float(col[i])) for i in order)
 
 
@@ -153,42 +165,24 @@ def detect(
 ) -> AnomalyReport:
     """Apply a threshold policy to scored data.
 
-    With ``drill_down`` each graph-level flag carries the blocks ranked
-    by ascending score (most anomalous first, ties broken by canonical
-    block order).
+    With ``drill_down`` each flagged graph-step carries the blocks
+    ranked by ascending score (most anomalous first, ties broken by
+    canonical block order).
     """
-    flagged: list[FlaggedItem] = []
-    for t in range(1, scores.T + 1):
-        ranked = _ranked_blocks(scores, t) if drill_down else None
-        if isinstance(policy, SigmaPolicy):
-            z = scores.z[:, t - 1]
-            hits = np.flatnonzero(np.abs(z) > policy.k)  # NaN (a gap) never hits
-            if hits.size:
-                worst = float(np.abs(z[hits]).max())
-                flagged.append(FlaggedItem(t, "graph", None, worst, policy.k, ranked))
-                flagged.extend(
-                    FlaggedItem(t, "block", scores.pairs[i], float(z[i]), policy.k) for i in hits
-                )
-        elif scores.graph_loglik[t - 1] < policy.c0:
-            g = float(scores.graph_loglik[t - 1])
-            flagged.append(FlaggedItem(t, "graph", None, g, policy.c0, ranked))
-    return AnomalyReport(policy=policy.describe(), flagged=tuple(flagged))
+    block_mask, graph_mask, graph_score = policy.flags(scores)
+    report = AnomalyReport(policy.describe(), policy.threshold, block_mask, graph_mask, graph_score)
+    if drill_down:
+        report.ranked_blocks = {int(t): _ranked_blocks(scores, t) for t in report.graph_flags}
+    return report
 
 
 def _fmt(x: float) -> str:
     return "" if np.isnan(x) else repr(float(x))
 
 
-def write_scores_csv(scores: ScoreSeries, report: AnomalyReport | None, path) -> None:
-    """Write per-step scores; graph rows leave the block columns empty."""
-    flagged_blocks = set()
-    flagged_graphs = set()
-    if report is not None:
-        for item in report.flagged:
-            if item.scope == "block":
-                flagged_blocks.add((item.t, item.pair))
-            else:
-                flagged_graphs.add(item.t)
+def write_scores_csv(scores: ScoreSeries, report: AnomalyReport, path) -> None:
+    """Write per-step scores and the report's flags; graph rows leave
+    the block columns empty."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(
@@ -198,33 +192,34 @@ def write_scores_csv(scores: ScoreSeries, report: AnomalyReport | None, path) ->
         for t in range(1, scores.T + 1):
             for i, pair in enumerate(scores.pairs):
                 values = (_fmt(c[i, t - 1]) for c in columns)
-                out.writerow([t, "block", *pair, *values, int((t, pair) in flagged_blocks)])
+                out.writerow([t, "block", *pair, *values, int(report.block_mask[i, t - 1])])
             out.writerow(
-                [t, "graph", "", "", "", "", "", _fmt(scores.graph_loglik[t - 1]), "", int(t in flagged_graphs)]
+                [t, "graph", "", "", "", "", "", _fmt(scores.graph_loglik[t - 1]), "", int(report.graph_mask[t - 1])]
             )
 
 
-def write_report_json(report: AnomalyReport, path) -> None:
+def write_report_json(scores: ScoreSeries, report: AnomalyReport, path) -> None:
+    """Write each flagged graph-step with its score, then its flagged
+    blocks with their z."""
+    flagged = []
+    for t in map(int, report.graph_flags):
+        ranked = None if report.ranked_blocks is None else report.ranked_blocks[t]
+        flagged.append((t, None, report.graph_score[t - 1], ranked))
+        hits = np.flatnonzero(report.block_mask[:, t - 1])
+        flagged.extend((t, scores.pairs[i], scores.z[i, t - 1], None) for i in hits)
     payload = {
         "policy": report.policy,
-        "counts": {
-            "graph": len(report.graph_flags),
-            "block": len(report.block_flags),
-        },
+        "counts": {"graph": int(report.graph_mask.sum()), "block": int(report.block_mask.sum())},
         "flagged": [
             {
-                "t": item.t,
-                "scope": item.scope,
-                "block": list(item.pair) if item.pair is not None else None,
-                "score": item.score,
-                "threshold": item.threshold,
-                "ranked_blocks": (
-                    [[list(p), s] for p, s in item.ranked_blocks]
-                    if item.ranked_blocks is not None
-                    else None
-                ),
+                "t": t,
+                "scope": "graph" if pair is None else "block",
+                "block": None if pair is None else list(pair),
+                "score": float(value),
+                "threshold": report.threshold,
+                "ranked_blocks": None if ranked is None else [[list(p), s] for p, s in ranked],
             }
-            for item in report.flagged
+            for t, pair, value, ranked in flagged
         ],
     }
     with open(path, "w") as fh:

@@ -435,10 +435,10 @@ def cmd_detect(resolved: dict) -> int:
     report = anomaly.detect(scores, policy, drill_down=resolved["drill_down"])
     out = _out_dir(resolved)
     anomaly.write_scores_csv(scores, report, out / "scores.csv")
-    anomaly.write_report_json(report, out / "report.json")
+    anomaly.write_report_json(scores, report, out / "report.json")
     _write_run_config(out, "detect", resolved)
     _warn_non_gaussian(scores.non_gaussian_steps)
-    return EXIT_ANOMALIES if report.graph_flags else EXIT_OK
+    return EXIT_ANOMALIES if report.graph_mask.any() else EXIT_OK
 
 
 # ----------------------------------------------------------------------

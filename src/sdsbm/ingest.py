@@ -28,10 +28,8 @@ import csv
 import hashlib
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
-from operator import length_hint
 from typing import Mapping
 
 import numpy as np
@@ -113,34 +111,36 @@ def parse_inputs(events_file, types_file) -> tuple[EventColumns, VertexTyping]:
     return events, typing
 
 
-def _csv_rows(path, fh):
-    """The rows of an open CSV file; a row the reader refuses (a field
-    over its size limit, say) is a data error naming the line."""
-    rows = csv.reader(fh)
+def _csv_rows(path, reader):
+    """The rows of a ``csv.reader``; a row the reader refuses (a field
+    over its size limit, say) is a data error naming the physical line,
+    the reader's ``line_num``, as every row error does."""
     try:
-        yield from rows
+        yield from reader
     except csv.Error as exc:
-        raise IngestError(f"{path}:{rows.line_num}: {exc}") from None
+        raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _parse_types(path) -> VertexTyping:
     vertex_ids: list[str] = []
     type_of: dict[str, str] = {}
     with open(path, newline="") as fh:
-        rows = _csv_rows(path, fh)
+        reader = csv.reader(fh)
+        rows = _csv_rows(path, reader)
         header = next(rows, None)
         if header is None or [c.strip() for c in header] != ["vertex", "type"]:
             raise IngestError(f"{path}: expected header 'vertex,type'")
-        for lineno, row in enumerate(rows, start=2):
+        for row in rows:
             if not row:
                 continue
+            where = f"{path}:{reader.line_num}"
             if len(row) != 2:
-                raise IngestError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+                raise IngestError(f"{where}: expected 2 columns, got {len(row)}")
             vertex, label = row[0].strip(), row[1].strip()
             if not vertex or not label:
-                raise IngestError(f"{path}:{lineno}: empty vertex or type")
+                raise IngestError(f"{where}: empty vertex or type")
             if vertex in type_of:
-                raise IngestError(f"{path}:{lineno}: duplicate vertex {vertex!r}")
+                raise IngestError(f"{where}: duplicate vertex {vertex!r}")
             vertex_ids.append(vertex)
             type_of[vertex] = label
     if not vertex_ids:
@@ -151,90 +151,86 @@ def _parse_types(path) -> VertexTyping:
 def _parse_events(path, typing: VertexTyping) -> EventColumns:
     """Stream the rows into three string columns of at most
     ``CHUNK_ROWS`` events, and convert each full chunk in bulk before
-    reading on.  When any row is bad, the first bad one in file
-    order is reported, with the same checks in the same order as
-    :func:`_event_error` applies them."""
+    reading on.  When any row is bad, the file is read again row by row
+    and the first bad one in file order is reported."""
     index = typing.vertex_index()
     chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     stamps: list[str] = []
     srcs: list[str] = []
     dsts: list[str] = []
-    blank: list[int] = []  # number of 3-column rows read before each blank row
-    done = 0  # 3-column rows converted so far
-
-    def where(k: int) -> str:
-        """The file and line of the k-th 3-column row (0-based)."""
-        return f"{path}:{k + 2 + bisect_right(blank, k)}"
 
     def convert() -> None:
-        nonlocal done
-        timestamp, src, dst, bad = _convert_chunk(stamps, srcs, dsts, index)
-        if bad < len(stamps):
-            raise _event_error(where(done + bad), stamps[bad], srcs[bad], dsts[bad], index)
-        chunks.append((timestamp, src, dst))
-        done += len(stamps)
+        chunk = _convert_chunk(stamps, srcs, dsts, index)
+        if chunk is None:
+            raise _first_bad_event(path, index)
+        chunks.append(chunk)
         stamps.clear()
         srcs.clear()
         dsts.clear()
 
     with open(path, newline="") as fh:
-        rows = _csv_rows(path, fh)
-        header = next(rows, None)
-        if header is None or [c.strip() for c in header] != ["timestamp", "src", "dst"]:
-            raise IngestError(f"{path}: expected header 'timestamp,src,dst'")
-        add_stamp, add_src, add_dst = stamps.append, srcs.append, dsts.append
-        for row in rows:
-            if len(row) == 3:
-                add_stamp(row[0])
-                add_src(row[1])
-                add_dst(row[2])
-                if len(stamps) == CHUNK_ROWS:
-                    convert()
-            elif row:
-                convert()
-                raise IngestError(f"{where(done)}: expected 3 columns, got {len(row)}")
-            else:
-                blank.append(done + len(stamps))
+        rows = csv.reader(fh)
+        try:
+            header = next(rows, None)
+            if header is None or [c.strip() for c in header] != ["timestamp", "src", "dst"]:
+                raise IngestError(f"{path}: expected header 'timestamp,src,dst'")
+            add_stamp, add_src, add_dst = stamps.append, srcs.append, dsts.append
+            for row in rows:
+                if len(row) == 3:
+                    add_stamp(row[0])
+                    add_src(row[1])
+                    add_dst(row[2])
+                    if len(stamps) == CHUNK_ROWS:
+                        convert()
+                elif row:
+                    raise _first_bad_event(path, index)
+        except csv.Error:
+            # a bad row still unconverted before the refused one comes first
+            raise _first_bad_event(path, index) from None
     convert()
     return EventColumns(*(np.concatenate(column) for column in zip(*chunks)))
 
 
 def _convert_chunk(stamps, srcs, dsts, index):
     """The timestamp, source and destination arrays of one chunk of
-    string columns, and the position of its first bad row (its length
-    when every row is good)."""
+    string columns, or None when any of its rows is bad."""
     n = len(stamps)
     src = np.fromiter(map(index.get, map(str.strip, srcs), repeat(-1)), np.int64, n)
     dst = np.fromiter(map(index.get, map(str.strip, dsts), repeat(-1)), np.int64, n)
-    unread = iter(stamps)
     try:
-        timestamp = np.fromiter(map(float, unread), float, n)
-        first_bad = n
+        timestamp = np.fromiter(map(float, stamps), float, n)
     except ValueError:
-        # the list iterator stops just past the string float() rejected
-        first_bad = n - 1 - length_hint(unread)
-        timestamp = np.fromiter(map(float, stamps[:first_bad]), float, first_bad)
-    bad = (src < 0) | (dst < 0) | (src == dst)
-    bad[: timestamp.size] |= ~np.isfinite(timestamp)
-    if bad.any():
-        first_bad = min(first_bad, int(np.argmax(bad)))
-    return timestamp, src, dst, first_bad
+        return None
+    if ((src < 0) | (dst < 0) | (src == dst) | ~np.isfinite(timestamp)).any():
+        return None
+    return timestamp, src, dst
 
 
-def _event_error(where: str, stamp: str, src: str, dst: str, known) -> IngestError:
-    """The error for one bad 3-column event row; the checks run in the
-    order the row's fields are read, so the first failing one names it."""
-    try:
-        ts = float(stamp)
-    except ValueError:
-        return IngestError(f"{where}: bad timestamp {stamp!r}")
-    if not math.isfinite(ts):
-        return IngestError(f"{where}: non-finite timestamp")
-    src, dst = src.strip(), dst.strip()
-    if src == dst:
-        return IngestError(f"{where}: self-loop event on vertex {src!r}")
-    unknown = src if src not in known else dst
-    return IngestError(f"{where}: vertex {unknown!r} has no type")
+def _first_bad_event(path, known) -> IngestError:
+    """The error for the first bad row of an events file, found by
+    reading it again row by row once a bad row is seen; a row the CSV
+    reader refuses raises here.  A row's checks run in the order its
+    fields are read, so the first failing one names it."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = _csv_rows(path, reader)
+        next(rows)  # the header, checked already
+        for row in filter(None, rows):
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 3:
+                return IngestError(f"{where}: expected 3 columns, got {len(row)}")
+            try:
+                ts = float(row[0])
+            except ValueError:
+                return IngestError(f"{where}: bad timestamp {row[0]!r}")
+            if not math.isfinite(ts):
+                return IngestError(f"{where}: non-finite timestamp")
+            src, dst = row[1].strip(), row[2].strip()
+            if src == dst:
+                return IngestError(f"{where}: self-loop event on vertex {src!r}")
+            if src not in known or dst not in known:
+                return IngestError(f"{where}: vertex {src if src not in known else dst!r} has no type")
+    return IngestError(f"{path}: changed while it was read")
 
 
 def bucketize(

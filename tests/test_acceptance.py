@@ -189,7 +189,7 @@ def test_criterion_5_detector_calibration():
     params = ModelParams(d=d, q_m=1e-7, q_s=1e-7, r=1e-4, mu0=gen.init, Sigma0=np.zeros((d, d)))
     scores = anomaly.score(blocks, ParamStack.of([params] * B), mode="predictive")
     report = anomaly.detect(scores, anomaly.SigmaPolicy(3.0))
-    flags = len(report.block_flags)
+    flags = int(report.block_mask.sum())
     steps = B * T
     p = 2.0 * sps.norm.sf(3.0)
     lo, hi = sps.binom.ppf([0.005, 0.995], steps, p)
@@ -225,8 +225,7 @@ def test_criterion_6_detection_power():
         report = anomaly.detect(
             anomaly.score(blocks, params), anomaly.SigmaPolicy(3.0), drill_down=True
         )
-        graph_hits = [f for f in report.graph_flags if f.t == t_star]
-        if graph_hits and graph_hits[0].ranked_blocks[0][0] == ("t0", "t0"):
+        if report.graph_mask[t_star - 1] and report.ranked_blocks[t_star][0][0] == ("t0", "t0"):
             hits += 1
     rate = hits / trials
     ok = rate >= 0.99

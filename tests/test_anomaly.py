@@ -54,6 +54,18 @@ class TestScore:
             scores.graph_loglik, np.nansum(scores.loglik, axis=0)
         )
 
+    @pytest.mark.parametrize("mode", ["predictive", "smoothed"])
+    def test_unobserved_snapshot_has_no_graph_score(self, mode):
+        # a step where no block is observed scores NaN, not an empty sum
+        # of 0.0, so even an infinite floor does not flag it
+        gen, params = known_model()
+        s1 = one_block([50, np.nan, 40], n=100, pair=("a", "a"))
+        s2 = one_block([55, np.nan, 50], n=100, pair=("a", "b"))
+        scores = score(concat([s1, s2]), ParamStack.of([params, params]), mode=mode)
+        assert np.isnan(scores.graph_loglik[1])
+        assert np.isfinite(scores.graph_loglik[[0, 2]]).all()
+        assert detect(scores, LogLikPolicy(c0=math.inf)).graph_flags.tolist() == [1, 3]
+
     def test_two_block_additivity_values(self):
         scores = ScoreSeries(
             pairs=(("a", "a"), ("a", "b")),
@@ -125,14 +137,14 @@ class TestThresholdSigma:
 
     def test_below_threshold_not_flagged(self):
         policy = SigmaPolicy(3.0)
-        scores = _flat_scores(z=2.9)
-        assert detect(scores, policy).flagged == ()
+        report = detect(_flat_scores(z=2.9), policy)
+        assert not report.block_mask.any() and not report.graph_mask.any()
 
     def test_negative_excursion_flagged(self):
         policy = SigmaPolicy(1.96)
         report = detect(_flat_scores(z=-2.0), policy)
-        assert any(f.scope == "block" for f in report.flagged)
-        assert any(f.scope == "graph" for f in report.flagged)
+        assert report.block_mask.any()
+        assert report.graph_mask.any()
 
     def test_rejects_non_positive_k(self):
         # k = -1 would flag every block-step
@@ -165,13 +177,14 @@ class TestDetect:
         scores = _flat_scores(T=3)
         scores.graph_loglik = np.array([-3.0, -50.0, -4.0])
         report = detect(scores, LogLikPolicy(c0=-10.0))
-        assert [f.t for f in report.flagged] == [2]
-        assert report.flagged[0].scope == "graph"
+        assert report.graph_flags.tolist() == [2]
+        assert not report.block_mask.any()
 
     def test_minus_infinity_floor_flags_nothing(self):
         scores = _flat_scores(T=3)
         scores.graph_loglik = np.array([-3.0, -50.0, -4.0])
-        assert detect(scores, LogLikPolicy(c0=-math.inf)).flagged == ()
+        report = detect(scores, LogLikPolicy(c0=-math.inf))
+        assert not report.block_mask.any() and not report.graph_mask.any()
 
     def test_policy_is_monotone(self):
         rng = np.random.default_rng(8)
@@ -179,22 +192,23 @@ class TestDetect:
         scores.z = rng.normal(size=(2, 50)) * 2.0
         scores.loglik = -(rng.random(size=(2, 50)) * 10.0)
         scores.graph_loglik = scores.loglik.sum(axis=0)
+        # one flag set lies inside another when each of its masks implies the other's
         for k_lo, k_hi in [(2.0, 3.0), (1.0, 2.5)]:
-            lo = {(f.t, f.pair) for f in detect(scores, SigmaPolicy(k_hi)).flagged}
-            hi = {(f.t, f.pair) for f in detect(scores, SigmaPolicy(k_lo)).flagged}
-            assert lo <= hi
+            lo = detect(scores, SigmaPolicy(k_hi))
+            hi = detect(scores, SigmaPolicy(k_lo))
+            assert np.all(lo.block_mask <= hi.block_mask) and np.all(lo.graph_mask <= hi.graph_mask)
         for c_lo, c_hi in [(-15.0, -10.0), (-12.0, -6.0)]:
-            few = {f.t for f in detect(scores, LogLikPolicy(c_lo)).flagged}
-            many = {f.t for f in detect(scores, LogLikPolicy(c_hi)).flagged}
-            assert few <= many
+            few = detect(scores, LogLikPolicy(c_lo))
+            many = detect(scores, LogLikPolicy(c_hi))
+            assert np.all(few.block_mask <= many.block_mask) and np.all(few.graph_mask <= many.graph_mask)
 
     def test_flag_invariant(self):
         rng = np.random.default_rng(9)
         scores = _flat_scores(T=40, pairs=(("a", "a"), ("b", "b")))
         scores.z = rng.normal(size=(2, 40)) * 2.0
         report = detect(scores, SigmaPolicy(2.0))
-        for item in report.flagged:
-            assert abs(item.score) > item.threshold
+        assert np.all(np.abs(scores.z[report.block_mask]) > report.threshold)
+        assert np.all(np.abs(report.graph_score[report.graph_mask]) > report.threshold)
 
     def test_injected_spike_ranked_first(self):
         rng = np.random.default_rng(33)
@@ -214,9 +228,8 @@ class TestDetect:
         spiked[1, t_star - 1] = min(spiked[1, t_star - 1] + round(shift), n)
         blocks = replace(blocks, counts=spiked)
         report = detect(score(blocks, params), SigmaPolicy(3.0), drill_down=True)
-        graph_hits = [f for f in report.graph_flags if f.t == t_star]
-        assert graph_hits, "spike step must be flagged at graph level"
-        assert graph_hits[0].ranked_blocks[0][0] == ("t1", "t1")
+        assert report.graph_mask[t_star - 1], "spike step must be flagged at graph level"
+        assert report.ranked_blocks[t_star][0][0] == ("t1", "t1")
 
 
 class TestSerialization:
@@ -227,7 +240,7 @@ class TestSerialization:
         csv_path = tmp_path / "scores.csv"
         json_path = tmp_path / "report.json"
         write_scores_csv(scores, report, csv_path)
-        write_report_json(report, json_path)
+        write_report_json(scores, report, json_path)
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "t,scope,block_a,block_b,w,pred_mean,pred_var,loglik,z,flagged"
         assert len(lines) == 1 + 2 * (2 + 1)  # per t: two block rows + one graph row

@@ -292,6 +292,23 @@ class TestFit:
             if r["t"] == "21" and r["scope"] == "block"
         ]
         assert gap_rows and all(r["loglik"] == "" for r in gap_rows)
+        # no block observed: the snapshot has no graph score, and even an
+        # infinite floor, which flags every observed step, leaves it out
+        code = run(
+            "detect",
+            "--model", fit_dir / "model.json",
+            "--events", events,
+            "--types", sim_dir / "types.csv",
+            "--t-cap", 50,
+            "--missing-policy", "missing-observation",
+            "--loglik-threshold", "inf",
+            "--out-dir", det_dir,
+        )
+        assert code == EXIT_ANOMALIES
+        graph_rows = [r for r in read_rows(det_dir / "scores.csv") if r["scope"] == "graph"]
+        assert [(r["loglik"], r["flagged"]) for r in graph_rows if r["t"] == "21"] == [("", "0")]
+        assert [r["t"] for r in graph_rows if r["flagged"] == "1"] == [str(t) for t in range(1, 51) if t != 21]
+        assert json.loads((det_dir / "report.json").read_text())["counts"]["graph"] == 49
 
     def test_nan_tol_is_data_error(self, sim_dir, tmp_path, capsys):
         # a NaN tolerance never stops EM, so every block would run to the cap
@@ -481,6 +498,26 @@ class TestDetect:
         hits = [f for f in payload["flagged"] if f["scope"] == "graph" and f["t"] == 31]
         assert hits
         assert hits[0]["ranked_blocks"][0][0] == ["a", "a"]
+
+    @pytest.mark.parametrize("drill_down", [False, True], ids=["flat", "drill-down"])
+    @pytest.mark.parametrize("mode", ["predictive", "smoothed"])
+    @pytest.mark.parametrize("policy", [("--sigma", 2), ("--loglik-threshold", -10)], ids=["sigma", "loglik"])
+    def test_scores_csv_and_report_json_agree(self, sim_dir, fitted_dir, tmp_path, policy, mode, drill_down):
+        extra = (*policy, "--mode", mode) + (("--drill-down",) if drill_down else ())
+        code = run(*self.detect_args(sim_dir, fitted_dir, tmp_path, *extra))
+        rows = [r for r in read_rows(tmp_path / "scores.csv") if r["flagged"] == "1"]
+        graph_steps = {int(r["t"]) for r in rows if r["scope"] == "graph"}
+        block_rows = {(int(r["t"]), r["block_a"], r["block_b"]) for r in rows if r["scope"] == "block"}
+        assert graph_steps, "the policy must flag some step for the check to bite"
+        assert code == EXIT_ANOMALIES
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["counts"] == {"graph": len(graph_steps), "block": len(block_rows)}
+        graph_items = [f for f in payload["flagged"] if f["scope"] == "graph"]
+        block_items = [f for f in payload["flagged"] if f["scope"] == "block"]
+        assert all(f["t"] in graph_steps for f in graph_items)
+        assert {(f["t"], *f["block"]) for f in block_items} == block_rows
+        assert all((f["ranked_blocks"] is not None) == drill_down for f in graph_items)
+        assert all(f["ranked_blocks"] is None for f in block_items)
 
     def test_smoothed_mode_runs(self, sim_dir, fitted_dir, tmp_path):
         code = run(

@@ -79,6 +79,14 @@ class TestParseInputs:
         with pytest.raises(IngestError, match="duplicate"):
             parse_inputs(events, types)
 
+    def test_types_error_names_physical_line(self, tmp_path):
+        # the quoted vertex spans lines 2-3, so the duplicate is on line 5
+        types = write(tmp_path, "types.csv", 'vertex,type\n"x\ny",a\n2,b\n2,a\n')
+        events = write(tmp_path, "events.csv", "timestamp,src,dst\n")
+        with pytest.raises(IngestError) as info:
+            parse_inputs(events, types)
+        assert str(info.value) == f"{types}:5: duplicate vertex '2'"
+
     def test_bad_header_rejected(self, tmp_path):
         types = write(tmp_path, "types.csv", "id,kind\n1,a\n")
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n")
@@ -108,6 +116,9 @@ BAD_ROWS = [
     pytest.param(GOOD + "5,9,1\n", "{path}:3: vertex '9' has no type", id="unknown-src"),
     # blank rows still count as lines
     pytest.param("\n" + GOOD + "\nbogus,1,2\n", "{path}:5: bad timestamp 'bogus'", id="blank-rows-count"),
+    # a quoted field may hold a newline: errors name physical lines
+    pytest.param('5,"1\n",2\n' + "\n" + GOOD + "5,1,9\n", "{path}:6: vertex '9' has no type", id="multi-line-field"),
+    pytest.param(GOOD + '5,"9\n",1\n', "{path}:4: vertex '9' has no type", id="multi-line-bad-row"),
     # far from the start, so the bulk conversion has to locate it
     pytest.param(GOOD * 500 + "x,1,2\n" + GOOD * 500, "{path}:502: bad timestamp 'x'", id="deep-timestamp"),
     pytest.param(GOOD * 500 + "1,1\n" + GOOD * 500, "{path}:502: expected 3 columns, got 2", id="deep-columns"),
@@ -117,6 +128,11 @@ BAD_ROWS = [
     pytest.param(GOOD + "inf,1,2\n" + "2,1\n", "{path}:3: non-finite timestamp", id="non-finite-before-columns"),
     pytest.param(GOOD + "2,1\n" + "5,1,1\n", "{path}:3: expected 3 columns, got 2", id="columns-before-self-loop"),
     pytest.param(GOOD + "5,2,2\n" + "2,1\n", "{path}:3: self-loop event on vertex '2'", id="self-loop-before-columns"),
+    pytest.param(
+        GOOD + "bogus,1,2\n" + "3,1," + "x" * 131073 + "\n",
+        "{path}:3: bad timestamp 'bogus'",
+        id="timestamp-before-oversized-field",
+    ),
     # two faults in one row: the checks keep their order
     pytest.param(GOOD + "nan,1,1\n", "{path}:3: non-finite timestamp", id="same-row-non-finite-first"),
     pytest.param(GOOD + "x,9,9\n", "{path}:3: bad timestamp 'x'", id="same-row-timestamp-first"),
