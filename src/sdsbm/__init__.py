@@ -30,7 +30,7 @@ from .ssm import (
     build_state_space,
 )
 from .kalman import BeliefSequence, smooth
-from .em import EmConfig, EmTrace, default_init, e_step, em_fit
+from .em import EmConfig, EmTrace, default_init, em_fit
 from .anomaly import (
     AnomalyReport,
     LogLikPolicy,

@@ -13,13 +13,13 @@ a log-likelihood floor c0 per graph-step; each returns flag masks.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kalman
 from .graph_model import BlockStack, TypePair
+from .ingest import write_json
 from .ssm import ParamStack
 
 
@@ -131,11 +131,10 @@ def score(blocks: BlockStack, params: ParamStack, mode: str = "predictive") -> S
     if mode == "predictive":
         mean, var = seq.pred_count, seq.innov_var
     else:
-        ss = params.state_space(blocks.n)
-        seq = kalman.smooth(seq, ss)
+        seq = kalman.smooth(seq)
         mean = seq.smoothed_count
         # the state's count variance plus the observation variance b_t = u_t + n^2 r
-        var = seq.smoothed_count_var + (seq.u + ss.measurement_var[:, None])
+        var = seq.smoothed_count_var + (seq.u + seq.ss.measurement_var[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         loglik = kalman.gaussian_logpdf(w - mean, var)
         z = (w - mean) / np.sqrt(var)
@@ -222,6 +221,4 @@ def write_report_json(scores: ScoreSeries, report: AnomalyReport, path) -> None:
             for t, pair, value, ranked in flagged
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)

@@ -36,6 +36,7 @@ from .ingest import (
     load_model,
     parse_inputs,
     save_model,
+    write_json,
 )
 from .kalman import FilterError, filter as kalman_filter
 from .ssm import NORMAL_APPROX_MIN_COUNT, ParamStack
@@ -195,10 +196,7 @@ OPTIONS = {
 
 
 def _write_run_config(out_dir: Path, command: str, resolved: dict) -> None:
-    payload = {"command": command, **resolved}
-    with open(out_dir / "run_config.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"command": command, **resolved}, out_dir / "run_config.json")
 
 
 def _out_dir(resolved: dict) -> Path:

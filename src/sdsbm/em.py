@@ -73,24 +73,6 @@ class EmTrace:
         return len(self.loglik_per_iter)
 
 
-def e_step(blocks: BlockStack, params: ParamStack) -> kalman.BeliefSequence:
-    """Filter + smooth every block.
-
-    The smoothed belief record's ``total_loglik`` is each block's
-    predictive log-likelihood under ``params``, its ``u`` the per-step
-    binomial noises the filter used (to be held fixed through the
-    following M-step), and its disturbance and x_0 moments feed the
-    M-steps.
-    """
-    return kalman.smooth(kalman.filter(blocks, params), params.state_space(blocks.n))
-
-
-def m_step_initial(seq: kalman.BeliefSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form update of every block's initial belief: the smoothed
-    moments of x_0."""
-    return seq.x0_mean, seq.x0_cov
-
-
 def r_objective(r, quad: np.ndarray, u: np.ndarray, n):
     """Expected observation log-likelihood as a function of r (constants
     dropped): sum_t [-ln(u_t + n^2 r)/2 - quad_t / (2 (u_t + n^2 r))].
@@ -186,13 +168,12 @@ def em_fit(
     for i in range(config.max_iter):
         sub = blocks.take(active)
         try:
-            seq = e_step(sub, params.take(active))
+            seq = kalman.smooth(kalman.filter(sub, params.take(active)))
         except Exception as exc:
             raise EmError(i, str(exc)) from exc
-        mu0, Sigma0 = m_step_initial(seq)
         q_m, q_s = m_step_q(seq)
         r = np.zeros(len(active)) if config.fix_r_to_zero else m_step_r(seq.quad, seq.u, sub.n)
-        params = params.put(active, ParamStack(params.d, q_m, q_s, r, mu0, Sigma0))
+        params = params.put(active, ParamStack(params.d, q_m, q_s, r, seq.x0_mean, seq.x0_cov))
         loglik = seq.total_loglik
         row = np.full((B, 4), np.nan)
         row[active] = np.column_stack((loglik, q_m, q_s, r))

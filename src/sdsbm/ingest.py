@@ -6,7 +6,9 @@ File formats:
   seconds relative to an arbitrary epoch.
 * types CSV, header ``vertex,type``.
 * model file: JSON with a format version, a content checksum and one
-  entry per block ``{a, b, n, q_m, q_s, r, mu0, sigma0}``.
+  entry per block ``{a, b, n, q_m, q_s, r, mu0, sigma0}`` (JSON numbers).
+  ``write_json`` writes it and every other JSON output as RFC 8259 JSON,
+  a non-finite float as the string "inf", "-inf" or "nan".
 
 Ingest is columnar.  The CSV rows are streamed into three string
 columns of at most ``CHUNK_ROWS`` events; each full chunk is converted
@@ -269,6 +271,25 @@ def bucketize(
     return DynamicNetwork.from_edges(typing, T, t, src, dst, missing=missing)
 
 
+def _strict_json(value):
+    """``value`` with every non-finite float written as its name ("inf",
+    "-inf" or "nan"): RFC 8259 JSON has no number for them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    return value
+
+
+def write_json(payload: dict, path) -> None:
+    """Write ``payload`` as indented, key-sorted RFC 8259 JSON."""
+    with open(path, "w") as fh:
+        json.dump(_strict_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def _canonical_payload(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -310,11 +331,7 @@ def save_model(
             }
         )
     payload = {"version": MODEL_FORMAT_VERSION, "d": ds.pop(), "blocks": blocks}
-    document = dict(payload)
-    document["checksum"] = _checksum(payload)
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({**payload, "checksum": _checksum(payload)}, path)
 
 
 def load_model(path) -> tuple[dict[TypePair, ModelParams], dict[TypePair, int]]:
@@ -354,15 +371,13 @@ def load_model(path) -> tuple[dict[TypePair, ModelParams], dict[TypePair, int]]:
                 raise ValueError(f"duplicate block {pair_key(pair)}")
             if type(n) is not int or n < 1:
                 raise ValueError(f"n must be an integer >= 1, got {n!r}")
-            params[pair] = ModelParams(
-                d=d,
-                q_m=blk["q_m"],
-                q_s=blk["q_s"],
-                r=blk["r"],
-                mu0=np.array(blk["mu0"], dtype=float),
-                Sigma0=np.array(blk["sigma0"], dtype=float),
-            )
+            values = {key: blk[key] for key in ("q_m", "q_s", "r", "mu0", "sigma0")}
+            for key, value in values.items():
+                odd = [x for x in np.ravel(np.array(value, dtype=object)) if type(x) not in (int, float)]
+                if odd:  # a boolean is not a JSON number
+                    raise ValueError(f"{key} must hold JSON numbers only, found {odd[0]!r}")
+            params[pair] = ModelParams(d, *values.values())
             n_by_pair[pair] = n
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"{path}: block {k}: {exc}") from None
     return params, n_by_pair

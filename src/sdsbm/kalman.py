@@ -51,7 +51,8 @@ class BeliefSequence:
     binomial noise u_t, the innovation v_t (NaN where unobserved) and
     its variance F_t = H p_t + u_t + n^2 r, and the belief after the
     last step (the prior when T = 0).  ``non_gaussian_steps`` counts each
-    block's steps whose predicted count lies outside the Gaussian regime.
+    block's steps whose predicted count lies outside the Gaussian regime,
+    and ``ss`` is the state space the filter ran under.
 
     The smoother adds the count's moments given the whole series, the
     expected squared observation disturbance ``quad`` E[(w_t - H x_t)^2]
@@ -70,6 +71,7 @@ class BeliefSequence:
     final_mean: np.ndarray
     final_cov: np.ndarray
     non_gaussian_steps: np.ndarray
+    ss: StateSpace
     smoothed_count: np.ndarray | None = None
     smoothed_count_var: np.ndarray | None = None
     quad: np.ndarray | None = None
@@ -130,6 +132,8 @@ def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
         PH[:, t] = p = np.einsum("bij,bj->bi", cov, ss.H)
         innov_var[:, t] = F = np.einsum("bi,bi->b", ss.H, p) + u_t + measurement_var
         obs = observed[:, t]
+        if not obs.any():
+            continue  # no update: the belief is the (symmetric) prediction
         bad = obs & (F <= 0)
         if bad.any():
             b = int(np.argmax(bad))
@@ -153,10 +157,11 @@ def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
         final_mean=mean,
         final_cov=cov,
         non_gaussian_steps=np.count_nonzero(regime, axis=1),
+        ss=ss,
     )
 
 
-def smooth(beliefs: BeliefSequence, ss: StateSpace) -> BeliefSequence:
+def smooth(beliefs: BeliefSequence) -> BeliefSequence:
     """Backward pass conditioning every block on its whole series.
 
     From r_T = 0 and N_T = 0 it runs, over the filter's innovations v_t,
@@ -172,6 +177,7 @@ def smooth(beliefs: BeliefSequence, ss: StateSpace) -> BeliefSequence:
     covariance Sigma0 - Sigma0 G^T N_0 G Sigma0.
     """
     B, T, D = beliefs.PH.shape
+    ss = beliefs.ss
     observed = ~np.isnan(beliefs.innov)
     F, PH = beliefs.innov_var, beliefs.PH
     v_over_F = np.divide(beliefs.innov, F, out=np.zeros((B, T)), where=observed)

@@ -139,9 +139,10 @@ class ModelParams:
     Sigma0: np.ndarray
 
     def __post_init__(self) -> None:
-        mu0, Sigma0 = _checked_belief(self.d, self.q_m, self.q_s, self.r, self.mu0, self.Sigma0)
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "Sigma0", Sigma0)
+        variances = [float(getattr(self, k)) for k in _STACKED[:3]]
+        mu0, Sigma0 = _checked_belief(self.d, *variances, self.mu0, self.Sigma0)
+        for key, value in zip(_STACKED, (*variances, mu0, Sigma0)):
+            object.__setattr__(self, key, value)
 
     def state_space(self, n: int) -> StateSpace:
         return build_state_space(self.d, n, self.q_m, self.q_s, self.r)
@@ -185,8 +186,7 @@ class ParamStack:
         return int(self.r.shape[0])
 
     def __getitem__(self, b: int) -> ModelParams:
-        q_m, q_s, r, mu0, Sigma0 = (getattr(self, k)[b] for k in _STACKED)
-        return ModelParams(self.d, float(q_m), float(q_s), float(r), mu0, Sigma0)
+        return ModelParams(self.d, *(getattr(self, k)[b] for k in _STACKED))
 
     def take(self, idx) -> ParamStack:
         """The stack of blocks ``idx`` (an index array)."""

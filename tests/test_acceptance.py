@@ -15,7 +15,7 @@ from scipy import stats as sps
 
 from sdsbm import anomaly, kalman
 from sdsbm.cli import main as cli_main
-from sdsbm.em import EmConfig, default_init, e_step, em_fit, m_step_q
+from sdsbm.em import EmConfig, default_init, em_fit, m_step_q
 from sdsbm.generator import (
     GenParams,
     default_state,
@@ -60,7 +60,7 @@ def test_criterion_1_oracle_equivalence():
         counts = rng.integers(n // 4, 3 * n // 4, size=T).astype(float)
         blocks, stack = one_block(counts, n=n), ParamStack.of([params])
         ss = params.state_space(n)
-        seq = kalman.smooth(kalman.filter(blocks, stack), stack.state_space(blocks.n))
+        seq = kalman.smooth(kalman.filter(blocks, stack))
         oracle = OracleRun(
             ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, counts, seq.u[0] + n * n * params.r
         )
@@ -246,7 +246,7 @@ def test_criterion_7_process_variance_closed_form():
         params = _random_model(rng, d)
         counts = rng.integers(30, 70, size=int(rng.integers(4, 9))).astype(float)
         series = one_block(counts, n=n)
-        seq = e_step(series, ParamStack.of([params]))
+        seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
         [q_m], [q_s] = m_step_q(seq)
         ref_m, ref_s = numeric_q_argmax(oracle_for(series, params, seq))
         worst = max(worst, abs(q_m - ref_m) / ref_m, abs(q_s - ref_s) / ref_s)

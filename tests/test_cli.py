@@ -659,6 +659,18 @@ def test_non_finite_model_is_data_error(sim_dir, fitted_dir, tmp_path, capsys, f
         pytest.param(lambda doc: doc["blocks"][1].update(b=None), "type labels must be strings", id="null-label"),
         pytest.param(lambda doc: doc["blocks"][0].update(n=2.7), "n must be an integer >= 1", id="fractional-n"),
         pytest.param(lambda doc: doc["blocks"][0].update(n=0), "n must be an integer >= 1", id="zero-n"),
+        # parameters must be JSON numbers, and a boolean is not one
+        pytest.param(lambda doc: doc["blocks"][0].update(q_m="1e-3"), "block 0: q_m must hold JSON numbers", id="string-q_m"),
+        pytest.param(lambda doc: doc["blocks"][1].update(q_s=None), "block 1: q_s must hold JSON numbers", id="null-q_s"),
+        pytest.param(lambda doc: doc["blocks"][0].update(r=True), "block 0: r must hold JSON numbers", id="bool-r"),
+        pytest.param(
+            lambda doc: doc["blocks"][0].update(mu0=[str(x) for x in doc["blocks"][0]["mu0"]]),
+            "block 0: mu0 must hold JSON numbers", id="string-mu0",
+        ),
+        pytest.param(
+            lambda doc: doc["blocks"][2]["sigma0"][1].__setitem__(1, False),
+            "block 2: sigma0 must hold JSON numbers", id="bool-sigma0",
+        ),
     ],
 )
 def test_malformed_model_structure_is_data_error(sim_dir, fitted_dir, tmp_path, capsys, edit, message):
@@ -669,6 +681,38 @@ def test_malformed_model_structure_is_data_error(sim_dir, fitted_dir, tmp_path, 
     with pytest.raises(ingest.ModelFormatError, match=message):
         load_model(model)
     assert_model_commands_are_data_errors(model, sim_dir, tmp_path, capsys)
+
+
+def strict_json(path):
+    """A JSON file parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "command,option,value,code",
+    [
+        pytest.param("detect", "loglik_threshold", "inf", EXIT_ANOMALIES, id="loglik-inf"),
+        pytest.param("detect", "loglik_threshold", "-inf", EXIT_OK, id="loglik-minus-inf"),
+        pytest.param("detect", "sigma", "inf", EXIT_OK, id="sigma-inf"),
+        pytest.param("fit", "tol", "inf", EXIT_OK, id="tol-inf"),
+    ],
+)
+def test_non_finite_options_are_written_as_strings(sim_dir, fitted_dir, tmp_path, command, option, value, code):
+    # "inf" and "-inf" stand in for the numbers RFC 8259 JSON lacks
+    flag = f"--{option.replace('_', '-')}={value}"
+    if command == "fit":
+        args = fit_args(sim_dir, tmp_path, "--max-iter", 3, flag)
+    else:
+        data = ("--events", sim_dir / "events.csv", "--types", sim_dir / "types.csv")
+        args = ("detect", "--model", fitted_dir / "model.json", *data, "--out-dir", tmp_path, flag)
+    assert run(*args) == code
+    assert strict_json(tmp_path / "run_config.json")[option] == value
+    if command == "detect":
+        flagged = strict_json(tmp_path / "report.json")["flagged"]
+        assert bool(flagged) == (code == EXIT_ANOMALIES)
+        assert all(item["threshold"] == value for item in flagged)
 
 
 class TestConfigHandling:

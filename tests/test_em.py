@@ -15,9 +15,7 @@ from sdsbm.em import (
     EmConfig,
     EmError,
     default_init,
-    e_step,
     em_fit,
-    m_step_initial,
     m_step_q,
     m_step_r,
     r_objective,
@@ -33,7 +31,7 @@ from sdsbm.ssm import ModelParams, ParamStack, build_state_space
 
 from conftest import concat, one_block
 from gaussian_oracle import OracleRun
-from test_kalman import oracle_for
+from test_kalman import oracle_for, random_instance
 
 
 def fit_one(series, init, config):
@@ -125,7 +123,7 @@ class TestEStep:
             d=d, q_m=0.0, q_s=0.0, r=0.0,
             mu0=init, Sigma0=np.zeros((d, d)),
         )
-        seq = e_step(series, ParamStack.of([params]))
+        seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
         np.testing.assert_array_equal(seq.smoothed_count_var, np.zeros((1, T)))
         np.testing.assert_array_equal(seq.x0_cov, np.zeros((1, d, d)))
         np.testing.assert_array_equal(seq.eta_sq, np.zeros((1, T, 2)))
@@ -134,7 +132,7 @@ class TestEStep:
     def test_single_step_reduces_to_filtered_moments(self, rng):
         params = small_params()
         series, stack = one_block([55], n=100), ParamStack.of([params])
-        seq = e_step(series, stack)
+        seq = kalman.smooth(kalman.filter(series, stack))
         H = params.state_space(100).H
         filtered = kalman.filter(series, stack)
         assert seq.smoothed_count[0, 0] == pytest.approx(H @ filtered.final_mean[0], rel=1e-12)
@@ -143,7 +141,7 @@ class TestEStep:
     def test_stats_match_joint_gaussian_oracle(self, rng):
         params = small_params(seed=3)
         series = one_block(rng.integers(30, 70, size=6), n=100)
-        seq = e_step(series, ParamStack.of([params]))
+        seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
         oracle = oracle_for(series, params, seq)
         for name, want in {**oracle.filter_record(), **oracle.smoothed_record()}.items():
             np.testing.assert_allclose(getattr(seq, name)[0], want, rtol=1e-8, atol=1e-12, err_msg=name)
@@ -154,8 +152,8 @@ class TestMStepInitial:
     def test_assignment_from_smoothed_start(self, rng):
         params = small_params(seed=5)
         series = one_block(rng.integers(30, 70, size=5), n=100)
-        seq = e_step(series, ParamStack.of([params]))
-        [mu0], [Sigma0] = m_step_initial(seq)
+        seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
+        [mu0], [Sigma0] = seq.x0_mean, seq.x0_cov
         oracle = oracle_for(series, params, seq)
         mean_ref, cov_ref = oracle.smoothed(0)
         np.testing.assert_allclose(mu0, mean_ref, rtol=1e-8, atol=1e-12)
@@ -165,11 +163,10 @@ class TestMStepInitial:
     def test_idempotent_given_fixed_stats(self, rng):
         params = small_params(seed=6)
         series = one_block(rng.integers(30, 70, size=5), n=100)
-        seq = e_step(series, ParamStack.of([params]))
-        first = m_step_initial(seq)
-        second = m_step_initial(seq)
-        np.testing.assert_array_equal(first[0], second[0])
-        np.testing.assert_array_equal(first[1], second[1])
+        filtered = kalman.filter(series, ParamStack.of([params]))
+        first, second = kalman.smooth(filtered), kalman.smooth(filtered)
+        np.testing.assert_array_equal(first.x0_mean, second.x0_mean)
+        np.testing.assert_array_equal(first.x0_cov, second.x0_cov)
 
     def test_recovers_generator_bias(self):
         series, trace, gen = synthetic_block(seed=17, T=160, n=1000, q_m=1e-6, q_s=1e-6)
@@ -298,7 +295,7 @@ class TestMStepQ:
         H = build_state_space(d, n, 0.0, 0.0, 0.0).H
         series = one_block(np.array(states[1:]) @ H, n=n)
         params = ModelParams(d=d, q_m=0.0, q_s=0.0, r=0.0, mu0=init, Sigma0=np.zeros((d, d)))
-        seq = e_step(series, ParamStack.of([params]))
+        seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
         np.testing.assert_array_equal(seq.eta_sq, np.zeros((1, T, 2)))
         [q_m], [q_s] = m_step_q(seq)
         assert q_m == q_s == Q_FLOOR
@@ -308,7 +305,7 @@ class TestMStepQ:
         # ones, so the expected squared disturbance is exactly Q at every step
         d, T, v_m, v_s = 3, 8, 3e-4, 7e-5
         params = ModelParams(d=d, q_m=v_m, q_s=v_s, r=0.0, mu0=np.zeros(d), Sigma0=np.zeros((d, d)))
-        seq = e_step(one_block([np.nan] * T, n=10), ParamStack.of([params]))
+        seq = kalman.smooth(kalman.filter(one_block([np.nan] * T, n=10), ParamStack.of([params])))
         [q_m], [q_s] = m_step_q(seq)
         assert q_m == pytest.approx(v_m, rel=1e-12)
         assert q_s == pytest.approx(v_s, rel=1e-12)
@@ -317,11 +314,36 @@ class TestMStepQ:
         for seed in (1, 2):
             params = small_params(seed=seed)
             series = one_block(rng.integers(30, 70, size=7), n=100)
-            seq = e_step(series, ParamStack.of([params]))
+            seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
             [q_m], [q_s] = m_step_q(seq)
             ref_m, ref_s = numeric_q_argmax(oracle_for(series, params, seq))
             assert q_m == pytest.approx(ref_m, rel=1e-6)
             assert q_s == pytest.approx(ref_s, rel=1e-6)
+
+    def test_score_matches_finite_differences(self, rng):
+        # with u_t frozen, d loglik / d q_i = 1/2 sum_t (E[eta_{t,i}^2] - q_i) / q_i^2,
+        # read off the smoother's eta_sq; against central differences of the
+        # joint-Gaussian log-likelihood with b_t = u_t + n^2 r held fixed
+        for k in range(30):
+            d, T = int(rng.integers(2, 6)), int(rng.integers(2, 12))
+            params, series = random_instance(rng, d=d, T=T, r=1e-4)
+            [n], [counts] = series.n, series.counts
+            if k % 3 == 0:
+                counts[rng.integers(T)] = np.nan
+                series = one_block(counts, n=n)
+            seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
+            q = np.array([params.q_m, params.q_s])
+            score = 0.5 * ((seq.eta_sq[0] - q) / q**2).sum(axis=0)
+            b_seq = seq.u[0] + n * n * params.r
+
+            def loglik(q_m, q_s):
+                ss = build_state_space(d, n, q_m, q_s, params.r)
+                oracle = OracleRun(ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, counts, b_seq)
+                return oracle.observations_logpdf()
+
+            for i, step in enumerate(np.diag(1e-6 * q)):
+                central = (loglik(*(q + step)) - loglik(*(q - step))) / (2 * step[i])
+                assert score[i] == pytest.approx(central, rel=1e-5), (k, i)
 
     def test_recovers_true_process_variances(self):
         series, _, gen = synthetic_block(
@@ -426,11 +448,11 @@ class TestEmFit:
         params = default_init(series, gen.d)
         n = series.n[0]
         for _ in range(8):
-            seq = e_step(series, params)
+            seq = kalman.smooth(kalman.filter(series, params))
             quad, u = seq.quad[0], seq.u[0]
             r_new = m_step_r(seq.quad, seq.u, series.n)
             assert r_objective(r_new[0], quad, u, n) >= r_objective(params.r[0], quad, u, n) - 1e-9
-            params = ParamStack(gen.d, *m_step_q(seq), r_new, *m_step_initial(seq))
+            params = ParamStack(gen.d, *m_step_q(seq), r_new, seq.x0_mean, seq.x0_cov)
 
     def test_estep_failure_carries_iteration(self):
         series = one_block([5, 5], n=10)

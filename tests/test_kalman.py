@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import per_block_reference as ref
 from sdsbm import kalman
-from sdsbm.em import e_step
 from sdsbm.generator import GenParams, generate_block_series, seasonal_state, sine_profile
 from sdsbm.kalman import FilterError
 from sdsbm.ssm import ModelParams, ParamStack, binomial_obs_noise, build_state_space
@@ -48,7 +47,7 @@ def run(series, params, smoothed=False):
     stack = ParamStack.of([params])
     seq = kalman.filter(series, stack)
     if smoothed:
-        seq = kalman.smooth(seq, stack.state_space(series.n))
+        seq = kalman.smooth(seq)
     return block(seq)
 
 
@@ -219,6 +218,15 @@ class TestFilter:
 
 
 class TestSmoother:
+    def test_runs_under_the_filters_state_space(self, rng):
+        # the filter's record carries the model it ran under, so the
+        # smoother takes nothing else
+        params, series = random_instance(rng, d=3, T=5, r=1e-4)
+        seq = kalman.filter(series, ParamStack.of([params]))
+        want = params.state_space(series.n)
+        for name in ("n", "G", "H", "Q", "r"):
+            np.testing.assert_array_equal(getattr(seq.ss, name), getattr(want, name), err_msg=name)
+
     def test_final_step_equals_filtered(self, rng):
         params, series = random_instance(rng, d=3, T=5)
         seq = run(series, params, smoothed=True)
@@ -440,7 +448,7 @@ class TestPerBlockReference:
     def test_filter_smoother_and_lag_moments_match(self, rng):
         stack, params = self.mixed_stack(rng)
         ps = ParamStack.of(params)
-        seq = e_step(stack, ps)
+        seq = kalman.smooth(kalman.filter(stack, ps))
         for b, (counts, n, p) in enumerate(zip(stack.counts, stack.n, params)):
             ss = p.state_space(n)
             want = ref.smooth(ref.run_filter(counts, ss, p.mu0, p.Sigma0), ss)

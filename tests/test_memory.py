@@ -11,7 +11,8 @@ import tracemalloc
 
 import numpy as np
 
-from sdsbm.em import EmConfig, default_init, e_step, em_fit
+from sdsbm import kalman
+from sdsbm.em import EmConfig, default_init, em_fit
 from sdsbm.graph_model import BlockStack, DynamicNetwork, VertexTyping
 from sdsbm.ingest import parse_inputs
 
@@ -84,10 +85,12 @@ def many_blocks():
 
 
 def test_e_step_holds_no_per_step_covariances():
-    # one (B, T, d, d) float array takes 0.82 MiB here; storing a handful
-    # of per-step covariances would take several MiB
+    # the E-step is one filter and one smoother pass.  One (B, T, d, d)
+    # float array takes 0.82 MiB here; storing a handful of per-step
+    # covariances would take several MiB
     blocks = many_blocks()
-    _, peak = traced_peak(e_step, blocks, default_init(blocks, 7))
+    params = default_init(blocks, 7)
+    _, peak = traced_peak(lambda: kalman.smooth(kalman.filter(blocks, params)))
     assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 

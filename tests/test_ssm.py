@@ -189,6 +189,11 @@ class TestModelParams:
         with pytest.raises(ValueError, match="period d"):
             ParamStack.of([blocks[0], ModelParams(d=2, q_m=0, q_s=0, r=0, mu0=np.zeros(2), Sigma0=np.eye(2))])
 
+    def test_variances_are_stored_as_floats(self):
+        p = ModelParams(d=2, q_m=1, q_s=np.float64(0.5), r=np.array(0.25), mu0=np.zeros(2), Sigma0=np.eye(2))
+        assert [type(v) for v in (p.q_m, p.q_s, p.r)] == [float] * 3
+        assert (p.q_m, p.q_s, p.r) == (1.0, 0.5, 0.25)
+
     def test_state_space_roundtrip(self):
         p = ModelParams(d=3, q_m=0.1, q_s=0.2, r=0.05, mu0=np.zeros(3), Sigma0=np.eye(3))
         ss = p.state_space(12)
