@@ -41,8 +41,6 @@ from .anomaly import (
 )
 from .ingest import (
     BucketingConfig,
-    EventColumns,
-    bucketize,
     load_model,
     parse_inputs,
     save_model,

@@ -182,7 +182,7 @@ def _fmt(x: float) -> str:
 def write_scores_csv(scores: ScoreSeries, report: AnomalyReport, path) -> None:
     """Write per-step scores and the report's flags; graph rows leave
     the block columns empty."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(
             ["t", "scope", "block_a", "block_b", "w", "pred_mean", "pred_var", "loglik", "z", "flagged"]

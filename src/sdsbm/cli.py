@@ -32,9 +32,9 @@ from .ingest import (
     IngestError,
     MISSING_OBSERVATION,
     ModelFormatError,
-    bucketize,
     load_model,
     parse_inputs,
+    read_text,
     save_model,
     write_json,
 )
@@ -79,11 +79,10 @@ def _z_quantile(level: float) -> float:
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: {exc}") from exc
+    try:
+        cfg = json.loads(read_text(path, UsageError))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"{path}: config must be a JSON object")
     return cfg
@@ -245,7 +244,17 @@ def _block_overrides(blocks: dict, typing: VertexTyping) -> dict:
     return checked
 
 
+def _utf8_text(name: str, value: str) -> str:
+    """A command-line string as UTF-8 text: under a locale that is not
+    UTF-8, its non-ASCII bytes arrive as surrogate escapes."""
+    try:
+        return value.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError:
+        raise UsageError(f"{name} is not UTF-8 text") from None
+
+
 def cmd_simulate(resolved: dict) -> int:
+    resolved = {**resolved, "types": _utf8_text("--types", resolved["types"])}
     d = resolved["period"]
     T = resolved["steps"]
     if T < 0:
@@ -279,18 +288,17 @@ def cmd_simulate(resolved: dict) -> int:
     out = _out_dir(resolved)
     stamps = np.array([_fmt((t - 0.5) * width) for t in range(1, T + 1)], dtype=object)
     ids = np.array(typing.vertex_ids, dtype=object)
-    with open(out / "events.csv", "w", newline="") as fh:
+    with open(out / "events.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["timestamp", "src", "dst"])
-        w.writerows(
-            zip(stamps[network.edge_t - 1], ids[network.edge_u], ids[network.edge_v])
-        )
-    with open(out / "types.csv", "w", newline="") as fh:
+        for t, u, v in network.edge_chunks():
+            w.writerows(zip(stamps[t - 1], ids[u], ids[v]))
+    with open(out / "types.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["vertex", "type"])
         for v in typing.vertex_ids:
             w.writerow([v, typing.type_of[v]])
-    with open(out / "ground_truth.csv", "w", newline="") as fh:
+    with open(out / "ground_truth.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "block", "m", "s", "e", "w"])
         for t in range(1, T + 1):
@@ -311,14 +319,13 @@ def cmd_simulate(resolved: dict) -> int:
 def _load_blocks(resolved: dict) -> BlockStack:
     if not resolved["events"] or not resolved["types"]:
         raise UsageError("--events and --types are required")
-    events, typing = parse_inputs(resolved["events"], resolved["types"])
     config = BucketingConfig(
         origin=resolved["origin"],
         width=resolved["width"],
         T=resolved["t_cap"],
         missing_policy=resolved["missing_policy"],
     )
-    network = bucketize(events, typing, config)
+    network = parse_inputs(resolved["events"], resolved["types"], config)
     if network.T == 0:
         cause = "the bucket cap (--t-cap) is 0" if config.T == 0 else "the event file is empty"
         raise IngestError(f"no time buckets: {cause}")
@@ -349,7 +356,7 @@ def cmd_fit(resolved: dict) -> int:
     out = _out_dir(resolved)
     n_by_pair = dict(zip(blocks.pairs, blocks.n))
     save_model(dict(zip(blocks.pairs, fitted)), n_by_pair, out / "model.json")
-    with open(out / "em_trace.csv", "w", newline="") as fh:
+    with open(out / "em_trace.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["block", "iter", "loglik", "q_m", "q_s", "r"])
         for pair, trace in zip(blocks.pairs, traces):
@@ -404,7 +411,7 @@ def cmd_forecast(resolved: dict) -> int:
     seq = kalman_filter(blocks.with_gaps(horizon), params)
     forecast = zip(blocks.pairs, seq.pred_count[:, T:], seq.innov_var[:, T:])
     out = _out_dir(resolved)
-    with open(out / "forecast.csv", "w", newline="") as fh:
+    with open(out / "forecast.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "block", "mean", "variance", "lower", "upper"])
         for pair, means, variances in forecast:

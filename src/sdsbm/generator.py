@@ -24,6 +24,7 @@ from .graph_model import (
     TypePair,
     VertexTyping,
     block_pairs,
+    edge_keys,
     pair_possible_edges,
 )
 from .ssm import check_variances
@@ -176,22 +177,20 @@ def generate_network(
         if p not in block_params:
             raise ValueError(f"missing GenParams for block {p}")
     streams = rng.spawn(len(active))
-    edge_t, edge_i, edge_j = ([np.zeros(0, np.int64)] for _ in range(3))
+    V = len(typing.vertex_ids)
+    keys = [np.zeros(0, np.int64)]  # the formed pairs' edge keys, one array per block and step
     traces: dict[TypePair, LatentTrace] = {}
     for p, stream in zip(active, streams):
         vi, vj = block_pairs(typing, p)
-        hits = [np.zeros(0, np.int64)]  # one array of formed-pair positions per step
+        pair_keys = edge_keys(np.zeros_like(vi), vi, vj, V)  # the block's pairs at t = 0
 
         def draw(t: int, e: float) -> int:
-            hits.append(np.flatnonzero(stream.random(vi.size) < e))
-            return hits[-1].size
+            formed = pair_keys[stream.random(pair_keys.size) < e]
+            formed += (t + 1) * V * V
+            keys.append(formed)
+            return formed.size
 
-        traces[p] = trace = _sample_block(block_params[p], T, stream, draw)
-        formed = np.concatenate(hits)
-        edge_t.append(np.repeat(np.arange(1, T + 1), trace.counts.astype(np.int64)))
-        edge_i.append(vi[formed])
-        edge_j.append(vj[formed])
-    network = DynamicNetwork.from_edges(
-        typing, T, np.concatenate(edge_t), np.concatenate(edge_i), np.concatenate(edge_j)
-    )
-    return network, traces
+        traces[p] = _sample_block(block_params[p], T, stream, draw)
+    joined = np.concatenate(keys)
+    keys.clear()
+    return DynamicNetwork.from_keys(typing, T, joined), traces

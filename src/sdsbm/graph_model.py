@@ -7,13 +7,15 @@ labels, and each unordered pair of labels (a, b) with a <= b defines a
 through time.  All types here are immutable after construction and all
 operations are pure.
 
-Networks are columnar: vertices are integer indices into the typing's
-vertex order and the edges of all snapshots are three integer arrays
-(snapshot, lower vertex, higher vertex), so block counts come from one
-``np.bincount`` over block ids with no per-edge Python objects.  Those
-counts form one ``BlockStack`` (all blocks on one time axis), the only
-container of block counts that generation, fitting, forecasting and
-scoring take.
+A network holds one int64 key per edge: vertices are integer indices
+into the typing's vertex order, and the edge joining u < v in snapshot
+t is the key (t * V + u) * V + v, kept sorted and without repeats.
+Block counts are summed from the keys ``CHUNK_ROWS`` edges at a time by
+``np.bincount`` over (snapshot, block) cells, so no per-edge array other
+than the keys is held whole and no per-edge Python object is made.
+Those counts form one ``BlockStack`` (all blocks on one time axis), the
+only container of block counts that generation, fitting, forecasting
+and scoring take.
 """
 
 from __future__ import annotations
@@ -102,42 +104,97 @@ def pair_possible_edges(typing: VertexTyping, pair: TypePair) -> int:
     return possible_edges(typing.size(a), typing.size(b), same_type=False)
 
 
-# Edges are de-duplicated and ordered through one int64 key per edge,
-# (t * V + u) * V + v for V vertices, so (T + 1) * V**2 must fit.
+# Each edge is one int64 key, (t * V + u) * V + v for V vertices, so
+# (T + 1) * V**2 must fit.
 _INT64_KEYS = 2**63
+
+# Edges converted, walked or counted at a time: per-edge arrays other
+# than the keys are never built for more than this many edges at once.
+CHUNK_ROWS = 4096
+
+
+def max_snapshots(n_vertices: int) -> int:
+    """The most snapshots whose edge keys fit in int64."""
+    return _INT64_KEYS // (n_vertices * n_vertices) - 1
+
+
+def _check_snapshots(T: int, n_vertices: int) -> None:
+    if T > max_snapshots(n_vertices):
+        raise ValueError(
+            f"{T} snapshots of {n_vertices} vertices are too many to index edges in int64"
+        )
+
+
+def edge_keys(t, i, j, n_vertices: int) -> np.ndarray:
+    """The keys ``(t * V + min(i, j)) * V + max(i, j)`` of the edges
+    ``(t[k], i[k], j[k])`` for V vertices, packed in place in one new
+    int64 array."""
+    key = np.array(t, dtype=np.int64)
+    key *= n_vertices
+    key += np.minimum(i, j)
+    key *= n_vertices
+    key += np.maximum(i, j)
+    return key
 
 
 @dataclass(frozen=True)
 class DynamicNetwork:
     """Sequence of undirected simple-graph snapshots over one vertex set.
 
-    The edges are held as three integer arrays of equal length, sorted
-    by ``(t, u, v)`` with no repeats: edge k joins vertices
-    ``edge_u[k] < edge_v[k]`` (indices into the typing's vertex order)
-    in snapshot ``edge_t[k]`` (1-based, at most ``T``).  Build one with
-    :meth:`from_edges`.  ``missing`` holds 1-based snapshot indices for
+    The edges are one sorted int64 array ``keys`` with no repeats: for V
+    vertices, the key ``(t * V + u) * V + v`` stands for the edge joining
+    vertices ``u < v`` (indices into the typing's vertex order) in
+    snapshot ``t`` (1-based, at most ``T``).  Build one with
+    :meth:`from_edges` or :meth:`from_keys`.  ``edge_t``, ``edge_u`` and
+    ``edge_v`` are derived on request; :meth:`edge_chunks` walks them a
+    chunk at a time.  ``missing`` holds 1-based snapshot indices for
     which no observation exists (as opposed to an observed empty
     graph); those propagate as NaN counts.
     """
 
     typing: VertexTyping
     T: int
-    edge_t: np.ndarray
-    edge_u: np.ndarray
-    edge_v: np.ndarray
+    keys: np.ndarray
     missing: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if not self.edge_t.shape == self.edge_u.shape == self.edge_v.shape:
-            raise ValueError("edge arrays must have one entry per edge")
+        V = len(self.typing.vertex_ids)
+        _check_snapshots(self.T, V)
+        keys = self.keys
+        if keys.dtype != np.int64 or keys.ndim != 1:
+            raise ValueError("edge keys must be a one-dimensional int64 array")
+        if keys.size and (keys[0] // (V * V) < 1 or keys[-1] // (V * V) > self.T):
+            raise ValueError(f"snapshot index outside 1..{self.T}")
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("edge keys must be sorted, with no repeats")
         bad = [t for t in self.missing if not 1 <= t <= self.T]
         if bad:
             raise ValueError(f"missing indices out of range: {sorted(bad)}")
         if self.missing:
-            per_snapshot = np.bincount(self.edge_t, minlength=self.T + 1)
-            busy = [t for t in sorted(self.missing) if per_snapshot[t]]
+            per_snapshot = self.edges_per_snapshot()
+            busy = [t for t in sorted(self.missing) if per_snapshot[t - 1]]
             if busy:
                 raise ValueError(f"snapshot {busy[0]} marked missing but has edges")
+
+    @classmethod
+    def from_keys(
+        cls,
+        typing: VertexTyping,
+        T: int,
+        keys: np.ndarray,
+        missing: frozenset[int] = frozenset(),
+    ) -> DynamicNetwork:
+        """Network of the edges whose int64 keys ``keys`` holds, in any
+        order and with repeats.  ``keys`` is sorted in place and, when it
+        has no repeats, becomes the network's."""
+        # a sort in place: faster here than np.unique, whose hash table
+        # (numpy >= 2.3) is about 15x slower than a sort on these keys
+        keys.sort()
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        if not first.all():
+            keys = keys[first]
+        return cls(typing=typing, T=T, keys=keys, missing=missing)
 
     @classmethod
     def from_edges(
@@ -152,10 +209,7 @@ class DynamicNetwork:
         """Network whose snapshot ``t[k]`` holds an edge between vertex
         indices ``i[k]`` and ``j[k]``, in any order and with repeats."""
         V = len(typing.vertex_ids)
-        if T + 1 > _INT64_KEYS // (V * V):
-            raise ValueError(
-                f"{T} snapshots of {V} vertices are too many to index edges in int64"
-            )
+        _check_snapshots(T, V)  # before packing, which would overflow
         t, i, j = (np.asarray(x, dtype=np.int64) for x in (t, i, j))
         if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= V):
             raise ValueError("edge endpoint index not in typing")
@@ -167,20 +221,39 @@ class DynamicNetwork:
             raise ValueError(
                 f"self-loop on vertex {typing.vertex_ids[i[k]]!r} in snapshot {t[k]}"
             )
-        # pack (t, u, v) into one int64 key in place, then sort and drop
-        # repeats; faster here than np.unique, whose hash table
-        # (numpy >= 2.3) is about 15x slower than a sort on these keys
-        key = t * V
-        key += np.minimum(i, j)
-        key *= V
-        key += np.maximum(i, j)
-        key.sort()
-        repeat = np.flatnonzero(key[1:] == key[:-1])
-        if repeat.size:
-            key = np.delete(key, repeat + 1)
-        t, key = np.divmod(key, V * V)
-        u, v = np.divmod(key, V)
-        return cls(typing=typing, T=T, edge_t=t, edge_u=u, edge_v=v, missing=missing)
+        return cls.from_keys(typing, T, edge_keys(t, i, j, V), missing=missing)
+
+    @property
+    def edge_t(self) -> np.ndarray:
+        """Each edge's snapshot, in key order."""
+        return self.keys // len(self.typing.vertex_ids) ** 2
+
+    @property
+    def edge_u(self) -> np.ndarray:
+        """Each edge's lower vertex index, in key order."""
+        V = len(self.typing.vertex_ids)
+        return self.keys // V % V
+
+    @property
+    def edge_v(self) -> np.ndarray:
+        """Each edge's higher vertex index, in key order."""
+        return self.keys % len(self.typing.vertex_ids)
+
+    def edge_chunks(self):
+        """The ``(t, u, v)`` arrays of at most ``CHUNK_ROWS`` edges at a
+        time, in key order."""
+        V = len(self.typing.vertex_ids)
+        for start in range(0, self.keys.size, CHUNK_ROWS):
+            t, rest = np.divmod(self.keys[start:start + CHUNK_ROWS], V * V)
+            yield (t, *np.divmod(rest, V))
+
+    def edges_per_snapshot(self) -> np.ndarray:
+        """The (T,) number of edges in each snapshot t = 1..T."""
+        V2 = len(self.typing.vertex_ids) ** 2
+        # snapshot t's last possible key is (t + 1) * V**2 - 1
+        last_keys = np.arange(1, self.T + 1) * V2 + (V2 - 1)
+        ends = np.searchsorted(self.keys, last_keys, side="right")
+        return np.diff(ends, prepend=0)
 
     @property
     def snapshots(self) -> tuple[frozenset[tuple[str, str]], ...]:
@@ -188,8 +261,8 @@ class DynamicNetwork:
         before ``v`` in the typing's vertex order."""
         ids = np.array(self.typing.vertex_ids, dtype=object)
         edges = list(zip(ids[self.edge_u], ids[self.edge_v]))
-        cuts = np.searchsorted(self.edge_t, np.arange(1, self.T + 2)).tolist()
-        return tuple(frozenset(edges[a:b]) for a, b in zip(cuts, cuts[1:]))
+        ends = np.cumsum(self.edges_per_snapshot()).tolist()
+        return tuple(frozenset(edges[a:b]) for a, b in zip([0, *ends], ends))
 
 
 @dataclass(frozen=True)
@@ -262,10 +335,14 @@ def extract_block_series(network: DynamicNetwork) -> BlockStack:
     block_of = np.empty((len(label), len(label)), dtype=np.int64)
     for p, (a, b) in enumerate(pairs):
         block_of[label[a], label[b]] = block_of[label[b], label[a]] = p
-    block = block_of[kind[network.edge_u], kind[network.edge_v]]
-    T = network.T
-    counts = np.bincount(block * T + network.edge_t - 1, minlength=len(pairs) * T)
-    counts = counts.reshape(len(pairs), T).astype(float)
+    T, B = network.T, len(pairs)
+    cells = np.zeros(T * B, dtype=np.int64)  # counts as (T, B), row t - 1
+    for t, u, v in network.edge_chunks():
+        # the chunk's edges are sorted by t, so its cells start at row t[0] - 1
+        start = (int(t[0]) - 1) * B
+        chunk = np.bincount((t - 1) * B + block_of[kind[u], kind[v]] - start)
+        cells[start:start + chunk.size] += chunk
+    counts = np.ascontiguousarray(cells.reshape(T, B).T, dtype=float)
     counts[:, [t - 1 for t in network.missing]] = np.nan
     n = np.array([pair_possible_edges(typing, p) for p in pairs], dtype=float)
     keep = np.flatnonzero(n >= 1)

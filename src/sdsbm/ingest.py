@@ -10,18 +10,20 @@ File formats:
   ``write_json`` writes it and every other JSON output as RFC 8259 JSON,
   a non-finite float as the string "inf", "-inf" or "nan".
 
-Ingest is columnar.  The CSV rows are streamed into three string
-columns of at most ``CHUNK_ROWS`` events; each full chunk is converted
-in bulk into a float timestamp array and two int64 vertex-index arrays
-before more rows are read, and the chunks' arrays are joined into one
-:class:`EventColumns` at the end.  The strings of one chunk are all that
-is held of the text, so parsing peaks at about twice the 24 bytes per
-event of the numeric columns (the chunks and their join), not at the
-few hundred bytes per event of the rows' strings.  The events are
-bucketed by one vectorised floor, and repeats within a bucket are
-removed by sorting packed ``(t, lower vertex, higher vertex)`` int64
-keys, which yields the integer edge arrays of a
-:class:`~sdsbm.graph_model.DynamicNetwork`.
+All files are read and written as UTF-8 text; a byte of an input that
+is not UTF-8 is a data error naming the file and its line.
+
+Ingest goes from the events file to one int64 edge key per event.  The
+CSV rows are streamed into three string columns of at most
+``CHUNK_ROWS`` events; each full chunk is converted in bulk (float
+timestamps, int64 vertex indices), bucketed by one vectorised floor
+and packed into the keys ``(t * V + lower vertex) * V + higher vertex``
+of a :class:`~sdsbm.graph_model.DynamicNetwork` before more rows are
+read.  The strings and arrays of one chunk are all that is held besides
+the keys, so ingest peaks at about twice the 8 bytes per event of the
+keys (the chunks and their join), not at the few hundred bytes per
+event of the rows' strings.  The joined keys are sorted once, in
+place, and repeats within a bucket are dropped once, after that sort.
 """
 
 from __future__ import annotations
@@ -30,23 +32,27 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Mapping
 
 import numpy as np
 
-from .graph_model import DynamicNetwork, TypePair, VertexTyping, pair_key
+from .graph_model import (
+    CHUNK_ROWS,
+    DynamicNetwork,
+    TypePair,
+    VertexTyping,
+    edge_keys,
+    max_snapshots,
+    pair_key,
+)
 from .ssm import ModelParams
 
 MODEL_FORMAT_VERSION = 1
 
 EMPTY_GRAPH = "empty-graph"
 MISSING_OBSERVATION = "missing-observation"
-
-# Events converted to arrays at a time; the strings of at most this many
-# rows are held at once.
-CHUNK_ROWS = 4096
 
 
 class IngestError(ValueError):
@@ -63,20 +69,6 @@ class ModelVersionError(ModelFormatError):
 
 class ModelChecksumError(ModelFormatError):
     pass
-
-
-@dataclass(frozen=True)
-class EventColumns:
-    """Edge events in file order, one array entry per event: the
-    timestamp and the two endpoints' indices in the typing's vertex
-    order."""
-
-    timestamp: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.timestamp.shape[0])
 
 
 @dataclass(frozen=True)
@@ -106,19 +98,40 @@ class BucketingConfig:
             raise ValueError(f"unknown missing policy {self.missing_policy!r}")
 
 
-def parse_inputs(events_file, types_file) -> tuple[EventColumns, VertexTyping]:
-    """Read and validate an event file against a vertex-type file."""
+def parse_inputs(events_file, types_file, config: BucketingConfig) -> DynamicNetwork:
+    """Read an event file against a vertex-type file and collapse the
+    events into binary snapshots.
+
+    A pair is connected in bucket t if at least one event touched it
+    there; multiplicities and the order of the events do not matter.
+    """
     typing = _parse_types(types_file)
-    events = _parse_events(events_file, typing)
-    return events, typing
+    return _parse_events(events_file, typing, config)
+
+
+def _open_csv(path):
+    """A CSV file as UTF-8 text.  A byte that is not UTF-8 is kept as a
+    surrogate escape, which :func:`_csv_rows` finds in its row, so the
+    error names the row's line like every other row error."""
+    return open(path, newline="", encoding="utf-8", errors="surrogateescape")
 
 
 def _csv_rows(path, reader):
     """The rows of a ``csv.reader``; a row the reader refuses (a field
-    over its size limit, say) is a data error naming the physical line,
-    the reader's ``line_num``, as every row error does."""
+    over its size limit, say), or a row with a byte that is not UTF-8,
+    is a data error naming the physical line, the reader's
+    ``line_num``, as every row error does."""
     try:
-        yield from reader
+        for row in reader:
+            for field in row:
+                try:
+                    field.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(field[exc.start]) - 0xDC00  # the escape of that byte
+                    raise IngestError(
+                        f"{path}:{reader.line_num}: not UTF-8 text (byte 0x{byte:02x})"
+                    ) from None
+            yield row
     except csv.Error as exc:
         raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
 
@@ -126,7 +139,7 @@ def _csv_rows(path, reader):
 def _parse_types(path) -> VertexTyping:
     vertex_ids: list[str] = []
     type_of: dict[str, str] = {}
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         rows = _csv_rows(path, reader)
         header = next(rows, None)
@@ -150,13 +163,13 @@ def _parse_types(path) -> VertexTyping:
     return VertexTyping(vertex_ids=tuple(vertex_ids), type_of=type_of)
 
 
-def _parse_events(path, typing: VertexTyping) -> EventColumns:
+def _parse_events(path, typing: VertexTyping, config: BucketingConfig) -> DynamicNetwork:
     """Stream the rows into three string columns of at most
-    ``CHUNK_ROWS`` events, and convert each full chunk in bulk before
-    reading on.  When any row is bad, the file is read again row by row
-    and the first bad one in file order is reported."""
+    ``CHUNK_ROWS`` events, and convert each full chunk to edge keys
+    before reading on.  When any row is bad, the file is read again row
+    by row and the first bad one in file order is reported."""
     index = typing.vertex_index()
-    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    keys = _EdgeKeys(config, len(typing.vertex_ids))
     stamps: list[str] = []
     srcs: list[str] = []
     dsts: list[str] = []
@@ -165,15 +178,15 @@ def _parse_events(path, typing: VertexTyping) -> EventColumns:
         chunk = _convert_chunk(stamps, srcs, dsts, index)
         if chunk is None:
             raise _first_bad_event(path, index)
-        chunks.append(chunk)
+        keys.add(*chunk)
         stamps.clear()
         srcs.clear()
         dsts.clear()
 
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         rows = csv.reader(fh)
         try:
-            header = next(rows, None)
+            header = next(_csv_rows(path, rows), None)
             if header is None or [c.strip() for c in header] != ["timestamp", "src", "dst"]:
                 raise IngestError(f"{path}: expected header 'timestamp,src,dst'")
             add_stamp, add_src, add_dst = stamps.append, srcs.append, dsts.append
@@ -190,7 +203,7 @@ def _parse_events(path, typing: VertexTyping) -> EventColumns:
             # a bad row still unconverted before the refused one comes first
             raise _first_bad_event(path, index) from None
     convert()
-    return EventColumns(*(np.concatenate(column) for column in zip(*chunks)))
+    return keys.network(typing)
 
 
 def _convert_chunk(stamps, srcs, dsts, index):
@@ -213,7 +226,7 @@ def _first_bad_event(path, known) -> IngestError:
     reading it again row by row once a bad row is seen; a row the CSV
     reader refuses raises here.  A row's checks run in the order its
     fields are read, so the first failing one names it."""
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         rows = _csv_rows(path, reader)
         next(rows)  # the header, checked already
@@ -235,40 +248,78 @@ def _first_bad_event(path, known) -> IngestError:
     return IngestError(f"{path}: changed while it was read")
 
 
-def bucketize(
-    events: EventColumns, typing: VertexTyping, config: BucketingConfig
-) -> DynamicNetwork:
-    """Collapse timestamped events into binary adjacency snapshots.
+class _EdgeKeys:
+    """The edge keys of the converted chunks of one events file.
 
-    A pair is connected in bucket t if at least one event touched it
-    there; multiplicities are discarded.  Order of the events does not
-    matter.
+    Two faults are reported only once the whole file has been read, so
+    that a bad row anywhere in it is reported first: an event before the
+    origin (the first in file order is named), and a bucket index past
+    what int64 edge keys can hold.  Once either is seen, no more keys
+    are kept.
     """
-    ts = events.timestamp
-    early = ts < config.origin
-    if early.any():
-        raise IngestError(
-            f"event at {float(ts[np.argmax(early)])} precedes the bucketing origin "
-            f"{config.origin}"
-        )
-    with np.errstate(over="ignore"):  # an infinite bucket index is reported below
-        t = np.floor((ts - config.origin) / config.width) + 1
-    src, dst = events.src, events.dst
-    if config.T is not None:
-        T = config.T
-        kept = t <= T
-        t, src, dst = t[kept], src[kept], dst[kept]
-    else:
-        last = float(t.max()) if t.size else 0.0
-        if not math.isfinite(last):
+
+    def __init__(self, config: BucketingConfig, n_vertices: int):
+        self.config = config
+        self.V = n_vertices
+        self.chunks: list[np.ndarray] = []
+        self.early: float | None = None  # the first timestamp before the origin
+        # the bucket cap, or else the last bucket and its latest timestamp so far
+        self.last = 0.0 if config.T is None else config.T
+        self.latest = math.nan
+
+    def add(self, timestamp, src, dst) -> None:
+        config = self.config
+        if self.early is None:
+            early = timestamp < config.origin
+            if early.any():
+                self.early = float(timestamp[np.argmax(early)])
+                self.chunks.clear()
+        if self.early is not None or not timestamp.size:
+            return
+        with np.errstate(over="ignore"):  # an infinite index is reported at the end
+            t = np.floor((timestamp - config.origin) / config.width) + 1
+        if config.T is not None:
+            kept = t <= config.T
+            t, src, dst = t[kept], src[kept], dst[kept]
+        elif t.max() > self.last:
+            self.last, self.latest = float(t.max()), float(timestamp.max())
+        if self.last > max_snapshots(self.V):
+            self.chunks.clear()
+            return
+        self.chunks.append(edge_keys(t, src, dst, self.V))
+
+    def network(self, typing: VertexTyping) -> DynamicNetwork:
+        config = self.config
+        if self.early is not None:
+            raise IngestError(
+                f"event at {self.early} precedes the bucketing origin {config.origin}"
+            )
+        if config.T is None and not math.isfinite(self.last):
             raise IngestError(f"bucket width {config.width} is too small for the time span")
-        T = int(last)
-    missing: frozenset[int] = frozenset()
-    if config.missing_policy == MISSING_OBSERVATION:
-        seen = np.zeros(T + 1, dtype=bool)
-        seen[t.astype(np.int64)] = True
-        missing = frozenset((np.flatnonzero(~seen[1:]) + 1).tolist())
-    return DynamicNetwork.from_edges(typing, T, t, src, dst, missing=missing)
+        if config.T is None and self.last > max_snapshots(self.V):
+            raise IngestError(
+                f"event at {self.latest:g} is too late to index edges of {self.V} vertices "
+                f"in int64 with bucket width {config.width:g}"
+            )
+        keys = np.concatenate(self.chunks) if self.chunks else np.zeros(0, np.int64)
+        self.chunks.clear()
+        network = DynamicNetwork.from_keys(typing, int(self.last), keys)
+        if config.missing_policy == MISSING_OBSERVATION:
+            empty = np.flatnonzero(network.edges_per_snapshot() == 0) + 1
+            network = replace(network, missing=frozenset(empty.tolist()))
+        return network
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The whole of a UTF-8 text file; a byte that is not UTF-8 raises
+    ``error`` naming the file and the byte's line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
 
 
 def _strict_json(value):
@@ -285,7 +336,7 @@ def _strict_json(value):
 
 def write_json(payload: dict, path) -> None:
     """Write ``payload`` as indented, key-sorted RFC 8259 JSON."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(_strict_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
@@ -336,8 +387,7 @@ def save_model(
 
 def load_model(path) -> tuple[dict[TypePair, ModelParams], dict[TypePair, int]]:
     """Reload a saved model, verifying version and content checksum."""
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path, ModelFormatError)
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:

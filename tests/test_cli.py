@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -26,7 +29,6 @@ from sdsbm.ingest import (
     EMPTY_GRAPH,
     MISSING_OBSERVATION,
     BucketingConfig,
-    bucketize,
     load_model,
     parse_inputs,
     save_model,
@@ -56,7 +58,7 @@ def simulate_small(out_dir, seed=7, steps=50, extra=()):
 
 
 def read_rows(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
 
@@ -86,8 +88,9 @@ class TestSimulate:
 
     def test_ground_truth_matches_events(self, tmp_path):
         simulate_small(tmp_path)
-        events, typing = parse_inputs(tmp_path / "events.csv", tmp_path / "types.csv")
-        net = bucketize(events, typing, BucketingConfig(origin=0.0, width=1.0, T=50))
+        net = parse_inputs(
+            tmp_path / "events.csv", tmp_path / "types.csv", BucketingConfig(origin=0.0, width=1.0, T=50)
+        )
         stack = extract_block_series(net)
         by_pair = dict(zip(stack.pairs, stack.counts))
         for row in read_rows(tmp_path / "ground_truth.csv"):
@@ -380,8 +383,9 @@ class TestForecast:
         )
         assert code == EXIT_OK
         params, _ = load_model(fitted_dir / "model.json")
-        events, typing = parse_inputs(sim_dir / "events.csv", sim_dir / "types.csv")
-        net = bucketize(events, typing, BucketingConfig(origin=0.0, width=1.0))
+        net = parse_inputs(
+            sim_dir / "events.csv", sim_dir / "types.csv", BucketingConfig(origin=0.0, width=1.0)
+        )
         stack = extract_block_series(net)
         assert stack.pairs == tuple(sorted(params))
         stacked_params = ParamStack.of([params[p] for p in stack.pairs])
@@ -681,6 +685,78 @@ def test_malformed_model_structure_is_data_error(sim_dir, fitted_dir, tmp_path, 
     with pytest.raises(ingest.ModelFormatError, match=message):
         load_model(model)
     assert_model_commands_are_data_errors(model, sim_dir, tmp_path, capsys)
+
+
+def test_key_range_error_names_the_timestamp(tmp_path, capsys):
+    # 1e300 seconds is far past the last snapshot int64 edge keys can index
+    events = tmp_path / "events.csv"
+    events.write_text("timestamp,src,dst\n0.5,a0,a1\n1e300,a0,b0\n")
+    types = tmp_path / "types.csv"
+    types.write_text("vertex,type\n" + "".join(f"{t}{k},{t}\n" for t in "ab" for k in range(24)))
+    code = run("fit", "--events", events, "--types", types, "--out-dir", tmp_path / "out")
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: event at 1e+300 is too late to index edges of 48 vertices in int64 with bucket width 1\n"
+    )
+
+
+class TestTextEncoding:
+    """Every file is UTF-8, whatever the locale; an input byte that is
+    not UTF-8 is an error naming the file and its line."""
+
+    def test_latin1_events_file_is_data_error(self, sim_dir, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        events.write_bytes("timestamp,src,dst\n0.5,a0,a1\n0.5,a0,caf\u00e9\n".encode("latin-1"))
+        code = run("fit", "--events", events, "--types", sim_dir / "types.csv", "--out-dir", tmp_path / "out")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {events}:3: not UTF-8 text (byte 0xe9)\n"
+
+    def test_latin1_model_is_data_error(self, sim_dir, fitted_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes((fitted_dir / "model.json").read_bytes().replace(b'"a"', b'"\xe9"', 1))
+        data = ("--events", sim_dir / "events.csv", "--types", sim_dir / "types.csv")
+        assert run("detect", "--model", model, *data, "--out-dir", tmp_path / "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}:") and err.endswith(": not UTF-8 text (byte 0xe9)\n")
+
+    def test_latin1_config_is_usage_error(self, tmp_path, capsys):
+        # like a config that is not JSON
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{\n  "types": "\xe9=3"\n}\n')
+        assert run("simulate", "--config", config, "--out-dir", tmp_path / "out") == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {config}:2: not UTF-8 text (byte 0xe9)\n"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_under_ascii_locale(*args, cwd):
+    """The CLI in a child process whose locale encoding is ASCII."""
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", LANG="C")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "sdsbm.cli", *map(str, args)],
+        cwd=cwd, env=env, capture_output=True, timeout=120,
+    )
+
+
+def test_non_ascii_outputs_do_not_depend_on_the_locale(tmp_path, monkeypatch):
+    sim = ("simulate", "--types", "\u00e9=3,b=2", "--steps", 6, "--seed", 2, "--out-dir", "sim")
+    fit = ("fit", "--events", "sim/events.csv", "--types", "sim/types.csv",
+           "--period", 3, "--max-iter", 2, "--out-dir", "fit")
+    (tmp_path / "utf8").mkdir()
+    (tmp_path / "ascii").mkdir()
+    monkeypatch.chdir(tmp_path / "utf8")
+    assert run(*sim) == EXIT_OK
+    assert run(*fit) == EXIT_MAX_ITER
+    for args, code in ((sim, EXIT_OK), (fit, EXIT_MAX_ITER)):
+        proc = run_under_ascii_locale(*args, cwd=tmp_path / "ascii")
+        assert proc.returncode == code, proc.stderr
+    names = ["sim/events.csv", "sim/types.csv", "sim/ground_truth.csv", "sim/run_config.json",
+             "fit/model.json", "fit/em_trace.csv", "fit/run_config.json"]
+    for name in names:
+        assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes(), name
+    assert "\u00e9:\u00e9" in (tmp_path / "utf8" / "fit" / "em_trace.csv").read_text(encoding="utf-8")
 
 
 def strict_json(path):

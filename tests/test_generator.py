@@ -1,3 +1,4 @@
+import generator_reference
 import numpy as np
 import pytest
 
@@ -306,6 +307,38 @@ def test_network_matches_per_step_loop(typing, T, seed):
         got, want = getattr(net, name), getattr(ref_net, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert net.T == T and traces.keys() == ref_traces.keys()
+    for pair, trace in traces.items():
+        for field in ("states", "density", "counts"):
+            np.testing.assert_array_equal(getattr(trace, field), getattr(ref_traces[pair], field))
+
+
+def typing_out_of_type_order():
+    # vertices of different types interleaved, so a cross-type block
+    # lists some pairs higher vertex first
+    ids = ("b0", "a0", "c0", "b1", "a1", "a2", "c1", "b2")
+    return VertexTyping(vertex_ids=ids, type_of={v: v[0] for v in ids})
+
+
+@pytest.mark.parametrize(
+    "typing,T,seed",
+    [
+        (small_typing(), 25, 1),
+        (small_typing(), 40, 2),
+        (typing_with_lone_vertex(), 25, 3),
+        (typing_out_of_type_order(), 25, 4),
+        (typing_out_of_type_order(), 60, 5),
+        (typing_out_of_type_order(), 0, 6),
+    ],
+)
+def test_network_matches_reference_generator(typing, T, seed):
+    params = uniform_params(typing, q_m=1e-3, q_s=1e-3, r=1e-2)
+    net, traces = generate_network(params, typing, T, np.random.default_rng(seed))
+    ref_net, ref_traces = generator_reference.generate_network(
+        params, typing, T, np.random.default_rng(seed)
+    )
+    assert net.T == ref_net.T == T
+    assert net.keys.dtype == ref_net.keys.dtype and np.array_equal(net.keys, ref_net.keys)
+    assert traces.keys() == ref_traces.keys()
     for pair, trace in traces.items():
         for field in ("states", "density", "counts"):
             np.testing.assert_array_equal(getattr(trace, field), getattr(ref_traces[pair], field))

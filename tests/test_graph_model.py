@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdsbm.graph_model import (
+    CHUNK_ROWS,
     BlockStack,
     DynamicNetwork,
     VertexTyping,
@@ -75,6 +76,26 @@ class TestDynamicNetwork:
         with pytest.raises(ValueError, match="not in typing"):
             DynamicNetwork.from_edges(two_type_typing(), 1, [1], [0], [3])
 
+    def test_from_keys_sorts_and_drops_repeats(self):
+        V = 3
+        keys = np.array([(2 * V + 1) * V + 2, (1 * V + 0) * V + 2, (2 * V + 1) * V + 2], dtype=np.int64)
+        net = DynamicNetwork.from_keys(two_type_typing(), 2, keys)
+        assert net.keys.tolist() == [(1 * V + 0) * V + 2, (2 * V + 1) * V + 2]
+        assert net.snapshots == (frozenset({("1", "3")}), frozenset({("2", "3")}))
+
+    @pytest.mark.parametrize(
+        "keys,message",
+        [
+            ([14, 11], "sorted, with no repeats"),
+            ([11, 11], "sorted, with no repeats"),
+            ([5], "snapshot index outside 1..1"),
+            ([18], "snapshot index outside 1..1"),
+        ],
+    )
+    def test_rejects_keys_out_of_order_or_range(self, keys, message):
+        with pytest.raises(ValueError, match=message):
+            DynamicNetwork(two_type_typing(), 1, np.array(keys, dtype=np.int64))
+
     def test_normalises_edge_order(self):
         net = DynamicNetwork.from_edges(two_type_typing(), 1, [1, 1], [2, 0], [0, 2])
         assert net.snapshots[0] == frozenset({("1", "3")})
@@ -121,6 +142,64 @@ class TestExtractBlockSeries:
         second = extract_block_series(net)
         assert first.pairs == second.pairs
         np.testing.assert_array_equal(first.counts, second.counts)
+
+
+def interleaved_typing(n=30):
+    """Types interleaved and out of label order, so a block's pairs are
+    not all listed lower vertex first."""
+    ids = tuple(f"v{k}" for k in range(n))
+    return VertexTyping(vertex_ids=ids, type_of={v: "cba"[k % 3] for k, v in enumerate(ids)})
+
+
+def sampled_network(size, T=40, missing=frozenset()):
+    """A network of ``size`` distinct edges drawn over T snapshots,
+    none in a ``missing`` snapshot, handed over in shuffled order with
+    endpoints in either order."""
+    rng = np.random.default_rng(size)
+    typing = interleaved_typing()
+    V = len(typing.vertex_ids)
+    i, j = np.triu_indices(V, k=1)
+    open_steps = np.array([t for t in range(1, T + 1) if t not in missing])
+    cells = rng.choice(open_steps.size * i.size, size, replace=False)
+    t, pair = open_steps[cells // i.size], cells % i.size
+    flip = rng.random(size) < 0.5
+    u, v = np.where(flip, j[pair], i[pair]), np.where(flip, i[pair], j[pair])
+    return DynamicNetwork.from_edges(typing, T, t, u, v, missing=missing)
+
+
+SIZES = [0, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("missing", [frozenset(), frozenset({1, 7, 40})])
+def test_chunked_extraction_matches_whole_network_counts(size, missing):
+    net = sampled_network(size, missing=missing)
+    assert net.keys.size == size
+    typing = net.typing
+    label = {name: k for k, name in enumerate(typing.types)}
+    kind = np.array([label[typing.type_of[v]] for v in typing.vertex_ids])
+    lo, hi = np.minimum(kind[net.edge_u], kind[net.edge_v]), np.maximum(kind[net.edge_u], kind[net.edge_v])
+    pairs = typing.pairs()
+    block = np.array([pairs.index((typing.types[a], typing.types[b])) for a, b in zip(lo, hi)], dtype=np.int64)
+    want = np.bincount(block * net.T + net.edge_t - 1, minlength=len(pairs) * net.T)
+    want = want.reshape(len(pairs), net.T).astype(float)
+    want[:, [t - 1 for t in missing]] = np.nan
+    stack = extract_block_series(net)
+    assert stack.pairs == pairs and stack.counts.flags.c_contiguous
+    np.testing.assert_array_equal(stack.counts, want)
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_edge_chunks_walk_the_keys_in_order(size):
+    net = sampled_network(size)
+    chunks = list(net.edge_chunks())
+    assert all(0 < len(t) <= CHUNK_ROWS for t, _, _ in chunks)
+    assert len(chunks) == -(-size // CHUNK_ROWS)
+    walked = (np.concatenate([np.zeros(0, np.int64), *(c[k] for c in chunks)]) for k in range(3))
+    for got, want in zip(walked, (net.edge_t, net.edge_u, net.edge_v)):
+        assert np.array_equal(got, want)
+    assert (net.edge_u < net.edge_v).all()
+    assert net.edges_per_snapshot().tolist() == np.bincount(net.edge_t, minlength=net.T + 1)[1:].tolist()
 
 
 @st.composite

@@ -11,19 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdsbm import ingest
-from sdsbm.graph_model import VertexTyping, extract_block_series, pair_possible_edges
+from sdsbm import graph_model, ingest
+from sdsbm.graph_model import (
+    DynamicNetwork,
+    VertexTyping,
+    extract_block_series,
+    pair_possible_edges,
+)
 from sdsbm.ingest import (
     EMPTY_GRAPH,
     BucketingConfig,
-    EventColumns,
     IngestError,
     MISSING_OBSERVATION,
     ModelChecksumError,
     ModelFormatError,
     ModelVersionError,
     _checksum,
-    bucketize,
     load_model,
     parse_inputs,
     save_model,
@@ -33,72 +36,103 @@ from sdsbm.ssm import ModelParams
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
+
+
+UNIT = BucketingConfig(origin=0.0, width=1.0)
+
+
+def edges(net):
+    """A network's edges as (t, u, v) vertex-id triples, in key order."""
+    ids = net.typing.vertex_ids
+    return [(t, ids[u], ids[v]) for t, u, v in zip(*(net.edge_t, net.edge_u, net.edge_v))]
 
 
 class TestParseInputs:
     def test_minimal_files(self, tmp_path):
         types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n100,1,2\n")
-        evs, typing = parse_inputs(events, types)
-        assert len(evs) == 1
-        assert evs.timestamp.tolist() == [100.0]
-        assert [typing.vertex_ids[i] for i in evs.src] == ["1"]
-        assert [typing.vertex_ids[i] for i in evs.dst] == ["2"]
-        assert typing.types == ("a", "b")
+        net = parse_inputs(events, types, UNIT)
+        assert net.keys.size == 1 and net.T == 101
+        assert edges(net) == [(101, "1", "2")]
+        assert net.typing.types == ("a", "b")
 
     def test_unknown_vertex_is_named(self, tmp_path):
         types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n100,1,9\n")
         with pytest.raises(IngestError, match="'9'"):
-            parse_inputs(events, types)
+            parse_inputs(events, types, UNIT)
 
     def test_empty_events_file(self, tmp_path):
         types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n")
-        evs, typing = parse_inputs(events, types)
-        assert len(evs) == 0
-        assert len(typing.vertex_ids) == 2
+        net = parse_inputs(events, types, UNIT)
+        assert net.keys.size == 0 and net.T == 0
+        assert len(net.typing.vertex_ids) == 2
 
     def test_malformed_row_reports_line(self, tmp_path):
         types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n1,1,2\nbogus,1,2\n")
         with pytest.raises(IngestError, match=":3"):
-            parse_inputs(events, types)
+            parse_inputs(events, types, UNIT)
 
     def test_self_loop_event_rejected(self, tmp_path):
         types = write(tmp_path, "types.csv", "vertex,type\n1,a\n")
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n5,1,1\n")
         with pytest.raises(IngestError, match="self-loop"):
-            parse_inputs(events, types)
+            parse_inputs(events, types, UNIT)
 
     def test_duplicate_vertex_rejected(self, tmp_path):
         types = write(tmp_path, "types.csv", "vertex,type\n1,a\n1,b\n")
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n")
         with pytest.raises(IngestError, match="duplicate"):
-            parse_inputs(events, types)
+            parse_inputs(events, types, UNIT)
 
     def test_types_error_names_physical_line(self, tmp_path):
         # the quoted vertex spans lines 2-3, so the duplicate is on line 5
         types = write(tmp_path, "types.csv", 'vertex,type\n"x\ny",a\n2,b\n2,a\n')
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n")
         with pytest.raises(IngestError) as info:
-            parse_inputs(events, types)
+            parse_inputs(events, types, UNIT)
         assert str(info.value) == f"{types}:5: duplicate vertex '2'"
 
     def test_bad_header_rejected(self, tmp_path):
         types = write(tmp_path, "types.csv", "id,kind\n1,a\n")
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n")
         with pytest.raises(IngestError, match="header"):
-            parse_inputs(events, types)
+            parse_inputs(events, types, UNIT)
 
     def test_blank_rows_and_padding_are_accepted(self, tmp_path):
         types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n\n 1.5 , 2 ,1\n\n")
-        evs, typing = parse_inputs(events, types)
-        assert evs.timestamp.tolist() == [1.5]
-        assert (evs.src.tolist(), evs.dst.tolist()) == ([1], [0])
+        net = parse_inputs(events, types, UNIT)
+        assert (net.edge_t.tolist(), net.edge_u.tolist(), net.edge_v.tolist()) == ([2], [0], [1])
+
+    @pytest.mark.parametrize(
+        "name,text,line",
+        [
+            ("events.csv", "timestamp,src,dst\n1,1,2\n2,1,\xe92\n", 3),
+            ("events.csv", "timestamp,src,dst\n\xe9,1,2\n", 2),
+            ("events.csv", "timest\xe9mp,src,dst\n1,1,2\n", 1),
+            ("types.csv", "vertex,type\n1,a\n2,\xe9\n", 3),
+        ],
+    )
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path, name, text, line):
+        files = {
+            "types.csv": write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n"),
+            "events.csv": write(tmp_path, "events.csv", "timestamp,src,dst\n"),
+        }
+        files[name].write_bytes(text.encode("latin-1"))
+        with pytest.raises(IngestError) as info:
+            parse_inputs(files["events.csv"], files["types.csv"], UNIT)
+        assert str(info.value) == f"{files[name]}:{line}: not UTF-8 text (byte 0xe9)"
+
+    def test_non_ascii_names_are_read_as_utf8(self, tmp_path):
+        types = write(tmp_path, "types.csv", "vertex,type\nz\u00e9,\u00e9\ny,b\n")
+        events = write(tmp_path, "events.csv", "timestamp,src,dst\n0.5,y,z\u00e9\n")
+        net = parse_inputs(events, types, UNIT)
+        assert net.typing.types == ("b", "\u00e9") and edges(net) == [(1, "z\u00e9", "y")]
 
 
 GOOD = "1,1,2\n"
@@ -144,7 +178,7 @@ def test_bad_event_row_names_first_offending_line(tmp_path, rows, message):
     types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
     events = write(tmp_path, "events.csv", "timestamp,src,dst\n" + rows)
     with pytest.raises(IngestError) as info:
-        parse_inputs(events, types)
+        parse_inputs(events, types, UNIT)
     assert str(info.value) == message.format(path=events)
 
 
@@ -204,6 +238,17 @@ def raw_event_files(draw):
     return "timestamp,src,dst\n" + "".join(line + "\n" for line in lines)
 
 
+# every timestamp GOOD_FIELDS draws is at or after the origin
+WIDE = BucketingConfig(origin=-1e6, width=1e3)
+
+
+def reference_network(typing, stamps, srcs, dsts, config):
+    """The network of parsed events by the per-event formula, uncapped."""
+    t = np.floor((np.array(stamps, dtype=float) - config.origin) / config.width) + 1
+    T = int(t.max()) if t.size else 0
+    return DynamicNetwork.from_edges(typing, T, t, srcs, dsts)
+
+
 @settings(max_examples=200, deadline=None)
 @given(raw_event_files(), st.integers(1, 5))
 def test_chunked_parse_matches_row_reference(text, chunk):
@@ -215,20 +260,20 @@ def test_chunked_parse_matches_row_reference(text, chunk):
         events = write(tmp, "events.csv", text)
         if isinstance(expected, str):
             with pytest.raises(IngestError) as info:
-                parse_inputs(events, types)
+                parse_inputs(events, types, WIDE)
             assert str(info.value) == f"{events}:{expected}"
             return
-        evs, _ = parse_inputs(events, types)
-    for got, want, dtype in zip((evs.timestamp, evs.src, evs.dst), expected, (float, np.int64, np.int64)):
-        assert got.dtype == dtype and got.tolist() == want
+        net = parse_inputs(events, types, WIDE)
+    want = reference_network(typing, *expected, WIDE)
+    assert net.keys.dtype == np.int64 and net.keys.tolist() == want.keys.tolist()
+    assert net.T == want.T and net.typing == typing
 
 
 def test_first_event_before_origin_is_named(tmp_path):
     types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
     events = write(tmp_path, "events.csv", "timestamp,src,dst\n3,1,2\n-0.5,1,2\n-0.9,2,1\n")
-    evs, typing = parse_inputs(events, types)
     with pytest.raises(IngestError) as info:
-        bucketize(evs, typing, BucketingConfig(origin=0.0, width=1.0, T=1))
+        parse_inputs(events, types, BucketingConfig(origin=0.0, width=1.0, T=1))
     assert str(info.value) == "event at -0.5 precedes the bucketing origin 0.0"
 
 
@@ -236,60 +281,65 @@ def typing_ab():
     return VertexTyping(vertex_ids=("1", "2", "3"), type_of={"1": "a", "2": "a", "3": "b"})
 
 
-def columns(typing, *events):
-    """EventColumns for ``(timestamp, src, dst)`` triples, in order."""
-    index = typing.vertex_index()
-    return EventColumns(
-        timestamp=np.array([ts for ts, _, _ in events], dtype=float),
-        src=np.array([index[u] for _, u, _ in events], dtype=np.int64),
-        dst=np.array([index[v] for _, _, v in events], dtype=np.int64),
-    )
+def events_text(events):
+    """An events file of ``(timestamp, src, dst)`` rows, in order."""
+    return "timestamp,src,dst\n" + "".join(f"{ts!r},{u},{v}\n" for ts, u, v in events)
+
+
+def types_text(typing):
+    return "vertex,type\n" + "".join(f"{v},{typing.type_of[v]}\n" for v in typing.vertex_ids)
+
+
+def bucketed(tmp_path, typing, events, config):
+    """The network ``parse_inputs`` makes of ``events`` under ``typing``."""
+    types = write(tmp_path, "types.csv", types_text(typing))
+    return parse_inputs(write(tmp_path, "events.csv", events_text(events)), types, config)
 
 
 class TestBucketize:
-    def test_binarization_within_buckets(self):
-        events = columns(typing_ab(), (0.5, "1", "2"), (1.2, "1", "2"), (1.7, "2", "1"))
-        net = bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1.0))
+    def test_binarization_within_buckets(self, tmp_path):
+        events = [(0.5, "1", "2"), (1.2, "1", "2"), (1.7, "2", "1")]
+        net = bucketed(tmp_path, typing_ab(), events, BucketingConfig(origin=0.0, width=1.0))
         assert net.T == 2
         assert net.snapshots[0] == frozenset({("1", "2")})
         assert net.snapshots[1] == frozenset({("1", "2")})
 
-    def test_boundary_event_goes_to_later_bucket(self):
-        events = columns(typing_ab(), (2.0, "1", "2"))
-        net = bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1.0))
+    def test_boundary_event_goes_to_later_bucket(self, tmp_path):
+        events = [(2.0, "1", "2")]
+        net = bucketed(tmp_path, typing_ab(), events, BucketingConfig(origin=0.0, width=1.0))
         assert net.T == 3
         assert net.snapshots[1] == frozenset()
         assert net.snapshots[2] == frozenset({("1", "2")})
 
-    def test_event_before_origin_rejected(self):
-        events = columns(typing_ab(), (-0.1, "1", "2"))
+    def test_event_before_origin_rejected(self, tmp_path):
+        events = [(-0.1, "1", "2")]
         with pytest.raises(IngestError, match="precedes"):
-            bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1.0))
+            bucketed(tmp_path, typing_ab(), events, BucketingConfig(origin=0.0, width=1.0))
 
-    def test_cap_drops_late_events(self):
-        events = columns(typing_ab(), (0.5, "1", "2"), (9.5, "1", "3"))
-        net = bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1.0, T=2))
+    def test_cap_drops_late_events(self, tmp_path):
+        events = [(0.5, "1", "2"), (9.5, "1", "3")]
+        net = bucketed(tmp_path, typing_ab(), events, BucketingConfig(origin=0.0, width=1.0, T=2))
         assert net.T == 2
         per_snapshot = np.bincount(net.edge_t, minlength=net.T + 1)
         assert per_snapshot[1] == 1
         assert per_snapshot[2] == 0
 
-    def test_missing_observation_policy(self):
-        events = columns(typing_ab(), (0.5, "1", "2"), (2.5, "1", "3"))
+    def test_missing_observation_policy(self, tmp_path):
+        events = [(0.5, "1", "2"), (2.5, "1", "3")]
         config = BucketingConfig(
             origin=0.0, width=1.0, missing_policy=MISSING_OBSERVATION
         )
-        net = bucketize(events, typing_ab(), config)
+        net = bucketed(tmp_path, typing_ab(), events, config)
         assert net.missing == frozenset({2})
         assert np.isnan(extract_block_series(net).counts[:, 1]).all()
 
-    def test_empty_graph_policy_keeps_zero(self):
-        events = columns(typing_ab(), (0.5, "1", "2"), (2.5, "1", "3"))
-        net = bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1.0))
+    def test_empty_graph_policy_keeps_zero(self, tmp_path):
+        events = [(0.5, "1", "2"), (2.5, "1", "3")]
+        net = bucketed(tmp_path, typing_ab(), events, BucketingConfig(origin=0.0, width=1.0))
         assert net.missing == frozenset()
         assert np.bincount(net.edge_t, minlength=net.T + 1)[2] == 0
 
-    def test_conservation_of_bucket_pair_memberships(self, rng):
+    def test_conservation_of_bucket_pair_memberships(self, tmp_path, rng):
         # every in-range event is represented by exactly one
         # (bucket, pair) membership
         vertices = [str(i) for i in range(1, 21)]
@@ -300,8 +350,8 @@ class TestBucketize:
         idx = rng.integers(0, 20, size=(100_000, 2))
         idx = idx[idx[:, 0] != idx[:, 1]]
         times = rng.uniform(0, 500, size=idx.shape[0])
-        events = EventColumns(timestamp=times, src=idx[:, 0], dst=idx[:, 1])
-        net = bucketize(events, typing, BucketingConfig(origin=0.0, width=1.0))
+        events = [(ts, vertices[i], vertices[j]) for ts, (i, j) in zip(times.tolist(), idx.tolist())]
+        net = bucketed(tmp_path, typing, events, BucketingConfig(origin=0.0, width=1.0))
         expected = {
             (int(np.floor(ts)) + 1, tuple(sorted((int(i), int(j)))))
             for ts, (i, j) in zip(times, idx)
@@ -310,12 +360,12 @@ class TestBucketize:
         total = sum(per_snapshot[t] for t in range(1, net.T + 1))
         assert total == len(expected)
 
-    def test_time_span_too_fine_for_int64_keys(self):
-        events = columns(typing_ab(), (0.5, "1", "2"), (1e16, "1", "3"))
+    def test_time_span_too_fine_for_int64_keys(self, tmp_path):
+        events = [(0.5, "1", "2"), (1e16, "1", "3")]
         with pytest.raises(ValueError, match="int64"):
-            bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1e-3))
+            bucketed(tmp_path, typing_ab(), events, BucketingConfig(origin=0.0, width=1e-3))
         with pytest.raises(IngestError, match="too small"):
-            bucketize(events, typing_ab(), BucketingConfig(origin=0.0, width=1e-300))
+            bucketed(tmp_path, typing_ab(), events, BucketingConfig(origin=0.0, width=1e-300))
 
 
 @settings(max_examples=30, deadline=None)
@@ -329,9 +379,100 @@ def test_bucketize_is_order_insensitive(order):
     ]
     shuffled = [base[i] for i in order]
     cfg = BucketingConfig(origin=0.0, width=1.0)
-    assert bucketize(columns(typing_ab(), *shuffled), typing_ab(), cfg).snapshots == bucketize(
-        columns(typing_ab(), *base), typing_ab(), cfg
-    ).snapshots
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        assert bucketed(tmp, typing_ab(), shuffled, cfg).snapshots == bucketed(
+            tmp, typing_ab(), base, cfg
+        ).snapshots
+
+
+CHUNK_ROWS = graph_model.CHUNK_ROWS
+SIZES = [0, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
+
+
+def interleaved_typing(n=12):
+    """Types interleaved and out of label order, so an event's first
+    endpoint often comes after its second in the vertex order."""
+    ids = tuple(f"v{k}" for k in range(n))
+    return VertexTyping(vertex_ids=ids, type_of={v: "cba"[k % 3] for k, v in enumerate(ids)})
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize(
+    "config",
+    [
+        BucketingConfig(origin=0.0, width=1.0),
+        BucketingConfig(origin=0.0, width=1.0, T=30),
+        BucketingConfig(origin=-0.5, width=0.5, missing_policy=MISSING_OBSERVATION),
+        BucketingConfig(origin=0.0, width=1.0, T=30, missing_policy=MISSING_OBSERVATION),
+    ],
+    ids=["uncapped", "capped", "missing-uncapped", "missing-capped"],
+)
+def test_chunked_ingest_matches_per_event_network(tmp_path, size, config):
+    # only even buckets see events, and repeats (some reversed) fall in
+    # one chunk and across chunks
+    rng = np.random.default_rng(size)
+    typing = interleaved_typing()
+    ids = typing.vertex_ids
+    i = rng.integers(0, len(ids), size)
+    j = (i + rng.integers(1, len(ids), size)) % len(ids)
+    ts = 2.0 * rng.integers(0, 20, size) + rng.uniform(0.0, 1.0, size)
+    net = bucketed(tmp_path, typing, zip(ts.tolist(), (ids[k] for k in i), (ids[k] for k in j)), config)
+    t = np.floor((ts - config.origin) / config.width) + 1
+    T = config.T if config.T is not None else int(t.max()) if size else 0
+    kept = t <= T
+    want = DynamicNetwork.from_edges(typing, T, t[kept], i[kept], j[kept])
+    assert net.T == T and np.array_equal(net.keys, want.keys)
+    busy = set(want.edge_t.tolist())
+    empty = {s for s in range(1, T + 1) if s not in busy}
+    assert net.missing == (empty if config.missing_policy == MISSING_OBSERVATION else frozenset())
+
+
+def test_repeat_split_across_chunks_is_counted_once(tmp_path):
+    filler = [(1.5, "1", "2")] * (CHUNK_ROWS - 1)
+    events = [(0.25, "1", "3"), *filler, (0.75, "3", "1"), *filler]
+    net = bucketed(tmp_path, typing_ab(), events, UNIT)
+    assert edges(net) == [(1, "1", "3"), (2, "1", "2")]
+    assert extract_block_series(net).counts.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+GOOD_ROW = (1.5, "1", "2")
+
+
+@pytest.mark.parametrize(
+    "first,later,message",
+    [
+        # an event before the origin in the first chunk, a bad row in the third
+        ((-1.0, "1", "2"), "bogus,1,2", "{path}:{line}: bad timestamp 'bogus'"),
+        # a timestamp past the int64 key range in the first chunk
+        ((1e300, "1", "2"), "bogus,1,2", "{path}:{line}: bad timestamp 'bogus'"),
+        ((1e300, "1", "2"), "-2.5,1,2", "event at -2.5 precedes the bucketing origin 0.0"),
+    ],
+    ids=["early-then-bad-row", "key-range-then-bad-row", "key-range-then-early"],
+)
+def test_deferred_faults_yield_to_later_ones(tmp_path, first, later, message):
+    text = events_text([first, *[GOOD_ROW] * (2 * CHUNK_ROWS + 5)]) + later + "\n"
+    types = write(tmp_path, "types.csv", types_text(typing_ab()))
+    events = write(tmp_path, "events.csv", text)
+    with pytest.raises(IngestError) as info:
+        parse_inputs(events, types, UNIT)
+    assert str(info.value) == message.format(path=events, line=2 * CHUNK_ROWS + 8)
+
+
+def test_first_early_event_in_file_order_is_named(tmp_path):
+    events = [*[GOOD_ROW] * 9, (-0.25, "1", "2"), *[GOOD_ROW] * CHUNK_ROWS, (-3.0, "2", "3")]
+    with pytest.raises(IngestError) as info:
+        bucketed(tmp_path, typing_ab(), events, UNIT)
+    assert str(info.value) == "event at -0.25 precedes the bucketing origin 0.0"
+
+
+def test_key_range_error_names_timestamp_and_width(tmp_path):
+    events = [(0.5, "1", "2"), (1e300, "1", "3")]
+    with pytest.raises(IngestError) as info:
+        bucketed(tmp_path, typing_ab(), events, BucketingConfig(origin=0.0, width=2.0))
+    assert str(info.value) == (
+        "event at 1e+300 is too late to index edges of 3 vertices in int64 with bucket width 2"
+    )
 
 
 def reference_block_counts(typing, events, config):
@@ -397,16 +538,8 @@ def event_files(draw):
 def test_columnar_counts_match_per_edge_reference(case):
     typing, events, config = case
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        types = write(
-            tmp, "types.csv",
-            "vertex,type\n" + "".join(f"{v},{typing.type_of[v]}\n" for v in typing.vertex_ids),
-        )
-        body = "".join(f"{ts!r},{u},{v}\n" for ts, u, v in events)
-        evs, parsed = parse_inputs(write(tmp, "events.csv", "timestamp,src,dst\n" + body), types)
-    assert parsed == typing
-    assert len(evs) == len(events)
-    net = bucketize(evs, typing, config)
+        net = bucketed(Path(tmp), typing, events, config)
+    assert net.typing == typing
     expected = reference_block_counts(typing, events, config)
     stack = extract_block_series(net)
     assert stack.pairs == tuple(p for p in typing.pairs() if pair_possible_edges(typing, p))
