@@ -10,7 +10,6 @@ from .graph_model import (
     DynamicNetwork,
     VertexTyping,
     extract_block_series,
-    possible_edges,
 )
 from .generator import (
     GenParams,

@@ -228,12 +228,14 @@ def _parse_type_sizes(spec: str) -> dict[str, int]:
 
 
 def _block_overrides(blocks: dict, typing: VertexTyping) -> dict:
-    """The config's per-block overrides, each value checked against its option."""
-    pairs = {pair_key(pair) for pair in typing.pairs()}
+    """The config's per-block overrides, each keyed by one of the typing's
+    blocks and each value checked against its option."""
+    names = [pair_key(pair) for pair in typing.blocks()[0]]
     checked = {}
     for key, opts in blocks.items():
-        if key not in pairs:
-            raise UsageError(f"config blocks: unknown block {key!r}, expected one of {sorted(pairs)}")
+        if key not in names:
+            raise UsageError(f"config blocks: {key!r} is not a type pair with possible edges, "
+                             f"expected one of {names}")
         if not isinstance(opts, dict) or set(opts) - set(BLOCK_OPTIONS):
             raise UsageError(f"config blocks: {key!r} takes an object with keys among "
                              f"{list(BLOCK_OPTIONS)}, got {opts!r}")
@@ -274,7 +276,7 @@ def cmd_simulate(resolved: dict) -> int:
 
     overrides = _block_overrides(resolved["blocks"], typing)
     block_params = {}
-    for pair in typing.pairs():
+    for pair in typing.blocks()[0]:
         opts = {k: resolved[k] for k in BLOCK_OPTIONS}
         opts.update(overrides.get(pair_key(pair), {}))
         init = seasonal_state(d, opts["bias"], sine_profile(d, opts["season_amplitude"]))
@@ -302,10 +304,7 @@ def cmd_simulate(resolved: dict) -> int:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "block", "m", "s", "e", "w"])
         for t in range(1, T + 1):
-            for pair in typing.pairs():
-                if pair not in traces:
-                    continue
-                tr = traces[pair]
+            for pair, tr in traces.items():
                 latents = (tr.states[t - 1, 0], tr.states[t - 1, 1], tr.density[t - 1])
                 w.writerow([t, pair_key(pair), *map(_fmt, latents), int(tr.counts[t - 1])])
     _write_run_config(out, "simulate", resolved)

@@ -25,7 +25,6 @@ from .graph_model import (
     VertexTyping,
     block_pairs,
     edge_keys,
-    pair_possible_edges,
 )
 from .ssm import check_variances
 
@@ -165,22 +164,22 @@ def generate_network(
 ) -> tuple[DynamicNetwork, dict[TypePair, LatentTrace]]:
     """Sample a full dynamic network block by block.
 
-    Each non-empty block needs a GenParams entry and draws from its own
-    child stream of ``rng`` (spawned in canonical block order), so block
-    samples are independent and insensitive to other blocks' settings.
+    Each of the typing's blocks (``VertexTyping.blocks``) needs a
+    GenParams entry and draws from its own child stream of ``rng``
+    (spawned in canonical block order), so block samples are independent
+    and insensitive to other blocks' settings.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
-    pairs = typing.pairs()
-    active = [p for p in pairs if pair_possible_edges(typing, p) >= 1]
-    for p in active:
+    pairs, _ = typing.blocks()
+    for p in pairs:
         if p not in block_params:
             raise ValueError(f"missing GenParams for block {p}")
-    streams = rng.spawn(len(active))
+    streams = rng.spawn(len(pairs))
     V = len(typing.vertex_ids)
     keys = [np.zeros(0, np.int64)]  # the formed pairs' edge keys, one array per block and step
     traces: dict[TypePair, LatentTrace] = {}
-    for p, stream in zip(active, streams):
+    for p, stream in zip(pairs, streams):
         vi, vj = block_pairs(typing, p)
         pair_keys = edge_keys(np.zeros_like(vi), vi, vj, V)  # the block's pairs at t = 0
 

@@ -20,7 +20,7 @@ and scoring take.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -40,34 +40,37 @@ class VertexTyping:
     ``vertex_ids`` fixes the canonical vertex order (used to normalise
     undirected edges) and the lexicographic order of type labels fixes
     the canonical block order, so block identities are stable across
-    runs.
+    runs.  Both derived fields are computed once, on construction:
+    ``types`` holds the labels in canonical order and ``kind`` each
+    vertex's index into ``types``.  A label may not contain ``:``, which
+    joins the two labels of a block's name.
     """
 
     vertex_ids: tuple[str, ...]
     type_of: Mapping[str, str]
+    types: tuple[str, ...] = field(init=False)
+    kind: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.vertex_ids) == 0:
             raise ValueError("typing needs at least one vertex")
         if len(set(self.vertex_ids)) != len(self.vertex_ids):
             raise ValueError("duplicate vertex ids in typing")
-        missing = [v for v in self.vertex_ids if v not in self.type_of]
+        labels = [self.type_of.get(v) for v in self.vertex_ids]
+        missing = [v for v, label in zip(self.vertex_ids, labels) if label is None]
         if missing:
             raise ValueError(f"vertices without a type label: {missing[:5]}")
         extra = set(self.type_of) - set(self.vertex_ids)
         if extra:
             raise ValueError(f"type labels for unknown vertices: {sorted(extra)[:5]}")
-
-    @property
-    def types(self) -> tuple[str, ...]:
-        """Type labels in canonical (lexicographic) order."""
-        return tuple(sorted(set(self.type_of.values())))
-
-    def members(self, label: str) -> tuple[str, ...]:
-        return tuple(v for v in self.vertex_ids if self.type_of[v] == label)
-
-    def size(self, label: str) -> int:
-        return sum(1 for v in self.vertex_ids if self.type_of[v] == label)
+        types = tuple(sorted(set(labels)))
+        joined = [label for label in types if ":" in label]
+        if joined:
+            raise ValueError(f"type label {joined[0]!r} contains ':', which joins "
+                             "the two labels of a block name")
+        index = {label: k for k, label in enumerate(types)}
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "kind", np.array([index[label] for label in labels], dtype=np.int64))
 
     def pairs(self) -> tuple[TypePair, ...]:
         """All unordered type pairs (a, b) with a <= b, in canonical order."""
@@ -78,30 +81,22 @@ class VertexTyping:
             for j in range(i, len(labels))
         )
 
+    def blocks(self) -> tuple[tuple[TypePair, ...], np.ndarray]:
+        """The blocks: the type pairs with at least one possible edge, in
+        canonical order, and their possible-edge counts n as an int array.
+
+        n is ``s * (s - 1) / 2`` within a type of s vertices (no
+        self-loops) and ``s_a * s_b`` across two types, so a pair of one
+        single-vertex type is no block.
+        """
+        size = dict(zip(self.types, np.bincount(self.kind).tolist()))
+        n = {(a, b): size[a] * (size[a] - 1) // 2 if a == b else size[a] * size[b]
+             for a, b in self.pairs()}
+        blocks = {pair: count for pair, count in n.items() if count >= 1}
+        return tuple(blocks), np.array(list(blocks.values()), dtype=np.int64)
+
     def vertex_index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertex_ids)}
-
-
-def possible_edges(size_a: int, size_b: int, same_type: bool) -> int:
-    """Number of possible undirected edges in a block.
-
-    ``size_a * (size_a - 1) / 2`` within one type (no self-loops),
-    ``size_a * size_b`` across two types.
-    """
-    if size_a < 1 or size_b < 1:
-        raise ValueError("block sizes must be >= 1 (a typeless block has no series)")
-    if same_type:
-        if size_a != size_b:
-            raise ValueError("same-type block must have equal sizes")
-        return size_a * (size_a - 1) // 2
-    return size_a * size_b
-
-
-def pair_possible_edges(typing: VertexTyping, pair: TypePair) -> int:
-    a, b = pair
-    if a == b:
-        return possible_edges(typing.size(a), typing.size(a), same_type=True)
-    return possible_edges(typing.size(a), typing.size(b), same_type=False)
 
 
 # Each edge is one int64 key, (t * V + u) * V + v for V vertices, so
@@ -322,19 +317,18 @@ class BlockStack:
 def extract_block_series(network: DynamicNetwork) -> BlockStack:
     """Decompose a dynamic network into the stack of its blocks' counts.
 
-    Every unordered type pair (including a = b) with possible edges
-    yields a row, in canonical block order; each undirected edge is
-    counted once.  A block with no possible edges (a type of a single
-    vertex) carries no information and is left out.  Missing snapshots
-    become NaN counts in every block.
+    Every block of the typing (see ``VertexTyping.blocks``) yields a row,
+    in canonical block order; each undirected edge is counted once.
+    Missing snapshots become NaN counts in every block.
     """
     typing = network.typing
-    pairs = typing.pairs()
+    pairs, n = typing.blocks()
     label = {name: k for k, name in enumerate(typing.types)}
-    kind = np.array([label[typing.type_of[v]] for v in typing.vertex_ids])
-    block_of = np.empty((len(label), len(label)), dtype=np.int64)
+    # a type pair that is no block holds no edge, so its entry is never read
+    block_of = np.full((len(label), len(label)), -1, dtype=np.int64)
     for p, (a, b) in enumerate(pairs):
         block_of[label[a], label[b]] = block_of[label[b], label[a]] = p
+    kind = typing.kind
     T, B = network.T, len(pairs)
     cells = np.zeros(T * B, dtype=np.int64)  # counts as (T, B), row t - 1
     for t, u, v in network.edge_chunks():
@@ -344,19 +338,16 @@ def extract_block_series(network: DynamicNetwork) -> BlockStack:
         cells[start:start + chunk.size] += chunk
     counts = np.ascontiguousarray(cells.reshape(T, B).T, dtype=float)
     counts[:, [t - 1 for t in network.missing]] = np.nan
-    n = np.array([pair_possible_edges(typing, p) for p in pairs], dtype=float)
-    keep = np.flatnonzero(n >= 1)
-    return BlockStack(tuple(pairs[k] for k in keep), n[keep], counts[keep])
+    return BlockStack(pairs, n, counts)
 
 
 def block_pairs(typing: VertexTyping, pair: TypePair) -> tuple[np.ndarray, np.ndarray]:
     """All possible vertex pairs of a block in canonical order, as two
     arrays of vertex indices (each pair's first member, then its second)."""
     a, b = pair
-    index = typing.vertex_index()
-    ma = np.array([index[v] for v in typing.members(a)], dtype=np.int64)
+    ma = np.flatnonzero(typing.kind == typing.types.index(a))
     if a == b:
         i, j = np.triu_indices(ma.size, k=1)
         return ma[i], ma[j]
-    mb = np.array([index[v] for v in typing.members(b)], dtype=np.int64)
+    mb = np.flatnonzero(typing.kind == typing.types.index(b))
     return np.repeat(ma, mb.size), np.tile(mb, ma.size)

@@ -160,7 +160,10 @@ def _parse_types(path) -> VertexTyping:
             type_of[vertex] = label
     if not vertex_ids:
         raise IngestError(f"{path}: no vertices")
-    return VertexTyping(vertex_ids=tuple(vertex_ids), type_of=type_of)
+    try:
+        return VertexTyping(vertex_ids=tuple(vertex_ids), type_of=type_of)
+    except ValueError as exc:  # a label the typing refuses
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def _parse_events(path, typing: VertexTyping, config: BucketingConfig) -> DynamicNetwork:

@@ -17,7 +17,6 @@ from sdsbm.graph_model import (
     TypePair,
     VertexTyping,
     block_pairs,
-    pair_possible_edges,
 )
 
 
@@ -36,7 +35,7 @@ def generate_network(
     if T < 0:
         raise ValueError("T must be >= 0")
     pairs = typing.pairs()
-    active = [p for p in pairs if pair_possible_edges(typing, p) >= 1]
+    active = [p for p in pairs if block_pairs(typing, p)[0].size >= 1]
     for p in active:
         if p not in block_params:
             raise ValueError(f"missing GenParams for block {p}")

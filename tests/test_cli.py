@@ -593,6 +593,43 @@ def test_unmodelled_data_block_is_data_error(fitted_dir, tmp_path, capsys):
         assert err == "error: typing mismatch: data block a:c is not in the model\n", args[0]
 
 
+def test_single_vertex_type_has_no_block_in_any_output(tmp_path):
+    # c has one vertex, so c:c has no possible edges and is no block
+    sim, fit = tmp_path / "sim", tmp_path / "fit"
+    args = ("--seed", 3, "--period", 4, "--steps", 30, "--types", "a=4,b=3,c=1")
+    assert run("simulate", *args, "--out-dir", sim) == EXIT_OK
+    data = ("--events", sim / "events.csv", "--types", sim / "types.csv")
+    assert run("fit", *data, "--period", 4, "--max-iter", 3, "--out-dir", fit) in (EXIT_OK, EXIT_MAX_ITER)
+    model = ("--model", fit / "model.json", *data)
+    assert run("forecast", *model, "--horizon", 2, "--out-dir", tmp_path / "fc") == EXIT_OK
+    assert run("detect", *model, "--out-dir", tmp_path / "det") in (EXIT_OK, EXIT_ANOMALIES)
+    want = ["a:a", "a:b", "a:c", "b:b", "b:c"]
+    document = json.loads((fit / "model.json").read_text())
+    assert [f"{b['a']}:{b['b']}" for b in document["blocks"]] == want
+    for path in (sim / "ground_truth.csv", fit / "em_trace.csv", tmp_path / "fc" / "forecast.csv"):
+        assert list(dict.fromkeys(row["block"] for row in read_rows(path))) == want, path.name
+    scores = read_rows(tmp_path / "det" / "scores.csv")
+    blocks = [f"{r['block_a']}:{r['block_b']}" for r in scores if r["scope"] == "block"]
+    assert list(dict.fromkeys(blocks)) == want
+
+
+@pytest.mark.parametrize("source", ["types file", "simulate"])
+def test_type_label_with_colon_is_refused(tmp_path, capsys, source):
+    # blocks ("a", "b:c") and ("a:b", "c") would both be named a:b:c
+    out = tmp_path / "out"
+    if source == "simulate":
+        code = run("simulate", "--steps", 2, "--types", "a=2,x:y=3", "--out-dir", out)
+    else:
+        (tmp_path / "types.csv").write_text("vertex,type\nu,a\nv,x:y\nw,x:y\n")
+        (tmp_path / "events.csv").write_text("timestamp,src,dst\n0.5,u,v\n")
+        code = run("fit", "--events", tmp_path / "events.csv", "--types", tmp_path / "types.csv",
+                   "--out-dir", out)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "type label 'x:y' contains ':'" in err, err
+    assert not out.exists()
+
+
 def assert_model_commands_are_data_errors(model, sim_dir, tmp_path, capsys):
     data = ("--events", sim_dir / "events.csv", "--types", sim_dir / "types.csv")
     commands = [
@@ -841,13 +878,15 @@ class TestConfigHandling:
             ("simulate", {"blocks": {"a:b": {"bias": True}}}, "'a:b' key 'bias' takes a number"),
             ("simulate", {"blocks": {"a:b": {"season_amplitude": [1]}}}, "'a:b' key 'season_amplitude'"),
             ("simulate", {"blocks": {"a:b": {"r": None}}}, "'a:b' key 'r' takes a number"),
+            # z has one vertex, so z:z is no block: its override would go unused
+            ("simulate", {"blocks": {"z:z": {"bias": 0.3}}}, "'z:z'"),
         ],
     )
     def test_bad_blocks_config_is_usage_error(self, tmp_path, capsys, command, config, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out"
-        code = run(command, "--config", cfg, "--types", "a=6,b=5" if command == "simulate"
+        code = run(command, "--config", cfg, "--types", "a=6,b=5,z=1" if command == "simulate"
                    else tmp_path / "types.csv", "--out-dir", out)
         assert code == EXIT_USAGE
         err = capsys.readouterr().err

@@ -17,7 +17,6 @@ from sdsbm.graph_model import (
     VertexTyping,
     block_pairs,
     extract_block_series,
-    pair_possible_edges,
 )
 
 
@@ -263,7 +262,7 @@ class TestGenerateNetwork:
 def per_step_network(block_params, typing, T, rng):
     """The generator loop as it was first written: three edge arrays per
     step, joined once at the end."""
-    active = [p for p in typing.pairs() if pair_possible_edges(typing, p) >= 1]
+    active = [p for p in typing.pairs() if block_pairs(typing, p)[0].size >= 1]
     streams = rng.spawn(len(active))
     edge_t, edge_i, edge_j = ([np.zeros(0, np.int64)] for _ in range(3))
     traces = {}

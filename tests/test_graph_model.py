@@ -1,8 +1,11 @@
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdsbm.generator import GenParams, default_state, generate_network
 from sdsbm.graph_model import (
     CHUNK_ROWS,
     BlockStack,
@@ -10,8 +13,6 @@ from sdsbm.graph_model import (
     VertexTyping,
     block_pairs,
     extract_block_series,
-    pair_possible_edges,
-    possible_edges,
 )
 
 
@@ -31,32 +32,45 @@ def two_type_typing():
     )
 
 
+def typing_of_sizes(**sizes):
+    ids = tuple(f"{label}{k}" for label, size in sizes.items() for k in range(size))
+    return VertexTyping(vertex_ids=ids, type_of={v: v.rstrip("0123456789") for v in ids})
+
+
+def blocks_as_lists(typing):
+    pairs, n = typing.blocks()
+    assert n.dtype == np.int64
+    return list(pairs), n.tolist()
+
+
 class TestPossibleEdges:
     def test_same_type(self):
-        assert possible_edges(4, 4, same_type=True) == 6
+        assert blocks_as_lists(typing_of_sizes(a=4)) == ([("a", "a")], [6])
 
     def test_cross_type(self):
-        assert possible_edges(3, 5, same_type=False) == 15
+        assert blocks_as_lists(typing_of_sizes(b=5, a=3)) == (
+            [("a", "a"), ("a", "b"), ("b", "b")], [3, 15, 10]
+        )
 
     def test_single_vertex_block_has_no_edges(self):
-        assert possible_edges(1, 1, same_type=True) == 0
-
-    @pytest.mark.parametrize("size_a,size_b", [(0, 1), (1, 0), (0, 0)])
-    def test_rejects_zero_sizes(self, size_a, size_b):
-        with pytest.raises(ValueError):
-            possible_edges(size_a, size_b, same_type=False)
-
-    def test_rejects_unequal_same_type(self):
-        with pytest.raises(ValueError):
-            possible_edges(2, 3, same_type=True)
+        assert blocks_as_lists(typing_of_sizes(a=1, b=2, c=1)) == (
+            [("a", "b"), ("a", "c"), ("b", "b"), ("b", "c")], [2, 1, 1, 2]
+        )
+        assert blocks_as_lists(typing_of_sizes(a=1)) == ([], [])
 
 
 class TestTyping:
     def test_canonical_orders(self):
-        typing = two_type_typing()
+        typing = VertexTyping(vertex_ids=("3", "1", "2"), type_of={"1": "a", "2": "a", "3": "b"})
         assert typing.types == ("a", "b")
         assert typing.pairs() == (("a", "a"), ("a", "b"), ("b", "b"))
-        assert typing.members("a") == ("1", "2")
+        assert typing.kind.tolist() == [1, 0, 0]
+
+    @pytest.mark.parametrize("label", ["a:b", ":", "b:"])
+    def test_rejects_label_with_colon(self, label):
+        # ("a", "b:c") and ("a:b", "c") would both be written as block a:b:c
+        with pytest.raises(ValueError, match=f"type label {label!r} contains ':'"):
+            VertexTyping(vertex_ids=("1", "2"), type_of={"1": "a", "2": label})
 
     def test_requires_type_for_every_vertex(self):
         with pytest.raises(ValueError, match="without a type"):
@@ -227,14 +241,74 @@ def random_network(draw):
 @given(random_network())
 def test_block_counts_conserve_total_edges(net):
     stack = extract_block_series(net)
-    assert stack.pairs == tuple(p for p in net.typing.pairs() if pair_possible_edges(net.typing, p))
-    for pair, n in zip(stack.pairs, stack.n):
-        assert n == pair_possible_edges(net.typing, pair)
-        assert len(block_pairs(net.typing, pair)[0]) == n
+    pairs, n = net.typing.blocks()
+    assert stack.pairs == pairs and stack.n.tolist() == n.tolist()
     totals = stack.counts.sum(axis=0)
     per_snapshot = np.bincount(net.edge_t, minlength=net.T + 1)
     for t in range(1, net.T + 1):
         assert totals[t - 1] == per_snapshot[t]
+
+
+@st.composite
+def shuffled_typing(draw):
+    """1-6 types of 1-6 vertices each, the vertices in shuffled order."""
+    labels = draw(st.lists(st.text("abAB0\u00e9 ", min_size=1, max_size=3),
+                           min_size=1, max_size=6, unique=True))
+    type_of = {
+        f"v{label}_{k}": label
+        for label in labels
+        for k in range(draw(st.integers(min_value=1, max_value=6)))
+    }
+    ids = tuple(draw(st.permutations(list(type_of))))
+    return VertexTyping(vertex_ids=ids, type_of=type_of)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_typing())
+def test_blocks_and_block_pairs_match_all_vertex_pairs(typing):
+    label = [typing.type_of[v] for v in typing.vertex_ids]
+    members = {}  # block -> its vertex pairs, the lower-label member first
+    for u in range(len(label)):
+        for v in range(u + 1, len(label)):
+            first, second = (u, v) if label[u] <= label[v] else (v, u)
+            members.setdefault((label[first], label[second]), []).append((first, second))
+    pairs, n = typing.blocks()
+    assert list(pairs) == sorted(members)
+    assert n.tolist() == [len(members[pair]) for pair in pairs]
+    for pair in pairs:
+        first, second = block_pairs(typing, pair)
+        assert list(zip(first.tolist(), second.tolist())) == sorted(members[pair])
+
+
+class ReadCounter(Mapping):
+    """A read-only mapping that counts the values read from it."""
+
+    def __init__(self, data):
+        self.data = data
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.data[key]
+
+    def __iter__(self):
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
+
+
+def test_type_labels_are_read_per_vertex_not_per_block():
+    # 40 types x 5 vertices: 820 blocks over 200 vertices; reading the
+    # labels once per block would take 820 x 200 reads
+    ids = tuple(f"v{k}" for k in range(200))
+    type_of = ReadCounter({v: f"t{k % 40:02d}" for k, v in enumerate(ids)})
+    typing = VertexTyping(vertex_ids=ids, type_of=type_of)
+    params = GenParams(d=3, q_m=0.0, q_s=0.0, r=0.0, init=default_state(3, bias=0.5))
+    net, _ = generate_network({p: params for p in typing.pairs()}, typing, 1, np.random.default_rng(0))
+    stack = extract_block_series(net)
+    assert len(stack) == 820 and stack.counts.sum() == net.keys.size
+    assert type_of.reads <= 2 * len(ids)
 
 
 class TestBlockStack:
