@@ -24,9 +24,8 @@ from .generator import (
 from .ssm import (
     ModelParams,
     ParamStack,
-    StateSpace,
     binomial_obs_noise,
-    build_state_space,
+    transition,
 )
 from .kalman import BeliefSequence, smooth
 from .em import EmConfig, EmTrace, default_init, em_fit

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kalman
 from .graph_model import BlockStack, TypePair
-from .ingest import write_json
+from .ingest import csv_float, write_json
 from .ssm import ParamStack
 
 
@@ -134,7 +134,7 @@ def score(blocks: BlockStack, params: ParamStack, mode: str = "predictive") -> S
         seq = kalman.smooth(seq)
         mean = seq.smoothed_count
         # the state's count variance plus the observation variance b_t = u_t + n^2 r
-        var = seq.smoothed_count_var + (seq.u + seq.ss.measurement_var[:, None])
+        var = seq.smoothed_count_var + (seq.u + seq.measurement_var[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         loglik = kalman.gaussian_logpdf(w - mean, var)
         z = (w - mean) / np.sqrt(var)
@@ -175,10 +175,6 @@ def detect(
     return report
 
 
-def _fmt(x: float) -> str:
-    return "" if np.isnan(x) else repr(float(x))
-
-
 def write_scores_csv(scores: ScoreSeries, report: AnomalyReport, path) -> None:
     """Write per-step scores and the report's flags; graph rows leave
     the block columns empty."""
@@ -190,11 +186,10 @@ def write_scores_csv(scores: ScoreSeries, report: AnomalyReport, path) -> None:
         columns = (scores.w, scores.pred_mean, scores.pred_var, scores.loglik, scores.z)
         for t in range(1, scores.T + 1):
             for i, pair in enumerate(scores.pairs):
-                values = (_fmt(c[i, t - 1]) for c in columns)
+                values = (csv_float(c[i, t - 1]) for c in columns)
                 out.writerow([t, "block", *pair, *values, int(report.block_mask[i, t - 1])])
-            out.writerow(
-                [t, "graph", "", "", "", "", "", _fmt(scores.graph_loglik[t - 1]), "", int(report.graph_mask[t - 1])]
-            )
+            graph = csv_float(scores.graph_loglik[t - 1])
+            out.writerow([t, "graph", "", "", "", "", "", graph, "", int(report.graph_mask[t - 1])])
 
 
 def write_report_json(scores: ScoreSeries, report: AnomalyReport, path) -> None:

@@ -32,6 +32,7 @@ from .ingest import (
     IngestError,
     MISSING_OBSERVATION,
     ModelFormatError,
+    csv_float,
     load_model,
     parse_inputs,
     read_text,
@@ -55,10 +56,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's 2
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _warn_non_gaussian(steps: int) -> None:
@@ -288,7 +285,7 @@ def cmd_simulate(resolved: dict) -> int:
     network, traces = generate_network(block_params, typing, T, rng)
 
     out = _out_dir(resolved)
-    stamps = np.array([_fmt((t - 0.5) * width) for t in range(1, T + 1)], dtype=object)
+    stamps = np.array([csv_float((t - 0.5) * width) for t in range(1, T + 1)], dtype=object)
     ids = np.array(typing.vertex_ids, dtype=object)
     with open(out / "events.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -306,7 +303,7 @@ def cmd_simulate(resolved: dict) -> int:
         for t in range(1, T + 1):
             for pair, tr in traces.items():
                 latents = (tr.states[t - 1, 0], tr.states[t - 1, 1], tr.density[t - 1])
-                w.writerow([t, pair_key(pair), *map(_fmt, latents), int(tr.counts[t - 1])])
+                w.writerow([t, pair_key(pair), *map(csv_float, latents), int(tr.counts[t - 1])])
     _write_run_config(out, "simulate", resolved)
     return EXIT_OK
 
@@ -361,7 +358,7 @@ def cmd_fit(resolved: dict) -> int:
         for pair, trace in zip(blocks.pairs, traces):
             rows = np.column_stack((trace.loglik_per_iter, trace.variances_per_iter))
             for i, row in enumerate(rows, start=1):
-                w.writerow([pair_key(pair), i, *map(_fmt, row)])
+                w.writerow([pair_key(pair), i, *map(csv_float, row)])
     _write_run_config(out, "fit", resolved)
     _warn_non_gaussian(sum(t.non_gaussian_steps for t in traces))
     capped = [pair_key(pair) for pair, t in zip(blocks.pairs, traces) if not t.converged]
@@ -417,7 +414,7 @@ def cmd_forecast(resolved: dict) -> int:
             for k, (mean, var) in enumerate(zip(means, variances)):
                 half = z * math.sqrt(var)
                 bounds = (mean, var, mean - half, mean + half)
-                w.writerow([T + k + 1, pair_key(pair), *map(_fmt, bounds)])
+                w.writerow([T + k + 1, pair_key(pair), *map(csv_float, bounds)])
     _write_run_config(out, "forecast", resolved)
     _warn_non_gaussian(int(seq.non_gaussian_steps.sum()))
     return EXIT_OK

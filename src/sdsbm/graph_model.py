@@ -40,16 +40,18 @@ class VertexTyping:
     ``vertex_ids`` fixes the canonical vertex order (used to normalise
     undirected edges) and the lexicographic order of type labels fixes
     the canonical block order, so block identities are stable across
-    runs.  Both derived fields are computed once, on construction:
-    ``types`` holds the labels in canonical order and ``kind`` each
-    vertex's index into ``types``.  A label may not contain ``:``, which
-    joins the two labels of a block's name.
+    runs.  The derived fields are computed once, on construction:
+    ``types`` holds the labels in canonical order, ``kind`` each
+    vertex's index into ``types`` and ``by_type`` each type's vertex
+    indices, ascending, in ``types`` order.  A label may not contain
+    ``:``, which joins the two labels of a block's name.
     """
 
     vertex_ids: tuple[str, ...]
     type_of: Mapping[str, str]
     types: tuple[str, ...] = field(init=False)
     kind: np.ndarray = field(init=False, compare=False, repr=False)
+    by_type: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.vertex_ids) == 0:
@@ -69,8 +71,10 @@ class VertexTyping:
             raise ValueError(f"type label {joined[0]!r} contains ':', which joins "
                              "the two labels of a block name")
         index = {label: k for k, label in enumerate(types)}
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "kind", np.array([index[label] for label in labels], dtype=np.int64))
+        kind = np.array([index[label] for label in labels], dtype=np.int64)
+        by_type = np.split(np.argsort(kind, kind="stable"), np.cumsum(np.bincount(kind))[:-1])
+        for name, value in (("types", types), ("kind", kind), ("by_type", tuple(by_type))):
+            object.__setattr__(self, name, value)
 
     def pairs(self) -> tuple[TypePair, ...]:
         """All unordered type pairs (a, b) with a <= b, in canonical order."""
@@ -89,7 +93,7 @@ class VertexTyping:
         self-loops) and ``s_a * s_b`` across two types, so a pair of one
         single-vertex type is no block.
         """
-        size = dict(zip(self.types, np.bincount(self.kind).tolist()))
+        size = {label: m.size for label, m in zip(self.types, self.by_type)}
         n = {(a, b): size[a] * (size[a] - 1) // 2 if a == b else size[a] * size[b]
              for a, b in self.pairs()}
         blocks = {pair: count for pair, count in n.items() if count >= 1}
@@ -345,9 +349,9 @@ def block_pairs(typing: VertexTyping, pair: TypePair) -> tuple[np.ndarray, np.nd
     """All possible vertex pairs of a block in canonical order, as two
     arrays of vertex indices (each pair's first member, then its second)."""
     a, b = pair
-    ma = np.flatnonzero(typing.kind == typing.types.index(a))
+    ma = typing.by_type[typing.types.index(a)]
     if a == b:
         i, j = np.triu_indices(ma.size, k=1)
         return ma[i], ma[j]
-    mb = np.flatnonzero(typing.kind == typing.types.index(b))
+    mb = typing.by_type[typing.types.index(b)]
     return np.repeat(ma, mb.size), np.tile(mb, ma.size)

@@ -9,6 +9,8 @@ File formats:
   entry per block ``{a, b, n, q_m, q_s, r, mu0, sigma0}`` (JSON numbers).
   ``write_json`` writes it and every other JSON output as RFC 8259 JSON,
   a non-finite float as the string "inf", "-inf" or "nan".
+* CSV outputs: ``csv_float`` writes every float as its shortest
+  round-trip repr, NaN as an empty field.
 
 All files are read and written as UTF-8 text; a byte of an input that
 is not UTF-8 is a data error naming the file and its line.
@@ -335,6 +337,13 @@ def _strict_json(value):
     if isinstance(value, list):
         return [_strict_json(v) for v in value]
     return value
+
+
+def csv_float(x) -> str:
+    """A float as written in every CSV output: its shortest round-trip
+    repr, or an empty field for NaN."""
+    x = float(x)
+    return "" if math.isnan(x) else repr(x)
 
 
 def write_json(payload: dict, path) -> None:

@@ -5,7 +5,10 @@ linear-Gaussian count model.  Every function takes B blocks of one
 period at once: arrays carry a leading block axis, and one Python
 loop over t advances all of them (a single block is a stack of one).
 Observations are scalar per block, so nothing is inverted: the update
-divides by each block's scalar innovation variance.  The filter keeps
+divides by each block's scalar innovation variance.  The model is read
+off ``BlockStack.n`` and the ``ParamStack``: H = n (1, 1, 0, ..., 0)
+and Q = diag(q_m, q_s, 0, ..., 0) are never built, and each product
+with them is written on their two non-zero entries.  The filter keeps
 its covariance as a loop variable and records only per-step scalars
 and the vector p_t = P_t H^T.  The smoother is the disturbance smoother
 (Koopman 1993; Durbin & Koopman, *Time Series Analysis by State Space
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph_model import BlockStack, pair_key
-from .ssm import ParamStack, StateSpace, binomial_obs_noise, outside_normal_regime
+from .ssm import ParamStack, binomial_obs_noise, outside_normal_regime, transition
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -45,14 +48,15 @@ class FilterError(RuntimeError):
 class BeliefSequence:
     """Per-step summaries of a filtered (optionally smoothed) stack of blocks.
 
-    Axis 0 is the block; per-step arrays cover t = 1..T at index t-1 of
-    axis 1.  The filter records the predicted count H a_t, the vector
-    ``PH`` p_t = P_t H^T (P_t the one-step-ahead state covariance), the
-    binomial noise u_t, the innovation v_t (NaN where unobserved) and
-    its variance F_t = H p_t + u_t + n^2 r, and the belief after the
-    last step (the prior when T = 0).  ``non_gaussian_steps`` counts each
-    block's steps whose predicted count lies outside the Gaussian regime,
-    and ``ss`` is the state space the filter ran under.
+    ``params`` and ``n`` are the parameters and possible-edge counts the
+    filter ran under, the whole model.  Axis 0 is the block; per-step
+    arrays cover t = 1..T at index t-1 of axis 1.  The filter records the
+    predicted count H a_t, the vector ``PH`` p_t = P_t H^T (P_t the
+    one-step-ahead state covariance), the binomial noise u_t, the
+    innovation v_t (NaN where unobserved) and its variance
+    F_t = H p_t + u_t + n^2 r, and the belief after the last step (the
+    prior when T = 0).  ``non_gaussian_steps`` counts each block's steps
+    whose predicted count lies outside the Gaussian regime.
 
     The smoother adds the count's moments given the whole series, the
     expected squared observation disturbance ``quad`` E[(w_t - H x_t)^2]
@@ -61,8 +65,8 @@ class BeliefSequence:
     bias (i = 0) and the seasonal offset (i = 1), and the moments of x_0.
     """
 
-    init_mean: np.ndarray
-    init_cov: np.ndarray
+    params: ParamStack
+    n: np.ndarray
     pred_count: np.ndarray
     PH: np.ndarray
     u: np.ndarray
@@ -71,7 +75,6 @@ class BeliefSequence:
     final_mean: np.ndarray
     final_cov: np.ndarray
     non_gaussian_steps: np.ndarray
-    ss: StateSpace
     smoothed_count: np.ndarray | None = None
     smoothed_count_var: np.ndarray | None = None
     quad: np.ndarray | None = None
@@ -82,6 +85,11 @@ class BeliefSequence:
     @property
     def T(self) -> int:
         return int(self.pred_count.shape[1])
+
+    @property
+    def measurement_var(self) -> np.ndarray:
+        """Each block's measurement variance in count^2 units, n^2 r."""
+        return self.n * self.n * self.params.r
 
     @property
     def pred_loglik(self) -> np.ndarray:
@@ -115,22 +123,32 @@ def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
     """
     if len(blocks) != len(params):
         raise ValueError("blocks and parameters differ in number")
-    ss = params.state_space(blocks.n)
     (B, T), D = blocks.counts.shape, params.d
     pred_count, u, innov, innov_var = (np.zeros((B, T)) for _ in range(4))
     PH = np.zeros((B, T, D))
+    seq = BeliefSequence(
+        params, blocks.n, pred_count, PH, u, innov, innov_var,
+        final_mean=params.mu0, final_cov=params.Sigma0, non_gaussian_steps=np.zeros(B, dtype=int),
+    )
     observed = ~np.isnan(blocks.counts)
     counts = np.where(observed, blocks.counts, 0.0)  # a gap's gain is zero
     mean, cov = params.mu0, params.Sigma0
-    GT = ss.G.T.copy()  # contiguous: matmul is faster on it
-    measurement_var = ss.measurement_var  # b_t = u_t + n^2 r; n and r are checked already
+    G = transition(D)
+    GT = G.T.copy()  # contiguous: matmul is faster on it
+    n = blocks.n
+    n_pair = np.column_stack((n, n))  # H's non-zero entries
+    q = np.column_stack((params.q_m, params.q_s))  # and Q's
+    pred = np.empty((B, D, D))  # G P G^T + Q, rewritten every step
+    pred_diag = pred.reshape(B, D * D)[:, : D + 2 : D + 1]  # its (0, 0) and (1, 1) entries
+    measurement_var = seq.measurement_var  # b_t = u_t + n^2 r; n and r are checked already
     for t in range(T):
-        cov = ss.G @ cov @ GT + ss.Q  # predict: G m and G S G^T + Q
-        mean, cov = mean @ GT, 0.5 * (cov + cov.swapaxes(-1, -2))
-        pred_count[:, t] = hm = np.einsum("bi,bi->b", ss.H, mean)
-        u[:, t] = u_t = binomial_obs_noise(hm, ss.n)
-        PH[:, t] = p = np.einsum("bij,bj->bi", cov, ss.H)
-        innov_var[:, t] = F = np.einsum("bi,bi->b", ss.H, p) + u_t + measurement_var
+        np.matmul(G @ cov, GT, out=pred)  # predict: G m and G P G^T + Q
+        pred_diag += q
+        mean, cov = mean @ GT, 0.5 * (pred + pred.swapaxes(1, 2))
+        pred_count[:, t] = hm = n * mean[:, 0] + n * mean[:, 1]  # H a_t
+        u[:, t] = u_t = binomial_obs_noise(hm, n)
+        PH[:, t] = p = np.einsum("bij,bj->bi", cov[:, :, :2], n_pair)  # P_t H^T
+        innov_var[:, t] = F = n * p[:, 0] + n * p[:, 1] + u_t + measurement_var
         obs = observed[:, t]
         if not obs.any():
             continue  # no update: the belief is the (symmetric) prediction
@@ -145,20 +163,9 @@ def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
         cov = cov - gain[:, :, None] * p[:, None, :]
         cov = 0.5 * (cov + cov.swapaxes(1, 2))
     innov[~observed] = np.nan
-    regime = outside_normal_regime(pred_count, ss.n[:, None])
-    return BeliefSequence(
-        init_mean=params.mu0,
-        init_cov=params.Sigma0,
-        pred_count=pred_count,
-        PH=PH,
-        u=u,
-        innov=innov,
-        innov_var=innov_var,
-        final_mean=mean,
-        final_cov=cov,
-        non_gaussian_steps=np.count_nonzero(regime, axis=1),
-        ss=ss,
-    )
+    seq.final_mean, seq.final_cov = mean, cov
+    seq.non_gaussian_steps = np.count_nonzero(outside_normal_regime(pred_count, n[:, None]), axis=1)
+    return seq
 
 
 def smooth(beliefs: BeliefSequence) -> BeliefSequence:
@@ -174,36 +181,40 @@ def smooth(beliefs: BeliefSequence) -> BeliefSequence:
     b_t (v_t / F_t - K_t^T r_t) and b_t - b_t^2 (1/F_t + K_t^T N_t K_t)).
     The state disturbance x_t - G x_{t-1} has mean Q r_{t-1} and
     covariance Q - Q N_{t-1} Q, and x_0 has mean mu0 + Sigma0 G^T r_0 and
-    covariance Sigma0 - Sigma0 G^T N_0 G Sigma0.
+    covariance Sigma0 - Sigma0 G^T N_0 G Sigma0.  With H = n E for the
+    selector E = (1, 1, 0, ..., 0), K_t H is (n K_t) E^T and H^T H / F_t
+    is (n^2 / F_t) E E^T.
     """
     B, T, D = beliefs.PH.shape
-    ss = beliefs.ss
+    params, n = beliefs.params, beliefs.n[:, None]
+    G, E = transition(D), (np.arange(D) < 2).astype(float)  # H = n E
+    EE = np.outer(E, E)
     observed = ~np.isnan(beliefs.innov)
     F, PH = beliefs.innov_var, beliefs.PH
-    v_over_F = np.divide(beliefs.innov, F, out=np.zeros((B, T)), where=observed)
-    inv_F = np.divide(1.0, F, out=np.zeros((B, T)), where=observed)
-    K = np.divide(PH, F[..., None], out=np.zeros((B, T, D)), where=observed[..., None]) @ ss.G.T
-    HH = ss.H[:, :, None] * ss.H[:, None, :]
+    n_v_over_F = n * np.divide(beliefs.innov, F, out=np.zeros((B, T)), where=observed)
+    n2_over_F = (n * n) * np.divide(1.0, F, out=np.zeros((B, T)), where=observed)
+    K = np.divide(PH, F[..., None], out=np.zeros((B, T, D)), where=observed[..., None]) @ G.T
+    nK = n[..., None] * K
     r, N = np.zeros((B, T + 1, D)), np.zeros((B, D, D))
     pNp, N_diag = np.zeros((B, T)), np.zeros((B, T, 2))
     for t in range(T - 1, -1, -1):
-        L = ss.G - K[:, t, :, None] * ss.H[:, None, :]
+        L = G - nK[:, t, :, None] * E
         LT = L.swapaxes(1, 2)
-        r[:, t] = ss.H * v_over_F[:, t, None] + (LT @ r[:, t + 1, :, None])[..., 0]
-        N = HH * inv_F[:, t, None, None] + LT @ N @ L
+        r[:, t] = n_v_over_F[:, t, None] * E + (LT @ r[:, t + 1, :, None])[..., 0]
+        N = n2_over_F[:, t, None, None] * EE + LT @ N @ L
         pNp[:, t] = np.einsum("bi,bij,bj->b", PH[:, t], N, PH[:, t])
         N_diag[:, t] = N[:, (0, 1), (0, 1)]
     correction = np.einsum("btj,btj->bt", PH, r[:, :T])
-    count_var = np.einsum("bj,btj->bt", ss.H, PH) - pNp
-    q = ss.Q[:, (0, 1), (0, 1)][:, None, :]
-    GS = ss.G @ beliefs.init_cov
-    x0_cov = beliefs.init_cov - GS.swapaxes(1, 2) @ N @ GS
+    count_var = n * PH[..., 0] + n * PH[..., 1] - pNp  # H p_t - p_t^T N p_t
+    q = np.column_stack((params.q_m, params.q_s))[:, None, :]
+    GS = G @ params.Sigma0
+    x0_cov = params.Sigma0 - GS.swapaxes(1, 2) @ N @ GS
     return replace(
         beliefs,
         smoothed_count=beliefs.pred_count + correction,
         smoothed_count_var=count_var,
         quad=(beliefs.innov - correction) ** 2 + count_var,
         eta_sq=q + q * q * (r[:, :T, :2] ** 2 - N_diag),
-        x0_mean=beliefs.init_mean + np.einsum("bji,bj->bi", GS, r[:, 0]),
+        x0_mean=params.mu0 + np.einsum("bji,bj->bi", GS, r[:, 0]),
         x0_cov=0.5 * (x0_cov + x0_cov.swapaxes(1, 2)),
     )

@@ -4,8 +4,12 @@ The hidden state of one block is x_t = [m_t, s_t, s_{t-1}, ..., s_{t-d+2}]
 (bias plus d-1 seasonal offsets; the d-th offset is implicit through the
 zero-sum constraint).  The transition matrix G keeps the bias, rebuilds
 the leading offset as minus the sum of the stored ones, and shifts the
-rest right.  The observation row H = (n, n, 0, ..., 0) maps a state to
-the expected formed-edge count n * (m_t + s_t).
+rest right.  A block observes its state as the expected formed-edge
+count n * (m_t + s_t), so its observation row is H = (n, n, 0, ..., 0),
+and its process covariance is Q = diag(q_m, q_s, 0, ..., 0).  Neither is
+stored: a block's model is its possible-edge count n (``BlockStack.n``)
+and its ``ModelParams`` (or row of a ``ParamStack``), and only G, the
+same for every block of period d, is built as a matrix.
 """
 
 from __future__ import annotations
@@ -23,29 +27,6 @@ COUNT_CLAMP_EPS = 1e-6
 NORMAL_APPROX_MIN_COUNT = 10.0
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """Matrices of the linear-Gaussian model, for one block or a stack.
-
-    G: d x d transition, shared by every block.  H: observation row(s),
-    Q: process covariance(s) diag(q_m, q_s, 0, ..., 0), r: measurement
-    variance(s) on the realized density, n: possible-edge count(s).  For
-    a stack of B blocks n and r are (B,), H is (B, d) and Q (B, d, d).
-    """
-
-    d: int
-    n: np.ndarray
-    G: np.ndarray
-    H: np.ndarray
-    Q: np.ndarray
-    r: np.ndarray
-
-    @property
-    def measurement_var(self) -> np.ndarray:
-        """The measurement variance in count^2 units, n^2 r."""
-        return self.n * self.n * self.r
-
-
 def check_variances(*variances) -> None:
     """Require every variance (scalar or array) to be finite and non-negative."""
     for v in variances:
@@ -56,30 +37,14 @@ def check_variances(*variances) -> None:
             raise ValueError("variances must be non-negative")
 
 
-def build_state_space(d: int, n, q_m, q_s, r) -> StateSpace:
-    """Assemble the transition/observation model.
-
-    Elementwise in n, q_m, q_s and r: arrays of shape (B,) give a stack
-    of B blocks' matrices sharing one G.
-    """
-    if d < 2:
-        raise ValueError("period d must be >= 2 (no seasonal structure below that)")
-    n = np.asarray(n, dtype=float)
-    if (n < 1).any():
-        raise ValueError("possible-edge count must be >= 1")
-    check_variances(q_m, q_s, r)
+def transition(d: int) -> np.ndarray:
+    """The d x d transition G, shared by every block of period d."""
     G = np.zeros((d, d))
     G[0, 0] = 1.0
     G[1, 1:] = -1.0
     if d > 2:
         G[2:, 1 : d - 1] = np.eye(d - 2)
-    batch = np.broadcast_shapes(n.shape, np.shape(q_m), np.shape(q_s), np.shape(r))
-    H = np.zeros(batch + (d,))
-    H[..., :2] = n[..., None]
-    Q = np.zeros(batch + (d, d))
-    Q[..., 0, 0] = q_m
-    Q[..., 1, 1] = q_s
-    return StateSpace(d=d, n=n, G=G, H=H, Q=Q, r=np.asarray(r, dtype=float))
+    return G
 
 
 def binomial_obs_noise(predicted_count, n):
@@ -144,9 +109,6 @@ class ModelParams:
         for key, value in zip(_STACKED, (*variances, mu0, Sigma0)):
             object.__setattr__(self, key, value)
 
-    def state_space(self, n: int) -> StateSpace:
-        return build_state_space(self.d, n, self.q_m, self.q_s, self.r)
-
 
 _STACKED = ("q_m", "q_s", "r", "mu0", "Sigma0")
 
@@ -198,6 +160,3 @@ class ParamStack:
         for array, k in zip(arrays, _STACKED):
             array[idx] = getattr(sub, k)
         return ParamStack(self.d, *arrays)
-
-    def state_space(self, n: np.ndarray) -> StateSpace:
-        return build_state_space(self.d, n, self.q_m, self.q_s, self.r)

@@ -5,12 +5,37 @@ for a linear-Gaussian model with fixed per-step observation variances,
 then conditions it directly.  Everything here is deliberately naive
 dense linear algebra, independent of the recursions under test, and so
 is ``smoothed_projections``, which reads what the smoother returns off
-full smoothed state moments.
+full smoothed state moments.  ``dense_model`` writes one block's G, H
+and Q out as full matrices, straight from the model definition.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
+
+
+def dense_model(params, n):
+    """One block's model as dense matrices, built entry by entry from the
+    definition: the state (m_t, s_t, s_{t-1}, ..., s_{t-d+2}) keeps its
+    bias, regenerates its leading offset as minus the sum of the d-1
+    stored ones and shifts the others down (G); it is observed as the
+    count n (m_t + s_t) (H = (n, n, 0, ..., 0)) with measurement
+    variance n^2 r, and driven by Q = diag(q_m, q_s, 0, ..., 0).
+    ``params`` is anything with d, q_m, q_s and r."""
+    d = params.d
+    G = np.zeros((d, d))
+    G[0, 0] = 1.0
+    for j in range(1, d):
+        G[1, j] = -1.0
+    for i in range(2, d):
+        G[i, i - 1] = 1.0
+    H = np.zeros(d)
+    H[0] = H[1] = n
+    Q = np.zeros((d, d))
+    Q[0, 0], Q[1, 1] = params.q_m, params.q_s
+    return SimpleNamespace(G=G, H=H, Q=Q, n=n, measurement_var=n * n * params.r)
 
 
 def joint_moments(G, H, Q, mu0, Sigma0, b_seq):

@@ -16,6 +16,8 @@ import numpy as np
 from sdsbm.em import Q_FLOOR, R_MAX, r_objective
 from sdsbm.ssm import ModelParams, binomial_obs_noise
 
+from gaussian_oracle import dense_model
+
 
 def predict(mean, cov, ss):
     """Propagate a belief one step: mean G m, covariance G S G^T + Q."""
@@ -138,7 +140,7 @@ def em_fit(counts, n, init: ModelParams, max_iter, tol, fix_r_to_zero=False):
         params = ModelParams(d=init.d, q_m=init.q_m, q_s=init.q_s, r=0.0, mu0=init.mu0, Sigma0=init.Sigma0)
     rows = []
     for i in range(max_iter):
-        ss = params.state_space(n)
+        ss = dense_model(params, n)
         seq = smooth(run_filter(counts, ss, params.mu0, params.Sigma0), ss)
         Ex, Exx, lag = moments(seq)
         mu0 = Ex[0]

@@ -26,7 +26,7 @@ from sdsbm.generator import (
 from sdsbm.ssm import ModelParams, ParamStack
 
 from conftest import concat, one_block
-from gaussian_oracle import OracleRun
+from gaussian_oracle import OracleRun, dense_model
 from test_em import fit_one, numeric_q_argmax
 from test_kalman import oracle_for
 
@@ -59,7 +59,7 @@ def test_criterion_1_oracle_equivalence():
         params = _random_model(rng, d)
         counts = rng.integers(n // 4, 3 * n // 4, size=T).astype(float)
         blocks, stack = one_block(counts, n=n), ParamStack.of([params])
-        ss = params.state_space(n)
+        ss = dense_model(params, n)
         seq = kalman.smooth(kalman.filter(blocks, stack))
         oracle = OracleRun(
             ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, counts, seq.u[0] + n * n * params.r
@@ -154,15 +154,15 @@ def test_criterion_4_forecast_variance_growth():
         Sigma0=1e-5 * np.eye(d),
     )
     stack = ParamStack.of([params])
-    ss = stack.state_space(np.array([n]))
+    H = dense_model(params, n).H
     # forecast from the prior: the filter over an all-gap series
     seq = kalman.filter(one_block(np.full(10 * d, np.nan), n=n), stack)
-    state_var = np.einsum("bti,bi->bt", seq.PH, ss.H)[0]  # H p_t
+    state_var = np.einsum("ti,i->t", seq.PH[0], H)  # H p_t
     aligned = state_var[d - 1 :: d]
     increments = np.diff(aligned)
     spread = float(np.abs(increments - increments[0]).max() / increments[0])
     # the measurement term enters every horizon as the same constant n^2 r
-    measurement_var = ss.measurement_var[0]
+    measurement_var = seq.measurement_var[0]
     exact_r = measurement_var == n * n * params.r and bool(
         np.all(seq.innov_var[0] == state_var + seq.u[0] + measurement_var)
     )

@@ -19,6 +19,7 @@ from sdsbm.ssm import ModelParams, ParamStack
 
 import per_block_reference as ref
 from conftest import concat, one_block
+from gaussian_oracle import dense_model
 
 
 def known_model(d=3, n=100, bias=0.5, q=0.0, r=0.0):
@@ -90,7 +91,7 @@ class TestScore:
         counts = rng.integers(30, 70, size=6).astype(float)
         blocks, stack = one_block(counts, n=100), ParamStack.of([params])
         scores = score(blocks, stack, mode="smoothed")
-        ss = params.state_space(100)
+        ss = dense_model(params, 100)
         seq = ref.smooth(ref.run_filter(counts, ss, params.mu0, params.Sigma0), ss)
         for t in range(1, 7):
             mean = float(ss.H @ seq.smoothed_mean[t])

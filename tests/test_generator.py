@@ -96,16 +96,16 @@ class TestStepLatent:
     def test_matches_transition_matrix(self, rng):
         # the sampler's recurrence is exactly x_t = G x_{t-1} in the
         # noiseless case
-        from sdsbm.ssm import build_state_space
+        from sdsbm.ssm import transition
 
         d = 5
         init = np.array([0.4, 0.05, -0.02, 0.01, -0.04])
         params = noiseless(d, init)
-        ss = build_state_space(d, 10, 0.0, 0.0, 0.0)
+        G = transition(d)
         state, vec = init, init
         for _ in range(12):
             state = step_latent(state, params, rng)
-            vec = ss.G @ vec
+            vec = G @ vec
             np.testing.assert_allclose(state, vec, atol=1e-15)
 
 

@@ -65,6 +65,7 @@ class TestTyping:
         assert typing.types == ("a", "b")
         assert typing.pairs() == (("a", "a"), ("a", "b"), ("b", "b"))
         assert typing.kind.tolist() == [1, 0, 0]
+        assert [m.tolist() for m in typing.by_type] == [[1, 2], [0]]
 
     @pytest.mark.parametrize("label", ["a:b", ":", "b:"])
     def test_rejects_label_with_colon(self, label):

@@ -9,10 +9,10 @@ import per_block_reference as ref
 from sdsbm import kalman
 from sdsbm.generator import GenParams, generate_block_series, seasonal_state, sine_profile
 from sdsbm.kalman import FilterError
-from sdsbm.ssm import ModelParams, ParamStack, binomial_obs_noise, build_state_space
+from sdsbm.ssm import ModelParams, ParamStack, binomial_obs_noise
 
 from conftest import concat, one_block
-from gaussian_oracle import OracleRun, smoothed_projections
+from gaussian_oracle import OracleRun, dense_model, smoothed_projections
 
 
 def random_psd(rng, d, scale=0.01):
@@ -67,7 +67,7 @@ def oracle_for(series, params, seq):
     """The joint-Gaussian oracle of a stack of one block, at the u_t of
     its belief record ``seq`` (the block's slice or the stack's)."""
     [n], [counts] = series.n, series.counts
-    ss = params.state_space(n)
+    ss = dense_model(params, n)
     b_seq = np.ravel(seq.u) + n**2 * params.r
     return OracleRun(ss.G, ss.H, ss.Q, params.mu0, params.Sigma0, counts, b_seq)
 
@@ -87,7 +87,7 @@ class TestPredict:
 
     def test_matches_naive_recomputation(self, rng):
         params = prior(rng.normal(size=4), random_psd(rng, 4), d=4, q_m=3e-3, q_s=2e-3)
-        ss = params.state_space(10)
+        ss = dense_model(params, 10)
         out = run(one_block([np.nan], n=10), params)
         cov = ss.G @ params.Sigma0 @ ss.G.T + ss.Q
         np.testing.assert_allclose(out.final_mean, ss.G @ params.mu0, rtol=1e-12)
@@ -113,7 +113,7 @@ class TestUpdate:
         params = prior([0.5, 0.1, 0.05], 0.01 * np.eye(3), d=3, q_m=1e-3, q_s=1e-3, r=1e10)
         out = run(one_block([9], n=10), params)
         assert np.linalg.norm(out.PH[0] / out.innov_var[0]) < 1e-9  # the gain
-        ss = params.state_space(10)
+        ss = dense_model(params, 10)
         np.testing.assert_allclose(out.final_mean, ss.G @ params.mu0, rtol=1e-6)
 
     def test_zero_covariance_gives_zero_gain(self):
@@ -123,10 +123,11 @@ class TestUpdate:
 
     def test_matches_joint_conditioning(self):
         # condition the 3-dimensional joint Gaussian of (x, w) on w by hand
-        ss = build_state_space(2, 10, 0.0, 0.0, 0.0)
         mean = np.array([0.5, 0.0])
         cov = np.diag([0.01, 0.01])
-        out = run(one_block([7], n=10), prior(mean, cov, d=2))
+        params = prior(mean, cov, d=2)
+        ss = dense_model(params, 10)
+        out = run(one_block([7], n=10), params)
         assert out.pred_count[0] == ss.H @ mean
         u = binomial_obs_noise(float(ss.H @ mean), 10)
         assert out.u[0] == u
@@ -166,7 +167,7 @@ class TestFilter:
         )
         series = one_block([n // 2] * (6 * d), n=n)
         seq = run(series, params)
-        ss = params.state_space(n)
+        ss = dense_model(params, n)
         for t in range(5 * d, seq.T + 1):
             assert seq.pred_count[t - 1] / n == pytest.approx(0.5, abs=0.01)
         assert float(ss.H @ seq.final_mean) / n == pytest.approx(0.5, abs=0.01)
@@ -184,7 +185,7 @@ class TestFilter:
         seq = run(gappy, params)
         # the gap's update is skipped: the next step predicts from its prediction
         # past it, as in a two-step forecast from the first two counts
-        ss = params.state_space(series.n[0])
+        ss = dense_model(params, series.n[0])
         ahead = run(one_block(counts[:2], n=series.n[0]).with_gaps(2), params)
         np.testing.assert_allclose(seq.pred_count[2:4], ahead.pred_count[2:], rtol=1e-12)
         np.testing.assert_allclose(seq.PH[3] @ ss.H, ahead.PH[3] @ ss.H, rtol=1e-12)
@@ -219,18 +220,20 @@ class TestFilter:
 
 class TestSmoother:
     def test_runs_under_the_filters_state_space(self, rng):
-        # the filter's record carries the model it ran under, so the
-        # smoother takes nothing else
+        # the filter's record carries the model it ran under, its
+        # parameters and possible-edge counts, so the smoother takes
+        # nothing else
         params, series = random_instance(rng, d=3, T=5, r=1e-4)
-        seq = kalman.filter(series, ParamStack.of([params]))
-        want = params.state_space(series.n)
-        for name in ("n", "G", "H", "Q", "r"):
-            np.testing.assert_array_equal(getattr(seq.ss, name), getattr(want, name), err_msg=name)
+        stack = ParamStack.of([params])
+        seq = kalman.smooth(kalman.filter(series, stack))
+        assert seq.params is stack
+        np.testing.assert_array_equal(seq.n, series.n)
+        np.testing.assert_array_equal(seq.measurement_var, series.n**2 * params.r)
 
     def test_final_step_equals_filtered(self, rng):
         params, series = random_instance(rng, d=3, T=5)
         seq = run(series, params, smoothed=True)
-        ss = params.state_space(series.n[0])
+        ss = dense_model(params, series.n[0])
         assert seq.smoothed_count[4] == pytest.approx(ss.H @ seq.final_mean, rel=1e-12)
         assert seq.smoothed_count_var[4] == pytest.approx(ss.H @ seq.final_cov @ ss.H, rel=1e-10)
 
@@ -244,7 +247,7 @@ class TestSmoother:
             mu0=init, Sigma0=np.zeros((d, d)),
         )
         seq = run(series, params, smoothed=True)
-        ss = params.state_space(n)
+        ss = dense_model(params, n)
         np.testing.assert_allclose(seq.smoothed_count, trace.states @ ss.H, atol=1e-8 * n)
         np.testing.assert_allclose(seq.x0_mean, init, atol=1e-8)
         np.testing.assert_array_equal(seq.eta_sq, np.zeros((T, 2)))
@@ -286,7 +289,7 @@ class TestSmoother:
                 counts = series.counts[0].copy()
                 counts[12:22] = np.nan
                 series = one_block(counts, n=series.n[0])
-        ss = params.state_space(series.n[0])
+        ss = dense_model(params, series.n[0])
         seq = run(series, params, smoothed=True)
         filtered = ref.run_filter(series.counts[0], ss, params.mu0, params.Sigma0)
         if case == "singular_start":
@@ -315,7 +318,7 @@ class TestSmoother:
     def test_smoothing_never_inflates_covariance(self, rng):
         params, series = random_instance(rng, d=4, T=8)
         seq = run(series, params, smoothed=True)
-        ss = params.state_space(series.n[0])
+        ss = dense_model(params, series.n[0])
         predicted = seq.PH @ ss.H
         assert np.all(seq.smoothed_count_var <= predicted * (1 + 1e-12))
         assert np.all(seq.smoothed_count_var >= -1e-12 * predicted)
@@ -356,7 +359,7 @@ def test_filter_invariants(seed, d):
     rng = np.random.default_rng(seed)
     params, series = random_instance(rng, d=d, T=6)
     seq = run(series, params)
-    ss = params.state_space(series.n[0])
+    ss = dense_model(params, series.n[0])
     # the count's predictive variance is its state part plus b_t
     assert np.all(seq.innov_var >= seq.u + ss.measurement_var)
     # the last update never adds uncertainty
@@ -369,7 +372,7 @@ def one_block_forecast(mean, cov, d, q_m=0.0, q_s=0.0, r=0.0, n=100, horizon=1):
     ``horizon`` gaps from that prior."""
     params = prior(mean, cov, d, q_m=q_m, q_s=q_s, r=r)
     seq = run(one_block(np.full(horizon, np.nan), n=n), params)
-    ss = params.state_space(n)
+    ss = dense_model(params, n)
     return SimpleNamespace(
         count_mean=seq.pred_count, state_var=seq.PH @ ss.H, count_noise=seq.u,
         measurement_var=ss.measurement_var, total_var=seq.innov_var,
@@ -450,7 +453,7 @@ class TestPerBlockReference:
         ps = ParamStack.of(params)
         seq = kalman.smooth(kalman.filter(stack, ps))
         for b, (counts, n, p) in enumerate(zip(stack.counts, stack.n, params)):
-            ss = p.state_space(n)
+            ss = dense_model(p, n)
             want = ref.smooth(ref.run_filter(counts, ss, p.mu0, p.Sigma0), ss)
             got = block(seq, b)
             pred_var = np.einsum("i,tij,j->t", ss.H, want.pred_cov, ss.H)
@@ -498,7 +501,7 @@ class TestPerBlockReference:
         gaps = np.isnan(stack.counts)
         assert gaps.sum(axis=1).tolist() == [4 + 2 * d] * 3
         for b, (counts, n, p) in enumerate(zip(stack.counts, stack.n, params)):
-            ss = p.state_space(n)
+            ss = dense_model(p, n)
             want = ref.run_filter(counts, ss, p.mu0, p.Sigma0)
             state_var = np.einsum("i,tij,j->t", ss.H, want.pred_cov, ss.H)
             pairs = {

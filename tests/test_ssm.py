@@ -6,65 +6,71 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdsbm import kalman
+from sdsbm.graph_model import BlockStack
 from sdsbm.ssm import (
     ModelParams,
     ParamStack,
     binomial_obs_noise,
-    build_state_space,
     outside_normal_regime,
+    transition,
 )
 
 from conftest import concat, one_block
 
 
+def stack_of(d=3, q_m=0.0, q_s=0.0, r=0.0):
+    """A stack of parameters with a zero initial belief, one block per
+    entry of the broadcast variances."""
+    q_m, q_s, r = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float)) for v in (q_m, q_s, r)))
+    return ParamStack(d, q_m, q_s, r, np.zeros((len(r), d)), np.zeros((len(r), d, d)))
+
+
 class TestBuildStateSpace:
+    """A block's model is its n (``BlockStack``, checked there to be
+    >= 1), its parameters (``ModelParams`` or a ``ParamStack`` row, which
+    check d >= 2 and the variances) and the transition G of its period;
+    H = n (1, 1, 0, ...) and Q = diag(q_m, q_s, 0, ...) are not stored."""
+
     def test_d3_matrices(self):
-        ss = build_state_space(3, 10, 0.5, 0.25, 0.0)
         np.testing.assert_array_equal(
-            ss.G, np.array([[1, 0, 0], [0, -1, -1], [0, 1, 0]], dtype=float)
+            transition(3), np.array([[1, 0, 0], [0, -1, -1], [0, 1, 0]], dtype=float)
         )
-        np.testing.assert_array_equal(ss.H, np.array([10.0, 10.0, 0.0]))
-        np.testing.assert_array_equal(ss.Q, np.diag([0.5, 0.25, 0.0]))
 
     def test_d2_smallest_period(self):
-        ss = build_state_space(2, 5, 0.0, 0.0, 0.0)
-        np.testing.assert_array_equal(ss.G, np.array([[1, 0], [0, -1]], dtype=float))
-        np.testing.assert_array_equal(ss.H, np.array([5.0, 5.0]))
+        np.testing.assert_array_equal(transition(2), np.array([[1, 0], [0, -1]], dtype=float))
 
     def test_d4_symbolic_transition(self):
-        ss = build_state_space(4, 1, 0.0, 0.0, 0.0)
         x = np.array([2.0, 3.0, 5.0, 7.0])  # (m, s_a, s_b, s_c)
-        np.testing.assert_array_equal(ss.G @ x, np.array([2.0, -15.0, 3.0, 5.0]))
+        np.testing.assert_array_equal(transition(4) @ x, np.array([2.0, -15.0, 3.0, 5.0]))
 
     def test_rejects_small_period(self):
         with pytest.raises(ValueError, match="d must be >= 2"):
-            build_state_space(1, 10, 0.0, 0.0, 0.0)
+            ModelParams(d=1, q_m=0.0, q_s=0.0, r=0.0, mu0=np.zeros(1), Sigma0=np.eye(1))
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            stack_of(d=1)
+        with pytest.raises(ValueError, match="has no possible edges"):
+            BlockStack((("a", "a"),), np.array([0.0]), np.zeros((1, 3)))
 
     def test_rejects_negative_variance(self):
         with pytest.raises(ValueError, match="non-negative"):
-            build_state_space(3, 10, -1.0, 0.0, 0.0)
+            stack_of(q_m=-1.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_variance(self, value):
         for variances in [(value, 0.0, 0.0), (0.0, value, 0.0), (0.0, 0.0, value)]:
             with pytest.raises(ValueError, match="finite"):
-                build_state_space(3, 10, *variances)
+                stack_of(3, *variances)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=14))
 def test_transition_structure_properties(d):
-    ss = build_state_space(d, 7, 0.1, 0.2, 0.0)
+    G = transition(d)
     # permutation-plus-negation structure
-    assert abs(abs(np.linalg.det(ss.G)) - 1.0) < 1e-9
+    assert abs(abs(np.linalg.det(G)) - 1.0) < 1e-9
     # noiseless trajectories repeat with period d (entries stay 0/+-1,
     # so the power is exact)
-    np.testing.assert_array_equal(np.linalg.matrix_power(ss.G, d), np.eye(d))
-    # H x = n (m + leading offset)
-    x = np.arange(1.0, d + 1.0)
-    assert ss.H @ x == 7 * (x[0] + x[1])
-    # Q is diagonal PSD
-    assert np.all(np.linalg.eigvalsh(ss.Q) >= 0.0)
+    np.testing.assert_array_equal(np.linalg.matrix_power(G, d), np.eye(d))
 
 
 class TestBinomialObsNoise:
@@ -117,21 +123,29 @@ class TestBinomialObsNoise:
         assert ahead.non_gaussian_steps.tolist() == [7, 7, 0]
 
 
+def measurement_var(n, r):
+    """The filter record's n^2 r for blocks of n possible edges and
+    measurement variances r."""
+    n = np.atleast_1d(n).astype(float)
+    blocks = BlockStack(tuple(("a", f"b{i}") for i in range(len(n))), n, np.zeros((len(n), 0)))
+    return kalman.filter(blocks, stack_of(2, r=r)).measurement_var
+
+
 class TestObservationVariance:
-    # the observation variance b_t = u_t + n^2 r, n^2 r being the state
-    # space's measurement_var
+    # the observation variance b_t = u_t + n^2 r, n^2 r being the belief
+    # record's measurement_var
     def test_binomial_only(self):
-        assert 25.0 + build_state_space(2, 100, 0.0, 0.0, 0.0).measurement_var == 25.0
+        assert 25.0 + measurement_var(100, 0.0)[0] == 25.0
 
     def test_with_measurement_noise(self):
-        assert 25.0 + build_state_space(2, 100, 0.0, 0.0, 0.01).measurement_var == pytest.approx(125.0)
+        assert 25.0 + measurement_var(100, 0.01)[0] == pytest.approx(125.0)
 
     def test_large_block(self):
-        assert 29.1 + build_state_space(2, 1000, 0.0, 0.0, 1e-4).measurement_var == pytest.approx(129.1)
+        assert 29.1 + measurement_var(1000, 1e-4)[0] == pytest.approx(129.1)
 
     def test_stacked_blocks(self):
-        ss = build_state_space(2, np.array([100.0, 1000.0]), 0.0, 0.0, np.array([0.01, 1e-4]))
-        np.testing.assert_allclose(ss.measurement_var, [100.0, 100.0], rtol=1e-15)
+        got = measurement_var([100.0, 1000.0], [0.01, 1e-4])
+        np.testing.assert_allclose(got, [100.0, 100.0], rtol=1e-15)
 
     def test_binomial_noise_stays_positive(self):
         # the filter never divides by a zero observation variance at r = 0
@@ -140,7 +154,9 @@ class TestObservationVariance:
     @pytest.mark.parametrize("r", [-1e-3, np.nan, np.inf])
     def test_rejects_bad_measurement_variance(self, r):
         with pytest.raises(ValueError, match="variances must be"):
-            build_state_space(2, 100, 0.0, 0.0, r)
+            ModelParams(d=2, q_m=0.0, q_s=0.0, r=r, mu0=np.zeros(2), Sigma0=np.eye(2))
+        with pytest.raises(ValueError, match="variances must be"):
+            stack_of(2, r=r)
 
 
 class TestModelParams:
@@ -181,9 +197,6 @@ class TestModelParams:
         for k, p in enumerate(blocks):
             for name in ("q_m", "q_s", "r", "mu0", "Sigma0"):
                 np.testing.assert_array_equal(getattr(stack[k], name), getattr(p, name))
-        ss = stack.state_space(np.array([12, 20]))
-        np.testing.assert_array_equal(ss.H[:, :2], [[12, 12], [20, 20]])
-        np.testing.assert_array_equal(ss.Q[1], np.diag([0.2, 0.2, 0.0]))
         with pytest.raises(ValueError, match="symmetric"):
             ParamStack(3, stack.q_m, stack.q_s, stack.r, stack.mu0, stack.Sigma0 + np.triu(np.ones(3)))
         with pytest.raises(ValueError, match="period d"):
@@ -195,8 +208,10 @@ class TestModelParams:
         assert (p.q_m, p.q_s, p.r) == (1.0, 0.5, 0.25)
 
     def test_state_space_roundtrip(self):
+        # the filter's record keeps the block's n and parameters as given
         p = ModelParams(d=3, q_m=0.1, q_s=0.2, r=0.05, mu0=np.zeros(3), Sigma0=np.eye(3))
-        ss = p.state_space(12)
-        assert ss.n == 12
-        assert ss.r == 0.05
-        np.testing.assert_array_equal(np.diag(ss.Q), [0.1, 0.2, 0.0])
+        seq = kalman.filter(one_block([4, np.nan], n=12), ParamStack.of([p]))
+        assert seq.n.tolist() == [12.0]
+        for name in ("d", "q_m", "q_s", "r", "mu0", "Sigma0"):
+            np.testing.assert_array_equal(getattr(seq.params[0], name), getattr(p, name))
+        assert seq.measurement_var.tolist() == [12 * 12 * 0.05]
