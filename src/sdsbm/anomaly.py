@@ -12,14 +12,13 @@ a log-likelihood floor c0 per graph-step; each returns flag masks.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kalman
 from .graph_model import BlockStack, TypePair
-from .ingest import csv_float, write_json
+from .ingest import csv_float, write_csv, write_json
 from .ssm import ParamStack
 
 
@@ -178,18 +177,19 @@ def detect(
 def write_scores_csv(scores: ScoreSeries, report: AnomalyReport, path) -> None:
     """Write per-step scores and the report's flags; graph rows leave
     the block columns empty."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(
-            ["t", "scope", "block_a", "block_b", "w", "pred_mean", "pred_var", "loglik", "z", "flagged"]
-        )
-        columns = (scores.w, scores.pred_mean, scores.pred_var, scores.loglik, scores.z)
+    columns = (scores.w, scores.pred_mean, scores.pred_var, scores.loglik, scores.z)
+
+    def rows():
         for t in range(1, scores.T + 1):
             for i, pair in enumerate(scores.pairs):
                 values = (csv_float(c[i, t - 1]) for c in columns)
-                out.writerow([t, "block", *pair, *values, int(report.block_mask[i, t - 1])])
+                yield [t, "block", *pair, *values, int(report.block_mask[i, t - 1])]
             graph = csv_float(scores.graph_loglik[t - 1])
-            out.writerow([t, "graph", "", "", "", "", "", graph, "", int(report.graph_mask[t - 1])])
+            yield [t, "graph", "", "", "", "", "", graph, "", int(report.graph_mask[t - 1])]
+
+    header = ["t", "scope", "block_a", "block_b", "w", "pred_mean", "pred_var", "loglik", "z",
+              "flagged"]
+    write_csv(path, header, rows())
 
 
 def write_report_json(scores: ScoreSeries, report: AnomalyReport, path) -> None:

@@ -12,12 +12,12 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import statistics
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ from .ingest import (
     parse_inputs,
     read_text,
     save_model,
+    write_csv,
     write_json,
 )
 from .kalman import FilterError, filter as kalman_filter
@@ -287,23 +288,15 @@ def cmd_simulate(resolved: dict) -> int:
     out = _out_dir(resolved)
     stamps = np.array([csv_float((t - 0.5) * width) for t in range(1, T + 1)], dtype=object)
     ids = np.array(typing.vertex_ids, dtype=object)
-    with open(out / "events.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["timestamp", "src", "dst"])
-        for t, u, v in network.edge_chunks():
-            w.writerows(zip(stamps[t - 1], ids[u], ids[v]))
-    with open(out / "types.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["vertex", "type"])
-        for v in typing.vertex_ids:
-            w.writerow([v, typing.type_of[v]])
-    with open(out / "ground_truth.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "block", "m", "s", "e", "w"])
-        for t in range(1, T + 1):
-            for pair, tr in traces.items():
-                latents = (tr.states[t - 1, 0], tr.states[t - 1, 1], tr.density[t - 1])
-                w.writerow([t, pair_key(pair), *map(csv_float, latents), int(tr.counts[t - 1])])
+    chunks = (zip(stamps[t - 1], ids[u], ids[v]) for t, u, v in network.edge_chunks())
+    write_csv(out / "events.csv", ["timestamp", "src", "dst"], chain.from_iterable(chunks))
+    write_csv(out / "types.csv", ["vertex", "type"], zip(ids, map(typing.type_of.get, ids)))
+    truth_rows = (
+        [t, pair_key(pair), *map(csv_float, (*tr.states[t - 1, :2], tr.density[t - 1])),
+         int(tr.counts[t - 1])]
+        for t in range(1, T + 1) for pair, tr in traces.items()
+    )
+    write_csv(out / "ground_truth.csv", ["t", "block", "m", "s", "e", "w"], truth_rows)
     _write_run_config(out, "simulate", resolved)
     return EXIT_OK
 
@@ -352,13 +345,12 @@ def cmd_fit(resolved: dict) -> int:
     out = _out_dir(resolved)
     n_by_pair = dict(zip(blocks.pairs, blocks.n))
     save_model(dict(zip(blocks.pairs, fitted)), n_by_pair, out / "model.json")
-    with open(out / "em_trace.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["block", "iter", "loglik", "q_m", "q_s", "r"])
-        for pair, trace in zip(blocks.pairs, traces):
-            rows = np.column_stack((trace.loglik_per_iter, trace.variances_per_iter))
-            for i, row in enumerate(rows, start=1):
-                w.writerow([pair_key(pair), i, *map(csv_float, row)])
+    trace_rows = (
+        [pair_key(pair), i, *map(csv_float, row)]
+        for pair, trace in zip(blocks.pairs, traces)
+        for i, row in enumerate(np.column_stack((trace.loglik_per_iter, trace.variances_per_iter)), 1)
+    )
+    write_csv(out / "em_trace.csv", ["block", "iter", "loglik", "q_m", "q_s", "r"], trace_rows)
     _write_run_config(out, "fit", resolved)
     _warn_non_gaussian(sum(t.non_gaussian_steps for t in traces))
     capped = [pair_key(pair) for pair, t in zip(blocks.pairs, traces) if not t.converged]
@@ -407,14 +399,13 @@ def cmd_forecast(resolved: dict) -> int:
     seq = kalman_filter(blocks.with_gaps(horizon), params)
     forecast = zip(blocks.pairs, seq.pred_count[:, T:], seq.innov_var[:, T:])
     out = _out_dir(resolved)
-    with open(out / "forecast.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "block", "mean", "variance", "lower", "upper"])
-        for pair, means, variances in forecast:
-            for k, (mean, var) in enumerate(zip(means, variances)):
-                half = z * math.sqrt(var)
-                bounds = (mean, var, mean - half, mean + half)
-                w.writerow([T + k + 1, pair_key(pair), *map(csv_float, bounds)])
+    rows = (
+        [T + k + 1, pair_key(pair), *map(csv_float, (mean, var, mean - half, mean + half))]
+        for pair, means, variances in forecast
+        for k, (mean, var) in enumerate(zip(means, variances))
+        for half in (z * math.sqrt(var),)
+    )
+    write_csv(out / "forecast.csv", ["t", "block", "mean", "variance", "lower", "upper"], rows)
     _write_run_config(out, "forecast", resolved)
     _warn_non_gaussian(int(seq.non_gaussian_steps.sum()))
     return EXIT_OK

@@ -7,11 +7,11 @@ give each block's expected squared state and observation disturbances
 and the moments of x_0 directly; the M-step takes the initial belief
 from the latter, the process variances as the mean expected squared
 state disturbances, and maximizes the measurement variance by a
-log-grid scan and bracketed Newton steps.  The per-step binomial noises
-u_t are frozen within each iteration, mirroring their separate
-estimation from the prediction step.  Both the data-scaled starting
-point (``default_init``) and the fit take a ``BlockStack`` and give one
-``ParamStack``.
+log-grid scan and bracketed Newton steps, each block stopping once its
+step falls below 1e-14 r.  The per-step binomial noises u_t are frozen
+within each iteration, mirroring their separate estimation from the
+prediction step.  Both the data-scaled starting point (``default_init``)
+and the fit take a ``BlockStack`` and give one ``ParamStack``.
 """
 
 from __future__ import annotations
@@ -99,9 +99,10 @@ def m_step_r(quad: np.ndarray, u: np.ndarray, n: np.ndarray) -> np.ndarray:
     runs safeguarded Newton on the analytic gradient inside the bracket
     of the best grid point's neighbours: a step that leaves the bracket,
     or a non-negative second derivative, becomes a geometric-mean
-    bisection step.  The exact boundary r = 0 is kept as a candidate.
-    The blocks iterate together; each leaves the solve when it stops.
-    A block with no observed step gets r = 0.
+    bisection step.  A block keeps its r once its Newton step is within
+    1e-14 r, its bracket within 1e-14 of its top, or its gradient 0 or
+    NaN.  The exact boundary r = 0 is kept as a candidate.  A block with
+    no observed step gets r = 0.
     """
     n2 = n * n
     n = n[:, None]
@@ -112,23 +113,23 @@ def m_step_r(quad: np.ndarray, u: np.ndarray, n: np.ndarray) -> np.ndarray:
     lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, len(grid) - 1)]
     r = grid[best]
     # The objective is flat to machine precision near its maximum, so the
-    # solve follows the gradient's sign and root, never value comparisons.
-    # Bisection alone reaches the 1e-14 step within about 50 iterations.
-    active = np.ones(len(r), dtype=bool)
+    # solve follows the gradient's sign and root, never value comparisons:
+    # a Newton step below r's last bit stops the block, where bisection
+    # would head back to a stale grid neighbour.  Bisection alone closes
+    # the bracket within about 50 rounds.
     for _ in range(100):
         v = u + n2[:, None] * r[:, None]
         grad = 0.5 * n2 * np.nansum((quad - v) / v**2, axis=1)
         hess = 0.5 * n2 * n2 * np.nansum((v - 2.0 * quad) / v**3, axis=1)
-        lo = np.where(active & (grad > 0), r, lo)
-        hi = np.where(active & (grad < 0), r, hi)
-        active &= (grad > 0) | (grad < 0)
+        lo = np.where(grad > 0, r, lo)
+        hi = np.where(grad < 0, r, hi)
         newton = r - np.divide(grad, hess, out=np.full_like(r, np.inf), where=hess < 0)
-        r_next = np.where((lo < newton) & (newton < hi), newton, np.sqrt(lo * hi))
-        done = np.abs(r_next - r) <= 1e-14 * r
-        r = np.where(active, r_next, r)
-        active &= ~done
-        if not active.any():
+        stalled = ~((grad > 0) | (grad < 0)) | (np.abs(newton - r) <= 1e-14 * r)
+        done = stalled | (hi - lo <= 1e-14 * hi)
+        if done.all():
             break
+        step = np.where((lo < newton) & (newton < hi), newton, np.sqrt(lo * hi))
+        r = np.where(done, r, step)
     return np.where(r_objective(0.0, quad, u, n) >= r_objective(r, quad, u, n), 0.0, r)
 
 

@@ -9,8 +9,8 @@ File formats:
   entry per block ``{a, b, n, q_m, q_s, r, mu0, sigma0}`` (JSON numbers).
   ``write_json`` writes it and every other JSON output as RFC 8259 JSON,
   a non-finite float as the string "inf", "-inf" or "nan".
-* CSV outputs: ``csv_float`` writes every float as its shortest
-  round-trip repr, NaN as an empty field.
+* CSV outputs: ``write_csv`` writes each; ``csv_float`` writes every
+  float as its shortest round-trip repr, NaN as an empty field.
 
 All files are read and written as UTF-8 text; a byte of an input that
 is not UTF-8 is a data error naming the file and its line.
@@ -344,6 +344,14 @@ def csv_float(x) -> str:
     repr, or an empty field for NaN."""
     x = float(x)
     return "" if math.isnan(x) else repr(x)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` (read once) as UTF-8 CSV with "\\n" line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
 
 
 def write_json(payload: dict, path) -> None:

@@ -118,8 +118,8 @@ def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
     mean.  NaN counts are gaps: the update is skipped and the prediction
     carried forward with no likelihood contribution, so at trailing gaps
     ``pred_count`` and ``innov_var`` are the count forecast's mean and
-    variance.  A non-positive innovation variance at an observed step
-    raises ``FilterError`` naming the first such block.
+    variance.  One check after the pass raises ``FilterError`` at the first
+    step, then block, with a non-positive F_t where w_t is observed.
     """
     if len(blocks) != len(params):
         raise ValueError("blocks and parameters differ in number")
@@ -141,27 +141,28 @@ def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
     pred = np.empty((B, D, D))  # G P G^T + Q, rewritten every step
     pred_diag = pred.reshape(B, D * D)[:, : D + 2 : D + 1]  # its (0, 0) and (1, 1) entries
     measurement_var = seq.measurement_var  # b_t = u_t + n^2 r; n and r are checked already
-    for t in range(T):
-        np.matmul(G @ cov, GT, out=pred)  # predict: G m and G P G^T + Q
-        pred_diag += q
-        mean, cov = mean @ GT, 0.5 * (pred + pred.swapaxes(1, 2))
-        pred_count[:, t] = hm = n * mean[:, 0] + n * mean[:, 1]  # H a_t
-        u[:, t] = u_t = binomial_obs_noise(hm, n)
-        PH[:, t] = p = np.einsum("bij,bj->bi", cov[:, :, :2], n_pair)  # P_t H^T
-        innov_var[:, t] = F = n * p[:, 0] + n * p[:, 1] + u_t + measurement_var
-        obs = observed[:, t]
-        if not obs.any():
-            continue  # no update: the belief is the (symmetric) prediction
-        bad = obs & (F <= 0)
-        if bad.any():
-            b = int(np.argmax(bad))
-            message = f"non-positive innovation variance {F[b]}"
-            raise FilterError(t + 1, message, pair_key(blocks.pairs[b]))
-        gain = np.divide(p, F[:, None], out=np.zeros((B, D)), where=obs[:, None])  # 0 at gaps
-        innov[:, t] = v = counts[:, t] - hm
-        mean = mean + gain * v[:, None]
-        cov = cov - gain[:, :, None] * p[:, None, :]
-        cov = 0.5 * (cov + cov.swapaxes(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a bad F_t raises after the pass
+        for t in range(T):
+            np.matmul(G @ cov, GT, out=pred)  # predict: G m and G P G^T + Q
+            pred_diag += q
+            mean, cov = mean @ GT, 0.5 * (pred + pred.swapaxes(1, 2))
+            pred_count[:, t] = hm = n * mean[:, 0] + n * mean[:, 1]  # H a_t
+            u[:, t] = u_t = binomial_obs_noise(hm, n)
+            PH[:, t] = p = np.einsum("bij,bj->bi", cov[:, :, :2], n_pair)  # P_t H^T
+            innov_var[:, t] = F = n * p[:, 0] + n * p[:, 1] + u_t + measurement_var
+            obs = observed[:, t]
+            if not obs.any():
+                continue  # no update: the belief is the (symmetric) prediction
+            gain = np.divide(p, F[:, None], out=np.zeros((B, D)), where=obs[:, None])  # 0 at gaps
+            innov[:, t] = v = counts[:, t] - hm
+            mean = mean + gain * v[:, None]
+            cov = cov - gain[:, :, None] * p[:, None, :]
+            cov = 0.5 * (cov + cov.swapaxes(1, 2))
+    bad = observed & (innov_var <= 0)
+    if bad.any():
+        t, b = np.argwhere(bad.T)[0]  # the first bad step, then its first bad block
+        message = f"non-positive innovation variance {innov_var[b, t]}"
+        raise FilterError(int(t) + 1, message, pair_key(blocks.pairs[b]))
     innov[~observed] = np.nan
     seq.final_mean, seq.final_cov = mean, cov
     seq.non_gaussian_steps = np.count_nonzero(outside_normal_regime(pred_count, n[:, None]), axis=1)

@@ -51,11 +51,9 @@ def binomial_obs_noise(predicted_count, n):
     """Count-variance p*(1 - p/n) of the edge-sampling process.
 
     Elementwise; a scalar gives a float.  The prediction is clamped away
-    from 0 and n so the variance stays strictly positive.
+    from 0 and n so the variance stays strictly positive.  n >= 1 is the
+    caller's to ensure, as ``BlockStack`` does for every block.
     """
-    n = np.asarray(n, dtype=float)
-    if (n < 1).any():
-        raise ValueError("possible-edge count must be >= 1")
     lo = COUNT_CLAMP_EPS * n
     p_hat = np.minimum(np.maximum(predicted_count, lo), n - lo)
     u = p_hat * (1.0 - p_hat / n)

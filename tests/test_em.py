@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import per_block_reference as ref
-from sdsbm import kalman
+from sdsbm import cli, kalman
 from sdsbm.em import (
     Q_FLOOR,
     R_MAX,
@@ -24,10 +24,11 @@ from sdsbm.em import (
 from sdsbm.generator import (
     GenParams,
     generate_block_series,
+    generate_network,
     seasonal_state,
     sine_profile,
 )
-from sdsbm.graph_model import BlockStack
+from sdsbm.graph_model import BlockStack, VertexTyping, extract_block_series
 from sdsbm.ssm import ModelParams, ParamStack
 
 from conftest import concat, one_block
@@ -280,6 +281,31 @@ class TestMStepR:
         assert together[2] == 0.0
         for b in range(B):
             assert m_step_r(quad[b : b + 1], u[b : b + 1], ns[b : b + 1])[0] == together[b]
+
+    def test_stops_where_the_newton_step_vanishes(self, monkeypatch):
+        # the readme benchmark fit's first E-step (a=32,b=16, seed 1, the
+        # first 140 of 161 steps): near each root the gradient is rounding noise,
+        # and a block whose Newton step falls below r's last bit stops there
+        # rather than bisect back towards its stale grid neighbour
+        d, ids = 7, tuple([f"a{i}" for i in range(32)] + [f"b{i}" for i in range(16)])
+        typing = VertexTyping(vertex_ids=ids, type_of={v: v[0] for v in ids})
+        opts = {k: cli.OPTIONS["simulate"][k].default for k in cli.BLOCK_OPTIONS}
+        init = seasonal_state(d, opts["bias"], sine_profile(d, opts["season_amplitude"]))
+        gen = GenParams(d=d, q_m=opts["q_m"], q_s=opts["q_s"], r=opts["r"], init=init)
+        gens = dict.fromkeys(typing.blocks()[0], gen)
+        network, _ = generate_network(gens, typing, 161, np.random.default_rng(1))
+        full = extract_block_series(network)
+        blocks = BlockStack(full.pairs, full.n, full.counts[:, :140])
+        seq = kalman.smooth(kalman.filter(blocks, default_init(blocks, d)))
+        axes, nansum = [], np.nansum
+        monkeypatch.setattr(np, "nansum", lambda a, axis=None: axes.append(axis) or nansum(a, axis=axis))
+        r = m_step_r(seq.quad, seq.u, blocks.n)
+        monkeypatch.undo()
+        assert axes.count(1) // 2 <= 10  # a round sums the gradient and the second derivative
+        assert (r > 0).all()
+        v = seq.u + (blocks.n**2 * r)[:, None]
+        pull_up, pull_down = np.sum(seq.quad / v**2, axis=1), np.sum(1.0 / v, axis=1)
+        assert (np.abs(pull_up - pull_down) <= 1e-10 * (pull_up + pull_down)).all()
 
     def test_full_em_recovers_true_r(self):
         series, _, gen = synthetic_block(

@@ -217,6 +217,30 @@ class TestFilter:
             kalman.filter(blocks, ParamStack.of([good, bad, good]))
         assert (excinfo.value.block, excinfo.value.t) == ("a:b", 1)
 
+    def test_zero_innovation_variance_fails_without_a_warning(self):
+        # n = 1, a predicted count of 1/2 (u = 1/4) and H P H^T = -1/4 give
+        # F_1 = 0 exactly; the steps after it divide by zero, but only the
+        # FilterError may come out (pytest turns a RuntimeWarning into an error)
+        params = prior([0.5, 0.0], -0.125 * np.eye(2), d=2)
+        with pytest.raises(FilterError, match="block a:a: t=1: non-positive innovation variance 0.0"):
+            run(one_block([1, 0, 1, 1], n=1), params)
+
+    def test_error_names_the_first_bad_step_then_its_block(self, rng):
+        # blocks a:a and b:b start from an indefinite prior, so all their
+        # steps have F_t <= 0, gaps included; the gaps raise nothing, and
+        # b:b, observed from t = 3, fails before a:a, observed from t = 5
+        good, series = random_instance(rng, d=2, T=6)
+        bad = prior(good.mu0, -1e6 * np.eye(2), d=2)
+        params = ParamStack.of([bad, good, bad])
+        pairs = [("a", "a"), ("a", "b"), ("b", "b")]
+        gaps = concat(one_block([np.nan] * 6, n=series.n[0], pair=p) for p in pairs)
+        assert (kalman.filter(gaps, params).innov_var[[0, 2]] <= 0).all()
+        counts = np.repeat(series.counts, 3, axis=0)
+        counts[0, :4] = counts[2, :2] = np.nan
+        blocks = concat(one_block(c, n=series.n[0], pair=p) for c, p in zip(counts, pairs))
+        with pytest.raises(FilterError, match="block b:b: t=3: non-positive innovation variance"):
+            kalman.filter(blocks, params)
+
 
 class TestSmoother:
     def test_runs_under_the_filters_state_space(self, rng):
