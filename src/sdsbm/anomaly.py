@@ -82,7 +82,6 @@ class ScoreSeries:
     """
 
     pairs: tuple[TypePair, ...]
-    mode: str
     w: np.ndarray
     pred_mean: np.ndarray
     pred_var: np.ndarray
@@ -139,7 +138,6 @@ def score(blocks: BlockStack, params: ParamStack, mode: str = "predictive") -> S
         z = (w - mean) / np.sqrt(var)
     return ScoreSeries(
         pairs=blocks.pairs,
-        mode=mode,
         w=w,
         pred_mean=mean,
         pred_var=var,

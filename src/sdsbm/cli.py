@@ -28,10 +28,7 @@ from .generator import GenParams, generate_network, seasonal_state, sine_profile
 from .graph_model import BlockStack, VertexTyping, extract_block_series, pair_key
 from .ingest import (
     BucketingConfig,
-    EMPTY_GRAPH,
     IngestError,
-    MISSING_OBSERVATION,
-    ModelFormatError,
     csv_float,
     load_model,
     parse_inputs,
@@ -48,6 +45,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ANOMALIES = 3
 EXIT_MAX_ITER = 4
+
+# --missing-policy: an event-free bucket is an observed empty graph, or a gap
+EMPTY_GRAPH = "empty-graph"
+MISSING_OBSERVATION = "missing-observation"
 
 
 class UsageError(Exception):
@@ -308,17 +309,16 @@ def cmd_simulate(resolved: dict) -> int:
 def _load_blocks(resolved: dict) -> BlockStack:
     if not resolved["events"] or not resolved["types"]:
         raise UsageError("--events and --types are required")
-    config = BucketingConfig(
-        origin=resolved["origin"],
-        width=resolved["width"],
-        T=resolved["t_cap"],
-        missing_policy=resolved["missing_policy"],
-    )
+    config = BucketingConfig(origin=resolved["origin"], width=resolved["width"], T=resolved["t_cap"])
     network = parse_inputs(resolved["events"], resolved["types"], config)
     if network.T == 0:
         cause = "the bucket cap (--t-cap) is 0" if config.T == 0 else "the event file is empty"
         raise IngestError(f"no time buckets: {cause}")
-    return extract_block_series(network)
+    blocks = extract_block_series(network)
+    if resolved["missing_policy"] == MISSING_OBSERVATION:
+        # a bucket with no event is exactly a step whose block counts are all 0
+        blocks.counts[:, ~blocks.counts.any(axis=0)] = np.nan
+    return blocks
 
 
 def cmd_fit(resolved: dict) -> int:
@@ -474,9 +474,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        IngestError, ModelFormatError, EmError, FilterError, ValueError, OSError, KeyError
-    ) as exc:
+    except (EmError, FilterError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:  # e.g. a bucket width far too fine for the time span

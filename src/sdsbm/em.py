@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kalman
-from .graph_model import BlockStack
+from .graph_model import BlockStack, pair_key
 from .ssm import ParamStack
 
 # Smallest representable process variance; avoids exactly-singular
@@ -156,8 +156,13 @@ def em_fit(
     parameters and trace are those of fitting it alone.  With
     ``fix_r_to_zero`` the measurement variance is pinned at zero,
     reproducing the model variant without that term.  Returns the
-    blocks' final parameters as one stack and each block's trace.
+    blocks' final parameters as one stack and each block's trace.  A
+    block with no observed count has nothing to fit and is refused.
     """
+    unobserved = np.isnan(blocks.counts).all(axis=1)
+    if unobserved.any():
+        pair = blocks.pairs[int(np.argmax(unobserved))]
+        raise ValueError(f"block {pair_key(pair)} has no observed count to fit")
     params = replace(init, r=np.zeros(len(init))) if config.fix_r_to_zero else init
     B = len(blocks)
     active = np.arange(B)

@@ -15,7 +15,9 @@ Block counts are summed from the keys ``CHUNK_ROWS`` edges at a time by
 than the keys is held whole and no per-edge Python object is made.
 Those counts form one ``BlockStack`` (all blocks on one time axis), the
 only container of block counts that generation, fitting, forecasting
-and scoring take.
+and scoring take.  A network records only edges, so every count it
+yields is observed; a gap, a step with no observation, is a NaN count
+in a ``BlockStack``.
 """
 
 from __future__ import annotations
@@ -146,15 +148,12 @@ class DynamicNetwork:
     snapshot ``t`` (1-based, at most ``T``).  Build one with
     :meth:`from_edges` or :meth:`from_keys`.  ``edge_t``, ``edge_u`` and
     ``edge_v`` are derived on request; :meth:`edge_chunks` walks them a
-    chunk at a time.  ``missing`` holds 1-based snapshot indices for
-    which no observation exists (as opposed to an observed empty
-    graph); those propagate as NaN counts.
+    chunk at a time.
     """
 
     typing: VertexTyping
     T: int
     keys: np.ndarray
-    missing: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         V = len(self.typing.vertex_ids)
@@ -166,23 +165,9 @@ class DynamicNetwork:
             raise ValueError(f"snapshot index outside 1..{self.T}")
         if np.any(keys[1:] <= keys[:-1]):
             raise ValueError("edge keys must be sorted, with no repeats")
-        bad = [t for t in self.missing if not 1 <= t <= self.T]
-        if bad:
-            raise ValueError(f"missing indices out of range: {sorted(bad)}")
-        if self.missing:
-            per_snapshot = self.edges_per_snapshot()
-            busy = [t for t in sorted(self.missing) if per_snapshot[t - 1]]
-            if busy:
-                raise ValueError(f"snapshot {busy[0]} marked missing but has edges")
 
     @classmethod
-    def from_keys(
-        cls,
-        typing: VertexTyping,
-        T: int,
-        keys: np.ndarray,
-        missing: frozenset[int] = frozenset(),
-    ) -> DynamicNetwork:
+    def from_keys(cls, typing: VertexTyping, T: int, keys: np.ndarray) -> DynamicNetwork:
         """Network of the edges whose int64 keys ``keys`` holds, in any
         order and with repeats.  ``keys`` is sorted in place and, when it
         has no repeats, becomes the network's."""
@@ -193,18 +178,10 @@ class DynamicNetwork:
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         if not first.all():
             keys = keys[first]
-        return cls(typing=typing, T=T, keys=keys, missing=missing)
+        return cls(typing=typing, T=T, keys=keys)
 
     @classmethod
-    def from_edges(
-        cls,
-        typing: VertexTyping,
-        T: int,
-        t,
-        i,
-        j,
-        missing: frozenset[int] = frozenset(),
-    ) -> DynamicNetwork:
+    def from_edges(cls, typing: VertexTyping, T: int, t, i, j) -> DynamicNetwork:
         """Network whose snapshot ``t[k]`` holds an edge between vertex
         indices ``i[k]`` and ``j[k]``, in any order and with repeats."""
         V = len(typing.vertex_ids)
@@ -220,7 +197,7 @@ class DynamicNetwork:
             raise ValueError(
                 f"self-loop on vertex {typing.vertex_ids[i[k]]!r} in snapshot {t[k]}"
             )
-        return cls.from_keys(typing, T, edge_keys(t, i, j, V), missing=missing)
+        return cls.from_keys(typing, T, edge_keys(t, i, j, V))
 
     @property
     def edge_t(self) -> np.ndarray:
@@ -246,21 +223,13 @@ class DynamicNetwork:
             t, rest = np.divmod(self.keys[start:start + CHUNK_ROWS], V * V)
             yield (t, *np.divmod(rest, V))
 
-    def edges_per_snapshot(self) -> np.ndarray:
-        """The (T,) number of edges in each snapshot t = 1..T."""
-        V2 = len(self.typing.vertex_ids) ** 2
-        # snapshot t's last possible key is (t + 1) * V**2 - 1
-        last_keys = np.arange(1, self.T + 1) * V2 + (V2 - 1)
-        ends = np.searchsorted(self.keys, last_keys, side="right")
-        return np.diff(ends, prepend=0)
-
     @property
     def snapshots(self) -> tuple[frozenset[tuple[str, str]], ...]:
         """Snapshot t's edges as vertex-id pairs ``(u, v)``, with ``u``
         before ``v`` in the typing's vertex order."""
         ids = np.array(self.typing.vertex_ids, dtype=object)
         edges = list(zip(ids[self.edge_u], ids[self.edge_v]))
-        ends = np.cumsum(self.edges_per_snapshot()).tolist()
+        ends = np.searchsorted(self.edge_t, np.arange(1, self.T + 1), side="right").tolist()
         return tuple(frozenset(edges[a:b]) for a, b in zip([0, *ends], ends))
 
 
@@ -323,7 +292,8 @@ def extract_block_series(network: DynamicNetwork) -> BlockStack:
 
     Every block of the typing (see ``VertexTyping.blocks``) yields a row,
     in canonical block order; each undirected edge is counted once.
-    Missing snapshots become NaN counts in every block.
+    Every count is observed: a caller that reads some steps as gaps sets
+    their counts to NaN.
     """
     typing = network.typing
     pairs, n = typing.blocks()
@@ -341,7 +311,6 @@ def extract_block_series(network: DynamicNetwork) -> BlockStack:
         chunk = np.bincount((t - 1) * B + block_of[kind[u], kind[v]] - start)
         cells[start:start + chunk.size] += chunk
     counts = np.ascontiguousarray(cells.reshape(T, B).T, dtype=float)
-    counts[:, [t - 1 for t in network.missing]] = np.nan
     return BlockStack(pairs, n, counts)
 
 

@@ -26,6 +26,9 @@ the keys, so ingest peaks at about twice the 8 bytes per event of the
 keys (the chunks and their join), not at the few hundred bytes per
 event of the rows' strings.  The joined keys are sorted once, in
 place, and repeats within a bucket are dropped once, after that sort.
+A bucket with no event is an empty snapshot of the network; reading
+such buckets as gaps is up to the caller, which sets their counts to
+NaN once it has extracted them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Mapping
 
@@ -52,9 +55,6 @@ from .graph_model import (
 from .ssm import ModelParams
 
 MODEL_FORMAT_VERSION = 1
-
-EMPTY_GRAPH = "empty-graph"
-MISSING_OBSERVATION = "missing-observation"
 
 
 class IngestError(ValueError):
@@ -80,14 +80,12 @@ class BucketingConfig:
     Buckets are half-open: bucket t covers
     [origin + (t-1) * width, origin + t * width), so boundary events
     land in the later bucket.  ``T`` optionally caps the number of
-    buckets (later events are dropped).  ``missing_policy`` decides
-    whether an event-free bucket is an observed empty graph or a gap.
+    buckets (later events are dropped).
     """
 
     origin: float
     width: float
     T: int | None = None
-    missing_policy: str = EMPTY_GRAPH
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.origin):
@@ -96,8 +94,6 @@ class BucketingConfig:
             raise ValueError(f"bucket width must be positive and finite, got {self.width}")
         if self.T is not None and self.T < 0:
             raise ValueError("bucket cap must be >= 0")
-        if self.missing_policy not in (EMPTY_GRAPH, MISSING_OBSERVATION):
-            raise ValueError(f"unknown missing policy {self.missing_policy!r}")
 
 
 def parse_inputs(events_file, types_file, config: BucketingConfig) -> DynamicNetwork:
@@ -308,11 +304,7 @@ class _EdgeKeys:
             )
         keys = np.concatenate(self.chunks) if self.chunks else np.zeros(0, np.int64)
         self.chunks.clear()
-        network = DynamicNetwork.from_keys(typing, int(self.last), keys)
-        if config.missing_policy == MISSING_OBSERVATION:
-            empty = np.flatnonzero(network.edges_per_snapshot() == 0) + 1
-            network = replace(network, missing=frozenset(empty.tolist()))
-        return network
+        return DynamicNetwork.from_keys(typing, int(self.last), keys)
 
 
 def read_text(path, error: type[Exception]) -> str:

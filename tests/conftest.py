@@ -14,6 +14,13 @@ def one_block(counts, n=100, pair=("a", "a")) -> BlockStack:
     return BlockStack((pair,), np.array([n]), np.array([counts], dtype=float))
 
 
+def gaps_as_nan(counts):
+    """Extracted counts, in place, under the missing-observation policy:
+    a step whose block counts are all 0 had no edge, so it is a gap."""
+    counts[:, ~counts.any(axis=0)] = np.nan
+    return counts
+
+
 def concat(stacks) -> BlockStack:
     """The blocks of several stacks on one time axis, in order."""
     stacks = list(stacks)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from sdsbm.anomaly import (
     LogLikPolicy,
@@ -14,7 +15,13 @@ from sdsbm.anomaly import (
     write_report_json,
     write_scores_csv,
 )
-from sdsbm.generator import GenParams, default_state, generate_block_series
+from sdsbm.generator import (
+    GenParams,
+    default_state,
+    generate_block_series,
+    seasonal_state,
+    sine_profile,
+)
 from sdsbm.ssm import ModelParams, ParamStack
 
 import per_block_reference as ref
@@ -70,7 +77,6 @@ class TestScore:
     def test_two_block_additivity_values(self):
         scores = ScoreSeries(
             pairs=(("a", "a"), ("a", "b")),
-            mode="predictive",
             w=np.zeros((2, 1)),
             pred_mean=np.zeros((2, 1)),
             pred_var=np.ones((2, 1)),
@@ -136,6 +142,23 @@ class TestThresholdSigma:
         tail = 2 * (1 - 0.5 * (1 + math.erf(3 / math.sqrt(2))))
         assert 1 / tail == pytest.approx(370, abs=1)
 
+    def test_graph_step_rate_on_null_data(self):
+        # a graph-step is flagged when any of its B blocks is, so at k = 3
+        # its rate is 1 - (1 - 2 Phi(-3))^B, about 0.8 % at B = 3
+        rng = np.random.default_rng(77)
+        d, n, T, B = 7, 2000, 20_000, 3
+        gen = GenParams(
+            d=d, q_m=1e-7, q_s=1e-7, r=1e-4, init=seasonal_state(d, 0.5, sine_profile(d, 0.05))
+        )
+        blocks = concat(
+            generate_block_series(gen, n=n, T=T, rng=rng, pair=(f"t{i}", f"t{i}"))[0] for i in range(B)
+        )
+        params = ModelParams(d=d, q_m=1e-7, q_s=1e-7, r=1e-4, mu0=gen.init, Sigma0=np.zeros((d, d)))
+        report = detect(score(blocks, ParamStack.of([params] * B)), SigmaPolicy(3.0))
+        p = 1.0 - (1.0 - 2.0 * sps.norm.sf(3.0)) ** B
+        lo, hi = sps.binom.ppf([0.005, 0.995], T, p)
+        assert lo <= report.graph_mask.sum() <= hi
+
     def test_below_threshold_not_flagged(self):
         policy = SigmaPolicy(3.0)
         report = detect(_flat_scores(z=2.9), policy)
@@ -163,7 +186,6 @@ def _flat_scores(z=0.0, loglik=-3.0, T=1, pairs=(("a", "a"),)):
     B = len(pairs)
     return ScoreSeries(
         pairs=pairs,
-        mode="predictive",
         w=np.full((B, T), 50.0),
         pred_mean=np.full((B, T), 50.0),
         pred_var=np.full((B, T), 25.0),

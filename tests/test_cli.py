@@ -13,11 +13,13 @@ import pytest
 
 from sdsbm import ingest, kalman
 from sdsbm.cli import (
+    EMPTY_GRAPH,
     EXIT_ANOMALIES,
     EXIT_DATA,
     EXIT_MAX_ITER,
     EXIT_OK,
     EXIT_USAGE,
+    MISSING_OBSERVATION,
     OPTIONS,
     _resolve,
     _z_quantile,
@@ -26,8 +28,6 @@ from sdsbm.cli import (
 )
 from sdsbm.graph_model import extract_block_series
 from sdsbm.ingest import (
-    EMPTY_GRAPH,
-    MISSING_OBSERVATION,
     BucketingConfig,
     load_model,
     parse_inputs,
@@ -312,6 +312,23 @@ class TestFit:
         assert [(r["loglik"], r["flagged"]) for r in graph_rows if r["t"] == "21"] == [("", "0")]
         assert [r["t"] for r in graph_rows if r["flagged"] == "1"] == [str(t) for t in range(1, 51) if t != 21]
         assert json.loads((det_dir / "report.json").read_text())["counts"]["graph"] == 49
+
+    def test_all_gap_fit_is_data_error(self, tmp_path, capsys):
+        # every event shifted past the cap: under the gap policy no count
+        # is observed, and EM would run to --max-iter fitting nothing
+        sim = tmp_path / "sim"
+        assert run("simulate", "--seed", 1, "--steps", 20, "--types", "a=4,b=3",
+                   "--out-dir", sim) == EXIT_OK
+        header, *rows = (sim / "events.csv").read_text().splitlines()
+        shifted = [f"{float(row.split(',')[0]) + 100},{row.split(',', 1)[1]}" for row in rows]
+        events = tmp_path / "events.csv"
+        events.write_text("\n".join([header, *shifted]) + "\n")
+        out = tmp_path / "fit"
+        code = run("fit", "--events", events, "--types", sim / "types.csv", "--t-cap", 10,
+                   "--missing-policy", MISSING_OBSERVATION, "--out-dir", out)
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "error: block a:a has no observed count to fit\n"
+        assert not out.exists()  # refused before any output is written
 
     def test_nan_tol_is_data_error(self, sim_dir, tmp_path, capsys):
         # a NaN tolerance never stops EM, so every block would run to the cap

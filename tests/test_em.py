@@ -509,6 +509,17 @@ class TestEmFit:
         with pytest.raises(EmError, match=r"iteration 0: block b:b: t=1: non-positive innovation variance"):
             em_fit(blocks, inits.put([2], ParamStack.of([bad])), EmConfig(max_iter=5))
 
+    def test_block_without_observed_count_is_refused(self):
+        # no count to fit: EM would run to max_iter at loglik 0
+        counts = [synthetic_block(seed=95 + k, T=30, n=200)[0].counts[0] for k in range(2)]
+        blocks = concat(
+            one_block(c, n=200, pair=pair)
+            for c, pair in zip([counts[0], np.full(30, np.nan), counts[1]],
+                               [("a", "a"), ("a", "b"), ("b", "b")])
+        )
+        with pytest.raises(ValueError, match="^block a:b has no observed count to fit$"):
+            em_fit(blocks, default_init(blocks, 7), EmConfig(max_iter=5))
+
 
 class TestLockstep:
     """Lockstep EM against plain per-block EM, row for row."""

@@ -15,14 +15,16 @@ from sdsbm.graph_model import (
     extract_block_series,
 )
 
+from conftest import gaps_as_nan
 
-def network(typing, snapshots, missing=frozenset()):
+
+def network(typing, snapshots):
     """DynamicNetwork whose snapshot t holds the vertex-id pairs
     ``snapshots[t - 1]``."""
     index = typing.vertex_index()
     edges = [(t, index[u], index[v]) for t, snap in enumerate(snapshots, 1) for u, v in snap]
     t, i, j = (np.array(c, dtype=np.int64) for c in zip(*edges)) if edges else ([], [], [])
-    return DynamicNetwork.from_edges(typing, len(snapshots), t, i, j, missing=missing)
+    return DynamicNetwork.from_edges(typing, len(snapshots), t, i, j)
 
 
 def two_type_typing():
@@ -146,10 +148,11 @@ class TestExtractBlockSeries:
         assert stack.counts.tolist() == [[3.0, 3.0]]
 
     def test_missing_snapshots_become_nan(self):
-        net = network(
-            two_type_typing(), (frozenset({("1", "2")}), frozenset()), missing=frozenset({2})
-        )
-        assert np.isnan(extract_block_series(net).counts[:, 1]).all()
+        net = network(two_type_typing(), (frozenset({("1", "2")}), frozenset()))
+        counts = extract_block_series(net).counts
+        assert counts[:, 1].tolist() == [0.0, 0.0]
+        counts = gaps_as_nan(counts)
+        assert np.isnan(counts[:, 1]).all() and not np.isnan(counts[:, 0]).any()
 
     def test_pure_function(self):
         net = network(two_type_typing(), (frozenset({("1", "2")}),))
@@ -166,20 +169,20 @@ def interleaved_typing(n=30):
     return VertexTyping(vertex_ids=ids, type_of={v: "cba"[k % 3] for k, v in enumerate(ids)})
 
 
-def sampled_network(size, T=40, missing=frozenset()):
+def sampled_network(size, T=40, empty=frozenset()):
     """A network of ``size`` distinct edges drawn over T snapshots,
-    none in a ``missing`` snapshot, handed over in shuffled order with
+    none in an ``empty`` snapshot, handed over in shuffled order with
     endpoints in either order."""
     rng = np.random.default_rng(size)
     typing = interleaved_typing()
     V = len(typing.vertex_ids)
     i, j = np.triu_indices(V, k=1)
-    open_steps = np.array([t for t in range(1, T + 1) if t not in missing])
+    open_steps = np.array([t for t in range(1, T + 1) if t not in empty])
     cells = rng.choice(open_steps.size * i.size, size, replace=False)
     t, pair = open_steps[cells // i.size], cells % i.size
     flip = rng.random(size) < 0.5
     u, v = np.where(flip, j[pair], i[pair]), np.where(flip, i[pair], j[pair])
-    return DynamicNetwork.from_edges(typing, T, t, u, v, missing=missing)
+    return DynamicNetwork.from_edges(typing, T, t, u, v)
 
 
 SIZES = [0, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
@@ -188,7 +191,7 @@ SIZES = [0, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("missing", [frozenset(), frozenset({1, 7, 40})])
 def test_chunked_extraction_matches_whole_network_counts(size, missing):
-    net = sampled_network(size, missing=missing)
+    net = sampled_network(size, empty=missing)
     assert net.keys.size == size
     typing = net.typing
     label = {name: k for k, name in enumerate(typing.types)}
@@ -198,10 +201,14 @@ def test_chunked_extraction_matches_whole_network_counts(size, missing):
     block = np.array([pairs.index((typing.types[a], typing.types[b])) for a, b in zip(lo, hi)], dtype=np.int64)
     want = np.bincount(block * net.T + net.edge_t - 1, minlength=len(pairs) * net.T)
     want = want.reshape(len(pairs), net.T).astype(float)
-    want[:, [t - 1 for t in missing]] = np.nan
     stack = extract_block_series(net)
     assert stack.pairs == pairs and stack.counts.flags.c_contiguous
     np.testing.assert_array_equal(stack.counts, want)
+    # the missing-observation policy makes gaps of exactly the snapshots with no edge
+    empty = sorted(set(range(1, net.T + 1)) - set(net.edge_t.tolist()))
+    assert missing <= set(empty)
+    want[:, [t - 1 for t in empty]] = np.nan
+    np.testing.assert_array_equal(gaps_as_nan(stack.counts), want)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -214,7 +221,7 @@ def test_edge_chunks_walk_the_keys_in_order(size):
     for got, want in zip(walked, (net.edge_t, net.edge_u, net.edge_v)):
         assert np.array_equal(got, want)
     assert (net.edge_u < net.edge_v).all()
-    assert net.edges_per_snapshot().tolist() == np.bincount(net.edge_t, minlength=net.T + 1)[1:].tolist()
+    assert [len(s) for s in net.snapshots] == np.bincount(net.edge_t, minlength=net.T + 1)[1:].tolist()
 
 
 @st.composite

@@ -12,16 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdsbm import graph_model, ingest
+from sdsbm.cli import EMPTY_GRAPH, MISSING_OBSERVATION, OPTIONS, _load_blocks, _resolve
 from sdsbm.graph_model import (
     DynamicNetwork,
     VertexTyping,
     extract_block_series,
 )
 from sdsbm.ingest import (
-    EMPTY_GRAPH,
     BucketingConfig,
     IngestError,
-    MISSING_OBSERVATION,
     ModelChecksumError,
     ModelFormatError,
     ModelVersionError,
@@ -31,6 +30,8 @@ from sdsbm.ingest import (
     save_model,
 )
 from sdsbm.ssm import ModelParams
+
+from conftest import gaps_as_nan
 
 
 def write(tmp_path, name, text):
@@ -295,6 +296,19 @@ def bucketed(tmp_path, typing, events, config):
     return parse_inputs(write(tmp_path, "events.csv", events_text(events)), types, config)
 
 
+def loaded(tmp_path, typing, events, policy):
+    """The block counts ``fit`` reads off ``events`` in unit buckets
+    with ``--missing-policy policy``."""
+    options = {"events": write(tmp_path, "events.csv", events_text(events)),
+               "types": write(tmp_path, "types.csv", types_text(typing)), "missing_policy": policy}
+    return _load_blocks(_resolve(OPTIONS["fit"], {}, options)).counts
+
+
+def under_policy(counts, policy):
+    """Extracted counts under ``policy``."""
+    return gaps_as_nan(counts) if policy == MISSING_OBSERVATION else counts
+
+
 class TestBucketize:
     def test_binarization_within_buckets(self, tmp_path):
         events = [(0.5, "1", "2"), (1.2, "1", "2"), (1.7, "2", "1")]
@@ -325,18 +339,15 @@ class TestBucketize:
 
     def test_missing_observation_policy(self, tmp_path):
         events = [(0.5, "1", "2"), (2.5, "1", "3")]
-        config = BucketingConfig(
-            origin=0.0, width=1.0, missing_policy=MISSING_OBSERVATION
-        )
-        net = bucketed(tmp_path, typing_ab(), events, config)
-        assert net.missing == frozenset({2})
-        assert np.isnan(extract_block_series(net).counts[:, 1]).all()
+        counts = loaded(tmp_path, typing_ab(), events, MISSING_OBSERVATION)
+        assert (np.flatnonzero(np.isnan(counts).all(axis=0)) + 1).tolist() == [2]
+        assert np.isnan(counts[:, 1]).all()
 
     def test_empty_graph_policy_keeps_zero(self, tmp_path):
         events = [(0.5, "1", "2"), (2.5, "1", "3")]
-        net = bucketed(tmp_path, typing_ab(), events, BucketingConfig(origin=0.0, width=1.0))
-        assert net.missing == frozenset()
-        assert np.bincount(net.edge_t, minlength=net.T + 1)[2] == 0
+        counts = loaded(tmp_path, typing_ab(), events, EMPTY_GRAPH)
+        assert not np.isnan(counts).any()
+        assert counts[:, 1].tolist() == [0.0, 0.0]
 
     def test_conservation_of_bucket_pair_memberships(self, tmp_path, rng):
         # every in-range event is represented by exactly one
@@ -398,16 +409,16 @@ def interleaved_typing(n=12):
 
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize(
-    "config",
+    "config,policy",
     [
-        BucketingConfig(origin=0.0, width=1.0),
-        BucketingConfig(origin=0.0, width=1.0, T=30),
-        BucketingConfig(origin=-0.5, width=0.5, missing_policy=MISSING_OBSERVATION),
-        BucketingConfig(origin=0.0, width=1.0, T=30, missing_policy=MISSING_OBSERVATION),
+        (BucketingConfig(origin=0.0, width=1.0), EMPTY_GRAPH),
+        (BucketingConfig(origin=0.0, width=1.0, T=30), EMPTY_GRAPH),
+        (BucketingConfig(origin=-0.5, width=0.5), MISSING_OBSERVATION),
+        (BucketingConfig(origin=0.0, width=1.0, T=30), MISSING_OBSERVATION),
     ],
     ids=["uncapped", "capped", "missing-uncapped", "missing-capped"],
 )
-def test_chunked_ingest_matches_per_event_network(tmp_path, size, config):
+def test_chunked_ingest_matches_per_event_network(tmp_path, size, config, policy):
     # only even buckets see events, and repeats (some reversed) fall in
     # one chunk and across chunks
     rng = np.random.default_rng(size)
@@ -424,7 +435,9 @@ def test_chunked_ingest_matches_per_event_network(tmp_path, size, config):
     assert net.T == T and np.array_equal(net.keys, want.keys)
     busy = set(want.edge_t.tolist())
     empty = {s for s in range(1, T + 1) if s not in busy}
-    assert net.missing == (empty if config.missing_policy == MISSING_OBSERVATION else frozenset())
+    counts = under_policy(extract_block_series(net).counts, policy)
+    gaps = set((np.flatnonzero(np.isnan(counts).all(axis=0)) + 1).tolist())
+    assert gaps == (empty if policy == MISSING_OBSERVATION else set())
 
 
 def test_repeat_split_across_chunks_is_counted_once(tmp_path):
@@ -474,7 +487,7 @@ def test_key_range_error_names_timestamp_and_width(tmp_path):
     )
 
 
-def reference_block_counts(typing, events, config):
+def reference_block_counts(typing, events, config, policy):
     """Per-edge reference: a set of vertex pairs per bucket, then one
     count per type pair and bucket."""
     buckets = {}
@@ -489,7 +502,7 @@ def reference_block_counts(typing, events, config):
         for edge in edges:
             pair = tuple(sorted(typing.type_of[x] for x in edge))
             counts[pair][t - 1] += 1
-    if config.missing_policy == MISSING_OBSERVATION:
+    if policy == MISSING_OBSERVATION:
         for t in range(1, T + 1):
             if t not in buckets:
                 for series in counts.values():
@@ -527,22 +540,21 @@ def event_files(draw):
         origin=origin,
         width=width,
         T=draw(st.one_of(st.none(), st.integers(0, 7))),
-        missing_policy=draw(st.sampled_from([EMPTY_GRAPH, MISSING_OBSERVATION])),
     )
-    return typing, events, config
+    return typing, events, config, draw(st.sampled_from([EMPTY_GRAPH, MISSING_OBSERVATION]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(event_files())
 def test_columnar_counts_match_per_edge_reference(case):
-    typing, events, config = case
+    typing, events, config, policy = case
     with tempfile.TemporaryDirectory() as tmp:
         net = bucketed(Path(tmp), typing, events, config)
     assert net.typing == typing
-    expected = reference_block_counts(typing, events, config)
+    expected = reference_block_counts(typing, events, config, policy)
     stack = extract_block_series(net)
     assert stack.pairs == typing.blocks()[0]
-    for pair, counts in zip(stack.pairs, stack.counts):
+    for pair, counts in zip(stack.pairs, under_policy(stack.counts, policy)):
         np.testing.assert_array_equal(counts, np.array(expected[pair]), err_msg=str(pair))
 
 
