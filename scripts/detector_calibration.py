@@ -15,20 +15,16 @@ from dataclasses import replace
 import numpy as np
 
 from sdsbm import anomaly
-from sdsbm.generator import GenParams, default_state, generate_block_series, seasonal_state, sine_profile
-from sdsbm.graph_model import BlockStack
-from sdsbm.ssm import ModelParams, ParamStack
+from sdsbm.generator import default_state, generate_block_series, seasonal_state, sine_profile
+from sdsbm.ssm import ParamStack
 
 
-def null_blocks(gen, n, T, n_blocks, rng):
-    """Blocks t0:t0, t1:t1, ... sampled from ``gen`` as one stack, and
-    their true parameters (the generator's state known exactly)."""
-    pairs = tuple((f"t{i}", f"t{i}") for i in range(n_blocks))
-    counts = np.vstack([generate_block_series(gen, n=n, T=T, rng=rng)[0].counts for _ in pairs])
-    truth = ModelParams(
-        d=gen.d, q_m=gen.q_m, q_s=gen.q_s, r=gen.r, mu0=gen.init, Sigma0=np.zeros((gen.d, gen.d))
-    )
-    return BlockStack(pairs, np.full(n_blocks, n), counts), ParamStack.of([truth] * n_blocks)
+def null_blocks(truth, n, T, n_blocks, rng):
+    """Blocks t0:t0, t1:t1, ... sampled as one stack from the one-row
+    ``truth``, and the parameters they were sampled from."""
+    params = truth.take([0] * n_blocks)
+    pairs = [(f"t{i}", f"t{i}") for i in range(n_blocks)]
+    return generate_block_series(params, n, T, rng, pairs)[0], params
 
 
 def main() -> None:
@@ -45,10 +41,9 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
 
     d = 7
-    gen = GenParams(
-        d=d, q_m=1e-7, q_s=1e-7, r=1e-4, init=seasonal_state(d, 0.5, sine_profile(d, 0.05))
-    )
-    blocks, params = null_blocks(gen, args.n, args.steps, args.blocks, rng)
+    mu0 = seasonal_state(d, 0.5, sine_profile(d, 0.05))
+    truth = ParamStack(d, [1e-7], [1e-7], [1e-4], [mu0], np.zeros((1, d, d)))  # a known state
+    blocks, params = null_blocks(truth, args.n, args.steps, args.blocks, rng)
     scores = anomaly.score(blocks, params, mode="predictive")
     report = anomaly.detect(scores, anomaly.SigmaPolicy(args.k))
     steps = args.blocks * args.steps
@@ -61,10 +56,10 @@ def main() -> None:
     )
 
     d, T, t_star = 5, 30, 24
-    gen = GenParams(d=d, q_m=1e-6, q_s=1e-6, r=1e-4, init=default_state(d, 0.5))
+    truth = ParamStack(d, [1e-6], [1e-6], [1e-4], [default_state(d, 0.5)], np.zeros((1, d, d)))
     hits = 0
     for _ in range(args.trials):
-        trial_blocks, trial_params = null_blocks(gen, args.n, T, 3, rng)
+        trial_blocks, trial_params = null_blocks(truth, args.n, T, 3, rng)
         clean = anomaly.score(trial_blocks, trial_params)
         shift = args.shift_sigmas * math.sqrt(clean.pred_var[0, t_star - 1])
         spiked = trial_blocks.counts.copy()

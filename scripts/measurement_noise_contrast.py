@@ -19,7 +19,8 @@ import numpy as np
 
 from sdsbm import kalman
 from sdsbm.em import EmConfig, default_init, em_fit
-from sdsbm.generator import GenParams, generate_block_series, seasonal_state, sine_profile
+from sdsbm.generator import generate_block_series, seasonal_state, sine_profile
+from sdsbm.ssm import ParamStack
 
 Z95 = 1.959964
 
@@ -39,11 +40,9 @@ def main() -> None:
 
     d = args.period
     rng = np.random.default_rng(args.seed)
-    gen = GenParams(
-        d=d, q_m=args.q, q_s=args.q, r=args.r,
-        init=seasonal_state(d, 0.7, sine_profile(d, 0.1)),
-    )
-    blocks, _ = generate_block_series(gen, n=args.n, T=args.steps, rng=rng)  # a stack of one
+    mu0 = seasonal_state(d, 0.7, sine_profile(d, 0.1))
+    truth = ParamStack(d, [args.q], [args.q], [args.r], [mu0], np.zeros((1, d, d)))
+    blocks, _ = generate_block_series(truth, n=args.n, T=args.steps, rng=rng)  # a stack of one
     init = default_init(blocks, d)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)

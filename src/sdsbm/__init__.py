@@ -12,7 +12,6 @@ from .graph_model import (
     extract_block_series,
 )
 from .generator import (
-    GenParams,
     LatentTrace,
     default_state,
     generate_block_series,

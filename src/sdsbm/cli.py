@@ -24,7 +24,7 @@ import numpy as np
 
 from . import anomaly
 from .em import EmConfig, EmError, default_init, em_fit
-from .generator import GenParams, generate_network, seasonal_state, sine_profile
+from .generator import generate_network, seasonal_state, sine_profile
 from .graph_model import BlockStack, VertexTyping, extract_block_series, pair_key
 from .ingest import (
     BucketingConfig,
@@ -257,6 +257,8 @@ def _utf8_text(name: str, value: str) -> str:
 def cmd_simulate(resolved: dict) -> int:
     resolved = {**resolved, "types": _utf8_text("--types", resolved["types"])}
     d = resolved["period"]
+    if d < 2:  # checked here too, for a typing with no block
+        raise ValueError("period d must be >= 2")
     T = resolved["steps"]
     if T < 0:
         raise ValueError("steps must be >= 0")
@@ -274,17 +276,14 @@ def cmd_simulate(resolved: dict) -> int:
     typing = VertexTyping(vertex_ids=tuple(vertex_ids), type_of=type_of)
 
     overrides = _block_overrides(resolved["blocks"], typing)
-    block_params = {}
-    for pair in typing.blocks()[0]:
-        opts = {k: resolved[k] for k in BLOCK_OPTIONS}
-        opts.update(overrides.get(pair_key(pair), {}))
-        init = seasonal_state(d, opts["bias"], sine_profile(d, opts["season_amplitude"]))
-        block_params[pair] = GenParams(
-            d=d, q_m=opts["q_m"], q_s=opts["q_s"], r=opts["r"], init=init
-        )
+    rows = [{**{k: resolved[k] for k in BLOCK_OPTIONS}, **overrides.get(pair_key(pair), {})}
+            for pair in typing.blocks()[0]]
+    mu0 = [seasonal_state(d, o["bias"], sine_profile(d, o["season_amplitude"])) for o in rows]
+    params = ParamStack(d, *([o[k] for o in rows] for k in ("q_m", "q_s", "r")),
+                        np.reshape(mu0, (len(rows), d)), np.zeros((len(rows), d, d)))
 
     rng = np.random.default_rng(resolved["seed"])
-    network, traces = generate_network(block_params, typing, T, rng)
+    network, traces = generate_network(params, typing, T, rng)
 
     out = _out_dir(resolved)
     stamps = np.array([csv_float((t - 0.5) * width) for t in range(1, T + 1)], dtype=object)

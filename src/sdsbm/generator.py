@@ -4,9 +4,11 @@ The generative process per block: the bias follows a random walk, the
 leading seasonal offset is rebuilt each step from the zero-sum
 constraint plus noise, the realized edge density adds per-step
 measurement noise, and edges are independent Bernoulli draws at that
-density.  A state is the model's own vector [m_t, s_t, ..., s_{t-d+2}]
-(the layout of ``ssm``'s x_t), so a generator's ``init`` is directly a
-filter's ``mu0``.  Every sampler also returns the hidden trajectory so
+density.  The samplers take the ``ParamStack`` that the filter and EM
+take, one row per block: each row's walk starts at its mu0, a state in
+the model's own layout [m_t, s_t, ..., s_{t-d+2}] (``ssm``'s x_t), and
+its Sigma0 must be 0.  So the truth a test scores with is the very stack
+it sampled from.  Every sampler also returns the hidden trajectory so
 tests and experiments can compare inferred beliefs against ground truth.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .graph_model import (
     block_pairs,
     edge_keys,
 )
-from .ssm import check_variances
+from .ssm import ParamStack
 
 
 def default_state(d: int, bias: float = 0.5) -> np.ndarray:
@@ -66,29 +68,6 @@ def sine_profile(d: int, amplitude: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GenParams:
-    """Generator configuration for one block; ``init`` is the length-d
-    state the first transition starts from."""
-
-    d: int
-    q_m: float
-    q_s: float
-    r: float
-    init: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError("period d must be >= 2")
-        check_variances(self.q_m, self.q_s, self.r)
-        init = np.asarray(self.init, dtype=float)
-        if init.shape != (self.d,):
-            raise ValueError(f"initial state must have length d={self.d}")
-        if not np.isfinite(init).all():
-            raise ValueError("initial state must be finite")
-        object.__setattr__(self, "init", init)
-
-
-@dataclass(frozen=True)
 class LatentTrace:
     """Ground-truth record of one generated block.
 
@@ -102,32 +81,37 @@ class LatentTrace:
     counts: np.ndarray
 
 
-def step_latent(state: np.ndarray, params: GenParams, rng: np.random.Generator) -> np.ndarray:
-    """One transition of the hidden seasonal process."""
-    if state.shape != (params.d,):
-        raise ValueError("state dimension does not match params.d")
-    nxt = np.empty(params.d)
-    nxt[0] = state[0] + rng.normal(0.0, math.sqrt(params.q_m))
-    nxt[1] = -np.sum(state[1:]) + rng.normal(0.0, math.sqrt(params.q_s))
+def step_latent(state: np.ndarray, q_m: float, q_s: float, rng: np.random.Generator) -> np.ndarray:
+    """One transition of the hidden seasonal process, with bias and
+    seasonal process variances q_m and q_s."""
+    nxt = np.empty(state.shape)
+    nxt[0] = state[0] + rng.normal(0.0, math.sqrt(q_m))
+    nxt[1] = -np.sum(state[1:]) + rng.normal(0.0, math.sqrt(q_s))
     nxt[2:] = state[1:-1]
     return nxt
 
 
 def _sample_block(
-    params: GenParams,
+    params: ParamStack,
+    b: int,
     T: int,
     rng: np.random.Generator,
     draw: Callable[[int, float], int],
 ) -> LatentTrace:
-    """Run the latent walk for T steps; ``draw(t, e)`` samples step t's
-    formed edges at realized density e from ``rng`` and returns their count."""
-    state = params.init
+    """Run row b's latent walk for T steps from its mu0; ``draw(t, e)``
+    samples step t's formed edges at realized density e from ``rng`` and
+    returns their count.  A run starts from a known state, so the row's
+    Sigma0 must be 0."""
+    if params.Sigma0[b].any():
+        raise ValueError("the generator starts each block at its mu0: Sigma0 must be 0")
+    q_m, q_s, sd_r = params.q_m[b], params.q_s[b], math.sqrt(params.r[b])
+    state = params.mu0[b]
     states = np.zeros((T, params.d))
     density = np.zeros(T)
     counts = np.zeros(T)
     for t in range(T):
-        state = step_latent(state, params, rng)
-        e = state[0] + state[1] + rng.normal(0.0, math.sqrt(params.r))
+        state = step_latent(state, q_m, q_s, rng)
+        e = state[0] + state[1] + rng.normal(0.0, sd_r)
         e = min(max(e, 0.0), 1.0)
         states[t] = state
         density[t] = e
@@ -136,50 +120,58 @@ def _sample_block(
 
 
 def generate_block_series(
-    params: GenParams,
-    n: int,
+    params: ParamStack,
+    n: int | Sequence[int],
     T: int,
     rng: np.random.Generator,
-    pair: TypePair = ("a", "a"),
-) -> tuple[BlockStack, LatentTrace]:
-    """Sample one block's count series, as a stack of one, plus its
-    hidden trajectory.
+    pairs: Sequence[TypePair] = (("a", "a"),),
+) -> tuple[BlockStack, list[LatentTrace]]:
+    """Sample the count series of one block per row of ``params``, as
+    blocks ``pairs`` of n possible edges each (``n`` is one value or one
+    per row), plus each row's hidden trajectory.
 
-    Counts are binomial draws w_t ~ Binomial(n, e_t) with e_t the
-    realized density clamped to [0, 1].
+    Rows are drawn in order from ``rng``, so B rows give what B one-row
+    calls in sequence give.  Counts are binomial draws
+    w_t ~ Binomial(n, e_t) with e_t the realized density clamped to [0, 1].
     """
-    if n < 1:
+    n = np.broadcast_to(np.asarray(n, dtype=np.int64), (len(params),))
+    if len(pairs) != len(params):
+        raise ValueError(f"{len(params)} parameter rows for {len(pairs)} block pairs")
+    if (n < 1).any():
         raise ValueError("possible-edge count must be >= 1")
     if T < 1:
         raise ValueError("series length must be >= 1")
-    trace = _sample_block(params, T, rng, lambda t, e: rng.binomial(n, e))
-    return BlockStack((pair,), np.array([n]), trace.counts[None]), trace
+    traces = [
+        _sample_block(params, b, T, rng, lambda t, e: rng.binomial(n[b], e))
+        for b in range(len(params))
+    ]
+    counts = np.array([trace.counts for trace in traces]).reshape(len(params), T)
+    return BlockStack(tuple(pairs), n, counts), traces
 
 
 def generate_network(
-    block_params: Mapping[TypePair, GenParams],
+    params: ParamStack,
     typing: VertexTyping,
     T: int,
     rng: np.random.Generator,
 ) -> tuple[DynamicNetwork, dict[TypePair, LatentTrace]]:
     """Sample a full dynamic network block by block.
 
-    Each of the typing's blocks (``VertexTyping.blocks``) needs a
-    GenParams entry and draws from its own child stream of ``rng``
-    (spawned in canonical block order), so block samples are independent
-    and insensitive to other blocks' settings.
+    Row b of ``params`` is the b-th of the typing's blocks
+    (``VertexTyping.blocks``).  Each block draws from its own child
+    stream of ``rng`` (spawned in canonical block order), so block
+    samples are independent and insensitive to other blocks' settings.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
     pairs, _ = typing.blocks()
-    for p in pairs:
-        if p not in block_params:
-            raise ValueError(f"missing GenParams for block {p}")
+    if len(params) != len(pairs):
+        raise ValueError(f"{len(params)} parameter rows for the typing's {len(pairs)} blocks")
     streams = rng.spawn(len(pairs))
     V = len(typing.vertex_ids)
     keys = [np.zeros(0, np.int64)]  # the formed pairs' edge keys, one array per block and step
     traces: dict[TypePair, LatentTrace] = {}
-    for p, stream in zip(pairs, streams):
+    for b, (p, stream) in enumerate(zip(pairs, streams)):
         vi, vj = block_pairs(typing, p)
         pair_keys = edge_keys(np.zeros_like(vi), vi, vj, V)  # the block's pairs at t = 0
 
@@ -189,7 +181,7 @@ def generate_network(
             keys.append(formed)
             return formed.size
 
-        traces[p] = _sample_block(block_params[p], T, stream, draw)
+        traces[p] = _sample_block(params, b, T, stream, draw)
     joined = np.concatenate(keys)
     keys.clear()
     return DynamicNetwork.from_keys(typing, T, joined), traces

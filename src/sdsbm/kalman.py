@@ -150,10 +150,8 @@ def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
             u[:, t] = u_t = binomial_obs_noise(hm, n)
             PH[:, t] = p = np.einsum("bij,bj->bi", cov[:, :, :2], n_pair)  # P_t H^T
             innov_var[:, t] = F = n * p[:, 0] + n * p[:, 1] + u_t + measurement_var
-            obs = observed[:, t]
-            if not obs.any():
-                continue  # no update: the belief is the (symmetric) prediction
-            gain = np.divide(p, F[:, None], out=np.zeros((B, D)), where=obs[:, None])  # 0 at gaps
+            obs = observed[:, t, None]
+            gain = np.divide(p, F[:, None], out=np.zeros((B, D)), where=obs)  # 0 at gaps
             innov[:, t] = v = counts[:, t] - hm
             mean = mean + gain * v[:, None]
             cov = cov - gain[:, :, None] * p[:, None, :]

@@ -8,8 +8,9 @@ rest right.  A block observes its state as the expected formed-edge
 count n * (m_t + s_t), so its observation row is H = (n, n, 0, ..., 0),
 and its process covariance is Q = diag(q_m, q_s, 0, ..., 0).  Neither is
 stored: a block's model is its possible-edge count n (``BlockStack.n``)
-and its ``ModelParams`` (or row of a ``ParamStack``), and only G, the
-same for every block of period d, is built as a matrix.
+and its row of a ``ParamStack``, and only G, the same for every block
+of period d, is built as a matrix.  The generator samples from the same
+rows.
 """
 
 from __future__ import annotations
@@ -25,16 +26,6 @@ COUNT_CLAMP_EPS = 1e-6
 
 # Rule-of-thumb minimum for trusting the Gaussian count approximation.
 NORMAL_APPROX_MIN_COUNT = 10.0
-
-
-def check_variances(*variances) -> None:
-    """Require every variance (scalar or array) to be finite and non-negative."""
-    for v in variances:
-        v = np.asarray(v, dtype=float)
-        if not np.isfinite(v).all():
-            raise ValueError("variances must be finite")
-        if (v < 0).any():
-            raise ValueError("variances must be non-negative")
 
 
 def transition(d: int) -> np.ndarray:
@@ -68,27 +59,6 @@ def outside_normal_regime(predicted_count, n) -> np.ndarray:
     return np.asarray(low < NORMAL_APPROX_MIN_COUNT)
 
 
-def _checked_belief(d, q_m, q_s, r, mu0, Sigma0, batch=()):
-    """Validate one block's parameters (``batch`` = ()) or a stack's
-    (``batch`` = (B,)); returns mu0 and the symmetrised Sigma0 as floats."""
-    if d < 2:
-        raise ValueError("period d must be >= 2")
-    check_variances(q_m, q_s, r)
-    mu0 = np.asarray(mu0, dtype=float)
-    Sigma0 = np.asarray(Sigma0, dtype=float)
-    if mu0.shape != batch + (d,):
-        raise ValueError(f"mu0 must have length d={d}")
-    if Sigma0.shape != batch + (d, d):
-        raise ValueError(f"Sigma0 must be {d}x{d}")
-    if not (np.isfinite(mu0).all() and np.isfinite(Sigma0).all()):
-        raise ValueError("mu0 and Sigma0 must be finite")
-    Sigma0_T = np.swapaxes(Sigma0, -1, -2)
-    scale = np.maximum(np.abs(Sigma0).max(axis=(-2, -1), initial=0.0), 1.0)
-    if (np.abs(Sigma0 - Sigma0_T).max(axis=(-2, -1), initial=0.0) > 1e-8 * scale).any():
-        raise ValueError("Sigma0 must be symmetric")
-    return mu0, 0.5 * (Sigma0 + Sigma0_T)
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Learnable per-block parameters: process/measurement variances and
@@ -102,9 +72,10 @@ class ModelParams:
     Sigma0: np.ndarray
 
     def __post_init__(self) -> None:
+        # checked as a stack of one; the variances stay Python floats
         variances = [float(getattr(self, k)) for k in _STACKED[:3]]
-        mu0, Sigma0 = _checked_belief(self.d, *variances, self.mu0, self.Sigma0)
-        for key, value in zip(_STACKED, (*variances, mu0, Sigma0)):
+        row = ParamStack(self.d, *([v] for v in variances), [self.mu0], [self.Sigma0])
+        for key, value in zip(_STACKED, (*variances, row.mu0[0], row.Sigma0[0])):
             object.__setattr__(self, key, value)
 
 
@@ -125,13 +96,30 @@ class ParamStack:
     Sigma0: np.ndarray
 
     def __post_init__(self) -> None:
-        variances = [np.asarray(getattr(self, k), dtype=float) for k in _STACKED[:3]]
-        if variances[0].ndim != 1 or any(v.shape != variances[0].shape for v in variances):
+        """Check the stack; mu0 and Sigma0 are stored as floats, Sigma0
+        symmetrised."""
+        q_m, q_s, r, mu0, Sigma0 = (np.asarray(getattr(self, k), dtype=float) for k in _STACKED)
+        if q_m.ndim != 1 or q_s.shape != q_m.shape or r.shape != q_m.shape:
             raise ValueError("q_m, q_s and r must be equal-length vectors")
-        mu0, Sigma0 = _checked_belief(
-            self.d, *variances, self.mu0, self.Sigma0, batch=variances[0].shape
-        )
-        for key, value in zip(_STACKED, (*variances, mu0, Sigma0)):
+        d = self.d
+        if d < 2:
+            raise ValueError("period d must be >= 2")
+        variances = np.stack((q_m, q_s, r))
+        if not np.isfinite(variances).all():
+            raise ValueError("variances must be finite")
+        if (variances < 0).any():
+            raise ValueError("variances must be non-negative")
+        if mu0.shape != (len(r), d):
+            raise ValueError(f"mu0 must have length d={d}")
+        if Sigma0.shape != (len(r), d, d):
+            raise ValueError(f"Sigma0 must be {d}x{d}")
+        if not (np.isfinite(mu0).all() and np.isfinite(Sigma0).all()):
+            raise ValueError("mu0 and Sigma0 must be finite")
+        Sigma0_T = Sigma0.swapaxes(1, 2)
+        scale = np.maximum(np.abs(Sigma0).max(axis=(1, 2), initial=0.0), 1.0)
+        if (np.abs(Sigma0 - Sigma0_T).max(axis=(1, 2), initial=0.0) > 1e-8 * scale).any():
+            raise ValueError("Sigma0 must be symmetric")
+        for key, value in zip(_STACKED, (q_m, q_s, r, mu0, 0.5 * (Sigma0 + Sigma0_T))):
             object.__setattr__(self, key, value)
 
     @classmethod

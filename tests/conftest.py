@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sdsbm.graph_model import BlockStack
+from sdsbm.ssm import ParamStack
 
 
 @pytest.fixture
@@ -12,6 +13,14 @@ def rng():
 def one_block(counts, n=100, pair=("a", "a")) -> BlockStack:
     """A stack of one block."""
     return BlockStack((pair,), np.array([n]), np.array([counts], dtype=float))
+
+
+def known_start(q_m, q_s, r, mu0) -> ParamStack:
+    """One block's parameters with its initial state mu0 known exactly
+    (Sigma0 = 0): a stack of one to sample from, and the truth to score
+    the sample with."""
+    d = len(mu0)
+    return ParamStack(d, [q_m], [q_s], [r], [mu0], np.zeros((1, d, d)))
 
 
 def gaps_as_nan(counts):

@@ -17,7 +17,6 @@ from sdsbm import anomaly, kalman
 from sdsbm.cli import main as cli_main
 from sdsbm.em import EmConfig, default_init, em_fit, m_step_q
 from sdsbm.generator import (
-    GenParams,
     default_state,
     generate_block_series,
     seasonal_state,
@@ -25,7 +24,7 @@ from sdsbm.generator import (
 )
 from sdsbm.ssm import ModelParams, ParamStack
 
-from conftest import concat, one_block
+from conftest import concat, known_start, one_block
 from gaussian_oracle import OracleRun, dense_model
 from test_em import fit_one, numeric_q_argmax
 from test_kalman import oracle_for
@@ -86,14 +85,13 @@ def test_criterion_2_em_monotonicity():
     blocks = []
     for seed in range(20):
         rng = np.random.default_rng(3000 + seed)
-        gen = GenParams(
-            d=d,
+        truth = known_start(
             q_m=float(rng.choice([1e-7, 1e-6, 1e-5])),
             q_s=float(rng.choice([1e-7, 1e-6, 1e-5])),
             r=float(rng.choice([0.0, 1e-4, 1e-3])),
-            init=seasonal_state(d, float(rng.uniform(0.4, 0.6)), sine_profile(d, 0.08)),
+            mu0=seasonal_state(d, float(rng.uniform(0.4, 0.6)), sine_profile(d, 0.08)),
         )
-        series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=("a", f"b{seed:02d}"))
+        series, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=[("a", f"b{seed:02d}")])
         blocks.append(series)
     blocks = concat(blocks)
     _, traces = em_fit(blocks, default_init(blocks, d), EmConfig(max_iter=25, tol=1e-12))
@@ -116,11 +114,8 @@ def test_criterion_3_measurement_noise_contrast():
     start = time.perf_counter()
     d, T, n = 7, 280, 2000
     rng = np.random.default_rng(42)
-    gen = GenParams(
-        d=d, q_m=1e-7, q_s=1e-7, r=1e-3,
-        init=seasonal_state(d, 0.7, sine_profile(d, 0.1)),
-    )
-    series, _ = generate_block_series(gen, n=n, T=T, rng=rng)
+    truth = known_start(1e-7, 1e-7, 1e-3, seasonal_state(d, 0.7, sine_profile(d, 0.1)))
+    series, _ = generate_block_series(truth, n=n, T=T, rng=rng)
     init = default_init(series, d)
     free, _ = fit_one(series, init, EmConfig(max_iter=80, tol=1e-9))
     pinned, _ = fit_one(
@@ -179,15 +174,11 @@ def test_criterion_5_detector_calibration():
     start = time.perf_counter()
     rng = np.random.default_rng(77)
     d, n, T, B = 7, 2000, 20_000, 5
-    gen = GenParams(
-        d=d, q_m=1e-7, q_s=1e-7, r=1e-4,
-        init=seasonal_state(d, 0.5, sine_profile(d, 0.05)),
-    )
-    blocks = concat(
-        generate_block_series(gen, n=n, T=T, rng=rng, pair=(f"t{i}", f"t{i}"))[0] for i in range(B)
-    )
-    params = ModelParams(d=d, q_m=1e-7, q_s=1e-7, r=1e-4, mu0=gen.init, Sigma0=np.zeros((d, d)))
-    scores = anomaly.score(blocks, ParamStack.of([params] * B), mode="predictive")
+    mu0 = seasonal_state(d, 0.5, sine_profile(d, 0.05))
+    truth = known_start(1e-7, 1e-7, 1e-4, mu0).take([0] * B)
+    pairs = [(f"t{i}", f"t{i}") for i in range(B)]
+    blocks, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=pairs)
+    scores = anomaly.score(blocks, truth, mode="predictive")
     report = anomaly.detect(scores, anomaly.SigmaPolicy(3.0))
     flags = int(report.block_mask.sum())
     steps = B * T
@@ -209,14 +200,10 @@ def test_criterion_6_detection_power():
     d, n, T, t_star = 5, 1000, 30, 24
     hits = 0
     trials = 200
-    gen = GenParams(d=d, q_m=1e-6, q_s=1e-6, r=1e-4, init=default_state(d, bias=0.5))
-    params = ParamStack.of(
-        [ModelParams(d=d, q_m=1e-6, q_s=1e-6, r=1e-4, mu0=gen.init, Sigma0=np.zeros((d, d)))] * 3
-    )
+    params = known_start(1e-6, 1e-6, 1e-4, default_state(d, bias=0.5)).take([0] * 3)
+    pairs = [(f"t{i}", f"t{i}") for i in range(3)]
     for _ in range(trials):
-        blocks = concat(
-            generate_block_series(gen, n=n, T=T, rng=rng, pair=(f"t{i}", f"t{i}"))[0] for i in range(3)
-        )
+        blocks, _ = generate_block_series(params, n=n, T=T, rng=rng, pairs=pairs)
         clean = anomaly.score(blocks, params)
         shift = 6.0 * math.sqrt(clean.pred_var[0, t_star - 1])
         spiked = blocks.counts.copy()
@@ -261,18 +248,15 @@ def test_criterion_7_process_variance_closed_form():
 
 def test_criterion_8_generator_statistics():
     rng = np.random.default_rng(21)
-    gen = GenParams(d=4, q_m=0.0, q_s=0.0, r=0.0, init=default_state(4, bias=0.3))
-    series, _ = generate_block_series(gen, n=1000, T=10_000, rng=rng)
+    flat = known_start(0.0, 0.0, 0.0, default_state(4, bias=0.3))
+    series, _ = generate_block_series(flat, n=1000, T=10_000, rng=rng)
     mean_err = abs(series.counts.mean() - 300.0) / 300.0
     var_err = abs(series.counts.var() - 210.0) / 210.0
 
     d = 7
-    seasonal = GenParams(
-        d=d, q_m=1e-4, q_s=0.0, r=0.0,
-        init=seasonal_state(d, 0.5, sine_profile(d, 0.1)),
-    )
-    _, trace = generate_block_series(seasonal, n=100, T=200, rng=rng)
-    states = np.vstack([seasonal.init, trace.states])
+    seasonal = known_start(1e-4, 0.0, 0.0, seasonal_state(d, 0.5, sine_profile(d, 0.1)))
+    _, [trace] = generate_block_series(seasonal, n=100, T=200, rng=rng)
+    states = np.vstack([seasonal.mu0, trace.states])
     window_sums = np.array(
         [states[t, 1] + states[t - 1, 1:].sum() for t in range(1, states.shape[0])]
     )

@@ -16,7 +16,6 @@ from sdsbm.anomaly import (
     write_scores_csv,
 )
 from sdsbm.generator import (
-    GenParams,
     default_state,
     generate_block_series,
     seasonal_state,
@@ -25,22 +24,16 @@ from sdsbm.generator import (
 from sdsbm.ssm import ModelParams, ParamStack
 
 import per_block_reference as ref
-from conftest import concat, one_block
+from conftest import concat, known_start, one_block
 from gaussian_oracle import dense_model
 
 
-def known_model(d=3, n=100, bias=0.5, q=0.0, r=0.0):
-    init = default_state(d, bias=bias)
-    gen = GenParams(d=d, q_m=q, q_s=q, r=r, init=init)
-    params = ModelParams(
-        d=d, q_m=q, q_s=q, r=r, mu0=init, Sigma0=np.zeros((d, d))
-    )
-    return gen, params
+def known_model(d=3, bias=0.5, q=0.0, r=0.0):
+    return known_start(q, q, r, default_state(d, bias=bias))
 
 
 def series_scores(counts, n=100, **kw):
-    gen, params = known_model(n=n, **kw)
-    return score(one_block(counts, n=n), ParamStack.of([params]))
+    return score(one_block(counts, n=n), known_model(**kw))
 
 
 class TestScore:
@@ -54,10 +47,10 @@ class TestScore:
         )
 
     def test_graph_score_is_block_sum(self):
-        gen, params = known_model()
+        params = known_model().take([0, 0])
         s1 = one_block([50, 60, 40], n=100, pair=("a", "a"))
         s2 = one_block([55, 45, 50], n=100, pair=("a", "b"))
-        scores = score(concat([s1, s2]), ParamStack.of([params, params]))
+        scores = score(concat([s1, s2]), params)
         np.testing.assert_array_equal(
             scores.graph_loglik, np.nansum(scores.loglik, axis=0)
         )
@@ -66,10 +59,10 @@ class TestScore:
     def test_unobserved_snapshot_has_no_graph_score(self, mode):
         # a step where no block is observed scores NaN, not an empty sum
         # of 0.0, so even an infinite floor does not flag it
-        gen, params = known_model()
+        params = known_model().take([0, 0])
         s1 = one_block([50, np.nan, 40], n=100, pair=("a", "a"))
         s2 = one_block([55, np.nan, 50], n=100, pair=("a", "b"))
-        scores = score(concat([s1, s2]), ParamStack.of([params, params]), mode=mode)
+        scores = score(concat([s1, s2]), params, mode=mode)
         assert np.isnan(scores.graph_loglik[1])
         assert np.isfinite(scores.graph_loglik[[0, 2]]).all()
         assert detect(scores, LogLikPolicy(c0=math.inf)).graph_flags.tolist() == [1, 3]
@@ -111,22 +104,18 @@ class TestScore:
         assert np.isnan(scores.z[0, 1])
 
     def test_parameter_count_must_match_blocks(self):
-        gen, params = known_model()
         blocks = concat([one_block([50], pair=("a", "a")), one_block([50], pair=("a", "b"))])
         with pytest.raises(ValueError, match="differ in number"):
-            score(blocks, ParamStack.of([params]))
+            score(blocks, known_model())
 
     def test_null_predictive_z_is_standard_normal(self):
         # Kolmogorov-Smirnov check against N(0, 1) on model-generated data
         rng = np.random.default_rng(100)
         d, n, T = 7, 2000, 2500
-        blocks = []
-        gen = GenParams(d=d, q_m=1e-7, q_s=1e-7, r=1e-4, init=default_state(d, bias=0.5))
-        for i in range(4):
-            series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=(f"t{i}", f"t{i}"))
-            blocks.append(series)
-        params = ModelParams(d=d, q_m=1e-7, q_s=1e-7, r=1e-4, mu0=gen.init, Sigma0=np.zeros((d, d)))
-        scores = score(concat(blocks), ParamStack.of([params] * 4))
+        truth = known_start(1e-7, 1e-7, 1e-4, default_state(d, bias=0.5)).take([0] * 4)
+        pairs = [(f"t{i}", f"t{i}") for i in range(4)]
+        blocks, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=pairs)
+        scores = score(blocks, truth)
         z = np.sort(scores.z.ravel())
         assert z.shape[0] == 10_000
         cdf = 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
@@ -142,19 +131,18 @@ class TestThresholdSigma:
         tail = 2 * (1 - 0.5 * (1 + math.erf(3 / math.sqrt(2))))
         assert 1 / tail == pytest.approx(370, abs=1)
 
-    def test_graph_step_rate_on_null_data(self):
+    @pytest.mark.parametrize("B, n, T", [(3, 2000, 20_000), (78, 496, 1000)])
+    def test_graph_step_rate_on_null_data(self, B, n, T):
         # a graph-step is flagged when any of its B blocks is, so at k = 3
-        # its rate is 1 - (1 - 2 Phi(-3))^B, about 0.8 % at B = 3
+        # its rate is 1 - (1 - 2 Phi(-3))^B, about 0.8 % at B = 3 and 19 %
+        # at B = 78 (the README's figures)
         rng = np.random.default_rng(77)
-        d, n, T, B = 7, 2000, 20_000, 3
-        gen = GenParams(
-            d=d, q_m=1e-7, q_s=1e-7, r=1e-4, init=seasonal_state(d, 0.5, sine_profile(d, 0.05))
-        )
-        blocks = concat(
-            generate_block_series(gen, n=n, T=T, rng=rng, pair=(f"t{i}", f"t{i}"))[0] for i in range(B)
-        )
-        params = ModelParams(d=d, q_m=1e-7, q_s=1e-7, r=1e-4, mu0=gen.init, Sigma0=np.zeros((d, d)))
-        report = detect(score(blocks, ParamStack.of([params] * B)), SigmaPolicy(3.0))
+        d = 7
+        mu0 = seasonal_state(d, 0.5, sine_profile(d, 0.05))
+        truth = known_start(1e-7, 1e-7, 1e-4, mu0).take([0] * B)
+        pairs = [(f"t{i}", f"t{i}") for i in range(B)]
+        blocks, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=pairs)
+        report = detect(score(blocks, truth), SigmaPolicy(3.0))
         p = 1.0 - (1.0 - 2.0 * sps.norm.sf(3.0)) ** B
         lo, hi = sps.binom.ppf([0.005, 0.995], T, p)
         assert lo <= report.graph_mask.sum() <= hi
@@ -236,15 +224,9 @@ class TestDetect:
     def test_injected_spike_ranked_first(self):
         rng = np.random.default_rng(33)
         d, n, T, t_star = 5, 1000, 40, 25
-        blocks = []
-        gen = GenParams(d=d, q_m=1e-6, q_s=1e-6, r=1e-4, init=default_state(d, bias=0.5))
-        for i in range(3):
-            series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=(f"t{i}", f"t{i}"))
-            blocks.append(series)
-        blocks = concat(blocks)
-        params = ParamStack.of(
-            [ModelParams(d=d, q_m=1e-6, q_s=1e-6, r=1e-4, mu0=gen.init, Sigma0=np.zeros((d, d)))] * 3
-        )
+        params = known_start(1e-6, 1e-6, 1e-4, default_state(d, bias=0.5)).take([0] * 3)
+        pairs = [(f"t{i}", f"t{i}") for i in range(3)]
+        blocks, _ = generate_block_series(params, n=n, T=T, rng=rng, pairs=pairs)
         clean = score(blocks, params)
         shift = 6.0 * math.sqrt(clean.pred_var[1, t_star - 1])
         spiked = blocks.counts.copy()

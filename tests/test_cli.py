@@ -122,6 +122,14 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()  # refused before any output is written
 
+    @pytest.mark.parametrize("period", [1, 0, -1])
+    def test_bad_period_is_refused_without_blocks(self, tmp_path, capsys, period):
+        # a lone vertex forms no block, so no block's parameters check the period
+        out = tmp_path / "out"
+        assert run("simulate", "--types", "c=1", "--period", period, "--out-dir", out) == EXIT_DATA
+        assert capsys.readouterr().err == "error: period d must be >= 2\n"
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):

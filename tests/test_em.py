@@ -22,7 +22,6 @@ from sdsbm.em import (
     r_objective,
 )
 from sdsbm.generator import (
-    GenParams,
     generate_block_series,
     generate_network,
     seasonal_state,
@@ -31,7 +30,7 @@ from sdsbm.generator import (
 from sdsbm.graph_model import BlockStack, VertexTyping, extract_block_series
 from sdsbm.ssm import ModelParams, ParamStack
 
-from conftest import concat, one_block
+from conftest import concat, known_start, one_block
 from gaussian_oracle import OracleRun, dense_model
 from test_kalman import oracle_for, random_instance
 
@@ -52,10 +51,9 @@ def r_step(quad, u, n):
 
 def synthetic_block(seed, d=7, T=120, n=500, q_m=1e-6, q_s=1e-6, r=0.0, bias=0.5, amp=0.08):
     rng = np.random.default_rng(seed)
-    init = seasonal_state(d, bias, sine_profile(d, amp))
-    gen = GenParams(d=d, q_m=q_m, q_s=q_s, r=r, init=init)
-    series, trace = generate_block_series(gen, n=n, T=T, rng=rng)
-    return series, trace, gen
+    truth = known_start(q_m, q_s, r, seasonal_state(d, bias, sine_profile(d, amp)))
+    series, [trace] = generate_block_series(truth, n=n, T=T, rng=rng)
+    return series, trace, truth
 
 
 def small_params(d=3, q_m=4e-3, q_s=2e-3, r=0.0, seed=1):
@@ -110,8 +108,7 @@ class TestEStep:
     def test_degenerate_params_give_exact_outer_products(self):
         # no noise anywhere: every smoothed variance is exactly zero
         d, n, T = 3, 100, 8
-        init = seasonal_state(d, 0.5, sine_profile(d, 0.1))
-        gen = GenParams(d=d, q_m=0.0, q_s=0.0, r=0.0, init=init)
+        truth = known_start(0.0, 0.0, 0.0, seasonal_state(d, 0.5, sine_profile(d, 0.1)))
 
         class _Rng:
             def normal(self, loc, scale):
@@ -120,12 +117,8 @@ class TestEStep:
             def binomial(self, n_, p):
                 return round(n_ * p)
 
-        series, _ = generate_block_series(gen, n=n, T=T, rng=_Rng())
-        params = ModelParams(
-            d=d, q_m=0.0, q_s=0.0, r=0.0,
-            mu0=init, Sigma0=np.zeros((d, d)),
-        )
-        seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
+        series, _ = generate_block_series(truth, n=n, T=T, rng=_Rng())
+        seq = kalman.smooth(kalman.filter(series, truth))
         np.testing.assert_array_equal(seq.smoothed_count_var, np.zeros((1, T)))
         np.testing.assert_array_equal(seq.x0_cov, np.zeros((1, d, d)))
         np.testing.assert_array_equal(seq.eta_sq, np.zeros((1, T, 2)))
@@ -171,11 +164,11 @@ class TestMStepInitial:
         np.testing.assert_array_equal(first.x0_cov, second.x0_cov)
 
     def test_recovers_generator_bias(self):
-        series, trace, gen = synthetic_block(seed=17, T=160, n=1000, q_m=1e-6, q_s=1e-6)
-        init = default_init(series, gen.d)
+        series, trace, truth = synthetic_block(seed=17, T=160, n=1000, q_m=1e-6, q_s=1e-6)
+        init = default_init(series, truth.d)
         params, _ = fit_one(series, init, EmConfig(max_iter=60, tol=1e-9))
         sd = np.sqrt(max(params.Sigma0[0, 0], 1e-12))
-        assert abs(params.mu0[0] - gen.init[0]) <= 3 * max(sd, 1e-3)
+        assert abs(params.mu0[0] - truth.mu0[0, 0]) <= 3 * max(sd, 1e-3)
 
 
 def bounded_argmax(f, lo, hi):
@@ -291,9 +284,9 @@ class TestMStepR:
         typing = VertexTyping(vertex_ids=ids, type_of={v: v[0] for v in ids})
         opts = {k: cli.OPTIONS["simulate"][k].default for k in cli.BLOCK_OPTIONS}
         init = seasonal_state(d, opts["bias"], sine_profile(d, opts["season_amplitude"]))
-        gen = GenParams(d=d, q_m=opts["q_m"], q_s=opts["q_s"], r=opts["r"], init=init)
-        gens = dict.fromkeys(typing.blocks()[0], gen)
-        network, _ = generate_network(gens, typing, 161, np.random.default_rng(1))
+        truth = known_start(opts["q_m"], opts["q_s"], opts["r"], init)
+        truth = truth.take([0] * len(typing.blocks()[0]))
+        network, _ = generate_network(truth, typing, 161, np.random.default_rng(1))
         full = extract_block_series(network)
         blocks = BlockStack(full.pairs, full.n, full.counts[:, :140])
         seq = kalman.smooth(kalman.filter(blocks, default_init(blocks, d)))
@@ -308,10 +301,10 @@ class TestMStepR:
         assert (np.abs(pull_up - pull_down) <= 1e-10 * (pull_up + pull_down)).all()
 
     def test_full_em_recovers_true_r(self):
-        series, _, gen = synthetic_block(
+        series, _, truth = synthetic_block(
             seed=23, d=7, T=280, n=2000, q_m=1e-7, q_s=1e-7, r=1e-3
         )
-        init = default_init(series, gen.d)
+        init = default_init(series, truth.d)
         params, _ = fit_one(series, init, EmConfig(max_iter=80, tol=1e-9))
         assert 1.0 / 3.0 <= params.r / 1e-3 <= 3.0  # within a factor of 3
 
@@ -379,10 +372,10 @@ class TestMStepQ:
                 assert score[i] == pytest.approx(central, rel=1e-5), (k, i)
 
     def test_recovers_true_process_variances(self):
-        series, _, gen = synthetic_block(
+        series, _, truth = synthetic_block(
             seed=31, d=7, T=280, n=2000, q_m=1e-6, q_s=1e-6, r=0.0
         )
-        init = default_init(series, gen.d)
+        init = default_init(series, truth.d)
         params, _ = fit_one(
             series, init, EmConfig(max_iter=80, tol=1e-9, fix_r_to_zero=True)
         )
@@ -392,8 +385,8 @@ class TestMStepQ:
 
 class TestEmFit:
     def test_single_iteration_trace(self):
-        series, _, gen = synthetic_block(seed=41, T=40)
-        init = default_init(series, gen.d)
+        series, _, truth = synthetic_block(seed=41, T=40)
+        init = default_init(series, truth.d)
         params, trace = fit_one(series, init, EmConfig(max_iter=1))
         assert trace.iterations == 1
         assert len(trace.loglik_per_iter) == 1
@@ -402,15 +395,15 @@ class TestEmFit:
 
     def test_loglik_never_decreases(self):
         for seed in range(5):
-            series, _, gen = synthetic_block(seed=100 + seed, T=80, n=400)
-            init = default_init(series, gen.d)
+            series, _, truth = synthetic_block(seed=100 + seed, T=80, n=400)
+            init = default_init(series, truth.d)
             _, trace = fit_one(series, init, EmConfig(max_iter=25, tol=1e-12))
             ll = np.array(trace.loglik_per_iter)
             assert np.all(np.diff(ll) >= -1e-8), f"seed {seed}: {np.diff(ll).min()}"
 
     def test_refit_converges_immediately(self):
-        series, _, gen = synthetic_block(seed=57, T=100, n=200, q_m=5e-4, q_s=5e-4)
-        init = default_init(series, gen.d)
+        series, _, truth = synthetic_block(seed=57, T=100, n=200, q_m=5e-4, q_s=5e-4)
+        init = default_init(series, truth.d)
         params, first = fit_one(series, init, EmConfig(max_iter=400, tol=1e-6))
         assert first.converged
         _, trace = fit_one(series, params, EmConfig(max_iter=60, tol=1e-6))
@@ -418,8 +411,8 @@ class TestEmFit:
         assert trace.iterations <= 2
 
     def test_fix_r_pins_measurement_variance(self):
-        series, _, gen = synthetic_block(seed=61, T=60, r=1e-3)
-        init = default_init(series, gen.d)
+        series, _, truth = synthetic_block(seed=61, T=60, r=1e-3)
+        init = default_init(series, truth.d)
         params, trace = fit_one(series, init, EmConfig(max_iter=10, fix_r_to_zero=True))
         assert params.r == 0.0
         assert np.all(trace.variances_per_iter[:, 2] == 0.0)
@@ -427,12 +420,12 @@ class TestEmFit:
     def test_fit_with_missing_observations(self):
         # gaps skip the update step and drop out of the r-objective but
         # the fit still runs and improves monotonically
-        series, _, gen = synthetic_block(seed=83, T=80, n=400, q_m=1e-4, q_s=1e-4)
+        series, _, truth = synthetic_block(seed=83, T=80, n=400, q_m=1e-4, q_s=1e-4)
         counts = series.counts[0].copy()
         counts[[7, 8, 31]] = np.nan
         gappy = one_block(counts, n=series.n[0])
         params, trace = fit_one(
-            gappy, default_init(gappy, gen.d), EmConfig(max_iter=20, tol=1e-10)
+            gappy, default_init(gappy, truth.d), EmConfig(max_iter=20, tol=1e-10)
         )
         ll = np.array(trace.loglik_per_iter)
         assert np.all(np.diff(ll) >= -1e-8)
@@ -442,8 +435,8 @@ class TestEmFit:
         # d=2 exercises the smallest state end to end
         rng = np.random.default_rng(3)
         init = seasonal_state(2, 0.5, np.array([0.06, -0.06]))
-        gen = GenParams(d=2, q_m=1e-4, q_s=1e-4, r=0.0, init=init)
-        series, _ = generate_block_series(gen, n=300, T=60, rng=rng)
+        truth = known_start(1e-4, 1e-4, 0.0, init)
+        series, _ = generate_block_series(truth, n=300, T=60, rng=rng)
         params, trace = fit_one(
             series, default_init(series, 2), EmConfig(max_iter=30, tol=1e-10)
         )
@@ -456,9 +449,9 @@ class TestEmFit:
         # healthy at d = 60
         d = 60
         init = seasonal_state(d, 0.5, sine_profile(d, 0.1))
-        gen = GenParams(d=d, q_m=1e-6, q_s=1e-7, r=1e-4, init=init)
+        truth = known_start(1e-6, 1e-7, 1e-4, init)
         series, _ = generate_block_series(
-            gen, n=2000, T=3 * d, rng=np.random.default_rng(9)
+            truth, n=2000, T=3 * d, rng=np.random.default_rng(9)
         )
         params, trace = fit_one(
             series, default_init(series, d), EmConfig(max_iter=4, tol=1e-9)
@@ -467,27 +460,27 @@ class TestEmFit:
         assert params.mu0.shape == (d,)
 
     def test_learned_q_is_exactly_diagonal(self):
-        series, _, gen = synthetic_block(seed=67, T=50)
-        init = default_init(series, gen.d)
+        series, _, truth = synthetic_block(seed=67, T=50)
+        init = default_init(series, truth.d)
         params, _ = fit_one(series, init, EmConfig(max_iter=10))
         # one gap step from a zero Sigma0: the predicted covariance is Q
-        start = replace(params, Sigma0=np.zeros((gen.d, gen.d)))
+        start = replace(params, Sigma0=np.zeros((truth.d, truth.d)))
         seq = kalman.filter(one_block([np.nan], n=series.n[0]), ParamStack.of([start]))
-        expected = np.zeros((gen.d, gen.d))
+        expected = np.zeros((truth.d, truth.d))
         expected[0, 0], expected[1, 1] = params.q_m, params.q_s
         np.testing.assert_array_equal(seq.final_cov[0], expected)
 
     def test_r_step_weakly_improves_objective(self):
         # evaluate the r-objective before and after each M-step
-        series, _, gen = synthetic_block(seed=71, T=80, n=400, r=5e-4)
-        params = default_init(series, gen.d)
+        series, _, truth = synthetic_block(seed=71, T=80, n=400, r=5e-4)
+        params = default_init(series, truth.d)
         n = series.n[0]
         for _ in range(8):
             seq = kalman.smooth(kalman.filter(series, params))
             quad, u = seq.quad[0], seq.u[0]
             r_new = m_step_r(seq.quad, seq.u, series.n)
             assert r_objective(r_new[0], quad, u, n) >= r_objective(params.r[0], quad, u, n) - 1e-9
-            params = ParamStack(gen.d, *m_step_q(seq), r_new, seq.x0_mean, seq.x0_cov)
+            params = ParamStack(truth.d, *m_step_q(seq), r_new, seq.x0_mean, seq.x0_cov)
 
     def test_estep_failure_carries_iteration(self):
         series = one_block([5, 5], n=10)
@@ -528,13 +521,13 @@ class TestLockstep:
     def test_matches_per_block_reference(self, fix_r):
         blocks = []
         for k, (n, q, T_gap) in enumerate([(28, 5e-4, None), (64, 5e-4, 9), (2000, 1e-5, None), (120, 1e-4, 3)]):
-            series, _, gen = synthetic_block(seed=200 + k, d=4, T=50, n=n, q_m=q, q_s=q, r=1e-4)
+            series, _, truth = synthetic_block(seed=200 + k, d=4, T=50, n=n, q_m=q, q_s=q, r=1e-4)
             counts = series.counts[0].copy()
             if T_gap is not None:
                 counts[T_gap : T_gap + 10] = np.nan
             blocks.append(one_block(counts, n=n, pair=("a", f"b{k}")))
         blocks = concat(blocks)
-        inits = default_init(blocks, gen.d)
+        inits = default_init(blocks, truth.d)
         config = EmConfig(max_iter=40, tol=1e-4, fix_r_to_zero=fix_r)
         params, traces = em_fit(blocks, inits, config)
         # the blocks stop at different iterations, one of them at the cap

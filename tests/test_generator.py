@@ -2,8 +2,8 @@ import generator_reference
 import numpy as np
 import pytest
 
+from conftest import known_start
 from sdsbm.generator import (
-    GenParams,
     _sample_block,
     default_state,
     generate_block_series,
@@ -18,6 +18,7 @@ from sdsbm.graph_model import (
     block_pairs,
     extract_block_series,
 )
+from sdsbm.ssm import ParamStack
 
 
 class _ExpectationRng:
@@ -33,18 +34,21 @@ class _ExpectationRng:
         return np.full(size, 0.5)
 
 
-def noiseless(d, init, r=0.0):
-    return GenParams(d=d, q_m=0.0, q_s=0.0, r=r, init=init)
+def noiseless(init, r=0.0):
+    return known_start(0.0, 0.0, r, init)
 
 
-class TestGenParams:
+class TestGeneratorParams:
+    """The generator takes the ``ParamStack`` that the filter and EM take,
+    and its rows are checked as theirs are."""
+
     @pytest.mark.parametrize("field", ["q_m", "q_s", "r"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
     def test_rejects_bad_variances(self, field, value):
-        opts = dict(d=3, q_m=0.0, q_s=0.0, r=0.0, init=default_state(3))
+        opts = dict(q_m=0.0, q_s=0.0, r=0.0, mu0=default_state(3))
         opts[field] = value
         with pytest.raises(ValueError, match="variances must be"):
-            GenParams(**opts)
+            known_start(**opts)
 
     @pytest.mark.parametrize(
         "init,match",
@@ -57,40 +61,59 @@ class TestGenParams:
     )
     def test_rejects_bad_init(self, init, match):
         with pytest.raises(ValueError, match=match):
-            GenParams(d=3, q_m=0.0, q_s=0.0, r=0.0, init=init)
+            ParamStack(3, [0.0], [0.0], [0.0], [init], np.zeros((1, 3, 3)))
+
+    def test_rejects_uncertain_start(self, rng):
+        # a run starts from a known state: the generator refuses a non-zero Sigma0
+        uncertain = ParamStack(3, [0.0], [0.0], [0.0], [default_state(3)], [1e-3 * np.eye(3)])
+        with pytest.raises(ValueError, match="Sigma0 must be 0"):
+            generate_block_series(uncertain, n=10, T=5, rng=rng)
+        typing = small_typing()
+        params = uniform_params(typing).put([2], uncertain)
+        with pytest.raises(ValueError, match="Sigma0 must be 0"):
+            generate_network(params, typing, T=2, rng=rng)
+
+    def test_rows_are_one_row_calls_in_sequence(self):
+        d, T, n = 5, 30, [10, 40, 6]
+        mu0 = [seasonal_state(d, bias, sine_profile(d, 0.1)) for bias in (0.2, 0.5, 0.8)]
+        params = ParamStack(
+            d, [1e-4, 0.0, 1e-3], [1e-4, 1e-3, 0.0], [1e-3, 1e-2, 0.0], mu0, np.zeros((3, d, d))
+        )
+        pairs = [("a", "a"), ("a", "b"), ("b", "b")]
+        stack, traces = generate_block_series(params, n, T, np.random.default_rng(4), pairs)
+        assert stack.pairs == tuple(pairs) and stack.n.tolist() == n and len(traces) == 3
+        rng = np.random.default_rng(4)
+        for b in range(3):
+            one, [trace] = generate_block_series(params.take([b]), n[b], T, rng, pairs[b : b + 1])
+            np.testing.assert_array_equal(one.counts[0], stack.counts[b])
+            for field in ("states", "density", "counts"):
+                np.testing.assert_array_equal(getattr(trace, field), getattr(traces[b], field))
 
 
 class TestStepLatent:
     def test_zero_sum_recurrence_d3(self, rng):
-        params = noiseless(3, np.array([0.5, 0.1, -0.1]))
-        state = params.init
+        state = np.array([0.5, 0.1, -0.1])
         leads = []
         for _ in range(4):
-            state = step_latent(state, params, rng)
+            state = step_latent(state, 0.0, 0.0, rng)
             leads.append(state[1])
         assert leads == [0.0, -0.1, 0.1, 0.0]
 
     def test_zero_noise_keeps_bias(self, rng):
-        params = noiseless(4, default_state(4, bias=0.37))
-        state = step_latent(params.init, params, rng)
+        state = step_latent(default_state(4, bias=0.37), 0.0, 0.0, rng)
         assert state[0] == 0.37
-
-    def test_rejects_dimension_mismatch(self, rng):
-        params = noiseless(3, default_state(3))
-        with pytest.raises(ValueError, match="dimension"):
-            step_latent(default_state(5), params, rng)
 
     def test_bias_increment_variance(self):
         # Monte-Carlo check of the bias random walk variance
         rng = np.random.default_rng(7)
         q = 1e-6
-        params = GenParams(d=7, q_m=q, q_s=1e-6, r=0.0, init=default_state(7))
-        state = params.init
+        init = default_state(7)
+        state = init
         biases = np.zeros(10_000)
         for i in range(biases.shape[0]):
-            state = step_latent(state, params, rng)
+            state = step_latent(state, q, 1e-6, rng)
             biases[i] = state[0]
-        increments = np.diff(np.concatenate(([params.init[0]], biases)))
+        increments = np.diff(np.concatenate(([init[0]], biases)))
         assert increments.var() == pytest.approx(q, rel=0.2)
 
     def test_matches_transition_matrix(self, rng):
@@ -100,11 +123,10 @@ class TestStepLatent:
 
         d = 5
         init = np.array([0.4, 0.05, -0.02, 0.01, -0.04])
-        params = noiseless(d, init)
         G = transition(d)
         state, vec = init, init
         for _ in range(12):
-            state = step_latent(state, params, rng)
+            state = step_latent(state, 0.0, 0.0, rng)
             vec = G @ vec
             np.testing.assert_allclose(state, vec, atol=1e-15)
 
@@ -113,10 +135,9 @@ class TestSeasonalStart:
     def test_profile_repeats_noiselessly(self, rng):
         d = 6
         profile = sine_profile(d, 0.1)
-        params = noiseless(d, seasonal_state(d, 0.5, profile))
-        state = params.init
+        state = seasonal_state(d, 0.5, profile)
         for t in range(1, 3 * d + 1):
-            state = step_latent(state, params, rng)
+            state = step_latent(state, 0.0, 0.0, rng)
             assert state[1] == pytest.approx(profile[t % d], abs=1e-12)
 
     def test_profile_centering(self):
@@ -128,49 +149,48 @@ class TestSeasonalStart:
 
 class TestGenerateBlockSeries:
     def test_deterministic_core(self):
-        params = noiseless(3, default_state(3, bias=0.5))
-        series, trace = generate_block_series(params, n=100, T=3, rng=_ExpectationRng())
+        params = noiseless(default_state(3, bias=0.5))
+        series, [trace] = generate_block_series(params, n=100, T=3, rng=_ExpectationRng())
         assert series.pairs == (("a", "a"),) and series.n.tolist() == [100.0]
         assert series.counts.tolist() == [[50.0, 50.0, 50.0]]
         assert trace.density.tolist() == [0.5, 0.5, 0.5]
 
     def test_boundary_density(self, rng):
-        params = noiseless(3, default_state(3, bias=1.0))
+        params = noiseless(default_state(3, bias=1.0))
         series, _ = generate_block_series(params, n=20, T=5, rng=rng)
         assert np.all(series.counts == 20.0)
 
     def test_binomial_moments(self):
         rng = np.random.default_rng(11)
-        params = noiseless(4, default_state(4, bias=0.3))
+        params = noiseless(default_state(4, bias=0.3))
         series, _ = generate_block_series(params, n=1000, T=10_000, rng=rng)
         assert series.counts.mean() == pytest.approx(300.0, rel=0.01)
         assert series.counts.var() == pytest.approx(210.0, rel=0.10)
 
     def test_density_clamped(self):
         rng = np.random.default_rng(3)
-        params = GenParams(d=3, q_m=0.0, q_s=0.0, r=0.5, init=default_state(3, bias=0.5))
-        _, trace = generate_block_series(params, n=10, T=200, rng=rng)
+        params = noiseless(default_state(3, bias=0.5), r=0.5)
+        _, [trace] = generate_block_series(params, n=10, T=200, rng=rng)
         assert trace.density.min() >= 0.0
         assert trace.density.max() <= 1.0
 
     def test_rejects_bad_sizes(self, rng):
-        params = noiseless(3, default_state(3))
+        params = noiseless(default_state(3))
         with pytest.raises(ValueError):
             generate_block_series(params, n=0, T=5, rng=rng)
         with pytest.raises(ValueError):
             generate_block_series(params, n=5, T=0, rng=rng)
+        with pytest.raises(ValueError, match="2 parameter rows for 1 block pairs"):
+            generate_block_series(params.take([0, 0]), n=5, T=3, rng=rng)
 
     def test_zero_sum_window_exact(self):
         # with q_s = 0 each window of d consecutive seasonal values
         # (implicit one included) cancels exactly
         rng = np.random.default_rng(5)
         d = 7
-        params = GenParams(
-            d=d, q_m=1e-4, q_s=0.0, r=0.0,
-            init=seasonal_state(d, 0.5, sine_profile(d, 0.1)),
-        )
-        _, trace = generate_block_series(params, n=50, T=50, rng=rng)
-        states = np.vstack([params.init, trace.states])
+        params = known_start(1e-4, 0.0, 0.0, seasonal_state(d, 0.5, sine_profile(d, 0.1)))
+        _, [trace] = generate_block_series(params, n=50, T=50, rng=rng)
+        states = np.vstack([params.mu0, trace.states])
         for t in range(1, states.shape[0]):
             window = states[t, 1] + np.sum(states[t - 1, 1:])
             assert window == 0.0
@@ -183,16 +203,17 @@ def small_typing():
     )
 
 
-def uniform_params(typing, d=3, **kw):
-    opts = dict(q_m=0.0, q_s=0.0, r=0.0, init=default_state(d, bias=0.5))
+def uniform_params(typing, **kw):
+    """One row of the same parameters for each of the typing's blocks."""
+    opts = dict(q_m=0.0, q_s=0.0, r=0.0, mu0=default_state(3, bias=0.5))
     opts.update(kw)
-    return {pair: GenParams(d=d, **opts) for pair in typing.pairs()}
+    return known_start(**opts).take([0] * len(typing.blocks()[0]))
 
 
 class TestGenerateNetwork:
     def test_full_density_gives_complete_blocks(self, rng):
         typing = small_typing()
-        params = uniform_params(typing, init=default_state(3, bias=1.0))
+        params = uniform_params(typing, mu0=default_state(3, bias=1.0))
         net, _ = generate_network(params, typing, T=2, rng=rng)
         stack = extract_block_series(net)
         assert stack.pairs == (("a", "a"), ("a", "b"), ("b", "b"))
@@ -200,7 +221,7 @@ class TestGenerateNetwork:
 
     def test_zero_density_gives_empty_graphs(self, rng):
         typing = small_typing()
-        params = uniform_params(typing, init=default_state(3, bias=0.0))
+        params = uniform_params(typing, mu0=default_state(3, bias=0.0))
         net, _ = generate_network(params, typing, T=3, rng=rng)
         assert all(len(s) == 0 for s in net.snapshots)
 
@@ -227,10 +248,7 @@ class TestGenerateNetwork:
         # samples untouched
         typing = small_typing()
         base = uniform_params(typing, q_m=1e-4, q_s=1e-4, r=1e-3)
-        changed = dict(base)
-        changed[("a", "a")] = GenParams(
-            d=3, q_m=0.1, q_s=0.1, r=0.1, init=default_state(3, bias=0.2)
-        )
+        changed = base.put([0], known_start(0.1, 0.1, 0.1, default_state(3, bias=0.2)))  # a:a
         _, tr1 = generate_network(base, typing, T=15, rng=np.random.default_rng(9))
         _, tr2 = generate_network(changed, typing, T=15, rng=np.random.default_rng(9))
         for pair in (("a", "b"), ("b", "b")):
@@ -241,22 +259,20 @@ class TestGenerateNetwork:
         ids = tuple(f"a{i}" for i in range(50)) + tuple(f"b{i}" for i in range(10))
         typing = VertexTyping(vertex_ids=ids, type_of={v: v[0] for v in ids})
         # n(a,a) = 1225, n(a,b) = 500, n(b,b) = 45
-        params = {
-            ("a", "a"): GenParams(d=3, q_m=0, q_s=0, r=0, init=default_state(3, 0.2)),
-            ("a", "b"): GenParams(d=3, q_m=0, q_s=0, r=0, init=default_state(3, 0.8)),
-            ("b", "b"): GenParams(d=3, q_m=0, q_s=0, r=0, init=default_state(3, 0.5)),
-        }
+        mu0 = [default_state(3, bias) for bias in (0.2, 0.8, 0.5)]  # a:a, a:b, b:b
+        params = ParamStack(3, [0] * 3, [0] * 3, [0] * 3, mu0, np.zeros((3, 3, 3)))
         net, _ = generate_network(params, typing, T=100, rng=rng)
         density = extract_block_series(net).counts.mean(axis=1) / [1225, 500, 45]
         assert density[0] == pytest.approx(0.2, abs=0.03)
         assert density[1] == pytest.approx(0.8, abs=0.03)
 
     def test_requires_params_for_active_blocks(self, rng):
+        # one parameter row per block of the typing, no more, no fewer
         typing = small_typing()
         params = uniform_params(typing)
-        del params[("a", "b")]
-        with pytest.raises(ValueError, match="missing GenParams"):
-            generate_network(params, typing, T=2, rng=rng)
+        for rows in ([0, 2], [0, 1, 2, 2]):
+            with pytest.raises(ValueError, match="rows for the typing's 3 blocks"):
+                generate_network(params.take(rows), typing, T=2, rng=rng)
 
 
 def per_step_network(block_params, typing, T, rng):
@@ -266,7 +282,7 @@ def per_step_network(block_params, typing, T, rng):
     streams = rng.spawn(len(active))
     edge_t, edge_i, edge_j = ([np.zeros(0, np.int64)] for _ in range(3))
     traces = {}
-    for p, stream in zip(active, streams):
+    for b, (p, stream) in enumerate(zip(active, streams)):
         vi, vj = block_pairs(typing, p)
 
         def draw(t, e):
@@ -276,7 +292,7 @@ def per_step_network(block_params, typing, T, rng):
             edge_j.append(vj[present])
             return present.size
 
-        traces[p] = _sample_block(block_params[p], T, stream, draw)
+        traces[p] = _sample_block(block_params, b, T, stream, draw)
     network = DynamicNetwork.from_edges(
         typing, T, np.concatenate(edge_t), np.concatenate(edge_i), np.concatenate(edge_j)
     )

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,11 +8,11 @@ from hypothesis import strategies as st
 
 import per_block_reference as ref
 from sdsbm import kalman
-from sdsbm.generator import GenParams, generate_block_series, seasonal_state, sine_profile
+from sdsbm.generator import generate_block_series, seasonal_state, sine_profile
 from sdsbm.kalman import FilterError
 from sdsbm.ssm import ModelParams, ParamStack, binomial_obs_noise
 
-from conftest import concat, one_block
+from conftest import concat, known_start, one_block
 from gaussian_oracle import OracleRun, dense_model, smoothed_projections
 
 
@@ -264,12 +265,9 @@ class TestSmoother:
     def test_noiseless_data_recovers_trajectory(self):
         d, n, T = 4, 200, 12
         init = seasonal_state(d, 0.5, sine_profile(d, 0.1))
-        gen = GenParams(d=d, q_m=0.0, q_s=0.0, r=0.0, init=init)
-        series, trace = generate_block_series(gen, n=n, T=T, rng=_RoundingRng())
-        params = ModelParams(
-            d=d, q_m=0.0, q_s=0.0, r=0.0,
-            mu0=init, Sigma0=np.zeros((d, d)),
-        )
+        truth = known_start(0.0, 0.0, 0.0, init)
+        series, [trace] = generate_block_series(truth, n=n, T=T, rng=_RoundingRng())
+        params = truth[0]
         seq = run(series, params, smoothed=True)
         ss = dense_model(params, n)
         np.testing.assert_allclose(seq.smoothed_count, trace.states @ ss.H, atol=1e-8 * n)
@@ -298,15 +296,9 @@ class TestSmoother:
             # Sigma0 = 0 as in the detection criteria: P_{1|0} = Q and the
             # next few one-step-ahead covariances are singular
             d = 7
-            gen = GenParams(
-                d=d, q_m=1e-7, q_s=1e-7, r=1e-4,
-                init=seasonal_state(d, 0.5, sine_profile(d, 0.05)),
-            )
-            series, _ = generate_block_series(gen, n=2000, T=40, rng=rng)
-            params = ModelParams(
-                d=d, q_m=1e-7, q_s=1e-7, r=1e-4,
-                mu0=gen.init, Sigma0=np.zeros((d, d)),
-            )
+            truth = known_start(1e-7, 1e-7, 1e-4, seasonal_state(d, 0.5, sine_profile(d, 0.05)))
+            series, _ = generate_block_series(truth, n=2000, T=40, rng=rng)
+            params = truth[0]
         else:
             params, series = random_instance(rng, d=4, T=40, r=1e-4)
             if case == "gap":
@@ -457,11 +449,8 @@ class TestPerBlockReference:
         d, T = 7, 40
         blocks, params = [], []
         for i, n in enumerate((28, 64, 2000, 64)):
-            gen = GenParams(
-                d=d, q_m=1e-5, q_s=1e-5, r=1e-4,
-                init=seasonal_state(d, 0.5, sine_profile(d, 0.05)),
-            )
-            series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=("a", f"b{i}"))
+            truth = known_start(1e-5, 1e-5, 1e-4, seasonal_state(d, 0.5, sine_profile(d, 0.05)))
+            series, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=[("a", f"b{i}")])
             counts = series.counts[0].copy()
             counts[12:22] = np.nan  # a 10-step gap in every block (missing-observation)
             if i == 3:
@@ -469,7 +458,7 @@ class TestPerBlockReference:
             blocks.append(one_block(counts, n=n, pair=series.pairs[0]))
             # block 2 starts from a singular Sigma0 = 0
             Sigma0 = np.zeros((d, d)) if i == 2 else random_psd(rng, d, scale=1e-4)
-            params.append(ModelParams(d=d, q_m=gen.q_m, q_s=gen.q_s, r=gen.r, mu0=gen.init, Sigma0=Sigma0))
+            params.append(replace(truth[0], Sigma0=Sigma0))
         return concat(blocks), params
 
     def test_filter_smoother_and_lag_moments_match(self, rng):
@@ -510,16 +499,14 @@ class TestPerBlockReference:
         d, T = 7, 30
         blocks, params = [], []
         for i, n in enumerate((28, 64, 2000)):
-            gen = GenParams(
-                d=d, q_m=1e-5, q_s=2e-5, r=1e-4,
-                init=seasonal_state(d, 0.4 + 0.1 * i, sine_profile(d, 0.05)),
-            )
-            series, _ = generate_block_series(gen, n=n, T=T, rng=rng, pair=("a", f"b{i}"))
+            mu0 = seasonal_state(d, 0.4 + 0.1 * i, sine_profile(d, 0.05))
+            truth = known_start(1e-5, 2e-5, 1e-4, mu0)
+            series, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=[("a", f"b{i}")])
             counts = series.counts[0].copy()
             counts[10:14] = np.nan
             blocks.append(one_block(counts, n=n, pair=series.pairs[0]))
             Sigma0 = random_psd(rng, d, scale=1e-4)
-            params.append(ModelParams(d=d, q_m=gen.q_m, q_s=gen.q_s, r=gen.r, mu0=gen.init, Sigma0=Sigma0))
+            params.append(replace(truth[0], Sigma0=Sigma0))
         stack = concat(blocks).with_gaps(2 * d)
         seq = kalman.filter(stack, ParamStack.of(params))
         gaps = np.isnan(stack.counts)

@@ -19,9 +19,11 @@ import pytest
 
 from sdsbm import kalman
 from sdsbm.em import EmConfig, default_init, em_fit
-from sdsbm.generator import GenParams, default_state, generate_network
+from sdsbm.generator import default_state, generate_network
 from sdsbm.graph_model import BlockStack, DynamicNetwork, VertexTyping, extract_block_series
 from sdsbm.ingest import BucketingConfig, parse_inputs
+
+from conftest import known_start
 
 EVENTS = 100_000
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,8 +69,8 @@ def dense_network_args(seed):
     types, every block at density 0.5, over 100 steps."""
     ids = tuple(f"{'ab'[k % 2]}{k}" for k in range(100))
     typing = VertexTyping(vertex_ids=ids, type_of={v: v[0] for v in ids})
-    params = GenParams(d=3, q_m=0.0, q_s=0.0, r=0.0, init=default_state(3, 0.5))
-    return {pair: params for pair in typing.pairs()}, typing, 100, np.random.default_rng(seed)
+    params = known_start(0.0, 0.0, 0.0, default_state(3, 0.5)).take([0] * len(typing.blocks()[0]))
+    return params, typing, 100, np.random.default_rng(seed)
 
 
 def test_edge_keys_are_built_in_place():
