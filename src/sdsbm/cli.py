@@ -38,7 +38,7 @@ from .ingest import (
     write_json,
 )
 from .kalman import FilterError, filter as kalman_filter
-from .ssm import NORMAL_APPROX_MIN_COUNT, ParamStack
+from .ssm import NORMAL_APPROX_MIN_COUNT, ParamStack, check_period
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -257,8 +257,7 @@ def _utf8_text(name: str, value: str) -> str:
 def cmd_simulate(resolved: dict) -> int:
     resolved = {**resolved, "types": _utf8_text("--types", resolved["types"])}
     d = resolved["period"]
-    if d < 2:  # checked here too, for a typing with no block
-        raise ValueError("period d must be >= 2")
+    check_period(d)  # checked here too, for a typing with no block
     T = resolved["steps"]
     if T < 0:
         raise ValueError("steps must be >= 0")
@@ -365,24 +364,24 @@ def cmd_fit(resolved: dict) -> int:
 # ----------------------------------------------------------------------
 
 def _matched_blocks(resolved: dict) -> tuple[BlockStack, ParamStack]:
-    """The data's blocks and the model's parameters, both in model order;
-    the data must have the model's blocks, no more, with the same n."""
+    """The data's blocks and the model's parameters for them; the data
+    must have the model's blocks, no more, with the same n.  Both are
+    then in canonical (sorted type-pair) order."""
     if not resolved["model"]:
         raise UsageError("--model is required")
     params, n_by_pair = load_model(resolved["model"])
     blocks = _load_blocks(resolved)
-    row = {pair: k for k, pair in enumerate(blocks.pairs)}
     extra = [pair for pair in blocks.pairs if pair not in params]
     if extra:
         raise IngestError(f"typing mismatch: data block {pair_key(extra[0])} is not in the model")
-    pairs = sorted(params)
-    for pair in pairs:
-        if pair not in row or blocks.n[row[pair]] != n_by_pair[pair]:
+    n = dict(zip(blocks.pairs, blocks.n))
+    for pair in sorted(params):
+        if n.get(pair) != n_by_pair[pair]:
             raise IngestError(
                 f"typing mismatch: model block {pair_key(pair)} (n={n_by_pair[pair]}) "
                 "does not match the data"
             )
-    return blocks.take([row[pair] for pair in pairs]), ParamStack.of([params[p] for p in pairs])
+    return blocks, ParamStack.of([params[p] for p in blocks.pairs])
 
 
 def cmd_forecast(resolved: dict) -> int:

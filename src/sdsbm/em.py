@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kalman
 from .graph_model import BlockStack, pair_key
-from .ssm import ParamStack
+from .ssm import ParamStack, check_period
 
 # Smallest representable process variance; avoids exactly-singular
 # covariances when an innovation collapses to zero.
@@ -210,8 +210,7 @@ def default_init(blocks: BlockStack, d: int, flat_defaults: bool = False) -> Par
     first period is missing).  ``flat_defaults`` switches the variances
     to the flat-1 convention instead.
     """
-    if d < 2:
-        raise ValueError("period d must be >= 2")
+    check_period(d)
     B = len(blocks)
     y = blocks.counts / blocks.n[:, None]
     head = y[:, :d]  # the first period's densities

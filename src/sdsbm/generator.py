@@ -28,13 +28,12 @@ from .graph_model import (
     block_pairs,
     edge_keys,
 )
-from .ssm import ParamStack
+from .ssm import ParamStack, check_period
 
 
 def default_state(d: int, bias: float = 0.5) -> np.ndarray:
     """Flat starting state: given bias, all offsets zero."""
-    if d < 2:
-        raise ValueError("period d must be >= 2")
+    check_period(d)
     state = np.zeros(d)
     state[0] = bias
     return state
@@ -46,8 +45,7 @@ def seasonal_state(d: int, bias: float, profile: np.ndarray) -> np.ndarray:
     ``profile[k]`` is the seasonal offset generated at phase k, i.e. at
     steps t with t % d == k; it is shifted to sum to zero first.
     """
-    if d < 2:
-        raise ValueError("period d must be >= 2")
+    check_period(d)
     profile = np.asarray(profile, dtype=float)
     if profile.shape != (d,):
         raise ValueError(f"profile must have length d={d}")
@@ -58,8 +56,7 @@ def seasonal_state(d: int, bias: float, profile: np.ndarray) -> np.ndarray:
 
 def sine_profile(d: int, amplitude: float) -> np.ndarray:
     """Zero-sum sinusoidal seasonal pattern with the given half-range."""
-    if d < 2:
-        raise ValueError("period d must be >= 2")
+    check_period(d)
     if not math.isfinite(amplitude):
         raise ValueError("seasonal amplitude must be finite")
     phases = np.arange(d)

@@ -145,10 +145,10 @@ class DynamicNetwork:
     The edges are one sorted int64 array ``keys`` with no repeats: for V
     vertices, the key ``(t * V + u) * V + v`` stands for the edge joining
     vertices ``u < v`` (indices into the typing's vertex order) in
-    snapshot ``t`` (1-based, at most ``T``).  Build one with
-    :meth:`from_edges` or :meth:`from_keys`.  ``edge_t``, ``edge_u`` and
-    ``edge_v`` are derived on request; :meth:`edge_chunks` walks them a
-    chunk at a time.
+    snapshot ``t`` (1-based, at most ``T``).  The keys are the whole
+    network.  Build one with :meth:`from_edges` or :meth:`from_keys`,
+    and read its edges only through :meth:`edge_chunks`, which decodes
+    the keys a chunk at a time.
     """
 
     typing: VertexTyping
@@ -199,22 +199,6 @@ class DynamicNetwork:
             )
         return cls.from_keys(typing, T, edge_keys(t, i, j, V))
 
-    @property
-    def edge_t(self) -> np.ndarray:
-        """Each edge's snapshot, in key order."""
-        return self.keys // len(self.typing.vertex_ids) ** 2
-
-    @property
-    def edge_u(self) -> np.ndarray:
-        """Each edge's lower vertex index, in key order."""
-        V = len(self.typing.vertex_ids)
-        return self.keys // V % V
-
-    @property
-    def edge_v(self) -> np.ndarray:
-        """Each edge's higher vertex index, in key order."""
-        return self.keys % len(self.typing.vertex_ids)
-
     def edge_chunks(self):
         """The ``(t, u, v)`` arrays of at most ``CHUNK_ROWS`` edges at a
         time, in key order."""
@@ -222,15 +206,6 @@ class DynamicNetwork:
         for start in range(0, self.keys.size, CHUNK_ROWS):
             t, rest = np.divmod(self.keys[start:start + CHUNK_ROWS], V * V)
             yield (t, *np.divmod(rest, V))
-
-    @property
-    def snapshots(self) -> tuple[frozenset[tuple[str, str]], ...]:
-        """Snapshot t's edges as vertex-id pairs ``(u, v)``, with ``u``
-        before ``v`` in the typing's vertex order."""
-        ids = np.array(self.typing.vertex_ids, dtype=object)
-        edges = list(zip(ids[self.edge_u], ids[self.edge_v]))
-        ends = np.searchsorted(self.edge_t, np.arange(1, self.T + 1), side="right").tolist()
-        return tuple(frozenset(edges[a:b]) for a, b in zip([0, *ends], ends))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,12 @@ COUNT_CLAMP_EPS = 1e-6
 NORMAL_APPROX_MIN_COUNT = 10.0
 
 
+def check_period(d: int) -> None:
+    """Refuse a period below 2, which leaves no seasonal offset."""
+    if d < 2:
+        raise ValueError("period d must be >= 2")
+
+
 def transition(d: int) -> np.ndarray:
     """The d x d transition G, shared by every block of period d."""
     G = np.zeros((d, d))
@@ -102,8 +108,7 @@ class ParamStack:
         if q_m.ndim != 1 or q_s.shape != q_m.shape or r.shape != q_m.shape:
             raise ValueError("q_m, q_s and r must be equal-length vectors")
         d = self.d
-        if d < 2:
-            raise ValueError("period d must be >= 2")
+        check_period(d)
         variances = np.stack((q_m, q_s, r))
         if not np.isfinite(variances).all():
             raise ValueError("variances must be finite")

@@ -23,6 +23,13 @@ def known_start(q_m, q_s, r, mu0) -> ParamStack:
     return ParamStack(d, [q_m], [q_s], [r], [mu0], np.zeros((1, d, d)))
 
 
+def edge_arrays(net):
+    """A network's edges as three int64 arrays (t, u, v), in key order,
+    joined from the chunks of ``net.edge_chunks()``."""
+    chunks = [(np.zeros(0, np.int64),) * 3, *net.edge_chunks()]
+    return tuple(np.concatenate(part) for part in zip(*chunks))
+
+
 def gaps_as_nan(counts):
     """Extracted counts, in place, under the missing-observation policy:
     a step whose block counts are all 0 had no edge, so it is a gap."""

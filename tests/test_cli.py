@@ -638,6 +638,23 @@ def test_single_vertex_type_has_no_block_in_any_output(tmp_path):
     assert list(dict.fromkeys(blocks)) == want
 
 
+def test_type_labels_that_csv_quotes_round_trip(tmp_path):
+    # a quote and a space in the labels: every writer quotes them and every reader unquotes them
+    sim, fit = tmp_path / "sim", tmp_path / "fit"
+    assert run("simulate", "--seed", 5, "--period", 4, "--steps", 20, "--types", 'a"q=3,b x=2',
+               "--out-dir", sim) == EXIT_OK
+    data = ("--events", sim / "events.csv", "--types", sim / "types.csv")
+    assert run("fit", *data, "--period", 4, "--max-iter", 3, "--out-dir", fit) in (EXIT_OK, EXIT_MAX_ITER)
+    model = ("--model", fit / "model.json", *data)
+    assert run("forecast", *model, "--horizon", 2, "--out-dir", tmp_path / "fc") == EXIT_OK
+    assert run("detect", *model, "--out-dir", tmp_path / "det") in (EXIT_OK, EXIT_ANOMALIES)
+    fields = (sim / "events.csv").read_text(encoding="utf-8").replace("\n", ",").split(",")
+    assert '"a""q0"' in fields
+    scores = read_rows(tmp_path / "det" / "scores.csv")
+    blocks = {(r["block_a"], r["block_b"]) for r in scores if r["scope"] == "block"}
+    assert blocks == {('a"q', 'a"q'), ('a"q', "b x"), ("b x", "b x")}
+
+
 @pytest.mark.parametrize("source", ["types file", "simulate"])
 def test_type_label_with_colon_is_refused(tmp_path, capsys, source):
     # blocks ("a", "b:c") and ("a:b", "c") would both be named a:b:c

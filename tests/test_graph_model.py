@@ -15,7 +15,7 @@ from sdsbm.graph_model import (
     extract_block_series,
 )
 
-from conftest import gaps_as_nan, known_start
+from conftest import edge_arrays, gaps_as_nan, known_start
 
 
 def network(typing, snapshots):
@@ -98,7 +98,8 @@ class TestDynamicNetwork:
         keys = np.array([(2 * V + 1) * V + 2, (1 * V + 0) * V + 2, (2 * V + 1) * V + 2], dtype=np.int64)
         net = DynamicNetwork.from_keys(two_type_typing(), 2, keys)
         assert net.keys.tolist() == [(1 * V + 0) * V + 2, (2 * V + 1) * V + 2]
-        assert net.snapshots == (frozenset({("1", "3")}), frozenset({("2", "3")}))
+        # snapshot 1 holds ("1", "3"), snapshot 2 ("2", "3")
+        assert [a.tolist() for a in edge_arrays(net)] == [[1, 2], [0, 1], [2, 2]]
 
     @pytest.mark.parametrize(
         "keys,message",
@@ -115,8 +116,7 @@ class TestDynamicNetwork:
 
     def test_normalises_edge_order(self):
         net = DynamicNetwork.from_edges(two_type_typing(), 1, [1, 1], [2, 0], [0, 2])
-        assert net.snapshots[0] == frozenset({("1", "3")})
-        assert (net.edge_u.tolist(), net.edge_v.tolist()) == ([0], [2])
+        assert [a.tolist() for a in edge_arrays(net)] == [[1], [0], [2]]  # ("1", "3")
 
 
 class TestExtractBlockSeries:
@@ -196,18 +196,19 @@ def test_chunked_extraction_matches_whole_network_counts(size, missing):
     typing = net.typing
     label = {name: k for k, name in enumerate(typing.types)}
     kind = np.array([label[typing.type_of[v]] for v in typing.vertex_ids])
-    lo, hi = np.minimum(kind[net.edge_u], kind[net.edge_v]), np.maximum(kind[net.edge_u], kind[net.edge_v])
+    t, u, v = edge_arrays(net)
+    lo, hi = np.minimum(kind[u], kind[v]), np.maximum(kind[u], kind[v])
     pairs = typing.pairs()
     block = np.array([pairs.index((typing.types[a], typing.types[b])) for a, b in zip(lo, hi)], dtype=np.int64)
-    want = np.bincount(block * net.T + net.edge_t - 1, minlength=len(pairs) * net.T)
+    want = np.bincount(block * net.T + t - 1, minlength=len(pairs) * net.T)
     want = want.reshape(len(pairs), net.T).astype(float)
     stack = extract_block_series(net)
     assert stack.pairs == pairs and stack.counts.flags.c_contiguous
     np.testing.assert_array_equal(stack.counts, want)
     # the missing-observation policy makes gaps of exactly the snapshots with no edge
-    empty = sorted(set(range(1, net.T + 1)) - set(net.edge_t.tolist()))
+    empty = sorted(set(range(1, net.T + 1)) - set(t.tolist()))
     assert missing <= set(empty)
-    want[:, [t - 1 for t in empty]] = np.nan
+    want[:, [s - 1 for s in empty]] = np.nan
     np.testing.assert_array_equal(gaps_as_nan(stack.counts), want)
 
 
@@ -217,11 +218,12 @@ def test_edge_chunks_walk_the_keys_in_order(size):
     chunks = list(net.edge_chunks())
     assert all(0 < len(t) <= CHUNK_ROWS for t, _, _ in chunks)
     assert len(chunks) == -(-size // CHUNK_ROWS)
-    walked = (np.concatenate([np.zeros(0, np.int64), *(c[k] for c in chunks)]) for k in range(3))
-    for got, want in zip(walked, (net.edge_t, net.edge_u, net.edge_v)):
-        assert np.array_equal(got, want)
-    assert (net.edge_u < net.edge_v).all()
-    assert [len(s) for s in net.snapshots] == np.bincount(net.edge_t, minlength=net.T + 1)[1:].tolist()
+    # the walked edges pack back into the keys, in order
+    t, u, v = edge_arrays(net)
+    V = len(net.typing.vertex_ids)
+    assert np.array_equal((t * V + u) * V + v, net.keys)
+    assert (u < v).all()
+    assert ((t >= 1) & (t <= net.T)).all()
 
 
 @st.composite
@@ -252,7 +254,7 @@ def test_block_counts_conserve_total_edges(net):
     pairs, n = net.typing.blocks()
     assert stack.pairs == pairs and stack.n.tolist() == n.tolist()
     totals = stack.counts.sum(axis=0)
-    per_snapshot = np.bincount(net.edge_t, minlength=net.T + 1)
+    per_snapshot = np.bincount(edge_arrays(net)[0], minlength=net.T + 1)
     for t in range(1, net.T + 1):
         assert totals[t - 1] == per_snapshot[t]
 

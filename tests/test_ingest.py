@@ -31,7 +31,7 @@ from sdsbm.ingest import (
 )
 from sdsbm.ssm import ModelParams
 
-from conftest import gaps_as_nan
+from conftest import edge_arrays, gaps_as_nan
 
 
 def write(tmp_path, name, text):
@@ -46,7 +46,7 @@ UNIT = BucketingConfig(origin=0.0, width=1.0)
 def edges(net):
     """A network's edges as (t, u, v) vertex-id triples, in key order."""
     ids = net.typing.vertex_ids
-    return [(t, ids[u], ids[v]) for t, u, v in zip(*(net.edge_t, net.edge_u, net.edge_v))]
+    return [(t, ids[u], ids[v]) for t, u, v in zip(*edge_arrays(net))]
 
 
 class TestParseInputs:
@@ -107,7 +107,7 @@ class TestParseInputs:
         types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n\n 1.5 , 2 ,1\n\n")
         net = parse_inputs(events, types, UNIT)
-        assert (net.edge_t.tolist(), net.edge_u.tolist(), net.edge_v.tolist()) == ([2], [0], [1])
+        assert [a.tolist() for a in edge_arrays(net)] == [[2], [0], [1]]
 
     @pytest.mark.parametrize(
         "name,text,line",
@@ -314,15 +314,13 @@ class TestBucketize:
         events = [(0.5, "1", "2"), (1.2, "1", "2"), (1.7, "2", "1")]
         net = bucketed(tmp_path, typing_ab(), events, BucketingConfig(origin=0.0, width=1.0))
         assert net.T == 2
-        assert net.snapshots[0] == frozenset({("1", "2")})
-        assert net.snapshots[1] == frozenset({("1", "2")})
+        assert edges(net) == [(1, "1", "2"), (2, "1", "2")]
 
     def test_boundary_event_goes_to_later_bucket(self, tmp_path):
         events = [(2.0, "1", "2")]
         net = bucketed(tmp_path, typing_ab(), events, BucketingConfig(origin=0.0, width=1.0))
         assert net.T == 3
-        assert net.snapshots[1] == frozenset()
-        assert net.snapshots[2] == frozenset({("1", "2")})
+        assert edges(net) == [(3, "1", "2")]
 
     def test_event_before_origin_rejected(self, tmp_path):
         events = [(-0.1, "1", "2")]
@@ -333,7 +331,7 @@ class TestBucketize:
         events = [(0.5, "1", "2"), (9.5, "1", "3")]
         net = bucketed(tmp_path, typing_ab(), events, BucketingConfig(origin=0.0, width=1.0, T=2))
         assert net.T == 2
-        per_snapshot = np.bincount(net.edge_t, minlength=net.T + 1)
+        per_snapshot = np.bincount(edge_arrays(net)[0], minlength=net.T + 1)
         assert per_snapshot[1] == 1
         assert per_snapshot[2] == 0
 
@@ -366,7 +364,7 @@ class TestBucketize:
             (int(np.floor(ts)) + 1, tuple(sorted((int(i), int(j)))))
             for ts, (i, j) in zip(times, idx)
         }
-        per_snapshot = np.bincount(net.edge_t, minlength=net.T + 1)
+        per_snapshot = np.bincount(edge_arrays(net)[0], minlength=net.T + 1)
         total = sum(per_snapshot[t] for t in range(1, net.T + 1))
         assert total == len(expected)
 
@@ -391,9 +389,8 @@ def test_bucketize_is_order_insensitive(order):
     cfg = BucketingConfig(origin=0.0, width=1.0)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        assert bucketed(tmp, typing_ab(), shuffled, cfg).snapshots == bucketed(
-            tmp, typing_ab(), base, cfg
-        ).snapshots
+        got, want = (bucketed(tmp, typing_ab(), events, cfg) for events in (shuffled, base))
+        assert got.T == want.T and np.array_equal(got.keys, want.keys)
 
 
 CHUNK_ROWS = graph_model.CHUNK_ROWS
@@ -433,7 +430,7 @@ def test_chunked_ingest_matches_per_event_network(tmp_path, size, config, policy
     kept = t <= T
     want = DynamicNetwork.from_edges(typing, T, t[kept], i[kept], j[kept])
     assert net.T == T and np.array_equal(net.keys, want.keys)
-    busy = set(want.edge_t.tolist())
+    busy = set(edge_arrays(want)[0].tolist())
     empty = {s for s in range(1, T + 1) if s not in busy}
     counts = under_policy(extract_block_series(net).counts, policy)
     gaps = set((np.flatnonzero(np.isnan(counts).all(axis=0)) + 1).tolist())
