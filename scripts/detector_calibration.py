@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from sdsbm import anomaly
-from sdsbm.generator import default_state, generate_block_series, seasonal_state, sine_profile
+from sdsbm.generator import generate_block_series, seasonal_state, sine_profile
 from sdsbm.ssm import ParamStack
 
 
@@ -56,7 +56,7 @@ def main() -> None:
     )
 
     d, T, t_star = 5, 30, 24
-    truth = ParamStack(d, [1e-6], [1e-6], [1e-4], [default_state(d, 0.5)], np.zeros((1, d, d)))
+    truth = ParamStack(d, [1e-6], [1e-6], [1e-4], [seasonal_state(d, 0.5, np.zeros(d))], np.zeros((1, d, d)))
     hits = 0
     for _ in range(args.trials):
         trial_blocks, trial_params = null_blocks(truth, args.n, T, 3, rng)

@@ -13,12 +13,10 @@ from .graph_model import (
 )
 from .generator import (
     LatentTrace,
-    default_state,
     generate_block_series,
     generate_network,
     seasonal_state,
     sine_profile,
-    step_latent,
 )
 from .ssm import (
     ModelParams,

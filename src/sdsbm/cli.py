@@ -38,7 +38,7 @@ from .ingest import (
     write_json,
 )
 from .kalman import FilterError, filter as kalman_filter
-from .ssm import NORMAL_APPROX_MIN_COUNT, ParamStack, check_period
+from .ssm import DRIVEN, NORMAL_APPROX_MIN_COUNT, ParamStack, check_period
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -210,13 +210,15 @@ def _parse_type_sizes(spec: str) -> dict[str, int]:
             raise UsageError(f"bad type spec {part!r}, expected name=count")
         name, count = part.split("=", 1)
         name = name.strip()
+        if not name:
+            raise UsageError(f"bad type spec {part!r}: the type name is empty")
         if name in sizes:
             raise UsageError(f"type {name!r} given twice")
         try:
             sizes[name] = int(count)
         except ValueError:
             raise UsageError(f"bad vertex count {count!r} for type {name!r}") from None
-        if not name or sizes[name] < 1:
+        if sizes[name] < 1:
             raise UsageError(f"type {name!r} needs a positive vertex count")
     return sizes
 
@@ -291,7 +293,7 @@ def cmd_simulate(resolved: dict) -> int:
     write_csv(out / "events.csv", ["timestamp", "src", "dst"], chain.from_iterable(chunks))
     write_csv(out / "types.csv", ["vertex", "type"], zip(ids, map(typing.type_of.get, ids)))
     truth_rows = (
-        [t, pair_key(pair), *map(csv_float, (*tr.states[t - 1, :2], tr.density[t - 1])),
+        [t, pair_key(pair), *map(csv_float, (*tr.states[t - 1, DRIVEN], tr.density[t - 1])),
          int(tr.counts[t - 1])]
         for t in range(1, T + 1) for pair, tr in traces.items()
     )

@@ -1,15 +1,15 @@
 """Sampling of synthetic seasonal dynamic networks with recorded latents.
 
-The generative process per block: the bias follows a random walk, the
-leading seasonal offset is rebuilt each step from the zero-sum
-constraint plus noise, the realized edge density adds per-step
-measurement noise, and edges are independent Bernoulli draws at that
-density.  The samplers take the ``ParamStack`` that the filter and EM
-take, one row per block: each row's walk starts at its mu0, a state in
-the model's own layout [m_t, s_t, ..., s_{t-d+2}] (``ssm``'s x_t), and
-its Sigma0 must be 0.  So the truth a test scores with is the very stack
-it sampled from.  Every sampler also returns the hidden trajectory so
-tests and experiments can compare inferred beliefs against ground truth.
+The generative process per block is the model's: each step the state
+takes ``ssm.step`` plus noise at the entries ``ssm.DRIVEN`` (the bias
+walks; the leading offset is rebuilt from the zero-sum constraint), the
+realized edge density is ``ssm.observe`` of it plus measurement noise,
+and edges are independent Bernoulli draws at that density.  The
+samplers take the ``ParamStack`` that the filter and EM take, one row
+per block: each row's walk starts at its mu0, a state in ``ssm``'s
+layout x_t, and its Sigma0 must be 0.  So the truth a test scores with
+is the very stack it sampled from.  Every sampler also returns the
+hidden trajectory, so tests can compare inferred beliefs with the truth.
 """
 
 from __future__ import annotations
@@ -28,15 +28,7 @@ from .graph_model import (
     block_pairs,
     edge_keys,
 )
-from .ssm import ParamStack, check_period
-
-
-def default_state(d: int, bias: float = 0.5) -> np.ndarray:
-    """Flat starting state: given bias, all offsets zero."""
-    check_period(d)
-    state = np.zeros(d)
-    state[0] = bias
-    return state
+from .ssm import DRIVEN, ParamStack, check_period, observe, step
 
 
 def seasonal_state(d: int, bias: float, profile: np.ndarray) -> np.ndarray:
@@ -78,16 +70,6 @@ class LatentTrace:
     counts: np.ndarray
 
 
-def step_latent(state: np.ndarray, q_m: float, q_s: float, rng: np.random.Generator) -> np.ndarray:
-    """One transition of the hidden seasonal process, with bias and
-    seasonal process variances q_m and q_s."""
-    nxt = np.empty(state.shape)
-    nxt[0] = state[0] + rng.normal(0.0, math.sqrt(q_m))
-    nxt[1] = -np.sum(state[1:]) + rng.normal(0.0, math.sqrt(q_s))
-    nxt[2:] = state[1:-1]
-    return nxt
-
-
 def _sample_block(
     params: ParamStack,
     b: int,
@@ -101,14 +83,15 @@ def _sample_block(
     Sigma0 must be 0."""
     if params.Sigma0[b].any():
         raise ValueError("the generator starts each block at its mu0: Sigma0 must be 0")
-    q_m, q_s, sd_r = params.q_m[b], params.q_s[b], math.sqrt(params.r[b])
+    sd_m, sd_s, sd_r = (math.sqrt(v[b]) for v in (params.q_m, params.q_s, params.r))
     state = params.mu0[b]
     states = np.zeros((T, params.d))
     density = np.zeros(T)
     counts = np.zeros(T)
     for t in range(T):
-        state = step_latent(state, q_m, q_s, rng)
-        e = state[0] + state[1] + rng.normal(0.0, sd_r)
+        state = step(state)
+        state[DRIVEN] += (rng.normal(0.0, sd_m), rng.normal(0.0, sd_s))
+        e = observe(state, 1.0) + rng.normal(0.0, sd_r)
         e = min(max(e, 0.0), 1.0)
         states[t] = state
         density[t] = e

@@ -438,7 +438,11 @@ def load_model(path) -> tuple[dict[TypePair, ModelParams], dict[TypePair, int]]:
                 odd = [x for x in np.ravel(np.array(value, dtype=object)) if type(x) not in (int, float)]
                 if odd:  # a boolean is not a JSON number
                     raise ValueError(f"{key} must hold JSON numbers only, found {odd[0]!r}")
-            params[pair] = ModelParams(d, *values.values())
+            params[pair] = p = ModelParams(d, *values.values())
+            low = np.linalg.eigvalsh(p.Sigma0)[0]  # PSD to the symmetry check's tolerance
+            if low < -1e-8 * max(np.abs(p.Sigma0).max(), 1.0):
+                raise ValueError(f"sigma0 of {pair_key(pair)} is not positive semidefinite: "
+                                 f"smallest eigenvalue {low:.3g}")
             n_by_pair[pair] = n
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"{path}: block {k}: {exc}") from None

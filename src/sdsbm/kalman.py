@@ -6,14 +6,14 @@ period at once: arrays carry a leading block axis, and one Python
 loop over t advances all of them (a single block is a stack of one).
 Observations are scalar per block, so nothing is inverted: the update
 divides by each block's scalar innovation variance.  The model is read
-off ``BlockStack.n`` and the ``ParamStack``: H = n (1, 1, 0, ..., 0)
-and Q = diag(q_m, q_s, 0, ..., 0) are never built, and each product
-with them is written on their two non-zero entries.  The filter keeps
-its covariance as a loop variable and records only per-step scalars
-and the vector p_t = P_t H^T.  The smoother is the disturbance smoother
-(Koopman 1993; Durbin & Koopman, *Time Series Analysis by State Space
-Methods*, §4.5.3): the de Jong backward recursion for r_t and N_t over
-the filter's innovations, exact even where the one-step-ahead
+off ``BlockStack.n`` and the ``ParamStack``, and its layout off ``ssm``:
+G is ``ssm.transition``, a product with H is ``ssm.observe``, and Q,
+never built, adds (q_m, q_s) at the entries ``ssm.DRIVEN``.  The filter
+keeps its covariance as a loop variable and records only per-step
+scalars and the vector p_t = P_t H^T.  The smoother is the disturbance
+smoother (Koopman 1993; Durbin & Koopman, *Time Series Analysis by State
+Space Methods*, §4.5.3): the de Jong backward recursion for r_t and N_t
+over the filter's innovations, exact even where the one-step-ahead
 covariances are singular (zero ``Sigma0``), from which it reads the
 smoothed count, disturbance and initial-state moments that EM and
 scoring use.  A forecast is the filter run over future gaps (Durbin &
@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph_model import BlockStack, pair_key
-from .ssm import ParamStack, binomial_obs_noise, outside_normal_regime, transition
+from .ssm import DRIVEN, ParamStack, binomial_obs_noise, observe, outside_normal_regime, transition
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -135,21 +135,20 @@ def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
     mean, cov = params.mu0, params.Sigma0
     G = transition(D)
     GT = G.T.copy()  # contiguous: matmul is faster on it
-    n = blocks.n
-    n_pair = np.column_stack((n, n))  # H's non-zero entries
-    q = np.column_stack((params.q_m, params.q_s))  # and Q's
+    n, n_col = blocks.n, blocks.n[:, None]
+    q = np.column_stack((params.q_m, params.q_s))  # Q's non-zero entries
     pred = np.empty((B, D, D))  # G P G^T + Q, rewritten every step
-    pred_diag = pred.reshape(B, D * D)[:, : D + 2 : D + 1]  # its (0, 0) and (1, 1) entries
+    pred_diag = pred.reshape(B, D * D)[:, :: D + 1][:, DRIVEN]  # where Q adds q
     measurement_var = seq.measurement_var  # b_t = u_t + n^2 r; n and r are checked already
     with np.errstate(divide="ignore", invalid="ignore"):  # a bad F_t raises after the pass
         for t in range(T):
             np.matmul(G @ cov, GT, out=pred)  # predict: G m and G P G^T + Q
             pred_diag += q
             mean, cov = mean @ GT, 0.5 * (pred + pred.swapaxes(1, 2))
-            pred_count[:, t] = hm = n * mean[:, 0] + n * mean[:, 1]  # H a_t
+            pred_count[:, t] = hm = observe(mean, n)  # H a_t
             u[:, t] = u_t = binomial_obs_noise(hm, n)
-            PH[:, t] = p = np.einsum("bij,bj->bi", cov[:, :, :2], n_pair)  # P_t H^T
-            innov_var[:, t] = F = n * p[:, 0] + n * p[:, 1] + u_t + measurement_var
+            PH[:, t] = p = observe(cov, n_col)  # P_t H^T
+            innov_var[:, t] = F = observe(p, n) + u_t + measurement_var
             obs = observed[:, t, None]
             gain = np.divide(p, F[:, None], out=np.zeros((B, D)), where=obs)  # 0 at gaps
             innov[:, t] = v = counts[:, t] - hm
@@ -186,7 +185,7 @@ def smooth(beliefs: BeliefSequence) -> BeliefSequence:
     """
     B, T, D = beliefs.PH.shape
     params, n = beliefs.params, beliefs.n[:, None]
-    G, E = transition(D), (np.arange(D) < 2).astype(float)  # H = n E
+    G, E = transition(D), observe(np.eye(D), 1.0)  # H = n E
     EE = np.outer(E, E)
     observed = ~np.isnan(beliefs.innov)
     F, PH = beliefs.innov_var, beliefs.PH
@@ -202,9 +201,9 @@ def smooth(beliefs: BeliefSequence) -> BeliefSequence:
         r[:, t] = n_v_over_F[:, t, None] * E + (LT @ r[:, t + 1, :, None])[..., 0]
         N = n2_over_F[:, t, None, None] * EE + LT @ N @ L
         pNp[:, t] = np.einsum("bi,bij,bj->b", PH[:, t], N, PH[:, t])
-        N_diag[:, t] = N[:, (0, 1), (0, 1)]
+        N_diag[:, t] = N.diagonal(axis1=1, axis2=2)[:, DRIVEN]
     correction = np.einsum("btj,btj->bt", PH, r[:, :T])
-    count_var = n * PH[..., 0] + n * PH[..., 1] - pNp  # H p_t - p_t^T N p_t
+    count_var = observe(PH, n) - pNp  # H p_t - p_t^T N p_t
     q = np.column_stack((params.q_m, params.q_s))[:, None, :]
     GS = G @ params.Sigma0
     x0_cov = params.Sigma0 - GS.swapaxes(1, 2) @ N @ GS
@@ -213,7 +212,7 @@ def smooth(beliefs: BeliefSequence) -> BeliefSequence:
         smoothed_count=beliefs.pred_count + correction,
         smoothed_count_var=count_var,
         quad=(beliefs.innov - correction) ** 2 + count_var,
-        eta_sq=q + q * q * (r[:, :T, :2] ** 2 - N_diag),
+        eta_sq=q + q * q * (r[:, :T, DRIVEN] ** 2 - N_diag),
         x0_mean=params.mu0 + np.einsum("bji,bj->bi", GS, r[:, 0]),
         x0_cov=0.5 * (x0_cov + x0_cov.swapaxes(1, 2)),
     )

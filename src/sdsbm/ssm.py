@@ -2,15 +2,15 @@
 
 The hidden state of one block is x_t = [m_t, s_t, s_{t-1}, ..., s_{t-d+2}]
 (bias plus d-1 seasonal offsets; the d-th offset is implicit through the
-zero-sum constraint).  The transition matrix G keeps the bias, rebuilds
-the leading offset as minus the sum of the stored ones, and shifts the
-rest right.  A block observes its state as the expected formed-edge
-count n * (m_t + s_t), so its observation row is H = (n, n, 0, ..., 0),
-and its process covariance is Q = diag(q_m, q_s, 0, ..., 0).  Neither is
-stored: a block's model is its possible-edge count n (``BlockStack.n``)
-and its row of a ``ParamStack``, and only G, the same for every block
-of period d, is built as a matrix.  The generator samples from the same
-rows.
+zero-sum constraint).  The transition G keeps the bias, rebuilds the
+leading offset as minus the sum of the stored ones, and shifts the rest
+right.  A block observes its state as the expected formed-edge count
+n * (m_t + s_t), so its observation row is H = (n, n, 0, ..., 0), and
+its process covariance is Q = diag(q_m, q_s, 0, ..., 0).  This layout
+is written here only: ``step`` applies G (``transition`` is G as a
+matrix), ``observe`` applies H and ``DRIVEN`` names the entries Q
+drives.  A block's model is its possible-edge count n (``BlockStack.n``)
+and its row of a ``ParamStack``.
 """
 
 from __future__ import annotations
@@ -34,14 +34,27 @@ def check_period(d: int) -> None:
         raise ValueError("period d must be >= 2")
 
 
+DRIVEN = slice(0, 2)  # the entries Q drives: m_t and s_t, with variances q_m and q_s
+
+
+def step(x: np.ndarray) -> np.ndarray:
+    """G x on the last axis of ``x``, a new float array."""
+    y = np.empty(x.shape)
+    y[..., 0] = x[..., 0]
+    y[..., 1] = -x[..., 1:].sum(axis=-1)
+    y[..., 2:] = x[..., 1:-1]
+    return y
+
+
 def transition(d: int) -> np.ndarray:
     """The d x d transition G, shared by every block of period d."""
-    G = np.zeros((d, d))
-    G[0, 0] = 1.0
-    G[1, 1:] = -1.0
-    if d > 2:
-        G[2:, 1 : d - 1] = np.eye(d - 2)
-    return G
+    return np.ascontiguousarray(step(np.eye(d)).T) + 0.0  # + 0.0 clears signs of zeros
+
+
+def observe(x, n):
+    """H x = n (m_t + s_t) on the last axis of ``x``, for a block of n
+    possible edges; on the rows of a symmetric P it gives P H^T."""
+    return n * x[..., 0] + n * x[..., 1]
 
 
 def binomial_obs_noise(predicted_count, n):

@@ -17,7 +17,6 @@ from sdsbm import anomaly, kalman
 from sdsbm.cli import main as cli_main
 from sdsbm.em import EmConfig, default_init, em_fit, m_step_q
 from sdsbm.generator import (
-    default_state,
     generate_block_series,
     seasonal_state,
     sine_profile,
@@ -200,7 +199,7 @@ def test_criterion_6_detection_power():
     d, n, T, t_star = 5, 1000, 30, 24
     hits = 0
     trials = 200
-    params = known_start(1e-6, 1e-6, 1e-4, default_state(d, bias=0.5)).take([0] * 3)
+    params = known_start(1e-6, 1e-6, 1e-4, seasonal_state(d, 0.5, np.zeros(d))).take([0] * 3)
     pairs = [(f"t{i}", f"t{i}") for i in range(3)]
     for _ in range(trials):
         blocks, _ = generate_block_series(params, n=n, T=T, rng=rng, pairs=pairs)
@@ -248,7 +247,7 @@ def test_criterion_7_process_variance_closed_form():
 
 def test_criterion_8_generator_statistics():
     rng = np.random.default_rng(21)
-    flat = known_start(0.0, 0.0, 0.0, default_state(4, bias=0.3))
+    flat = known_start(0.0, 0.0, 0.0, seasonal_state(4, 0.3, np.zeros(4)))
     series, _ = generate_block_series(flat, n=1000, T=10_000, rng=rng)
     mean_err = abs(series.counts.mean() - 300.0) / 300.0
     var_err = abs(series.counts.var() - 210.0) / 210.0

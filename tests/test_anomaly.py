@@ -16,7 +16,6 @@ from sdsbm.anomaly import (
     write_scores_csv,
 )
 from sdsbm.generator import (
-    default_state,
     generate_block_series,
     seasonal_state,
     sine_profile,
@@ -29,7 +28,7 @@ from gaussian_oracle import dense_model
 
 
 def known_model(d=3, bias=0.5, q=0.0, r=0.0):
-    return known_start(q, q, r, default_state(d, bias=bias))
+    return known_start(q, q, r, seasonal_state(d, bias, np.zeros(d)))
 
 
 def series_scores(counts, n=100, **kw):
@@ -112,7 +111,7 @@ class TestScore:
         # Kolmogorov-Smirnov check against N(0, 1) on model-generated data
         rng = np.random.default_rng(100)
         d, n, T = 7, 2000, 2500
-        truth = known_start(1e-7, 1e-7, 1e-4, default_state(d, bias=0.5)).take([0] * 4)
+        truth = known_start(1e-7, 1e-7, 1e-4, seasonal_state(d, 0.5, np.zeros(d))).take([0] * 4)
         pairs = [(f"t{i}", f"t{i}") for i in range(4)]
         blocks, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=pairs)
         scores = score(blocks, truth)
@@ -224,7 +223,7 @@ class TestDetect:
     def test_injected_spike_ranked_first(self):
         rng = np.random.default_rng(33)
         d, n, T, t_star = 5, 1000, 40, 25
-        params = known_start(1e-6, 1e-6, 1e-4, default_state(d, bias=0.5)).take([0] * 3)
+        params = known_start(1e-6, 1e-6, 1e-4, seasonal_state(d, 0.5, np.zeros(d))).take([0] * 3)
         pairs = [(f"t{i}", f"t{i}") for i in range(3)]
         blocks, _ = generate_block_series(params, n=n, T=T, rng=rng, pairs=pairs)
         clean = score(blocks, params)

@@ -212,13 +212,17 @@ class TestFit:
             assert len(counted) == 1, args[0]
             assert int(counted[0].split()[1]) > 0
 
-    def test_estep_failure_names_block_and_writes_nothing(self, sim_dir, fitted_dir, tmp_path, capsys):
+    def test_estep_failure_names_block_and_writes_nothing(
+        self, sim_dir, fitted_dir, tmp_path, capsys, monkeypatch
+    ):
         params, ns = load_model(fitted_dir / "model.json")
         bad = params[("a", "b")]
         params[("a", "b")] = ModelParams(
             d=bad.d, q_m=bad.q_m, q_s=bad.q_s, r=bad.r, mu0=bad.mu0, Sigma0=-10.0 * np.eye(bad.d)
         )
-        save_model(params, ns, tmp_path / "warm.json")
+        # load_model refuses a Sigma0 that is not PSD, so the warm start is
+        # handed to fit past it, for its E-step to fail
+        monkeypatch.setattr("sdsbm.cli.load_model", lambda path: (params, ns))
         out = tmp_path / "out"
         capsys.readouterr()
         code = run(*fit_args(sim_dir, out, "--init-model", tmp_path / "warm.json"))
@@ -672,6 +676,58 @@ def test_type_label_with_colon_is_refused(tmp_path, capsys, source):
     assert not out.exists()
 
 
+SIM_DATA = ("--events", "{sim}/events.csv", "--types", "{sim}/types.csv")
+
+
+@pytest.mark.parametrize(
+    "args,files,code,message",
+    [
+        (("simulate", "--types", "a"), {}, EXIT_USAGE, "bad type spec 'a', expected name=count"),
+        (("simulate", "--types", "a=1,a=2"), {}, EXIT_USAGE, "type 'a' given twice"),
+        (("simulate", "--types", "a=x"), {}, EXIT_USAGE, "bad vertex count 'x' for type 'a'"),
+        (("simulate", "--types", "a=0"), {}, EXIT_USAGE, "type 'a' needs a positive vertex count"),
+        (("simulate", "--types", "=3"), {}, EXIT_USAGE, "bad type spec '=3': the type name is empty"),
+        (("simulate", "--steps", -1), {}, EXIT_DATA, "steps must be >= 0"),
+        (("fit", *SIM_DATA, "--t-cap", -1), {}, EXIT_DATA, "bucket cap must be >= 0"),
+        (("fit", *SIM_DATA, "--max-iter", 0), {}, EXIT_DATA, "max_iter must be >= 1"),
+        (("forecast", "--model", "{model}", *SIM_DATA, "--horizon", 2, "--level", 1), {}, EXIT_DATA,
+         "confidence level must be in (0, 1)"),
+        (("forecast", "--model", "{model}", *SIM_DATA, "--horizon", 2, "--level", "nan"), {}, EXIT_DATA,
+         "confidence level must be in (0, 1)"),
+        (("forecast", *SIM_DATA, "--horizon", 2), {}, EXIT_USAGE, "--model is required"),
+        (("forecast", "--model", "{model}", *SIM_DATA), {}, EXIT_USAGE, "--horizon is required"),
+        (("fit", "--events", "{sim}/events.csv", "--types", "t.csv"), {"t.csv": "vertex,type\na0\n"},
+         EXIT_DATA, "t.csv:2: expected 2 columns, got 1"),
+        (("fit", "--events", "{sim}/events.csv", "--types", "t.csv"), {"t.csv": "vertex,type\na0,\n"},
+         EXIT_DATA, "t.csv:2: empty vertex or type"),
+        (("fit", "--events", "{sim}/events.csv", "--types", "t.csv"), {"t.csv": "vertex,type\n"},
+         EXIT_DATA, "t.csv: no vertices"),
+        (("fit", "--events", "e.csv", "--types", "{sim}/types.csv"), {"e.csv": "ts,src,dst\n0.5,a0,a1\n"},
+         EXIT_DATA, "e.csv: expected header 'timestamp,src,dst'"),
+        (("forecast", "--model", "m.json", *SIM_DATA, "--horizon", 2), {"m.json": "[]\n"},
+         EXIT_DATA, "m.json: not a model file"),
+        (("fit", "--events", "e.csv", "--types", "t.csv", "--t-cap", 5),
+         {"e.csv": "timestamp,src,dst\n", "t.csv": "vertex,type\nv0,a\n"},
+         EXIT_DATA, "no blocks with possible edges to fit"),
+    ],
+    ids=["types-no-count", "types-twice", "types-bad-count", "types-zero-count", "types-empty-name",
+         "negative-steps", "negative-t-cap", "zero-max-iter", "level-1", "level-nan", "no-model",
+         "no-horizon", "types-csv-one-column", "types-csv-blank-type", "types-csv-header-only",
+         "events-bad-header", "model-list", "no-block"],
+)
+def test_refused_input_writes_nothing(
+    sim_dir, fitted_dir, tmp_path, capsys, monkeypatch, args, files, code, message
+):
+    monkeypatch.chdir(tmp_path)  # the files are named relative to it, as are their errors
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = {"sim": sim_dir, "model": fitted_dir / "model.json"}
+    args = [a.format(**paths) if isinstance(a, str) else a for a in args]
+    assert run(*args, "--out-dir", "out") == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def assert_model_commands_are_data_errors(model, sim_dir, tmp_path, capsys):
     data = ("--events", sim_dir / "events.csv", "--types", sim_dir / "types.csv")
     commands = [
@@ -694,8 +750,8 @@ def write_checksummed(path, document):
 
 
 def test_degenerate_model_is_data_error(sim_dir, fitted_dir, tmp_path, capsys):
-    # a checksummed model whose Sigma0 is negative definite: the filter
-    # and EM fail inside, and every command reports it as a data error
+    # a checksummed model whose Sigma0 is negative definite: loading it
+    # fails, and every command reports it as a data error
     params, ns = load_model(fitted_dir / "model.json")
     bad = {
         pair: ModelParams(
@@ -753,6 +809,15 @@ def test_non_finite_model_is_data_error(sim_dir, fitted_dir, tmp_path, capsys, f
         pytest.param(
             lambda doc: doc["blocks"][2]["sigma0"][1].__setitem__(1, False),
             "block 2: sigma0 must hold JSON numbers", id="bool-sigma0",
+        ),
+        pytest.param(
+            lambda doc: doc["blocks"][0].update(sigma0=[[0.0] * 3] * 3), "block 0: Sigma0 must be 4x4",
+            id="wrong-shape-sigma0",
+        ),
+        # a smallest eigenvalue near -1e-3, which the filter would only meet steps later
+        pytest.param(
+            lambda doc: doc["blocks"][1]["sigma0"][1].__setitem__(1, doc["blocks"][1]["sigma0"][1][1] - 1e-3),
+            r"block 1: sigma0 of a:b is not positive semidefinite: smallest eigenvalue -0\.000", id="non-psd-sigma0",
         ),
     ],
 )

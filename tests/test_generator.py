@@ -5,12 +5,10 @@ import pytest
 from conftest import known_start
 from sdsbm.generator import (
     _sample_block,
-    default_state,
     generate_block_series,
     generate_network,
     seasonal_state,
     sine_profile,
-    step_latent,
 )
 from sdsbm.graph_model import (
     DynamicNetwork,
@@ -18,7 +16,7 @@ from sdsbm.graph_model import (
     block_pairs,
     extract_block_series,
 )
-from sdsbm.ssm import ParamStack
+from sdsbm.ssm import ParamStack, transition
 
 
 class _ExpectationRng:
@@ -38,6 +36,12 @@ def noiseless(init, r=0.0):
     return known_start(0.0, 0.0, r, init)
 
 
+def sampled_states(params, T, rng):
+    """The hidden states of one row's sampled walk, t = 1..T."""
+    _, [trace] = generate_block_series(params, n=10, T=T, rng=rng)
+    return trace.states
+
+
 class TestGeneratorParams:
     """The generator takes the ``ParamStack`` that the filter and EM take,
     and its rows are checked as theirs are."""
@@ -45,7 +49,7 @@ class TestGeneratorParams:
     @pytest.mark.parametrize("field", ["q_m", "q_s", "r"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
     def test_rejects_bad_variances(self, field, value):
-        opts = dict(q_m=0.0, q_s=0.0, r=0.0, mu0=default_state(3))
+        opts = dict(q_m=0.0, q_s=0.0, r=0.0, mu0=seasonal_state(3, 0.5, np.zeros(3)))
         opts[field] = value
         with pytest.raises(ValueError, match="variances must be"):
             known_start(**opts)
@@ -65,7 +69,7 @@ class TestGeneratorParams:
 
     def test_rejects_uncertain_start(self, rng):
         # a run starts from a known state: the generator refuses a non-zero Sigma0
-        uncertain = ParamStack(3, [0.0], [0.0], [0.0], [default_state(3)], [1e-3 * np.eye(3)])
+        uncertain = ParamStack(3, [0.0], [0.0], [0.0], [seasonal_state(3, 0.5, np.zeros(3))], [1e-3 * np.eye(3)])
         with pytest.raises(ValueError, match="Sigma0 must be 0"):
             generate_block_series(uncertain, n=10, T=5, rng=rng)
         typing = small_typing()
@@ -91,42 +95,34 @@ class TestGeneratorParams:
 
 
 class TestStepLatent:
+    """The sampled walk steps the state with ``ssm.step`` and adds noise
+    to the entries ``ssm.DRIVEN``."""
+
     def test_zero_sum_recurrence_d3(self, rng):
-        state = np.array([0.5, 0.1, -0.1])
-        leads = []
-        for _ in range(4):
-            state = step_latent(state, 0.0, 0.0, rng)
-            leads.append(state[1])
-        assert leads == [0.0, -0.1, 0.1, 0.0]
+        states = sampled_states(noiseless(np.array([0.5, 0.1, -0.1])), 4, rng)
+        assert states[:, 1].tolist() == [0.0, -0.1, 0.1, 0.0]
 
     def test_zero_noise_keeps_bias(self, rng):
-        state = step_latent(default_state(4, bias=0.37), 0.0, 0.0, rng)
+        state = sampled_states(noiseless(seasonal_state(4, 0.37, np.zeros(4))), 1, rng)[0]
         assert state[0] == 0.37
 
     def test_bias_increment_variance(self):
         # Monte-Carlo check of the bias random walk variance
         rng = np.random.default_rng(7)
         q = 1e-6
-        init = default_state(7)
-        state = init
-        biases = np.zeros(10_000)
-        for i in range(biases.shape[0]):
-            state = step_latent(state, q, 1e-6, rng)
-            biases[i] = state[0]
+        init = seasonal_state(7, 0.5, np.zeros(7))
+        biases = sampled_states(known_start(q, 1e-6, 0.0, init), 10_000, rng)[:, 0]
         increments = np.diff(np.concatenate(([init[0]], biases)))
         assert increments.var() == pytest.approx(q, rel=0.2)
 
     def test_matches_transition_matrix(self, rng):
         # the sampler's recurrence is exactly x_t = G x_{t-1} in the
         # noiseless case
-        from sdsbm.ssm import transition
-
         d = 5
         init = np.array([0.4, 0.05, -0.02, 0.01, -0.04])
         G = transition(d)
-        state, vec = init, init
-        for _ in range(12):
-            state = step_latent(state, 0.0, 0.0, rng)
+        states, vec = sampled_states(noiseless(init), 12, rng), init
+        for state in states:
             vec = G @ vec
             np.testing.assert_allclose(state, vec, atol=1e-15)
 
@@ -135,9 +131,8 @@ class TestSeasonalStart:
     def test_profile_repeats_noiselessly(self, rng):
         d = 6
         profile = sine_profile(d, 0.1)
-        state = seasonal_state(d, 0.5, profile)
-        for t in range(1, 3 * d + 1):
-            state = step_latent(state, 0.0, 0.0, rng)
+        states = sampled_states(noiseless(seasonal_state(d, 0.5, profile)), 3 * d, rng)
+        for t, state in enumerate(states, 1):
             assert state[1] == pytest.approx(profile[t % d], abs=1e-12)
 
     def test_profile_centering(self):
@@ -149,33 +144,33 @@ class TestSeasonalStart:
 
 class TestGenerateBlockSeries:
     def test_deterministic_core(self):
-        params = noiseless(default_state(3, bias=0.5))
+        params = noiseless(seasonal_state(3, 0.5, np.zeros(3)))
         series, [trace] = generate_block_series(params, n=100, T=3, rng=_ExpectationRng())
         assert series.pairs == (("a", "a"),) and series.n.tolist() == [100.0]
         assert series.counts.tolist() == [[50.0, 50.0, 50.0]]
         assert trace.density.tolist() == [0.5, 0.5, 0.5]
 
     def test_boundary_density(self, rng):
-        params = noiseless(default_state(3, bias=1.0))
+        params = noiseless(seasonal_state(3, 1.0, np.zeros(3)))
         series, _ = generate_block_series(params, n=20, T=5, rng=rng)
         assert np.all(series.counts == 20.0)
 
     def test_binomial_moments(self):
         rng = np.random.default_rng(11)
-        params = noiseless(default_state(4, bias=0.3))
+        params = noiseless(seasonal_state(4, 0.3, np.zeros(4)))
         series, _ = generate_block_series(params, n=1000, T=10_000, rng=rng)
         assert series.counts.mean() == pytest.approx(300.0, rel=0.01)
         assert series.counts.var() == pytest.approx(210.0, rel=0.10)
 
     def test_density_clamped(self):
         rng = np.random.default_rng(3)
-        params = noiseless(default_state(3, bias=0.5), r=0.5)
+        params = noiseless(seasonal_state(3, 0.5, np.zeros(3)), r=0.5)
         _, [trace] = generate_block_series(params, n=10, T=200, rng=rng)
         assert trace.density.min() >= 0.0
         assert trace.density.max() <= 1.0
 
     def test_rejects_bad_sizes(self, rng):
-        params = noiseless(default_state(3))
+        params = noiseless(seasonal_state(3, 0.5, np.zeros(3)))
         with pytest.raises(ValueError):
             generate_block_series(params, n=0, T=5, rng=rng)
         with pytest.raises(ValueError):
@@ -205,7 +200,7 @@ def small_typing():
 
 def uniform_params(typing, **kw):
     """One row of the same parameters for each of the typing's blocks."""
-    opts = dict(q_m=0.0, q_s=0.0, r=0.0, mu0=default_state(3, bias=0.5))
+    opts = dict(q_m=0.0, q_s=0.0, r=0.0, mu0=seasonal_state(3, 0.5, np.zeros(3)))
     opts.update(kw)
     return known_start(**opts).take([0] * len(typing.blocks()[0]))
 
@@ -213,7 +208,7 @@ def uniform_params(typing, **kw):
 class TestGenerateNetwork:
     def test_full_density_gives_complete_blocks(self, rng):
         typing = small_typing()
-        params = uniform_params(typing, mu0=default_state(3, bias=1.0))
+        params = uniform_params(typing, mu0=seasonal_state(3, 1.0, np.zeros(3)))
         net, _ = generate_network(params, typing, T=2, rng=rng)
         stack = extract_block_series(net)
         assert stack.pairs == (("a", "a"), ("a", "b"), ("b", "b"))
@@ -221,7 +216,7 @@ class TestGenerateNetwork:
 
     def test_zero_density_gives_empty_graphs(self, rng):
         typing = small_typing()
-        params = uniform_params(typing, mu0=default_state(3, bias=0.0))
+        params = uniform_params(typing, mu0=seasonal_state(3, 0.0, np.zeros(3)))
         net, _ = generate_network(params, typing, T=3, rng=rng)
         assert net.T == 3 and net.keys.size == 0
 
@@ -248,7 +243,7 @@ class TestGenerateNetwork:
         # samples untouched
         typing = small_typing()
         base = uniform_params(typing, q_m=1e-4, q_s=1e-4, r=1e-3)
-        changed = base.put([0], known_start(0.1, 0.1, 0.1, default_state(3, bias=0.2)))  # a:a
+        changed = base.put([0], known_start(0.1, 0.1, 0.1, seasonal_state(3, 0.2, np.zeros(3))))  # a:a
         _, tr1 = generate_network(base, typing, T=15, rng=np.random.default_rng(9))
         _, tr2 = generate_network(changed, typing, T=15, rng=np.random.default_rng(9))
         for pair in (("a", "b"), ("b", "b")):
@@ -259,7 +254,7 @@ class TestGenerateNetwork:
         ids = tuple(f"a{i}" for i in range(50)) + tuple(f"b{i}" for i in range(10))
         typing = VertexTyping(vertex_ids=ids, type_of={v: v[0] for v in ids})
         # n(a,a) = 1225, n(a,b) = 500, n(b,b) = 45
-        mu0 = [default_state(3, bias) for bias in (0.2, 0.8, 0.5)]  # a:a, a:b, b:b
+        mu0 = [seasonal_state(3, bias, np.zeros(3)) for bias in (0.2, 0.8, 0.5)]  # a:a, a:b, b:b
         params = ParamStack(3, [0] * 3, [0] * 3, [0] * 3, mu0, np.zeros((3, 3, 3)))
         net, _ = generate_network(params, typing, T=100, rng=rng)
         density = extract_block_series(net).counts.mean(axis=1) / [1225, 500, 45]

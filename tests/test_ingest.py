@@ -104,7 +104,7 @@ class TestParseInputs:
             parse_inputs(events, types, UNIT)
 
     def test_blank_rows_and_padding_are_accepted(self, tmp_path):
-        types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
+        types = write(tmp_path, "types.csv", "vertex,type\n1,a\n\n2,b\n")
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n\n 1.5 , 2 ,1\n\n")
         net = parse_inputs(events, types, UNIT)
         assert [a.tolist() for a in edge_arrays(net)] == [[2], [0], [1]]
@@ -631,6 +631,23 @@ class TestModelPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "diagonal,low",
+        [((0.0, 0.0, 0.0), None), ((1.0, 0.0, -0.5e-8), None), ((100.0, 0.0, -0.5e-6), None),
+         ((1.0, 0.0, -2e-8), "-2e-08"), ((100.0, 0.0, -2e-6), "-2e-06")],
+    )
+    def test_sigma0_must_be_positive_semidefinite(self, tmp_path, diagonal, low):
+        # up to the tolerance of the symmetry check, 1e-8 max(|Sigma0|, 1)
+        p = ModelParams(d=3, q_m=1e-4, q_s=1e-4, r=1e-3, mu0=np.zeros(3), Sigma0=np.diag(diagonal))
+        path = tmp_path / "model.json"
+        save_model({("a", "b"): p}, {("a", "b"): 10}, path)
+        if low is None:
+            np.testing.assert_array_equal(load_model(path)[0]["a", "b"].Sigma0, p.Sigma0)
+        else:
+            message = f"block 0: sigma0 of a:b is not positive semidefinite: smallest eigenvalue {low}"
+            with pytest.raises(ModelFormatError, match=message):
+                load_model(path)
 
     def test_mixed_periods_rejected(self, tmp_path):
         params = {("a", "a"): example_params(d=3), ("a", "b"): example_params(d=4)}

@@ -19,7 +19,7 @@ import pytest
 
 from sdsbm import kalman
 from sdsbm.em import EmConfig, default_init, em_fit
-from sdsbm.generator import default_state, generate_network
+from sdsbm.generator import generate_network, seasonal_state
 from sdsbm.graph_model import BlockStack, DynamicNetwork, VertexTyping, extract_block_series
 from sdsbm.ingest import BucketingConfig, parse_inputs
 
@@ -69,7 +69,7 @@ def dense_network_args(seed):
     types, every block at density 0.5, over 100 steps."""
     ids = tuple(f"{'ab'[k % 2]}{k}" for k in range(100))
     typing = VertexTyping(vertex_ids=ids, type_of={v: v[0] for v in ids})
-    params = known_start(0.0, 0.0, 0.0, default_state(3, 0.5)).take([0] * len(typing.blocks()[0]))
+    params = known_start(0.0, 0.0, 0.0, seasonal_state(3, 0.5, np.zeros(3))).take([0] * len(typing.blocks()[0]))
     return params, typing, 100, np.random.default_rng(seed)
 
 

@@ -11,11 +11,14 @@ from sdsbm.ssm import (
     ModelParams,
     ParamStack,
     binomial_obs_noise,
+    observe,
     outside_normal_regime,
+    step,
     transition,
 )
 
 from conftest import concat, one_block
+from gaussian_oracle import dense_model
 
 
 def stack_of(d=3, q_m=0.0, q_s=0.0, r=0.0):
@@ -60,6 +63,40 @@ class TestBuildStateSpace:
         for variances in [(value, 0.0, 0.0), (0.0, value, 0.0), (0.0, 0.0, value)]:
             with pytest.raises(ValueError, match="finite"):
                 stack_of(3, *variances)
+
+
+class TestLayout:
+    """``ssm`` writes the state layout once: G (``step``, and
+    ``transition`` as a matrix), H (``observe``) and the entries Q drives."""
+
+    @pytest.mark.parametrize("d", range(2, 31))
+    def test_transition_is_the_hand_built_matrix(self, d):
+        G = np.zeros((d, d))
+        G[0, 0] = 1.0
+        G[1, 1:] = -1.0
+        G[2:, 1 : d - 1] = np.eye(d - 2)
+        # bit for bit, the signs of the zeros included
+        assert transition(d).tobytes() == G.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_observe_is_the_oracle_observation_row(self, d):
+        for n in (1.0, 12.0, 496.0):
+            H = dense_model(stack_of(d)[0], n).H
+            np.testing.assert_array_equal(observe(np.eye(d), n), H)
+            x = np.random.default_rng(d).normal(size=(5, d))
+            np.testing.assert_allclose(observe(x, n), x @ H, rtol=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 24])
+    def test_step_is_the_matrix_product(self, d):
+        # equal to rounding only, relative to the size of the summed
+        # offsets: a 1-D state sums them in another order than the
+        # matrix product does
+        G = transition(d)
+        x = np.random.default_rng(d).normal(size=(200, d))
+        scale = np.abs(x).sum(axis=-1, keepdims=True)
+        assert (np.abs(step(x) - x @ G.T) <= 1e-15 * scale).all()
+        for row, row_scale in zip(x, scale):
+            assert (np.abs(step(row) - row @ G.T) <= 1e-15 * row_scale).all()
 
 
 @settings(max_examples=40, deadline=None)
