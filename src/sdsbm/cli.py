@@ -170,8 +170,8 @@ OPTIONS = {
     "fit": {
         **DATA_OPTIONS,
         **PERIOD,
-        "max_iter": Option(int, 200, "EM iteration cap"),
-        "tol": Option(float, 1e-6, "relative log-likelihood tolerance"),
+        "max_iter": Option(int, EmConfig.max_iter, "EM iteration cap"),
+        "tol": Option(float, EmConfig.tol, "relative log-likelihood tolerance"),
         "fix_r_zero": Option(bool, False, "pin measurement variance to zero"),
         "paper_default_init": Option(bool, False, "initialise all variances at the flat value 1"),
         "init_model": Option(str, None, "warm-start EM from a saved model file"),
@@ -272,6 +272,8 @@ def cmd_simulate(resolved: dict) -> int:
     for name in sorted(sizes):
         for i in range(sizes[name]):
             vid = f"{name}{i}"
+            if vid in type_of:
+                raise UsageError(f"types {type_of[vid]!r} and {name!r} both name vertex {vid!r}")
             vertex_ids.append(vid)
             type_of[vid] = name
     typing = VertexTyping(vertex_ids=tuple(vertex_ids), type_of=type_of)

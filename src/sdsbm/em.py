@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kalman
 from .graph_model import BlockStack, pair_key
-from .ssm import ParamStack, check_period
+from .ssm import ParamStack, check_period, initial_state
 
 # Smallest representable process variance; avoids exactly-singular
 # covariances when an innovation collapses to zero.
@@ -133,14 +133,13 @@ def m_step_r(quad: np.ndarray, u: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.where(r_objective(0.0, quad, u, n) >= r_objective(r, quad, u, n), 0.0, r)
 
 
-def m_step_q(seq: kalman.BeliefSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form process-variance updates: each block's q_m and q_s are
-    its expected squared bias and seasonal disturbances averaged over
-    t = 1..T, floored at a tiny positive value."""
+def m_step_q(seq: kalman.BeliefSequence) -> np.ndarray:
+    """Closed-form process-variance updates: each block's (B, 2)
+    ``ParamStack.q`` is its expected squared state disturbances
+    ``eta_sq`` averaged over t = 1..T, floored at a tiny positive value."""
     if seq.T == 0:
         raise ValueError("cannot update process variances with no steps")
-    q_m, q_s = seq.eta_sq.mean(axis=1).T
-    return np.maximum(q_m, Q_FLOOR), np.maximum(q_s, Q_FLOOR)
+    return np.maximum(seq.eta_sq.mean(axis=1), Q_FLOOR)
 
 
 def em_fit(
@@ -177,12 +176,12 @@ def em_fit(
             seq = kalman.smooth(kalman.filter(sub, params.take(active)))
         except Exception as exc:
             raise EmError(i, str(exc)) from exc
-        q_m, q_s = m_step_q(seq)
+        q = m_step_q(seq)
         r = np.zeros(len(active)) if config.fix_r_to_zero else m_step_r(seq.quad, seq.u, sub.n)
-        params = params.put(active, ParamStack(params.d, q_m, q_s, r, seq.x0_mean, seq.x0_cov))
+        params = params.put(active, ParamStack(params.d, *q.T, r, seq.x0_mean, seq.x0_cov))
         loglik = seq.total_loglik
         row = np.full((B, 4), np.nan)
-        row[active] = np.column_stack((loglik, q_m, q_s, r))
+        row[active] = np.column_stack((loglik, q, r))
         history.append(row)
         iterations[active] += 1
         non_gaussian[active] = seq.non_gaussian_steps
@@ -218,9 +217,8 @@ def default_init(blocks: BlockStack, d: int, flat_defaults: bool = False) -> Par
     bias = np.where(head_obs > 0, np.nansum(head, axis=1) / np.maximum(head_obs, 1), 0.5)
     dev = np.zeros((B, d))  # no deviation at a gap or past the series end
     dev[:, : head.shape[1]] = np.where(np.isnan(head), 0.0, head - bias[:, None])
-    # state holds (s_0, s_-1, ...); phase k of the first period estimates
-    # the offset regenerated at steps t = k+1 mod d
-    mu0 = np.column_stack((bias, dev[:, :0:-1]))
+    # index k of the first period is step k + 1, so phase (k + 1) % d
+    mu0 = initial_state(bias, np.roll(dev, 1, axis=1))
 
     if flat_defaults:
         q = r = np.ones(B)

@@ -1,15 +1,14 @@
 """Sampling of synthetic seasonal dynamic networks with recorded latents.
 
 The generative process per block is the model's: each step the state
-takes ``ssm.step`` plus noise at the entries ``ssm.DRIVEN`` (the bias
-walks; the leading offset is rebuilt from the zero-sum constraint), the
-realized edge density is ``ssm.observe`` of it plus measurement noise,
-and edges are independent Bernoulli draws at that density.  The
-samplers take the ``ParamStack`` that the filter and EM take, one row
-per block: each row's walk starts at its mu0, a state in ``ssm``'s
-layout x_t, and its Sigma0 must be 0.  So the truth a test scores with
-is the very stack it sampled from.  Every sampler also returns the
-hidden trajectory, so tests can compare inferred beliefs with the truth.
+takes ``ssm.step`` plus noise of variances ``ParamStack.q`` at the
+entries ``ssm.DRIVEN``, the realized edge density is ``ssm.observe`` of
+it plus measurement noise, and edges are independent Bernoulli draws at
+that density.  The samplers take the ``ParamStack`` that the filter and
+EM take, one row per block: each row's walk starts at its mu0, and its
+Sigma0 must be 0.  So the truth a test scores with is the very stack it
+sampled from.  Every sampler also returns the hidden trajectory, so
+tests can compare inferred beliefs with the truth.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .graph_model import (
     block_pairs,
     edge_keys,
 )
-from .ssm import DRIVEN, ParamStack, check_period, observe, step
+from .ssm import DRIVEN, ParamStack, check_period, initial_state, observe, step
 
 
 def seasonal_state(d: int, bias: float, profile: np.ndarray) -> np.ndarray:
@@ -41,9 +40,7 @@ def seasonal_state(d: int, bias: float, profile: np.ndarray) -> np.ndarray:
     profile = np.asarray(profile, dtype=float)
     if profile.shape != (d,):
         raise ValueError(f"profile must have length d={d}")
-    profile = profile - profile.mean()
-    # the offsets (s_0, s_-1, ..., s_-(d-2)) are the profile at phases 0, d-1, ..., 2
-    return np.array([bias] + [profile[(-j) % d] for j in range(d - 1)])
+    return initial_state(bias, profile - profile.mean())
 
 
 def sine_profile(d: int, amplitude: float) -> np.ndarray:
@@ -60,9 +57,9 @@ def sine_profile(d: int, amplitude: float) -> np.ndarray:
 class LatentTrace:
     """Ground-truth record of one generated block.
 
-    ``states[t]`` is the hidden vector [m_t, s_t, ..., s_{t-d+2}] after
-    the step-t transition, ``density[t]`` the realized e_t and
-    ``counts[t]`` the formed-edge count, all 0-based for t = 1..T.
+    ``states[t]`` is the hidden state after the step-t transition,
+    ``density[t]`` the realized e_t and ``counts[t]`` the formed-edge
+    count, all 0-based for t = 1..T.
     """
 
     states: np.ndarray
@@ -83,14 +80,14 @@ def _sample_block(
     Sigma0 must be 0."""
     if params.Sigma0[b].any():
         raise ValueError("the generator starts each block at its mu0: Sigma0 must be 0")
-    sd_m, sd_s, sd_r = (math.sqrt(v[b]) for v in (params.q_m, params.q_s, params.r))
+    sd_0, sd_1, sd_r = (math.sqrt(v) for v in (*params.q[b], params.r[b]))
     state = params.mu0[b]
     states = np.zeros((T, params.d))
     density = np.zeros(T)
     counts = np.zeros(T)
     for t in range(T):
         state = step(state)
-        state[DRIVEN] += (rng.normal(0.0, sd_m), rng.normal(0.0, sd_s))
+        state[DRIVEN] += (rng.normal(0.0, sd_0), rng.normal(0.0, sd_1))
         e = observe(state, 1.0) + rng.normal(0.0, sd_r)
         e = min(max(e, 0.0), 1.0)
         states[t] = state

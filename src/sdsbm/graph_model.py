@@ -119,13 +119,6 @@ def max_snapshots(n_vertices: int) -> int:
     return _INT64_KEYS // (n_vertices * n_vertices) - 1
 
 
-def _check_snapshots(T: int, n_vertices: int) -> None:
-    if T > max_snapshots(n_vertices):
-        raise ValueError(
-            f"{T} snapshots of {n_vertices} vertices are too many to index edges in int64"
-        )
-
-
 def edge_keys(t, i, j, n_vertices: int) -> np.ndarray:
     """The keys ``(t * V + min(i, j)) * V + max(i, j)`` of the edges
     ``(t[k], i[k], j[k])`` for V vertices, packed in place in one new
@@ -146,9 +139,9 @@ class DynamicNetwork:
     vertices, the key ``(t * V + u) * V + v`` stands for the edge joining
     vertices ``u < v`` (indices into the typing's vertex order) in
     snapshot ``t`` (1-based, at most ``T``).  The keys are the whole
-    network.  Build one with :meth:`from_edges` or :meth:`from_keys`,
-    and read its edges only through :meth:`edge_chunks`, which decodes
-    the keys a chunk at a time.
+    network.  Build one with :meth:`from_keys`, and read its edges only
+    through :meth:`edge_chunks`, which decodes the keys a chunk at a
+    time.
     """
 
     typing: VertexTyping
@@ -157,7 +150,10 @@ class DynamicNetwork:
 
     def __post_init__(self) -> None:
         V = len(self.typing.vertex_ids)
-        _check_snapshots(self.T, V)
+        if self.T > max_snapshots(V):
+            raise ValueError(
+                f"{self.T} snapshots of {V} vertices are too many to index edges in int64"
+            )
         keys = self.keys
         if keys.dtype != np.int64 or keys.ndim != 1:
             raise ValueError("edge keys must be a one-dimensional int64 array")
@@ -179,25 +175,6 @@ class DynamicNetwork:
         if not first.all():
             keys = keys[first]
         return cls(typing=typing, T=T, keys=keys)
-
-    @classmethod
-    def from_edges(cls, typing: VertexTyping, T: int, t, i, j) -> DynamicNetwork:
-        """Network whose snapshot ``t[k]`` holds an edge between vertex
-        indices ``i[k]`` and ``j[k]``, in any order and with repeats."""
-        V = len(typing.vertex_ids)
-        _check_snapshots(T, V)  # before packing, which would overflow
-        t, i, j = (np.asarray(x, dtype=np.int64) for x in (t, i, j))
-        if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= V):
-            raise ValueError("edge endpoint index not in typing")
-        if t.size and (t.min() < 1 or t.max() > T):
-            raise ValueError(f"snapshot index outside 1..{T}")
-        loops = np.flatnonzero(i == j)
-        if loops.size:
-            k = loops[0]
-            raise ValueError(
-                f"self-loop on vertex {typing.vertex_ids[i[k]]!r} in snapshot {t[k]}"
-            )
-        return cls.from_keys(typing, T, edge_keys(t, i, j, V))
 
     def edge_chunks(self):
         """The ``(t, u, v)`` arrays of at most ``CHUNK_ROWS`` edges at a

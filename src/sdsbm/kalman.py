@@ -2,14 +2,14 @@
 
 Filter, smoother and per-step predictive log-likelihood for the
 linear-Gaussian count model.  Every function takes B blocks of one
-period at once: arrays carry a leading block axis, and one Python
-loop over t advances all of them (a single block is a stack of one).
+period at once: arrays carry a leading block axis, and one Python loop
+over t advances all of them (a single block is a stack of one).
 Observations are scalar per block, so nothing is inverted: the update
 divides by each block's scalar innovation variance.  The model is read
 off ``BlockStack.n`` and the ``ParamStack``, and its layout off ``ssm``:
 G is ``ssm.transition``, a product with H is ``ssm.observe``, and Q,
-never built, adds (q_m, q_s) at the entries ``ssm.DRIVEN``.  The filter
-keeps its covariance as a loop variable and records only per-step
+never built, adds ``ParamStack.q`` at the entries ``ssm.DRIVEN``.  The
+filter keeps its covariance as a loop variable and records only per-step
 scalars and the vector p_t = P_t H^T.  The smoother is the disturbance
 smoother (Koopman 1993; Durbin & Koopman, *Time Series Analysis by State
 Space Methods*, §4.5.3): the de Jong backward recursion for r_t and N_t
@@ -61,8 +61,8 @@ class BeliefSequence:
     The smoother adds the count's moments given the whole series, the
     expected squared observation disturbance ``quad`` E[(w_t - H x_t)^2]
     (NaN where unobserved), the expected squared state disturbances
-    ``eta_sq[..., i]`` E[eta_{t,i}^2] of eta_t = x_t - G x_{t-1} for the
-    bias (i = 0) and the seasonal offset (i = 1), and the moments of x_0.
+    ``eta_sq`` E[eta_{t,i}^2] of eta_t = x_t - G x_{t-1} at the entries
+    i that Q drives, in ``ParamStack.q``'s order, and the moments of x_0.
     """
 
     params: ParamStack
@@ -136,7 +136,7 @@ def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
     G = transition(D)
     GT = G.T.copy()  # contiguous: matmul is faster on it
     n, n_col = blocks.n, blocks.n[:, None]
-    q = np.column_stack((params.q_m, params.q_s))  # Q's non-zero entries
+    q = params.q  # Q's non-zero entries
     pred = np.empty((B, D, D))  # G P G^T + Q, rewritten every step
     pred_diag = pred.reshape(B, D * D)[:, :: D + 1][:, DRIVEN]  # where Q adds q
     measurement_var = seq.measurement_var  # b_t = u_t + n^2 r; n and r are checked already
@@ -180,7 +180,7 @@ def smooth(beliefs: BeliefSequence) -> BeliefSequence:
     The state disturbance x_t - G x_{t-1} has mean Q r_{t-1} and
     covariance Q - Q N_{t-1} Q, and x_0 has mean mu0 + Sigma0 G^T r_0 and
     covariance Sigma0 - Sigma0 G^T N_0 G Sigma0.  With H = n E for the
-    selector E = (1, 1, 0, ..., 0), K_t H is (n K_t) E^T and H^T H / F_t
+    selector E = ``ssm.observe(I, 1)``, K_t H is (n K_t) E^T and H^T H / F_t
     is (n^2 / F_t) E E^T.
     """
     B, T, D = beliefs.PH.shape
@@ -204,7 +204,7 @@ def smooth(beliefs: BeliefSequence) -> BeliefSequence:
         N_diag[:, t] = N.diagonal(axis1=1, axis2=2)[:, DRIVEN]
     correction = np.einsum("btj,btj->bt", PH, r[:, :T])
     count_var = observe(PH, n) - pNp  # H p_t - p_t^T N p_t
-    q = np.column_stack((params.q_m, params.q_s))[:, None, :]
+    q = params.q[:, None, :]
     GS = G @ params.Sigma0
     x0_cov = params.Sigma0 - GS.swapaxes(1, 2) @ N @ GS
     return replace(

@@ -8,14 +8,18 @@ right.  A block observes its state as the expected formed-edge count
 n * (m_t + s_t), so its observation row is H = (n, n, 0, ..., 0), and
 its process covariance is Q = diag(q_m, q_s, 0, ..., 0).  This layout
 is written here only: ``step`` applies G (``transition`` is G as a
-matrix), ``observe`` applies H and ``DRIVEN`` names the entries Q
-drives.  A block's model is its possible-edge count n (``BlockStack.n``)
-and its row of a ``ParamStack``.
+matrix), ``observe`` applies H, ``DRIVEN`` names the entries Q drives
+and ``ParamStack.q`` holds their variances in its order, and
+``initial_state`` fixes the phase order: the offset of phase k (the
+steps t with t % d == k) starts as s_{-j} for j = -k mod d.  A block's
+model is its possible-edge count n (``BlockStack.n``) and its row of a
+``ParamStack``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +59,17 @@ def observe(x, n):
     """H x = n (m_t + s_t) on the last axis of ``x``, for a block of n
     possible edges; on the rows of a symmetric P it gives P H^T."""
     return n * x[..., 0] + n * x[..., 1]
+
+
+def initial_state(bias, offsets: np.ndarray) -> np.ndarray:
+    """The state [m, s_0, s_-1, ..., s_-(d-2)] of blocks with bias
+    ``bias`` whose seasonal offset at phase k (steps t with t % d == k) is
+    ``offsets[..., k]``, over any leading block axes.  The offsets are
+    placed as given: a state that should repeat them needs them to sum
+    to zero."""
+    d = offsets.shape[-1]
+    m = np.asarray(bias, dtype=float)[..., None]
+    return np.concatenate((m, offsets[..., -np.arange(d - 1) % d]), axis=-1)
 
 
 def binomial_obs_noise(predicted_count, n):
@@ -150,6 +165,11 @@ class ParamStack:
 
     def __len__(self) -> int:
         return int(self.r.shape[0])
+
+    @cached_property  # once per stack: the sampler reads it once per block
+    def q(self) -> np.ndarray:
+        """The (B, 2) variances Q adds at ``DRIVEN``, in its order."""
+        return np.column_stack((self.q_m, self.q_s))
 
     def __getitem__(self, b: int) -> ModelParams:
         return ModelParams(self.d, *(getattr(self, k)[b] for k in _STACKED))

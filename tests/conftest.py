@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdsbm.graph_model import BlockStack
+from sdsbm.graph_model import BlockStack, DynamicNetwork, edge_keys
 from sdsbm.ssm import ParamStack
 
 
@@ -28,6 +28,13 @@ def edge_arrays(net):
     joined from the chunks of ``net.edge_chunks()``."""
     chunks = [(np.zeros(0, np.int64),) * 3, *net.edge_chunks()]
     return tuple(np.concatenate(part) for part in zip(*chunks))
+
+
+def network_of_edges(typing, T, t, i, j) -> DynamicNetwork:
+    """The network whose snapshot ``t[k]`` holds an edge between vertex
+    indices ``i[k]`` and ``j[k]``, in any order and with repeats."""
+    t, i, j = (np.asarray(x, dtype=np.int64) for x in (t, i, j))
+    return DynamicNetwork.from_keys(typing, T, edge_keys(t, i, j, len(typing.vertex_ids)))
 
 
 def gaps_as_nan(counts):

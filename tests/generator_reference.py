@@ -1,6 +1,6 @@
 """Reference network generator: the loop that built three edge arrays
-per block and packed them in one ``DynamicNetwork.from_edges`` call,
-kept as it was written.  ``sdsbm.generator.generate_network`` appends
+per block and packed them into one network in a single call, kept as
+it was written.  ``sdsbm.generator.generate_network`` appends
 packed edge keys per step instead, and must give the same edges and
 traces from the same seed.
 """
@@ -17,6 +17,8 @@ from sdsbm.graph_model import (
     block_pairs,
 )
 from sdsbm.ssm import ParamStack
+
+from conftest import network_of_edges
 
 
 def generate_network(
@@ -54,7 +56,7 @@ def generate_network(
         edge_t.append(np.repeat(np.arange(1, T + 1), trace.counts.astype(np.int64)))
         edge_i.append(vi[formed])
         edge_j.append(vj[formed])
-    network = DynamicNetwork.from_edges(
+    network = network_of_edges(
         typing, T, np.concatenate(edge_t), np.concatenate(edge_i), np.concatenate(edge_j)
     )
     return network, traces

@@ -233,7 +233,7 @@ def test_criterion_7_process_variance_closed_form():
         counts = rng.integers(30, 70, size=int(rng.integers(4, 9))).astype(float)
         series = one_block(counts, n=n)
         seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
-        [q_m], [q_s] = m_step_q(seq)
+        [[q_m, q_s]] = m_step_q(seq)
         ref_m, ref_s = numeric_q_argmax(oracle_for(series, params, seq))
         worst = max(worst, abs(q_m - ref_m) / ref_m, abs(q_s - ref_s) / ref_s)
     ok = worst <= 1e-6

@@ -687,6 +687,7 @@ SIM_DATA = ("--events", "{sim}/events.csv", "--types", "{sim}/types.csv")
         (("simulate", "--types", "a=x"), {}, EXIT_USAGE, "bad vertex count 'x' for type 'a'"),
         (("simulate", "--types", "a=0"), {}, EXIT_USAGE, "type 'a' needs a positive vertex count"),
         (("simulate", "--types", "=3"), {}, EXIT_USAGE, "bad type spec '=3': the type name is empty"),
+        (("simulate", "--types", "a=11,a1=1"), {}, EXIT_USAGE, "types 'a' and 'a1' both name vertex 'a10'"),
         (("simulate", "--steps", -1), {}, EXIT_DATA, "steps must be >= 0"),
         (("fit", *SIM_DATA, "--t-cap", -1), {}, EXIT_DATA, "bucket cap must be >= 0"),
         (("fit", *SIM_DATA, "--max-iter", 0), {}, EXIT_DATA, "max_iter must be >= 1"),
@@ -711,7 +712,7 @@ SIM_DATA = ("--events", "{sim}/events.csv", "--types", "{sim}/types.csv")
          EXIT_DATA, "no blocks with possible edges to fit"),
     ],
     ids=["types-no-count", "types-twice", "types-bad-count", "types-zero-count", "types-empty-name",
-         "negative-steps", "negative-t-cap", "zero-max-iter", "level-1", "level-nan", "no-model",
+         "types-clashing-vertex", "negative-steps", "negative-t-cap", "zero-max-iter", "level-1", "level-nan", "no-model",
          "no-horizon", "types-csv-one-column", "types-csv-blank-type", "types-csv-header-only",
          "events-bad-header", "model-list", "no-block"],
 )

@@ -323,7 +323,7 @@ class TestMStepQ:
         series = one_block(np.array(states[1:]) @ ss.H, n=n)
         seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
         np.testing.assert_array_equal(seq.eta_sq, np.zeros((1, T, 2)))
-        [q_m], [q_s] = m_step_q(seq)
+        [[q_m, q_s]] = m_step_q(seq)
         assert q_m == q_s == Q_FLOOR
 
     def test_hand_built_projection(self):
@@ -332,7 +332,7 @@ class TestMStepQ:
         d, T, v_m, v_s = 3, 8, 3e-4, 7e-5
         params = ModelParams(d=d, q_m=v_m, q_s=v_s, r=0.0, mu0=np.zeros(d), Sigma0=np.zeros((d, d)))
         seq = kalman.smooth(kalman.filter(one_block([np.nan] * T, n=10), ParamStack.of([params])))
-        [q_m], [q_s] = m_step_q(seq)
+        [[q_m, q_s]] = m_step_q(seq)
         assert q_m == pytest.approx(v_m, rel=1e-12)
         assert q_s == pytest.approx(v_s, rel=1e-12)
 
@@ -341,7 +341,7 @@ class TestMStepQ:
             params = small_params(seed=seed)
             series = one_block(rng.integers(30, 70, size=7), n=100)
             seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
-            [q_m], [q_s] = m_step_q(seq)
+            [[q_m, q_s]] = m_step_q(seq)
             ref_m, ref_s = numeric_q_argmax(oracle_for(series, params, seq))
             assert q_m == pytest.approx(ref_m, rel=1e-6)
             assert q_s == pytest.approx(ref_s, rel=1e-6)
@@ -480,7 +480,7 @@ class TestEmFit:
             quad, u = seq.quad[0], seq.u[0]
             r_new = m_step_r(seq.quad, seq.u, series.n)
             assert r_objective(r_new[0], quad, u, n) >= r_objective(params.r[0], quad, u, n) - 1e-9
-            params = ParamStack(truth.d, *m_step_q(seq), r_new, seq.x0_mean, seq.x0_cov)
+            params = ParamStack(truth.d, *m_step_q(seq).T, r_new, seq.x0_mean, seq.x0_cov)
 
     def test_estep_failure_carries_iteration(self):
         series = one_block([5, 5], n=10)
@@ -614,3 +614,15 @@ class TestDefaultInit:
                     np.testing.assert_allclose(g, w, rtol=1e-12, atol=0, err_msg=f"{b} {name}")
                 else:
                     np.testing.assert_array_equal(g, w, err_msg=f"{b} {name}")
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_recovers_the_generator_start(self, d):
+        # the counts a noise-free seasonal_state start generates at n = 1024,
+        # with every density a multiple of 1/1024, so each step is exact
+        k = np.random.default_rng(d).integers(-50, 51, size=d)
+        k[-1] -= k.sum()
+        profile = k / 1024.0
+        for T in (d, 3 * d + 1):
+            counts = [1024.0 * (0.5 + profile[t % d]) for t in range(1, T + 1)]
+            [params] = default_init(one_block(counts, n=1024), d)
+            assert params.mu0.tobytes() == seasonal_state(d, 0.5, profile).tobytes()

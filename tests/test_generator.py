@@ -2,7 +2,7 @@ import generator_reference
 import numpy as np
 import pytest
 
-from conftest import known_start
+from conftest import known_start, network_of_edges
 from sdsbm.generator import (
     _sample_block,
     generate_block_series,
@@ -11,7 +11,6 @@ from sdsbm.generator import (
     sine_profile,
 )
 from sdsbm.graph_model import (
-    DynamicNetwork,
     VertexTyping,
     block_pairs,
     extract_block_series,
@@ -288,7 +287,7 @@ def per_step_network(block_params, typing, T, rng):
             return present.size
 
         traces[p] = _sample_block(block_params, b, T, stream, draw)
-    network = DynamicNetwork.from_edges(
+    network = network_of_edges(
         typing, T, np.concatenate(edge_t), np.concatenate(edge_i), np.concatenate(edge_j)
     )
     return network, traces

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from sdsbm import graph_model, ingest
 from sdsbm.cli import EMPTY_GRAPH, MISSING_OBSERVATION, OPTIONS, _load_blocks, _resolve
 from sdsbm.graph_model import (
-    DynamicNetwork,
     VertexTyping,
     extract_block_series,
 )
@@ -31,7 +30,7 @@ from sdsbm.ingest import (
 )
 from sdsbm.ssm import ModelParams
 
-from conftest import edge_arrays, gaps_as_nan
+from conftest import edge_arrays, gaps_as_nan, network_of_edges
 
 
 def write(tmp_path, name, text):
@@ -246,7 +245,7 @@ def reference_network(typing, stamps, srcs, dsts, config):
     """The network of parsed events by the per-event formula, uncapped."""
     t = np.floor((np.array(stamps, dtype=float) - config.origin) / config.width) + 1
     T = int(t.max()) if t.size else 0
-    return DynamicNetwork.from_edges(typing, T, t, srcs, dsts)
+    return network_of_edges(typing, T, t, srcs, dsts)
 
 
 @settings(max_examples=200, deadline=None)
@@ -428,7 +427,7 @@ def test_chunked_ingest_matches_per_event_network(tmp_path, size, config, policy
     t = np.floor((ts - config.origin) / config.width) + 1
     T = config.T if config.T is not None else int(t.max()) if size else 0
     kept = t <= T
-    want = DynamicNetwork.from_edges(typing, T, t[kept], i[kept], j[kept])
+    want = network_of_edges(typing, T, t[kept], i[kept], j[kept])
     assert net.T == T and np.array_equal(net.keys, want.keys)
     busy = set(edge_arrays(want)[0].tolist())
     empty = {s for s in range(1, T + 1) if s not in busy}

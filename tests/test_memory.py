@@ -20,10 +20,10 @@ import pytest
 from sdsbm import kalman
 from sdsbm.em import EmConfig, default_init, em_fit
 from sdsbm.generator import generate_network, seasonal_state
-from sdsbm.graph_model import BlockStack, DynamicNetwork, VertexTyping, extract_block_series
+from sdsbm.graph_model import BlockStack, VertexTyping, extract_block_series
 from sdsbm.ingest import BucketingConfig, parse_inputs
 
-from conftest import known_start
+from conftest import known_start, network_of_edges
 
 EVENTS = 100_000
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,7 +59,7 @@ def test_parse_peak_tracks_numeric_columns(tmp_path):
     config = BucketingConfig(origin=0.0, width=60.0)
     net, peak = traced_peak(parse_inputs, events, types, config)
     t = np.floor(stamps / 60.0) + 1
-    want = DynamicNetwork.from_edges(net.typing, int(t.max()), t, src, dst)
+    want = network_of_edges(net.typing, int(t.max()), t, src, dst)
     np.testing.assert_array_equal(net.keys, want.keys)
     assert peak / EVENTS < 24, f"{peak / EVENTS:.1f} bytes per event"
 

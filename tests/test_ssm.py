@@ -11,6 +11,7 @@ from sdsbm.ssm import (
     ModelParams,
     ParamStack,
     binomial_obs_noise,
+    initial_state,
     observe,
     outside_normal_regime,
     step,
@@ -67,7 +68,9 @@ class TestBuildStateSpace:
 
 class TestLayout:
     """``ssm`` writes the state layout once: G (``step``, and
-    ``transition`` as a matrix), H (``observe``) and the entries Q drives."""
+    ``transition`` as a matrix), H (``observe``), the entries Q drives
+    and their variances (``ParamStack.q``), and where each phase's
+    offset sits (``initial_state``)."""
 
     @pytest.mark.parametrize("d", range(2, 31))
     def test_transition_is_the_hand_built_matrix(self, d):
@@ -97,6 +100,31 @@ class TestLayout:
         assert (np.abs(step(x) - x @ G.T) <= 1e-15 * scale).all()
         for row, row_scale in zip(x, scale):
             assert (np.abs(step(row) - row @ G.T) <= 1e-15 * row_scale).all()
+
+    @pytest.mark.parametrize("d", range(2, 31))
+    def test_initial_state_places_each_phase(self, d):
+        rng = np.random.default_rng(d)
+        bias, p = rng.normal(), rng.normal(size=d)
+        want = np.array([bias] + [p[(-j) % d] for j in range(d - 1)])
+        assert initial_state(bias, p).tobytes() == want.tobytes()
+        # a stack of first-period deviations, index k taken at step k + 1
+        biases, dev = rng.normal(size=5), rng.normal(size=(5, d))
+        want = np.column_stack((biases, dev[:, :0:-1]))
+        assert initial_state(biases, np.roll(dev, 1, axis=1)).tobytes() == want.tobytes()
+        # a zero-sum profile of multiples of 1/1024 repeats exactly: the
+        # offset at step t is the profile at phase t % d
+        k = rng.integers(-50, 51, size=d)
+        k[-1] -= k.sum()
+        x = initial_state(0.25, k / 1024.0)
+        for t in range(1, 2 * d + 1):
+            x = step(x)
+            assert x[0] == 0.25 and x[1] == k[t % d] / 1024.0
+
+    @pytest.mark.parametrize("d", range(2, 31))
+    def test_q_is_in_the_order_of_driven(self, d):
+        q_m, q_s = np.random.default_rng(d).uniform(size=(2, 4))
+        assert stack_of(d, q_m, q_s).q.tobytes() == np.column_stack((q_m, q_s)).tobytes()
+
 
 
 @settings(max_examples=40, deadline=None)
