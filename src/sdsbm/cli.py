@@ -2,8 +2,10 @@
 
 Every subcommand is reproducible from its inputs and options (simulate's
 include its seed); the resolved configuration is written next to the
-outputs.  ``forecast`` filters the data with the horizon appended as
-gaps; it and ``detect`` need the data's blocks to be the model's.
+outputs.  ``simulate`` writes ``events.csv`` one snapshot at a time, as
+the generator yields them, and keeps only each block's ground truth.
+``forecast`` filters the data with the horizon appended as gaps; it and
+``detect`` need the data's blocks to be the model's.
 Exit codes:
 0 success (detect: no anomalies), 1 usage error, 2 data error,
 3 anomalies found (detect), 4 EM hit max-iter without converging (fit).
@@ -17,7 +19,7 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -286,18 +288,28 @@ def cmd_simulate(resolved: dict) -> int:
                         np.reshape(mu0, (len(rows), d)), np.zeros((len(rows), d, d)))
 
     rng = np.random.default_rng(resolved["seed"])
-    network, traces = generate_network(params, typing, T, rng)
+    snapshots = generate_network(params, typing, T, rng)
+    truth = np.empty((T, len(params), 4))  # each step's m, s, e and w of each block
 
     out = _out_dir(resolved)
-    stamps = np.array([csv_float((t - 0.5) * width) for t in range(1, T + 1)], dtype=object)
     ids = np.array(typing.vertex_ids, dtype=object)
-    chunks = (zip(stamps[t - 1], ids[u], ids[v]) for t, u, v in network.edge_chunks())
-    write_csv(out / "events.csv", ["timestamp", "src", "dst"], chain.from_iterable(chunks))
+    V = len(ids)
+
+    def event_rows():
+        """Each snapshot's events.csv rows, as it arrives; its ground truth is kept."""
+        for t, snapshot in enumerate(snapshots, 1):
+            truth[t - 1] = np.column_stack(
+                (snapshot.states[:, DRIVEN], snapshot.density, snapshot.counts)
+            )
+            u, v = np.divmod(snapshot.keys - t * V * V, V)
+            yield zip(repeat(csv_float((t - 0.5) * width)), ids[u], ids[v])
+
+    write_csv(out / "events.csv", ["timestamp", "src", "dst"], chain.from_iterable(event_rows()))
     write_csv(out / "types.csv", ["vertex", "type"], zip(ids, map(typing.type_of.get, ids)))
+    names = [pair_key(pair) for pair in typing.blocks()[0]]
     truth_rows = (
-        [t, pair_key(pair), *map(csv_float, (*tr.states[t - 1, DRIVEN], tr.density[t - 1])),
-         int(tr.counts[t - 1])]
-        for t in range(1, T + 1) for pair, tr in traces.items()
+        [t, name, *map(csv_float, row[:3]), int(row[3])]
+        for t, step in enumerate(truth, 1) for name, row in zip(names, step)
     )
     write_csv(out / "ground_truth.csv", ["t", "block", "m", "s", "e", "w"], truth_rows)
     _write_run_config(out, "simulate", resolved)

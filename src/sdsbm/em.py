@@ -32,6 +32,14 @@ Q_FLOOR = 1e-15
 # A density variance cannot exceed 1/4, so r never needs to.
 R_MAX = 0.25
 
+# The r-step scans as many grid points at a time as fill this many
+# (point, block, step) cells, and at least one: a small stack scans the
+# whole grid in one pass, and a large one holds a few arrays of B x T
+# cells instead of 30 B x T.  At 2**14 cells (128 KiB a float array) the
+# scan of 78 blocks over 28 steps ran fastest.
+R_SCAN_CELLS = 2**14
+
+
 class EmError(RuntimeError):
     """E-step failure; ``iteration`` is the 0-based EM iteration."""
 
@@ -95,11 +103,14 @@ def m_step_r(quad: np.ndarray, u: np.ndarray, n: np.ndarray) -> np.ndarray:
     given its (B, T) expected squared observation disturbances ``quad``
     (NaN at gaps), binomial noises ``u`` and possible-edge counts ``n``.
 
-    Scans a 30-point log grid on [1e-12, 1] capped at ``R_MAX``, then
-    runs safeguarded Newton on the analytic gradient inside the bracket
-    of the best grid point's neighbours: a step that leaves the bracket,
-    or a non-negative second derivative, becomes a geometric-mean
-    bisection step.  A block keeps its r once its Newton step is within
+    Scans a 30-point log grid on [1e-12, 1] capped at ``R_MAX``, as
+    many points at a time as fill ``R_SCAN_CELLS`` (point, block, step)
+    cells and at least one; each point's value, and so the best point,
+    is what one scan of the whole grid gives.  Then it runs safeguarded
+    Newton on the analytic gradient inside the bracket of the best grid
+    point's neighbours: a step that leaves the bracket, or a
+    non-negative second derivative, becomes a geometric-mean bisection
+    step.  A block keeps its r once its Newton step is within
     1e-14 r, its bracket within 1e-14 of its top, or its gradient 0 or
     NaN.  The exact boundary r = 0 is kept as a candidate.  A block with
     no observed step gets r = 0.
@@ -109,7 +120,9 @@ def m_step_r(quad: np.ndarray, u: np.ndarray, n: np.ndarray) -> np.ndarray:
     # Clipping the grid at the cap keeps the scan and the bracket, and so
     # the result, inside [0, R_MAX].
     grid = np.minimum(np.geomspace(1e-12, 1.0, 30), R_MAX)
-    best = np.argmax(r_objective(grid[:, None], quad, u, n), axis=0)
+    points = max(R_SCAN_CELLS // max(quad.size, 1), 1)
+    scan = [r_objective(grid[k:k + points, None], quad, u, n) for k in range(0, grid.size, points)]
+    best = np.argmax(np.concatenate(scan), axis=0)
     lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, len(grid) - 1)]
     r = grid[best]
     # The objective is flat to machine precision near its maximum, so the

@@ -4,27 +4,32 @@ The generative process per block is the model's: each step the state
 takes ``ssm.step`` plus noise of variances ``ParamStack.q`` at the
 entries ``ssm.DRIVEN``, the realized edge density is ``ssm.observe`` of
 it plus measurement noise, and edges are independent Bernoulli draws at
-that density.  The samplers take the ``ParamStack`` that the filter and
-EM take, one row per block: each row's walk starts at its mu0, and its
-Sigma0 must be 0.  So the truth a test scores with is the very stack it
-sampled from.  Every sampler also returns the hidden trajectory, so
-tests can compare inferred beliefs with the truth.
+that density.  That step is written once, in ``_walk``, a block's walk
+that yields one step at a time: ``generate_block_series`` runs each
+block's walk to its end, and ``generate_network`` advances every
+block's walk by one step per snapshot, so a network is sampled, and can
+be written, one snapshot at a time.  The samplers take the
+``ParamStack`` that the filter and EM take, one row per block: each
+row's walk starts at its mu0, and its Sigma0 must be 0.  So the truth a
+test scores with is the very stack it sampled from.  Every sampler also
+gives the hidden trajectory, so tests can compare inferred beliefs with
+the truth.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .graph_model import (
     BlockStack,
-    DynamicNetwork,
     TypePair,
     VertexTyping,
     block_pairs,
+    check_snapshots,
     edge_keys,
 )
 from .ssm import DRIVEN, ParamStack, check_period, initial_state, observe, step
@@ -67,6 +72,28 @@ class LatentTrace:
     counts: np.ndarray
 
 
+def _walk(
+    params: ParamStack, b: int, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, float]]:
+    """Row b's latent walk from its mu0, one step per ``next``: the state
+    after the step's transition and the realized density e, clamped to
+    [0, 1].  The caller draws the step's edges from ``rng`` before it asks
+    for the next step.  A walk starts from a known state, so the row's
+    Sigma0 must be 0; that is checked on the call, before any step."""
+    if params.Sigma0[b].any():
+        raise ValueError("the generator starts each block at its mu0: Sigma0 must be 0")
+    sd_0, sd_1, sd_r = (math.sqrt(v) for v in (*params.q[b], params.r[b]))
+
+    def steps(state):
+        while True:
+            state = step(state)
+            state[DRIVEN] += (rng.normal(0.0, sd_0), rng.normal(0.0, sd_1))
+            e = observe(state, 1.0) + rng.normal(0.0, sd_r)
+            yield state, min(max(e, 0.0), 1.0)
+
+    return steps(params.mu0[b])
+
+
 def _sample_block(
     params: ParamStack,
     b: int,
@@ -74,22 +101,14 @@ def _sample_block(
     rng: np.random.Generator,
     draw: Callable[[int, float], int],
 ) -> LatentTrace:
-    """Run row b's latent walk for T steps from its mu0; ``draw(t, e)``
-    samples step t's formed edges at realized density e from ``rng`` and
-    returns their count.  A run starts from a known state, so the row's
-    Sigma0 must be 0."""
-    if params.Sigma0[b].any():
-        raise ValueError("the generator starts each block at its mu0: Sigma0 must be 0")
-    sd_0, sd_1, sd_r = (math.sqrt(v) for v in (*params.q[b], params.r[b]))
-    state = params.mu0[b]
+    """Run row b's walk for T steps; ``draw(t, e)`` samples step t's
+    formed edges at realized density e from ``rng`` and returns their
+    count."""
     states = np.zeros((T, params.d))
     density = np.zeros(T)
     counts = np.zeros(T)
-    for t in range(T):
-        state = step(state)
-        state[DRIVEN] += (rng.normal(0.0, sd_0), rng.normal(0.0, sd_1))
-        e = observe(state, 1.0) + rng.normal(0.0, sd_r)
-        e = min(max(e, 0.0), 1.0)
+    # range comes first, so the walk takes no step past T
+    for t, (state, e) in zip(range(T), _walk(params, b, rng)):
         states[t] = state
         density[t] = e
         counts[t] = draw(t, e)
@@ -126,39 +145,68 @@ def generate_block_series(
     return BlockStack(tuple(pairs), n, counts), traces
 
 
+class Snapshot(NamedTuple):
+    """Snapshot t of a sampled network: its edges' keys, sorted, and for
+    each block, in canonical order, the hidden state after the step-t
+    transition (``states``, (B, d)), the realized density and the
+    formed-edge count (``density`` and ``counts``, (B,) each)."""
+
+    keys: np.ndarray
+    states: np.ndarray
+    density: np.ndarray
+    counts: np.ndarray
+
+
 def generate_network(
     params: ParamStack,
     typing: VertexTyping,
     T: int,
     rng: np.random.Generator,
-) -> tuple[DynamicNetwork, dict[TypePair, LatentTrace]]:
-    """Sample a full dynamic network block by block.
+) -> Iterator[Snapshot]:
+    """Sample a dynamic network of T snapshots, one snapshot at a time.
 
     Row b of ``params`` is the b-th of the typing's blocks
     (``VertexTyping.blocks``).  Each block draws from its own child
     stream of ``rng`` (spawned in canonical block order), so block
-    samples are independent and insensitive to other blocks' settings.
+    samples are independent and insensitive to other blocks' settings,
+    and each block draws in the same order whichever block goes first.
+    Every refusal, and every block's pair keys, come on the call; the
+    iterator it returns then yields the ``Snapshot`` of t = 1..T, so
+    only one snapshot's edges are held at a time.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
-    pairs, _ = typing.blocks()
+    V = len(typing.vertex_ids)
+    check_snapshots(T, V)
+    pairs, n = typing.blocks()
     if len(params) != len(pairs):
         raise ValueError(f"{len(params)} parameter rows for the typing's {len(pairs)} blocks")
     streams = rng.spawn(len(pairs))
-    V = len(typing.vertex_ids)
-    keys = [np.zeros(0, np.int64)]  # the formed pairs' edge keys, one array per block and step
-    traces: dict[TypePair, LatentTrace] = {}
-    for b, (p, stream) in enumerate(zip(pairs, streams)):
-        vi, vj = block_pairs(typing, p)
-        pair_keys = edge_keys(np.zeros_like(vi), vi, vj, V)  # the block's pairs at t = 0
+    walks = [_walk(params, b, stream) for b, stream in enumerate(streams)]
+    # every block's pairs as keys at t = 0, block after block, and the
+    # order that sorts them; blocks share no pair, so no key repeats
+    keys = np.concatenate([np.zeros(0, np.int64), *(
+        edge_keys(np.zeros_like(vi), vi, vj, V)
+        for vi, vj in (block_pairs(typing, p) for p in pairs)
+    )])
+    order = np.argsort(keys)
+    keys = keys[order]
+    bounds = np.cumsum([0, *n]).tolist()
+    blocks = list(zip(walks, streams, bounds[:-1], bounds[1:]))
 
-        def draw(t: int, e: float) -> int:
-            formed = pair_keys[stream.random(pair_keys.size) < e]
-            formed += (t + 1) * V * V
-            keys.append(formed)
-            return formed.size
+    def snapshots() -> Iterator[Snapshot]:
+        # whether each pair, block after block, formed an edge at step t
+        formed = np.empty(keys.size, dtype=bool)
+        for t in range(1, T + 1):
+            states = np.empty((len(blocks), params.d))
+            density = np.empty(len(blocks))
+            counts = np.empty(len(blocks))
+            for b, (walk, stream, lo, hi) in enumerate(blocks):
+                states[b], density[b] = next(walk)
+                np.less(stream.random(hi - lo), density[b], out=formed[lo:hi])
+                counts[b] = np.count_nonzero(formed[lo:hi])
+            edges = keys[formed[order]]
+            edges += t * V * V
+            yield Snapshot(edges, states, density, counts)
 
-        traces[p] = _sample_block(params, b, T, stream, draw)
-    joined = np.concatenate(keys)
-    keys.clear()
-    return DynamicNetwork.from_keys(typing, T, joined), traces
+    return snapshots()

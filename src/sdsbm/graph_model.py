@@ -119,6 +119,14 @@ def max_snapshots(n_vertices: int) -> int:
     return _INT64_KEYS // (n_vertices * n_vertices) - 1
 
 
+def check_snapshots(T: int, n_vertices: int) -> None:
+    """Refuse more snapshots than int64 edge keys can index."""
+    if T > max_snapshots(n_vertices):
+        raise ValueError(
+            f"{T} snapshots of {n_vertices} vertices are too many to index edges in int64"
+        )
+
+
 def edge_keys(t, i, j, n_vertices: int) -> np.ndarray:
     """The keys ``(t * V + min(i, j)) * V + max(i, j)`` of the edges
     ``(t[k], i[k], j[k])`` for V vertices, packed in place in one new
@@ -150,10 +158,7 @@ class DynamicNetwork:
 
     def __post_init__(self) -> None:
         V = len(self.typing.vertex_ids)
-        if self.T > max_snapshots(V):
-            raise ValueError(
-                f"{self.T} snapshots of {V} vertices are too many to index edges in int64"
-            )
+        check_snapshots(self.T, V)
         keys = self.keys
         if keys.dtype != np.int64 or keys.ndim != 1:
             raise ValueError("edge keys must be a one-dimensional int64 array")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sdsbm.generator import LatentTrace, generate_network
 from sdsbm.graph_model import BlockStack, DynamicNetwork, edge_keys
 from sdsbm.ssm import ParamStack
 
@@ -35,6 +36,22 @@ def network_of_edges(typing, T, t, i, j) -> DynamicNetwork:
     indices ``i[k]`` and ``j[k]``, in any order and with repeats."""
     t, i, j = (np.asarray(x, dtype=np.int64) for x in (t, i, j))
     return DynamicNetwork.from_keys(typing, T, edge_keys(t, i, j, len(typing.vertex_ids)))
+
+
+def generated_network(params, typing, T, rng):
+    """``generate_network``'s snapshots drained into the whole network and
+    each block's ``LatentTrace``, keyed by type pair in canonical order."""
+    snapshots = list(generate_network(params, typing, T, rng))
+    keys = np.concatenate([np.zeros(0, np.int64), *(s.keys for s in snapshots)])
+    states, density, counts = (
+        np.array([getattr(s, field) for s in snapshots]).reshape(T, len(params), *shape)
+        for field, shape in (("states", (params.d,)), ("density", ()), ("counts", ()))
+    )
+    traces = {
+        pair: LatentTrace(states[:, b], density[:, b], counts[:, b])
+        for b, pair in enumerate(typing.blocks()[0])
+    }
+    return DynamicNetwork(typing, T, keys), traces
 
 
 def gaps_as_nan(counts):

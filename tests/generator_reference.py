@@ -1,8 +1,9 @@
-"""Reference network generator: the loop that built three edge arrays
-per block and packed them into one network in a single call, kept as
-it was written.  ``sdsbm.generator.generate_network`` appends
-packed edge keys per step instead, and must give the same edges and
-traces from the same seed.
+"""Reference network generator: the loop that sampled one block after
+another, built three edge arrays per block and packed them into one
+network in a single call, kept as it was written.
+``sdsbm.generator.generate_network`` samples one snapshot at a time
+instead, every block taking one step per snapshot, and must give the
+same edges and traces from the same seed.
 """
 
 from __future__ import annotations

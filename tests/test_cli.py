@@ -8,11 +8,13 @@ import sys
 import time
 from pathlib import Path
 
+import generator_reference
 import numpy as np
 import pytest
 
 from sdsbm import ingest, kalman
 from sdsbm.cli import (
+    BLOCK_OPTIONS,
     EMPTY_GRAPH,
     EXIT_ANOMALIES,
     EXIT_DATA,
@@ -26,7 +28,8 @@ from sdsbm.cli import (
     build_parser,
     main,
 )
-from sdsbm.graph_model import extract_block_series
+from sdsbm.generator import seasonal_state, sine_profile
+from sdsbm.graph_model import VertexTyping, edge_keys, extract_block_series, pair_key
 from sdsbm.ingest import (
     BucketingConfig,
     load_model,
@@ -34,6 +37,8 @@ from sdsbm.ingest import (
     save_model,
 )
 from sdsbm.ssm import ModelParams, ParamStack
+
+from conftest import known_start
 
 
 def run(*args) -> int:
@@ -659,6 +664,42 @@ def test_type_labels_that_csv_quotes_round_trip(tmp_path):
     assert blocks == {('a"q', 'a"q'), ('a"q', "b x"), ("b x", "b x")}
 
 
+def test_simulate_streams_the_reference_network(tmp_path):
+    # labels that need quoting and a type with a lone vertex (no c:c block):
+    # events.csv holds exactly the reference generator's edges, in key order,
+    # and ground_truth.csv its traces, t-major in canonical block order
+    seed, T, width = 5, 30, 0.5
+    assert run("simulate", "--seed", seed, "--steps", T, "--width", width,
+               "--types", 'a"q=3,b x=2,c=1', "--out-dir", tmp_path) == EXIT_OK
+    types = read_rows(tmp_path / "types.csv")
+    ids = tuple(row["vertex"] for row in types)
+    typing = VertexTyping(vertex_ids=ids, type_of={row["vertex"]: row["type"] for row in types})
+    defaults = {k: OPTIONS["simulate"][k].default for k in (*BLOCK_OPTIONS, "period")}
+    d = defaults["period"]
+    mu0 = seasonal_state(d, defaults["bias"], sine_profile(d, defaults["season_amplitude"]))
+    params = known_start(defaults["q_m"], defaults["q_s"], defaults["r"], mu0)
+    pairs = typing.blocks()[0]
+    ref_net, ref_traces = generator_reference.generate_network(
+        params.take([0] * len(pairs)), typing, T, np.random.default_rng(seed)
+    )
+    assert list(ref_traces) == list(pairs) and ("c", "c") not in pairs
+
+    events = read_rows(tmp_path / "events.csv")
+    index = typing.vertex_index()
+    t = [round(float(row["timestamp"]) / width + 0.5) for row in events]
+    assert [row["timestamp"] for row in events] == [repr((k - 0.5) * width) for k in t]
+    keys = edge_keys(t, [index[row["src"]] for row in events], [index[row["dst"]] for row in events],
+                     len(ids))
+    assert keys.tolist() == ref_net.keys.tolist()
+
+    want = [
+        [str(k), pair_key(pair), *(repr(float(x)) for x in (*trace.states[k - 1, :2], trace.density[k - 1])),
+         str(int(trace.counts[k - 1]))]
+        for k in range(1, T + 1) for pair, trace in ref_traces.items()
+    ]
+    assert [list(row.values()) for row in read_rows(tmp_path / "ground_truth.csv")] == want
+
+
 @pytest.mark.parametrize("source", ["types file", "simulate"])
 def test_type_label_with_colon_is_refused(tmp_path, capsys, source):
     # blocks ("a", "b:c") and ("a:b", "c") would both be named a:b:c
@@ -689,6 +730,8 @@ SIM_DATA = ("--events", "{sim}/events.csv", "--types", "{sim}/types.csv")
         (("simulate", "--types", "=3"), {}, EXIT_USAGE, "bad type spec '=3': the type name is empty"),
         (("simulate", "--types", "a=11,a1=1"), {}, EXIT_USAGE, "types 'a' and 'a1' both name vertex 'a10'"),
         (("simulate", "--steps", -1), {}, EXIT_DATA, "steps must be >= 0"),
+        (("simulate", "--steps", 2**63 // 9, "--types", "a=3"), {}, EXIT_DATA,
+         f"{2**63 // 9} snapshots of 3 vertices are too many to index edges in int64"),
         (("fit", *SIM_DATA, "--t-cap", -1), {}, EXIT_DATA, "bucket cap must be >= 0"),
         (("fit", *SIM_DATA, "--max-iter", 0), {}, EXIT_DATA, "max_iter must be >= 1"),
         (("forecast", "--model", "{model}", *SIM_DATA, "--horizon", 2, "--level", 1), {}, EXIT_DATA,
@@ -712,7 +755,7 @@ SIM_DATA = ("--events", "{sim}/events.csv", "--types", "{sim}/types.csv")
          EXIT_DATA, "no blocks with possible edges to fit"),
     ],
     ids=["types-no-count", "types-twice", "types-bad-count", "types-zero-count", "types-empty-name",
-         "types-clashing-vertex", "negative-steps", "negative-t-cap", "zero-max-iter", "level-1", "level-nan", "no-model",
+         "types-clashing-vertex", "negative-steps", "steps-past-int64-keys", "negative-t-cap", "zero-max-iter", "level-1", "level-nan", "no-model",
          "no-horizon", "types-csv-one-column", "types-csv-blank-type", "types-csv-header-only",
          "events-bad-header", "model-list", "no-block"],
 )

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import per_block_reference as ref
-from sdsbm import cli, kalman
+from sdsbm import cli, em, kalman
 from sdsbm.em import (
     Q_FLOOR,
     R_MAX,
@@ -23,14 +24,13 @@ from sdsbm.em import (
 )
 from sdsbm.generator import (
     generate_block_series,
-    generate_network,
     seasonal_state,
     sine_profile,
 )
 from sdsbm.graph_model import BlockStack, VertexTyping, extract_block_series
 from sdsbm.ssm import ModelParams, ParamStack
 
-from conftest import concat, known_start, one_block
+from conftest import concat, generated_network, known_start, one_block
 from gaussian_oracle import OracleRun, dense_model
 from test_kalman import oracle_for, random_instance
 
@@ -47,6 +47,31 @@ def fit_one(series, init, config):
 def r_step(quad, u, n):
     """``m_step_r`` on one block's expected squared observation disturbances."""
     return float(m_step_r(np.asarray(quad, float)[None], np.asarray(u, float)[None], np.array([n], float))[0])
+
+
+def one_shot_m_step_r(quad, u, n):
+    """``m_step_r`` as it was first written, with the whole 30-point grid
+    scanned in one ``r_objective`` call over a (30, B, T) array."""
+    n2 = n * n
+    n = n[:, None]
+    grid = np.minimum(np.geomspace(1e-12, 1.0, 30), R_MAX)
+    best = np.argmax(r_objective(grid[:, None], quad, u, n), axis=0)
+    lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, len(grid) - 1)]
+    r = grid[best]
+    for _ in range(100):
+        v = u + n2[:, None] * r[:, None]
+        grad = 0.5 * n2 * np.nansum((quad - v) / v**2, axis=1)
+        hess = 0.5 * n2 * n2 * np.nansum((v - 2.0 * quad) / v**3, axis=1)
+        lo = np.where(grad > 0, r, lo)
+        hi = np.where(grad < 0, r, hi)
+        newton = r - np.divide(grad, hess, out=np.full_like(r, np.inf), where=hess < 0)
+        stalled = ~((grad > 0) | (grad < 0)) | (np.abs(newton - r) <= 1e-14 * r)
+        done = stalled | (hi - lo <= 1e-14 * hi)
+        if done.all():
+            break
+        step = np.where((lo < newton) & (newton < hi), newton, np.sqrt(lo * hi))
+        r = np.where(done, r, step)
+    return np.where(r_objective(0.0, quad, u, n) >= r_objective(r, quad, u, n), 0.0, r)
 
 
 def synthetic_block(seed, d=7, T=120, n=500, q_m=1e-6, q_s=1e-6, r=0.0, bias=0.5, amp=0.08):
@@ -275,6 +300,34 @@ class TestMStepR:
         for b in range(B):
             assert m_step_r(quad[b : b + 1], u[b : b + 1], ns[b : b + 1])[0] == together[b]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 5, 78]),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.1, 1.0, 10.0]),
+        st.integers(min_value=1, max_value=40),
+    )
+    @example(78, 28, 1, 1.0, 30)  # the many-blocks shape, its grid in one pass
+    @example(1, 1, 2, 0.1, 1)  # one step below its binomial noise: r = 0
+    def test_matches_a_one_shot_scan(self, B, T, seed, scale, points):
+        # scanning a few grid points at a time leaves every objective value,
+        # and so the best point and the solve from it, bit for bit as one
+        # scan of all 30 points gives; a scale below 1 puts many blocks' best
+        # r at the boundary r = 0
+        rng = np.random.default_rng(seed)
+        ns = rng.integers(6, 2001, B).astype(float)
+        p = rng.uniform(0.05, 0.95, (B, T))
+        u = ns[:, None] * p * (1 - p)
+        r_star = np.exp(rng.uniform(np.log(1e-8), np.log(1e-2), B))
+        quad = scale * (u + ns[:, None] ** 2 * r_star[:, None]) * np.exp(rng.normal(0, 0.3, (B, T)))
+        quad[rng.random((B, T)) < 0.2] = np.nan  # gaps, some blocks all gap
+        want = one_shot_m_step_r(quad, u, ns)
+        with mock.patch.object(em, "R_SCAN_CELLS", points * B * T):
+            got = m_step_r(quad, u, ns)
+        assert got.tobytes() == want.tobytes()
+        assert m_step_r(quad, u, ns).tobytes() == want.tobytes()  # at the module's own chunking
+
     def test_stops_where_the_newton_step_vanishes(self, monkeypatch):
         # the readme benchmark fit's first E-step (a=32,b=16, seed 1, the
         # first 140 of 161 steps): near each root the gradient is rounding noise,
@@ -286,7 +339,7 @@ class TestMStepR:
         init = seasonal_state(d, opts["bias"], sine_profile(d, opts["season_amplitude"]))
         truth = known_start(opts["q_m"], opts["q_s"], opts["r"], init)
         truth = truth.take([0] * len(typing.blocks()[0]))
-        network, _ = generate_network(truth, typing, 161, np.random.default_rng(1))
+        network, _ = generated_network(truth, typing, 161, np.random.default_rng(1))
         full = extract_block_series(network)
         blocks = BlockStack(full.pairs, full.n, full.counts[:, :140])
         seq = kalman.smooth(kalman.filter(blocks, default_init(blocks, d)))

@@ -2,7 +2,7 @@ import generator_reference
 import numpy as np
 import pytest
 
-from conftest import known_start, network_of_edges
+from conftest import generated_network, known_start, network_of_edges
 from sdsbm.generator import (
     _sample_block,
     generate_block_series,
@@ -208,7 +208,7 @@ class TestGenerateNetwork:
     def test_full_density_gives_complete_blocks(self, rng):
         typing = small_typing()
         params = uniform_params(typing, mu0=seasonal_state(3, 1.0, np.zeros(3)))
-        net, _ = generate_network(params, typing, T=2, rng=rng)
+        net, _ = generated_network(params, typing, T=2, rng=rng)
         stack = extract_block_series(net)
         assert stack.pairs == (("a", "a"), ("a", "b"), ("b", "b"))
         assert stack.counts.tolist() == [[6.0, 6.0], [12.0, 12.0], [3.0, 3.0]]
@@ -216,13 +216,13 @@ class TestGenerateNetwork:
     def test_zero_density_gives_empty_graphs(self, rng):
         typing = small_typing()
         params = uniform_params(typing, mu0=seasonal_state(3, 0.0, np.zeros(3)))
-        net, _ = generate_network(params, typing, T=3, rng=rng)
+        net, _ = generated_network(params, typing, T=3, rng=rng)
         assert net.T == 3 and net.keys.size == 0
 
     def test_extraction_matches_trace_counts(self, rng):
         typing = small_typing()
         params = uniform_params(typing, q_m=1e-4, q_s=1e-4, r=1e-3)
-        net, traces = generate_network(params, typing, T=20, rng=rng)
+        net, traces = generated_network(params, typing, T=20, rng=rng)
         stack = extract_block_series(net)
         by_pair = dict(zip(stack.pairs, stack.counts))
         for pair, trace in traces.items():
@@ -231,8 +231,8 @@ class TestGenerateNetwork:
     def test_seeded_determinism(self):
         typing = small_typing()
         params = uniform_params(typing, q_m=1e-4, q_s=1e-4, r=1e-3)
-        net1, tr1 = generate_network(params, typing, T=10, rng=np.random.default_rng(42))
-        net2, tr2 = generate_network(params, typing, T=10, rng=np.random.default_rng(42))
+        net1, tr1 = generated_network(params, typing, T=10, rng=np.random.default_rng(42))
+        net2, tr2 = generated_network(params, typing, T=10, rng=np.random.default_rng(42))
         assert net1.T == net2.T and np.array_equal(net1.keys, net2.keys)
         for pair in tr1:
             np.testing.assert_array_equal(tr1[pair].states, tr2[pair].states)
@@ -243,8 +243,8 @@ class TestGenerateNetwork:
         typing = small_typing()
         base = uniform_params(typing, q_m=1e-4, q_s=1e-4, r=1e-3)
         changed = base.put([0], known_start(0.1, 0.1, 0.1, seasonal_state(3, 0.2, np.zeros(3))))  # a:a
-        _, tr1 = generate_network(base, typing, T=15, rng=np.random.default_rng(9))
-        _, tr2 = generate_network(changed, typing, T=15, rng=np.random.default_rng(9))
+        _, tr1 = generated_network(base, typing, T=15, rng=np.random.default_rng(9))
+        _, tr2 = generated_network(changed, typing, T=15, rng=np.random.default_rng(9))
         for pair in (("a", "b"), ("b", "b")):
             np.testing.assert_array_equal(tr1[pair].counts, tr2[pair].counts)
 
@@ -255,7 +255,7 @@ class TestGenerateNetwork:
         # n(a,a) = 1225, n(a,b) = 500, n(b,b) = 45
         mu0 = [seasonal_state(3, bias, np.zeros(3)) for bias in (0.2, 0.8, 0.5)]  # a:a, a:b, b:b
         params = ParamStack(3, [0] * 3, [0] * 3, [0] * 3, mu0, np.zeros((3, 3, 3)))
-        net, _ = generate_network(params, typing, T=100, rng=rng)
+        net, _ = generated_network(params, typing, T=100, rng=rng)
         density = extract_block_series(net).counts.mean(axis=1) / [1225, 500, 45]
         assert density[0] == pytest.approx(0.2, abs=0.03)
         assert density[1] == pytest.approx(0.8, abs=0.03)
@@ -310,7 +310,7 @@ def typing_with_lone_vertex():
 )
 def test_network_matches_per_step_loop(typing, T, seed):
     params = uniform_params(typing, q_m=1e-3, q_s=1e-3, r=1e-2)
-    net, traces = generate_network(params, typing, T, np.random.default_rng(seed))
+    net, traces = generated_network(params, typing, T, np.random.default_rng(seed))
     ref_net, ref_traces = per_step_network(params, typing, T, np.random.default_rng(seed))
     assert np.array_equal(net.keys, ref_net.keys)
     assert net.T == T and traces.keys() == ref_traces.keys()
@@ -339,7 +339,7 @@ def typing_out_of_type_order():
 )
 def test_network_matches_reference_generator(typing, T, seed):
     params = uniform_params(typing, q_m=1e-3, q_s=1e-3, r=1e-2)
-    net, traces = generate_network(params, typing, T, np.random.default_rng(seed))
+    net, traces = generated_network(params, typing, T, np.random.default_rng(seed))
     ref_net, ref_traces = generator_reference.generate_network(
         params, typing, T, np.random.default_rng(seed)
     )

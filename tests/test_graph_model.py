@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdsbm.generator import generate_network, seasonal_state
+from sdsbm.generator import seasonal_state
 from sdsbm.graph_model import (
     CHUNK_ROWS,
     BlockStack,
@@ -15,7 +15,7 @@ from sdsbm.graph_model import (
     extract_block_series,
 )
 
-from conftest import edge_arrays, gaps_as_nan, known_start, network_of_edges
+from conftest import edge_arrays, gaps_as_nan, generated_network, known_start, network_of_edges
 
 
 def network(typing, snapshots):
@@ -307,7 +307,7 @@ def test_type_labels_are_read_per_vertex_not_per_block():
     type_of = ReadCounter({v: f"t{k % 40:02d}" for k, v in enumerate(ids)})
     typing = VertexTyping(vertex_ids=ids, type_of=type_of)
     params = known_start(0.0, 0.0, 0.0, seasonal_state(3, 0.5, np.zeros(3))).take([0] * len(typing.blocks()[0]))
-    net, _ = generate_network(params, typing, 1, np.random.default_rng(0))
+    net, _ = generated_network(params, typing, 1, np.random.default_rng(0))
     stack = extract_block_series(net)
     assert len(stack) == 820 and stack.counts.sum() == net.keys.size
     assert type_of.reads <= 2 * len(ids)

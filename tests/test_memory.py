@@ -1,7 +1,8 @@
 """Memory bounds of the event path and of EM: one int64 key per edge
-from the events file or the generator to block counts, with other
-per-edge arrays built one chunk at a time, and an E-step that keeps its
-state covariances as loop variables.
+from the events file to block counts, with other per-edge arrays built
+one chunk at a time, a generator that holds one snapshot's edges at a
+time, an E-step that keeps its state covariances as loop variables and
+an r-step that scans its grid a few points at a time.
 
 The peaks are taken with ``tracemalloc``, which sees numpy's array
 buffers as well as Python objects, so they are deterministic for one
@@ -18,12 +19,12 @@ import numpy as np
 import pytest
 
 from sdsbm import kalman
-from sdsbm.em import EmConfig, default_init, em_fit
+from sdsbm.em import EmConfig, default_init, em_fit, m_step_r
 from sdsbm.generator import generate_network, seasonal_state
 from sdsbm.graph_model import BlockStack, VertexTyping, extract_block_series
 from sdsbm.ingest import BucketingConfig, parse_inputs
 
-from conftest import known_start, network_of_edges
+from conftest import generated_network, known_start, network_of_edges
 
 EVENTS = 100_000
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,21 +74,30 @@ def dense_network_args(seed):
     return params, typing, 100, np.random.default_rng(seed)
 
 
-def test_edge_keys_are_built_in_place():
-    # the network's keys take 8 bytes per edge, and the per-step arrays
-    # they are joined from as much again; per-edge t, u and v arrays, or
-    # packing the keys out of place, would add 24 bytes per edge or more
-    (net, _), peak = traced_peak(generate_network, *dense_network_args(6))
-    edges = net.keys.size
+def test_generator_holds_one_snapshot():
+    # the blocks' pair keys and their sorting order take 16 bytes per
+    # possible pair, about 32 per edge of a snapshot at density 0.5; the
+    # whole network's keys would take 8 bytes per edge of all 100
+    # snapshots, about 800 per edge of the largest
+    args = dense_network_args(6)
+    edges = largest = 0
+
+    def drain():
+        nonlocal edges, largest
+        for snapshot in generate_network(*args):
+            edges += snapshot.keys.size
+            largest = max(largest, snapshot.keys.size)
+
+    _, peak = traced_peak(drain)
     assert edges > 200_000
-    assert peak / edges < 24, f"{peak / edges:.1f} bytes per edge"
+    assert peak / largest < 100, f"{peak / largest:.1f} bytes per edge of the largest snapshot"
 
 
 def test_block_extraction_walks_the_keys_in_chunks():
     # the (T, B) counts are all that grows with the input besides one
     # chunk's arrays; whole per-edge t, u, v or block-id arrays would
     # take 8 bytes per edge each
-    net, _ = generate_network(*dense_network_args(7))
+    net, _ = generated_network(*dense_network_args(7))
     stack, peak = traced_peak(extract_block_series, net)
     assert stack.counts.sum() == net.keys.size
     assert peak / net.keys.size < 4, f"{peak / net.keys.size:.1f} bytes per edge"
@@ -133,6 +143,20 @@ def test_cli_peak_rss_per_edge(tmp_path):
         assert per_edge < 32, f"{command}: {per_edge:.1f} bytes per edge above the import floor"
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_simulate_rss_does_not_grow_with_steps(tmp_path):
+    # simulate holds one snapshot's edges and O(B T) numbers of ground
+    # truth: four times the steps (about 1.2M edges against 300k) must not
+    # raise its peak RSS above the import floor by more than 1 MB
+    floor = max_rss_kib("-c", "import sdsbm.cli, numpy.random", cwd=tmp_path)
+    above = [
+        max_rss_kib("-m", "sdsbm.cli", "simulate", "--seed", "3", "--steps", str(steps),
+                    "--types", "a=40,b=30", "--out-dir", f"sim{steps}", cwd=tmp_path) - floor
+        for steps in (210, 840)
+    ]
+    assert above[1] - above[0] < 1024, f"{above} KiB above the import floor"
+
+
 def many_blocks():
     """78 blocks, the type pairs of 12 types of 8 vertices (n = 28 within
     a type, 64 between), over T = 28 steps of a weekly season."""
@@ -152,6 +176,21 @@ def test_e_step_holds_no_per_step_covariances():
     params = default_init(blocks, 7)
     _, peak = traced_peak(lambda: kalman.smooth(kalman.filter(blocks, params)))
     assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+def test_r_step_scans_the_grid_in_chunks():
+    # at B = 300, T = 1400 one (B, T) float array takes 3.2 MiB; a
+    # one-shot scan of the 30-point grid held about three (30, B, T) ones
+    rng = np.random.default_rng(3)
+    B, T = 300, 1400
+    n = rng.integers(6, 2001, B).astype(float)
+    p = rng.uniform(0.05, 0.95, (B, T))
+    u = n[:, None] * p * (1 - p)
+    quad = (u + n[:, None] ** 2 * 1e-4) * np.exp(rng.normal(0, 0.3, (B, T)))
+    quad[:, ::7] = np.nan
+    r, peak = traced_peak(m_step_r, quad, u, n)
+    assert (r > 0).all()
+    assert peak < 100 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_em_fit_peak_is_a_few_e_steps():
