@@ -19,7 +19,7 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -289,7 +289,12 @@ def cmd_simulate(resolved: dict) -> int:
 
     rng = np.random.default_rng(resolved["seed"])
     snapshots = generate_network(params, typing, T, rng)
-    truth = np.empty((T, len(params), 4))  # each step's m, s, e and w of each block
+    steps = T if len(params) else 0  # with no block every snapshot is empty, so none is walked
+    try:
+        truth = np.empty((steps, len(params), 4))  # each step's m, s, e and w of each block
+    except (ValueError, MemoryError):  # numpy's "array is too big", or a refused allocation
+        raise ValueError(f"--steps {T} is too many: the ground truth, {T} x {len(params)} x 4 "
+                         "floats, cannot be held in memory") from None
 
     out = _out_dir(resolved)
     ids = np.array(typing.vertex_ids, dtype=object)
@@ -297,7 +302,7 @@ def cmd_simulate(resolved: dict) -> int:
 
     def event_rows():
         """Each snapshot's events.csv rows, as it arrives; its ground truth is kept."""
-        for t, snapshot in enumerate(snapshots, 1):
+        for t, snapshot in enumerate(islice(snapshots, steps), 1):
             truth[t - 1] = np.column_stack(
                 (snapshot.states[:, DRIVEN], snapshot.density, snapshot.counts)
             )
@@ -340,6 +345,8 @@ def cmd_fit(resolved: dict) -> int:
     blocks = _load_blocks(resolved)
     if not len(blocks):
         raise IngestError("no blocks with possible edges to fit")
+    if (blocks.counts == 0).any() and not (blocks.counts > 0).any():  # all gaps: em_fit refuses
+        raise IngestError("no edge to fit: every observed count of every block is 0")
     em_config = EmConfig(
         max_iter=resolved["max_iter"],
         tol=resolved["tol"],
@@ -347,14 +354,14 @@ def cmd_fit(resolved: dict) -> int:
     )
     init = default_init(blocks, d, flat_defaults=resolved["paper_default_init"])
     if resolved["init_model"]:
-        warm_start = load_model(resolved["init_model"])[0]
-        model_d = next(iter(warm_start.values())).d  # a model file has one period
-        if model_d != d:
-            raise IngestError(f"init model period {model_d} does not match --period {d}")
-        warm = [k for k, pair in enumerate(blocks.pairs) if pair in warm_start]
+        warm_start, warm_n = load_model(resolved["init_model"])
+        if warm_start.d != d:
+            raise IngestError(f"init model period {warm_start.d} does not match --period {d}")
+        row = {pair: i for i, pair in enumerate(warm_n)}  # each model block's row
+        warm = [k for k, pair in enumerate(blocks.pairs) if pair in row]
         if not warm:
             raise IngestError("init model shares no block with the data")
-        init = init.put(warm, ParamStack.of([warm_start[blocks.pairs[k]] for k in warm]))
+        init = init.put(warm, warm_start.take([row[blocks.pairs[k]] for k in warm]))
     fitted, traces = em_fit(blocks, init, em_config)
     out = _out_dir(resolved)
     n_by_pair = dict(zip(blocks.pairs, blocks.n))
@@ -382,22 +389,22 @@ def cmd_fit(resolved: dict) -> int:
 def _matched_blocks(resolved: dict) -> tuple[BlockStack, ParamStack]:
     """The data's blocks and the model's parameters for them; the data
     must have the model's blocks, no more, with the same n.  Both are
-    then in canonical (sorted type-pair) order."""
+    then the same blocks in canonical (sorted type-pair) order."""
     if not resolved["model"]:
         raise UsageError("--model is required")
     params, n_by_pair = load_model(resolved["model"])
     blocks = _load_blocks(resolved)
-    extra = [pair for pair in blocks.pairs if pair not in params]
+    extra = [pair for pair in blocks.pairs if pair not in n_by_pair]
     if extra:
         raise IngestError(f"typing mismatch: data block {pair_key(extra[0])} is not in the model")
     n = dict(zip(blocks.pairs, blocks.n))
-    for pair in sorted(params):
-        if n.get(pair) != n_by_pair[pair]:
+    for pair, model_n in n_by_pair.items():
+        if n.get(pair) != model_n:
             raise IngestError(
-                f"typing mismatch: model block {pair_key(pair)} (n={n_by_pair[pair]}) "
+                f"typing mismatch: model block {pair_key(pair)} (n={model_n}) "
                 "does not match the data"
             )
-    return blocks, ParamStack.of([params[p] for p in blocks.pairs])
+    return blocks, params
 
 
 def cmd_forecast(resolved: dict) -> int:

@@ -7,6 +7,8 @@ File formats:
 * types CSV, header ``vertex,type``.
 * model file: JSON with a format version, a content checksum and one
   entry per block ``{a, b, n, q_m, q_s, r, mu0, sigma0}`` (JSON numbers).
+  ``load_model`` reads the blocks, listed in any order, as one
+  ``ParamStack`` and a type pair -> n dict in canonical (sorted) order.
   ``write_json`` writes it and every other JSON output as RFC 8259 JSON,
   a non-finite float as the string "inf", "-inf" or "nan".
 * CSV outputs: ``write_csv`` writes each; ``csv_float`` writes every
@@ -52,9 +54,10 @@ from .graph_model import (
     max_snapshots,
     pair_key,
 )
-from .ssm import ModelParams
+from .ssm import FIELDS, ModelParams, ParamStack
 
 MODEL_FORMAT_VERSION = 1
+_BLOCK_KEYS = tuple(field.lower() for field in FIELDS)  # a block's sigma0 is Sigma0
 
 
 class IngestError(ValueError):
@@ -378,27 +381,19 @@ def save_model(
         raise ValueError(f"blocks disagree on period d: {sorted(ds)}")
     blocks = []
     for pair in sorted(params):
-        p = params[pair]
         if pair not in n_by_pair:
             raise ValueError(f"no possible-edge count for block {pair}")
-        blocks.append(
-            {
-                "a": pair[0],
-                "b": pair[1],
-                "n": int(n_by_pair[pair]),
-                "q_m": p.q_m,
-                "q_s": p.q_s,
-                "r": p.r,
-                "mu0": [float(x) for x in p.mu0],
-                "sigma0": [[float(x) for x in row] for row in p.Sigma0],
-            }
-        )
+        values = (np.asarray(getattr(params[pair], field)).tolist() for field in FIELDS)
+        blocks.append({"a": pair[0], "b": pair[1], "n": int(n_by_pair[pair]),
+                       **dict(zip(_BLOCK_KEYS, values))})
     payload = {"version": MODEL_FORMAT_VERSION, "d": ds.pop(), "blocks": blocks}
     write_json({**payload, "checksum": _checksum(payload)}, path)
 
 
-def load_model(path) -> tuple[dict[TypePair, ModelParams], dict[TypePair, int]]:
-    """Reload a saved model, verifying version and content checksum."""
+def load_model(path) -> tuple[ParamStack, dict[TypePair, int]]:
+    """Reload a saved model, verifying version and content checksum: the
+    blocks' parameters as one ``ParamStack`` and their n keyed by type
+    pair, both in canonical (sorted type-pair) order."""
     text = read_text(path, ModelFormatError)
     try:
         document = json.loads(text)
@@ -421,29 +416,31 @@ def load_model(path) -> tuple[dict[TypePair, ModelParams], dict[TypePair, int]]:
         raise ModelFormatError(f"{path}: period d must be an integer, got {d!r}")
     if not isinstance(blocks, list) or not blocks:
         raise ModelFormatError(f"{path}: 'blocks' must be a non-empty list")
-    params: dict[TypePair, ModelParams] = {}
-    n_by_pair: dict[TypePair, int] = {}
+    rows: dict[TypePair, list] = {}  # each block's n and values, in FIELDS order
     for k, blk in enumerate(blocks):
         try:
             pair = (blk["a"], blk["b"])
             n = blk["n"]
             if not all(isinstance(label, str) for label in pair):
                 raise ValueError(f"type labels must be strings, got {list(pair)!r}")
-            if pair in params:
+            if pair in rows:
                 raise ValueError(f"duplicate block {pair_key(pair)}")
             if type(n) is not int or n < 1:
                 raise ValueError(f"n must be an integer >= 1, got {n!r}")
-            values = {key: blk[key] for key in ("q_m", "q_s", "r", "mu0", "sigma0")}
-            for key, value in values.items():
+            row = [blk[key] for key in _BLOCK_KEYS]
+            for key, value in zip(_BLOCK_KEYS, row):
                 odd = [x for x in np.ravel(np.array(value, dtype=object)) if type(x) not in (int, float)]
                 if odd:  # a boolean is not a JSON number
                     raise ValueError(f"{key} must hold JSON numbers only, found {odd[0]!r}")
-            params[pair] = p = ModelParams(d, *values.values())
-            low = np.linalg.eigvalsh(p.Sigma0)[0]  # PSD to the symmetry check's tolerance
-            if low < -1e-8 * max(np.abs(p.Sigma0).max(), 1.0):
+            row[:3] = map(float, row[:3])  # a variance is one number
+            Sigma0 = ParamStack(d, *([value] for value in row)).Sigma0[0]
+            low = np.linalg.eigvalsh(Sigma0)[0]  # PSD to the symmetry check's tolerance
+            if low < -1e-8 * max(np.abs(Sigma0).max(), 1.0):
                 raise ValueError(f"sigma0 of {pair_key(pair)} is not positive semidefinite: "
                                  f"smallest eigenvalue {low:.3g}")
-            n_by_pair[pair] = n
+            rows[pair] = [n, *row]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"{path}: block {k}: {exc}") from None
-    return params, n_by_pair
+    order = sorted(rows)
+    n, *values = zip(*map(rows.get, order))
+    return ParamStack(d, *values), dict(zip(order, n))

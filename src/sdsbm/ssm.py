@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -95,8 +94,8 @@ def outside_normal_regime(predicted_count, n) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Learnable per-block parameters: process/measurement variances and
-    the initial Gaussian belief."""
+    """One block's parameters, ``save_model``'s row type (``ParamStack[b]``
+    gives block b's): process/measurement variances and initial belief."""
 
     d: int
     q_m: float
@@ -107,13 +106,13 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         # checked as a stack of one; the variances stay Python floats
-        variances = [float(getattr(self, k)) for k in _STACKED[:3]]
+        variances = [float(getattr(self, k)) for k in FIELDS[:3]]
         row = ParamStack(self.d, *([v] for v in variances), [self.mu0], [self.Sigma0])
-        for key, value in zip(_STACKED, (*variances, row.mu0[0], row.Sigma0[0])):
+        for key, value in zip(FIELDS, (*variances, row.mu0[0], row.Sigma0[0])):
             object.__setattr__(self, key, value)
 
 
-_STACKED = ("q_m", "q_s", "r", "mu0", "Sigma0")
+FIELDS = ("q_m", "q_s", "r", "mu0", "Sigma0")  # the per-block fields of a ParamStack, in order
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ class ParamStack:
     def __post_init__(self) -> None:
         """Check the stack; mu0 and Sigma0 are stored as floats, Sigma0
         symmetrised."""
-        q_m, q_s, r, mu0, Sigma0 = (np.asarray(getattr(self, k), dtype=float) for k in _STACKED)
+        q_m, q_s, r, mu0, Sigma0 = (np.asarray(getattr(self, k), dtype=float) for k in FIELDS)
         if q_m.ndim != 1 or q_s.shape != q_m.shape or r.shape != q_m.shape:
             raise ValueError("q_m, q_s and r must be equal-length vectors")
         d = self.d
@@ -152,16 +151,8 @@ class ParamStack:
         scale = np.maximum(np.abs(Sigma0).max(axis=(1, 2), initial=0.0), 1.0)
         if (np.abs(Sigma0 - Sigma0_T).max(axis=(1, 2), initial=0.0) > 1e-8 * scale).any():
             raise ValueError("Sigma0 must be symmetric")
-        for key, value in zip(_STACKED, (q_m, q_s, r, mu0, 0.5 * (Sigma0 + Sigma0_T))):
+        for key, value in zip(FIELDS, (q_m, q_s, r, mu0, 0.5 * (Sigma0 + Sigma0_T))):
             object.__setattr__(self, key, value)
-
-    @classmethod
-    def of(cls, params: Sequence[ModelParams]) -> ParamStack:
-        """Stack one ModelParams per block; all must share one period d."""
-        ds = sorted({p.d for p in params})
-        if len(ds) != 1:
-            raise ValueError(f"blocks disagree on period d: {ds}")
-        return cls(ds[0], *(np.array([getattr(p, k) for p in params]) for k in _STACKED))
 
     def __len__(self) -> int:
         return int(self.r.shape[0])
@@ -172,15 +163,15 @@ class ParamStack:
         return np.column_stack((self.q_m, self.q_s))
 
     def __getitem__(self, b: int) -> ModelParams:
-        return ModelParams(self.d, *(getattr(self, k)[b] for k in _STACKED))
+        return ModelParams(self.d, *(getattr(self, k)[b] for k in FIELDS))
 
     def take(self, idx) -> ParamStack:
         """The stack of blocks ``idx`` (an index array)."""
-        return ParamStack(self.d, *(getattr(self, k)[idx] for k in _STACKED))
+        return ParamStack(self.d, *(getattr(self, k)[idx] for k in FIELDS))
 
     def put(self, idx, sub: ParamStack) -> ParamStack:
         """A copy with blocks ``idx`` replaced by the blocks of ``sub``."""
-        arrays = [getattr(self, k).copy() for k in _STACKED]
-        for array, k in zip(arrays, _STACKED):
+        arrays = [getattr(self, k).copy() for k in FIELDS]
+        for array, k in zip(arrays, FIELDS):
             array[idx] = getattr(sub, k)
         return ParamStack(self.d, *arrays)

@@ -3,7 +3,7 @@ import pytest
 
 from sdsbm.generator import LatentTrace, generate_network
 from sdsbm.graph_model import BlockStack, DynamicNetwork, edge_keys
-from sdsbm.ssm import ParamStack
+from sdsbm.ssm import FIELDS, ParamStack
 
 
 @pytest.fixture
@@ -14,6 +14,15 @@ def rng():
 def one_block(counts, n=100, pair=("a", "a")) -> BlockStack:
     """A stack of one block."""
     return BlockStack((pair,), np.array([n]), np.array([counts], dtype=float))
+
+
+def stacked(params) -> ParamStack:
+    """One ``ParamStack`` of per-block ``ModelParams``, in order; all must
+    share one period d."""
+    ds = sorted({p.d for p in params})
+    if len(ds) != 1:
+        raise ValueError(f"blocks disagree on period d: {ds}")
+    return ParamStack(ds[0], *(np.array([getattr(p, k) for p in params]) for k in FIELDS))
 
 
 def known_start(q_m, q_s, r, mu0) -> ParamStack:

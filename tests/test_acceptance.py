@@ -21,9 +21,9 @@ from sdsbm.generator import (
     seasonal_state,
     sine_profile,
 )
-from sdsbm.ssm import ModelParams, ParamStack
+from sdsbm.ssm import ModelParams
 
-from conftest import concat, known_start, one_block
+from conftest import concat, known_start, one_block, stacked
 from gaussian_oracle import OracleRun, dense_model
 from test_em import fit_one, numeric_q_argmax
 from test_kalman import oracle_for
@@ -56,7 +56,7 @@ def test_criterion_1_oracle_equivalence():
         n = 50
         params = _random_model(rng, d)
         counts = rng.integers(n // 4, 3 * n // 4, size=T).astype(float)
-        blocks, stack = one_block(counts, n=n), ParamStack.of([params])
+        blocks, stack = one_block(counts, n=n), stacked([params])
         ss = dense_model(params, n)
         seq = kalman.smooth(kalman.filter(blocks, stack))
         oracle = OracleRun(
@@ -122,7 +122,7 @@ def test_criterion_3_measurement_noise_contrast():
     )
 
     def half_width(params):
-        stack = ParamStack.of([params])
+        stack = stacked([params])
         seq = kalman.filter(series.with_gaps(3 * d), stack)  # the forecast's 3d steps
         return 1.959964 * math.sqrt(seq.innov_var[0, -1])
 
@@ -147,7 +147,7 @@ def test_criterion_4_forecast_variance_growth():
         mu0=seasonal_state(d, 0.5, sine_profile(d, 0.08)),
         Sigma0=1e-5 * np.eye(d),
     )
-    stack = ParamStack.of([params])
+    stack = stacked([params])
     H = dense_model(params, n).H
     # forecast from the prior: the filter over an all-gap series
     seq = kalman.filter(one_block(np.full(10 * d, np.nan), n=n), stack)
@@ -232,7 +232,7 @@ def test_criterion_7_process_variance_closed_form():
         params = _random_model(rng, d)
         counts = rng.integers(30, 70, size=int(rng.integers(4, 9))).astype(float)
         series = one_block(counts, n=n)
-        seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
+        seq = kalman.smooth(kalman.filter(series, stacked([params])))
         [[q_m, q_s]] = m_step_q(seq)
         ref_m, ref_s = numeric_q_argmax(oracle_for(series, params, seq))
         worst = max(worst, abs(q_m - ref_m) / ref_m, abs(q_s - ref_s) / ref_s)

@@ -20,10 +20,10 @@ from sdsbm.generator import (
     seasonal_state,
     sine_profile,
 )
-from sdsbm.ssm import ModelParams, ParamStack
+from sdsbm.ssm import ModelParams
 
 import per_block_reference as ref
-from conftest import concat, known_start, one_block
+from conftest import concat, known_start, one_block, stacked
 from gaussian_oracle import dense_model
 
 
@@ -87,7 +87,7 @@ class TestScore:
             mu0=np.array([0.5, 0.0, 0.0]), Sigma0=0.01 * np.eye(3),
         )
         counts = rng.integers(30, 70, size=6).astype(float)
-        blocks, stack = one_block(counts, n=100), ParamStack.of([params])
+        blocks, stack = one_block(counts, n=100), stacked([params])
         scores = score(blocks, stack, mode="smoothed")
         ss = dense_model(params, 100)
         seq = ref.smooth(ref.run_filter(counts, ss, params.mu0, params.Sigma0), ss)

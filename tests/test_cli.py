@@ -36,9 +36,9 @@ from sdsbm.ingest import (
     parse_inputs,
     save_model,
 )
-from sdsbm.ssm import ModelParams, ParamStack
+from sdsbm.ssm import ModelParams
 
-from conftest import known_start
+from conftest import known_start, stacked
 
 
 def run(*args) -> int:
@@ -82,6 +82,16 @@ class TestSimulate:
     def test_zero_steps_gives_headers_only(self, tmp_path):
         assert simulate_small(tmp_path, steps=0) == EXIT_OK
         assert (tmp_path / "events.csv").read_text() == "timestamp,src,dst\n"
+        assert (tmp_path / "ground_truth.csv").read_text() == "t,block,m,s,e,w\n"
+
+    def test_no_block_walks_no_snapshot(self, tmp_path):
+        # one vertex has no possible edge, so every snapshot is empty and
+        # the outputs are written without walking the steps
+        start = time.perf_counter()
+        assert run("simulate", "--steps", 10**6, "--types", "a=1", "--out-dir", tmp_path) == EXIT_OK
+        assert time.perf_counter() - start < 2.0
+        assert (tmp_path / "events.csv").read_text() == "timestamp,src,dst\n"
+        assert (tmp_path / "types.csv").read_text() == "vertex,type\na0,a\n"
         assert (tmp_path / "ground_truth.csv").read_text() == "t,block,m,s,e,w\n"
 
     def test_default_scenario_is_fast(self, tmp_path):
@@ -221,10 +231,11 @@ class TestFit:
         self, sim_dir, fitted_dir, tmp_path, capsys, monkeypatch
     ):
         params, ns = load_model(fitted_dir / "model.json")
-        bad = params[("a", "b")]
-        params[("a", "b")] = ModelParams(
+        b = list(ns).index(("a", "b"))
+        bad = params[b]
+        params = params.put([b], stacked([ModelParams(
             d=bad.d, q_m=bad.q_m, q_s=bad.q_s, r=bad.r, mu0=bad.mu0, Sigma0=-10.0 * np.eye(bad.d)
-        )
+        )]))
         # load_model refuses a Sigma0 that is not PSD, so the warm start is
         # handed to fit past it, for its E-step to fail
         monkeypatch.setattr("sdsbm.cli.load_model", lambda path: (params, ns))
@@ -347,6 +358,31 @@ class TestFit:
         assert capsys.readouterr().err == "error: block a:a has no observed count to fit\n"
         assert not out.exists()  # refused before any output is written
 
+    def test_no_edge_fit_is_data_error(self, tmp_path, capsys):
+        # every event shifted past the cap: under the empty-graph policy
+        # every count is an observed 0, and EM would fit an empty network;
+        # forecast and detect still score such data
+        sim = tmp_path / "sim"
+        assert run("simulate", "--seed", 1, "--steps", 20, "--types", "a=4,b=3",
+                   "--out-dir", sim) == EXIT_OK
+        header, *rows = (sim / "events.csv").read_text().splitlines()
+        shifted = [f"{float(row.split(',')[0]) + 100},{row.split(',', 1)[1]}" for row in rows]
+        events = tmp_path / "events.csv"
+        events.write_text("\n".join([header, *shifted]) + "\n")
+        data = ("--events", events, "--types", sim / "types.csv", "--t-cap", 10)
+        out = tmp_path / "fit"
+        capsys.readouterr()
+        assert run("fit", *data, "--out-dir", out) == EXIT_DATA
+        assert capsys.readouterr().err == "error: no edge to fit: every observed count of every block is 0\n"
+        assert not out.exists()  # refused before any output is written
+        fitted = tmp_path / "fitted"
+        sim_data = ("--events", sim / "events.csv", "--types", sim / "types.csv")
+        assert run("fit", *sim_data, "--max-iter", 3, "--out-dir", fitted) in (EXIT_OK, EXIT_MAX_ITER)
+        model = ("--model", fitted / "model.json", *data)
+        assert run("forecast", *model, "--horizon", 2, "--out-dir", tmp_path / "fc") == EXIT_OK
+        assert run("detect", *model, "--out-dir", tmp_path / "det") in (EXIT_OK, EXIT_ANOMALIES)
+        assert len(read_rows(tmp_path / "det" / "scores.csv")) > 0
+
     def test_nan_tol_is_data_error(self, sim_dir, tmp_path, capsys):
         # a NaN tolerance never stops EM, so every block would run to the cap
         assert run(*fit_args(sim_dir, tmp_path, "--tol", "nan")) == EXIT_DATA
@@ -416,14 +452,13 @@ class TestForecast:
             "--out-dir", tmp_path,
         )
         assert code == EXIT_OK
-        params, _ = load_model(fitted_dir / "model.json")
+        params, ns = load_model(fitted_dir / "model.json")
         net = parse_inputs(
             sim_dir / "events.csv", sim_dir / "types.csv", BucketingConfig(origin=0.0, width=1.0)
         )
         stack = extract_block_series(net)
-        assert stack.pairs == tuple(sorted(params))
-        stacked_params = ParamStack.of([params[p] for p in stack.pairs])
-        seq = kalman.filter(stack.with_gaps(1), stacked_params)
+        assert stack.pairs == tuple(ns) == tuple(sorted(ns))
+        seq = kalman.filter(stack.with_gaps(1), params)
         rows = read_rows(tmp_path / "forecast.csv")
         assert [tuple(row["block"].split(":")) for row in rows] == list(stack.pairs)
         for b, row in enumerate(rows):
@@ -732,6 +767,9 @@ SIM_DATA = ("--events", "{sim}/events.csv", "--types", "{sim}/types.csv")
         (("simulate", "--steps", -1), {}, EXIT_DATA, "steps must be >= 0"),
         (("simulate", "--steps", 2**63 // 9, "--types", "a=3"), {}, EXIT_DATA,
          f"{2**63 // 9} snapshots of 3 vertices are too many to index edges in int64"),
+        (("simulate", "--steps", 10**18, "--types", "a=3"), {}, EXIT_DATA,
+         f"--steps {10**18} is too many: the ground truth, {10**18} x 1 x 4 floats, "
+         "cannot be held in memory"),
         (("fit", *SIM_DATA, "--t-cap", -1), {}, EXIT_DATA, "bucket cap must be >= 0"),
         (("fit", *SIM_DATA, "--max-iter", 0), {}, EXIT_DATA, "max_iter must be >= 1"),
         (("forecast", "--model", "{model}", *SIM_DATA, "--horizon", 2, "--level", 1), {}, EXIT_DATA,
@@ -753,11 +791,15 @@ SIM_DATA = ("--events", "{sim}/events.csv", "--types", "{sim}/types.csv")
         (("fit", "--events", "e.csv", "--types", "t.csv", "--t-cap", 5),
          {"e.csv": "timestamp,src,dst\n", "t.csv": "vertex,type\nv0,a\n"},
          EXIT_DATA, "no blocks with possible edges to fit"),
+        # the one event falls past the cap, so all 20 buckets hold no edge
+        (("fit", "--events", "e.csv", "--types", "t.csv", "--t-cap", 20),
+         {"e.csv": "timestamp,src,dst\n100.5,a0,a1\n", "t.csv": "vertex,type\na0,a\na1,a\na2,a\nb0,b\nb1,b\n"},
+         EXIT_DATA, "no edge to fit: every observed count of every block is 0"),
     ],
     ids=["types-no-count", "types-twice", "types-bad-count", "types-zero-count", "types-empty-name",
-         "types-clashing-vertex", "negative-steps", "steps-past-int64-keys", "negative-t-cap", "zero-max-iter", "level-1", "level-nan", "no-model",
+         "types-clashing-vertex", "negative-steps", "steps-past-int64-keys", "steps-past-memory", "negative-t-cap", "zero-max-iter", "level-1", "level-nan", "no-model",
          "no-horizon", "types-csv-one-column", "types-csv-blank-type", "types-csv-header-only",
-         "events-bad-header", "model-list", "no-block"],
+         "events-bad-header", "model-list", "no-block", "no-edge"],
 )
 def test_refused_input_writes_nothing(
     sim_dir, fitted_dir, tmp_path, capsys, monkeypatch, args, files, code, message
@@ -801,10 +843,44 @@ def test_degenerate_model_is_data_error(sim_dir, fitted_dir, tmp_path, capsys):
         pair: ModelParams(
             d=p.d, q_m=p.q_m, q_s=p.q_s, r=p.r, mu0=p.mu0, Sigma0=-1e6 * np.eye(p.d)
         )
-        for pair, p in params.items()
+        for pair, p in zip(ns, params)
     }
     save_model(bad, ns, tmp_path / "bad.json")
     assert_model_commands_are_data_errors(tmp_path / "bad.json", sim_dir, tmp_path, capsys)
+
+
+def test_model_blocks_in_any_order_give_the_same_outputs(sim_dir, fitted_dir, tmp_path, monkeypatch):
+    # a model file lists its blocks in reverse (checksum recomputed): it
+    # loads as the canonical stack, so every command reads it as the sorted file
+    document = json.loads((fitted_dir / "model.json").read_text())
+    document["blocks"].reverse()
+    for order in ("sorted", "reversed"):
+        (tmp_path / order).mkdir()
+    (tmp_path / "sorted" / "model.json").write_bytes((fitted_dir / "model.json").read_bytes())
+    write_checksummed(tmp_path / "reversed" / "model.json", document)
+    params, ns = load_model(tmp_path / "sorted" / "model.json")
+    reversed_params, reversed_ns = load_model(tmp_path / "reversed" / "model.json")
+    assert list(reversed_ns.items()) == list(ns.items())
+    for name in ("d", "q_m", "q_s", "r", "mu0", "Sigma0"):
+        np.testing.assert_array_equal(getattr(reversed_params, name), getattr(params, name))
+    data = ("--events", sim_dir / "events.csv", "--types", sim_dir / "types.csv")
+    commands = [
+        ("fit", "--init-model", "model.json", "--period", 4, "--max-iter", 3, *data, "--out-dir", "fit"),
+        ("forecast", "--model", "model.json", "--horizon", 3, *data, "--out-dir", "fc"),
+        ("detect", "--model", "model.json", *data, "--out-dir", "det"),
+        ("detect", "--model", "model.json", "--mode", "smoothed", "--drill-down", *data, "--out-dir", "det-s"),
+    ]
+    codes = {}
+    for order in ("sorted", "reversed"):
+        monkeypatch.chdir(tmp_path / order)  # the model and outputs are named relative to it
+        codes[order] = [run(*args) for args in commands]
+    assert codes["sorted"] == codes["reversed"]
+    for out in ("fit", "fc", "det", "det-s"):
+        names = sorted(path.name for path in (tmp_path / "sorted" / out).iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "reversed" / out).iterdir())
+        for name in names:
+            want = (tmp_path / "sorted" / out / name).read_bytes()
+            assert (tmp_path / "reversed" / out / name).read_bytes() == want, f"{out}/{name}"
 
 
 @pytest.mark.parametrize(

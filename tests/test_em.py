@@ -30,7 +30,7 @@ from sdsbm.generator import (
 from sdsbm.graph_model import BlockStack, VertexTyping, extract_block_series
 from sdsbm.ssm import ModelParams, ParamStack
 
-from conftest import concat, generated_network, known_start, one_block
+from conftest import concat, generated_network, known_start, one_block, stacked
 from gaussian_oracle import OracleRun, dense_model
 from test_kalman import oracle_for, random_instance
 
@@ -39,7 +39,7 @@ def fit_one(series, init, config):
     """``em_fit`` on a stack of one block (``init`` a ParamStack or one
     ModelParams): its parameters and trace."""
     if isinstance(init, ModelParams):
-        init = ParamStack.of([init])
+        init = stacked([init])
     [params], [trace] = em_fit(series, init, config)
     return params, trace
 
@@ -151,7 +151,7 @@ class TestEStep:
 
     def test_single_step_reduces_to_filtered_moments(self, rng):
         params = small_params()
-        series, stack = one_block([55], n=100), ParamStack.of([params])
+        series, stack = one_block([55], n=100), stacked([params])
         seq = kalman.smooth(kalman.filter(series, stack))
         H = dense_model(params, 100).H
         filtered = kalman.filter(series, stack)
@@ -161,7 +161,7 @@ class TestEStep:
     def test_stats_match_joint_gaussian_oracle(self, rng):
         params = small_params(seed=3)
         series = one_block(rng.integers(30, 70, size=6), n=100)
-        seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
+        seq = kalman.smooth(kalman.filter(series, stacked([params])))
         oracle = oracle_for(series, params, seq)
         for name, want in {**oracle.filter_record(), **oracle.smoothed_record()}.items():
             np.testing.assert_allclose(getattr(seq, name)[0], want, rtol=1e-8, atol=1e-12, err_msg=name)
@@ -172,7 +172,7 @@ class TestMStepInitial:
     def test_assignment_from_smoothed_start(self, rng):
         params = small_params(seed=5)
         series = one_block(rng.integers(30, 70, size=5), n=100)
-        seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
+        seq = kalman.smooth(kalman.filter(series, stacked([params])))
         [mu0], [Sigma0] = seq.x0_mean, seq.x0_cov
         oracle = oracle_for(series, params, seq)
         mean_ref, cov_ref = oracle.smoothed(0)
@@ -183,7 +183,7 @@ class TestMStepInitial:
     def test_idempotent_given_fixed_stats(self, rng):
         params = small_params(seed=6)
         series = one_block(rng.integers(30, 70, size=5), n=100)
-        filtered = kalman.filter(series, ParamStack.of([params]))
+        filtered = kalman.filter(series, stacked([params]))
         first, second = kalman.smooth(filtered), kalman.smooth(filtered)
         np.testing.assert_array_equal(first.x0_mean, second.x0_mean)
         np.testing.assert_array_equal(first.x0_cov, second.x0_cov)
@@ -374,7 +374,7 @@ class TestMStepQ:
         for _ in range(T):
             states.append(ss.G @ states[-1])
         series = one_block(np.array(states[1:]) @ ss.H, n=n)
-        seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
+        seq = kalman.smooth(kalman.filter(series, stacked([params])))
         np.testing.assert_array_equal(seq.eta_sq, np.zeros((1, T, 2)))
         [[q_m, q_s]] = m_step_q(seq)
         assert q_m == q_s == Q_FLOOR
@@ -384,7 +384,7 @@ class TestMStepQ:
         # ones, so the expected squared disturbance is exactly Q at every step
         d, T, v_m, v_s = 3, 8, 3e-4, 7e-5
         params = ModelParams(d=d, q_m=v_m, q_s=v_s, r=0.0, mu0=np.zeros(d), Sigma0=np.zeros((d, d)))
-        seq = kalman.smooth(kalman.filter(one_block([np.nan] * T, n=10), ParamStack.of([params])))
+        seq = kalman.smooth(kalman.filter(one_block([np.nan] * T, n=10), stacked([params])))
         [[q_m, q_s]] = m_step_q(seq)
         assert q_m == pytest.approx(v_m, rel=1e-12)
         assert q_s == pytest.approx(v_s, rel=1e-12)
@@ -393,7 +393,7 @@ class TestMStepQ:
         for seed in (1, 2):
             params = small_params(seed=seed)
             series = one_block(rng.integers(30, 70, size=7), n=100)
-            seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
+            seq = kalman.smooth(kalman.filter(series, stacked([params])))
             [[q_m, q_s]] = m_step_q(seq)
             ref_m, ref_s = numeric_q_argmax(oracle_for(series, params, seq))
             assert q_m == pytest.approx(ref_m, rel=1e-6)
@@ -410,7 +410,7 @@ class TestMStepQ:
             if k % 3 == 0:
                 counts[rng.integers(T)] = np.nan
                 series = one_block(counts, n=n)
-            seq = kalman.smooth(kalman.filter(series, ParamStack.of([params])))
+            seq = kalman.smooth(kalman.filter(series, stacked([params])))
             q = np.array([params.q_m, params.q_s])
             score = 0.5 * ((seq.eta_sq[0] - q) / q**2).sum(axis=0)
             b_seq = seq.u[0] + n * n * params.r
@@ -518,7 +518,7 @@ class TestEmFit:
         params, _ = fit_one(series, init, EmConfig(max_iter=10))
         # one gap step from a zero Sigma0: the predicted covariance is Q
         start = replace(params, Sigma0=np.zeros((truth.d, truth.d)))
-        seq = kalman.filter(one_block([np.nan], n=series.n[0]), ParamStack.of([start]))
+        seq = kalman.filter(one_block([np.nan], n=series.n[0]), stacked([start]))
         expected = np.zeros((truth.d, truth.d))
         expected[0, 0], expected[1, 1] = params.q_m, params.q_s
         np.testing.assert_array_equal(seq.final_cov[0], expected)
@@ -553,7 +553,7 @@ class TestEmFit:
         inits = default_init(blocks, 7)
         bad = ModelParams(d=7, q_m=1e-6, q_s=1e-6, r=0.0, mu0=inits.mu0[2], Sigma0=-10.0 * np.eye(7))
         with pytest.raises(EmError, match=r"iteration 0: block b:b: t=1: non-positive innovation variance"):
-            em_fit(blocks, inits.put([2], ParamStack.of([bad])), EmConfig(max_iter=5))
+            em_fit(blocks, inits.put([2], stacked([bad])), EmConfig(max_iter=5))
 
     def test_block_without_observed_count_is_refused(self):
         # no count to fit: EM would run to max_iter at loglik 0

@@ -28,7 +28,7 @@ from sdsbm.ingest import (
     parse_inputs,
     save_model,
 )
-from sdsbm.ssm import ModelParams
+from sdsbm.ssm import ModelParams, ParamStack
 
 from conftest import edge_arrays, gaps_as_nan, network_of_edges
 
@@ -575,11 +575,34 @@ class TestModelPersistence:
         save_model(params, ns, path)
         loaded, loaded_ns = load_model(path)
         assert loaded_ns == ns
-        for pair, p in params.items():
-            q = loaded[pair]
+        for pair, q in zip(loaded_ns, loaded):
+            p = params[pair]
             assert (q.d, q.q_m, q.q_s, q.r) == (p.d, p.q_m, p.q_s, p.r)
             np.testing.assert_array_equal(q.mu0, p.mu0)
             np.testing.assert_array_equal(q.Sigma0, p.Sigma0)
+
+    def test_loads_one_stack_in_canonical_order(self, tmp_path):
+        # blocks listed out of order (checksum recomputed) load as one
+        # ParamStack and an n dict, both in sorted type-pair order
+        pairs = [("a", "a"), ("a", "b"), ("b", "b")]
+        params = {pair: example_params(seed=k) for k, pair in enumerate(pairs, 1)}
+        ns = {("a", "a"): 496, ("a", "b"): 512, ("b", "b"): 120}
+        path = tmp_path / "model.json"
+        save_model(params, ns, path)
+        doc = json.loads(path.read_text())
+        del doc["checksum"]
+        doc["blocks"] = [doc["blocks"][k] for k in (2, 0, 1)]
+        doc["checksum"] = _checksum(doc)
+        path.write_text(json.dumps(doc))
+        loaded, loaded_ns = load_model(path)
+        assert isinstance(loaded, ParamStack) and type(loaded_ns) is dict
+        assert list(loaded_ns.items()) == [(pair, ns[pair]) for pair in pairs]
+        assert (loaded.d, len(loaded)) == (3, 3)
+        for b, pair in enumerate(pairs):
+            p = params[pair]
+            assert (loaded.q_m[b], loaded.q_s[b], loaded.r[b]) == (p.q_m, p.q_s, p.r)
+            np.testing.assert_array_equal(loaded.mu0[b], p.mu0)
+            np.testing.assert_array_equal(loaded.Sigma0[b], p.Sigma0)
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "model.json"
@@ -642,7 +665,7 @@ class TestModelPersistence:
         path = tmp_path / "model.json"
         save_model({("a", "b"): p}, {("a", "b"): 10}, path)
         if low is None:
-            np.testing.assert_array_equal(load_model(path)[0]["a", "b"].Sigma0, p.Sigma0)
+            np.testing.assert_array_equal(load_model(path)[0].Sigma0[0], p.Sigma0)
         else:
             message = f"block 0: sigma0 of a:b is not positive semidefinite: smallest eigenvalue {low}"
             with pytest.raises(ModelFormatError, match=message):

@@ -12,7 +12,7 @@ from sdsbm.generator import generate_block_series, seasonal_state, sine_profile
 from sdsbm.kalman import FilterError
 from sdsbm.ssm import ModelParams, ParamStack, binomial_obs_noise
 
-from conftest import concat, known_start, one_block
+from conftest import concat, known_start, one_block, stacked
 from gaussian_oracle import OracleRun, dense_model, smoothed_projections
 
 
@@ -45,7 +45,7 @@ def block(seq, b=0):
 
 def run(series, params, smoothed=False):
     """Filter (and smooth) a stack of one block; returns its slice."""
-    stack = ParamStack.of([params])
+    stack = stacked([params])
     seq = kalman.filter(series, stack)
     if smoothed:
         seq = kalman.smooth(seq)
@@ -215,7 +215,7 @@ class TestFilter:
         pairs = [("a", "a"), ("a", "b"), ("b", "b")]
         blocks = concat(one_block(series.counts[0], n=series.n[0], pair=p) for p in pairs)
         with pytest.raises(FilterError) as excinfo:
-            kalman.filter(blocks, ParamStack.of([good, bad, good]))
+            kalman.filter(blocks, stacked([good, bad, good]))
         assert (excinfo.value.block, excinfo.value.t) == ("a:b", 1)
 
     def test_zero_innovation_variance_fails_without_a_warning(self):
@@ -232,7 +232,7 @@ class TestFilter:
         # b:b, observed from t = 3, fails before a:a, observed from t = 5
         good, series = random_instance(rng, d=2, T=6)
         bad = prior(good.mu0, -1e6 * np.eye(2), d=2)
-        params = ParamStack.of([bad, good, bad])
+        params = stacked([bad, good, bad])
         pairs = [("a", "a"), ("a", "b"), ("b", "b")]
         gaps = concat(one_block([np.nan] * 6, n=series.n[0], pair=p) for p in pairs)
         assert (kalman.filter(gaps, params).innov_var[[0, 2]] <= 0).all()
@@ -249,7 +249,7 @@ class TestSmoother:
         # parameters and possible-edge counts, so the smoother takes
         # nothing else
         params, series = random_instance(rng, d=3, T=5, r=1e-4)
-        stack = ParamStack.of([params])
+        stack = stacked([params])
         seq = kalman.smooth(kalman.filter(series, stack))
         assert seq.params is stack
         np.testing.assert_array_equal(seq.n, series.n)
@@ -463,7 +463,7 @@ class TestPerBlockReference:
 
     def test_filter_smoother_and_lag_moments_match(self, rng):
         stack, params = self.mixed_stack(rng)
-        ps = ParamStack.of(params)
+        ps = stacked(params)
         seq = kalman.smooth(kalman.filter(stack, ps))
         for b, (counts, n, p) in enumerate(zip(stack.counts, stack.n, params)):
             ss = dense_model(p, n)
@@ -508,7 +508,7 @@ class TestPerBlockReference:
             Sigma0 = random_psd(rng, d, scale=1e-4)
             params.append(replace(truth[0], Sigma0=Sigma0))
         stack = concat(blocks).with_gaps(2 * d)
-        seq = kalman.filter(stack, ParamStack.of(params))
+        seq = kalman.filter(stack, stacked(params))
         gaps = np.isnan(stack.counts)
         assert gaps.sum(axis=1).tolist() == [4 + 2 * d] * 3
         for b, (counts, n, p) in enumerate(zip(stack.counts, stack.n, params)):

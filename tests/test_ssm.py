@@ -18,7 +18,7 @@ from sdsbm.ssm import (
     transition,
 )
 
-from conftest import concat, one_block
+from conftest import concat, one_block, stacked
 from gaussian_oracle import dense_model
 
 
@@ -179,7 +179,7 @@ class TestBinomialObsNoise:
             for m in (0.03, 0.95, 0.5)
         ]
         stack = concat(one_block([3, np.nan, 3], n=n, pair=("a", p)) for p in "bcd")
-        ps = ParamStack.of(params)
+        ps = stacked(params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             seq = kalman.filter(stack, ps)
@@ -257,7 +257,7 @@ class TestModelParams:
             ModelParams(d=3, q_m=0.1 * k, q_s=0.2, r=0.05, mu0=np.full(3, k), Sigma0=k * np.eye(3))
             for k in (1.0, 2.0)
         ]
-        stack = ParamStack.of(blocks)
+        stack = stacked(blocks)
         assert len(stack) == 2 and stack.Sigma0.shape == (2, 3, 3)
         for k, p in enumerate(blocks):
             for name in ("q_m", "q_s", "r", "mu0", "Sigma0"):
@@ -265,7 +265,7 @@ class TestModelParams:
         with pytest.raises(ValueError, match="symmetric"):
             ParamStack(3, stack.q_m, stack.q_s, stack.r, stack.mu0, stack.Sigma0 + np.triu(np.ones(3)))
         with pytest.raises(ValueError, match="period d"):
-            ParamStack.of([blocks[0], ModelParams(d=2, q_m=0, q_s=0, r=0, mu0=np.zeros(2), Sigma0=np.eye(2))])
+            stacked([blocks[0], ModelParams(d=2, q_m=0, q_s=0, r=0, mu0=np.zeros(2), Sigma0=np.eye(2))])
 
     def test_variances_are_stored_as_floats(self):
         p = ModelParams(d=2, q_m=1, q_s=np.float64(0.5), r=np.array(0.25), mu0=np.zeros(2), Sigma0=np.eye(2))
@@ -275,7 +275,7 @@ class TestModelParams:
     def test_state_space_roundtrip(self):
         # the filter's record keeps the block's n and parameters as given
         p = ModelParams(d=3, q_m=0.1, q_s=0.2, r=0.05, mu0=np.zeros(3), Sigma0=np.eye(3))
-        seq = kalman.filter(one_block([4, np.nan], n=12), ParamStack.of([p]))
+        seq = kalman.filter(one_block([4, np.nan], n=12), stacked([p]))
         assert seq.n.tolist() == [12.0]
         for name in ("d", "q_m", "q_s", "r", "mu0", "Sigma0"):
             np.testing.assert_array_equal(getattr(seq.params[0], name), getattr(p, name))
