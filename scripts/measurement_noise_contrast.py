@@ -19,7 +19,7 @@ import numpy as np
 from sdsbm import kalman
 from sdsbm.em import EmConfig, default_init, em_fit
 from sdsbm.generator import generate_block_series, seasonal_state, sine_profile
-from sdsbm.ingest import csv_float, write_csv
+from sdsbm.ingest import csv_lines, write_csv
 from sdsbm.ssm import ParamStack
 
 Z95 = 1.959964
@@ -56,12 +56,10 @@ def main() -> None:
         seq = kalman.filter(blocks.with_gaps(horizon), fitted)  # the forecast is its gap steps
         count_mean, total_var = seq.pred_count[0, blocks.T:], seq.innov_var[0, blocks.T:]
         path = args.out_dir / f"forecast_{label}.csv"
-        rows = []
-        for k in range(horizon):
-            mean, var = count_mean[k], total_var[k]
-            half = Z95 * math.sqrt(var)
-            rows.append([blocks.T + k + 1, *map(csv_float, (mean, var, mean - half, mean + half))])
-        write_csv(path, ["t", "mean", "variance", "lower", "upper"], rows)
+        half = Z95 * np.sqrt(total_var)
+        table = [np.arange(blocks.T + 1, blocks.T + horizon + 1), count_mean, total_var,
+                 count_mean - half, count_mean + half]
+        write_csv(path, ["t", "mean", "variance", "lower", "upper"], csv_lines(table))
         hw = Z95 * math.sqrt(total_var[-1])
         print(
             f"{label:>6}: q_m={params.q_m:.3e} q_s={params.q_s:.3e} r={params.r:.3e} "

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kalman
 from .graph_model import BlockStack, TypePair
-from .ingest import csv_float, write_csv, write_json
+from .ingest import csv_field, csv_lines, write_csv, write_json
 from .ssm import ParamStack
 
 
@@ -173,21 +173,23 @@ def detect(
 
 
 def write_scores_csv(scores: ScoreSeries, report: AnomalyReport, path) -> None:
-    """Write per-step scores and the report's flags; graph rows leave
-    the block columns empty."""
-    columns = (scores.w, scores.pred_mean, scores.pred_var, scores.loglik, scores.z)
+    """Write per-step scores and the report's flags, each step's block
+    rows then its graph row; graph rows leave the block columns empty."""
+    T = scores.T
 
-    def rows():
-        for t in range(1, scores.T + 1):
-            for i, pair in enumerate(scores.pairs):
-                values = (csv_float(c[i, t - 1]) for c in columns)
-                yield [t, "block", *pair, *values, int(report.block_mask[i, t - 1])]
-            graph = csv_float(scores.graph_loglik[t - 1])
-            yield [t, "graph", "", "", "", "", "", graph, "", int(report.graph_mask[t - 1])]
+    def column(blocks, graph=np.full(T, np.nan)):
+        """Each step's block values, then its graph value (NaN is empty)."""
+        return np.vstack((blocks, graph)).T.ravel()
 
+    slots = [("block", *map(csv_field, pair)) for pair in scores.pairs] + [("graph", "", "")]
+    scope, block_a, block_b = np.tile(np.array(slots, dtype=object), (T, 1)).T
+    table = [np.repeat(np.arange(1, T + 1), len(slots)), scope, block_a, block_b,
+             column(scores.w), column(scores.pred_mean), column(scores.pred_var),
+             column(scores.loglik, scores.graph_loglik), column(scores.z),
+             column(report.block_mask, report.graph_mask)]
     header = ["t", "scope", "block_a", "block_b", "w", "pred_mean", "pred_var", "loglik", "z",
               "flagged"]
-    write_csv(path, header, rows())
+    write_csv(path, header, csv_lines(table))
 
 
 def write_report_json(scores: ScoreSeries, report: AnomalyReport, path) -> None:

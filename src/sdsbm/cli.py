@@ -19,7 +19,7 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +27,13 @@ import numpy as np
 from . import anomaly
 from .em import EmConfig, EmError, default_init, em_fit
 from .generator import generate_network, seasonal_state, sine_profile
-from .graph_model import BlockStack, VertexTyping, extract_block_series, pair_key
+from .graph_model import CHUNK_ROWS, BlockStack, VertexTyping, extract_block_series, pair_key
 from .ingest import (
     BucketingConfig,
     IngestError,
-    csv_float,
+    csv_column,
+    csv_field,
+    csv_lines,
     load_model,
     parse_inputs,
     read_text,
@@ -258,6 +260,11 @@ def _utf8_text(name: str, value: str) -> str:
         raise UsageError(f"{name} is not UTF-8 text") from None
 
 
+def _block_labels(pairs) -> np.ndarray:
+    """Each block's ``a:b`` label as a CSV field, in an object array."""
+    return np.array([csv_field(pair_key(pair)) for pair in pairs], dtype=object)
+
+
 def cmd_simulate(resolved: dict) -> int:
     resolved = {**resolved, "types": _utf8_text("--types", resolved["types"])}
     d = resolved["period"]
@@ -295,28 +302,50 @@ def cmd_simulate(resolved: dict) -> int:
     except (ValueError, MemoryError):  # numpy's "array is too big", or a refused allocation
         raise ValueError(f"--steps {T} is too many: the ground truth, {T} x {len(params)} x 4 "
                          "floats, cannot be held in memory") from None
+    # step t is stamped at its bucket's midpoint, which fit must read back into bucket t
+    step_t = np.arange(1, steps + 1)
+    with np.errstate(over="ignore"):
+        stamps = (step_t - 0.5) * width
+        misplaced = ~np.isfinite(stamps) | (BucketingConfig(0.0, width).bucket(stamps) != step_t)
+    if misplaced.any():
+        t = int(np.argmax(misplaced)) + 1
+        raise ValueError(f"--width {width!r} stamps step {t} at {float(stamps[t - 1])!r}, which "
+                         f"fit's buckets from origin 0 at that width do not place in bucket {t}")
 
     out = _out_dir(resolved)
-    ids = np.array(typing.vertex_ids, dtype=object)
-    V = len(ids)
+    labels = [csv_field(v) for v in typing.vertex_ids]
+    types = [csv_field(typing.type_of[v]) for v in typing.vertex_ids]
+    dst_fields = np.array([f"{label}\n" for label in labels], dtype=object)  # a row's end
+    V = len(labels)
 
-    def event_rows():
-        """Each snapshot's events.csv rows, as it arrives; its ground truth is kept."""
+    def event_lines():
+        """Each snapshot's events.csv lines, at most CHUNK_ROWS rows to a
+        string, as it arrives; its ground truth is kept."""
         for t, snapshot in enumerate(islice(snapshots, steps), 1):
             truth[t - 1] = np.column_stack(
                 (snapshot.states[:, DRIVEN], snapshot.density, snapshot.counts)
             )
-            u, v = np.divmod(snapshot.keys - t * V * V, V)
-            yield zip(repeat(csv_float((t - 0.5) * width)), ids[u], ids[v])
+            [stamp] = csv_column(stamps[t - 1:t])
+            starts = np.array([f"{stamp},{label}," for label in labels], dtype=object)
+            for lo in range(0, snapshot.keys.size, CHUNK_ROWS):
+                u, v = np.divmod(snapshot.keys[lo:lo + CHUNK_ROWS] - t * V * V, V)
+                cells = np.empty((u.size, 2), dtype=object)
+                cells[:, 0], cells[:, 1] = starts[u], dst_fields[v]
+                yield "".join(cells.ravel().tolist())
 
-    write_csv(out / "events.csv", ["timestamp", "src", "dst"], chain.from_iterable(event_rows()))
-    write_csv(out / "types.csv", ["vertex", "type"], zip(ids, map(typing.type_of.get, ids)))
-    names = [pair_key(pair) for pair in typing.blocks()[0]]
-    truth_rows = (
-        [t, name, *map(csv_float, row[:3]), int(row[3])]
-        for t, step in enumerate(truth, 1) for name, row in zip(names, step)
-    )
-    write_csv(out / "ground_truth.csv", ["t", "block", "m", "s", "e", "w"], truth_rows)
+    write_csv(out / "events.csv", ["timestamp", "src", "dst"], event_lines())
+    write_csv(out / "types.csv", ["vertex", "type"],
+              csv_lines([np.array(fields, dtype=object) for fields in (labels, types)]))
+    blocks = _block_labels(typing.blocks()[0])
+    block_steps = truth.reshape(-1, 4)  # t-major, blocks in canonical order
+
+    def truth_lines():
+        for lo in range(0, len(block_steps), CHUNK_ROWS):
+            t, b = np.divmod(np.arange(lo, min(lo + CHUNK_ROWS, len(block_steps))), len(blocks))
+            m, s, e, w = block_steps[lo:lo + CHUNK_ROWS].T
+            yield from csv_lines([t + 1, blocks[b], m, s, e, w.astype(np.int64)])
+
+    write_csv(out / "ground_truth.csv", ["t", "block", "m", "s", "e", "w"], truth_lines())
     _write_run_config(out, "simulate", resolved)
     return EXIT_OK
 
@@ -366,12 +395,14 @@ def cmd_fit(resolved: dict) -> int:
     out = _out_dir(resolved)
     n_by_pair = dict(zip(blocks.pairs, blocks.n))
     save_model(dict(zip(blocks.pairs, fitted)), n_by_pair, out / "model.json")
-    trace_rows = (
-        [pair_key(pair), i, *map(csv_float, row)]
-        for pair, trace in zip(blocks.pairs, traces)
-        for i, row in enumerate(np.column_stack((trace.loglik_per_iter, trace.variances_per_iter)), 1)
+    iterations = [trace.iterations for trace in traces]
+    values = np.concatenate(
+        [np.column_stack((trace.loglik_per_iter, trace.variances_per_iter)) for trace in traces]
     )
-    write_csv(out / "em_trace.csv", ["block", "iter", "loglik", "q_m", "q_s", "r"], trace_rows)
+    trace_table = [np.repeat(_block_labels(blocks.pairs), iterations),
+                   np.concatenate([np.arange(1, k + 1) for k in iterations]), *values.T]
+    write_csv(out / "em_trace.csv", ["block", "iter", "loglik", "q_m", "q_s", "r"],
+              csv_lines(trace_table))
     _write_run_config(out, "fit", resolved)
     _warn_non_gaussian(sum(t.non_gaussian_steps for t in traces))
     capped = [pair_key(pair) for pair, t in zip(blocks.pairs, traces) if not t.converged]
@@ -418,15 +449,13 @@ def cmd_forecast(resolved: dict) -> int:
     T = blocks.T
     # the filter over appended gaps: its count mean and variance there are the forecast
     seq = kalman_filter(blocks.with_gaps(horizon), params)
-    forecast = zip(blocks.pairs, seq.pred_count[:, T:], seq.innov_var[:, T:])
+    mean, var = seq.pred_count[:, T:].ravel(), seq.innov_var[:, T:].ravel()
+    half = z * np.sqrt(var)
     out = _out_dir(resolved)
-    rows = (
-        [T + k + 1, pair_key(pair), *map(csv_float, (mean, var, mean - half, mean + half))]
-        for pair, means, variances in forecast
-        for k, (mean, var) in enumerate(zip(means, variances))
-        for half in (z * math.sqrt(var),)
-    )
-    write_csv(out / "forecast.csv", ["t", "block", "mean", "variance", "lower", "upper"], rows)
+    table = [np.tile(np.arange(T + 1, T + horizon + 1), len(blocks)),
+             np.repeat(_block_labels(blocks.pairs), horizon), mean, var, mean - half, mean + half]
+    write_csv(out / "forecast.csv", ["t", "block", "mean", "variance", "lower", "upper"],
+              csv_lines(table))
     _write_run_config(out, "forecast", resolved)
     _warn_non_gaussian(int(seq.non_gaussian_steps.sum()))
     return EXIT_OK

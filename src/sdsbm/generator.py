@@ -4,11 +4,11 @@ The generative process per block is the model's: each step the state
 takes ``ssm.step`` plus noise of variances ``ParamStack.q`` at the
 entries ``ssm.DRIVEN``, the realized edge density is ``ssm.observe`` of
 it plus measurement noise, and edges are independent Bernoulli draws at
-that density.  That step is written once, in ``_walk``, a block's walk
-that yields one step at a time: ``generate_block_series`` runs each
-block's walk to its end, and ``generate_network`` advances every
-block's walk by one step per snapshot, so a network is sampled, and can
-be written, one snapshot at a time.  The samplers take the
+that density.  That step is written once, in ``_advance``, over any
+stack of walks: ``generate_block_series`` advances one block's walk at
+a time to its end, and ``generate_network`` advances every block's walk
+at once, one step per snapshot, so a network is sampled, and can be
+written, one snapshot at a time.  The samplers take the
 ``ParamStack`` that the filter and EM take, one row per block: each
 row's walk starts at its mu0, and its Sigma0 must be 0.  So the truth a
 test scores with is the very stack it sampled from.  Every sampler also
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,47 +72,27 @@ class LatentTrace:
     counts: np.ndarray
 
 
-def _walk(
-    params: ParamStack, b: int, rng: np.random.Generator
-) -> Iterator[tuple[np.ndarray, float]]:
-    """Row b's latent walk from its mu0, one step per ``next``: the state
-    after the step's transition and the realized density e, clamped to
-    [0, 1].  The caller draws the step's edges from ``rng`` before it asks
-    for the next step.  A walk starts from a known state, so the row's
-    Sigma0 must be 0; that is checked on the call, before any step."""
-    if params.Sigma0[b].any():
+def _noise_sd(params: ParamStack) -> np.ndarray:
+    """The (B, 3) standard deviations of each row's noises, in the order
+    a step draws them: the two of Q at ``DRIVEN``, then the measurement
+    noise's.  A walk starts from a known state, so every row's Sigma0
+    must be 0."""
+    if params.Sigma0.any():
         raise ValueError("the generator starts each block at its mu0: Sigma0 must be 0")
-    sd_0, sd_1, sd_r = (math.sqrt(v) for v in (*params.q[b], params.r[b]))
-
-    def steps(state):
-        while True:
-            state = step(state)
-            state[DRIVEN] += (rng.normal(0.0, sd_0), rng.normal(0.0, sd_1))
-            e = observe(state, 1.0) + rng.normal(0.0, sd_r)
-            yield state, min(max(e, 0.0), 1.0)
-
-    return steps(params.mu0[b])
+    return np.sqrt(np.column_stack((params.q, params.r)))
 
 
-def _sample_block(
-    params: ParamStack,
-    b: int,
-    T: int,
-    rng: np.random.Generator,
-    draw: Callable[[int, float], int],
-) -> LatentTrace:
-    """Run row b's walk for T steps; ``draw(t, e)`` samples step t's
-    formed edges at realized density e from ``rng`` and returns their
-    count."""
-    states = np.zeros((T, params.d))
-    density = np.zeros(T)
-    counts = np.zeros(T)
-    # range comes first, so the walk takes no step past T
-    for t, (state, e) in zip(range(T), _walk(params, b, rng)):
-        states[t] = state
-        density[t] = e
-        counts[t] = draw(t, e)
-    return LatentTrace(states=states, density=density, counts=counts)
+def _advance(states: np.ndarray, sd: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the walks at ``states`` (any leading axes, state on
+    the last): the states after the step's transition, and the realized
+    densities e, clamped to [0, 1].  ``z`` holds each walk's three
+    standard normal draws, scaled by ``sd`` (``_noise_sd``) into its
+    noises."""
+    noise = 0.0 + sd * z  # as numpy's normal(0.0, sd) forms it, so a zero sd adds +0.0
+    states = step(states)
+    states[..., DRIVEN] += noise[..., :2]
+    e = observe(states, 1.0) + noise[..., 2]
+    return states, np.minimum(np.maximum(e, 0.0), 1.0)
 
 
 def generate_block_series(
@@ -127,8 +107,10 @@ def generate_block_series(
     per row), plus each row's hidden trajectory.
 
     Rows are drawn in order from ``rng``, so B rows give what B one-row
-    calls in sequence give.  Counts are binomial draws
-    w_t ~ Binomial(n, e_t) with e_t the realized density clamped to [0, 1].
+    calls in sequence give; each step of a row draws three standard
+    normals, as ``generate_network`` does, then its count.  Counts are
+    binomial draws w_t ~ Binomial(n, e_t) with e_t the realized density
+    clamped to [0, 1].
     """
     n = np.broadcast_to(np.asarray(n, dtype=np.int64), (len(params),))
     if len(pairs) != len(params):
@@ -137,11 +119,17 @@ def generate_block_series(
         raise ValueError("possible-edge count must be >= 1")
     if T < 1:
         raise ValueError("series length must be >= 1")
-    traces = [
-        _sample_block(params, b, T, rng, lambda t, e: rng.binomial(n[b], e))
-        for b in range(len(params))
-    ]
-    counts = np.array([trace.counts for trace in traces]).reshape(len(params), T)
+    sd = _noise_sd(params)
+    states = np.empty((len(params), T, params.d))
+    density = np.empty((len(params), T))
+    counts = np.empty((len(params), T))
+    for b in range(len(params)):
+        state = params.mu0[b]
+        for t in range(T):
+            state, e = _advance(state, sd[b], rng.standard_normal(3))
+            states[b, t], density[b, t] = state, e
+            counts[b, t] = rng.binomial(n[b], e)
+    traces = [LatentTrace(*trace) for trace in zip(states, density, counts)]
     return BlockStack(tuple(pairs), n, counts), traces
 
 
@@ -168,11 +156,14 @@ def generate_network(
     Row b of ``params`` is the b-th of the typing's blocks
     (``VertexTyping.blocks``).  Each block draws from its own child
     stream of ``rng`` (spawned in canonical block order), so block
-    samples are independent and insensitive to other blocks' settings,
-    and each block draws in the same order whichever block goes first.
-    Every refusal, and every block's pair keys, come on the call; the
-    iterator it returns then yields the ``Snapshot`` of t = 1..T, so
-    only one snapshot's edges are held at a time.
+    samples are independent and insensitive to other blocks' settings.
+    At each step a block's stream gives three standard normals, the
+    noises of q_m, q_s and r in that order, then one uniform per pair of
+    the block, in the block's pair order; a pair forms an edge where its
+    uniform is below the realized density.  Every refusal, and every
+    block's pair keys, come on the call; the iterator it returns then
+    yields the ``Snapshot`` of t = 1..T, so only one snapshot's edges
+    are held at a time.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
@@ -181,8 +172,8 @@ def generate_network(
     pairs, n = typing.blocks()
     if len(params) != len(pairs):
         raise ValueError(f"{len(params)} parameter rows for the typing's {len(pairs)} blocks")
+    sd = _noise_sd(params)
     streams = rng.spawn(len(pairs))
-    walks = [_walk(params, b, stream) for b, stream in enumerate(streams)]
     # every block's pairs as keys at t = 0, block after block, and the
     # order that sorts them; blocks share no pair, so no key repeats
     keys = np.concatenate([np.zeros(0, np.int64), *(
@@ -192,18 +183,21 @@ def generate_network(
     order = np.argsort(keys)
     keys = keys[order]
     bounds = np.cumsum([0, *n]).tolist()
-    blocks = list(zip(walks, streams, bounds[:-1], bounds[1:]))
+    blocks = list(zip(streams, bounds[:-1], bounds[1:]))
 
     def snapshots() -> Iterator[Snapshot]:
         # whether each pair, block after block, formed an edge at step t
         formed = np.empty(keys.size, dtype=bool)
+        z = np.empty((len(blocks), 3))
+        rows = list(z)
+        states = params.mu0
         for t in range(1, T + 1):
-            states = np.empty((len(blocks), params.d))
-            density = np.empty(len(blocks))
+            for stream, row in zip(streams, rows):
+                stream.standard_normal(out=row)
+            states, density = _advance(states, sd, z)
             counts = np.empty(len(blocks))
-            for b, (walk, stream, lo, hi) in enumerate(blocks):
-                states[b], density[b] = next(walk)
-                np.less(stream.random(hi - lo), density[b], out=formed[lo:hi])
+            for b, ((stream, lo, hi), e) in enumerate(zip(blocks, density.tolist())):
+                np.less(stream.random(hi - lo), e, out=formed[lo:hi])
                 counts[b] = np.count_nonzero(formed[lo:hi])
             edges = keys[formed[order]]
             edges += t * V * V

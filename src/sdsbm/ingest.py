@@ -11,8 +11,11 @@ File formats:
   ``ParamStack`` and a type pair -> n dict in canonical (sorted) order.
   ``write_json`` writes it and every other JSON output as RFC 8259 JSON,
   a non-finite float as the string "inf", "-inf" or "nan".
-* CSV outputs: ``write_csv`` writes each; ``csv_float`` writes every
-  float as its shortest round-trip repr, NaN as an empty field.
+* CSV outputs: ``write_csv`` writes each from chunks of rows
+  (``csv_lines``), each formatted column by column and joined once:
+  ``csv_column`` writes every float as its shortest round-trip repr,
+  NaN as an empty field, and ``csv_field`` quotes a text field where
+  ``csv.writer`` would.
 
 All files are read and written as UTF-8 text; a byte of an input that
 is not UTF-8 is a data error naming the file and its line.
@@ -37,11 +40,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -97,6 +101,11 @@ class BucketingConfig:
             raise ValueError(f"bucket width must be positive and finite, got {self.width}")
         if self.T is not None and self.T < 0:
             raise ValueError("bucket cap must be >= 0")
+
+    def bucket(self, timestamp: np.ndarray) -> np.ndarray:
+        """The 1-based bucket t of each timestamp, as a float (infinite
+        where the index overflows)."""
+        return np.floor((timestamp - self.origin) / self.width) + 1
 
 
 def parse_inputs(events_file, types_file, config: BucketingConfig) -> DynamicNetwork:
@@ -281,7 +290,7 @@ class _EdgeKeys:
         if self.early is not None or not timestamp.size:
             return
         with np.errstate(over="ignore"):  # an infinite index is reported at the end
-            t = np.floor((timestamp - config.origin) / config.width) + 1
+            t = config.bucket(timestamp)
         if config.T is not None:
             kept = t <= config.T
             t, src, dst = t[kept], src[kept], dst[kept]
@@ -334,19 +343,54 @@ def _strict_json(value):
     return value
 
 
-def csv_float(x) -> str:
-    """A float as written in every CSV output: its shortest round-trip
-    repr, or an empty field for NaN."""
-    x = float(x)
-    return "" if math.isnan(x) else repr(x)
+def csv_field(text: str) -> str:
+    """``text`` as a field of a CSV row of several: quoted only where
+    ``csv.writer`` quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
 
 
-def write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` (read once) as UTF-8 CSV with "\\n" line ends."""
+def csv_column(values: np.ndarray) -> list[str]:
+    """A column's values as every CSV output writes them: an integer or
+    bool as its digits, a float as its shortest round-trip repr, NaN as
+    an empty field.  An object array holds text fields already as
+    written (``csv_field``), which pass as they are."""
+    values = values.ravel()
+    if values.dtype == object:
+        return values.tolist()
+    if values.dtype.kind != "f":
+        return list(map(str, values.astype(np.int64).tolist()))
+    fields = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        fields[i] = ""
+    return fields
+
+
+# Fields that ``csv_lines`` formats at a time.  Each is a new string of
+# about 60 bytes, held until its chunk is joined: a larger chunk raised
+# the peak RSS of a README-sized simulate, and a smaller one slowed the
+# writers on its per-chunk overhead.
+CHUNK_FIELDS = 512
+
+
+def csv_lines(columns: list[np.ndarray]) -> Iterator[str]:
+    """The CSV lines of the rows whose fields ``columns`` give, one array
+    per column as ``csv_column`` writes it, as strings of at most
+    ``CHUNK_FIELDS`` fields each (at least one row): each chunk is
+    formatted column by column and joined once."""
+    step = max(1, CHUNK_FIELDS // len(columns))
+    for lo in range(0, len(columns[0]), step):
+        fields = [csv_column(column[lo:lo + step]) for column in columns]
+        yield "\n".join(map(",".join, zip(*fields))) + "\n"
+
+
+def write_csv(path, header, chunks) -> None:
+    """Write ``header`` and then each chunk of ``chunks``, CSV lines as
+    ``csv_lines`` gives them, as a UTF-8 file with "\\n" line ends."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(header)
-        out.writerows(rows)
+        fh.write(",".join(map(csv_field, header)) + "\n")
+        fh.writelines(chunks)
 
 
 def write_json(payload: dict, path) -> None:

@@ -1,25 +1,73 @@
 """Reference network generator: the loop that sampled one block after
 another, built three edge arrays per block and packed them into one
-network in a single call, kept as it was written.
-``sdsbm.generator.generate_network`` samples one snapshot at a time
-instead, every block taking one step per snapshot, and must give the
-same edges and traces from the same seed.
+network in a single call, kept as it was written, with the per-block
+walk (``_walk``) and series (``_sample_block``) that it steps each
+block with.  ``sdsbm.generator.generate_network`` samples one snapshot
+at a time instead, every block taking one step per snapshot in one
+vectorised step, and must give the same edges and traces from the same
+seed.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Callable, Iterator
+
 import numpy as np
 
-from sdsbm.generator import LatentTrace, _sample_block
+from sdsbm.generator import LatentTrace
 from sdsbm.graph_model import (
     DynamicNetwork,
     TypePair,
     VertexTyping,
     block_pairs,
 )
-from sdsbm.ssm import ParamStack
+from sdsbm.ssm import DRIVEN, ParamStack, observe, step
 
 from conftest import network_of_edges
+
+
+def _walk(
+    params: ParamStack, b: int, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, float]]:
+    """Row b's latent walk from its mu0, one step per ``next``: the state
+    after the step's transition and the realized density e, clamped to
+    [0, 1].  The caller draws the step's edges from ``rng`` before it asks
+    for the next step.  A walk starts from a known state, so the row's
+    Sigma0 must be 0; that is checked on the call, before any step."""
+    if params.Sigma0[b].any():
+        raise ValueError("the generator starts each block at its mu0: Sigma0 must be 0")
+    sd_0, sd_1, sd_r = (math.sqrt(v) for v in (*params.q[b], params.r[b]))
+
+    def steps(state):
+        while True:
+            state = step(state)
+            state[DRIVEN] += (rng.normal(0.0, sd_0), rng.normal(0.0, sd_1))
+            e = observe(state, 1.0) + rng.normal(0.0, sd_r)
+            yield state, min(max(e, 0.0), 1.0)
+
+    return steps(params.mu0[b])
+
+
+def _sample_block(
+    params: ParamStack,
+    b: int,
+    T: int,
+    rng: np.random.Generator,
+    draw: Callable[[int, float], int],
+) -> LatentTrace:
+    """Run row b's walk for T steps; ``draw(t, e)`` samples step t's
+    formed edges at realized density e from ``rng`` and returns their
+    count."""
+    states = np.zeros((T, params.d))
+    density = np.zeros(T)
+    counts = np.zeros(T)
+    # range comes first, so the walk takes no step past T
+    for t, (state, e) in zip(range(T), _walk(params, b, rng)):
+        states[t] = state
+        density[t] = e
+        counts[t] = draw(t, e)
+    return LatentTrace(states=states, density=density, counts=counts)
 
 
 def generate_network(

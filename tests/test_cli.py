@@ -8,11 +8,12 @@ import sys
 import time
 from pathlib import Path
 
+import csv_reference
 import generator_reference
 import numpy as np
 import pytest
 
-from sdsbm import ingest, kalman
+from sdsbm import anomaly, ingest, kalman
 from sdsbm.cli import (
     BLOCK_OPTIONS,
     EMPTY_GRAPH,
@@ -29,7 +30,8 @@ from sdsbm.cli import (
     main,
 )
 from sdsbm.generator import seasonal_state, sine_profile
-from sdsbm.graph_model import VertexTyping, edge_keys, extract_block_series, pair_key
+from sdsbm.em import EmConfig, default_init, em_fit
+from sdsbm.graph_model import CHUNK_ROWS, VertexTyping, edge_keys, extract_block_series, pair_key
 from sdsbm.ingest import (
     BucketingConfig,
     load_model,
@@ -38,7 +40,7 @@ from sdsbm.ingest import (
 )
 from sdsbm.ssm import ModelParams
 
-from conftest import known_start, stacked
+from conftest import gaps_as_nan, known_start, stacked
 
 
 def run(*args) -> int:
@@ -93,6 +95,10 @@ class TestSimulate:
         assert (tmp_path / "events.csv").read_text() == "timestamp,src,dst\n"
         assert (tmp_path / "types.csv").read_text() == "vertex,type\na0,a\n"
         assert (tmp_path / "ground_truth.csv").read_text() == "t,block,m,s,e,w\n"
+        # no step is stamped, so no width is refused
+        assert run("simulate", "--steps", 3, "--types", "a=1", "--width", 1e308,
+                   "--out-dir", tmp_path / "wide") == EXIT_OK
+        assert (tmp_path / "wide" / "events.csv").read_text() == "timestamp,src,dst\n"
 
     def test_default_scenario_is_fast(self, tmp_path):
         start = time.perf_counter()
@@ -700,12 +706,22 @@ def test_type_labels_that_csv_quotes_round_trip(tmp_path):
 
 
 def test_simulate_streams_the_reference_network(tmp_path):
-    # labels that need quoting and a type with a lone vertex (no c:c block):
-    # events.csv holds exactly the reference generator's edges, in key order,
-    # and ground_truth.csv its traces, t-major in canonical block order
-    seed, T, width = 5, 30, 0.5
+    # labels that need quoting and a type with a lone vertex (no c:c block)
+    assert_simulate_streams_the_reference_network(tmp_path, 'a"q=3,b x=2,c=1', 30)
+
+
+def test_simulate_streams_snapshots_past_a_chunk(tmp_path):
+    # snapshots of about 12k edges, whose rows span several written chunks
+    assert_simulate_streams_the_reference_network(tmp_path, 'a"q=200', 2, snapshot_edges=CHUNK_ROWS)
+
+
+def assert_simulate_streams_the_reference_network(tmp_path, types, T, snapshot_edges=0):
+    """events.csv holds exactly the reference generator's edges, in key
+    order, and ground_truth.csv its traces, t-major in canonical block
+    order; every snapshot holds more than ``snapshot_edges`` edges."""
+    seed, width = 5, 0.5
     assert run("simulate", "--seed", seed, "--steps", T, "--width", width,
-               "--types", 'a"q=3,b x=2,c=1', "--out-dir", tmp_path) == EXIT_OK
+               "--types", types, "--out-dir", tmp_path) == EXIT_OK
     types = read_rows(tmp_path / "types.csv")
     ids = tuple(row["vertex"] for row in types)
     typing = VertexTyping(vertex_ids=ids, type_of={row["vertex"]: row["type"] for row in types})
@@ -723,6 +739,7 @@ def test_simulate_streams_the_reference_network(tmp_path):
     index = typing.vertex_index()
     t = [round(float(row["timestamp"]) / width + 0.5) for row in events]
     assert [row["timestamp"] for row in events] == [repr((k - 0.5) * width) for k in t]
+    assert np.bincount(t, minlength=T + 1)[1:].min() > snapshot_edges
     keys = edge_keys(t, [index[row["src"]] for row in events], [index[row["dst"]] for row in events],
                      len(ids))
     assert keys.tolist() == ref_net.keys.tolist()
@@ -733,6 +750,68 @@ def test_simulate_streams_the_reference_network(tmp_path):
         for k in range(1, T + 1) for pair, trace in ref_traces.items()
     ]
     assert [list(row.values()) for row in read_rows(tmp_path / "ground_truth.csv")] == want
+
+
+@pytest.fixture(scope="module")
+def gap_run(tmp_path_factory):
+    """Data with labels that CSV quotes and with gaps: a simulated network
+    with steps 5-7's events dropped, fitted under the gap policy.  Gives
+    the directory, the data options and the data's blocks as the CLI
+    reads them."""
+    path = tmp_path_factory.mktemp("gaps")
+    sim = path / "sim"
+    assert run("simulate", "--seed", 3, "--period", 4, "--steps", 30, "--types", 'a"q=5,b x=4',
+               "--out-dir", sim) == EXIT_OK
+    with open(sim / "events.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    with open(path / "events.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [header, *(row for row in rows if not 4 < float(row[0]) < 7)]
+        )
+    data = ("--events", path / "events.csv", "--types", sim / "types.csv",
+            "--missing-policy", MISSING_OBSERVATION)
+    assert run("fit", *data, "--period", 4, "--max-iter", 10, "--out-dir", path / "fit") in (
+        EXIT_OK, EXIT_MAX_ITER)
+    net = parse_inputs(path / "events.csv", sim / "types.csv", BucketingConfig(origin=0.0, width=1.0))
+    blocks = extract_block_series(net)
+    gaps_as_nan(blocks.counts)
+    assert np.isnan(blocks.counts[:, 4:7]).all() and blocks.pairs[0] == ('a"q', 'a"q')
+    return path, data, blocks
+
+
+def test_em_trace_matches_the_row_writer(gap_run, tmp_path):
+    path, _, blocks = gap_run
+    _, traces = em_fit(blocks, default_init(blocks, 4), EmConfig(max_iter=10))
+    csv_reference.write_em_trace(tmp_path / "em_trace.csv", blocks.pairs, traces)
+    assert (path / "fit" / "em_trace.csv").read_bytes() == (tmp_path / "em_trace.csv").read_bytes()
+
+
+def test_forecast_matches_the_row_writer(gap_run, tmp_path):
+    path, data, blocks = gap_run
+    model = path / "fit" / "model.json"
+    assert run("forecast", "--model", model, *data, "--horizon", 5, "--out-dir", tmp_path) == EXIT_OK
+    params, _ = load_model(model)
+    seq = kalman.filter(blocks.with_gaps(5), params)
+    csv_reference.write_forecast(tmp_path / "want.csv", blocks.pairs, seq, blocks.T, _z_quantile(0.95))
+    assert (tmp_path / "forecast.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("drill_down", [False, True], ids=["flat", "drill-down"])
+@pytest.mark.parametrize("mode", ["predictive", "smoothed"])
+@pytest.mark.parametrize("policy", [("--sigma", 1.5), ("--loglik-threshold", -8)], ids=["sigma", "loglik"])
+def test_scores_csv_matches_the_row_writer(gap_run, tmp_path, policy, mode, drill_down):
+    # gaps leave the count, mean, variance, score and z of their block rows
+    # empty, and a step with no observed block its graph score
+    path, data, blocks = gap_run
+    model = path / "fit" / "model.json"
+    extra = (*policy, "--mode", mode) + (("--drill-down",) if drill_down else ())
+    assert run("detect", "--model", model, *data, *extra, "--out-dir", tmp_path) == EXIT_ANOMALIES
+    params, _ = load_model(model)
+    scores = anomaly.score(blocks, params, mode=mode)
+    rule = anomaly.SigmaPolicy(policy[1]) if policy[0] == "--sigma" else anomaly.LogLikPolicy(policy[1])
+    report = anomaly.detect(scores, rule, drill_down=drill_down)
+    csv_reference.write_scores_csv(scores, report, tmp_path / "want.csv")
+    assert (tmp_path / "scores.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("source", ["types file", "simulate"])
@@ -770,6 +849,12 @@ SIM_DATA = ("--events", "{sim}/events.csv", "--types", "{sim}/types.csv")
         (("simulate", "--steps", 10**18, "--types", "a=3"), {}, EXIT_DATA,
          f"--steps {10**18} is too many: the ground truth, {10**18} x 1 x 4 floats, "
          "cannot be held in memory"),
+        (("simulate", "--steps", 3, "--types", "a=3", "--width", 1e308), {}, EXIT_DATA,
+         "--width 1e+308 stamps step 3 at inf, which fit's buckets from origin 0 at that width "
+         "do not place in bucket 3"),
+        (("simulate", "--steps", 3, "--types", "a=3", "--width", 5e-324), {}, EXIT_DATA,
+         "--width 5e-324 stamps step 2 at 1e-323, which fit's buckets from origin 0 at that width "
+         "do not place in bucket 2"),
         (("fit", *SIM_DATA, "--t-cap", -1), {}, EXIT_DATA, "bucket cap must be >= 0"),
         (("fit", *SIM_DATA, "--max-iter", 0), {}, EXIT_DATA, "max_iter must be >= 1"),
         (("forecast", "--model", "{model}", *SIM_DATA, "--horizon", 2, "--level", 1), {}, EXIT_DATA,
@@ -797,7 +882,8 @@ SIM_DATA = ("--events", "{sim}/events.csv", "--types", "{sim}/types.csv")
          EXIT_DATA, "no edge to fit: every observed count of every block is 0"),
     ],
     ids=["types-no-count", "types-twice", "types-bad-count", "types-zero-count", "types-empty-name",
-         "types-clashing-vertex", "negative-steps", "steps-past-int64-keys", "steps-past-memory", "negative-t-cap", "zero-max-iter", "level-1", "level-nan", "no-model",
+         "types-clashing-vertex", "negative-steps", "steps-past-int64-keys", "steps-past-memory",
+         "width-past-float", "width-below-float-spacing", "negative-t-cap", "zero-max-iter", "level-1", "level-nan", "no-model",
          "no-horizon", "types-csv-one-column", "types-csv-blank-type", "types-csv-header-only",
          "events-bad-header", "model-list", "no-block", "no-edge"],
 )

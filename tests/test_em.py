@@ -136,8 +136,8 @@ class TestEStep:
         truth = known_start(0.0, 0.0, 0.0, seasonal_state(d, 0.5, sine_profile(d, 0.1)))
 
         class _Rng:
-            def normal(self, loc, scale):
-                return loc
+            def standard_normal(self, size):
+                return np.zeros(size)
 
             def binomial(self, n_, p):
                 return round(n_ * p)

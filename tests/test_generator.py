@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from conftest import generated_network, known_start, network_of_edges
+from generator_reference import _sample_block
 from sdsbm.generator import (
-    _sample_block,
     generate_block_series,
     generate_network,
     seasonal_state,
@@ -21,8 +21,8 @@ from sdsbm.ssm import ParamStack, transition
 class _ExpectationRng:
     """Stand-in rng that returns every draw's expectation."""
 
-    def normal(self, loc, scale):
-        return loc
+    def standard_normal(self, size):
+        return np.zeros(size)
 
     def binomial(self, n, p):
         return n * p
@@ -91,6 +91,31 @@ class TestGeneratorParams:
             np.testing.assert_array_equal(one.counts[0], stack.counts[b])
             for field in ("states", "density", "counts"):
                 np.testing.assert_array_equal(getattr(trace, field), getattr(traces[b], field))
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_samplers_match_the_reference_walk_bit_for_bit(seed):
+    # rows whose q_s or every variance is 0, at a zero seasonal profile:
+    # the step leaves their offset at -0.0, and the zero noise then added
+    # is +0.0 under numpy's normal(0.0, 0.0), which clears the sign
+    d, T, n = 4, 40, [10, 40, 6]
+    mu0 = [seasonal_state(d, 0.5, sine_profile(d, amplitude)) for amplitude in (0.1, 0.0, 0.0)]
+    params = ParamStack(
+        d, [1e-4, 0.0, 1e-4], [1e-4, 0.0, 0.0], [1e-3, 0.0, 1e-3], mu0, np.zeros((3, d, d))
+    )
+    pairs = [("a", "a"), ("a", "b"), ("b", "b")]
+    _, traces = generate_block_series(params, n, T, np.random.default_rng(seed), pairs)
+    rng = np.random.default_rng(seed)
+    for b, trace in enumerate(traces):
+        ref = _sample_block(params, b, T, rng, lambda t, e: rng.binomial(n[b], e))
+        for field in ("states", "density", "counts"):
+            assert getattr(trace, field).tobytes() == getattr(ref, field).tobytes(), (b, field)
+    typing = small_typing()
+    _, traces = generated_network(params, typing, T, np.random.default_rng(seed))
+    _, ref_traces = generator_reference.generate_network(params, typing, T, np.random.default_rng(seed))
+    for pair, trace in traces.items():
+        for field in ("states", "density", "counts"):
+            assert getattr(trace, field).tobytes() == getattr(ref_traces[pair], field).tobytes()
 
 
 class TestStepLatent:

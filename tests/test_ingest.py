@@ -6,6 +6,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import csv_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -675,3 +676,38 @@ class TestModelPersistence:
         params = {("a", "a"): example_params(d=3), ("a", "b"): example_params(d=4)}
         with pytest.raises(ValueError, match="disagree"):
             save_model(params, {("a", "a"): 10, ("a", "b"): 10}, tmp_path / "m.json")
+
+
+TRICKY_TEXT = st.text(alphabet=st.sampled_from(['a', 'b', ' ', ',', '"', "'", '\n', '\r', ':', 'é']),
+                      max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(TRICKY_TEXT, st.floats(width=64), st.integers(-10**12, 10**12), st.booleans()),
+        min_size=1, max_size=30,
+    ),
+    chunk=st.integers(1, 12),
+)
+def test_csv_lines_match_the_row_writer(rows, chunk):
+    # each chunk formatted column by column, at any chunk size, gives what
+    # csv.writer gives row by row with every float through csv_float
+    texts, floats, ints, flags = (list(column) for column in zip(*rows))
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows(
+        (text, csv_reference.csv_float(x), i, int(flag)) for text, x, i, flag in rows
+    )
+    columns = [np.array([ingest.csv_field(text) for text in texts], dtype=object),
+               np.array(floats), np.array(ints), np.array(flags)]
+    with mock.patch.object(ingest, "CHUNK_FIELDS", chunk):
+        chunks = list(ingest.csv_lines(columns))
+    assert "".join(chunks) == want.getvalue()
+    assert len(chunks) == -(-len(rows) // max(1, chunk // len(columns)))
+
+
+def test_write_csv_writes_the_header_and_each_chunk(tmp_path):
+    path = tmp_path / "out.csv"
+    text = np.array(["x", '"y"""'], dtype=object)
+    ingest.write_csv(path, ["t", 'q"'], [*ingest.csv_lines([np.arange(1, 3), text]), ""])
+    assert path.read_bytes() == b't,"q"""\n1,x\n2,"y"""\n'

@@ -362,8 +362,8 @@ def _rts_pinv_reference(seq, ss):
 class _RoundingRng:
     """Noise-free stand-in: zero Gaussian draws, expectation counts."""
 
-    def normal(self, loc, scale):
-        return loc
+    def standard_normal(self, size):
+        return np.zeros(size)
 
     def binomial(self, n, p):
         return round(n * p)

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,9 @@ from sdsbm.ingest import BucketingConfig, parse_inputs
 from conftest import generated_network, known_start, network_of_edges
 
 EVENTS = 100_000
+# the CLI's peak RSS above the import floor, per edge of its events file:
+# room for the allocator, not for a second whole per-edge array of any kind
+CLI_BYTES_PER_EDGE = 32
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -128,8 +132,7 @@ def max_rss_kib(*args, cwd):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
 def test_cli_peak_rss_per_edge(tmp_path):
-    # about 300k edges; the bound leaves room for the allocator, not for
-    # a second whole per-edge array of any kind
+    # about 300k edges
     floor = max_rss_kib("-c", "import sdsbm.cli, numpy.random", cwd=tmp_path)
     simulate = max_rss_kib("-m", "sdsbm.cli", "simulate", "--seed", "3", "--steps", "210",
                            "--types", "a=40,b=30", "--out-dir", "sim", cwd=tmp_path)
@@ -140,7 +143,24 @@ def test_cli_peak_rss_per_edge(tmp_path):
     assert edges > 250_000
     for command, kib in (("simulate", simulate), ("fit", fit)):
         per_edge = (kib - floor) * 1024 / edges
-        assert per_edge < 32, f"{command}: {per_edge:.1f} bytes per edge above the import floor"
+        assert per_edge < CLI_BYTES_PER_EDGE, f"{command}: {per_edge:.1f} bytes per edge above the import floor"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_simulate_writes_a_large_snapshot_a_chunk_at_a_time(tmp_path):
+    # three snapshots of about 120k edges each: this run peaks about 23
+    # bytes per edge above the import floor, mostly the generator's
+    # per-pair arrays; writing each snapshot's rows as one text raised
+    # that to about 43
+    floor = max_rss_kib("-c", "import sdsbm.cli, numpy.random", cwd=tmp_path)
+    kib = max_rss_kib("-m", "sdsbm.cli", "simulate", "--seed", "3", "--steps", "3",
+                      "--types", "a=300,b=300", "--out-dir", "sim", cwd=tmp_path)
+    with open(tmp_path / "sim" / "events.csv", "rb") as fh:
+        next(fh)
+        per_snapshot = Counter(line.split(b",", 1)[0] for line in fh)
+    assert len(per_snapshot) == 3 and min(per_snapshot.values()) >= 50_000
+    per_edge = (kib - floor) * 1024 / sum(per_snapshot.values())
+    assert per_edge < CLI_BYTES_PER_EDGE, f"{per_edge:.1f} bytes per edge above the import floor"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
