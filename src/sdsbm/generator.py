@@ -195,12 +195,11 @@ def generate_network(
             for stream, row in zip(streams, rows):
                 stream.standard_normal(out=row)
             states, density = _advance(states, sd, z)
-            counts = np.empty(len(blocks))
-            for b, ((stream, lo, hi), e) in enumerate(zip(blocks, density.tolist())):
+            for (stream, lo, hi), e in zip(blocks, density.tolist()):
                 np.less(stream.random(hi - lo), e, out=formed[lo:hi])
-                counts[b] = np.count_nonzero(formed[lo:hi])
             edges = keys[formed[order]]
             edges += t * V * V
+            counts = np.add.reduceat(formed, bounds[:-1], dtype=float)
             yield Snapshot(edges, states, density, counts)
 
     return snapshots()

@@ -18,7 +18,10 @@ File formats:
   ``csv.writer`` would.
 
 All files are read and written as UTF-8 text; a byte of an input that
-is not UTF-8 is a data error naming the file and its line.
+is not UTF-8 is a data error naming the file and its line.  Both input
+CSVs are read row by row through one reader, ``_located_rows``: it
+checks the header's stripped names, skips blank rows and names each
+row by its ``path:line``.
 
 Ingest goes from the events file to one int64 edge key per event.  The
 CSV rows are streamed into three string columns of at most
@@ -44,7 +47,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -146,77 +149,69 @@ def _csv_rows(path, reader):
         raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _parse_types(path) -> VertexTyping:
-    vertex_ids: list[str] = []
-    type_of: dict[str, str] = {}
+def _check_header(path, rows, names) -> None:
+    """Take the header from ``rows``: its names, stripped, are ``names``."""
+    header = next(rows, None)
+    if header is None or [c.strip() for c in header] != list(names):
+        raise IngestError(f"{path}: expected header '{','.join(names)}'")
+
+
+def _located_rows(path, names):
+    """The rows of the CSV file ``path`` after its header ``names``, each
+    with its ``path:line``; blank rows are skipped."""
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
         rows = _csv_rows(path, reader)
-        header = next(rows, None)
-        if header is None or [c.strip() for c in header] != ["vertex", "type"]:
-            raise IngestError(f"{path}: expected header 'vertex,type'")
-        for row in rows:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 2:
-                raise IngestError(f"{where}: expected 2 columns, got {len(row)}")
-            vertex, label = row[0].strip(), row[1].strip()
-            if not vertex or not label:
-                raise IngestError(f"{where}: empty vertex or type")
-            if vertex in type_of:
-                raise IngestError(f"{where}: duplicate vertex {vertex!r}")
-            vertex_ids.append(vertex)
-            type_of[vertex] = label
-    if not vertex_ids:
+        _check_header(path, rows, names)
+        for row in filter(None, rows):
+            yield f"{path}:{reader.line_num}", row
+
+
+def _parse_types(path) -> VertexTyping:
+    type_of: dict[str, str] = {}  # in file order
+    for where, row in _located_rows(path, ("vertex", "type")):
+        if len(row) != 2:
+            raise IngestError(f"{where}: expected 2 columns, got {len(row)}")
+        vertex, label = row[0].strip(), row[1].strip()
+        if not vertex or not label:
+            raise IngestError(f"{where}: empty vertex or type")
+        if vertex in type_of:
+            raise IngestError(f"{where}: duplicate vertex {vertex!r}")
+        type_of[vertex] = label
+    if not type_of:
         raise IngestError(f"{path}: no vertices")
     try:
-        return VertexTyping(vertex_ids=tuple(vertex_ids), type_of=type_of)
+        return VertexTyping(vertex_ids=tuple(type_of), type_of=type_of)
     except ValueError as exc:  # a label the typing refuses
         raise IngestError(f"{path}: {exc}") from None
 
 
 def _parse_events(path, typing: VertexTyping, config: BucketingConfig) -> DynamicNetwork:
     """Stream the rows into three string columns of at most
-    ``CHUNK_ROWS`` events, and convert each full chunk to edge keys
-    before reading on.  When any row is bad, the file is read again row
-    by row and the first bad one in file order is reported."""
+    ``CHUNK_ROWS`` events, and convert each chunk to edge keys before
+    reading on.  When any row is bad, the file is read again row by
+    row and the first bad one in file order is reported."""
     index = typing.vertex_index()
     keys = _EdgeKeys(config, len(typing.vertex_ids))
-    stamps: list[str] = []
-    srcs: list[str] = []
-    dsts: list[str] = []
-
-    def convert() -> None:
-        chunk = _convert_chunk(stamps, srcs, dsts, index)
-        if chunk is None:
-            raise _first_bad_event(path, index)
-        keys.add(*chunk)
-        stamps.clear()
-        srcs.clear()
-        dsts.clear()
-
     with _open_csv(path) as fh:
         rows = csv.reader(fh)
-        try:
-            header = next(_csv_rows(path, rows), None)
-            if header is None or [c.strip() for c in header] != ["timestamp", "src", "dst"]:
-                raise IngestError(f"{path}: expected header 'timestamp,src,dst'")
-            add_stamp, add_src, add_dst = stamps.append, srcs.append, dsts.append
-            for row in rows:
-                if len(row) == 3:
-                    add_stamp(row[0])
-                    add_src(row[1])
-                    add_dst(row[2])
-                    if len(stamps) == CHUNK_ROWS:
-                        convert()
-                elif row:
-                    raise _first_bad_event(path, index)
-        except csv.Error:
-            # a bad row still unconverted before the refused one comes first
-            raise _first_bad_event(path, index) from None
-    convert()
-    return keys.network(typing)
+        _check_header(path, _csv_rows(path, rows), ("timestamp", "src", "dst"))
+        while True:
+            stamps, srcs, dsts = [], [], []
+            try:
+                for stamp, src, dst in islice(filter(None, rows), CHUNK_ROWS):
+                    stamps.append(stamp)
+                    srcs.append(src)
+                    dsts.append(dst)
+            except (ValueError, csv.Error):  # a row not of 3 fields, or one the reader refuses:
+                # a bad row still unconverted before it comes first
+                raise _first_bad_event(path, index) from None
+            chunk = _convert_chunk(stamps, srcs, dsts, index)
+            if chunk is None:
+                raise _first_bad_event(path, index)
+            keys.add(*chunk)
+            if len(stamps) < CHUNK_ROWS:
+                return keys.network(typing)
 
 
 def _convert_chunk(stamps, srcs, dsts, index):
@@ -239,25 +234,20 @@ def _first_bad_event(path, known) -> IngestError:
     reading it again row by row once a bad row is seen; a row the CSV
     reader refuses raises here.  A row's checks run in the order its
     fields are read, so the first failing one names it."""
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        rows = _csv_rows(path, reader)
-        next(rows)  # the header, checked already
-        for row in filter(None, rows):
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 3:
-                return IngestError(f"{where}: expected 3 columns, got {len(row)}")
-            try:
-                ts = float(row[0])
-            except ValueError:
-                return IngestError(f"{where}: bad timestamp {row[0]!r}")
-            if not math.isfinite(ts):
-                return IngestError(f"{where}: non-finite timestamp")
-            src, dst = row[1].strip(), row[2].strip()
-            if src == dst:
-                return IngestError(f"{where}: self-loop event on vertex {src!r}")
-            if src not in known or dst not in known:
-                return IngestError(f"{where}: vertex {src if src not in known else dst!r} has no type")
+    for where, row in _located_rows(path, ("timestamp", "src", "dst")):
+        if len(row) != 3:
+            return IngestError(f"{where}: expected 3 columns, got {len(row)}")
+        try:
+            ts = float(row[0])
+        except ValueError:
+            return IngestError(f"{where}: bad timestamp {row[0]!r}")
+        if not math.isfinite(ts):
+            return IngestError(f"{where}: non-finite timestamp")
+        src, dst = row[1].strip(), row[2].strip()
+        if src == dst:
+            return IngestError(f"{where}: self-loop event on vertex {src!r}")
+        if src not in known or dst not in known:
+            return IngestError(f"{where}: vertex {src if src not in known else dst!r} has no type")
     return IngestError(f"{path}: changed while it was read")
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -97,17 +98,66 @@ class TestParseInputs:
             parse_inputs(events, types, UNIT)
         assert str(info.value) == f"{types}:5: duplicate vertex '2'"
 
-    def test_bad_header_rejected(self, tmp_path):
-        types = write(tmp_path, "types.csv", "id,kind\n1,a\n")
-        events = write(tmp_path, "events.csv", "timestamp,src,dst\n")
-        with pytest.raises(IngestError, match="header"):
-            parse_inputs(events, types, UNIT)
+    HEADERS = {"events.csv": ("timestamp", "src", "dst"), "types.csv": ("vertex", "type")}
+    # blank rows, and fields padded with spaces
+    BODIES = {"events.csv": "\n 1.5 , 2 ,1\n\n", "types.csv": "1,a\n\n 2 , b \n"}
 
-    def test_blank_rows_and_padding_are_accepted(self, tmp_path):
-        types = write(tmp_path, "types.csv", "vertex,type\n1,a\n\n2,b\n")
-        events = write(tmp_path, "events.csv", "timestamp,src,dst\n\n 1.5 , 2 ,1\n\n")
-        net = parse_inputs(events, types, UNIT)
+    def inputs(self, tmp_path, name, header):
+        """The events and types files, file ``name`` with its header
+        line replaced by ``header`` (None: no line at all, an empty
+        file)."""
+        files = {}
+        for file, names in self.HEADERS.items():
+            text = ",".join(names) + "\n" + self.BODIES[file]
+            if file == name:
+                text = "" if header is None else header + "\n" + self.BODIES[file]
+            files[file] = write(tmp_path, file, text)
+        return files["events.csv"], files["types.csv"]
+
+    @pytest.mark.parametrize("name", ["events.csv", "types.csv"])
+    @pytest.mark.parametrize("wrong", ["reversed", "short", "blank", "missing"])
+    def test_bad_header_rejected(self, tmp_path, name, wrong):
+        names = self.HEADERS[name]
+        header = {"reversed": ",".join(reversed(names)), "short": ",".join(names[:-1]),
+                  "blank": "", "missing": None}[wrong]
+        events, types = self.inputs(tmp_path, name, header)
+        with pytest.raises(IngestError) as info:
+            parse_inputs(events, types, UNIT)
+        assert str(info.value) == f"{tmp_path / name}: expected header '{','.join(names)}'"
+
+    @pytest.mark.parametrize("name", ["events.csv", "types.csv"])
+    def test_blank_rows_and_padding_are_accepted(self, tmp_path, name):
+        padded = " " + " , ".join(self.HEADERS[name]) + " "
+        net = parse_inputs(*self.inputs(tmp_path, name, padded), UNIT)
+        assert net.typing.vertex_ids == ("1", "2") and net.typing.types == ("a", "b")
         assert [a.tolist() for a in edge_arrays(net)] == [[2], [0], [1]]
+
+    @pytest.mark.parametrize(
+        "types,events,opens",
+        [
+            pytest.param("1,a\n2,b\n", "1,1,2\n", 2, id="parsed"),
+            pytest.param("1,a\n1,b\n", "1,1,2\n", 1, id="bad-types-row"),
+            # a bad events row is found by reading the file a second time
+            pytest.param("1,a\n2,b\n", "1,1,2\nbogus,1,2\n1,2,1\n", 3, id="bad-events-row"),
+            pytest.param("1,a\n2,b\n", "1,1,2\n1,2\n1,2,1\n", 3, id="short-events-row"),
+        ],
+    )
+    def test_no_input_file_stays_open(self, tmp_path, monkeypatch, types, events, opens):
+        # the row reader is a generator that its callers leave early
+        opened = []
+
+        def open_csv(path):
+            opened.append(open_file(path))
+            return opened[-1]
+
+        open_file = ingest._open_csv
+        monkeypatch.setattr(ingest, "_open_csv", open_csv)
+        types = write(tmp_path, "types.csv", "vertex,type\n" + types)
+        events = write(tmp_path, "events.csv", "timestamp,src,dst\n" + events)
+        # a raised error is held in ``info``, with the frames of its traceback
+        with pytest.raises(IngestError) if opens != 2 else contextlib.nullcontext() as info:
+            parse_inputs(events, types, UNIT)
+        assert len(opened) == opens and all(fh.closed for fh in opened)
 
     @pytest.mark.parametrize(
         "name,text,line",
