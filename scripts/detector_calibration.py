@@ -24,7 +24,8 @@ def null_blocks(truth, n, T, n_blocks, rng):
     ``truth``, and the parameters they were sampled from."""
     params = truth.take([0] * n_blocks)
     pairs = [(f"t{i}", f"t{i}") for i in range(n_blocks)]
-    return generate_block_series(params, n, T, rng, pairs)[0], params
+    blocks, _, _ = generate_block_series(params, n, T, rng, pairs)
+    return blocks, params
 
 
 def main() -> None:

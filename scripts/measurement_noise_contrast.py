@@ -42,7 +42,7 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     mu0 = seasonal_state(d, 0.7, sine_profile(d, 0.1))
     truth = ParamStack(d, [args.q], [args.q], [args.r], [mu0], np.zeros((1, d, d)))
-    blocks, _ = generate_block_series(truth, n=args.n, T=args.steps, rng=rng)  # a stack of one
+    blocks, _, _ = generate_block_series(truth, n=args.n, T=args.steps, rng=rng)  # a stack of one
     init = default_init(blocks, d)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,6 @@ from .graph_model import (
     extract_block_series,
 )
 from .generator import (
-    LatentTrace,
     generate_block_series,
     generate_network,
     seasonal_state,

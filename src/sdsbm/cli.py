@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import statistics
 import sys
 from dataclasses import dataclass
 from itertools import islice
@@ -76,6 +75,8 @@ def _z_quantile(level: float) -> float:
     """Two-sided Gaussian quantile for a central confidence level."""
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must be in (0, 1)")
+    import statistics  # only forecast needs it, and it loads decimal and fractions
+
     return statistics.NormalDist().inv_cdf(0.5 * (1.0 + level))
 
 

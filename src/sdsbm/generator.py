@@ -12,14 +12,15 @@ written, one snapshot at a time.  The samplers take the
 ``ParamStack`` that the filter and EM take, one row per block: each
 row's walk starts at its mu0, and its Sigma0 must be 0.  So the truth a
 test scores with is the very stack it sampled from.  Every sampler also
-gives the hidden trajectory, so tests can compare inferred beliefs with
-the truth.
+gives the hidden trajectory as arrays with one row per block: the
+states after each step's transition and the realized densities, whole
+series from ``generate_block_series`` and one step per ``Snapshot``, so
+tests can compare inferred beliefs with the truth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -58,20 +59,6 @@ def sine_profile(d: int, amplitude: float) -> np.ndarray:
     return profile - profile.mean()
 
 
-@dataclass(frozen=True)
-class LatentTrace:
-    """Ground-truth record of one generated block.
-
-    ``states[t]`` is the hidden state after the step-t transition,
-    ``density[t]`` the realized e_t and ``counts[t]`` the formed-edge
-    count, all 0-based for t = 1..T.
-    """
-
-    states: np.ndarray
-    density: np.ndarray
-    counts: np.ndarray
-
-
 def _noise_sd(params: ParamStack) -> np.ndarray:
     """The (B, 3) standard deviations of each row's noises, in the order
     a step draws them: the two of Q at ``DRIVEN``, then the measurement
@@ -101,10 +88,12 @@ def generate_block_series(
     T: int,
     rng: np.random.Generator,
     pairs: Sequence[TypePair] = (("a", "a"),),
-) -> tuple[BlockStack, list[LatentTrace]]:
+) -> tuple[BlockStack, np.ndarray, np.ndarray]:
     """Sample the count series of one block per row of ``params``, as
     blocks ``pairs`` of n possible edges each (``n`` is one value or one
-    per row), plus each row's hidden trajectory.
+    per row), plus each row's hidden trajectory: the (B, T, d) states
+    after each step's transition and the (B, T) realized densities, with
+    step t = 1..T in column t - 1.
 
     Rows are drawn in order from ``rng``, so B rows give what B one-row
     calls in sequence give; each step of a row draws three standard
@@ -129,8 +118,7 @@ def generate_block_series(
             state, e = _advance(state, sd[b], rng.standard_normal(3))
             states[b, t], density[b, t] = state, e
             counts[b, t] = rng.binomial(n[b], e)
-    traces = [LatentTrace(*trace) for trace in zip(states, density, counts)]
-    return BlockStack(tuple(pairs), n, counts), traces
+    return BlockStack(tuple(pairs), n, counts), states, density
 
 
 class Snapshot(NamedTuple):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdsbm.generator import LatentTrace, generate_network
+from sdsbm.generator import generate_network
 from sdsbm.graph_model import BlockStack, DynamicNetwork, edge_keys
 from sdsbm.ssm import FIELDS, ParamStack
 
@@ -49,18 +49,15 @@ def network_of_edges(typing, T, t, i, j) -> DynamicNetwork:
 
 def generated_network(params, typing, T, rng):
     """``generate_network``'s snapshots drained into the whole network and
-    each block's ``LatentTrace``, keyed by type pair in canonical order."""
+    its blocks' truth, one row per block in canonical order: the (B, T, d)
+    states, the (B, T) densities and the (B, T) counts."""
     snapshots = list(generate_network(params, typing, T, rng))
     keys = np.concatenate([np.zeros(0, np.int64), *(s.keys for s in snapshots)])
     states, density, counts = (
-        np.array([getattr(s, field) for s in snapshots]).reshape(T, len(params), *shape)
+        np.array([getattr(s, field) for s in snapshots]).reshape(T, len(params), *shape).swapaxes(0, 1)
         for field, shape in (("states", (params.d,)), ("density", ()), ("counts", ()))
     )
-    traces = {
-        pair: LatentTrace(states[:, b], density[:, b], counts[:, b])
-        for b, pair in enumerate(typing.blocks()[0])
-    }
-    return DynamicNetwork(typing, T, keys), traces
+    return DynamicNetwork(typing, T, keys), states, density, counts
 
 
 def gaps_as_nan(counts):

@@ -1,11 +1,12 @@
 """Reference network generator: the loop that sampled one block after
 another, built three edge arrays per block and packed them into one
-network in a single call, kept as it was written, with the per-block
-walk (``_walk``) and series (``_sample_block``) that it steps each
-block with.  ``sdsbm.generator.generate_network`` samples one snapshot
+network in a single call, with the per-block walk (``_walk``), series
+(``_sample_block``) and vertex pairs (``_vertex_pairs``) that it steps
+each block with, all written here rather than taken from the module
+they check.  ``sdsbm.generator.generate_network`` samples one snapshot
 at a time instead, every block taking one step per snapshot in one
-vectorised step, and must give the same edges and traces from the same
-seed.
+vectorised step, and must give the same edges, states, densities and
+counts from the same seed.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from sdsbm.generator import LatentTrace
-from sdsbm.graph_model import (
-    DynamicNetwork,
-    TypePair,
-    VertexTyping,
-    block_pairs,
-)
+from sdsbm.graph_model import DynamicNetwork, TypePair, VertexTyping
 from sdsbm.ssm import DRIVEN, ParamStack, observe, step
 
 from conftest import network_of_edges
@@ -55,10 +50,11 @@ def _sample_block(
     T: int,
     rng: np.random.Generator,
     draw: Callable[[int, float], int],
-) -> LatentTrace:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run row b's walk for T steps; ``draw(t, e)`` samples step t's
     formed edges at realized density e from ``rng`` and returns their
-    count."""
+    count.  Gives the (T, d) states, the (T,) densities and the (T,)
+    counts."""
     states = np.zeros((T, params.d))
     density = np.zeros(T)
     counts = np.zeros(T)
@@ -67,7 +63,22 @@ def _sample_block(
         states[t] = state
         density[t] = e
         counts[t] = draw(t, e)
-    return LatentTrace(states=states, density=density, counts=counts)
+    return states, density, counts
+
+
+def _vertex_pairs(typing: VertexTyping, pair: TypePair) -> tuple[np.ndarray, np.ndarray]:
+    """All vertex pairs of a block, as two arrays of vertex indices: within
+    a type, the upper triangle over its vertices' ascending indices; across
+    two types, each vertex of the first against every vertex of the
+    second."""
+    a, b = (
+        np.array([i for i, v in enumerate(typing.vertex_ids) if typing.type_of[v] == label], np.int64)
+        for label in pair
+    )
+    if pair[0] == pair[1]:
+        i, j = np.triu_indices(a.size, k=1)
+        return a[i], a[j]
+    return np.repeat(a, b.size), np.tile(b, a.size)
 
 
 def generate_network(
@@ -75,37 +86,39 @@ def generate_network(
     typing: VertexTyping,
     T: int,
     rng: np.random.Generator,
-) -> tuple[DynamicNetwork, dict[TypePair, LatentTrace]]:
+) -> tuple[DynamicNetwork, np.ndarray, np.ndarray, np.ndarray]:
     """Sample a full dynamic network block by block.
 
     Row b of ``params`` is the b-th non-empty block, and each draws from
     its own child stream of ``rng`` (spawned in canonical block order),
     so block samples are independent and insensitive to other blocks'
-    settings.
+    settings.  Gives the network and its blocks' truth, one row per
+    block in that order: the (B, T, d) states, the (B, T) densities and
+    the (B, T) counts.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
-    pairs = typing.pairs()
-    active = [p for p in pairs if block_pairs(typing, p)[0].size >= 1]
+    vertex_pairs = [_vertex_pairs(typing, p) for p in typing.pairs()]
+    active = [(vi, vj) for vi, vj in vertex_pairs if vi.size >= 1]
     if len(params) != len(active):
         raise ValueError(f"{len(params)} parameter rows for {len(active)} blocks")
     streams = rng.spawn(len(active))
     edge_t, edge_i, edge_j = ([np.zeros(0, np.int64)] for _ in range(3))
-    traces: dict[TypePair, LatentTrace] = {}
-    for b, (p, stream) in enumerate(zip(active, streams)):
-        vi, vj = block_pairs(typing, p)
+    states = np.zeros((len(active), T, params.d))
+    density, counts = np.zeros((2, len(active), T))
+    for b, ((vi, vj), stream) in enumerate(zip(active, streams)):
         hits = [np.zeros(0, np.int64)]  # one array of formed-pair positions per step
 
         def draw(t: int, e: float) -> int:
             hits.append(np.flatnonzero(stream.random(vi.size) < e))
             return hits[-1].size
 
-        traces[p] = trace = _sample_block(params, b, T, stream, draw)
+        states[b], density[b], counts[b] = _sample_block(params, b, T, stream, draw)
         formed = np.concatenate(hits)
-        edge_t.append(np.repeat(np.arange(1, T + 1), trace.counts.astype(np.int64)))
+        edge_t.append(np.repeat(np.arange(1, T + 1), counts[b].astype(np.int64)))
         edge_i.append(vi[formed])
         edge_j.append(vj[formed])
     network = network_of_edges(
         typing, T, np.concatenate(edge_t), np.concatenate(edge_i), np.concatenate(edge_j)
     )
-    return network, traces
+    return network, states, density, counts

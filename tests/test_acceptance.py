@@ -90,7 +90,7 @@ def test_criterion_2_em_monotonicity():
             r=float(rng.choice([0.0, 1e-4, 1e-3])),
             mu0=seasonal_state(d, float(rng.uniform(0.4, 0.6)), sine_profile(d, 0.08)),
         )
-        series, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=[("a", f"b{seed:02d}")])
+        series, _, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=[("a", f"b{seed:02d}")])
         blocks.append(series)
     blocks = concat(blocks)
     _, traces = em_fit(blocks, default_init(blocks, d), EmConfig(max_iter=25, tol=1e-12))
@@ -114,7 +114,7 @@ def test_criterion_3_measurement_noise_contrast():
     d, T, n = 7, 280, 2000
     rng = np.random.default_rng(42)
     truth = known_start(1e-7, 1e-7, 1e-3, seasonal_state(d, 0.7, sine_profile(d, 0.1)))
-    series, _ = generate_block_series(truth, n=n, T=T, rng=rng)
+    series, _, _ = generate_block_series(truth, n=n, T=T, rng=rng)
     init = default_init(series, d)
     free, _ = fit_one(series, init, EmConfig(max_iter=80, tol=1e-9))
     pinned, _ = fit_one(
@@ -176,7 +176,7 @@ def test_criterion_5_detector_calibration():
     mu0 = seasonal_state(d, 0.5, sine_profile(d, 0.05))
     truth = known_start(1e-7, 1e-7, 1e-4, mu0).take([0] * B)
     pairs = [(f"t{i}", f"t{i}") for i in range(B)]
-    blocks, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=pairs)
+    blocks, _, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=pairs)
     scores = anomaly.score(blocks, truth, mode="predictive")
     report = anomaly.detect(scores, anomaly.SigmaPolicy(3.0))
     flags = int(report.block_mask.sum())
@@ -202,7 +202,7 @@ def test_criterion_6_detection_power():
     params = known_start(1e-6, 1e-6, 1e-4, seasonal_state(d, 0.5, np.zeros(d))).take([0] * 3)
     pairs = [(f"t{i}", f"t{i}") for i in range(3)]
     for _ in range(trials):
-        blocks, _ = generate_block_series(params, n=n, T=T, rng=rng, pairs=pairs)
+        blocks, _, _ = generate_block_series(params, n=n, T=T, rng=rng, pairs=pairs)
         clean = anomaly.score(blocks, params)
         shift = 6.0 * math.sqrt(clean.pred_var[0, t_star - 1])
         spiked = blocks.counts.copy()
@@ -248,14 +248,14 @@ def test_criterion_7_process_variance_closed_form():
 def test_criterion_8_generator_statistics():
     rng = np.random.default_rng(21)
     flat = known_start(0.0, 0.0, 0.0, seasonal_state(4, 0.3, np.zeros(4)))
-    series, _ = generate_block_series(flat, n=1000, T=10_000, rng=rng)
+    series, _, _ = generate_block_series(flat, n=1000, T=10_000, rng=rng)
     mean_err = abs(series.counts.mean() - 300.0) / 300.0
     var_err = abs(series.counts.var() - 210.0) / 210.0
 
     d = 7
     seasonal = known_start(1e-4, 0.0, 0.0, seasonal_state(d, 0.5, sine_profile(d, 0.1)))
-    _, [trace] = generate_block_series(seasonal, n=100, T=200, rng=rng)
-    states = np.vstack([seasonal.mu0, trace.states])
+    _, [states], _ = generate_block_series(seasonal, n=100, T=200, rng=rng)
+    states = np.vstack([seasonal.mu0, states])
     window_sums = np.array(
         [states[t, 1] + states[t - 1, 1:].sum() for t in range(1, states.shape[0])]
     )

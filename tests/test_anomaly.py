@@ -113,7 +113,7 @@ class TestScore:
         d, n, T = 7, 2000, 2500
         truth = known_start(1e-7, 1e-7, 1e-4, seasonal_state(d, 0.5, np.zeros(d))).take([0] * 4)
         pairs = [(f"t{i}", f"t{i}") for i in range(4)]
-        blocks, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=pairs)
+        blocks, _, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=pairs)
         scores = score(blocks, truth)
         z = np.sort(scores.z.ravel())
         assert z.shape[0] == 10_000
@@ -140,7 +140,7 @@ class TestThresholdSigma:
         mu0 = seasonal_state(d, 0.5, sine_profile(d, 0.05))
         truth = known_start(1e-7, 1e-7, 1e-4, mu0).take([0] * B)
         pairs = [(f"t{i}", f"t{i}") for i in range(B)]
-        blocks, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=pairs)
+        blocks, _, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=pairs)
         report = detect(score(blocks, truth), SigmaPolicy(3.0))
         p = 1.0 - (1.0 - 2.0 * sps.norm.sf(3.0)) ** B
         lo, hi = sps.binom.ppf([0.005, 0.995], T, p)
@@ -225,7 +225,7 @@ class TestDetect:
         d, n, T, t_star = 5, 1000, 40, 25
         params = known_start(1e-6, 1e-6, 1e-4, seasonal_state(d, 0.5, np.zeros(d))).take([0] * 3)
         pairs = [(f"t{i}", f"t{i}") for i in range(3)]
-        blocks, _ = generate_block_series(params, n=n, T=T, rng=rng, pairs=pairs)
+        blocks, _, _ = generate_block_series(params, n=n, T=T, rng=rng, pairs=pairs)
         clean = score(blocks, params)
         shift = 6.0 * math.sqrt(clean.pred_var[1, t_star - 1])
         spiked = blocks.counts.copy()

@@ -448,6 +448,16 @@ class TestForecast:
     def test_gaussian_quantile(self):
         assert _z_quantile(0.95) * math.sqrt(25.0) == pytest.approx(9.79982, abs=1e-5)
 
+    def test_only_forecast_loads_statistics(self):
+        # statistics (and the decimal and fractions it loads) is only for
+        # forecast's quantile, so simulate, fit and detect start without it
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        probe = "import sys, sdsbm.cli; print(sorted({'statistics', 'decimal'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_matches_direct_forecast_call(self, sim_dir, fitted_dir, tmp_path):
         code = run(
             "forecast",
@@ -717,8 +727,9 @@ def test_simulate_streams_snapshots_past_a_chunk(tmp_path):
 
 def assert_simulate_streams_the_reference_network(tmp_path, types, T, snapshot_edges=0):
     """events.csv holds exactly the reference generator's edges, in key
-    order, and ground_truth.csv its traces, t-major in canonical block
-    order; every snapshot holds more than ``snapshot_edges`` edges."""
+    order, and ground_truth.csv its states, densities and counts, t-major
+    in canonical block order; every snapshot holds more than
+    ``snapshot_edges`` edges."""
     seed, width = 5, 0.5
     assert run("simulate", "--seed", seed, "--steps", T, "--width", width,
                "--types", types, "--out-dir", tmp_path) == EXIT_OK
@@ -730,10 +741,10 @@ def assert_simulate_streams_the_reference_network(tmp_path, types, T, snapshot_e
     mu0 = seasonal_state(d, defaults["bias"], sine_profile(d, defaults["season_amplitude"]))
     params = known_start(defaults["q_m"], defaults["q_s"], defaults["r"], mu0)
     pairs = typing.blocks()[0]
-    ref_net, ref_traces = generator_reference.generate_network(
+    ref_net, states, density, counts = generator_reference.generate_network(
         params.take([0] * len(pairs)), typing, T, np.random.default_rng(seed)
     )
-    assert list(ref_traces) == list(pairs) and ("c", "c") not in pairs
+    assert len(counts) == len(pairs) and ("c", "c") not in pairs
 
     events = read_rows(tmp_path / "events.csv")
     index = typing.vertex_index()
@@ -745,9 +756,9 @@ def assert_simulate_streams_the_reference_network(tmp_path, types, T, snapshot_e
     assert keys.tolist() == ref_net.keys.tolist()
 
     want = [
-        [str(k), pair_key(pair), *(repr(float(x)) for x in (*trace.states[k - 1, :2], trace.density[k - 1])),
-         str(int(trace.counts[k - 1]))]
-        for k in range(1, T + 1) for pair, trace in ref_traces.items()
+        [str(k), pair_key(pair), *(repr(float(x)) for x in (*states[b, k - 1, :2], density[b, k - 1])),
+         str(int(counts[b, k - 1]))]
+        for k in range(1, T + 1) for b, pair in enumerate(pairs)
     ]
     assert [list(row.values()) for row in read_rows(tmp_path / "ground_truth.csv")] == want
 

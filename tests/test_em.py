@@ -77,8 +77,8 @@ def one_shot_m_step_r(quad, u, n):
 def synthetic_block(seed, d=7, T=120, n=500, q_m=1e-6, q_s=1e-6, r=0.0, bias=0.5, amp=0.08):
     rng = np.random.default_rng(seed)
     truth = known_start(q_m, q_s, r, seasonal_state(d, bias, sine_profile(d, amp)))
-    series, [trace] = generate_block_series(truth, n=n, T=T, rng=rng)
-    return series, trace, truth
+    series, _, _ = generate_block_series(truth, n=n, T=T, rng=rng)
+    return series, truth
 
 
 def small_params(d=3, q_m=4e-3, q_s=2e-3, r=0.0, seed=1):
@@ -142,7 +142,7 @@ class TestEStep:
             def binomial(self, n_, p):
                 return round(n_ * p)
 
-        series, _ = generate_block_series(truth, n=n, T=T, rng=_Rng())
+        series, _, _ = generate_block_series(truth, n=n, T=T, rng=_Rng())
         seq = kalman.smooth(kalman.filter(series, truth))
         np.testing.assert_array_equal(seq.smoothed_count_var, np.zeros((1, T)))
         np.testing.assert_array_equal(seq.x0_cov, np.zeros((1, d, d)))
@@ -189,7 +189,7 @@ class TestMStepInitial:
         np.testing.assert_array_equal(first.x0_cov, second.x0_cov)
 
     def test_recovers_generator_bias(self):
-        series, trace, truth = synthetic_block(seed=17, T=160, n=1000, q_m=1e-6, q_s=1e-6)
+        series, truth = synthetic_block(seed=17, T=160, n=1000, q_m=1e-6, q_s=1e-6)
         init = default_init(series, truth.d)
         params, _ = fit_one(series, init, EmConfig(max_iter=60, tol=1e-9))
         sd = np.sqrt(max(params.Sigma0[0, 0], 1e-12))
@@ -339,7 +339,7 @@ class TestMStepR:
         init = seasonal_state(d, opts["bias"], sine_profile(d, opts["season_amplitude"]))
         truth = known_start(opts["q_m"], opts["q_s"], opts["r"], init)
         truth = truth.take([0] * len(typing.blocks()[0]))
-        network, _ = generated_network(truth, typing, 161, np.random.default_rng(1))
+        network, *_ = generated_network(truth, typing, 161, np.random.default_rng(1))
         full = extract_block_series(network)
         blocks = BlockStack(full.pairs, full.n, full.counts[:, :140])
         seq = kalman.smooth(kalman.filter(blocks, default_init(blocks, d)))
@@ -354,7 +354,7 @@ class TestMStepR:
         assert (np.abs(pull_up - pull_down) <= 1e-10 * (pull_up + pull_down)).all()
 
     def test_full_em_recovers_true_r(self):
-        series, _, truth = synthetic_block(
+        series, truth = synthetic_block(
             seed=23, d=7, T=280, n=2000, q_m=1e-7, q_s=1e-7, r=1e-3
         )
         init = default_init(series, truth.d)
@@ -425,7 +425,7 @@ class TestMStepQ:
                 assert score[i] == pytest.approx(central, rel=1e-5), (k, i)
 
     def test_recovers_true_process_variances(self):
-        series, _, truth = synthetic_block(
+        series, truth = synthetic_block(
             seed=31, d=7, T=280, n=2000, q_m=1e-6, q_s=1e-6, r=0.0
         )
         init = default_init(series, truth.d)
@@ -438,7 +438,7 @@ class TestMStepQ:
 
 class TestEmFit:
     def test_single_iteration_trace(self):
-        series, _, truth = synthetic_block(seed=41, T=40)
+        series, truth = synthetic_block(seed=41, T=40)
         init = default_init(series, truth.d)
         params, trace = fit_one(series, init, EmConfig(max_iter=1))
         assert trace.iterations == 1
@@ -448,14 +448,14 @@ class TestEmFit:
 
     def test_loglik_never_decreases(self):
         for seed in range(5):
-            series, _, truth = synthetic_block(seed=100 + seed, T=80, n=400)
+            series, truth = synthetic_block(seed=100 + seed, T=80, n=400)
             init = default_init(series, truth.d)
             _, trace = fit_one(series, init, EmConfig(max_iter=25, tol=1e-12))
             ll = np.array(trace.loglik_per_iter)
             assert np.all(np.diff(ll) >= -1e-8), f"seed {seed}: {np.diff(ll).min()}"
 
     def test_refit_converges_immediately(self):
-        series, _, truth = synthetic_block(seed=57, T=100, n=200, q_m=5e-4, q_s=5e-4)
+        series, truth = synthetic_block(seed=57, T=100, n=200, q_m=5e-4, q_s=5e-4)
         init = default_init(series, truth.d)
         params, first = fit_one(series, init, EmConfig(max_iter=400, tol=1e-6))
         assert first.converged
@@ -464,7 +464,7 @@ class TestEmFit:
         assert trace.iterations <= 2
 
     def test_fix_r_pins_measurement_variance(self):
-        series, _, truth = synthetic_block(seed=61, T=60, r=1e-3)
+        series, truth = synthetic_block(seed=61, T=60, r=1e-3)
         init = default_init(series, truth.d)
         params, trace = fit_one(series, init, EmConfig(max_iter=10, fix_r_to_zero=True))
         assert params.r == 0.0
@@ -473,7 +473,7 @@ class TestEmFit:
     def test_fit_with_missing_observations(self):
         # gaps skip the update step and drop out of the r-objective but
         # the fit still runs and improves monotonically
-        series, _, truth = synthetic_block(seed=83, T=80, n=400, q_m=1e-4, q_s=1e-4)
+        series, truth = synthetic_block(seed=83, T=80, n=400, q_m=1e-4, q_s=1e-4)
         counts = series.counts[0].copy()
         counts[[7, 8, 31]] = np.nan
         gappy = one_block(counts, n=series.n[0])
@@ -489,7 +489,7 @@ class TestEmFit:
         rng = np.random.default_rng(3)
         init = seasonal_state(2, 0.5, np.array([0.06, -0.06]))
         truth = known_start(1e-4, 1e-4, 0.0, init)
-        series, _ = generate_block_series(truth, n=300, T=60, rng=rng)
+        series, _, _ = generate_block_series(truth, n=300, T=60, rng=rng)
         params, trace = fit_one(
             series, default_init(series, 2), EmConfig(max_iter=30, tol=1e-10)
         )
@@ -503,7 +503,7 @@ class TestEmFit:
         d = 60
         init = seasonal_state(d, 0.5, sine_profile(d, 0.1))
         truth = known_start(1e-6, 1e-7, 1e-4, init)
-        series, _ = generate_block_series(
+        series, _, _ = generate_block_series(
             truth, n=2000, T=3 * d, rng=np.random.default_rng(9)
         )
         params, trace = fit_one(
@@ -513,7 +513,7 @@ class TestEmFit:
         assert params.mu0.shape == (d,)
 
     def test_learned_q_is_exactly_diagonal(self):
-        series, _, truth = synthetic_block(seed=67, T=50)
+        series, truth = synthetic_block(seed=67, T=50)
         init = default_init(series, truth.d)
         params, _ = fit_one(series, init, EmConfig(max_iter=10))
         # one gap step from a zero Sigma0: the predicted covariance is Q
@@ -525,7 +525,7 @@ class TestEmFit:
 
     def test_r_step_weakly_improves_objective(self):
         # evaluate the r-objective before and after each M-step
-        series, _, truth = synthetic_block(seed=71, T=80, n=400, r=5e-4)
+        series, truth = synthetic_block(seed=71, T=80, n=400, r=5e-4)
         params = default_init(series, truth.d)
         n = series.n[0]
         for _ in range(8):
@@ -574,7 +574,7 @@ class TestLockstep:
     def test_matches_per_block_reference(self, fix_r):
         blocks = []
         for k, (n, q, T_gap) in enumerate([(28, 5e-4, None), (64, 5e-4, 9), (2000, 1e-5, None), (120, 1e-4, 3)]):
-            series, _, truth = synthetic_block(seed=200 + k, d=4, T=50, n=n, q_m=q, q_s=q, r=1e-4)
+            series, truth = synthetic_block(seed=200 + k, d=4, T=50, n=n, q_m=q, q_s=q, r=1e-4)
             counts = series.counts[0].copy()
             if T_gap is not None:
                 counts[T_gap : T_gap + 10] = np.nan

@@ -37,8 +37,26 @@ def noiseless(init, r=0.0):
 
 def sampled_states(params, T, rng):
     """The hidden states of one row's sampled walk, t = 1..T."""
-    _, [trace] = generate_block_series(params, n=10, T=T, rng=rng)
-    return trace.states
+    _, [states], _ = generate_block_series(params, n=10, T=T, rng=rng)
+    return states
+
+
+def assert_same_bits(got, want):
+    """Each array of ``got`` equals its partner in ``want`` bit for bit:
+    the same shape, dtype and bytes, so the sign of every zero too."""
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def reference_rows(params, n, T, rng):
+    """The reference's per-row walk over every row of ``params`` in turn,
+    each step's count a binomial draw from ``rng``: the (B, T, d) states,
+    the (B, T) densities and the (B, T) counts."""
+    rows = [
+        _sample_block(params, b, T, rng, lambda t, e, b=b: rng.binomial(n[b], e))
+        for b in range(len(params))
+    ]
+    return tuple(np.array(field) for field in zip(*rows))
 
 
 class TestGeneratorParams:
@@ -83,14 +101,19 @@ class TestGeneratorParams:
             d, [1e-4, 0.0, 1e-3], [1e-4, 1e-3, 0.0], [1e-3, 1e-2, 0.0], mu0, np.zeros((3, d, d))
         )
         pairs = [("a", "a"), ("a", "b"), ("b", "b")]
-        stack, traces = generate_block_series(params, n, T, np.random.default_rng(4), pairs)
-        assert stack.pairs == tuple(pairs) and stack.n.tolist() == n and len(traces) == 3
+        stack, states, density = generate_block_series(params, n, T, np.random.default_rng(4), pairs)
+        assert stack.pairs == tuple(pairs) and stack.n.tolist() == n
+        assert states.shape == (3, T, d) and density.shape == stack.counts.shape == (3, T)
         rng = np.random.default_rng(4)
-        for b in range(3):
-            one, [trace] = generate_block_series(params.take([b]), n[b], T, rng, pairs[b : b + 1])
-            np.testing.assert_array_equal(one.counts[0], stack.counts[b])
-            for field in ("states", "density", "counts"):
-                np.testing.assert_array_equal(getattr(trace, field), getattr(traces[b], field))
+        ones, one_states, one_density = zip(
+            *(generate_block_series(params.take([b]), n[b], T, rng, pairs[b : b + 1]) for b in range(3))
+        )
+        assert [one.pairs for one in ones] == [(p,) for p in pairs]
+        assert_same_bits(
+            (states, density, stack.counts),
+            (np.concatenate(one_states), np.concatenate(one_density), np.concatenate([one.counts for one in ones])),
+        )
+        assert_same_bits((states, density, stack.counts), reference_rows(params, n, T, np.random.default_rng(4)))
 
 
 @pytest.mark.parametrize("seed", [8, 9])
@@ -104,18 +127,19 @@ def test_samplers_match_the_reference_walk_bit_for_bit(seed):
         d, [1e-4, 0.0, 1e-4], [1e-4, 0.0, 0.0], [1e-3, 0.0, 1e-3], mu0, np.zeros((3, d, d))
     )
     pairs = [("a", "a"), ("a", "b"), ("b", "b")]
-    _, traces = generate_block_series(params, n, T, np.random.default_rng(seed), pairs)
-    rng = np.random.default_rng(seed)
-    for b, trace in enumerate(traces):
-        ref = _sample_block(params, b, T, rng, lambda t, e: rng.binomial(n[b], e))
-        for field in ("states", "density", "counts"):
-            assert getattr(trace, field).tobytes() == getattr(ref, field).tobytes(), (b, field)
+    stack, states, density = generate_block_series(params, n, T, np.random.default_rng(seed), pairs)
+    assert_same_bits((states, density, stack.counts), reference_rows(params, n, T, np.random.default_rng(seed)))
     typing = small_typing()
-    _, traces = generated_network(params, typing, T, np.random.default_rng(seed))
-    _, ref_traces = generator_reference.generate_network(params, typing, T, np.random.default_rng(seed))
-    for pair, trace in traces.items():
-        for field in ("states", "density", "counts"):
-            assert getattr(trace, field).tobytes() == getattr(ref_traces[pair], field).tobytes()
+    _, *truth = generated_network(params, typing, T, np.random.default_rng(seed))
+    _, *ref_truth = generator_reference.generate_network(params, typing, T, np.random.default_rng(seed))
+    assert_same_bits(truth, ref_truth)
+
+
+def test_the_truth_is_arrays_not_per_row_records():
+    import sdsbm
+    import sdsbm.generator
+
+    assert not hasattr(sdsbm, "LatentTrace") and not hasattr(sdsbm.generator, "LatentTrace")
 
 
 class TestStepLatent:
@@ -169,29 +193,30 @@ class TestSeasonalStart:
 class TestGenerateBlockSeries:
     def test_deterministic_core(self):
         params = noiseless(seasonal_state(3, 0.5, np.zeros(3)))
-        series, [trace] = generate_block_series(params, n=100, T=3, rng=_ExpectationRng())
+        series, _, density = generate_block_series(params, n=100, T=3, rng=_ExpectationRng())
         assert series.pairs == (("a", "a"),) and series.n.tolist() == [100.0]
         assert series.counts.tolist() == [[50.0, 50.0, 50.0]]
-        assert trace.density.tolist() == [0.5, 0.5, 0.5]
+        assert density.tolist() == [[0.5, 0.5, 0.5]]
 
     def test_boundary_density(self, rng):
         params = noiseless(seasonal_state(3, 1.0, np.zeros(3)))
-        series, _ = generate_block_series(params, n=20, T=5, rng=rng)
+        series, _, _ = generate_block_series(params, n=20, T=5, rng=rng)
         assert np.all(series.counts == 20.0)
 
     def test_binomial_moments(self):
         rng = np.random.default_rng(11)
         params = noiseless(seasonal_state(4, 0.3, np.zeros(4)))
-        series, _ = generate_block_series(params, n=1000, T=10_000, rng=rng)
+        series, _, _ = generate_block_series(params, n=1000, T=10_000, rng=rng)
         assert series.counts.mean() == pytest.approx(300.0, rel=0.01)
         assert series.counts.var() == pytest.approx(210.0, rel=0.10)
 
     def test_density_clamped(self):
         rng = np.random.default_rng(3)
         params = noiseless(seasonal_state(3, 0.5, np.zeros(3)), r=0.5)
-        _, [trace] = generate_block_series(params, n=10, T=200, rng=rng)
-        assert trace.density.min() >= 0.0
-        assert trace.density.max() <= 1.0
+        _, _, density = generate_block_series(params, n=10, T=200, rng=rng)
+        assert density.shape == (1, 200)
+        assert density.min() >= 0.0
+        assert density.max() <= 1.0
 
     def test_rejects_bad_sizes(self, rng):
         params = noiseless(seasonal_state(3, 0.5, np.zeros(3)))
@@ -208,8 +233,8 @@ class TestGenerateBlockSeries:
         rng = np.random.default_rng(5)
         d = 7
         params = known_start(1e-4, 0.0, 0.0, seasonal_state(d, 0.5, sine_profile(d, 0.1)))
-        _, [trace] = generate_block_series(params, n=50, T=50, rng=rng)
-        states = np.vstack([params.mu0, trace.states])
+        _, [states], _ = generate_block_series(params, n=50, T=50, rng=rng)
+        states = np.vstack([params.mu0, states])
         for t in range(1, states.shape[0]):
             window = states[t, 1] + np.sum(states[t - 1, 1:])
             assert window == 0.0
@@ -233,7 +258,7 @@ class TestGenerateNetwork:
     def test_full_density_gives_complete_blocks(self, rng):
         typing = small_typing()
         params = uniform_params(typing, mu0=seasonal_state(3, 1.0, np.zeros(3)))
-        net, _ = generated_network(params, typing, T=2, rng=rng)
+        net, *_ = generated_network(params, typing, T=2, rng=rng)
         stack = extract_block_series(net)
         assert stack.pairs == (("a", "a"), ("a", "b"), ("b", "b"))
         assert stack.counts.tolist() == [[6.0, 6.0], [12.0, 12.0], [3.0, 3.0]]
@@ -241,26 +266,24 @@ class TestGenerateNetwork:
     def test_zero_density_gives_empty_graphs(self, rng):
         typing = small_typing()
         params = uniform_params(typing, mu0=seasonal_state(3, 0.0, np.zeros(3)))
-        net, _ = generated_network(params, typing, T=3, rng=rng)
+        net, *_ = generated_network(params, typing, T=3, rng=rng)
         assert net.T == 3 and net.keys.size == 0
 
     def test_extraction_matches_trace_counts(self, rng):
         typing = small_typing()
         params = uniform_params(typing, q_m=1e-4, q_s=1e-4, r=1e-3)
-        net, traces = generated_network(params, typing, T=20, rng=rng)
+        net, _, _, counts = generated_network(params, typing, T=20, rng=rng)
         stack = extract_block_series(net)
-        by_pair = dict(zip(stack.pairs, stack.counts))
-        for pair, trace in traces.items():
-            np.testing.assert_array_equal(by_pair[pair], trace.counts)
+        assert stack.pairs == typing.blocks()[0]
+        np.testing.assert_array_equal(stack.counts, counts)
 
     def test_seeded_determinism(self):
         typing = small_typing()
         params = uniform_params(typing, q_m=1e-4, q_s=1e-4, r=1e-3)
-        net1, tr1 = generated_network(params, typing, T=10, rng=np.random.default_rng(42))
-        net2, tr2 = generated_network(params, typing, T=10, rng=np.random.default_rng(42))
+        net1, states1, *_ = generated_network(params, typing, T=10, rng=np.random.default_rng(42))
+        net2, states2, *_ = generated_network(params, typing, T=10, rng=np.random.default_rng(42))
         assert net1.T == net2.T and np.array_equal(net1.keys, net2.keys)
-        for pair in tr1:
-            np.testing.assert_array_equal(tr1[pair].states, tr2[pair].states)
+        np.testing.assert_array_equal(states1, states2)
 
     def test_block_independence(self):
         # changing one block's parameters leaves the other blocks'
@@ -268,10 +291,10 @@ class TestGenerateNetwork:
         typing = small_typing()
         base = uniform_params(typing, q_m=1e-4, q_s=1e-4, r=1e-3)
         changed = base.put([0], known_start(0.1, 0.1, 0.1, seasonal_state(3, 0.2, np.zeros(3))))  # a:a
-        _, tr1 = generated_network(base, typing, T=15, rng=np.random.default_rng(9))
-        _, tr2 = generated_network(changed, typing, T=15, rng=np.random.default_rng(9))
-        for pair in (("a", "b"), ("b", "b")):
-            np.testing.assert_array_equal(tr1[pair].counts, tr2[pair].counts)
+        *_, counts1 = generated_network(base, typing, T=15, rng=np.random.default_rng(9))
+        *_, counts2 = generated_network(changed, typing, T=15, rng=np.random.default_rng(9))
+        assert typing.blocks()[0][1:] == (("a", "b"), ("b", "b"))
+        np.testing.assert_array_equal(counts1[1:], counts2[1:])
 
     def test_two_fixed_density_blocks_concentrate(self):
         rng = np.random.default_rng(13)
@@ -280,7 +303,7 @@ class TestGenerateNetwork:
         # n(a,a) = 1225, n(a,b) = 500, n(b,b) = 45
         mu0 = [seasonal_state(3, bias, np.zeros(3)) for bias in (0.2, 0.8, 0.5)]  # a:a, a:b, b:b
         params = ParamStack(3, [0] * 3, [0] * 3, [0] * 3, mu0, np.zeros((3, 3, 3)))
-        net, _ = generated_network(params, typing, T=100, rng=rng)
+        net, *_ = generated_network(params, typing, T=100, rng=rng)
         density = extract_block_series(net).counts.mean(axis=1) / [1225, 500, 45]
         assert density[0] == pytest.approx(0.2, abs=0.03)
         assert density[1] == pytest.approx(0.8, abs=0.03)
@@ -296,11 +319,12 @@ class TestGenerateNetwork:
 
 def per_step_network(block_params, typing, T, rng):
     """The generator loop as it was first written: three edge arrays per
-    step, joined once at the end."""
+    step, joined once at the end.  Gives the network and the (B, T, d)
+    states, (B, T) densities and (B, T) counts of its blocks."""
     active = [p for p in typing.pairs() if block_pairs(typing, p)[0].size >= 1]
     streams = rng.spawn(len(active))
     edge_t, edge_i, edge_j = ([np.zeros(0, np.int64)] for _ in range(3))
-    traces = {}
+    rows = []
     for b, (p, stream) in enumerate(zip(active, streams)):
         vi, vj = block_pairs(typing, p)
 
@@ -311,11 +335,11 @@ def per_step_network(block_params, typing, T, rng):
             edge_j.append(vj[present])
             return present.size
 
-        traces[p] = _sample_block(block_params, b, T, stream, draw)
+        rows.append(_sample_block(block_params, b, T, stream, draw))
     network = network_of_edges(
         typing, T, np.concatenate(edge_t), np.concatenate(edge_i), np.concatenate(edge_j)
     )
-    return network, traces
+    return (network, *(np.array(field) for field in zip(*rows)))
 
 
 def typing_with_lone_vertex():
@@ -335,13 +359,12 @@ def typing_with_lone_vertex():
 )
 def test_network_matches_per_step_loop(typing, T, seed):
     params = uniform_params(typing, q_m=1e-3, q_s=1e-3, r=1e-2)
-    net, traces = generated_network(params, typing, T, np.random.default_rng(seed))
-    ref_net, ref_traces = per_step_network(params, typing, T, np.random.default_rng(seed))
+    net, *truth = generated_network(params, typing, T, np.random.default_rng(seed))
+    ref_net, *ref_truth = per_step_network(params, typing, T, np.random.default_rng(seed))
     assert np.array_equal(net.keys, ref_net.keys)
-    assert net.T == T and traces.keys() == ref_traces.keys()
-    for pair, trace in traces.items():
-        for field in ("states", "density", "counts"):
-            np.testing.assert_array_equal(getattr(trace, field), getattr(ref_traces[pair], field))
+    assert net.T == T and len(truth[0]) == len(typing.blocks()[0])
+    for got, want in zip(truth, ref_truth, strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def typing_out_of_type_order():
@@ -364,13 +387,12 @@ def typing_out_of_type_order():
 )
 def test_network_matches_reference_generator(typing, T, seed):
     params = uniform_params(typing, q_m=1e-3, q_s=1e-3, r=1e-2)
-    net, traces = generated_network(params, typing, T, np.random.default_rng(seed))
-    ref_net, ref_traces = generator_reference.generate_network(
+    net, *truth = generated_network(params, typing, T, np.random.default_rng(seed))
+    ref_net, *ref_truth = generator_reference.generate_network(
         params, typing, T, np.random.default_rng(seed)
     )
     assert net.T == ref_net.T == T
     assert np.array_equal(net.keys, ref_net.keys)
-    assert traces.keys() == ref_traces.keys()
-    for pair, trace in traces.items():
-        for field in ("states", "density", "counts"):
-            np.testing.assert_array_equal(getattr(trace, field), getattr(ref_traces[pair], field))
+    assert len(truth[0]) == len(typing.blocks()[0])
+    for got, want in zip(truth, ref_truth, strict=True):
+        np.testing.assert_array_equal(got, want)

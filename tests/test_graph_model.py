@@ -307,7 +307,7 @@ def test_type_labels_are_read_per_vertex_not_per_block():
     type_of = ReadCounter({v: f"t{k % 40:02d}" for k, v in enumerate(ids)})
     typing = VertexTyping(vertex_ids=ids, type_of=type_of)
     params = known_start(0.0, 0.0, 0.0, seasonal_state(3, 0.5, np.zeros(3))).take([0] * len(typing.blocks()[0]))
-    net, _ = generated_network(params, typing, 1, np.random.default_rng(0))
+    net, *_ = generated_network(params, typing, 1, np.random.default_rng(0))
     stack = extract_block_series(net)
     assert len(stack) == 820 and stack.counts.sum() == net.keys.size
     assert type_of.reads <= 2 * len(ids)

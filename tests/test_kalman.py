@@ -266,11 +266,11 @@ class TestSmoother:
         d, n, T = 4, 200, 12
         init = seasonal_state(d, 0.5, sine_profile(d, 0.1))
         truth = known_start(0.0, 0.0, 0.0, init)
-        series, [trace] = generate_block_series(truth, n=n, T=T, rng=_RoundingRng())
+        series, [states], _ = generate_block_series(truth, n=n, T=T, rng=_RoundingRng())
         params = truth[0]
         seq = run(series, params, smoothed=True)
         ss = dense_model(params, n)
-        np.testing.assert_allclose(seq.smoothed_count, trace.states @ ss.H, atol=1e-8 * n)
+        np.testing.assert_allclose(seq.smoothed_count, states @ ss.H, atol=1e-8 * n)
         np.testing.assert_allclose(seq.x0_mean, init, atol=1e-8)
         np.testing.assert_array_equal(seq.eta_sq, np.zeros((T, 2)))
 
@@ -297,7 +297,7 @@ class TestSmoother:
             # next few one-step-ahead covariances are singular
             d = 7
             truth = known_start(1e-7, 1e-7, 1e-4, seasonal_state(d, 0.5, sine_profile(d, 0.05)))
-            series, _ = generate_block_series(truth, n=2000, T=40, rng=rng)
+            series, _, _ = generate_block_series(truth, n=2000, T=40, rng=rng)
             params = truth[0]
         else:
             params, series = random_instance(rng, d=4, T=40, r=1e-4)
@@ -450,7 +450,7 @@ class TestPerBlockReference:
         blocks, params = [], []
         for i, n in enumerate((28, 64, 2000, 64)):
             truth = known_start(1e-5, 1e-5, 1e-4, seasonal_state(d, 0.5, sine_profile(d, 0.05)))
-            series, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=[("a", f"b{i}")])
+            series, _, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=[("a", f"b{i}")])
             counts = series.counts[0].copy()
             counts[12:22] = np.nan  # a 10-step gap in every block (missing-observation)
             if i == 3:
@@ -501,7 +501,7 @@ class TestPerBlockReference:
         for i, n in enumerate((28, 64, 2000)):
             mu0 = seasonal_state(d, 0.4 + 0.1 * i, sine_profile(d, 0.05))
             truth = known_start(1e-5, 2e-5, 1e-4, mu0)
-            series, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=[("a", f"b{i}")])
+            series, _, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=[("a", f"b{i}")])
             counts = series.counts[0].copy()
             counts[10:14] = np.nan
             blocks.append(one_block(counts, n=n, pair=series.pairs[0]))

@@ -101,7 +101,7 @@ def test_block_extraction_walks_the_keys_in_chunks():
     # the (T, B) counts are all that grows with the input besides one
     # chunk's arrays; whole per-edge t, u, v or block-id arrays would
     # take 8 bytes per edge each
-    net, _ = generated_network(*dense_network_args(7))
+    net, *_ = generated_network(*dense_network_args(7))
     stack, peak = traced_peak(extract_block_series, net)
     assert stack.counts.sum() == net.keys.size
     assert peak / net.keys.size < 4, f"{peak / net.keys.size:.1f} bytes per edge"
