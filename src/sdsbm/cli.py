@@ -26,7 +26,8 @@ import numpy as np
 from . import anomaly
 from .em import EmConfig, EmError, default_init, em_fit
 from .generator import generate_network, seasonal_state, sine_profile
-from .graph_model import CHUNK_ROWS, BlockStack, VertexTyping, extract_block_series, pair_key
+from .graph_model import (CHUNK_ROWS, BlockStack, VertexTyping, decode_keys,
+                          extract_block_series, pair_key)
 from .ingest import (
     BucketingConfig,
     IngestError,
@@ -277,16 +278,14 @@ def cmd_simulate(resolved: dict) -> int:
     if not (math.isfinite(width) and width > 0):
         raise ValueError("width must be finite and positive")
     sizes = _parse_type_sizes(resolved["types"])
-    vertex_ids: list[str] = []
     type_of: dict[str, str] = {}
     for name in sorted(sizes):
         for i in range(sizes[name]):
             vid = f"{name}{i}"
             if vid in type_of:
                 raise UsageError(f"types {type_of[vid]!r} and {name!r} both name vertex {vid!r}")
-            vertex_ids.append(vid)
             type_of[vid] = name
-    typing = VertexTyping(vertex_ids=tuple(vertex_ids), type_of=type_of)
+    typing = VertexTyping(type_of)
 
     overrides = _block_overrides(resolved["blocks"], typing)
     rows = [{**{k: resolved[k] for k in BLOCK_OPTIONS}, **overrides.get(pair_key(pair), {})}
@@ -315,7 +314,7 @@ def cmd_simulate(resolved: dict) -> int:
 
     out = _out_dir(resolved)
     labels = [csv_field(v) for v in typing.vertex_ids]
-    types = [csv_field(typing.type_of[v]) for v in typing.vertex_ids]
+    types = [csv_field(label) for label in typing.type_of.values()]
     dst_fields = np.array([f"{label}\n" for label in labels], dtype=object)  # a row's end
     V = len(labels)
 
@@ -329,7 +328,7 @@ def cmd_simulate(resolved: dict) -> int:
             [stamp] = csv_column(stamps[t - 1:t])
             starts = np.array([f"{stamp},{label}," for label in labels], dtype=object)
             for lo in range(0, snapshot.keys.size, CHUNK_ROWS):
-                u, v = np.divmod(snapshot.keys[lo:lo + CHUNK_ROWS] - t * V * V, V)
+                _, u, v = decode_keys(snapshot.keys[lo:lo + CHUNK_ROWS], V)
                 cells = np.empty((u.size, 2), dtype=object)
                 cells[:, 0], cells[:, 1] = starts[u], dst_fields[v]
                 yield "".join(cells.ravel().tolist())

@@ -5,10 +5,10 @@ takes ``ssm.step`` plus noise of variances ``ParamStack.q`` at the
 entries ``ssm.DRIVEN``, the realized edge density is ``ssm.observe`` of
 it plus measurement noise, and edges are independent Bernoulli draws at
 that density.  That step is written once, in ``_advance``, over any
-stack of walks: ``generate_block_series`` advances one block's walk at
-a time to its end, and ``generate_network`` advances every block's walk
-at once, one step per snapshot, so a network is sampled, and can be
-written, one snapshot at a time.  The samplers take the
+stack of walks, and both samplers advance every block's walk at once,
+one step at a time, drawing the step's noises for every block before
+its counts or edges; so a network is sampled, and can be written, one
+snapshot at a time.  The samplers take the
 ``ParamStack`` that the filter and EM take, one row per block: each
 row's walk starts at its mu0, and its Sigma0 must be 0.  So the truth a
 test scores with is the very stack it sampled from.  Every sampler also
@@ -95,11 +95,11 @@ def generate_block_series(
     after each step's transition and the (B, T) realized densities, with
     step t = 1..T in column t - 1.
 
-    Rows are drawn in order from ``rng``, so B rows give what B one-row
-    calls in sequence give; each step of a row draws three standard
-    normals, as ``generate_network`` does, then its count.  Counts are
-    binomial draws w_t ~ Binomial(n, e_t) with e_t the realized density
-    clamped to [0, 1].
+    Every row takes step t at once: the step draws a (B, 3) array of
+    standard normals from ``rng``, each row's three in the order that
+    ``generate_network`` draws them, then the B counts.  So B rows draw
+    step by step, not row after row.  Counts are binomial draws
+    w_t ~ Binomial(n, e_t) with e_t the realized density clamped to [0, 1].
     """
     n = np.broadcast_to(np.asarray(n, dtype=np.int64), (len(params),))
     if len(pairs) != len(params):
@@ -112,12 +112,11 @@ def generate_block_series(
     states = np.empty((len(params), T, params.d))
     density = np.empty((len(params), T))
     counts = np.empty((len(params), T))
-    for b in range(len(params)):
-        state = params.mu0[b]
-        for t in range(T):
-            state, e = _advance(state, sd[b], rng.standard_normal(3))
-            states[b, t], density[b, t] = state, e
-            counts[b, t] = rng.binomial(n[b], e)
+    state = params.mu0
+    for t in range(T):
+        state, density[:, t] = _advance(state, sd, rng.standard_normal((len(params), 3)))
+        states[:, t] = state
+        counts[:, t] = rng.binomial(n, density[:, t])
     return BlockStack(tuple(pairs), n, counts), states, density
 
 

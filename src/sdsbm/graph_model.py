@@ -1,11 +1,11 @@
 """Typed dynamic networks and the stack of their block edge-count series.
 
 A dynamic network is an ordered sequence of undirected, simple graph
-snapshots over a fixed vertex set.  Every vertex carries one of k type
-labels, and each unordered pair of labels (a, b) with a <= b defines a
+snapshots over a fixed vertex set.  A typing, one vertex -> type
+mapping whose order is the vertex order, gives every vertex one of k
+type labels; each unordered pair of labels (a, b) with a <= b defines a
 *block*: the set of vertex pairs whose edge count the model tracks
-through time.  All types here are immutable after construction and all
-operations are pure.
+through time.  All types here are immutable and all operations pure.
 
 A network holds one int64 key per edge: vertices are integer indices
 into the typing's vertex order, and the edge joining u < v in snapshot
@@ -23,6 +23,7 @@ in a ``BlockStack``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -37,45 +38,39 @@ def pair_key(pair: TypePair) -> str:
 
 @dataclass(frozen=True)
 class VertexTyping:
-    """Assignment of exactly one type label to every vertex.
-
-    ``vertex_ids`` fixes the canonical vertex order (used to normalise
-    undirected edges) and the lexicographic order of type labels fixes
+    """Assignment of exactly one type label to every vertex, made from
+    one vertex -> type mapping ``type_of`` whose order is the canonical
+    vertex order (used to normalise undirected edges); the typing keeps
+    a read-only copy of it.  The lexicographic order of type labels fixes
     the canonical block order, so block identities are stable across
     runs.  The derived fields are computed once, on construction:
-    ``types`` holds the labels in canonical order, ``kind`` each
-    vertex's index into ``types`` and ``by_type`` each type's vertex
-    indices, ascending, in ``types`` order.  A label may not contain
-    ``:``, which joins the two labels of a block's name.
+    ``vertex_ids`` holds the vertices in order, ``types`` the labels in
+    canonical order, ``kind`` each vertex's index into ``types`` and
+    ``by_type`` each type's vertex indices, ascending, in ``types``
+    order.  A label may not contain ``:``, which joins the two labels of
+    a block's name.
     """
 
-    vertex_ids: tuple[str, ...]
     type_of: Mapping[str, str]
+    vertex_ids: tuple[str, ...] = field(init=False, repr=False)
     types: tuple[str, ...] = field(init=False)
     kind: np.ndarray = field(init=False, compare=False, repr=False)
     by_type: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.vertex_ids) == 0:
+        type_of = MappingProxyType(dict(self.type_of))
+        if not type_of:
             raise ValueError("typing needs at least one vertex")
-        if len(set(self.vertex_ids)) != len(self.vertex_ids):
-            raise ValueError("duplicate vertex ids in typing")
-        labels = [self.type_of.get(v) for v in self.vertex_ids]
-        missing = [v for v, label in zip(self.vertex_ids, labels) if label is None]
-        if missing:
-            raise ValueError(f"vertices without a type label: {missing[:5]}")
-        extra = set(self.type_of) - set(self.vertex_ids)
-        if extra:
-            raise ValueError(f"type labels for unknown vertices: {sorted(extra)[:5]}")
-        types = tuple(sorted(set(labels)))
+        types = tuple(sorted(set(type_of.values())))
         joined = [label for label in types if ":" in label]
         if joined:
             raise ValueError(f"type label {joined[0]!r} contains ':', which joins "
                              "the two labels of a block name")
         index = {label: k for k, label in enumerate(types)}
-        kind = np.array([index[label] for label in labels], dtype=np.int64)
+        kind = np.array([index[label] for label in type_of.values()], dtype=np.int64)
         by_type = np.split(np.argsort(kind, kind="stable"), np.cumsum(np.bincount(kind))[:-1])
-        for name, value in (("types", types), ("kind", kind), ("by_type", tuple(by_type))):
+        for name, value in (("type_of", type_of), ("vertex_ids", tuple(type_of)),
+                            ("types", types), ("kind", kind), ("by_type", tuple(by_type))):
             object.__setattr__(self, name, value)
 
     def pairs(self) -> tuple[TypePair, ...]:
@@ -139,6 +134,13 @@ def edge_keys(t, i, j, n_vertices: int) -> np.ndarray:
     return key
 
 
+def decode_keys(keys, n_vertices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(t, u, v)`` arrays of the edges whose keys for V vertices
+    ``keys`` holds: the inverse of ``edge_keys``."""
+    t, rest = np.divmod(keys, n_vertices * n_vertices)
+    return (t, *np.divmod(rest, n_vertices))
+
+
 @dataclass(frozen=True)
 class DynamicNetwork:
     """Sequence of undirected simple-graph snapshots over one vertex set.
@@ -186,8 +188,7 @@ class DynamicNetwork:
         time, in key order."""
         V = len(self.typing.vertex_ids)
         for start in range(0, self.keys.size, CHUNK_ROWS):
-            t, rest = np.divmod(self.keys[start:start + CHUNK_ROWS], V * V)
-            yield (t, *np.divmod(rest, V))
+            yield decode_keys(self.keys[start:start + CHUNK_ROWS], V)
 
 
 @dataclass(frozen=True)

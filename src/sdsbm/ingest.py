@@ -181,7 +181,7 @@ def _parse_types(path) -> VertexTyping:
     if not type_of:
         raise IngestError(f"{path}: no vertices")
     try:
-        return VertexTyping(vertex_ids=tuple(type_of), type_of=type_of)
+        return VertexTyping(type_of)
     except ValueError as exc:  # a label the typing refuses
         raise IngestError(f"{path}: {exc}") from None
 

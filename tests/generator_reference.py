@@ -6,7 +6,9 @@ each block with, all written here rather than taken from the module
 they check.  ``sdsbm.generator.generate_network`` samples one snapshot
 at a time instead, every block taking one step per snapshot in one
 vectorised step, and must give the same edges, states, densities and
-counts from the same seed.
+counts from the same seed.  ``step_major_series`` walks rows of count
+series from one shared stream, one scalar draw at a time, step after
+step, as ``sdsbm.generator.generate_block_series`` must.
 """
 
 from __future__ import annotations
@@ -63,6 +65,24 @@ def _sample_block(
         states[t] = state
         density[t] = e
         counts[t] = draw(t, e)
+    return states, density, counts
+
+
+def step_major_series(
+    params: ParamStack, n, T: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row's walk from one stream ``rng``, step after step: at each
+    step, each row's walk in turn draws its three noises, then each row
+    in turn draws its count, Binomial(n[b], e).  Gives the (B, T, d)
+    states, the (B, T) densities and the (B, T) counts."""
+    walks = [_walk(params, b, rng) for b in range(len(params))]
+    states = np.zeros((len(params), T, params.d))
+    density, counts = np.zeros((2, len(params), T))
+    for t in range(T):
+        for b, walk in enumerate(walks):
+            states[b, t], density[b, t] = next(walk)
+        for b in range(len(params)):
+            counts[b, t] = rng.binomial(n[b], density[b, t])
     return states, density, counts
 
 

@@ -734,8 +734,7 @@ def assert_simulate_streams_the_reference_network(tmp_path, types, T, snapshot_e
     assert run("simulate", "--seed", seed, "--steps", T, "--width", width,
                "--types", types, "--out-dir", tmp_path) == EXIT_OK
     types = read_rows(tmp_path / "types.csv")
-    ids = tuple(row["vertex"] for row in types)
-    typing = VertexTyping(vertex_ids=ids, type_of={row["vertex"]: row["type"] for row in types})
+    typing = VertexTyping({row["vertex"]: row["type"] for row in types})
     defaults = {k: OPTIONS["simulate"][k].default for k in (*BLOCK_OPTIONS, "period")}
     d = defaults["period"]
     mu0 = seasonal_state(d, defaults["bias"], sine_profile(d, defaults["season_amplitude"]))
@@ -752,7 +751,7 @@ def assert_simulate_streams_the_reference_network(tmp_path, types, T, snapshot_e
     assert [row["timestamp"] for row in events] == [repr((k - 0.5) * width) for k in t]
     assert np.bincount(t, minlength=T + 1)[1:].min() > snapshot_edges
     keys = edge_keys(t, [index[row["src"]] for row in events], [index[row["dst"]] for row in events],
-                     len(ids))
+                     len(index))
     assert keys.tolist() == ref_net.keys.tolist()
 
     want = [

@@ -140,7 +140,7 @@ class TestEStep:
                 return np.zeros(size)
 
             def binomial(self, n_, p):
-                return round(n_ * p)
+                return np.round(n_ * p)
 
         series, _, _ = generate_block_series(truth, n=n, T=T, rng=_Rng())
         seq = kalman.smooth(kalman.filter(series, truth))
@@ -334,7 +334,7 @@ class TestMStepR:
         # and a block whose Newton step falls below r's last bit stops there
         # rather than bisect back towards its stale grid neighbour
         d, ids = 7, tuple([f"a{i}" for i in range(32)] + [f"b{i}" for i in range(16)])
-        typing = VertexTyping(vertex_ids=ids, type_of={v: v[0] for v in ids})
+        typing = VertexTyping({v: v[0] for v in ids})
         opts = {k: cli.OPTIONS["simulate"][k].default for k in cli.BLOCK_OPTIONS}
         init = seasonal_state(d, opts["bias"], sine_profile(d, opts["season_amplitude"]))
         truth = known_start(opts["q_m"], opts["q_s"], opts["r"], init)

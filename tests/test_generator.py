@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import generated_network, known_start, network_of_edges
-from generator_reference import _sample_block
+from generator_reference import _sample_block, step_major_series
 from sdsbm.generator import (
     generate_block_series,
     generate_network,
@@ -48,17 +48,6 @@ def assert_same_bits(got, want):
         assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
-def reference_rows(params, n, T, rng):
-    """The reference's per-row walk over every row of ``params`` in turn,
-    each step's count a binomial draw from ``rng``: the (B, T, d) states,
-    the (B, T) densities and the (B, T) counts."""
-    rows = [
-        _sample_block(params, b, T, rng, lambda t, e, b=b: rng.binomial(n[b], e))
-        for b in range(len(params))
-    ]
-    return tuple(np.array(field) for field in zip(*rows))
-
-
 class TestGeneratorParams:
     """The generator takes the ``ParamStack`` that the filter and EM take,
     and its rows are checked as theirs are."""
@@ -94,7 +83,7 @@ class TestGeneratorParams:
         with pytest.raises(ValueError, match="Sigma0 must be 0"):
             generate_network(params, typing, T=2, rng=rng)
 
-    def test_rows_are_one_row_calls_in_sequence(self):
+    def test_rows_take_each_step_together(self):
         d, T, n = 5, 30, [10, 40, 6]
         mu0 = [seasonal_state(d, bias, sine_profile(d, 0.1)) for bias in (0.2, 0.5, 0.8)]
         params = ParamStack(
@@ -104,16 +93,7 @@ class TestGeneratorParams:
         stack, states, density = generate_block_series(params, n, T, np.random.default_rng(4), pairs)
         assert stack.pairs == tuple(pairs) and stack.n.tolist() == n
         assert states.shape == (3, T, d) and density.shape == stack.counts.shape == (3, T)
-        rng = np.random.default_rng(4)
-        ones, one_states, one_density = zip(
-            *(generate_block_series(params.take([b]), n[b], T, rng, pairs[b : b + 1]) for b in range(3))
-        )
-        assert [one.pairs for one in ones] == [(p,) for p in pairs]
-        assert_same_bits(
-            (states, density, stack.counts),
-            (np.concatenate(one_states), np.concatenate(one_density), np.concatenate([one.counts for one in ones])),
-        )
-        assert_same_bits((states, density, stack.counts), reference_rows(params, n, T, np.random.default_rng(4)))
+        assert_same_bits((states, density, stack.counts), step_major_series(params, n, T, np.random.default_rng(4)))
 
 
 @pytest.mark.parametrize("seed", [8, 9])
@@ -128,7 +108,14 @@ def test_samplers_match_the_reference_walk_bit_for_bit(seed):
     )
     pairs = [("a", "a"), ("a", "b"), ("b", "b")]
     stack, states, density = generate_block_series(params, n, T, np.random.default_rng(seed), pairs)
-    assert_same_bits((states, density, stack.counts), reference_rows(params, n, T, np.random.default_rng(seed)))
+    assert_same_bits((states, density, stack.counts), step_major_series(params, n, T, np.random.default_rng(seed)))
+    # a one-row call is that row's walk alone, each step's count drawn after its noises
+    for b in range(3):
+        rng = np.random.default_rng(seed)
+        one, one_states, one_density = generate_block_series(params.take([b]), n[b], T, rng, pairs[b : b + 1])
+        rng = np.random.default_rng(seed)
+        walk = _sample_block(params, b, T, rng, lambda t, e: rng.binomial(n[b], e))
+        assert_same_bits((one_states[0], one_density[0], one.counts[0]), walk)
     typing = small_typing()
     _, *truth = generated_network(params, typing, T, np.random.default_rng(seed))
     _, *ref_truth = generator_reference.generate_network(params, typing, T, np.random.default_rng(seed))
@@ -242,9 +229,7 @@ class TestGenerateBlockSeries:
 
 def small_typing():
     ids = tuple(f"a{i}" for i in range(4)) + tuple(f"b{i}" for i in range(3))
-    return VertexTyping(
-        vertex_ids=ids, type_of={v: v[0] for v in ids}
-    )
+    return VertexTyping({v: v[0] for v in ids})
 
 
 def uniform_params(typing, **kw):
@@ -299,7 +284,7 @@ class TestGenerateNetwork:
     def test_two_fixed_density_blocks_concentrate(self):
         rng = np.random.default_rng(13)
         ids = tuple(f"a{i}" for i in range(50)) + tuple(f"b{i}" for i in range(10))
-        typing = VertexTyping(vertex_ids=ids, type_of={v: v[0] for v in ids})
+        typing = VertexTyping({v: v[0] for v in ids})
         # n(a,a) = 1225, n(a,b) = 500, n(b,b) = 45
         mu0 = [seasonal_state(3, bias, np.zeros(3)) for bias in (0.2, 0.8, 0.5)]  # a:a, a:b, b:b
         params = ParamStack(3, [0] * 3, [0] * 3, [0] * 3, mu0, np.zeros((3, 3, 3)))
@@ -344,7 +329,7 @@ def per_step_network(block_params, typing, T, rng):
 
 def typing_with_lone_vertex():
     ids = ("a0", "a1", "a2", "b0", "b1", "c0")
-    return VertexTyping(vertex_ids=ids, type_of={v: v[0] for v in ids})
+    return VertexTyping({v: v[0] for v in ids})
 
 
 @pytest.mark.parametrize(
@@ -371,7 +356,7 @@ def typing_out_of_type_order():
     # vertices of different types interleaved, so a cross-type block
     # lists some pairs higher vertex first
     ids = ("b0", "a0", "c0", "b1", "a1", "a2", "c1", "b2")
-    return VertexTyping(vertex_ids=ids, type_of={v: v[0] for v in ids})
+    return VertexTyping({v: v[0] for v in ids})
 
 
 @pytest.mark.parametrize(

@@ -28,15 +28,12 @@ def network(typing, snapshots):
 
 
 def two_type_typing():
-    return VertexTyping(
-        vertex_ids=("1", "2", "3"),
-        type_of={"1": "a", "2": "a", "3": "b"},
-    )
+    return VertexTyping({"1": "a", "2": "a", "3": "b"})
 
 
 def typing_of_sizes(**sizes):
     ids = tuple(f"{label}{k}" for label, size in sizes.items() for k in range(size))
-    return VertexTyping(vertex_ids=ids, type_of={v: v.rstrip("0123456789") for v in ids})
+    return VertexTyping({v: v.rstrip("0123456789") for v in ids})
 
 
 def blocks_as_lists(typing):
@@ -63,25 +60,39 @@ class TestPossibleEdges:
 
 class TestTyping:
     def test_canonical_orders(self):
-        typing = VertexTyping(vertex_ids=("3", "1", "2"), type_of={"1": "a", "2": "a", "3": "b"})
+        # the vertex order is the mapping's, not the ids' sorted order
+        typing = VertexTyping({"3": "b", "1": "a", "2": "a"})
+        assert typing.vertex_ids == ("3", "1", "2")
+        assert typing.vertex_index() == {"3": 0, "1": 1, "2": 2}
         assert typing.types == ("a", "b")
         assert typing.pairs() == (("a", "a"), ("a", "b"), ("b", "b"))
         assert typing.kind.tolist() == [1, 0, 0]
         assert [m.tolist() for m in typing.by_type] == [[1, 2], [0]]
+        # the same labels in another vertex order are another typing
+        assert typing != VertexTyping({"1": "a", "2": "a", "3": "b"})
+
+    def test_keeps_its_own_copy_of_the_mapping(self):
+        type_of = {"1": "a", "2": "a", "3": "b"}
+        typing = VertexTyping(type_of)
+        type_of["1"] = "b"
+        type_of["4"] = "a"
+        assert dict(typing.type_of) == {"1": "a", "2": "a", "3": "b"}
+        assert typing.vertex_ids == ("1", "2", "3")
+        assert typing.kind.tolist() == [0, 0, 1]
+        assert typing == VertexTyping({"1": "a", "2": "a", "3": "b"})
+        assert typing != VertexTyping(type_of)
+        with pytest.raises(TypeError):
+            typing.type_of["1"] = "b"
+
+    def test_rejects_empty_typing(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            VertexTyping({})
 
     @pytest.mark.parametrize("label", ["a:b", ":", "b:"])
     def test_rejects_label_with_colon(self, label):
         # ("a", "b:c") and ("a:b", "c") would both be written as block a:b:c
         with pytest.raises(ValueError, match=f"type label {label!r} contains ':'"):
-            VertexTyping(vertex_ids=("1", "2"), type_of={"1": "a", "2": label})
-
-    def test_requires_type_for_every_vertex(self):
-        with pytest.raises(ValueError, match="without a type"):
-            VertexTyping(vertex_ids=("1", "2"), type_of={"1": "a"})
-
-    def test_rejects_duplicate_vertices(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            VertexTyping(vertex_ids=("1", "1"), type_of={"1": "a"})
+            VertexTyping({"1": "a", "2": label})
 
 
 class TestDynamicNetwork:
@@ -121,7 +132,7 @@ class TestExtractBlockSeries:
         assert stack.counts.tolist() == [[1.0], [1.0]]
 
     def test_no_block_with_possible_edges_gives_empty_stack(self):
-        typing = VertexTyping(vertex_ids=("1",), type_of={"1": "a"})
+        typing = VertexTyping({"1": "a"})
         stack = extract_block_series(network(typing, (frozenset(),)))
         assert len(stack) == 0 and stack.counts.shape == (0, 1)
 
@@ -130,9 +141,7 @@ class TestExtractBlockSeries:
         assert extract_block_series(net).counts.tolist() == [[0.0, 0.0]] * 2
 
     def test_complete_same_type_block(self):
-        typing = VertexTyping(
-            vertex_ids=("1", "2", "3"), type_of={v: "a" for v in "123"}
-        )
+        typing = VertexTyping({v: "a" for v in "123"})
         full = frozenset({("1", "2"), ("1", "3"), ("2", "3")})
         net = network(typing, (full, full))
         stack = extract_block_series(net)
@@ -158,7 +167,7 @@ def interleaved_typing(n=30):
     """Types interleaved and out of label order, so a block's pairs are
     not all listed lower vertex first."""
     ids = tuple(f"v{k}" for k in range(n))
-    return VertexTyping(vertex_ids=ids, type_of={v: "cba"[k % 3] for k, v in enumerate(ids)})
+    return VertexTyping({v: "cba"[k % 3] for k, v in enumerate(ids)})
 
 
 def sampled_network(size, T=40, empty=frozenset()):
@@ -223,12 +232,11 @@ def random_network(draw):
     n_vertices = draw(st.integers(min_value=2, max_value=8))
     k = draw(st.integers(min_value=1, max_value=3))
     labels = [f"t{i}" for i in range(k)]
-    vertex_ids = tuple(str(i) for i in range(n_vertices))
-    type_of = {v: labels[draw(st.integers(0, k - 1))] for v in vertex_ids}
-    typing = VertexTyping(vertex_ids=vertex_ids, type_of=type_of)
+    ids = tuple(str(i) for i in range(n_vertices))
+    typing = VertexTyping({v: labels[draw(st.integers(0, k - 1))] for v in ids})
     T = draw(st.integers(min_value=0, max_value=4))
     all_pairs = [
-        (vertex_ids[i], vertex_ids[j])
+        (ids[i], ids[j])
         for i in range(n_vertices)
         for j in range(i + 1, n_vertices)
     ]
@@ -261,8 +269,7 @@ def shuffled_typing(draw):
         for label in labels
         for k in range(draw(st.integers(min_value=1, max_value=6)))
     }
-    ids = tuple(draw(st.permutations(list(type_of))))
-    return VertexTyping(vertex_ids=ids, type_of=type_of)
+    return VertexTyping({v: type_of[v] for v in draw(st.permutations(list(type_of)))})
 
 
 @settings(max_examples=200, deadline=None)
@@ -305,7 +312,7 @@ def test_type_labels_are_read_per_vertex_not_per_block():
     # labels once per block would take 820 x 200 reads
     ids = tuple(f"v{k}" for k in range(200))
     type_of = ReadCounter({v: f"t{k % 40:02d}" for k, v in enumerate(ids)})
-    typing = VertexTyping(vertex_ids=ids, type_of=type_of)
+    typing = VertexTyping(type_of)
     params = known_start(0.0, 0.0, 0.0, seasonal_state(3, 0.5, np.zeros(3))).take([0] * len(typing.blocks()[0]))
     net, *_ = generated_network(params, typing, 1, np.random.default_rng(0))
     stack = extract_block_series(net)

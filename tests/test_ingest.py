@@ -302,7 +302,7 @@ def reference_network(typing, stamps, srcs, dsts, config):
 @settings(max_examples=200, deadline=None)
 @given(raw_event_files(), st.integers(1, 5))
 def test_chunked_parse_matches_row_reference(text, chunk):
-    typing = VertexTyping(vertex_ids=("1", "2", "3"), type_of={"1": "a", "2": "a", "3": "b"})
+    typing = VertexTyping({"1": "a", "2": "a", "3": "b"})
     expected = reference_parse(text, typing.vertex_index())
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "CHUNK_ROWS", chunk):
         tmp = Path(tmp)
@@ -328,7 +328,7 @@ def test_first_event_before_origin_is_named(tmp_path):
 
 
 def typing_ab():
-    return VertexTyping(vertex_ids=("1", "2", "3"), type_of={"1": "a", "2": "a", "3": "b"})
+    return VertexTyping({"1": "a", "2": "a", "3": "b"})
 
 
 def events_text(events):
@@ -401,10 +401,7 @@ class TestBucketize:
         # every in-range event is represented by exactly one
         # (bucket, pair) membership
         vertices = [str(i) for i in range(1, 21)]
-        typing = VertexTyping(
-            vertex_ids=tuple(vertices),
-            type_of={v: "a" if int(v) % 2 else "b" for v in vertices},
-        )
+        typing = VertexTyping({v: "a" if int(v) % 2 else "b" for v in vertices})
         idx = rng.integers(0, 20, size=(100_000, 2))
         idx = idx[idx[:, 0] != idx[:, 1]]
         times = rng.uniform(0, 500, size=idx.shape[0])
@@ -451,7 +448,7 @@ def interleaved_typing(n=12):
     """Types interleaved and out of label order, so an event's first
     endpoint often comes after its second in the vertex order."""
     ids = tuple(f"v{k}" for k in range(n))
-    return VertexTyping(vertex_ids=ids, type_of={v: "cba"[k % 3] for k, v in enumerate(ids)})
+    return VertexTyping({v: "cba"[k % 3] for k, v in enumerate(ids)})
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -561,11 +558,8 @@ def reference_block_counts(typing, events, config, policy):
 def event_files(draw):
     n_vertices = draw(st.integers(min_value=2, max_value=6))
     labels = ["x", "y", "z"][: draw(st.integers(min_value=1, max_value=3))]
-    vertex_ids = tuple(f"v{k}" for k in range(n_vertices))
-    typing = VertexTyping(
-        vertex_ids=vertex_ids,
-        type_of={v: draw(st.sampled_from(labels)) for v in vertex_ids},
-    )
+    ids = tuple(f"v{k}" for k in range(n_vertices))
+    typing = VertexTyping({v: draw(st.sampled_from(labels)) for v in ids})
     width = draw(st.sampled_from([1.0, 0.5, 2.0]))
     origin = draw(st.sampled_from([0.0, -1.5, 3.0]))
     ordered = st.lists(
@@ -579,9 +573,9 @@ def event_files(draw):
     for step, pairs in raw:
         ts = origin + 0.5 * step * width
         for i, j in pairs:
-            events.append((ts, vertex_ids[i], vertex_ids[j]))
+            events.append((ts, ids[i], ids[j]))
             if draw(st.booleans()):  # a repeat, possibly reversed
-                events.append((ts, *draw(st.permutations([vertex_ids[i], vertex_ids[j]]))))
+                events.append((ts, *draw(st.permutations([ids[i], ids[j]]))))
     events = draw(st.permutations(events))
     config = BucketingConfig(
         origin=origin,

@@ -366,7 +366,7 @@ class _RoundingRng:
         return np.zeros(size)
 
     def binomial(self, n, p):
-        return round(n * p)
+        return np.round(n * p)
 
 
 @settings(max_examples=25, deadline=None)

@@ -73,7 +73,7 @@ def dense_network_args(seed):
     """Generator arguments for about 250k edges: 100 vertices of two
     types, every block at density 0.5, over 100 steps."""
     ids = tuple(f"{'ab'[k % 2]}{k}" for k in range(100))
-    typing = VertexTyping(vertex_ids=ids, type_of={v: v[0] for v in ids})
+    typing = VertexTyping({v: v[0] for v in ids})
     params = known_start(0.0, 0.0, 0.0, seasonal_state(3, 0.5, np.zeros(3))).take([0] * len(typing.blocks()[0]))
     return params, typing, 100, np.random.default_rng(seed)
 
