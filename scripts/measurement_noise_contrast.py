@@ -49,7 +49,7 @@ def main() -> None:
     horizon = args.horizon_periods * d
     print(f"true params: q_m = q_s = {args.q:g}, r = {args.r:g}  (n={args.n}, T={args.steps})")
     for label, fix_r in [("free", False), ("pinned", True)]:
-        fitted, [trace] = em_fit(
+        fitted, record = em_fit(
             blocks, init, EmConfig(max_iter=args.max_iter, tol=1e-9, fix_r_to_zero=fix_r)
         )
         [params] = fitted
@@ -63,7 +63,7 @@ def main() -> None:
         hw = Z95 * math.sqrt(total_var[-1])
         print(
             f"{label:>6}: q_m={params.q_m:.3e} q_s={params.q_s:.3e} r={params.r:.3e} "
-            f"({trace.iterations} EM iters) 95% half-width at {horizon} steps: {hw:.1f} "
+            f"({len(record.loglik)} EM iters) 95% half-width at {horizon} steps: {hw:.1f} "
             f"-> {path}"
         )
 

@@ -24,7 +24,7 @@ from .ssm import (
     transition,
 )
 from .kalman import BeliefSequence, smooth
-from .em import EmConfig, EmTrace, default_init, em_fit
+from .em import EmConfig, EmRecord, default_init, em_fit
 from .anomaly import (
     AnomalyReport,
     LogLikPolicy,

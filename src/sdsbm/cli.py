@@ -29,6 +29,8 @@ from .generator import generate_network, seasonal_state, sine_profile
 from .graph_model import (CHUNK_ROWS, BlockStack, VertexTyping, decode_keys,
                           extract_block_series, pair_key)
 from .ingest import (
+    EVENTS_HEADER,
+    TYPES_HEADER,
     BucketingConfig,
     IngestError,
     csv_column,
@@ -333,8 +335,8 @@ def cmd_simulate(resolved: dict) -> int:
                 cells[:, 0], cells[:, 1] = starts[u], dst_fields[v]
                 yield "".join(cells.ravel().tolist())
 
-    write_csv(out / "events.csv", ["timestamp", "src", "dst"], event_lines())
-    write_csv(out / "types.csv", ["vertex", "type"],
+    write_csv(out / "events.csv", EVENTS_HEADER, event_lines())
+    write_csv(out / "types.csv", TYPES_HEADER,
               csv_lines([np.array(fields, dtype=object) for fields in (labels, types)]))
     blocks = _block_labels(typing.blocks()[0])
     block_steps = truth.reshape(-1, 4)  # t-major, blocks in canonical order
@@ -391,24 +393,21 @@ def cmd_fit(resolved: dict) -> int:
         if not warm:
             raise IngestError("init model shares no block with the data")
         init = init.put(warm, warm_start.take([row[blocks.pairs[k]] for k in warm]))
-    fitted, traces = em_fit(blocks, init, em_config)
+    fitted, record = em_fit(blocks, init, em_config)
     out = _out_dir(resolved)
     n_by_pair = dict(zip(blocks.pairs, blocks.n))
     save_model(dict(zip(blocks.pairs, fitted)), n_by_pair, out / "model.json")
-    iterations = [trace.iterations for trace in traces]
-    values = np.concatenate(
-        [np.column_stack((trace.loglik_per_iter, trace.variances_per_iter)) for trace in traces]
-    )
-    trace_table = [np.repeat(_block_labels(blocks.pairs), iterations),
-                   np.concatenate([np.arange(1, k + 1) for k in iterations]), *values.T]
+    b, i = np.nonzero(~np.isnan(record.loglik.T))  # block-major: each block's E-steps in order
+    trace_table = [_block_labels(blocks.pairs)[b], i + 1, record.loglik[i, b],
+                   *record.variances[i, b].T]
     write_csv(out / "em_trace.csv", ["block", "iter", "loglik", "q_m", "q_s", "r"],
               csv_lines(trace_table))
     _write_run_config(out, "fit", resolved)
-    _warn_non_gaussian(sum(t.non_gaussian_steps for t in traces))
-    capped = [pair_key(pair) for pair, t in zip(blocks.pairs, traces) if not t.converged]
+    _warn_non_gaussian(int(record.non_gaussian_steps.sum()))
+    capped = [pair_key(pair) for pair, done in zip(blocks.pairs, record.converged) if not done]
     if capped:
         print(f"warning: EM stopped at --max-iter {em_config.max_iter} before converging "
-              f"in {len(capped)} of {len(traces)} blocks: {', '.join(capped)}", file=sys.stderr)
+              f"in {len(capped)} of {len(blocks)} blocks: {', '.join(capped)}", file=sys.stderr)
         return EXIT_MAX_ITER
     return EXIT_OK
 

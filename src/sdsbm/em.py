@@ -11,7 +11,8 @@ log-grid scan and bracketed Newton steps, each block stopping once its
 step falls below 1e-14 r.  The per-step binomial noises u_t are frozen
 within each iteration, mirroring their separate estimation from the
 prediction step.  Both the data-scaled starting point (``default_init``)
-and the fit take a ``BlockStack`` and give one ``ParamStack``.
+and the fit take a ``BlockStack`` and give one ``ParamStack``; the fit
+also gives its whole history as one ``EmRecord`` of stacked arrays.
 """
 
 from __future__ import annotations
@@ -61,24 +62,23 @@ class EmConfig:
             raise ValueError(f"tol must be non-negative, got {self.tol}")
 
 
-@dataclass
-class EmTrace:
-    """One block's EM history, one row per iteration.
+@dataclass(frozen=True)
+class EmRecord:
+    """The EM history of a stack of B blocks, one row per iteration.
 
-    ``loglik_per_iter`` is the log-likelihood under the parameters the
-    iteration started from, ``variances_per_iter`` the (q_m, q_s, r) it
-    produced.  ``non_gaussian_steps`` is the block's count of steps
-    outside the Gaussian regime in its last E-step.
+    ``loglik`` (I, B) holds each block's log-likelihood under the
+    parameters the iteration started from, ``variances`` (I, B, 3) the
+    (q_m, q_s, r) it produced; both are NaN once the block has stopped,
+    so a block's E-step count is its number of non-NaN rows.
+    ``converged`` (B,) tells whether the block passed its stopping test
+    within ``max_iter`` E-steps, ``non_gaussian_steps`` (B,) its count of
+    steps outside the Gaussian regime in its last E-step.
     """
 
-    loglik_per_iter: np.ndarray
-    variances_per_iter: np.ndarray
-    converged: bool
-    non_gaussian_steps: int
-
-    @property
-    def iterations(self) -> int:
-        return len(self.loglik_per_iter)
+    loglik: np.ndarray
+    variances: np.ndarray
+    converged: np.ndarray
+    non_gaussian_steps: np.ndarray
 
 
 def r_objective(r, quad: np.ndarray, u: np.ndarray, n):
@@ -159,16 +159,17 @@ def em_fit(
     blocks: BlockStack,
     init: ParamStack,
     config: EmConfig = EmConfig(),
-) -> tuple[ParamStack, list[EmTrace]]:
+) -> tuple[ParamStack, EmRecord]:
     """Alternate E and M steps until each block's log-likelihood stalls.
 
     The blocks advance in lockstep.  A block stops when its
     per-iteration improvement drops below ``tol * |loglik|`` or after
     ``max_iter`` iterations, and then leaves the active set, so its
-    parameters and trace are those of fitting it alone.  With
+    parameters and history are those of fitting it alone.  With
     ``fix_r_to_zero`` the measurement variance is pinned at zero,
     reproducing the model variant without that term.  Returns the
-    blocks' final parameters as one stack and each block's trace.  A
+    blocks' final parameters as one stack and their history as one
+    ``EmRecord``, whose rows past a block's last E-step are NaN.  A
     block with no observed count has nothing to fit and is refused.
     """
     unobserved = np.isnan(blocks.counts).all(axis=1)
@@ -179,7 +180,6 @@ def em_fit(
     B = len(blocks)
     active = np.arange(B)
     prev = np.full(B, np.nan)  # NaN fails every stopping test on the first iteration
-    iterations = np.zeros(B, dtype=int)
     converged = np.zeros(B, dtype=bool)
     non_gaussian = np.zeros(B, dtype=int)
     history = []  # per iteration, (B, 4): loglik, q_m, q_s, r; NaN for stopped blocks
@@ -196,7 +196,6 @@ def em_fit(
         row = np.full((B, 4), np.nan)
         row[active] = np.column_stack((loglik, q, r))
         history.append(row)
-        iterations[active] += 1
         non_gaussian[active] = seq.non_gaussian_steps
         stop = loglik - prev[active] < config.tol * np.abs(prev[active])
         prev[active] = loglik
@@ -205,10 +204,7 @@ def em_fit(
         if active.size == 0:
             break
     history = np.array(history)
-    return params, [
-        EmTrace(history[:k, b, 0], history[:k, b, 1:], bool(converged[b]), int(non_gaussian[b]))
-        for b, k in enumerate(iterations)
-    ]
+    return params, EmRecord(history[..., 0], history[..., 1:], converged, non_gaussian)
 
 
 def default_init(blocks: BlockStack, d: int, flat_defaults: bool = False) -> ParamStack:

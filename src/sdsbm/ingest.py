@@ -18,7 +18,8 @@ File formats:
   ``csv.writer`` would.
 
 All files are read and written as UTF-8 text; a byte of an input that
-is not UTF-8 is a data error naming the file and its line.  Both input
+is not UTF-8 is a data error naming the file and its line, and a
+byte-order mark that starts an input CSV is ignored.  Both input
 CSVs are read row by row through one reader, ``_located_rows``: it
 checks the header's stripped names, skips blank rows and names each
 row by its ``path:line``.
@@ -64,6 +65,8 @@ from .graph_model import (
 from .ssm import FIELDS, ModelParams, ParamStack
 
 MODEL_FORMAT_VERSION = 1
+EVENTS_HEADER = ("timestamp", "src", "dst")
+TYPES_HEADER = ("vertex", "type")
 _BLOCK_KEYS = tuple(field.lower() for field in FIELDS)  # a block's sigma0 is Sigma0
 
 
@@ -123,10 +126,11 @@ def parse_inputs(events_file, types_file, config: BucketingConfig) -> DynamicNet
 
 
 def _open_csv(path):
-    """A CSV file as UTF-8 text.  A byte that is not UTF-8 is kept as a
-    surrogate escape, which :func:`_csv_rows` finds in its row, so the
-    error names the row's line like every other row error."""
-    return open(path, newline="", encoding="utf-8", errors="surrogateescape")
+    """A CSV file as UTF-8 text, a leading byte-order mark dropped.  A
+    byte that is not UTF-8 is kept as a surrogate escape, which
+    :func:`_csv_rows` finds in its row, so the error names the row's
+    line like every other row error."""
+    return open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
 
 
 def _csv_rows(path, reader):
@@ -169,7 +173,7 @@ def _located_rows(path, names):
 
 def _parse_types(path) -> VertexTyping:
     type_of: dict[str, str] = {}  # in file order
-    for where, row in _located_rows(path, ("vertex", "type")):
+    for where, row in _located_rows(path, TYPES_HEADER):
         if len(row) != 2:
             raise IngestError(f"{where}: expected 2 columns, got {len(row)}")
         vertex, label = row[0].strip(), row[1].strip()
@@ -195,7 +199,7 @@ def _parse_events(path, typing: VertexTyping, config: BucketingConfig) -> Dynami
     keys = _EdgeKeys(config, len(typing.vertex_ids))
     with _open_csv(path) as fh:
         rows = csv.reader(fh)
-        _check_header(path, _csv_rows(path, rows), ("timestamp", "src", "dst"))
+        _check_header(path, _csv_rows(path, rows), EVENTS_HEADER)
         while True:
             stamps, srcs, dsts = [], [], []
             try:
@@ -234,7 +238,7 @@ def _first_bad_event(path, known) -> IngestError:
     reading it again row by row once a bad row is seen; a row the CSV
     reader refuses raises here.  A row's checks run in the order its
     fields are read, so the first failing one names it."""
-    for where, row in _located_rows(path, ("timestamp", "src", "dst")):
+    for where, row in _located_rows(path, EVENTS_HEADER):
         if len(row) != 3:
             return IngestError(f"{where}: expected 3 columns, got {len(row)}")
         try:

@@ -30,12 +30,14 @@ def write_csv(path, header, rows) -> None:
         out.writerows(rows)
 
 
-def write_em_trace(path, pairs, traces) -> None:
-    """``fit``'s em_trace.csv of the blocks ``pairs`` and their traces."""
+def write_em_trace(path, pairs, record) -> None:
+    """``fit``'s em_trace.csv of the blocks ``pairs`` and their EM record:
+    each block's rows whose log-likelihood is not NaN, block by block."""
     trace_rows = (
         [pair_key(pair), i, *map(csv_float, row)]
-        for pair, trace in zip(pairs, traces)
-        for i, row in enumerate(np.column_stack((trace.loglik_per_iter, trace.variances_per_iter)), 1)
+        for b, pair in enumerate(pairs)
+        for i, row in enumerate(np.column_stack((record.loglik[:, b], record.variances[:, b])), 1)
+        if not math.isnan(row[0])
     )
     write_csv(path, ["block", "iter", "loglik", "q_m", "q_s", "r"], trace_rows)
 

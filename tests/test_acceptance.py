@@ -93,10 +93,10 @@ def test_criterion_2_em_monotonicity():
         series, _, _ = generate_block_series(truth, n=n, T=T, rng=rng, pairs=[("a", f"b{seed:02d}")])
         blocks.append(series)
     blocks = concat(blocks)
-    _, traces = em_fit(blocks, default_init(blocks, d), EmConfig(max_iter=25, tol=1e-12))
+    _, record = em_fit(blocks, default_init(blocks, d), EmConfig(max_iter=25, tol=1e-12))
     worst_drop = 0.0
-    for trace in traces:
-        drops = -np.diff(np.array(trace.loglik_per_iter))
+    for loglik in record.loglik.T:
+        drops = -np.diff(loglik[~np.isnan(loglik)])
         if drops.size:
             worst_drop = max(worst_drop, float(drops.max()))
     elapsed = time.perf_counter() - start

@@ -13,7 +13,7 @@ import generator_reference
 import numpy as np
 import pytest
 
-from sdsbm import anomaly, ingest, kalman
+from sdsbm import anomaly, cli, ingest, kalman
 from sdsbm.cli import (
     BLOCK_OPTIONS,
     EMPTY_GRAPH,
@@ -213,6 +213,48 @@ class TestFit:
             "warning: EM stopped at --max-iter 3 before converging in 3 of 3 blocks: a:a, a:b, b:b"
         ]
         assert len(lines) <= 2  # at most one more line: the Gaussian-regime count
+
+    @pytest.mark.parametrize("max_iter", [200, 90])
+    def test_em_record_is_what_em_trace_rows_and_capped_line_say(
+        self, tmp_path, monkeypatch, capsys, max_iter
+    ):
+        # 78 blocks of 28 or 64 possible edges over 28 steps: at --tol 1e-4 they
+        # stop after widely spread E-step counts, and a cap of 90 stops about half
+        sim = tmp_path / "sim"
+        assert run("simulate", "--seed", 1, "--period", 7, "--steps", 49,
+                   "--types", ",".join(f"{t}=8" for t in "abcdefghijkl"), "--out-dir", sim) == EXIT_OK
+        calls = []
+
+        def spy(blocks, init, config):
+            fitted, record = em_fit(blocks, init, config)
+            calls.append((blocks.pairs, record))
+            return fitted, record
+
+        monkeypatch.setattr(cli, "em_fit", spy)
+        capsys.readouterr()
+        code = run("fit", "--events", sim / "events.csv", "--types", sim / "types.csv",
+                   "--t-cap", 28, "--period", 7, "--tol", 1e-4, "--max-iter", max_iter,
+                   "--out-dir", tmp_path / "fit")
+        [(pairs, record)] = calls
+        steps = np.count_nonzero(~np.isnan(record.loglik), axis=0)
+        assert len(pairs) == 78 and steps.max() - steps.min() > 10
+        # each column is its block's E-steps, then NaN to the last row
+        assert (np.isnan(record.loglik) == (np.arange(len(record.loglik))[:, None] >= steps)).all()
+        assert (np.isnan(record.variances).all(axis=2) == np.isnan(record.loglik)).all()
+        rows = read_rows(tmp_path / "fit" / "em_trace.csv")
+        want = [(pair_key(pair), str(i + 1), repr(float(record.loglik[i, b])))
+                for b, pair in enumerate(pairs) for i in range(steps[b])]
+        assert [(row["block"], row["iter"], row["loglik"]) for row in rows] == want
+        capped = [pair_key(pair) for pair, done in zip(pairs, record.converged) if not done]
+        lines = [line for line in capsys.readouterr().err.splitlines() if "--max-iter" in line]
+        if max_iter == 200:
+            assert code == EXIT_OK and not capped and lines == []
+        else:
+            assert code == EXIT_MAX_ITER and 0 < len(capped) < 78
+            assert (steps[~record.converged] == max_iter).all()
+            assert (steps[record.converged] <= max_iter).all()
+            assert lines == [f"warning: EM stopped at --max-iter {max_iter} before converging "
+                             f"in {len(capped)} of 78 blocks: {', '.join(capped)}"]
 
     def test_non_gaussian_steps_are_one_counted_line(self, tmp_path, capsys):
         # sparse small blocks put many predicted counts near 0
@@ -791,8 +833,8 @@ def gap_run(tmp_path_factory):
 
 def test_em_trace_matches_the_row_writer(gap_run, tmp_path):
     path, _, blocks = gap_run
-    _, traces = em_fit(blocks, default_init(blocks, 4), EmConfig(max_iter=10))
-    csv_reference.write_em_trace(tmp_path / "em_trace.csv", blocks.pairs, traces)
+    _, record = em_fit(blocks, default_init(blocks, 4), EmConfig(max_iter=10))
+    csv_reference.write_em_trace(tmp_path / "em_trace.csv", blocks.pairs, record)
     assert (path / "fit" / "em_trace.csv").read_bytes() == (tmp_path / "em_trace.csv").read_bytes()
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import per_block_reference as ref
+import sdsbm
 from sdsbm import cli, em, kalman
 from sdsbm.em import (
     Q_FLOOR,
@@ -37,11 +38,16 @@ from test_kalman import oracle_for, random_instance
 
 def fit_one(series, init, config):
     """``em_fit`` on a stack of one block (``init`` a ParamStack or one
-    ModelParams): its parameters and trace."""
+    ModelParams): its parameters and the record of a stack of one."""
     if isinstance(init, ModelParams):
         init = stacked([init])
-    [params], [trace] = em_fit(series, init, config)
-    return params, trace
+    [params], record = em_fit(series, init, config)
+    return params, record
+
+
+def e_steps(record) -> np.ndarray:
+    """Each block's E-step count: its non-NaN rows of the record."""
+    return np.count_nonzero(~np.isnan(record.loglik), axis=0)
 
 
 def r_step(quad, u, n):
@@ -440,35 +446,45 @@ class TestEmFit:
     def test_single_iteration_trace(self):
         series, truth = synthetic_block(seed=41, T=40)
         init = default_init(series, truth.d)
-        params, trace = fit_one(series, init, EmConfig(max_iter=1))
-        assert trace.iterations == 1
-        assert len(trace.loglik_per_iter) == 1
-        assert trace.variances_per_iter.shape == (1, 3)
-        assert not trace.converged
+        params, record = fit_one(series, init, EmConfig(max_iter=1))
+        assert e_steps(record).tolist() == [1]
+        assert record.loglik.shape == (1, 1)
+        assert record.variances.shape == (1, 1, 3)
+        assert not record.converged[0]
+
+    def test_history_is_one_stacked_record(self):
+        # a block's E-step count is its non-NaN rows, stated nowhere else;
+        # no per-block record type is left beside the stacked one
+        assert [name for name in dir(sdsbm) if name.startswith("Em")] == ["EmConfig", "EmRecord"]
+        assert [name for name in dir(em) if name.startswith("Em")] == ["EmConfig", "EmError", "EmRecord"]
+        series, truth = synthetic_block(seed=41, T=40)
+        _, record = em_fit(series, default_init(series, truth.d), EmConfig(max_iter=3))
+        assert isinstance(record, sdsbm.EmRecord) and not hasattr(record, "iterations")
+        assert record.converged.dtype == bool and record.non_gaussian_steps.shape == (1,)
 
     def test_loglik_never_decreases(self):
         for seed in range(5):
             series, truth = synthetic_block(seed=100 + seed, T=80, n=400)
             init = default_init(series, truth.d)
-            _, trace = fit_one(series, init, EmConfig(max_iter=25, tol=1e-12))
-            ll = np.array(trace.loglik_per_iter)
+            _, record = fit_one(series, init, EmConfig(max_iter=25, tol=1e-12))
+            ll = record.loglik[:, 0]
             assert np.all(np.diff(ll) >= -1e-8), f"seed {seed}: {np.diff(ll).min()}"
 
     def test_refit_converges_immediately(self):
         series, truth = synthetic_block(seed=57, T=100, n=200, q_m=5e-4, q_s=5e-4)
         init = default_init(series, truth.d)
         params, first = fit_one(series, init, EmConfig(max_iter=400, tol=1e-6))
-        assert first.converged
-        _, trace = fit_one(series, params, EmConfig(max_iter=60, tol=1e-6))
-        assert trace.converged
-        assert trace.iterations <= 2
+        assert first.converged[0]
+        _, record = fit_one(series, params, EmConfig(max_iter=60, tol=1e-6))
+        assert record.converged[0]
+        assert e_steps(record)[0] <= 2
 
     def test_fix_r_pins_measurement_variance(self):
         series, truth = synthetic_block(seed=61, T=60, r=1e-3)
         init = default_init(series, truth.d)
-        params, trace = fit_one(series, init, EmConfig(max_iter=10, fix_r_to_zero=True))
+        params, record = fit_one(series, init, EmConfig(max_iter=10, fix_r_to_zero=True))
         assert params.r == 0.0
-        assert np.all(trace.variances_per_iter[:, 2] == 0.0)
+        assert np.all(record.variances[:, 0, 2] == 0.0)
 
     def test_fit_with_missing_observations(self):
         # gaps skip the update step and drop out of the r-objective but
@@ -477,10 +493,10 @@ class TestEmFit:
         counts = series.counts[0].copy()
         counts[[7, 8, 31]] = np.nan
         gappy = one_block(counts, n=series.n[0])
-        params, trace = fit_one(
+        params, record = fit_one(
             gappy, default_init(gappy, truth.d), EmConfig(max_iter=20, tol=1e-10)
         )
-        ll = np.array(trace.loglik_per_iter)
+        ll = record.loglik[:, 0]
         assert np.all(np.diff(ll) >= -1e-8)
         assert np.isfinite(params.q_m) and np.isfinite(params.r)
 
@@ -490,11 +506,11 @@ class TestEmFit:
         init = seasonal_state(2, 0.5, np.array([0.06, -0.06]))
         truth = known_start(1e-4, 1e-4, 0.0, init)
         series, _, _ = generate_block_series(truth, n=300, T=60, rng=rng)
-        params, trace = fit_one(
+        params, record = fit_one(
             series, default_init(series, 2), EmConfig(max_iter=30, tol=1e-10)
         )
         assert params.d == 2
-        ll = np.array(trace.loglik_per_iter)
+        ll = record.loglik[:, 0]
         assert np.all(np.diff(ll) >= -1e-8)
 
     def test_large_period_smoke(self):
@@ -506,10 +522,10 @@ class TestEmFit:
         series, _, _ = generate_block_series(
             truth, n=2000, T=3 * d, rng=np.random.default_rng(9)
         )
-        params, trace = fit_one(
+        params, record = fit_one(
             series, default_init(series, d), EmConfig(max_iter=4, tol=1e-9)
         )
-        assert np.all(np.diff(trace.loglik_per_iter) >= -1e-8)
+        assert np.all(np.diff(record.loglik[:, 0]) >= -1e-8)
         assert params.mu0.shape == (d,)
 
     def test_learned_q_is_exactly_diagonal(self):
@@ -582,16 +598,21 @@ class TestLockstep:
         blocks = concat(blocks)
         inits = default_init(blocks, truth.d)
         config = EmConfig(max_iter=40, tol=1e-4, fix_r_to_zero=fix_r)
-        params, traces = em_fit(blocks, inits, config)
+        params, record = em_fit(blocks, inits, config)
+        steps = e_steps(record)
         # the blocks stop at different iterations, one of them at the cap
-        assert len({t.iterations for t in traces}) >= 3
-        assert not all(t.converged for t in traces)
-        for counts, n, init, p, trace in zip(blocks.counts, blocks.n, inits, params, traces):
+        assert len(set(steps.tolist())) >= 3
+        assert not record.converged.all()
+        # each block's rows are its E-steps, then NaN to the end
+        assert (np.isnan(record.loglik) == (np.arange(len(record.loglik))[:, None] >= steps)).all()
+        assert (np.isnan(record.variances).all(axis=2) == np.isnan(record.loglik)).all()
+        for b, (counts, n, init, p) in enumerate(zip(blocks.counts, blocks.n, inits, params)):
             p_ref, rows, converged = ref.em_fit(
                 counts, int(n), init, config.max_iter, config.tol, fix_r
             )
-            assert (trace.iterations, trace.converged) == (len(rows), converged)
-            got = np.column_stack((trace.loglik_per_iter, trace.variances_per_iter))
+            assert (steps[b], record.converged[b]) == (len(rows), converged)
+            k = steps[b]
+            got = np.column_stack((record.loglik[:k, b], record.variances[:k, b]))
             np.testing.assert_allclose(got, rows, rtol=1e-10, atol=0)
             for name in ("q_m", "q_s", "r", "mu0", "Sigma0"):
                 np.testing.assert_allclose(getattr(p, name), getattr(p_ref, name), rtol=1e-10, atol=1e-14)

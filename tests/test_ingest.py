@@ -178,6 +178,24 @@ class TestParseInputs:
             parse_inputs(files["events.csv"], files["types.csv"], UNIT)
         assert str(info.value) == f"{files[name]}:{line}: not UTF-8 text (byte 0xe9)"
 
+    @pytest.mark.parametrize("name", ["events.csv", "types.csv"])
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, name):
+        # spreadsheet exports often start a UTF-8 file with one
+        plain = parse_inputs(*self.inputs(tmp_path, name, ",".join(self.HEADERS[name])), UNIT)
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked = parse_inputs(tmp_path / "events.csv", tmp_path / "types.csv", UNIT)
+        assert marked.typing == plain.typing and marked.T == plain.T
+        np.testing.assert_array_equal(marked.keys, plain.keys)
+
+    def test_bad_row_after_byte_order_mark_names_its_line(self, tmp_path):
+        types = write(tmp_path, "types.csv", "vertex,type\n1,a\n2,b\n")
+        events = tmp_path / "events.csv"
+        events.write_bytes("\ufefftimestamp,src,dst\n1,1,2\n2,1,9\n".encode("utf-8"))
+        with pytest.raises(IngestError) as info:
+            parse_inputs(events, types, UNIT)
+        assert str(info.value) == f"{events}:3: vertex '9' has no type"
+
     def test_non_ascii_names_are_read_as_utf8(self, tmp_path):
         types = write(tmp_path, "types.csv", "vertex,type\nz\u00e9,\u00e9\ny,b\n")
         events = write(tmp_path, "events.csv", "timestamp,src,dst\n0.5,y,z\u00e9\n")
