@@ -2,8 +2,8 @@
 
 Every subcommand is reproducible from its inputs and options (simulate's
 include its seed); the resolved configuration is written next to the
-outputs.  ``simulate`` writes ``events.csv`` one snapshot at a time, as
-the generator yields them, and keeps only each block's ground truth.
+outputs.  ``simulate`` writes each snapshot's events and ground truth
+rows as the generator yields it, so it holds one snapshot at a time.
 ``forecast`` filters the data with the horizon appended as gaps; it and
 ``detect`` need the data's blocks to be the model's.
 Exit codes:
@@ -36,6 +36,7 @@ from .ingest import (
     csv_column,
     csv_field,
     csv_lines,
+    csv_output,
     load_model,
     parse_inputs,
     read_text,
@@ -264,6 +265,23 @@ def _utf8_text(name: str, value: str) -> str:
         raise UsageError(f"{name} is not UTF-8 text") from None
 
 
+def _generator_params(d: int, rows: list[dict]) -> ParamStack:
+    """The parameters of blocks with the generator options ``rows``, one
+    dict per block, each block starting at its seasonal state."""
+    mu0 = [seasonal_state(d, o["bias"], sine_profile(d, o["season_amplitude"])) for o in rows]
+    return ParamStack(d, *([o[k] for o in rows] for k in ("q_m", "q_s", "r")),
+                      np.reshape(mu0, (len(rows), d)), np.zeros((len(rows), d, d)))
+
+
+def _refusal(d: int, row: dict) -> str | None:
+    """Why one block of options ``row`` is refused, or None."""
+    try:
+        _generator_params(d, [row])
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def _block_labels(pairs) -> np.ndarray:
     """Each block's ``a:b`` label as a CSV field, in an object array."""
     return np.array([csv_field(pair_key(pair)) for pair in pairs], dtype=object)
@@ -289,23 +307,29 @@ def cmd_simulate(resolved: dict) -> int:
             type_of[vid] = name
     typing = VertexTyping(type_of)
 
+    wide = {k: resolved[k] for k in BLOCK_OPTIONS}
     overrides = _block_overrides(resolved["blocks"], typing)
-    rows = [{**{k: resolved[k] for k in BLOCK_OPTIONS}, **overrides.get(pair_key(pair), {})}
-            for pair in typing.blocks()[0]]
-    mu0 = [seasonal_state(d, o["bias"], sine_profile(d, o["season_amplitude"])) for o in rows]
-    params = ParamStack(d, *([o[k] for o in rows] for k in ("q_m", "q_s", "r")),
-                        np.reshape(mu0, (len(rows), d)), np.zeros((len(rows), d, d)))
+    names = [pair_key(pair) for pair in typing.blocks()[0]]
+    rows = [{**wide, **overrides.get(name, {})} for name in names]
+    try:
+        params = _generator_params(d, rows)
+    except ValueError:
+        # name the first overridden block whose refusal the command-wide values do not share
+        wide_refusal = _refusal(d, wide)
+        for name, row in zip(names, rows):
+            refusal = _refusal(d, row) if name in overrides else None
+            if refusal not in (None, wide_refusal):
+                raise ValueError(f"config blocks {name!r}: {refusal}") from None
+        raise
 
     rng = np.random.default_rng(resolved["seed"])
     snapshots = generate_network(params, typing, T, rng)
     steps = T if len(params) else 0  # with no block every snapshot is empty, so none is walked
-    try:
-        truth = np.empty((steps, len(params), 4))  # each step's m, s, e and w of each block
+    try:  # step t is stamped at its bucket's midpoint, which fit must read back into bucket t
+        step_t = np.arange(1, steps + 1)
     except (ValueError, MemoryError):  # numpy's "array is too big", or a refused allocation
-        raise ValueError(f"--steps {T} is too many: the ground truth, {T} x {len(params)} x 4 "
-                         "floats, cannot be held in memory") from None
-    # step t is stamped at its bucket's midpoint, which fit must read back into bucket t
-    step_t = np.arange(1, steps + 1)
+        raise ValueError(f"--steps {T} is too many: their timestamps, {T} floats, "
+                         "cannot be held in memory") from None
     with np.errstate(over="ignore"):
         stamps = (step_t - 0.5) * width
         misplaced = ~np.isfinite(stamps) | (BucketingConfig(0.0, width).bucket(stamps) != step_t)
@@ -319,14 +343,15 @@ def cmd_simulate(resolved: dict) -> int:
     types = [csv_field(label) for label in typing.type_of.values()]
     dst_fields = np.array([f"{label}\n" for label in labels], dtype=object)  # a row's end
     V = len(labels)
+    blocks = _block_labels(typing.blocks()[0])
 
-    def event_lines():
+    def event_lines(truth):
         """Each snapshot's events.csv lines, at most CHUNK_ROWS rows to a
-        string, as it arrives; its ground truth is kept."""
+        string, as it arrives; its ground truth rows go to ``truth``."""
         for t, snapshot in enumerate(islice(snapshots, steps), 1):
-            truth[t - 1] = np.column_stack(
-                (snapshot.states[:, DRIVEN], snapshot.density, snapshot.counts)
-            )
+            truth.writelines(csv_lines([np.full(len(blocks), t), blocks,
+                                        *snapshot.states[:, DRIVEN].T, snapshot.density,
+                                        snapshot.counts.astype(np.int64)]))
             [stamp] = csv_column(stamps[t - 1:t])
             starts = np.array([f"{stamp},{label}," for label in labels], dtype=object)
             for lo in range(0, snapshot.keys.size, CHUNK_ROWS):
@@ -335,19 +360,10 @@ def cmd_simulate(resolved: dict) -> int:
                 cells[:, 0], cells[:, 1] = starts[u], dst_fields[v]
                 yield "".join(cells.ravel().tolist())
 
-    write_csv(out / "events.csv", EVENTS_HEADER, event_lines())
+    with csv_output(out / "ground_truth.csv", ["t", "block", "m", "s", "e", "w"]) as truth:
+        write_csv(out / "events.csv", EVENTS_HEADER, event_lines(truth))
     write_csv(out / "types.csv", TYPES_HEADER,
               csv_lines([np.array(fields, dtype=object) for fields in (labels, types)]))
-    blocks = _block_labels(typing.blocks()[0])
-    block_steps = truth.reshape(-1, 4)  # t-major, blocks in canonical order
-
-    def truth_lines():
-        for lo in range(0, len(block_steps), CHUNK_ROWS):
-            t, b = np.divmod(np.arange(lo, min(lo + CHUNK_ROWS, len(block_steps))), len(blocks))
-            m, s, e, w = block_steps[lo:lo + CHUNK_ROWS].T
-            yield from csv_lines([t + 1, blocks[b], m, s, e, w.astype(np.int64)])
-
-    write_csv(out / "ground_truth.csv", ["t", "block", "m", "s", "e", "w"], truth_lines())
     _write_run_config(out, "simulate", resolved)
     return EXIT_OK
 

@@ -20,7 +20,6 @@ tests can compare inferred beliefs with the truth.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -50,13 +49,19 @@ def seasonal_state(d: int, bias: float, profile: np.ndarray) -> np.ndarray:
 
 
 def sine_profile(d: int, amplitude: float) -> np.ndarray:
-    """Zero-sum sinusoidal seasonal pattern with the given half-range."""
+    """Zero-sum sinusoidal seasonal pattern with the given half-range.
+
+    The sum of the profile's magnitudes must be finite: it bounds every
+    sum of offsets that its mean and the state's transition take."""
     check_period(d)
-    if not math.isfinite(amplitude):
-        raise ValueError("seasonal amplitude must be finite")
-    phases = np.arange(d)
-    profile = amplitude * np.sin(2.0 * np.pi * phases / d)
-    return profile - profile.mean()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        profile = amplitude * np.sin(2.0 * np.pi * np.arange(d) / d)
+        profile -= profile.mean()
+        bounded = np.isfinite(np.abs(profile).sum())
+    if not bounded:
+        raise ValueError("seasonal amplitude must be finite, with a profile whose offsets sum "
+                         f"without overflow, got {amplitude!r}")
+    return profile
 
 
 def _noise_sd(params: ParamStack) -> np.ndarray:

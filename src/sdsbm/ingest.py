@@ -47,9 +47,10 @@ import hashlib
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -379,11 +380,18 @@ def csv_lines(columns: list[np.ndarray]) -> Iterator[str]:
         yield "\n".join(map(",".join, zip(*fields))) + "\n"
 
 
-def write_csv(path, header, chunks) -> None:
-    """Write ``header`` and then each chunk of ``chunks``, CSV lines as
-    ``csv_lines`` gives them, as a UTF-8 file with "\\n" line ends."""
+@contextmanager
+def csv_output(path, header) -> Iterator[TextIO]:
+    """``path`` open as a new UTF-8 file with "\\n" line ends and its
+    ``header`` line written, for CSV lines as ``csv_lines`` gives them."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(csv_field, header)) + "\n")
+        yield fh
+
+
+def write_csv(path, header, chunks) -> None:
+    """Write each chunk of ``chunks`` to ``csv_output(path, header)``."""
+    with csv_output(path, header) as fh:
         fh.writelines(chunks)
 
 

@@ -119,7 +119,8 @@ def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
     carried forward with no likelihood contribution, so at trailing gaps
     ``pred_count`` and ``innov_var`` are the count forecast's mean and
     variance.  One check after the pass raises ``FilterError`` at the first
-    step, then block, with a non-positive F_t where w_t is observed.
+    step, then block, with a non-finite H a_t or F_t, or with a
+    non-positive F_t where w_t is observed.
     """
     if len(blocks) != len(params):
         raise ValueError("blocks and parameters differ in number")
@@ -139,8 +140,9 @@ def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
     q = params.q  # Q's non-zero entries
     pred = np.empty((B, D, D))  # G P G^T + Q, rewritten every step
     pred_diag = pred.reshape(B, D * D)[:, :: D + 1][:, DRIVEN]  # where Q adds q
-    measurement_var = seq.measurement_var  # b_t = u_t + n^2 r; n and r are checked already
-    with np.errstate(divide="ignore", invalid="ignore"):  # a bad F_t raises after the pass
+    # a bad count mean or F_t, overflowed or not, raises after the pass
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        measurement_var = seq.measurement_var  # b_t = u_t + n^2 r
         for t in range(T):
             np.matmul(G @ cov, GT, out=pred)  # predict: G m and G P G^T + Q
             pred_diag += q
@@ -155,10 +157,13 @@ def filter(blocks: BlockStack, params: ParamStack) -> BeliefSequence:
             mean = mean + gain * v[:, None]
             cov = cov - gain[:, :, None] * p[:, None, :]
             cov = 0.5 * (cov + cov.swapaxes(1, 2))
-    bad = observed & (innov_var <= 0)
+    finite = np.isfinite(pred_count) & np.isfinite(innov_var)
+    bad = ~finite | (observed & (innov_var <= 0))
     if bad.any():
         t, b = np.argwhere(bad.T)[0]  # the first bad step, then its first bad block
-        message = f"non-positive innovation variance {innov_var[b, t]}"
+        message = (f"non-positive innovation variance {innov_var[b, t]}" if finite[b, t] else
+                   f"predicted count {pred_count[b, t]} and innovation variance "
+                   f"{innov_var[b, t]} are not both finite")
         raise FilterError(int(t) + 1, message, pair_key(blocks.pairs[b]))
     innov[~observed] = np.nan
     seq.final_mean, seq.final_cov = mean, cov

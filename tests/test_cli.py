@@ -129,6 +129,7 @@ class TestSimulate:
             ("--r", "nan"),
             ("--bias", "nan"),
             ("--season-amplitude", "inf"),
+            ("--season-amplitude", "1e308"),  # finite, but its profile's mean overflows
             ("--width", 0),
             ("--width", -1),
             ("--width", "nan"),
@@ -899,7 +900,7 @@ SIM_DATA = ("--events", "{sim}/events.csv", "--types", "{sim}/types.csv")
         (("simulate", "--steps", 2**63 // 9, "--types", "a=3"), {}, EXIT_DATA,
          f"{2**63 // 9} snapshots of 3 vertices are too many to index edges in int64"),
         (("simulate", "--steps", 10**18, "--types", "a=3"), {}, EXIT_DATA,
-         f"--steps {10**18} is too many: the ground truth, {10**18} x 1 x 4 floats, "
+         f"--steps {10**18} is too many: their timestamps, {10**18} floats, "
          "cannot be held in memory"),
         (("simulate", "--steps", 3, "--types", "a=3", "--width", 1e308), {}, EXIT_DATA,
          "--width 1e+308 stamps step 3 at inf, which fit's buckets from origin 0 at that width "
@@ -985,6 +986,29 @@ def test_degenerate_model_is_data_error(sim_dir, fitted_dir, tmp_path, capsys):
     }
     save_model(bad, ns, tmp_path / "bad.json")
     assert_model_commands_are_data_errors(tmp_path / "bad.json", sim_dir, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key", ["q_m", "r"])
+@pytest.mark.parametrize("command,extra", [("forecast", ("--horizon", 3)), ("detect", ())],
+                         ids=["forecast", "detect"])
+def test_model_variances_that_overflow_the_filter_are_data_errors(
+    sim_dir, fitted_dir, tmp_path, capsys, command, extra, key
+):
+    # every block's q_m or r at 1e308, checksummed: n^2 times it overflows
+    # the filter's innovation variance at step 1, whose refusal names a
+    # block and the step, with no numpy warning on the way
+    document = json.loads((fitted_dir / "model.json").read_text())
+    for block in document["blocks"]:
+        block[key] = 1e308
+    model = write_checksummed(tmp_path / "huge.json", document)
+    out = tmp_path / "out"
+    code = run(command, "--model", model, "--events", sim_dir / "events.csv",
+               "--types", sim_dir / "types.csv", *extra, "--out-dir", out)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: block a:a: t=1: ") and "not both finite" in err, err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_model_blocks_in_any_order_give_the_same_outputs(sim_dir, fitted_dir, tmp_path, monkeypatch):
@@ -1309,6 +1333,31 @@ class TestConfigHandling:
         assert code == EXIT_MAX_ITER
         resolved = json.loads((tmp_path / "out" / "run_config.json").read_text())
         assert resolved["fix_r_zero"] is False and resolved["t_cap"] is None
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"blocks": {"a:b": {"q_s": -1e-3}}}, "config blocks 'a:b': variances must be non-negative"),
+            ({"blocks": {"b:b": {"season_amplitude": 1e308}}},
+             "config blocks 'b:b': seasonal amplitude must be finite, with a profile whose offsets "
+             "sum without overflow, got 1e+308"),
+            # a bad command-wide value keeps its message, overridden blocks or not
+            ({"q_s": -1e-3}, "variances must be non-negative"),
+            ({"q_s": -1e-3, "blocks": {"a:b": {"bias": 0.3}}}, "variances must be non-negative"),
+            ({"season_amplitude": 1e308, "blocks": {"a:a": {"q_m": 0.0}}},
+             "seasonal amplitude must be finite, with a profile whose offsets sum without "
+             "overflow, got 1e+308"),
+        ],
+        ids=["override", "override-amplitude", "command-wide", "command-wide-overridden",
+             "command-wide-amplitude"],
+    )
+    def test_refused_block_override_names_its_block(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run("simulate", "--config", cfg, "--types", "a=6,b=5", "--out-dir", out) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_block_overrides_reach_the_generator(self, tmp_path):
         cfg = tmp_path / "cfg.json"

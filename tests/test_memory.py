@@ -165,16 +165,21 @@ def test_simulate_writes_a_large_snapshot_a_chunk_at_a_time(tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
 def test_simulate_rss_does_not_grow_with_steps(tmp_path):
-    # simulate holds one snapshot's edges and O(B T) numbers of ground
-    # truth: four times the steps (about 1.2M edges against 300k) must not
-    # raise its peak RSS above the import floor by more than 1 MB
+    # simulate holds one snapshot's edges and ground truth and O(T)
+    # timestamps: four times the steps must not raise its peak RSS above
+    # the import floor by more than 1 MB, neither with large blocks
+    # (about 1.2M edges against 300k) nor with many small ones (210
+    # blocks of 20 types of 2, where holding every step's ground truth
+    # would add about 4 MB)
     floor = max_rss_kib("-c", "import sdsbm.cli, numpy.random", cwd=tmp_path)
-    above = [
-        max_rss_kib("-m", "sdsbm.cli", "simulate", "--seed", "3", "--steps", str(steps),
-                    "--types", "a=40,b=30", "--out-dir", f"sim{steps}", cwd=tmp_path) - floor
-        for steps in (210, 840)
-    ]
-    assert above[1] - above[0] < 1024, f"{above} KiB above the import floor"
+    many = ",".join(f"t{k:02d}=2" for k in range(20))
+    for types in ("a=40,b=30", many):
+        above = [
+            max_rss_kib("-m", "sdsbm.cli", "simulate", "--seed", "3", "--steps", str(steps),
+                        "--types", types, "--out-dir", f"sim{steps}", cwd=tmp_path) - floor
+            for steps in (210, 840)
+        ]
+        assert above[1] - above[0] < 1024, f"{types}: {above} KiB above the import floor"
 
 
 def many_blocks():
